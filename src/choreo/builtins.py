@@ -9,6 +9,7 @@ functional object, claiming a channel from the registry, and console output.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .runtime import (
@@ -87,6 +88,39 @@ def value_equals(a, b):
     if isinstance(a, OptionalV):
         return a.present == b.present and (not a.present or value_equals(a.value, b.value))
     return a is b
+
+
+_ARITH_AND_COMPARE = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
+
+def binary_value(op, left, right):
+    """Value of a strict binary operator, shared by both evaluators."""
+    if op == "==":
+        return value_equals(left, right)
+    if op == "!=":
+        return not value_equals(left, right)
+    # Unit residue from projection: evaluate for effects, produce unit.
+    if is_unit(left) or is_unit(right):
+        return UNIT
+    if op in ("&", "|"):
+        return (left and right) if op == "&" else (left or right)
+    if op == "+" and isinstance(left, str):
+        return left + right
+    if op == "/" and isinstance(left, int) and not isinstance(left, bool):
+        return java_div(left, right)
+    if op == "%" and isinstance(left, int) and not isinstance(left, bool):
+        return java_rem(left, right)
+    return _ARITH_AND_COMPARE[op](left, right)
 
 
 @dataclass

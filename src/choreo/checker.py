@@ -109,7 +109,6 @@ class DeclInfo:
 class Scope:
     """Name environments for denotation: role vars and type vars in scope."""
 
-    checker: "Checker"
     roles: dict
     types: dict
 
@@ -118,11 +117,15 @@ class Scope:
         t = dict(self.types)
         r.update(roles or {})
         t.update(types or {})
-        return Scope(self.checker, r, t)
+        return Scope(r, t)
 
 
 class CheckedProgram:
-    """A checked AST plus the annotation side tables."""
+    """A checked AST plus the annotation side tables.
+
+    Role sets are filled on first use and kept per node: the projector asks
+    for them once per role at every node. Equal sets are stored once.
+    """
 
     def __init__(self, program, table, checker):
         self.program = program
@@ -132,6 +135,9 @@ class CheckedProgram:
         self.te_types = checker.te_types
         self.resolved = checker.resolved
         self.var_tes = checker.var_tes
+        self._type_roles = {}  # id(Exp or TE) -> roles of its own type
+        self._exp_roles = {}  # id(Exp) -> roles of its type and all subterms
+        self._role_sets = {}  # frozenset -> the one stored copy of it
 
     def decl_info(self, name):
         return self.table.get(name)
@@ -149,28 +155,23 @@ class CheckedProgram:
             raise KeyError(f"type expression at {te.span!r} was not denoted")
         return t
 
+    def type_roles(self, node):
+        """Roles in the type of an expression or a type expression."""
+        roles = self._type_roles.get(id(node))
+        if roles is None:
+            t = self.te_type(node) if isinstance(node, S.TE) else self.type_of(node)
+            roles = self._type_roles[id(node)] = self._stored(roles_of_type(t))
+        return roles
+
     def roles_of(self, node):
         """Roles in the node's resolved type and, for expressions, all subterms."""
         if isinstance(node, S.TE):
-            return roles_of_type(self.te_type(node))
+            return self.type_roles(node)
         if isinstance(node, S.Exp):
-            out = set()
-            for sub in S.walk_exps(node):
-                if isinstance(sub, S.StaticRef):
-                    out.update(sub.roles)
-                    continue
-                if isinstance(sub, S.Call) and sub.scope is None:
-                    # Unqualified instance calls (and super) have an implicit
-                    # receiver spanning the enclosing declaration's roles.
-                    res = self.resolved.get(id(sub))
-                    if res is not None and res[0] in ("call", "super"):
-                        mi = res[1]
-                        if res[0] == "super" or not mi.is_static:
-                            out.update(mi.owner.role_names)
-                t = self.exp_types.get(id(sub))
-                if t is not None:
-                    out.update(roles_of_type(t))
-            return out
+            roles = self._exp_roles.get(id(node))
+            if roles is None:
+                roles = self._exp_roles[id(node)] = self._exp_roles_of(node)
+            return roles
         if isinstance(node, S.Stm):
             out = set()
             for stm in S.stm_list(node) or [node]:
@@ -181,6 +182,28 @@ class CheckedProgram:
                     out |= self.roles_of(te)
             return out
         raise TypeError(f"roles_of: {node!r}")
+
+    def _exp_roles_of(self, exp):
+        out = set()
+        if isinstance(exp, S.StaticRef):
+            return self._stored(exp.roles)
+        if isinstance(exp, S.Call) and exp.scope is None:
+            # Unqualified instance calls (and super) have an implicit
+            # receiver spanning the enclosing declaration's roles.
+            res = self.resolved.get(id(exp))
+            if res is not None and res[0] in ("call", "super"):
+                mi = res[1]
+                if res[0] == "super" or not mi.is_static:
+                    out.update(mi.owner.role_names)
+        if id(exp) in self.exp_types:
+            out |= self.type_roles(exp)
+        for sub in S.sub_exps(exp):
+            out |= self.roles_of(sub)
+        return self._stored(out)
+
+    def _stored(self, roles):
+        roles = frozenset(roles)
+        return self._role_sets.setdefault(roles, roles)
 
 
 # ------------------------------------------------------------------ checker
@@ -198,7 +221,15 @@ class Checker:
         self.resolved = {}  # id(Call/New) -> (kind, MethodInfo)
         self.var_tes = {}  # id(VarDecl) -> denoted Type
         self.suppressed = set()  # decl names whose bodies are skipped
+        self.cyclic = set()  # decl names reported for cyclic inheritance
         self._failed_tes = set()
+        # Type facts, each computed on first use and kept for this program.
+        self._decl_scopes = {}  # decl name -> Scope
+        self._method_scopes = {}  # id(MethodInfo) -> Scope
+        self._decl_supers = {}  # decl name -> direct supertypes at its formals
+        self._closures = {}  # decl name -> [(DeclInfo, subst)]
+        self._param_types = {}  # id(MethodInfo) -> (param Type or None, ...)
+        self._return_types = {}  # id(MethodInfo) -> return Type or None
 
     # ------------------------------------------------------------ pipeline
 
@@ -231,7 +262,7 @@ class Checker:
             )
             self.table[decl.name] = info
         for info in list(self.table.values()):
-            scope = self.decl_scope(info)
+            scope = Scope({v.name: v for v in info.role_vars}, {})
             if isinstance(info.node, (S.ClassDecl, S.InterfaceDecl)):
                 info.ftps = self.build_ftps(info.node.ftps, scope)
                 scope = self.decl_scope(info)
@@ -276,30 +307,43 @@ class Checker:
         return out
 
     def decl_scope(self, info):
-        return Scope(
-            self,
-            roles={v.name: v for v in info.role_vars},
-            types={f.name: f.var for f in info.ftps},
-        )
+        """Role and type variables of a declaration; valid once the table is built."""
+        scope = self._decl_scopes.get(info.name)
+        if scope is None:
+            scope = self._decl_scopes[info.name] = Scope(
+                roles={v.name: v for v in info.role_vars},
+                types={f.name: f.var for f in info.ftps},
+            )
+        return scope
 
     def method_scope(self, info, mi):
-        return self.decl_scope(info).child(types={f.name: f.var for f in mi.ftps})
+        scope = self._method_scopes.get(id(mi))
+        if scope is None:
+            scope = self._method_scopes[id(mi)] = self.decl_scope(info).child(
+                types={f.name: f.var for f in mi.ftps})
+        return scope
+
+    @staticmethod
+    def formals(info):
+        """A declaration's role variables, then its type variables."""
+        return info.role_vars + [f.var for f in info.ftps]
 
     # --------------------------------------------------------- denotation
 
     def denote(self, te: S.TE, scope: Scope, as_argument_arity=None):
-        """Implements the type denotation equations; records the result.
+        """Implements the type denotation equations; records the normal form.
 
         Results (and failures) are cached per node so repeated closure walks
         neither redo work nor duplicate diagnostics.
         """
-        if id(te) in self.te_types:
-            return self.te_types[id(te)]
+        t = self.te_types.get(id(te))
+        if t is not None:
+            return t
         if id(te) in self._failed_tes:
             return None
         t = self._denote(te, scope, as_argument_arity)
         if t is not None:
-            self.te_types[id(te)] = t
+            t = self.te_types[id(te)] = reduce_type(t)
         else:
             self._failed_tes.add(id(te))
         return t
@@ -538,12 +582,15 @@ class Checker:
 
     def direct_supertypes_of_decl(self, info):
         """Denoted supertypes of a declaration, at its own formals."""
+        out = self._decl_supers.get(info.name)
+        if out is not None:
+            return out
         scope = self.decl_scope(info)
         out = []
         for te in info.super_tes():
             t = self.denote(te, scope)
             if t is not None:
-                out.append(reduce_type(t))
+                out.append(t)
         if info.is_enum:
             out.append(app(TSym("Enum"), info.role_vars[0], info.sym))
         if (
@@ -553,6 +600,7 @@ class Checker:
             and "Object" in self.table
         ):
             out.append(app(TSym("Object"), info.role_vars[0]))
+        out = self._decl_supers[info.name] = tuple(out)
         return out
 
     def direct_supertypes(self, t):
@@ -562,7 +610,7 @@ class Checker:
             info = self.table.get(head.name)
             if info is None:
                 return []
-            formals = info.role_vars + [f.var for f in info.ftps]
+            formals = self.formals(info)
             if len(args) != len(formals):
                 return []
             mapping = {f.uid: a for f, a in zip(formals, args)}
@@ -573,9 +621,76 @@ class Checker:
             return [reduce_type(app(b, *args)) for b in bounds]
         return []
 
-    def is_subtype(self, a, b, _seen=None):
-        a = reduce_type(a)
-        b = reduce_type(b)
+    def supertype_closure(self, info):
+        """The declaration, then every supertype it reaches, breadth first.
+
+        A list of ``(DeclInfo, subst)`` where ``subst`` maps the supertype's
+        formals to types over ``info``'s formals (empty for ``info`` itself).
+        Entries are told apart by instantiated type, not by declaration:
+        ``BiChannel@(A, B)<T, R>`` reaches ``DiChannel`` both as
+        ``DiChannel@(A, B)<T>`` and as ``DiChannel@(B, A)<R>``. A declaration
+        reported as cyclic is listed but not expanded, so the walk ends even
+        when a cycle grows its type arguments.
+        """
+        out = self._closures.get(info.name)
+        if out is not None:
+            return out
+        out = [(info, {})]
+        seen = {pretty(self.self_type(info))}
+        for i, (cur, mapping) in enumerate(out):
+            if i and cur.name in self.cyclic:
+                continue
+            for t in self.direct_supertypes_of_decl(cur):
+                if mapping:
+                    t = reduce_type(substitute(t, mapping))
+                head, args = spine(t)
+                sup = self.table.get(head.name) if isinstance(head, TSym) else None
+                if sup is None:
+                    continue
+                formals = self.formals(sup)
+                key = pretty(t)
+                if len(formals) != len(args) or key in seen:
+                    continue
+                seen.add(key)
+                out.append((sup, {f.uid: a for f, a in zip(formals, args)}))
+        self._closures[info.name] = out
+        return out
+
+    def supertype_instances(self, t, _bounded=frozenset()):
+        """The ``supertype_closure`` entries of a normal type's declaration,
+        as ``(DeclInfo, subst, actuals)``.
+
+        ``actuals`` maps the declaration's formals to the type's arguments;
+        ``instantiate(subst, actuals)`` maps an entry's formals to types at
+        this use. A type variable yields the entries of its bounds.
+        """
+        head, args = spine(t)
+        if isinstance(head, TVar):
+            if head.uid in _bounded:
+                return
+            for b in self.var_bounds.get(head.uid, ()):
+                yield from self.supertype_instances(reduce_type(app(b, *args)),
+                                                    _bounded | {head.uid})
+            return
+        info = self.table.get(head.name) if isinstance(head, TSym) else None
+        if info is None:
+            return
+        formals = self.formals(info)
+        if len(formals) != len(args):
+            return
+        actuals = {f.uid: a for f, a in zip(formals, args)}
+        for sup, subst in self.supertype_closure(info):
+            yield sup, subst, actuals
+
+    @staticmethod
+    def instantiate(subst, actuals):
+        """Compose a closure entry's substitution with a use site's actuals."""
+        if not subst:
+            return actuals
+        return {k: reduce_type(substitute(v, actuals)) for k, v in subst.items()}
+
+    def is_subtype(self, a, b, _bounded=frozenset()):
+        """Subtyping on normal types."""
         if type_equal(a, b):
             return True
         if isinstance(b, TInter):
@@ -586,12 +701,27 @@ class Checker:
             return not isinstance(b, (TVoid, TBottom)) and roles_of_type(b) == set(a.roles)
         if isinstance(a, TVoid) or isinstance(b, TVoid):
             return False
-        _seen = _seen or set()
-        key = pretty(a)
-        if key in _seen:
+        head, args = spine(a)
+        if isinstance(head, TVar):
+            # A bound may itself be a type variable (``S@Y extends T@Y``).
+            if head.uid in _bounded:
+                return False
+            inner = _bounded | {head.uid}
+            return any(self.is_subtype(reduce_type(app(bound, *args)), b, inner)
+                       for bound in self.var_bounds.get(head.uid, ()))
+        bhead, bargs = spine(b)
+        if not isinstance(bhead, TSym):
             return False
-        _seen.add(key)
-        return any(self.is_subtype(s, b, _seen) for s in self.direct_supertypes(a))
+        for sup, subst, actuals in self.supertype_instances(a):
+            if sup.name != bhead.name:
+                continue
+            formals = self.formals(sup)
+            if len(formals) != len(bargs):
+                continue
+            mapping = self.instantiate(subst, actuals)
+            if all(type_equal(mapping[f.uid], x) for f, x in zip(formals, bargs)):
+                return True
+        return False
 
     # ------------------------------------------------------ role constraints
 
@@ -628,27 +758,28 @@ class Checker:
                     targets.append(te.name)
             edges[info.name] = targets
         state = {}
-
-        def visit(name, path):
-            state[name] = "active"
-            for nxt in edges.get(name, ()):
-                if state.get(nxt) == "active":
-                    info = self.table[name]
-                    span = info.node.span
-                    for te in info.super_tes():
-                        if te.name == nxt:
-                            span = te.span
-                    self.reporter.error(
-                        Code.CyclicInheritance, span,
-                        f"Cyclic inheritance: '{name}' cannot extend '{nxt}'.")
-                    self.suppressed.add(name)
-                elif state.get(nxt) is None:
-                    visit(nxt, path + [nxt])
-            state[name] = "done"
-
         for name in edges:
             if state.get(name) is None:
-                visit(name, [name])
+                self._visit_supertypes(name, edges, state)
+
+    def _visit_supertypes(self, name, edges, state):
+        """Depth-first step of ``check_cycles``: report each edge that closes a cycle."""
+        state[name] = "active"
+        for nxt in edges.get(name, ()):
+            if state.get(nxt) == "active":
+                info = self.table[name]
+                span = info.node.span
+                for te in info.super_tes():
+                    if te.name == nxt:
+                        span = te.span
+                self.reporter.error(
+                    Code.CyclicInheritance, span,
+                    f"Cyclic inheritance: '{name}' cannot extend '{nxt}'.")
+                self.suppressed.add(name)
+                self.cyclic.add(name)
+            elif state.get(nxt) is None:
+                self._visit_supertypes(nxt, edges, state)
+        state[name] = "done"
 
     def check_unused_roles(self, info):
         used = set()
@@ -670,16 +801,16 @@ class Checker:
                 if isinstance(stm, S.TryCatch):
                     for h in stm.handlers:
                         te_roles(h.te)
-                for exp in S.walk_exps(stm):
-                    if isinstance(exp, (S.Literal, S.StaticRef)):
-                        used.update(exp.roles)
-                    elif isinstance(exp, S.New):
-                        used.update(exp.roles)
-                        for t in exp.type_args:
-                            te_roles(t)
-                    elif isinstance(exp, S.Call):
-                        for t in exp.type_args:
-                            te_roles(t)
+            for exp in S.walk_exps(mi.node.body):
+                if isinstance(exp, (S.Literal, S.StaticRef)):
+                    used.update(exp.roles)
+                elif isinstance(exp, S.New):
+                    used.update(exp.roles)
+                    for t in exp.type_args:
+                        te_roles(t)
+                elif isinstance(exp, S.Call):
+                    for t in exp.type_args:
+                        te_roles(t)
         for role in info.role_names:
             if role not in used and len(info.role_names) > 1:
                 self.reporter.warn(
@@ -705,20 +836,14 @@ class Checker:
     def check_overload_clashes(self, info):
         """Per-role projected signatures must stay pairwise distinct."""
         candidates = []  # (MethodInfo, [param Type], own: bool)
-        for mi in info.methods:
-            scope = self.method_scope(info, mi)
-            params = [self.denote(p.te, scope) for p in mi.node.params]
-            if any(p is None for p in params):
-                continue
-            candidates.append((mi, [reduce_type(p) for p in params], True))
-        for sup, mapping in self.closure_with_subst(info)[1:]:
-            for mi in sup[0].methods:
-                scope = self.method_scope(sup[0], mi)
-                params = [self.denote(p.te, scope) for p in mi.node.params]
+        for i, (sup, subst) in enumerate(self.supertype_closure(info)):
+            for mi in sup.methods:
+                params = self.param_types(mi)
                 if any(p is None for p in params):
                     continue
-                params = [reduce_type(substitute(p, sup[1])) for p in params]
-                candidates.append((mi, params, False))
+                if subst:
+                    params = [reduce_type(substitute(p, subst)) for p in params]
+                candidates.append((mi, params, i == 0))
         for i in range(len(candidates)):
             for j in range(i + 1, len(candidates)):
                 m1, p1, own1 = candidates[i]
@@ -757,31 +882,6 @@ class Checker:
         from .projector import project_type_name
         return project_type_name(self, t, role)
 
-    def closure_with_subst(self, info):
-        """[( (DeclInfo, subst), ... )] walking the supertype closure."""
-        start = (info, {})
-        out = [(start, {})]
-        seen = {info.name}
-        frontier = [(info, {})]
-        while frontier:
-            cur, mapping = frontier.pop(0)
-            for t in self.direct_supertypes_of_decl(cur):
-                t = reduce_type(substitute(t, mapping))
-                head, args = spine(t)
-                if not isinstance(head, TSym):
-                    continue
-                sup = self.table.get(head.name)
-                if sup is None or sup.name in seen:
-                    continue
-                seen.add(sup.name)
-                formals = sup.role_vars + [f.var for f in sup.ftps]
-                if len(formals) != len(args):
-                    continue
-                sub_map = {f.uid: a for f, a in zip(formals, args)}
-                out.append(((sup, sub_map), sub_map))
-                frontier.append((sup, sub_map))
-        return out
-
     # ------------------------------------------------- selection annotations
 
     def validate_selection_annotations(self):
@@ -807,7 +907,6 @@ class Checker:
         if pt is None or rt is None or isinstance(rt, TVoid):
             bad("methods must return the transmitted enumerated value.")
             return
-        pt, rt = reduce_type(pt), reduce_type(rt)
         ph, pargs = spine(pt)
         rh, rargs = spine(rt)
         if not type_equal(ph, rh):
@@ -865,6 +964,7 @@ class Checker:
 
     def kind_check_declarations(self):
         theta = self.kind_env()
+        well_kinded = set()  # many member types are the same type, e.g. String@A
         for info in self.table.values():
             if info.name in self.suppressed:
                 continue
@@ -872,10 +972,11 @@ class Checker:
                 continue
             for te, scope in self.member_tes_with_scope(info):
                 t = self.denote(te, scope)
-                if t is None:
+                if t is None or t in well_kinded:
                     continue
                 try:
                     self.kind_of(theta, t)
+                    well_kinded.add(t)
                 except KindError as e:
                     self.reporter.error(Code.KindMismatch, te.span, str(e) + ".")
 
@@ -903,13 +1004,10 @@ class Checker:
 
     def check_abstract_implementations(self, info):
         implemented = {}
-        for (sup, mapping), _ in self.closure_with_subst(info):
+        for sup, subst in self.supertype_closure(info):
             for mi in sup.methods:
-                scope = self.method_scope(sup, mi)
-                params = tuple(
-                    pretty(reduce_type(substitute(self.denote(p.te, scope) or VOID, mapping)))
-                    for p in mi.node.params
-                )
+                params = tuple(pretty(substitute(p or VOID, subst))
+                               for p in self.param_types(mi))
                 key = (mi.name, params)
                 has_body = mi.node.body is not None or sup.is_prelude
                 if key not in implemented or implemented[key] is False:
@@ -924,18 +1022,17 @@ class Checker:
         scope = self.method_scope(info, mi)
         gamma = {}
         if not mi.is_static or constructor:
-            gamma["this"] = reduce_type(self.self_type(info))
+            gamma["this"] = self.self_type(info)
         for p in mi.node.params:
             t = self.denote(p.te, scope)
             if t is not None:
-                gamma[p.name] = reduce_type(t)
+                gamma[p.name] = t
         if constructor:
             expected = VOID
         else:
             expected = self.denote(mi.node.return_te, scope)
             if expected is None:
                 return
-            expected = reduce_type(expected)
         ctx = _BodyCtx(info, mi, scope, constructor)
         self.check_stm(ctx, gamma, mi.node.body, expected)
 
@@ -959,7 +1056,6 @@ class Checker:
             elif isinstance(stm, S.VarDecl):
                 t = self.denote(stm.te, ctx.scope)
                 if t is not None:
-                    t = reduce_type(t)
                     self.var_tes[id(stm)] = t
                     if stm.init is not None:
                         self.check_exp(ctx, gamma, stm.init, t)
@@ -997,7 +1093,7 @@ class Checker:
                     t = self.denote(h.te, ctx.scope)
                     inner = dict(gamma)
                     if t is not None:
-                        inner[h.name] = reduce_type(t)
+                        inner[h.name] = t
                     self.check_stm(ctx, inner, h.body, expected)
             elif isinstance(stm, S.Throw):
                 self.reporter.error(Code.InternalError, stm.span,
@@ -1007,7 +1103,6 @@ class Checker:
             stm = getattr(stm, "cont", None)
 
     def require_boolean_guard(self, guard, tg):
-        tg = reduce_type(tg)
         roles = roles_of_type(tg)
         ok = False
         if len(roles) == 1:
@@ -1025,7 +1120,6 @@ class Checker:
         tg = self.synth_exp(ctx, gamma, stm.guard)
         cases = None
         if tg is not None:
-            tg = reduce_type(tg)
             head, _ = spine(tg)
             info = self.table.get(head.name) if isinstance(head, TSym) else None
             if info is None or not info.is_enum or len(roles_of_type(tg)) != 1:
@@ -1066,8 +1160,8 @@ class Checker:
         return t
 
     def annotate(self, exp, t):
+        """Record a synthesised type; every synthesis rule yields a normal form."""
         if t is not None:
-            t = reduce_type(t)
             self.exp_types[id(exp)] = t
         return t
 
@@ -1136,16 +1230,16 @@ class Checker:
         return None
 
     def find_field(self, info, name, static_only=False):
-        for (sup, mapping), _ in self.closure_with_subst(info):
+        for sup, subst in self.supertype_closure(info):
             for f in sup.fields():
                 if f.name != name:
                     continue
                 if static_only and not f.is_static():
                     continue
                 t = self.denote(f.te, self.decl_scope(sup))
-                if t is None:
-                    return None
-                return reduce_type(substitute(t, mapping))
+                if t is None or not subst:
+                    return t
+                return reduce_type(substitute(t, subst))
         return None
 
     def resolve_static_ref(self, ctx, ref):
@@ -1195,9 +1289,9 @@ class Checker:
         st = self.synth_exp(ctx, gamma, exp.scope)
         if st is None:
             return None
-        head, _ = spine(reduce_type(st))
+        head, _ = spine(st)
         if isinstance(head, TSym) and head.name in self.table:
-            t = self.member_field_type(reduce_type(st), exp.name)
+            t = self.member_field_type(st, exp.name)
             if t is not None:
                 return t
         self.reporter.error(Code.UnknownName, exp.span,
@@ -1205,22 +1299,13 @@ class Checker:
         return None
 
     def member_field_type(self, t, name):
-        head, args = spine(t)
-        info = self.table.get(head.name)
-        if info is None:
-            return None
-        formals = info.role_vars + [f.var for f in info.ftps]
-        if len(formals) != len(args):
-            return None
-        mapping = {f.uid: a for f, a in zip(formals, args)}
-        for (sup, submap), _ in self.closure_with_subst(info):
+        for sup, subst, actuals in self.supertype_instances(t):
             for f in sup.fields():
                 if f.name == name:
                     ft = self.denote(f.te, self.decl_scope(sup))
                     if ft is None:
                         return None
-                    ft = substitute(ft, submap) if submap else ft
-                    return reduce_type(substitute(ft, mapping))
+                    return reduce_type(substitute(ft, self.instantiate(subst, actuals)))
         return None
 
     def synth_call(self, ctx, gamma, exp):
@@ -1241,7 +1326,7 @@ class Checker:
             if exp.name == "super":
                 return self.synth_super(ctx, exp, type_args, arg_types)
             # Method of the enclosing declaration.
-            receiver = reduce_type(self.self_type(ctx.info))
+            receiver = self.self_type(ctx.info)
             static_ok = not (ctx.mi.is_static and not ctx.constructor)
             return self.resolve_invocation(
                 exp, receiver, exp.name, type_args, arg_types,
@@ -1251,12 +1336,12 @@ class Checker:
             if info is None:
                 return None
             receiver = app(info.sym, *actuals, *[f.var for f in info.ftps])
-            return self.resolve_invocation(exp, reduce_type(receiver), exp.name,
+            return self.resolve_invocation(exp, receiver, exp.name,
                                            type_args, arg_types, statics="only")
         st = self.synth_exp(ctx, gamma, exp.scope)
         if st is None:
             return None
-        return self.resolve_invocation(exp, reduce_type(st), exp.name, type_args,
+        return self.resolve_invocation(exp, st, exp.name, type_args,
                                        arg_types, statics="either")
 
     def synth_super(self, ctx, exp, type_args, arg_types):
@@ -1272,11 +1357,11 @@ class Checker:
         st = self.denote(node.extends, ctx.scope)
         if st is None:
             return None
-        head, args = spine(reduce_type(st))
+        head, args = spine(st)
         info = self.table.get(head.name) if isinstance(head, TSym) else None
         if info is None:
             return None
-        formals = info.role_vars + [f.var for f in info.ftps]
+        formals = self.formals(info)
         mapping = {f.uid: a for f, a in zip(formals, args)}
         mi = self.pick_most_specific(exp, info.constructors, mapping, type_args,
                                      arg_types, "constructor", info)
@@ -1286,37 +1371,27 @@ class Checker:
         return VOID
 
     def resolve_invocation(self, exp, receiver, name, type_args, arg_types, statics):
+        head, args = spine(receiver)
+        info = self.table.get(head.name) if isinstance(head, TSym) else None
+        if info is not None and len(args) != len(self.formals(info)):
+            # Static receiver of a generic class: its own members only.
+            actuals = {}
+            if len(args) == len(info.role_vars):
+                actuals = {f.uid: a for f, a in zip(info.role_vars, args)}
+            decls = [(info, {}, actuals)]
+        else:
+            decls = self.supertype_instances(receiver)
         candidates = []
-        searched = [receiver]
-        frontier = [receiver]
-        seen = set()
-        while frontier:
-            t = frontier.pop(0)
-            head, args = spine(t)
-            info = None
-            mapping = {}
-            if isinstance(head, TSym):
-                info = self.table.get(head.name)
-                if info is not None:
-                    formals = info.role_vars + [f.var for f in info.ftps]
-                    if len(formals) == len(args):
-                        mapping = {f.uid: a for f, a in zip(formals, args)}
-                    elif len(args) == len(info.role_vars):
-                        # Static receiver of a generic class.
-                        mapping = {f.uid: a for f, a in zip(info.role_vars, args)}
-            if info is not None:
-                for mi in info.methods:
-                    if mi.name != name or len(mi.node.params) != len(arg_types):
-                        continue
-                    if statics == "only" and not mi.is_static:
-                        continue
-                    candidates.append((mi, mapping))
-            for s in self.direct_supertypes(t):
-                key = pretty(s)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(s)
-                    searched.append(s)
+        for sup, subst, actuals in decls:
+            mapping = None
+            for mi in sup.methods:
+                if mi.name != name or len(mi.node.params) != len(arg_types):
+                    continue
+                if statics == "only" and not mi.is_static:
+                    continue
+                if mapping is None:
+                    mapping = self.instantiate(subst, actuals)
+                candidates.append((mi, mapping))
         picked = self.pick_most_specific(exp, None, None, type_args, arg_types,
                                          name, None, prepared=candidates)
         if picked is None:
@@ -1332,14 +1407,22 @@ class Checker:
             candidates = [(mi, mapping) for mi in methods
                           if len(mi.node.params) == len(arg_types)]
         applicable = []
+        bound_errors = []
         for mi, sub in candidates:
-            inst = self.instantiate_method(mi, sub, type_args, exp)
+            inst = self.instantiate_method(mi, sub, type_args, exp, bound_errors)
             if inst is None:
                 continue
             params, ret = inst
             if all(self.is_subtype(a, p) for a, p in zip(arg_types, params)):
                 applicable.append((mi, params, ret))
         if not applicable:
+            # A type argument outside one overload's bound matters only when
+            # no other overload applies: BiChannel@(A, B)<Integer, String>
+            # offers com in both directions, each with its own bound.
+            for lhs, rhs in bound_errors:
+                self.reporter.error(
+                    Code.TypeMismatch, exp.span, "Incompatible type argument:",
+                    expecting=pretty(rhs), found=pretty(lhs))
             shown = ", ".join(pretty(t) for t in arg_types)
             self.reporter.error(
                 Code.UnknownName, exp.span,
@@ -1366,9 +1449,33 @@ class Checker:
                 return None
         return first[0], first[2]
 
-    def instantiate_method(self, mi, mapping, type_args, exp):
-        """Substituted (param types, return type), or None if not applicable."""
-        mapping = dict(mapping or {})
+    def param_types(self, mi):
+        """Normal forms of a method's parameter types, None where one failed
+        to denote; at the formals of the method and its declaration."""
+        out = self._param_types.get(id(mi))
+        if out is None:
+            scope = self.method_scope(mi.owner, mi)
+            out = self._param_types[id(mi)] = tuple(self.denote(p.te, scope)
+                                                    for p in mi.node.params)
+        return out
+
+    def return_type(self, mi):
+        """Normal form of a method's return type (void for constructors),
+        None if it failed to denote."""
+        if id(mi) not in self._return_types:
+            if mi.node.is_constructor or mi.node.return_te is None:
+                t = VOID
+            else:
+                t = self.denote(mi.node.return_te, self.method_scope(mi.owner, mi))
+            self._return_types[id(mi)] = t
+        return self._return_types[id(mi)]
+
+    def instantiate_method(self, mi, mapping, type_args, exp, bound_errors):
+        """Substituted (param types, return type), or None if not applicable.
+
+        A type argument outside its bound appends ``(argument, bound)`` to
+        ``bound_errors``.
+        """
         if mi.ftps:
             if len(type_args) != len(mi.ftps):
                 if type_args:
@@ -1377,20 +1484,18 @@ class Checker:
                     Code.TypeMismatch, exp.span,
                     f"'{mi.name}' needs {len(mi.ftps)} explicit type argument(s).")
                 return None
+            mapping = dict(mapping or {})
             for fi, actual in zip(mi.ftps, type_args):
-                coerced = self.coerce_argument(actual, fi.arity, exp)
-                mapping[fi.var.uid] = coerced
+                mapping[fi.var.uid] = self.coerce_argument(actual, fi.arity, exp)
         elif type_args:
             return None
-        scope = self.method_scope(mi.owner, mi)
-        params = []
-        for p in mi.node.params:
-            t = self.denote(p.te, scope)
-            if t is None:
-                return None
-            params.append(reduce_type(substitute(t, mapping)))
+        params = self.param_types(mi)
+        if any(t is None for t in params):
+            return None
+        if mapping:
+            params = [reduce_type(substitute(t, mapping)) for t in params]
         # Bound checks for instantiated method type parameters.
-        for fi, actual in (zip(mi.ftps, type_args) if mi.ftps else ()):
+        for fi in mi.ftps:
             actual = mapping[fi.var.uid]
             for bound in fi.bound_ctors:
                 b = reduce_type(substitute(bound, mapping))
@@ -1398,19 +1503,13 @@ class Checker:
                 lhs = reduce_type(app(actual, *freshes))
                 rhs = reduce_type(app(b, *freshes))
                 if not self.is_subtype(lhs, rhs):
-                    self.reporter.error(
-                        Code.TypeMismatch, exp.span, "Incompatible type argument:",
-                        expecting=pretty(rhs), found=pretty(lhs))
+                    bound_errors.append((lhs, rhs))
                     return None
-        if mi.node.is_constructor:
-            ret = VOID
-        elif mi.node.return_te is None:
-            ret = VOID
-        else:
-            t = self.denote(mi.node.return_te, scope)
-            if t is None:
-                return None
-            ret = reduce_type(substitute(t, mapping))
+        ret = self.return_type(mi)
+        if ret is None:
+            return None
+        if mapping:
+            ret = reduce_type(substitute(ret, mapping))
         return params, ret
 
     def synth_new(self, ctx, gamma, exp):
@@ -1449,8 +1548,7 @@ class Checker:
             if t is None:
                 return None
             arg_types.append(t)
-        formals = info.role_vars + [f.var for f in info.ftps]
-        mapping = {f.uid: a for f, a in zip(formals, actuals + type_args)}
+        mapping = {f.uid: a for f, a in zip(self.formals(info), actuals + type_args)}
         picked = self.pick_most_specific(exp, info.constructors, mapping, [],
                                          arg_types, "constructor", info)
         if picked is None:
@@ -1463,7 +1561,6 @@ class Checker:
         rt = self.synth_exp(ctx, gamma, exp.right)
         if lt is None or rt is None:
             return None
-        lt, rt = reduce_type(lt), reduce_type(rt)
 
         def single_role(t):
             head, args = spine(t)

@@ -13,7 +13,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .builtins import Builtins, Console, PrintStreamV, java_div, java_rem, value_equals
+from .builtins import Builtins, Console, PrintStreamV, binary_value
 from .interpreter import ExecutionReport, decode_value
 from .local import (
     LAssign, LBinary, LBlock, LCall, LClass, LEnum, LExpStm, LFieldAcc, LIf,
@@ -159,7 +159,7 @@ class LocalInterpreter:
                 value = self.eval(frame, stm.value)
                 if stm.op != "=":
                     current = self.eval(frame, stm.target)
-                    value = self.binary_value(stm.op[:-1], current, value)
+                    value = binary_value(stm.op[:-1], current, value)
                 self.assign_to(frame, stm.target, value)
             elif isinstance(stm, LIf):
                 guard = self.eval(frame, stm.guard)
@@ -297,37 +297,7 @@ class LocalInterpreter:
                 return self.eval(frame, exp.right) if left else False
             return True if left else self.eval(frame, exp.right)
         right = self.eval(frame, exp.right)
-        return self.binary_value(exp.op, left, right)
-
-    @staticmethod
-    def binary_value(op, left, right):
-        if op == "==":
-            return value_equals(left, right)
-        if op == "!=":
-            return not value_equals(left, right)
-        # Unit residue from projection: evaluate for effects, produce unit.
-        if is_unit(left) or is_unit(right):
-            return UNIT
-        if op in ("&", "|"):
-            return (left and right) if op == "&" else (left or right)
-        if op == "+" and isinstance(left, str):
-            return left + right
-        if op == "/" and isinstance(left, int) and not isinstance(left, bool):
-            return java_div(left, right)
-        if op == "%" and isinstance(left, int) and not isinstance(left, bool):
-            return java_rem(left, right)
-        table = {
-            "+": lambda a, b: a + b,
-            "-": lambda a, b: a - b,
-            "*": lambda a, b: a * b,
-            "/": lambda a, b: a / b,
-            "%": lambda a, b: a % b,
-            "<": lambda a, b: a < b,
-            ">": lambda a, b: a > b,
-            "<=": lambda a, b: a <= b,
-            ">=": lambda a, b: a >= b,
-        }
-        return table[op](left, right)
+        return binary_value(exp.op, left, right)
 
 
 @dataclass

@@ -15,12 +15,12 @@ import time
 from dataclasses import dataclass, field
 
 from . import surface as S
-from .builtins import Builtins, Console, PrintStreamV, java_div, java_rem, value_equals
+from .builtins import Builtins, Console, PrintStreamV, binary_value
 from .projector import generated_name
 from .runtime import (
     UNIT, ChoreoRuntimeError, EnumV, ExceptionV, ListV, OptionalV, is_unit,
 )
-from .types import TVar, reduce_type, roles_of_type, spine
+from .types import TVar, spine
 
 
 class GlobalChannel:
@@ -118,8 +118,9 @@ class GlobalInterpreter:
 
     # ------------------------------------------------------------ plumbing
 
-    def actual_roles_of_type(self, t, binding):
-        return {binding[r] for r in roles_of_type(t) if r in binding}
+    def actual_roles(self, te, binding):
+        """Actual roles of a denoted type expression under a role binding."""
+        return {binding[r] for r in self.checked.type_roles(te) if r in binding}
 
     def find_method(self, info, name, arity, binding, statics_ok=True):
         """(MethodInfo, owner binding) via the supertype closure.
@@ -127,8 +128,7 @@ class GlobalInterpreter:
         Dynamic dispatch needs an implementation, so signature-only members
         (interface/abstract declarations) are skipped.
         """
-        checker = self.checked._checker
-        for (sup, submap), _ in checker.closure_with_subst(info):
+        for sup, submap in self.checked._checker.supertype_closure(info):
             for mi in sup.methods:
                 if mi.name != name or len(mi.node.params) != arity:
                     continue
@@ -155,23 +155,13 @@ class GlobalInterpreter:
     def call_method(self, obj: GlobalObject, mi, args, binding=None):
         binding = binding if binding is not None else obj.binding
         frame = Frame(mi.owner, binding, this=obj)
-        scope_types = self._param_types(mi)
-        for p, t, v in zip(mi.node.params, scope_types, args):
-            frame.declare(p.name, self.actual_roles_of_type(t, binding), v)
+        for p, v in zip(mi.node.params, args):
+            frame.declare(p.name, self.actual_roles(p.te, binding), v)
         try:
             self.exec_stm(frame, mi.node.body)
         except _Return as r:
             return r.value
         return UNIT
-
-    def _param_types(self, mi):
-        checker = self.checked._checker
-        scope = checker.method_scope(mi.owner, mi)
-        out = []
-        for p in mi.node.params:
-            t = checker.denote(p.te, scope)
-            out.append(reduce_type(t))
-        return out
 
     def construct(self, info, actual_roles, ctor_mi, args):
         binding = {v.name: a for v, a in zip(info.role_vars, actual_roles)}
@@ -191,15 +181,15 @@ class GlobalInterpreter:
             if isinstance(stm, S.ExpStm):
                 self.eval(frame, stm.exp)
             elif isinstance(stm, S.VarDecl):
-                t = self.checked.var_tes.get(id(stm))
-                roles = self.actual_roles_of_type(t, frame.binding) if t is not None else set()
+                roles = self.actual_roles(stm.te, frame.binding) \
+                    if id(stm) in self.checked.var_tes else set()
                 value = self.eval(frame, stm.init) if stm.init is not None else UNIT
                 frame.declare(stm.name, roles, value)
             elif isinstance(stm, S.Assign):
                 value = self.eval(frame, stm.value)
                 if stm.op != "=":
                     current = self.eval(frame, stm.target)
-                    value = self.binary_value(stm.op[:-1], current, value)
+                    value = binary_value(stm.op[:-1], current, value)
                 self.assign_to(frame, stm.target, value)
             elif isinstance(stm, S.If):
                 branch = stm.then if self.eval(frame, stm.guard) is True else stm.orelse
@@ -233,8 +223,7 @@ class GlobalInterpreter:
         except _Thrown as t:
             for h in stm.handlers:
                 if exception_matches(t.value, h.te.name):
-                    roles = self.actual_roles_of_type(
-                        self.checked.te_type(h.te), frame.binding)
+                    roles = self.actual_roles(h.te, frame.binding)
                     frame.declare(h.name, roles, t.value)
                     self.exec_stm(frame, h.body)
                     return
@@ -335,7 +324,7 @@ class GlobalInterpreter:
     def _super_ctor_binding(self, frame, mi):
         node = frame.this.info.node
         t = self.checked.te_type(node.extends)
-        head, targs = spine(reduce_type(t))
+        head, targs = spine(t)
         sup = mi.owner
         binding = {}
         i = 0
@@ -355,8 +344,8 @@ class GlobalInterpreter:
                 f"builtin static '{owner.name}.{mi.name}' is not implemented by "
                 f"the runtime")
         frame = Frame(owner, binding, this=None)
-        for p, t in zip(mi.node.params, self._param_types(mi)):
-            roles = self.actual_roles_of_type(t, binding)
+        for p in mi.node.params:
+            roles = self.actual_roles(p.te, binding)
             frame.declare(p.name, roles, args.pop(0) if args else UNIT)
         try:
             self.exec_stm(frame, mi.node.body)
@@ -398,36 +387,7 @@ class GlobalInterpreter:
                 return self.eval(frame, exp.right) if left is True else False
             return True if left is True else self.eval(frame, exp.right)
         right = self.eval(frame, exp.right)
-        return self.binary_value(exp.op, left, right)
-
-    @staticmethod
-    def binary_value(op, left, right):
-        if op == "==":
-            return value_equals(left, right)
-        if op == "!=":
-            return not value_equals(left, right)
-        if is_unit(left) or is_unit(right):
-            return UNIT
-        if op in ("&", "|"):
-            return (left and right) if op == "&" else (left or right)
-        if op == "+" and isinstance(left, str):
-            return left + right
-        if op == "/" and isinstance(left, int) and not isinstance(left, bool):
-            return java_div(left, right)
-        if op == "%" and isinstance(left, int) and not isinstance(left, bool):
-            return java_rem(left, right)
-        table = {
-            "+": lambda a, b: a + b,
-            "-": lambda a, b: a - b,
-            "*": lambda a, b: a * b,
-            "/": lambda a, b: a / b,
-            "%": lambda a, b: a % b,
-            "<": lambda a, b: a < b,
-            ">": lambda a, b: a > b,
-            "<=": lambda a, b: a <= b,
-            ">=": lambda a, b: a >= b,
-        }
-        return table[op](left, right)
+        return binary_value(exp.op, left, right)
 
     # ----------------------------------------------------------- observation
 
@@ -460,13 +420,10 @@ class GlobalInterpreter:
                 return "unit"
             name = generated_name(value.info.name, value.info.role_names, formal)
             fields = {}
-            checker = self.checked._checker
-            for (sup, submap), _ in checker.closure_with_subst(value.info):
+            for sup, submap in self.checked._checker.supertype_closure(value.info):
                 sup_binding = self.super_binding(sup, submap, value.binding)
                 for f in sup.fields():
-                    t = checker.denote(f.te, checker.decl_scope(sup))
-                    actuals = self.actual_roles_of_type(t, sup_binding)
-                    if role in actuals and f.name in value.fields:
+                    if role in self.actual_roles(f.te, sup_binding) and f.name in value.fields:
                         obs = self.observe(value.fields[f.name], role)
                         if obs != "unit":
                             fields[f.name] = obs
@@ -496,7 +453,6 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
         raise ChoreoRuntimeError(f"unknown entry class '{entry_class}'")
     binding = {r: r for r in info.role_names}
     started = time.perf_counter()
-    checker = checked._checker
 
     entry_mi = None
     for mi in info.methods:
@@ -512,7 +468,7 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
         else:
             ctor = info.constructors[0]
             ctor_args = []
-            for p, t in zip(ctor.node.params, interp._param_types(ctor)):
+            for p in ctor.node.params:
                 if p.name in channels:
                     ctor_args.append(interp.global_channel(channels[p.name]))
                 else:
@@ -521,8 +477,8 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
 
         pending = {r: list(vs) for r, vs in args_by_role.items()}
         call_args = []
-        for p, t in zip(entry_mi.node.params, interp._param_types(entry_mi)):
-            roles = sorted(interp.actual_roles_of_type(t, binding))
+        for p in entry_mi.node.params:
+            roles = sorted(interp.actual_roles(p.te, binding))
             if len(roles) == 1 and pending.get(roles[0]):
                 call_args.append(decode_value(pending[roles[0]].pop(0)))
             elif p.name in channels:
@@ -534,10 +490,7 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
             result = interp.call_static(entry_mi, binding, call_args, owner=info)
         else:
             result = interp.call_method(receiver, entry_mi, call_args)
-        ret_t = checker.denote(entry_mi.node.return_te,
-                               checker.method_scope(info, entry_mi))
-        ret_roles = interp.actual_roles_of_type(reduce_type(ret_t), binding) \
-            if ret_t is not None else set()
+        ret_roles = interp.actual_roles(entry_mi.node.return_te, binding)
         returns = {}
         for role in info.role_names:
             returns[role] = interp.observe(result, role) if role in ret_roles else "unit"
@@ -545,6 +498,9 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
     except ChoreoRuntimeError as e:
         returns = {}
         status, error = "error", str(e)
+    except Exception as e:  # a library caller gets a report, never a traceback
+        returns = {}
+        status, error = "error", f"{type(e).__name__}: {e}"
     duration = time.perf_counter() - started
     return ExecutionReport(returns, interp.console.transcripts(), duration, status, error)
 

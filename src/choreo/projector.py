@@ -22,7 +22,7 @@ from .local import (
     LUnit, LUnitCall, LVarDecl, LocalProgram, LocalUnit, concat_stm,
 )
 from .merging import MergeError, big_merge, is_noop, merge_stm, normalize_exp, normalize_stm
-from .types import TAbs, TSym, TVar, TVoid, reduce_type, roles_of_type, spine
+from .types import TAbs, TSym, TVar, TVoid, spine
 
 UNEXPECTED_LABEL = "unexpected selection label"
 
@@ -50,8 +50,7 @@ def _formal_role_names(checker, head):
 
 
 def erase_ctor(checker, t):
-    """Role-erased rendering of a constructor-level type argument."""
-    t = reduce_type(t)
+    """Role-erased rendering of a constructor-level type argument (a normal form)."""
     while isinstance(t, TAbs):
         t = t.body
     if isinstance(t, TVoid):
@@ -62,8 +61,7 @@ def erase_ctor(checker, t):
 
 
 def project_type(checker, t, role):
-    """The three-case projection of a located type at a role."""
-    t = reduce_type(t)
+    """The three-case projection of a located type (a normal form) at a role."""
     if isinstance(t, TVoid):
         return LTE("void")
     head, args = spine(t)
@@ -169,11 +167,10 @@ class Projector:
     def project_fields(self, info, role):
         out = []
         for f in info.fields():
-            t = self.checked.te_type(f.te)
-            if role in roles_of_type(t):
+            if role in self.checked.type_roles(f.te):
                 out.append(LField(
                     [LAnnotation(a.name, list(a.args)) for a in f.annotations],
-                    list(f.modifiers), project_type(self.checker, t, role), f.name))
+                    list(f.modifiers), self.project_te(f.te, role), f.name))
         return out
 
     def project_method(self, info, mi, role, gen_class_name):
@@ -219,18 +216,16 @@ class Projector:
                                self.project_stm(stm.cont, role))
             return self.project_stm(stm.cont, role)
         if isinstance(stm, S.VarDecl):
-            t = self.checked.te_type(stm.te)
-            if role in roles_of_type(t):
+            if role in self.checked.type_roles(stm.te):
                 init = self.project_exp(stm.init, role) if stm.init is not None else None
-                return LVarDecl(project_type(self.checker, t, role), stm.name, init,
+                return LVarDecl(self.project_te(stm.te, role), stm.name, init,
                                 self.project_stm(stm.cont, role))
             if stm.init is not None and role in self.checked.roles_of(stm.init):
                 return LExpStm(self.project_exp(stm.init, role),
                                self.project_stm(stm.cont, role))
             return self.project_stm(stm.cont, role)
         if isinstance(stm, S.Assign):
-            target_t = self.checked.type_of(stm.target)
-            if role in roles_of_type(target_t):
+            if role in self.checked.type_roles(stm.target):
                 return LAssign(self.project_exp(stm.target, role), stm.op,
                                self.project_exp(stm.value, role),
                                self.project_stm(stm.cont, role))
@@ -241,8 +236,7 @@ class Projector:
                 return LExpStm(residue, self.project_stm(stm.cont, role))
             return self.project_stm(stm.cont, role)
         if isinstance(stm, S.If):
-            guard_t = self.checked.type_of(stm.guard)
-            if roles_of_type(guard_t) == {role}:
+            if self.checked.type_roles(stm.guard) == {role}:
                 return LIf(self.project_exp(stm.guard, role),
                            self.project_stm(stm.then, role),
                            self.project_stm(stm.orelse, role),
@@ -258,8 +252,7 @@ class Projector:
         if isinstance(stm, S.Block):
             return LBlock(self.project_stm(stm.body, role), self.project_stm(stm.cont, role))
         if isinstance(stm, S.Switch):
-            guard_t = self.checked.type_of(stm.guard)
-            if role in roles_of_type(guard_t):
+            if role in self.checked.type_roles(stm.guard):
                 default = (self.project_stm(stm.default, role)
                            if stm.default is not None else None)
                 return LSwitch(
@@ -285,17 +278,15 @@ class Projector:
         if isinstance(stm, S.TryCatch):
             handlers = []
             for h in stm.handlers:
-                t = self.checked.te_type(h.te)
-                if role in roles_of_type(t):
-                    handlers.append((project_type(self.checker, t, role), h.name,
+                if role in self.checked.type_roles(h.te):
+                    handlers.append((self.project_te(h.te, role), h.name,
                                      self.project_stm(h.body, role)))
             return LTryCatch(self.project_stm(stm.body, role), handlers,
                              self.project_stm(stm.cont, role))
         raise TypeError(f"project_stm: {stm!r}")
 
     def switch_is_exhaustive(self, stm):
-        guard_t = self.checked.type_of(stm.guard)
-        head, _ = spine(reduce_type(guard_t))
+        head, _ = spine(self.checked.type_of(stm.guard))
         if isinstance(head, TSym):
             info = self.table.get(head.name)
             if info is not None and info.is_enum:
@@ -331,8 +322,7 @@ class Projector:
         mi = res[1]
         if mi.annotation("SelectionMethod") is None:
             return None
-        t = self.checked.type_of(exp)
-        if roles_of_type(t) != {role}:
+        if self.checked.type_roles(exp) != {role}:
             return None
         if len(exp.args) == 1:
             arg = exp.args[0]
@@ -357,9 +347,8 @@ class Projector:
         if mi.node.return_te is not None:
             tes.append(mi.node.return_te)
         for te in tes:
-            t = self.checked.te_types.get(id(te))
-            if t is not None:
-                out |= roles_of_type(t)
+            if id(te) in self.checked.te_types:
+                out |= self.checked.type_roles(te)
         return out
 
     def static_name(self, class_name, actual_roles, role):
@@ -386,13 +375,11 @@ class Projector:
                 return LLit(exp.value)
             return LUnit()
         if isinstance(exp, S.Name):
-            t = self.checked.type_of(exp)
-            if role in roles_of_type(t):
+            if role in self.checked.type_roles(exp):
                 return LName(exp.ident)
             return LUnit()
         if isinstance(exp, S.FieldAcc):
-            t = self.checked.type_of(exp)
-            if role not in roles_of_type(t):
+            if role not in self.checked.type_roles(exp):
                 if isinstance(exp.scope, S.StaticRef):
                     return LUnit()
                 return self.unit_residue([self.project_exp(exp.scope, role)])
@@ -422,8 +409,7 @@ class Projector:
                     scope = LStaticName(self.static_name(exp.scope.name, exp.scope.roles, role))
                     return LCall(scope, ty_args, exp.name, args)
                 return self.unit_residue(args)
-            recv_t = self.checked.type_of(exp.scope)
-            if role in roles_of_type(recv_t):
+            if role in self.checked.type_roles(exp.scope):
                 return LCall(self.project_exp(exp.scope, role), ty_args, exp.name, args)
             # The receiver may carry effects for this role (e.g. a com whose
             # result a foreign role consumes); keep its residue with the args.

@@ -7,30 +7,33 @@ column numbers are derived lazily for rendering.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class SourceFile:
     name: str
     text: str
-    _line_starts: tuple = field(default=None, repr=False, compare=False)
 
+    @functools.cached_property
     def line_starts(self):
+        """Offsets at which lines begin, computed on first use."""
         starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                starts.append(i + 1)
-        return starts
+        at = self.text.find("\n")
+        while at != -1:
+            starts.append(at + 1)
+            at = self.text.find("\n", at + 1)
+        return tuple(starts)
 
     def line_col(self, offset):
         """1-based (line, column) of a byte offset."""
-        starts = self.line_starts()
+        starts = self.line_starts
         line = bisect.bisect_right(starts, offset) - 1
         return line + 1, offset - starts[line] + 1
 
     def line_text(self, line):
-        starts = self.line_starts()
+        starts = self.line_starts
         begin = starts[line - 1]
         end = starts[line] - 1 if line < len(starts) else len(self.text)
         return self.text[begin:end]

@@ -296,28 +296,29 @@ def stm_list(stm):
     return out
 
 
+def sub_exps(exp):
+    """The direct subexpressions of an expression, in source order."""
+    if isinstance(exp, FieldAcc):
+        return [exp.scope]
+    if isinstance(exp, Call):
+        return ([exp.scope] if exp.scope is not None else []) + list(exp.args)
+    if isinstance(exp, New):
+        return list(exp.args)
+    if isinstance(exp, Binary):
+        return [exp.left, exp.right]
+    if isinstance(exp, Chain):
+        return [exp.first] + [link.target for link in exp.links if link.target is not None]
+    return []
+
+
 def walk_exps(node):
     """Yield every expression node reachable from a statement or expression."""
     if node is None:
         return
     if isinstance(node, Exp):
         yield node
-        if isinstance(node, FieldAcc):
-            yield from walk_exps(node.scope)
-        elif isinstance(node, Call):
-            yield from walk_exps(node.scope)
-            for a in node.args:
-                yield from walk_exps(a)
-        elif isinstance(node, New):
-            for a in node.args:
-                yield from walk_exps(a)
-        elif isinstance(node, Binary):
-            yield from walk_exps(node.left)
-            yield from walk_exps(node.right)
-        elif isinstance(node, Chain):
-            yield from walk_exps(node.first)
-            for link in node.links:
-                yield from walk_exps(link.target)
+        for sub in sub_exps(node):
+            yield from walk_exps(sub)
         return
     if isinstance(node, Stm):
         for stm in stm_list(node) or ([node] if isinstance(node, Return) else []):

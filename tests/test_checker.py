@@ -5,6 +5,8 @@ from conftest import compile_ok, compile_text
 
 from choreo import surface as S
 from choreo.diagnostics import Code, Severity
+from choreo.printer import render_unit
+from choreo.projector import project_program
 from choreo.types import TSym, TVar, app, pretty, reduce_type, roles_of_type, spine
 
 
@@ -550,3 +552,44 @@ def test_constraint_errors_suppress_only_the_offending_declaration():
     errs = codes(reporter)
     assert Code.CyclicInheritance in errs
     assert Code.TypeMismatch in errs  # Fine's body was still checked
+
+
+# ------------------------------------------------------- per-program facts
+
+def _outcome(text):
+    """Diagnostics, then the rendered units if the program projects."""
+    checked, reporter = compile_text(text)
+    renders = None
+    if not reporter.has_errors():
+        units, reporter = project_program(checked, reporter)
+        renders = [render_unit(u) for u in units.units]
+    return [d.render() for d in reporter.items], renders, checked
+
+
+def test_type_facts_belong_to_one_program():
+    """Declarations of one program leave nothing behind for the next one
+    that reuses their names with other members and role counts."""
+    p = """
+    class Box@A {
+        Integer@A size() { return 1@A; }
+    }
+    class Use@(A, B) {
+        static Integer@A go(Box@A b, DiChannel@(A, B)<Integer> ch) { return b.size(); }
+    }
+    """
+    q = """
+    class Box@(A, B) {
+        String@B label(Integer@A n) { return "box"@B; }
+    }
+    class Use@(A, B) {
+        static String@B go(Box@(A, B) b, DiChannel@(B, A)<String> ch) {
+            return b.label(1@A);
+        }
+    }
+    """
+    q_bad = q.replace("b.label(1@A)", "b.size()")
+    alone = [_outcome(q)[:2], _outcome(q_bad)[:2]]
+    assert alone[0][1] is not None and alone[1][1] is None
+    _, _, p_checked = _outcome(p)  # kept alive while Q compiles again
+    assert p_checked is not None
+    assert [_outcome(q)[:2], _outcome(q_bad)[:2]] == alone

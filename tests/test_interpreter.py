@@ -1,9 +1,11 @@
 """Global and distributed evaluation, and the differential harness."""
 
-import pytest
-from conftest import compile_ok
+import sys
 
-from choreo.diagnostics import Reporter
+import pytest
+from conftest import compile_ok, compile_text
+
+from choreo.diagnostics import Code, Reporter
 from choreo.differential import differential_run
 from choreo.distributed import eval_distributed
 from choreo.interpreter import eval_global
@@ -11,6 +13,7 @@ from choreo.local import (
     LCall, LClass, LExpStm, LMethod, LName, LNil, LTE, LParam, LUnit,
     LocalProgram, LocalUnit,
 )
+from choreo.printer import render_unit
 from choreo.projector import project_program
 
 
@@ -140,6 +143,21 @@ def test_worker_error_carries_role_and_message(corpus_compiled):
                          {"A": [[1]]}, {}, deadline=1)
 
 
+def test_eval_global_reports_python_exceptions(corpus_compiled):
+    """The oracle returns a report for a failure that is not a choreography
+    error, here the Python stack running out on a long stream."""
+    _, checked, _ = corpus_compiled["ConsumeItems"]
+    items = [f"item{i}" for i in range(2000)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        report = eval_global(checked, "ConsumeItems", "run", {"A": [items]}, {"ch": "deep"})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.status == "error"
+    assert report.error.startswith("RecursionError")
+
+
 # ------------------------------------------------------------- differential
 
 def test_differential_hello(corpus_compiled):
@@ -194,3 +212,37 @@ def test_prelude_value_examples():
     assert r.returns["A"] == ["list", 15]
     r = eval_global(checked, "P", "half", {"A": [3]})
     assert r.returns["A"] == 1.0
+
+
+EXCHANGE = """
+public class Exchange@(A, B) {
+    public static String@A swap(BiChannel@(A, B)<Integer, String> ch, Integer@A n) {
+        Integer@B doubled = ch.<Integer>com(n) * 2@B;
+        System@B.out.println(doubled);
+        return ch.<String>com("doubled"@B);
+    }
+}
+"""
+
+
+def test_twice_inherited_interface_serves_both_directions():
+    """BiChannel@(A, B)<T, R> extends DiChannel twice, as DiChannel@(A, B)<T>
+    and DiChannel@(B, A)<R>; com works each way at its own type."""
+    renders = []
+    for _ in range(2):
+        checked = compile_ok(EXCHANGE)
+        units = project_ok(checked)
+        renders.append([render_unit(u) for u in units.units])
+    assert renders[0] == renders[1]
+    cmp = differential_run(checked, "Exchange", "swap", {"A": [21]}, {"ch": "ex"},
+                           local_program=units)
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.returns["A"] == "doubled"
+    assert cmp.global_report.transcripts["B"] == ["42"]
+
+
+def test_twice_inherited_interface_keeps_each_direction_typed():
+    _, reporter = compile_text(EXCHANGE.replace("ch.<Integer>com(n)", 'ch.<String>com("21"@A)'))
+    mismatch = [d for d in reporter.errors if d.code is Code.TypeMismatch]
+    assert [(d.span.line, d.message, d.expecting, d.found) for d in mismatch] == [
+        (4, "Incompatible type argument:", "Integer@Y", "String@Y")]
