@@ -13,8 +13,8 @@ import operator
 from dataclasses import dataclass
 
 from .runtime import (
-    UNIT, ChannelEndpoint, ChoreoRuntimeError, EnumV, ExceptionV, IteratorV,
-    ListV, OptionalV, SocketChannelEndpoint, assert_builtin, is_unit,
+    UNIT, ChoreoRuntimeError, EnumV, ExceptionV, IteratorV,
+    ListV, OptionalV, assert_builtin, is_unit,
 )
 
 
@@ -30,10 +30,6 @@ class Console:
     def write(self, role, line):
         with self._lock:
             self._lines.setdefault(role, []).append(line)
-
-    def transcript(self, role):
-        with self._lock:
-            return list(self._lines.get(role, []))
 
     def transcripts(self):
         with self._lock:
@@ -123,6 +119,103 @@ def binary_value(op, left, right):
     return _ARITH_AND_COMPARE[op](left, right)
 
 
+def _slice(seq, args, what):
+    begin, end = args
+    if not (0 <= begin <= end <= len(seq)):
+        raise ChoreoRuntimeError(f"{what}({begin}, {end}) out of range")
+    return seq[begin:end]
+
+
+def _list_get(lst, idx):
+    if not 0 <= idx < len(lst.items):
+        raise ChoreoRuntimeError(f"list index {idx} out of range")
+    return lst.items[idx]
+
+
+def _list_add(lst, items):
+    lst.items.extend(items)
+    return True
+
+
+def _next(it):
+    if it.index >= len(it.items):
+        raise ChoreoRuntimeError("iterator exhausted")
+    it.index += 1
+    return it.items[it.index - 1]
+
+
+def _optional_get(opt):
+    if not opt.present:
+        raise ChoreoRuntimeError("Optional.get on an empty optional")
+    return opt.value
+
+
+def _if_present(builtins, opt, consumer):
+    if opt.present:
+        builtins.invoke(consumer, "accept", [opt.value])
+    return UNIT
+
+
+def _println(builtins, stream, value):
+    builtins.console.write(stream.role, display(value))
+    return UNIT
+
+
+# (exact receiver type, method name) -> fn(builtins, receiver, args).
+_METHODS = {
+    (str, "length"): lambda b, s, a: len(s),
+    (str, "isEmpty"): lambda b, s, a: len(s) == 0,
+    (str, "startsWith"): lambda b, s, a: s.startswith(a[0]),
+    (str, "concat"): lambda b, s, a: s + a[0],
+    (str, "substring"): lambda b, s, a: _slice(s, a, "substring"),
+    (str, "reverse"): lambda b, s, a: s[::-1],
+    (str, "toString"): lambda b, s, a: s,
+    (bool, "toString"): lambda b, v, a: display(v),
+    (int, "intValue"): lambda b, v, a: v,
+    (int, "toString"): lambda b, v, a: str(v),
+    (float, "intValue"): lambda b, v, a: int(v),
+    (float, "toString"): lambda b, v, a: repr(v),
+    (ListV, "size"): lambda b, lst, a: len(lst.items),
+    (ListV, "isEmpty"): lambda b, lst, a: len(lst.items) == 0,
+    (ListV, "get"): lambda b, lst, a: _list_get(lst, a[0]),
+    (ListV, "subList"): lambda b, lst, a: ListV(list(_slice(lst.items, a, "subList"))),
+    (ListV, "add"): lambda b, lst, a: _list_add(lst, [a[0]]),
+    (ListV, "addAll"): lambda b, lst, a: _list_add(lst, a[0].items),
+    (ListV, "iterator"): lambda b, lst, a: IteratorV(list(lst.items)),
+    (IteratorV, "hasNext"): lambda b, it, a: it.index < len(it.items),
+    (IteratorV, "next"): lambda b, it, a: _next(it),
+    (OptionalV, "isPresent"): lambda b, opt, a: opt.present,
+    (OptionalV, "get"): lambda b, opt, a: _optional_get(opt),
+    (OptionalV, "ifPresent"): lambda b, opt, a: _if_present(b, opt, a[0]),
+    (EnumV, "toString"): lambda b, e, a: e.case,
+    (PrintStreamV, "println"): lambda b, stream, a: _println(b, stream, a[0]),
+    (ExceptionV, "getMessage"): lambda b, e, a: e.message,
+}
+_METHODS.update(((t, "equals"), lambda b, v, a: value_equals(v, a[0]))
+                for t in (str, bool, int, float, EnumV))
+
+
+def _new_local_channel(builtins, args):
+    keys = [a for a in args if isinstance(a, str)]
+    if not keys:
+        raise ChoreoRuntimeError("newLocalChannel needs a key string")
+    return builtins.claim_channel(keys[0])
+
+
+# (class name, static method name) -> fn(builtins, args); a projected
+# TestUtils_<role> is looked up as TestUtils.
+_STATICS = {
+    ("Optional", "of"): lambda b, a: OptionalV(True, a[0]),
+    ("Optional", "empty"): lambda b, a: OptionalV(False),
+    ("Double", "valueOf"): lambda b, a: float(a[0]),
+    ("Math", "floor"): lambda b, a: float(math.floor(a[0])),
+    ("Math", "min"): lambda b, a: min(a[0], a[1]),
+    ("Math", "pow"): lambda b, a: a[0] ** a[1],
+    ("Assert", "assertTrue"): lambda b, a: assert_builtin(a[1], a[0]),
+    ("TestUtils", "newLocalChannel"): _new_local_channel,
+}
+
+
 @dataclass
 class Builtins:
     console: Console
@@ -135,167 +228,23 @@ class Builtins:
 
     def try_call_method(self, receiver, name, args):
         """Dispatch on a builtin receiver; returns (True, value) on a hit."""
-        if isinstance(receiver, str):
-            return self._string_method(receiver, name, args)
-        if isinstance(receiver, bool):
-            if name == "equals":
-                return True, value_equals(receiver, args[0])
-            if name == "toString":
-                return True, display(receiver)
-            return False, None
-        if isinstance(receiver, int):
-            return self._int_method(receiver, name, args)
-        if isinstance(receiver, float):
-            return self._float_method(receiver, name, args)
-        if isinstance(receiver, ListV):
-            return self._list_method(receiver, name, args)
-        if isinstance(receiver, IteratorV):
-            if name == "hasNext":
-                return True, receiver.index < len(receiver.items)
-            if name == "next":
-                if receiver.index >= len(receiver.items):
-                    raise ChoreoRuntimeError("iterator exhausted")
-                v = receiver.items[receiver.index]
-                receiver.index += 1
-                return True, v
-            return False, None
-        if isinstance(receiver, OptionalV):
-            if name == "isPresent":
-                return True, receiver.present
-            if name == "get":
-                if not receiver.present:
-                    raise ChoreoRuntimeError("Optional.get on an empty optional")
-                return True, receiver.value
-            if name == "ifPresent":
-                if receiver.present:
-                    self.invoke(args[0], "accept", [receiver.value])
-                return True, UNIT
-            return False, None
-        if isinstance(receiver, EnumV):
-            if name == "equals":
-                return True, value_equals(receiver, args[0])
-            if name == "toString":
-                return True, receiver.case
-            return False, None
-        if isinstance(receiver, PrintStreamV):
-            if name == "println":
-                self.console.write(receiver.role, display(args[0]))
-                return True, UNIT
-            return False, None
-        if isinstance(receiver, (ChannelEndpoint, SocketChannelEndpoint)) or hasattr(
-            receiver, "com"
-        ):
-            if name == "com":
-                return True, receiver.com(args[0] if args else UNIT)
-            if name == "select":
-                return True, receiver.select(args[0] if args else UNIT)
-            return False, None
-        if isinstance(receiver, ExceptionV):
-            if name == "getMessage":
-                return True, receiver.message
-            return False, None
-        return False, None
-
-    def _string_method(self, s, name, args):
-        if name == "length":
-            return True, len(s)
-        if name == "isEmpty":
-            return True, len(s) == 0
-        if name == "startsWith":
-            return True, s.startswith(args[0])
-        if name == "concat":
-            return True, s + args[0]
-        if name == "substring":
-            begin, end = args
-            if not (0 <= begin <= end <= len(s)):
-                raise ChoreoRuntimeError(f"substring({begin}, {end}) out of range")
-            return True, s[begin:end]
-        if name == "reverse":
-            return True, s[::-1]
-        if name == "equals":
-            return True, value_equals(s, args[0])
-        if name == "toString":
-            return True, s
-        return False, None
-
-    def _int_method(self, v, name, args):
-        if name == "intValue":
-            return True, v
-        if name == "toString":
-            return True, str(v)
-        if name == "equals":
-            return True, value_equals(v, args[0])
-        return False, None
-
-    def _float_method(self, v, name, args):
-        if name == "intValue":
-            return True, int(v)
-        if name == "toString":
-            return True, repr(v)
-        if name == "equals":
-            return True, value_equals(v, args[0])
-        return False, None
-
-    def _list_method(self, lst, name, args):
-        if name == "size":
-            return True, len(lst.items)
-        if name == "isEmpty":
-            return True, len(lst.items) == 0
-        if name == "get":
-            idx = args[0]
-            if not 0 <= idx < len(lst.items):
-                raise ChoreoRuntimeError(f"list index {idx} out of range")
-            return True, lst.items[idx]
-        if name == "subList":
-            begin, end = args
-            if not (0 <= begin <= end <= len(lst.items)):
-                raise ChoreoRuntimeError(f"subList({begin}, {end}) out of range")
-            return True, ListV(list(lst.items[begin:end]))
-        if name == "add":
-            lst.items.append(args[0])
-            return True, True
-        if name == "addAll":
-            lst.items.extend(args[0].items)
-            return True, True
-        if name == "iterator":
-            return True, IteratorV(list(lst.items))
+        fn = _METHODS.get((type(receiver), name))
+        if fn is not None:
+            return True, fn(self, receiver, args)
+        if name in ("com", "select") and hasattr(receiver, "com"):
+            # A channel endpoint of either evaluator.
+            return True, getattr(receiver, name)(args[0] if args else UNIT)
         return False, None
 
     # ------------------------------------------------------------ statics
 
-    def try_static_call(self, class_name, name, args, claimant=None):
+    def try_static_call(self, class_name, name, args):
+        """A builtin static call; returns (True, value) on a hit."""
         base = class_name.split("_")[0] if class_name.startswith("TestUtils") else class_name
-        if class_name == "Optional":
-            if name == "of":
-                return True, OptionalV(True, args[0])
-            if name == "empty":
-                return True, OptionalV(False)
+        fn = _STATICS.get((base, name))
+        if fn is None:
             return False, None
-        if class_name == "Double":
-            if name == "valueOf":
-                return True, float(args[0])
-            return False, None
-        if class_name == "Math":
-            if name == "floor":
-                return True, float(math.floor(args[0]))
-            if name == "min":
-                return True, min(args[0], args[1])
-            if name == "pow":
-                return True, args[0] ** args[1]
-            return False, None
-        if class_name == "Assert":
-            if name == "assertTrue":
-                message, cond = args
-                return True, assert_builtin(cond, message)
-            return False, None
-        if base == "TestUtils":
-            if name == "newLocalChannel":
-                keys = [a for a in args if isinstance(a, str)]
-                if not keys:
-                    raise ChoreoRuntimeError("newLocalChannel needs a key string")
-                return True, self.claim_channel(keys[0])
-            return False, None
-        return False, None
+        return True, fn(self, args)
 
     def construct(self, class_name, args):
         """Builtin constructors; returns (True, value) on a hit."""

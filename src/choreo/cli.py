@@ -76,20 +76,26 @@ def _report_lines(report):
     return lines
 
 
-def cmd_oracle(args):
-    checked, reporter = compile_files([args.file])
-    if reporter.has_errors() or checked is None:
-        return emit_diagnostics(reporter, args.json_diagnostics)
+def _print_reports(manifest, evaluate):
+    """Prints the report ``evaluate(spec)`` gives for each run of the
+    manifest; 1 when any run failed."""
     code = 0
-    for spec in load_manifest(args.manifest):
-        report = eval_global(checked, spec.entry_class, spec.entry_method,
-                             spec.args, spec.channels)
+    for spec in load_manifest(manifest):
+        report = evaluate(spec)
         if spec.name:
             print(f"== {spec.name}")
         print("\n".join(_report_lines(report)))
         if report.status != "ok":
             code = 1
     return code
+
+
+def cmd_oracle(args):
+    checked, reporter = compile_files([args.file])
+    if reporter.has_errors() or checked is None:
+        return emit_diagnostics(reporter, args.json_diagnostics)
+    return _print_reports(args.manifest, lambda spec: eval_global(
+        checked, spec.entry_class, spec.entry_method, spec.args, spec.channels))
 
 
 def cmd_run(args):
@@ -99,19 +105,14 @@ def cmd_run(args):
     units, reporter = project_program(checked, reporter)
     if reporter.has_errors():
         return emit_diagnostics(reporter, args.json_diagnostics)
-    code = 0
-    for spec in load_manifest(args.manifest):
-        info = checked.decl_info(spec.entry_class)
+
+    def run(spec):
         deadline = args.deadline if args.deadline is not None else spec.deadline
-        report = eval_distributed(units, spec.entry_class, info.role_names,
-                                  spec.entry_method, spec.args, spec.channels,
-                                  deadline)
-        if spec.name:
-            print(f"== {spec.name}")
-        print("\n".join(_report_lines(report)))
-        if report.status != "ok":
-            code = 1
-    return code
+        return eval_distributed(units, spec.entry_class,
+                                checked.decl_info(spec.entry_class).role_names,
+                                spec.entry_method, spec.args, spec.channels, deadline)
+
+    return _print_reports(args.manifest, run)
 
 
 def cmd_test(args):
@@ -190,9 +191,7 @@ def build_parser():
 
 
 def main(argv=None):
-    import sys as _sys
-
-    _sys.setrecursionlimit(20000)
+    sys.setrecursionlimit(20000)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

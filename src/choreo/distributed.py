@@ -1,10 +1,13 @@
-"""Distributed evaluator: one concurrent worker per role over projected units.
+"""Distributed evaluator: one worker thread per role over projected units.
 
 Each worker interprets its own unit against the runtime channels. Workers
-share only the channel registry; everything else is worker-local. A
-configurable deadline turns blocked receives into deadlock-timeout results
-instead of hangs. Try/catch executes its body (there is no user-level throw
-in the language; generated default throws surface as worker errors).
+share only the channel registry and its ``ExecutionContext``; everything
+else is worker-local. ``run_workers`` runs the workers of both
+``eval_distributed`` and the test kit: the first worker to fail cancels the
+others and is named first in the report, a proven deadlock stops every
+worker at once, and the deadline stops programs that diverge. Try/catch
+executes its body (there is no user-level throw in the language; generated
+default throws surface as worker errors).
 """
 
 from __future__ import annotations
@@ -14,16 +17,16 @@ import time
 from dataclasses import dataclass, field
 
 from .builtins import Builtins, Console, PrintStreamV, binary_value
-from .interpreter import ExecutionReport, decode_value
+from .interpreter import ExecutionReport, wire_arguments
 from .local import (
     LAssign, LBinary, LBlock, LCall, LClass, LEnum, LExpStm, LFieldAcc, LIf,
     LLit, LName, LNew, LNil, LReturn, LStaticName, LSwitch, LThrow,
     LTryCatch, LUnit, LUnitCall, LVarDecl,
 )
+from .projector import generated_name
 from .runtime import (
-    UNIT, AssertionFailure, ChannelRegistry, ChoreoRuntimeError,
-    DeadlockTimeout, EnumV, ExecutionContext, ExceptionV, ListV, OptionalV,
-    is_unit,
+    UNIT, Cancelled, ChannelRegistry, ChoreoRuntimeError, DeadlockTimeout,
+    EnumV, ExecutionContext, observe_value, observed_object,
 )
 
 
@@ -44,7 +47,6 @@ class LocalInterpreter:
     def __init__(self, units, role, registry, console, context):
         self.units = {u.generated_name: u for u in units}
         self.role = role
-        self.registry = registry
         self.console = console
         self.context = context
         self.builtins = Builtins(
@@ -80,24 +82,18 @@ class LocalInterpreter:
                 return decl, m
         return None, None
 
-    def find_ctor(self, class_name, arity):
+    def run_ctor(self, this, class_name, args):
+        """Runs on ``this`` the constructor of ``class_name`` that takes
+        ``args``; a class without one taking no arguments has a default."""
         decl = self.unit_decl(class_name)
-        if decl is None or not isinstance(decl, LClass):
-            return None
-        for c in decl.constructors:
-            if len(c.params) == arity:
-                return c
-        if arity == 0:
-            return "default"
-        return None
+        ctors = decl.constructors if isinstance(decl, LClass) else []
+        ctor = next((c for c in ctors if len(c.params) == len(args)), None)
+        if ctor is not None:
+            self.call(this, class_name, ctor, args)
+        elif args or not isinstance(decl, LClass):
+            raise ChoreoRuntimeError(f"no constructor '{class_name}/{len(args)}'")
 
     # ------------------------------------------------------------- running
-
-    def run_static(self, unit_name, method, args):
-        decl, m = self.find_method(unit_name, method, len(args), static=True)
-        if m is None:
-            raise ChoreoRuntimeError(f"no static method '{unit_name}.{method}/{len(args)}'")
-        return self.call(None, unit_name, m, args)
 
     def construct(self, class_name, args):
         hit, value = self.builtins.construct(class_name, args)
@@ -109,19 +105,11 @@ class LocalInterpreter:
         if isinstance(decl, LEnum):
             raise ChoreoRuntimeError(f"cannot instantiate enum '{class_name}'")
         obj = LocalObject(class_name)
-        ctor = self.find_ctor(class_name, len(args))
-        if ctor is None:
-            raise ChoreoRuntimeError(
-                f"no constructor '{class_name}/{len(args)}'")
-        if ctor != "default":
-            self.call(obj, class_name, ctor, args)
+        self.run_ctor(obj, class_name, args)
         return obj
 
     def call(self, this, unit_name, method, args):
-        env = {}
-        for p, a in zip(method.params, args):
-            env[p.name] = a
-        frame = _LFrame(this, unit_name, env)
+        frame = _LFrame(this, unit_name, {p.name: a for p, a in zip(method.params, args)})
         try:
             self.exec_stm(frame, method.body)
         except _Return as r:
@@ -259,11 +247,7 @@ class LocalInterpreter:
                 sup = decl.extends.name if decl.extends is not None else None
                 if sup is None:
                     raise ChoreoRuntimeError("no superclass constructor")
-                ctor = self.find_ctor(sup, len(args))
-                if ctor is None:
-                    raise ChoreoRuntimeError(f"no constructor '{sup}/{len(args)}'")
-                if ctor != "default":
-                    self.call(frame.this, sup, ctor, args)
+                self.run_ctor(frame.this, sup, args)
                 return UNIT
             decl, m = self.find_method(frame.unit_name, exp.name, len(args))
             if m is None:
@@ -309,33 +293,21 @@ class _LFrame:
 
 def observe_local(value):
     """Observation of a worker value, comparable with the global role view."""
-    if is_unit(value) or value is None:
-        return "unit"
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float, str)):
-        return value
-    if isinstance(value, EnumV):
-        return ("enum", value.type_name, value.case)
-    if isinstance(value, ListV):
-        return ["list"] + [observe_local(v) for v in value.items]
-    if isinstance(value, OptionalV):
-        return ("optional", observe_local(value.value) if value.present else None)
+    return observe_value(value, _observe_object)
+
+
+def _observe_object(value):
     if isinstance(value, LocalObject):
-        fields = {}
-        for name, v in value.fields.items():
-            obs = observe_local(v)
-            if obs != "unit":
-                fields[name] = obs
-        return ("object", value.unit_name, tuple(sorted(fields.items())))
-    if isinstance(value, ExceptionV):
-        return ("exception", value.class_name, value.message)
-    if hasattr(value, "com"):
-        return ("channel",)
-    return ("opaque", repr(value))
+        return observed_object(value.unit_name, value.fields.items(), observe_local)
+    return None
 
 
 # ----------------------------------------------------------------- workers
+
+# How long past the deadline a run waits for a worker stuck inside a single
+# Python call, where it cannot see the deadline.
+JOIN_GRACE_SECONDS = 2.0
+
 
 @dataclass
 class WorkerOutcome:
@@ -345,115 +317,115 @@ class WorkerOutcome:
     error: str = None
 
 
-def _worker_body(interp, unit_name, entry_method, ctor_args, method_args, outcome):
+def _run_entry(interp, unit_name, entry_method, ctor_args, method_args):
+    """A role's entry call: a static method, or a method of a new instance."""
+    _, m = interp.find_method(unit_name, entry_method, len(method_args))
+    if m is None:
+        raise ChoreoRuntimeError(f"'{unit_name}' has no method '{entry_method}'")
+    this = None if "static" in m.modifiers else interp.construct(unit_name, ctor_args)
+    return interp.call(this, unit_name, m, method_args)
+
+
+def _work(interp, entry, outcome):
     try:
-        decl = interp.unit_decl(unit_name)
-        _, m = interp.find_method(unit_name, entry_method, len(method_args))
-        if m is None:
-            raise ChoreoRuntimeError(f"'{unit_name}' has no method '{entry_method}'")
-        if "static" in m.modifiers:
-            outcome.value = interp.run_static(unit_name, entry_method, method_args)
-        else:
-            obj = interp.construct(unit_name, ctor_args)
-            outcome.value = interp.call(obj, unit_name, m, method_args)
+        outcome.value = _run_entry(interp, *entry)
         outcome.status = "ok"
     except DeadlockTimeout as e:
-        outcome.status = "deadlock-timeout"
-        outcome.error = str(e)
-    except (AssertionFailure, ChoreoRuntimeError) as e:
-        outcome.status = "error"
+        outcome.status, outcome.error = "deadlock-timeout", str(e)
+    except Cancelled as e:
+        outcome.error = f"cancelled: {e}"
+    except ChoreoRuntimeError as e:
         outcome.error = f"{type(e).__name__}: {e}"
     except Exception as e:  # worker panic
-        outcome.status = "error"
         outcome.error = f"panic: {type(e).__name__}: {e}"
     finally:
-        interp.context.mark_finished(interp.role)
+        interp.context.finish(outcome.role, outcome.status, outcome.error)
+
+
+def run_workers(local_program, registry, console, entries):
+    """Runs each role's entry call on a thread of its own.
+
+    ``entries`` maps each role to (unit name, entry method, constructor
+    arguments, method arguments). Returns the outcomes by role, the root
+    cause of a failure first.
+    """
+    context = registry.context
+    outcomes = {role: WorkerOutcome(role, "error") for role in entries}
+    threads = [
+        threading.Thread(
+            target=_work,
+            args=(LocalInterpreter(local_program.units, role, registry, console, context),
+                  entry, outcomes[role]),
+            name=f"worker-{role}", daemon=True)
+        for role, entry in entries.items()
+    ]
+    context.start(entries)
+    for t in threads:
+        t.start()
+    end = None if context.deadline is None else context.deadline + JOIN_GRACE_SECONDS
+    for t, outcome in zip(threads, outcomes.values()):
+        t.join(None if end is None else max(0.0, end - time.monotonic()))
+        if t.is_alive():
+            outcome.status = "deadlock-timeout"
+            outcome.error = "worker still running past the deadline"
+            context.finish(outcome.role, outcome.status, outcome.error)
+    root = context.failure[0] if context.failure is not None else None
+    return {o.role: o for o in sorted(outcomes.values(), key=lambda o: o.role != root)}
+
+
+def _failure_summary(context, outcomes):
+    """The run's root cause, then every other role's own error."""
+    role, _, message = context.failure
+    parts = [f"{role}: {message}" if role is not None else message]
+    parts += [f"{r}: {o.error}" for r, o in outcomes.items()
+              if o.error and r != role and o.error != message]
+    return "; ".join(parts)
 
 
 def eval_distributed(local_program, entry_class, roles, entry_method,
-                     args_by_role=None, channels=None, deadline=10.0,
-                     registry=None):
-    """Spawn one worker per role and join them against a deadline."""
-    args_by_role = dict(args_by_role or {})
-    channels = dict(channels or {})
-    context = ExecutionContext(deadline)
-    registry = registry if registry is not None else ChannelRegistry(context)
-    registry.context = context
+                     args_by_role=None, channels=None, deadline=10.0):
+    """Runs one worker per role until all finish, one fails, they deadlock
+    or the deadline passes; returns an ExecutionReport.
+
+    Arguments are wired as ``interpreter.wire_arguments`` says, with the
+    parameters a role's unit types as ``Unit`` living at no role.
+    """
+    args_by_role = args_by_role or {}
+    channels = channels or {}
+    registry = ChannelRegistry(ExecutionContext(deadline))
     console = Console()
     started = time.perf_counter()
 
-    outcomes = {}
-    threads = []
+    entries = {}
     for role in roles:
-        from .projector import generated_name
-
         unit_name = generated_name(entry_class, roles, role)
         unit = local_program.unit(unit_name)
         if unit is None:
             raise ChoreoRuntimeError(f"missing projected unit '{unit_name}'")
-        interp = LocalInterpreter(local_program.units, role, registry, console, context)
-        ctor_args = []
-        ctor = None
-        if isinstance(unit.decl, LClass) and unit.decl.constructors:
-            ctor = unit.decl.constructors[0]
-            for p in ctor.params:
-                if p.te.name == "Unit":
-                    ctor_args.append(UNIT)
-                elif p.name in channels:
-                    ctor_args.append(registry.claim(channels[p.name], role))
-                else:
-                    raise ChoreoRuntimeError(
-                        f"constructor parameter '{p.name}' of '{unit_name}' has no "
-                        f"channel wiring")
-        pending = [decode_value(v) for v in args_by_role.get(role, [])]
-        method_args = []
-        decl = unit.decl
-        target = None
-        for m in decl.methods:
-            if m.name == entry_method:
-                target = m
-                break
-        if target is None:
+        method = next((m for m in unit.decl.methods if m.name == entry_method), None)
+        if method is None:
             raise ChoreoRuntimeError(f"'{unit_name}' has no method '{entry_method}'")
-        for p in target.params:
-            if p.te.name == "Unit":
-                method_args.append(UNIT)
-            elif p.name in channels:
-                method_args.append(registry.claim(channels[p.name], role))
-            elif pending:
-                method_args.append(pending.pop(0))
-            else:
-                method_args.append(UNIT)
-        outcome = WorkerOutcome(role, "error")
-        outcomes[role] = outcome
-        t = threading.Thread(
-            target=_worker_body,
-            args=(interp, unit_name, entry_method, ctor_args, method_args, outcome),
-            name=f"worker-{role}",
-            daemon=True,
-        )
-        threads.append(t)
-    for t in threads:
-        t.start()
-    budget = deadline + 2.0 if deadline is not None else None
-    for t in threads:
-        t.join(budget)
-    for role, t in zip(roles, threads):
-        if t.is_alive():
-            outcomes[role].status = "deadlock-timeout"
-            outcomes[role].error = "worker still blocked at the deadline"
-            context.cancelled.set()
+
+        def located(params, role=role):
+            return [(p.name, set() if p.te.name == "Unit" else {role}) for p in params]
+
+        def claim(key, role=role):
+            return registry.claim(key, role)
+
+        ctor_args = []
+        if isinstance(unit.decl, LClass) and unit.decl.constructors:
+            ctor_args = wire_arguments(located(unit.decl.constructors[0].params),
+                                       channels, claim, owner=unit_name)
+        method_args = wire_arguments(located(method.params), channels, claim,
+                                     {role: list(args_by_role.get(role, []))})
+        entries[role] = (unit_name, entry_method, ctor_args, method_args)
+    outcomes = run_workers(local_program, registry, console, entries)
 
     duration = time.perf_counter() - started
-    statuses = [o.status for o in outcomes.values()]
-    if all(s == "ok" for s in statuses):
-        status, error = "ok", None
-    elif any(s == "deadlock-timeout" for s in statuses):
-        status = "deadlock-timeout"
-        error = "; ".join(f"{r}: {o.error}" for r, o in outcomes.items() if o.error)
-    else:
-        status = "error"
-        error = "; ".join(f"{r}: {o.error}" for r, o in outcomes.items() if o.error)
+    context = registry.context
+    status, error = "ok", None
+    if context.failure is not None:
+        status, error = context.failure[1], _failure_summary(context, outcomes)
     returns = {role: observe_local(o.value) if o.status == "ok" else "unit"
                for role, o in outcomes.items()}
     report = ExecutionReport(returns, console.transcripts(), duration, status, error)

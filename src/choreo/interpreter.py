@@ -18,7 +18,7 @@ from . import surface as S
 from .builtins import Builtins, Console, PrintStreamV, binary_value
 from .projector import generated_name
 from .runtime import (
-    UNIT, ChoreoRuntimeError, EnumV, ExceptionV, ListV, OptionalV, is_unit,
+    UNIT, ChoreoRuntimeError, EnumV, ListV, observe_value, observed_object,
 )
 from .types import TVar, spine
 
@@ -122,7 +122,7 @@ class GlobalInterpreter:
         """Actual roles of a denoted type expression under a role binding."""
         return {binding[r] for r in self.checked.type_roles(te) if r in binding}
 
-    def find_method(self, info, name, arity, binding, statics_ok=True):
+    def find_method(self, info, name, arity, binding):
         """(MethodInfo, owner binding) via the supertype closure.
 
         Dynamic dispatch needs an implementation, so signature-only members
@@ -133,8 +133,6 @@ class GlobalInterpreter:
                 if mi.name != name or len(mi.node.params) != arity:
                     continue
                 if mi.node.body is None:
-                    continue
-                if not statics_ok and mi.is_static:
                     continue
                 sup_binding = self.super_binding(sup, submap, binding)
                 return mi, sup_binding
@@ -304,8 +302,7 @@ class GlobalInterpreter:
                 raise ChoreoRuntimeError(f"unresolved call '{exp.name}'")
             if mi.is_static:
                 return self.call_static(mi, frame.binding, args)
-            return self.invoke_object(frame.this, exp.name, len(args), args,
-                                      prefer=mi)
+            return self.invoke_object(frame.this, exp.name, len(args), args)
         if isinstance(exp.scope, S.StaticRef):
             actual_roles = [frame.binding[r] for r in exp.scope.roles]
             hit, value = self.builtins.try_static_call(exp.scope.name, exp.name, args)
@@ -353,7 +350,7 @@ class GlobalInterpreter:
             return r.value
         return UNIT
 
-    def invoke_object(self, obj, name, arity, args, prefer=None):
+    def invoke_object(self, obj, name, arity, args):
         mi, binding = self.find_method(obj.info, name, arity, obj.binding)
         if mi is None:
             raise ChoreoRuntimeError(f"'{obj.info.name}' has no method '{name}/{arity}'")
@@ -393,46 +390,31 @@ class GlobalInterpreter:
 
     def observe(self, value, role):
         """Role view of a value, comparable with a worker's observation."""
-        if is_unit(value) or value is None:
+        return observe_value(value, lambda v: self._observe_object(v, role))
+
+    def _observe_object(self, value, role):
+        if not isinstance(value, GlobalObject):
+            return None
+        info = value.info
+
+        def again(v):
+            return self.observe(v, role)
+
+        if len(info.role_names) == 1:
+            # Single-role objects relocate wholesale over channels; their
+            # content is visible wherever the value ends up.
+            return observed_object(info.name, value.fields.items(), again)
+        formal = value.formal_for_actual(role)
+        if formal is None:
             return "unit"
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, (int, float, str)):
-            return value
-        if isinstance(value, EnumV):
-            return ("enum", value.type_name, value.case)
-        if isinstance(value, ListV):
-            return ["list"] + [self.observe(v, role) for v in value.items]
-        if isinstance(value, OptionalV):
-            return ("optional", self.observe(value.value, role) if value.present else None)
-        if isinstance(value, GlobalObject):
-            if len(value.info.role_names) == 1:
-                # Single-role objects relocate wholesale over channels; their
-                # content is visible wherever the value ends up.
-                fields = {}
-                for fname, v in value.fields.items():
-                    obs = self.observe(v, role)
-                    if obs != "unit":
-                        fields[fname] = obs
-                return ("object", value.info.name, tuple(sorted(fields.items())))
-            formal = value.formal_for_actual(role)
-            if formal is None:
-                return "unit"
-            name = generated_name(value.info.name, value.info.role_names, formal)
-            fields = {}
-            for sup, submap in self.checked._checker.supertype_closure(value.info):
-                sup_binding = self.super_binding(sup, submap, value.binding)
-                for f in sup.fields():
-                    if role in self.actual_roles(f.te, sup_binding) and f.name in value.fields:
-                        obs = self.observe(value.fields[f.name], role)
-                        if obs != "unit":
-                            fields[f.name] = obs
-            return ("object", name, tuple(sorted(fields.items())))
-        if isinstance(value, GlobalChannel):
-            return ("channel",)
-        if isinstance(value, ExceptionV):
-            return ("exception", value.class_name, value.message)
-        return ("opaque", repr(value))
+        fields = []
+        for sup, submap in self.checked._checker.supertype_closure(info):
+            sup_binding = self.super_binding(sup, submap, value.binding)
+            fields += [(f.name, value.fields[f.name]) for f in sup.fields()
+                       if role in self.actual_roles(f.te, sup_binding)
+                       and f.name in value.fields]
+        return observed_object(generated_name(info.name, info.role_names, formal),
+                               fields, again)
 
 
 # --------------------------------------------------------------- entry point
@@ -442,8 +424,9 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
     """Run a choreography directly; returns an ExecutionReport.
 
     ``args_by_role`` lists the entry method's argument values per role in
-    parameter order; ``channels`` maps constructor parameter names to
-    registry keys (every channel-typed constructor parameter must appear).
+    parameter order; ``channels`` maps constructor and entry parameter names
+    to registry keys (every channel-typed constructor parameter must
+    appear). ``wire_arguments`` says which argument each parameter gets.
     """
     args_by_role = dict(args_by_role or {})
     channels = dict(channels or {})
@@ -454,37 +437,23 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
     binding = {r: r for r in info.role_names}
     started = time.perf_counter()
 
-    entry_mi = None
-    for mi in info.methods:
-        if mi.name == entry_method:
-            entry_mi = mi
-            break
+    entry_mi = next((mi for mi in info.methods if mi.name == entry_method), None)
     if entry_mi is None:
         raise ChoreoRuntimeError(f"'{entry_class}' has no method '{entry_method}'")
 
-    try:
-        if entry_mi.is_static:
-            receiver = None
-        else:
-            ctor = info.constructors[0]
-            ctor_args = []
-            for p in ctor.node.params:
-                if p.name in channels:
-                    ctor_args.append(interp.global_channel(channels[p.name]))
-                else:
-                    ctor_args.append(UNIT)
-            receiver = interp.construct(info, info.role_names, ctor, ctor_args)
+    def located(params):
+        return [(p.name, interp.actual_roles(p.te, binding)) for p in params]
 
+    try:
+        receiver = None
+        if not entry_mi.is_static:
+            ctor = info.constructors[0]
+            ctor_args = wire_arguments(located(ctor.node.params), channels,
+                                       interp.global_channel, owner=entry_class)
+            receiver = interp.construct(info, info.role_names, ctor, ctor_args)
         pending = {r: list(vs) for r, vs in args_by_role.items()}
-        call_args = []
-        for p in entry_mi.node.params:
-            roles = sorted(interp.actual_roles(p.te, binding))
-            if len(roles) == 1 and pending.get(roles[0]):
-                call_args.append(decode_value(pending[roles[0]].pop(0)))
-            elif p.name in channels:
-                call_args.append(interp.global_channel(channels[p.name]))
-            else:
-                call_args.append(UNIT)
+        call_args = wire_arguments(located(entry_mi.node.params), channels,
+                                   interp.global_channel, pending)
 
         if entry_mi.is_static:
             result = interp.call_static(entry_mi, binding, call_args, owner=info)
@@ -510,3 +479,29 @@ def decode_value(raw):
     if isinstance(raw, list):
         return ListV([decode_value(v) for v in raw])
     return raw
+
+
+def wire_arguments(params, channels, claim, pending=None, owner=None):
+    """Entry or constructor arguments, by the one rule of both evaluators.
+
+    ``params`` pairs each parameter's name with the roles its value lives at
+    in the evaluator's view. A parameter that lives at no role gets unit; one
+    named in ``channels`` gets the channel ``claim`` returns for its key; one
+    that lives at a single role takes that role's next manifest value from
+    ``pending`` (role -> list, consumed); any other gets unit. Constructors
+    take no manifest values (``pending`` None): each of their parameters
+    that lives at some role must be a channel.
+    """
+    args = []
+    for name, roles in params:
+        if not roles:
+            args.append(UNIT)
+        elif name in channels:
+            args.append(claim(channels[name]))
+        elif pending is None:
+            raise ChoreoRuntimeError(
+                f"constructor parameter '{name}' of '{owner}' has no channel wiring")
+        else:
+            values = pending.get(next(iter(roles))) if len(roles) == 1 else None
+            args.append(decode_value(values.pop(0)) if values else UNIT)
+    return args

@@ -7,6 +7,7 @@ into two ``>`` tokens inside type-argument lists.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .diagnostics import Code, Diagnostic, DiagnosticError, Severity
@@ -19,13 +20,16 @@ KEYWORDS = {
     "new", "this", "super", "null", "true", "false", "void", "throw",
 }
 
-# Longest match first.
 OPERATORS = [
     "::", "->", ">>", "||", "&&", "==", "!=", "<=", ">=",
     "+=", "-=", "*=", "/=", "&=", "|=", "%=",
     "<", ">", "+", "-", "*", "/", "%", "=", "&", "|", "!",
     "(", ")", "{", "}", "[", "]", ",", ";", ".", "@", ":",
 ]
+
+# One alternation, longest operators first, so that a match is greedy.
+_OPERATOR = re.compile("|".join(
+    re.escape(op) for op in sorted(OPERATORS, key=len, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -105,12 +109,10 @@ def lex(source: SourceFile):
                 i += 1
             tokens.append(Token("string", "".join(buf), Span(source, start, i)))
             continue
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                i += len(op)
-                tokens.append(Token("op", op, Span(source, start, i)))
-                break
-        else:
+        m = _OPERATOR.match(text, i)
+        if m is None:
             err(i, f"unexpected character {ch!r}")
+        i = m.end()
+        tokens.append(Token("op", m.group(), Span(source, start, i)))
     tokens.append(Token("eof", "", Span(source, n, n)))
     return tokens

@@ -249,18 +249,6 @@ class LocalProgram:
         return None
 
 
-def stm_chain(stms, tail=None):
-    """Build a continuation chain from a statement list."""
-    chain = tail if tail is not None else LNil()
-    for stm in reversed(stms):
-        if isinstance(stm, (LNil, LReturn, LThrow)):
-            chain = stm
-        else:
-            stm.cont = chain
-            chain = stm
-    return chain
-
-
 def stm_list(stm):
     out = []
     while stm is not None and not isinstance(stm, LNil):

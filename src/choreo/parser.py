@@ -361,7 +361,9 @@ class Parser:
         """Parse ``{ stm* }`` into a continuation chain ending in Nil."""
         self.expect("{")
         stms = []
-        while not self.ts.at("}", "op"):
+        # At the end of the file the loop stops and expect("}") reports it;
+        # recover_to_stm cannot move past the end.
+        while not self.ts.at("}", "op") and not self.ts.at_kind("eof"):
             try:
                 stms.append(self.parse_stm())
             except DiagnosticError as e:

@@ -1,25 +1,29 @@
-"""Channel semantics, the unit singleton, the shared registry, and builtins.
+"""Runtime values, channel semantics and the shared state of one run.
 
 Runtime values use native Python types where they fit (int, float, bool,
 str); the remaining variants are small classes (unit singleton, enum labels,
-lists, optionals, objects). Channel endpoints carry one tagged FIFO queue
-per direction; ``com`` on an endpoint sends when given a payload and
-receives when given the unit value, which is exactly the shape projection
-produces (receivers always pass the injected ``Unit.id``). Labels sent by
-``select`` are received as equal labels.
+lists, optionals, exceptions). A channel carries one tagged FIFO per
+direction, each holding at most ``CHANNEL_CAPACITY`` messages; ``com`` on an
+endpoint sends when given a payload and receives when given the unit value,
+which is exactly the shape projection produces (receivers always pass the
+injected ``Unit.id``). Labels sent by ``select`` are received as equal labels.
+
+An ``ExecutionContext`` owns one lock for its run, and every channel
+direction waits on a condition of that lock. A send to a full direction or a
+receive from an empty one waits until it can proceed, the deadline passes,
+or the run stops. The run stops at its first failure, which cancels every
+other role, and as soon as every live role waits on an operation that cannot
+proceed: that is a deadlock, reported with each role's pending operation.
 """
 
 from __future__ import annotations
 
-import json
-import queue
-import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 CHANNEL_CAPACITY = 16
-_POLL = 0.05
 
 
 class ChoreoRuntimeError(Exception):
@@ -31,11 +35,11 @@ class AssertionFailure(ChoreoRuntimeError):
 
 
 class DeadlockTimeout(ChoreoRuntimeError):
-    pass
+    """A proven deadlock, or the deadline passed."""
 
 
-class ClosedPeerError(ChoreoRuntimeError):
-    pass
+class Cancelled(ChoreoRuntimeError):
+    """Another role's failure stopped the run."""
 
 
 # ----------------------------------------------------------------- values
@@ -97,39 +101,134 @@ def is_unit(v):
     return v is UNIT
 
 
-# ------------------------------------------------------------- the registry
+def observe_value(value, observe_object):
+    """A value as the differential harness compares it, in either evaluator.
+
+    ``observe_object(value)`` is the evaluator's own case: the observation
+    of one of its objects, or None when ``value`` is not one.
+    """
+    if is_unit(value) or value is None:
+        return "unit"
+    if isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, EnumV):
+        return ("enum", value.type_name, value.case)
+    if isinstance(value, ListV):
+        return ["list"] + [observe_value(v, observe_object) for v in value.items]
+    if isinstance(value, OptionalV):
+        return ("optional",
+                observe_value(value.value, observe_object) if value.present else None)
+    if isinstance(value, ExceptionV):
+        return ("exception", value.class_name, value.message)
+    if hasattr(value, "com"):
+        return ("channel",)
+    seen = observe_object(value)
+    return seen if seen is not None else ("opaque", repr(value))
+
+
+def observed_object(name, fields, observe):
+    """An object's observation: its name and its (name, value) fields that
+    ``observe`` does not see as unit."""
+    seen = {}
+    for fname, v in fields:
+        obs = observe(v)
+        if obs != "unit":
+            seen[fname] = obs
+    return ("object", name, tuple(sorted(seen.items())))
+
+
+# ------------------------------------------------------------ one run
 
 class ExecutionContext:
-    """Shared clock/cancellation state for one distributed execution."""
+    """The shared state of one run, guarded by ``lock``: the deadline, the
+    live roles, each blocked role's pending operation and the run's first
+    failure.
+
+    Only roles passed to ``start`` are live; a run with none (a bare
+    registry) is never proven deadlocked and waits for its deadline.
+    """
 
     def __init__(self, deadline_seconds=10.0):
         self.deadline = (time.monotonic() + deadline_seconds
                          if deadline_seconds is not None else None)
-        self.cancelled = threading.Event()
-        self._finished = set()
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
+        # (role, status, message) of the first failure; role None for a
+        # proven deadlock, which no single role caused.
+        self.failure = None
+        self._live = set()
+        self._pending = {}  # blocked role -> (operation, ready)
+        self._conditions = []
 
-    def mark_finished(self, role):
-        with self._lock:
-            self._finished.add(role)
+    def condition(self):
+        """A new condition of the run's lock; call with the lock held."""
+        cond = threading.Condition(self.lock)
+        self._conditions.append(cond)
+        return cond
 
-    def finished(self, role):
-        with self._lock:
-            return role in self._finished
+    def start(self, roles):
+        with self.lock:
+            self._live.update(roles)
 
-    def check(self):
-        if self.cancelled.is_set():
-            raise DeadlockTimeout("execution cancelled")
+    def finish(self, role, status="ok", message=None):
+        """``role`` has stopped; any status but ok stops the whole run."""
+        with self.lock:
+            self._live.discard(role)
+            if status != "ok":
+                self._stop(role, status, message)
+            else:
+                self._prove_deadlock()
+
+    def _stop(self, role, status, message):
+        if self.failure is None:
+            self.failure = (role, status, message)
+            for cond in self._conditions:
+                cond.notify_all()
+
+    def _prove_deadlock(self):
+        live = self._live
+        if not live or not live <= self._pending.keys():
+            return
+        if any(self._pending[r][1]() for r in live):
+            return  # woken, but not yet running again
+        ops = "; ".join(f"{r} {self._pending[r][0]}" for r in sorted(live))
+        self._stop(None, "deadlock-timeout", f"deadlock: {ops}")
+
+    def check(self, waiting=None):
+        """Raises once the run has stopped or its deadline has passed."""
+        if self.failure is not None:
+            role, _, message = self.failure
+            if role is None:
+                raise DeadlockTimeout(message)
+            raise Cancelled(f"{role} failed")
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise DeadlockTimeout("deadline exceeded while blocked on a channel")
+            raise DeadlockTimeout("deadline exceeded"
+                                  + (f" while {waiting}" if waiting else ""))
+
+    def wait(self, cond, role, operation, ready):
+        """Waits on ``cond``, whose lock the caller holds, until ``ready()``.
+
+        ``operation`` says what ``role`` waits for, as a deadlock report
+        names it.
+        """
+        self._pending[role] = (operation, ready)
+        try:
+            self._prove_deadlock()
+            while not ready():
+                self.check(f"{role} {operation}")
+                cond.wait(None if self.deadline is None
+                          else self.deadline - time.monotonic())
+        finally:
+            del self._pending[role]
 
 
 class _Pair:
-    """The two directed queues behind one registry key."""
+    """The two directions behind one registry key: a FIFO and a condition
+    of the run's lock each."""
 
-    def __init__(self, key):
+    def __init__(self, key, context):
         self.key = key
-        self.queues = [queue.Queue(CHANNEL_CAPACITY), queue.Queue(CHANNEL_CAPACITY)]
+        self.queues = (deque(), deque())
+        self.conditions = (context.condition(), context.condition())
         self.claimants = []  # role names, in claim order
 
 
@@ -138,41 +237,31 @@ class ChannelEndpoint:
     """One side of a point-to-point in-memory channel."""
 
     pair: _Pair
-    side: int  # 0 or 1
+    side: int  # 0 or 1; this side sends on queues[side]
     claimant: str
     context: ExecutionContext
 
-    @property
-    def _out(self):
-        return self.pair.queues[self.side]
-
-    @property
-    def _in(self):
-        return self.pair.queues[1 - self.side]
-
-    def _peer(self):
-        others = [c for c in self.pair.claimants if c != self.claimant]
-        return others[0] if others else None
-
     def _put(self, item):
-        while True:
-            self.context.check()
-            try:
-                self._out.put(item, timeout=_POLL)
-                return
-            except queue.Full:
-                continue
+        out, cond = self.pair.queues[self.side], self.pair.conditions[self.side]
+        with cond:
+            if len(out) >= CHANNEL_CAPACITY:
+                self.context.wait(cond, self.claimant, f"sends on '{self.pair.key}'",
+                                  lambda: len(out) < CHANNEL_CAPACITY)
+            out.append(item)
+            if len(out) == 1:  # the receiver may be waiting
+                cond.notify()
 
     def _get(self):
-        while True:
-            self.context.check()
-            try:
-                return self._in.get(timeout=_POLL)
-            except queue.Empty:
-                peer = self._peer()
-                if peer is not None and self.context.finished(peer) and self._in.empty():
-                    raise ClosedPeerError(
-                        f"peer '{peer}' of channel '{self.pair.key}' has terminated")
+        side = 1 - self.side
+        inq, cond = self.pair.queues[side], self.pair.conditions[side]
+        with cond:
+            if not inq:
+                self.context.wait(cond, self.claimant, f"receives on '{self.pair.key}'",
+                                  lambda: len(inq) > 0)
+            item = inq.popleft()
+            if len(inq) == CHANNEL_CAPACITY - 1:  # the sender may be waiting
+                cond.notify()
+            return item
 
     def send_data(self, value):
         self._put(("data", value))
@@ -218,16 +307,14 @@ class ChannelRegistry:
         self.context = context if context is not None else ExecutionContext(None)
         self._pairs = {}
         self._endpoints = {}
-        self._lock = threading.Lock()
 
     def claim(self, key, claimant):
         if not key:
             raise ChoreoRuntimeError("channel keys must be nonempty")
-        with self._lock:
+        with self.context.lock:
             pair = self._pairs.get(key)
             if pair is None:
-                pair = _Pair(key)
-                self._pairs[key] = pair
+                pair = self._pairs[key] = _Pair(key, self.context)
             if (key, claimant) in self._endpoints:
                 return self._endpoints[(key, claimant)]
             if len(pair.claimants) >= 2:
@@ -241,7 +328,7 @@ class ChannelRegistry:
             return ep
 
     def keys(self):
-        with self._lock:
+        with self.context.lock:
             return sorted(self._pairs)
 
 
@@ -257,138 +344,3 @@ def assert_builtin(cond, message):
     if cond is False:
         raise AssertionFailure(message)
     raise ChoreoRuntimeError("assertTrue requires a boolean condition")
-
-
-# ------------------------------------------------------- socket transport
-
-def _encode_value(value):
-    if is_unit(value):
-        return {"unit": True}
-    if isinstance(value, EnumV):
-        return {"enum": [value.type_name, value.case]}
-    if isinstance(value, ListV):
-        return {"list": [_encode_value(v) for v in value.items]}
-    if isinstance(value, OptionalV):
-        return {"optional": _encode_value(value.value) if value.present else None}
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return {"value": value}
-    raise ChoreoRuntimeError(f"value {value!r} cannot travel over the socket transport")
-
-
-def _decode_value(obj):
-    if "unit" in obj:
-        return UNIT
-    if "enum" in obj:
-        return EnumV(*obj["enum"])
-    if "list" in obj:
-        return ListV([_decode_value(v) for v in obj["list"]])
-    if "optional" in obj:
-        inner = obj["optional"]
-        return OptionalV(inner is not None, _decode_value(inner) if inner is not None else None)
-    return obj["value"]
-
-
-class SocketRelay:
-    """Rendezvous server pairing two connections per key and piping lines."""
-
-    def __init__(self, host="127.0.0.1", port=0):
-        self._server = socket.create_server((host, port))
-        self.address = self._server.getsockname()
-        self._waiting = {}
-        self._lock = threading.Lock()
-        self._threads = []
-        self._stop = threading.Event()
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-
-    def _accept_loop(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            t = threading.Thread(target=self._handshake, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _handshake(self, conn):
-        f = conn.makefile("r")
-        line = f.readline()
-        try:
-            key = json.loads(line)["key"]
-        except (json.JSONDecodeError, KeyError):
-            conn.close()
-            return
-        with self._lock:
-            other = self._waiting.pop(key, None)
-            if other is None:
-                self._waiting[key] = (conn, f)
-                return
-        oconn, of = other
-        a = threading.Thread(target=self._pipe, args=(f, oconn), daemon=True)
-        b = threading.Thread(target=self._pipe, args=(of, conn), daemon=True)
-        a.start()
-        b.start()
-
-    @staticmethod
-    def _pipe(reader, wconn):
-        for line in reader:
-            try:
-                wconn.sendall(line.encode())
-            except OSError:
-                return
-
-    def close(self):
-        self._stop.set()
-        self._server.close()
-
-
-class SocketChannelEndpoint:
-    """Line-delimited JSON over TCP; one connection per channel.
-
-    The one-line handshake names the key; each message is a tagged JSON
-    object, ``{"kind": "data"|"label", ...}``.
-    """
-
-    def __init__(self, relay_address, key):
-        self._sock = socket.create_connection(relay_address)
-        self._reader = self._sock.makefile("r")
-        self._sock.sendall((json.dumps({"key": key}) + "\n").encode())
-
-    def send_data(self, value):
-        frame = {"kind": "data"}
-        frame.update(_encode_value(value))
-        self._sock.sendall((json.dumps(frame) + "\n").encode())
-        return UNIT
-
-    def receive_data(self):
-        frame = json.loads(self._reader.readline())
-        if frame.pop("kind") != "data":
-            raise ChoreoRuntimeError("protocol violation: expected data frame")
-        return _decode_value(frame)
-
-    def send_label(self, label):
-        if not isinstance(label, EnumV):
-            raise ChoreoRuntimeError("select requires an enumerated label")
-        frame = {"kind": "label", "enum": [label.type_name, label.case]}
-        self._sock.sendall((json.dumps(frame) + "\n").encode())
-        return label
-
-    def receive_label(self):
-        frame = json.loads(self._reader.readline())
-        if frame.pop("kind") != "label":
-            raise ChoreoRuntimeError("protocol violation: expected label frame")
-        return EnumV(*frame["enum"])
-
-    def com(self, message=UNIT):
-        if is_unit(message):
-            return self.receive_data()
-        return self.send_data(message)
-
-    def select(self, label=UNIT):
-        if is_unit(label):
-            return self.receive_label()
-        return self.send_label(label)
-
-    def close(self):
-        self._sock.close()

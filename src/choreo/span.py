@@ -60,7 +60,3 @@ class Span:
 
     def __repr__(self):
         return f"{self.source.name}:{self.line}:{self.col}"
-
-
-def synthetic_span(label="<generated>"):
-    return Span(SourceFile(label, ""), 0, 0)

@@ -2,9 +2,12 @@
 
 Discovers @Test-annotated methods (static, parameterless, void), projects
 their classes with provenance annotations, and runs one worker per role
-against a fresh channel registry per case. A case passes when every worker
-finishes without assertion failures or errors; a missing selection shows up
-as a deadlock-timeout rather than a hang.
+against a fresh channel registry per case, with the distributed
+evaluator's ``run_workers``. A case passes when every worker finishes
+without assertion failures or errors. The first failing role is listed
+first and cancels its peers at once; a missing selection leaves every role
+blocked, a proven deadlock that fails the case at once as a
+deadlock-timeout.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import surface as S
 from .diagnostics import Code, Reporter
-from .distributed import LocalInterpreter, WorkerOutcome, _worker_body
+from .distributed import run_workers
 from .builtins import Console
 from .projector import project_program
 from .runtime import ChannelRegistry, ExecutionContext
@@ -126,35 +129,11 @@ def run_tests(checked, cases=None, deadline=10.0, reporter=None):
 
 
 def _run_case(local_program, case, deadline):
-    context = ExecutionContext(deadline)
-    registry = ChannelRegistry(context)
-    console = Console()
+    registry = ChannelRegistry(ExecutionContext(deadline))
     started = time.perf_counter()
-    outcomes = {}
-    threads = []
-    import threading
-
-    for role in case.roles:
-        unit = case.units[role]
-        interp = LocalInterpreter(local_program.units, role, registry, console, context)
-        outcome = WorkerOutcome(role, "error")
-        outcomes[role] = outcome
-        t = threading.Thread(
-            target=_worker_body,
-            args=(interp, unit.generated_name, case.method_name, [], [], outcome),
-            name=f"test-{case.class_name}-{role}",
-            daemon=True,
-        )
-        threads.append(t)
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(deadline + 2.0 if deadline is not None else None)
-    for role, t in zip(case.roles, threads):
-        if t.is_alive():
-            outcomes[role].status = "deadlock-timeout"
-            outcomes[role].error = "worker still blocked at the deadline"
-            context.cancelled.set()
+    outcomes = run_workers(local_program, registry, Console(), {
+        role: (case.units[role].generated_name, case.method_name, [], [])
+        for role in case.roles})
     duration = time.perf_counter() - started
     failures = [(r, o.status, o.error) for r, o in outcomes.items() if o.status != "ok"]
     return CaseResult(case, not failures, duration, failures)

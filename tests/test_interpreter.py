@@ -1,6 +1,7 @@
 """Global and distributed evaluation, and the differential harness."""
 
 import sys
+import time
 
 import pytest
 from conftest import compile_ok, compile_text
@@ -15,6 +16,7 @@ from choreo.local import (
 )
 from choreo.printer import render_unit
 from choreo.projector import project_program
+from choreo.runtime import CHANNEL_CAPACITY
 
 
 def project_ok(checked):
@@ -116,7 +118,8 @@ def test_distributed_dist_auth_both_or_neither(corpus_compiled):
 
 
 def test_hand_built_mismatched_units_deadlock():
-    # Both sides try to receive: no data ever flows, the deadline fires.
+    # Both sides try to receive: no data ever flows, and the run proves the
+    # deadlock as soon as both block, long before the deadline.
     def receiver_unit(name):
         body = LExpStm(LCall(LName("ch"), [], "com", [LUnit()]), LNil())
         method = LMethod([], ["public", "static"], [], LTE("void"), "go",
@@ -125,14 +128,53 @@ def test_hand_built_mismatched_units_deadlock():
                          LClass([], [], name, [], None, [], [], [], [method]))
 
     program = LocalProgram([receiver_unit("Broken_A"), receiver_unit("Broken_B")])
+    started = time.monotonic()
     report = eval_distributed(program, "Broken", ["A", "B"], "go", {},
-                              {"ch": "only"}, deadline=0.5)
+                              {"ch": "only"}, deadline=10)
+    assert time.monotonic() - started < 1.0
     assert report.status == "deadlock-timeout"
-    statuses = {o.status for o in report.outcomes.values()}
-    # At least one worker was blocked at the deadline; the other may instead
-    # observe its peer's termination.
-    assert "deadlock-timeout" in statuses
-    assert "ok" not in statuses
+    assert report.error == "deadlock: A receives on 'only'; B receives on 'only'"
+    assert {o.status for o in report.outcomes.values()} == {"deadlock-timeout"}
+
+
+def test_peer_crash_mid_stream_cancels_the_sender_at_once():
+    # B fails after its first receive while A has more to send than a
+    # channel holds: A is cancelled instead of waiting out the deadline.
+    sends = "\n".join(f"        ch.<Integer>com({i}@A);"
+                      for i in range(1, CHANNEL_CAPACITY + 5))
+    checked = compile_ok(f"""
+    class Crash@(A, B) {{
+        public static void go(DiDataChannel@(A, B)<Integer> ch) {{
+            Integer@B first = ch.<Integer>com(0@A);
+            Assert@B.assertTrue("crashed after one"@B, false@B);
+    {sends}
+        }}
+    }}
+    """)
+    started = time.monotonic()
+    report = eval_distributed(project_ok(checked), "Crash", ["A", "B"], "go", {},
+                              {"ch": "crash"}, deadline=10)
+    assert time.monotonic() - started < 1.0
+    assert report.status == "error"
+    assert report.error.startswith("B: AssertionFailure: crashed after one")
+    assert list(report.outcomes) == ["B", "A"]
+    assert report.outcomes["A"].error == "cancelled: B failed"
+
+
+def test_both_evaluators_wire_a_channel_named_parameter_alike():
+    # 'first' is named in channels and its role also has a manifest value:
+    # the name wins in both evaluators, and the value goes to 'second'.
+    checked = compile_ok("""
+    class Pick@A {
+        public static String@A pick(String@A first, String@A second) {
+            return second;
+        }
+    }
+    """)
+    cmp = differential_run(checked, "Pick", "pick", {"A": ["x"]}, {"first": "k"},
+                           local_program=project_ok(checked))
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.returns == {"A": "x"}
 
 
 def test_worker_error_carries_role_and_message(corpus_compiled):

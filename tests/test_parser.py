@@ -3,7 +3,7 @@
 import pytest
 
 from choreo import surface as S
-from choreo.diagnostics import Reporter
+from choreo.diagnostics import Code, DiagnosticError, Reporter
 from choreo.parser import (
     desugar_chain, desugar_program, expand_literal_lists, parse_program,
 )
@@ -261,3 +261,37 @@ def test_corpus_files_round_trip():
         printed = render_program(program)
         reparsed = parse_ok(printed, prog.name + ".printed")
         assert structurally_equal(program, reparsed), prog.name
+
+
+def test_operators_back_to_back_lex_greedily():
+    from choreo.lexer import OPERATORS, lex
+    from choreo.span import SourceFile
+
+    text = ">>=::->" + "".join(OPERATORS) + "#"
+    with pytest.raises(DiagnosticError) as exc:
+        lex(SourceFile("t.chor", text))
+    assert exc.value.diagnostic.message == "unexpected character '#'"
+    tokens = lex(SourceFile("t.chor", text[:-1]))
+    assert [t.lexeme for t in tokens[:4]] == [">>", "=", "::", "->"]
+    # Each operator is lexed whole; one that starts a longer one is not
+    # split, and two that form a longer one are merged (">" ">" to ">>").
+    lexemes = [t.lexeme for t in tokens if t.kind == "op"]
+    assert "".join(lexemes) == text[:-1]
+    assert all(t.span.end - t.span.start == len(t.lexeme) for t in tokens)
+    assert lexemes[4:9] == ["::", "->", ">>", "||", "&&"]
+
+
+def test_unterminated_method_body_reports_and_returns():
+    _, reporter = parse_program([("t.chor", "class T@A { void m() { ")])
+    assert [d.code for d in reporter.errors] == [Code.SyntaxError]
+
+
+@pytest.mark.parametrize("name", ["MergeSort", "DistAuth"])
+def test_every_line_end_prefix_parses_to_an_end(name):
+    from choreo.corpus import positive_entries
+
+    path = next(p.path for p in positive_entries() if p.name == name)
+    lines = path.read_text().splitlines(keepends=True)
+    for n in range(len(lines) + 1):
+        _, reporter = parse_program([(name, "".join(lines[:n]))])
+        assert all(d.code is Code.SyntaxError for d in reporter.errors), n

@@ -1,15 +1,15 @@
 """Channel registry and endpoint semantics."""
 
+import sys
 import threading
 import time
 
 import pytest
 
 from choreo.runtime import (
-    UNIT, AssertionFailure, ChannelRegistry, ChoreoRuntimeError,
-    DeadlockTimeout, ClosedPeerError, EnumV, ExecutionContext, ListV,
-    OptionalV, SocketChannelEndpoint, SocketRelay, assert_builtin, is_unit,
-    new_local_channel,
+    UNIT, AssertionFailure, Cancelled, ChannelRegistry, ChoreoRuntimeError,
+    DeadlockTimeout, EnumV, ExecutionContext, ListV, OptionalV,
+    assert_builtin, is_unit, new_local_channel,
 )
 
 
@@ -112,9 +112,115 @@ def test_receive_hits_deadline():
 
 def test_closed_peer_error():
     reg, a, b, ctx = make_pair(deadline=5.0)
-    ctx.mark_finished("A")
-    with pytest.raises(ClosedPeerError):
+    ctx.start(["A", "B"])
+    ctx.finish("A")
+    started = time.monotonic()
+    with pytest.raises(DeadlockTimeout) as exc:
         b.receive_data()
+    assert time.monotonic() - started < 1.0
+    assert str(exc.value) == "deadlock: B receives on 'k'"
+
+
+def test_receive_drains_a_finished_peer_first():
+    reg, a, b, ctx = make_pair(deadline=5.0)
+    ctx.start(["A", "B"])
+    a.send_data(1)
+    ctx.finish("A")
+    assert b.receive_data() == 1
+    with pytest.raises(DeadlockTimeout):
+        b.receive_data()
+
+
+def test_first_failure_cancels_a_blocked_peer():
+    reg, a, b, ctx = make_pair(deadline=5.0)
+    ctx.start(["A", "B"])
+    got = {}
+
+    def receive():
+        try:
+            b.receive_data()
+        except ChoreoRuntimeError as e:
+            got["error"] = e
+
+    t = threading.Thread(target=receive)
+    started = time.monotonic()
+    t.start()
+    time.sleep(0.05)
+    ctx.finish("A", "error", "AssertionFailure: boom")
+    t.join(2.0)
+    assert not t.is_alive()
+    assert time.monotonic() - started < 1.0
+    assert isinstance(got["error"], Cancelled)
+    assert str(got["error"]) == "A failed"
+    assert ctx.failure == ("A", "error", "AssertionFailure: boom")
+
+
+def test_deadlock_names_every_pending_operation():
+    ctx = ExecutionContext(5.0)
+    reg = ChannelRegistry(ctx)
+    a, b = reg.claim("k", "A"), reg.claim("k", "B")
+    ctx.start(["A", "B"])
+    errors = {}
+
+    def receive(role, ep):
+        try:
+            ep.receive_data()
+        except DeadlockTimeout as e:
+            errors[role] = str(e)
+
+    threads = [threading.Thread(target=receive, args=r) for r in (("A", a), ("B", b))]
+    started = time.monotonic()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(2.0)
+    assert not any(t.is_alive() for t in threads)
+    assert time.monotonic() - started < 1.0
+    message = "deadlock: A receives on 'k'; B receives on 'k'"
+    assert errors == {"A": message, "B": message}
+    assert ctx.failure == (None, "deadlock-timeout", message)
+
+
+def test_pipeline_under_fast_switching_keeps_order_and_proves_no_deadlock():
+    # Six roles forward numbers down a chain of full channels, so that
+    # every role blocks often on both sides while the others run.
+    from choreo.runtime import CHANNEL_CAPACITY
+
+    roles = [f"R{i}" for i in range(6)]
+    count = 20 * CHANNEL_CAPACITY
+    ctx = ExecutionContext(30.0)
+    reg = ChannelRegistry(ctx)
+    links = [(reg.claim(f"l{i}", a), reg.claim(f"l{i}", b))
+             for i, (a, b) in enumerate(zip(roles, roles[1:]))]
+    ctx.start(roles)
+    received, errors = [], []
+
+    def work(i):
+        try:
+            for n in range(count):
+                value = n if i == 0 else links[i - 1][1].receive_data()
+                if i < len(links):
+                    links[i][0].send_data(value)
+                else:
+                    received.append(value)
+            ctx.finish(roles[i])
+        except ChoreoRuntimeError as e:
+            errors.append(e)
+            ctx.finish(roles[i], "error", str(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(roles))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and ctx.failure is None
+    assert received == list(range(count))
 
 
 def test_send_blocks_when_buffer_full():
@@ -134,60 +240,3 @@ def test_assert_builtin():
     assert "bad pseudonymisation" in str(exc.value)
     with pytest.raises(ChoreoRuntimeError):
         assert_builtin("yes", "msg")
-
-
-# --------------------------------------------------------- socket transport
-
-def test_socket_transport_round_trip():
-    relay = SocketRelay()
-    try:
-        results = {}
-
-        def left():
-            ep = SocketChannelEndpoint(relay.address, "chan-1")
-            ep.send_data(ListV([1, 2, 3]))
-            ep.send_label(EnumV("Choice", "GO"))
-            results["left_got"] = ep.receive_data()
-            ep.close()
-
-        def right():
-            ep = SocketChannelEndpoint(relay.address, "chan-1")
-            results["data"] = ep.receive_data()
-            results["label"] = ep.receive_label()
-            ep.send_data("done")
-            ep.close()
-
-        t1 = threading.Thread(target=left)
-        t2 = threading.Thread(target=right)
-        t1.start(); t2.start()
-        t1.join(5); t2.join(5)
-        assert results["data"] == ListV([1, 2, 3])
-        assert results["label"] == EnumV("Choice", "GO")
-        assert results["left_got"] == "done"
-    finally:
-        relay.close()
-
-
-def test_socket_handshake_is_one_json_line():
-    import json
-    import socket as socketlib
-
-    relay = SocketRelay()
-    try:
-        got = {}
-
-        def peer():
-            ep = SocketChannelEndpoint(relay.address, "probe")
-            got["value"] = ep.receive_data()
-            ep.close()
-
-        t = threading.Thread(target=peer)
-        t.start()
-        raw = socketlib.create_connection(relay.address)
-        raw.sendall((json.dumps({"key": "probe"}) + "\n").encode())
-        raw.sendall((json.dumps({"kind": "data", "value": 7}) + "\n").encode())
-        t.join(5)
-        raw.close()
-        assert got["value"] == 7
-    finally:
-        relay.close()

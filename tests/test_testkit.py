@@ -1,11 +1,15 @@
 """Test discovery and the per-case worker runner."""
 
+import time
+
 import pytest
 from conftest import compile_ok, compile_text
 
+from choreo import testkit
 from choreo.corpus import extra_path
 from choreo.diagnostics import Code, Reporter
 from choreo.pipeline import compile_files
+from choreo.projector import project_program
 from choreo.runtime import ChannelRegistry, ExecutionContext
 from choreo.testkit import discover_tests, run_tests, summarize
 
@@ -102,11 +106,11 @@ def test_assertion_failure_does_not_hang_peers():
     assert len(results) == 1
     r = results[0]
     assert not r.passed
-    roles = {role: status for role, status, _ in r.failures}
-    assert roles.get("A") == "error"
-    # B is cancelled at the deadline (or observes the dead peer), never hangs.
-    assert roles.get("B") in ("deadlock-timeout", "error")
-    assert r.duration < 5.0
+    # A's failure comes first and cancels B at once.
+    assert [(role, status) for role, status, _ in r.failures] == [
+        ("A", "error"), ("B", "error")]
+    assert r.failures[1][2] == "cancelled: A failed"
+    assert r.duration < 1.0
 
 
 def test_registry_isolation_between_cases():
@@ -137,3 +141,40 @@ def test_every_case_runs_once_and_summary_counts(corpus_compiled):
     text = summarize(results)
     assert "1/1 cases passed" in text
     assert results[0].to_record()["status"] == "passed"
+
+
+def test_missing_selection_fails_at_once():
+    # B's unit waits for A's selection; A's unit, projected from a test
+    # without one, skips it and waits for a reply instead.
+    checked = compile_ok("""
+    enum Choice@R { GO, STOP }
+    class Sel@(A, B) {
+        @Test
+        public static void t() {
+            SymChannel@(A, B)<Object> ch = TestUtils@(A, B).newLocalChannel("sel"@[A, B]);
+            ch.<Choice>select(Choice@A.GO);
+            switch (Choice@A.GO) {
+                case GO -> { String@B got = ch.<String>com("go"@A); }
+                default -> { String@B got = ch.<String>com("stop"@A); }
+            }
+        }
+    }
+    class NoSel@(A, B) {
+        @Test
+        public static void t() {
+            SymChannel@(A, B)<Object> ch = TestUtils@(A, B).newLocalChannel("sel"@[A, B]);
+            String@A reply = ch.<String>com("hi"@B);
+        }
+    }
+    """)
+    program, reporter = project_program(checked, Reporter(), annotate=True)
+    assert not reporter.has_errors()
+    case = testkit.TestCase("Sel", "t", ["A", "B"],
+                            {"A": program.unit("NoSel_A"), "B": program.unit("Sel_B")})
+    started = time.monotonic()
+    result = testkit._run_case(program, case, deadline=10.0)
+    assert time.monotonic() - started < 1.0
+    assert not result.passed
+    message = "deadlock: A receives on 'sel'; B receives on 'sel'"
+    assert result.failures == [("A", "deadlock-timeout", message),
+                               ("B", "deadlock-timeout", message)]
