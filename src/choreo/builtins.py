@@ -19,21 +19,16 @@ from .runtime import (
 
 
 class Console:
-    """Per-role transcripts; safe for concurrent appends."""
+    """Per-role transcripts."""
 
     def __init__(self):
-        import threading
-
         self._lines = {}
-        self._lock = threading.Lock()
 
     def write(self, role, line):
-        with self._lock:
-            self._lines.setdefault(role, []).append(line)
+        self._lines.setdefault(role, []).append(line)
 
     def transcripts(self):
-        with self._lock:
-            return {r: list(ls) for r, ls in self._lines.items()}
+        return {r: list(ls) for r, ls in self._lines.items()}
 
 
 @dataclass
@@ -216,13 +211,19 @@ _STATICS = {
 }
 
 
-@dataclass
 class Builtins:
-    console: Console
-    # invoke(receiver, method, args) -> value; used for functional objects.
-    invoke: object = None
-    # claim_channel(key) -> endpoint; used by TestUtils.newLocalChannel.
-    claim_channel: object = None
+    """The prelude's methods and statics for one evaluator, which supplies
+    ``invoke(receiver, method, args)`` for functional objects and
+    ``claim_channel(key)`` for ``newLocalChannel``, or overrides them."""
+
+    invoke = claim_channel = None
+
+    def __init__(self, console, invoke=None, claim_channel=None):
+        self.console = console
+        if invoke is not None:
+            self.invoke = invoke
+        if claim_channel is not None:
+            self.claim_channel = claim_channel
 
     # ---------------------------------------------------------- instances
 

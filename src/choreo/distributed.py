@@ -1,32 +1,33 @@
-"""Distributed evaluator: one worker thread per role over projected units.
-
-Each worker interprets its own unit against the runtime channels. Workers
-share only the channel registry and its ``ExecutionContext``; everything
-else is worker-local. ``run_workers`` runs the workers of both
-``eval_distributed`` and the test kit: the first worker to fail cancels the
-others and is named first in the report, a proven deadlock stops every
-worker at once, and the deadline stops programs that diverge. Try/catch
-executes its body (there is no user-level throw in the language; generated
-default throws surface as worker errors).
+"""Distributed evaluator: each role interprets its projected unit, and all
+roles of a run take turns on one thread (``run_workers``, which serves the
+test kit too), each until it waits on a channel or ends. A method call is
+one generator on its role's stack, run by ``_drive``, so recursion takes no
+Python stack; an expression that calls no method of the program and uses no
+channel evaluates with no generator. The first role to fail cancels the
+others, a proven deadlock stops every role at once, and the deadline,
+checked at every statement, stops programs that diverge. Try/catch executes
+its body (there is no user-level throw; generated default throws surface as
+role errors).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from types import GeneratorType
 
 from .builtins import Builtins, Console, PrintStreamV, binary_value
 from .interpreter import ExecutionReport, wire_arguments
 from .local import (
     LAssign, LBinary, LBlock, LCall, LClass, LEnum, LExpStm, LFieldAcc, LIf,
-    LLit, LName, LNew, LNil, LReturn, LStaticName, LSwitch, LThrow,
-    LTryCatch, LUnit, LUnitCall, LVarDecl,
+    LLit, LName, LNew, LNil, LocalProgram, LReturn, LStaticName, LSwitch,
+    LThrow, LTryCatch, LUnit, LUnitCall, LVarDecl,
 )
 from .projector import generated_name
 from .runtime import (
-    UNIT, Cancelled, ChannelRegistry, ChoreoRuntimeError, DeadlockTimeout,
-    EnumV, ExecutionContext, observe_value, observed_object,
+    UNIT, ChannelEndpoint, ChannelRegistry, ChoreoRuntimeError, DeadlockTimeout,
+    EnumV, ExecutionContext, is_unit, observe_value, observed_object,
 )
 
 
@@ -36,142 +37,242 @@ class LocalObject:
     fields: dict = field(default_factory=dict)
 
 
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
+class ProgramFacts:
+    """What the interpreters of one ``LocalProgram`` look up, worked out
+    once: declarations, methods, and which expressions call something."""
+
+    def __init__(self, units):
+        self.decls = {u.generated_name: u.decl for u in units}
+        self.method_keys = {(m.name, len(m.params)) for d in self.decls.values()
+                            if isinstance(d, LClass) for m in d.methods}
+        self._methods = {}
+        self.flags = {}  # id(expression) -> flag; the program keeps each alive
+
+    def method(self, class_name, name, arity, static=False):
+        """The method with a body that a call names, up the superclasses."""
+        key = (class_name, name, arity, static)
+        if key not in self._methods:
+            decl, found = self.decls.get(class_name), None
+            while found is None and isinstance(decl, LClass):
+                found = next((m for m in decl.methods if m.name == name
+                              and len(m.params) == arity and m.body is not None
+                              and (not static or "static" in m.modifiers)), None)
+                decl = self.decls.get(decl.extends.name) if decl.extends is not None else None
+            self._methods[key] = found
+        if self._methods[key] is None:
+            kind = "static method" if static else "method"
+            raise ChoreoRuntimeError(f"'{class_name}' has no {kind} '{name}/{arity}'")
+        return self._methods[key]
+
+    def flag(self, exp):
+        """Whether ``exp`` calls a method of the program or uses a channel,
+        kept in ``flags`` with its operands' (but for names and literals)."""
+        t = type(exp)
+        own, operands = False, ()
+        if t is LName or t is LLit or t is LUnit:
+            return False
+        if t is LCall:
+            scope = exp.scope
+            operands = exp.args if scope is None else exp.args + [scope]
+            if scope is None or type(scope) is LStaticName:
+                own = scope is None or scope.name in self.decls
+            else:
+                own = exp.name in ("com", "select") or (exp.name, len(exp.args)) in self.method_keys
+        elif t is LNew:
+            own, operands = exp.class_name in self.decls, exp.args
+        elif t is LUnitCall:
+            operands = exp.args
+        elif t is LBinary:
+            operands = (exp.left, exp.right)
+        elif t is LFieldAcc:
+            operands = (exp.scope,)
+        flag = self.flags[id(exp)] = any([self.flag(o) for o in operands]) or own
+        return flag
 
 
-class LocalInterpreter:
-    """Interprets the local language for one role."""
+def _drive(stack, value=None):
+    """Runs the generators on ``stack``, each called by the one below it,
+    until the top one waits on a channel or the stack is empty. A generator
+    yields a generator to call it, and is sent its value, or yields an
+    ``(endpoint, sending)`` pair to wait. Returns the wait, or None and the
+    bottom generator's value."""
+    while stack:
+        try:
+            request = stack[-1].send(value)
+        except StopIteration as stop:
+            stack.pop()
+            value = stop.value
+            continue
+        if type(request) is not GeneratorType:
+            return request, None
+        stack.append(request)
+        value = None
+    return None, value
 
-    def __init__(self, units, role, registry, console, context):
-        self.units = {u.generated_name: u for u in units}
+
+def _wait(endpoint, name, message, sending):
+    """``com`` or ``select`` on ``endpoint`` once it can proceed."""
+    while not endpoint.ready(sending):
+        yield endpoint, sending
+    return getattr(endpoint, name)(message)
+
+
+class LocalInterpreter(Builtins):
+    """Interprets the local language for one role, and is that role's
+    builtins. Its methods that make calls return the value of a builtin, or
+    the generator of a method of the program, or of a wait on a channel,
+    for their caller to run; a builtin's callback runs at once, to the end.
+    """
+
+    def __init__(self, program, role, registry, console, context):
+        """``program`` is a LocalProgram, or a list of its units."""
+        super().__init__(console)
+        if not isinstance(program, LocalProgram):
+            program = LocalProgram(list(program))
+        if program.facts is None:
+            program.facts = ProgramFacts(program.units)
+        self.facts = program.facts
         self.role = role
-        self.console = console
+        self.registry = registry
         self.context = context
-        self.builtins = Builtins(
-            console,
-            invoke=lambda recv, m, args: self.invoke(recv, m, args),
-            claim_channel=lambda key: registry.claim(key, self.role),
-        )
 
-    # ------------------------------------------------------------- dispatch
+    def claim_channel(self, key):
+        return self.registry.claim(key, self.role)
 
-    def unit_decl(self, name):
-        u = self.units.get(name)
-        return u.decl if u is not None else None
+    def invoke(self, receiver, name, args):
+        return self._now(self._invoke(receiver, name, args))
 
-    def class_chain(self, name):
-        """The class and its local superclasses, nearest first."""
-        out = []
-        while name is not None:
-            decl = self.unit_decl(name)
-            if decl is None or not isinstance(decl, LClass):
-                break
-            out.append(decl)
-            name = decl.extends.name if decl.extends is not None else None
-        return out
+    def _now(self, value):
+        """``value``, or the value of the generator ``value`` run at once."""
+        if type(value) is not GeneratorType:
+            return value
+        wait, value = _drive([value])
+        if wait is not None:
+            raise ChoreoRuntimeError(f"{self.role} {wait[0].operation(wait[1])} "
+                                     f"inside a builtin's callback, which cannot wait")
+        return value
 
-    def find_method(self, class_name, name, arity, static=None):
-        for decl in self.class_chain(class_name):
-            for m in decl.methods:
-                if m.name != name or len(m.params) != arity or m.body is None:
-                    continue
-                if static is True and "static" not in m.modifiers:
-                    continue
-                return decl, m
-        return None, None
+    # ---------------------------------------------------------------- calls
 
     def run_ctor(self, this, class_name, args):
-        """Runs on ``this`` the constructor of ``class_name`` that takes
-        ``args``; a class without one taking no arguments has a default."""
-        decl = self.unit_decl(class_name)
+        """Runs on ``this`` the constructor of ``class_name`` taking ``args``,
+        by default none; a generator whose value is ``this``."""
+        decl = self.facts.decls.get(class_name)
         ctors = decl.constructors if isinstance(decl, LClass) else []
         ctor = next((c for c in ctors if len(c.params) == len(args)), None)
         if ctor is not None:
-            self.call(this, class_name, ctor, args)
+            yield self._method(this, class_name, ctor, args)
         elif args or not isinstance(decl, LClass):
             raise ChoreoRuntimeError(f"no constructor '{class_name}/{len(args)}'")
+        return this
 
-    # ------------------------------------------------------------- running
-
-    def construct(self, class_name, args):
-        hit, value = self.builtins.construct(class_name, args)
+    def _new(self, class_name, args):
+        hit, value = self.construct(class_name, args)
         if hit:
             return value
-        decl = self.unit_decl(class_name)
+        decl = self.facts.decls.get(class_name)
         if decl is None:
             raise ChoreoRuntimeError(f"unknown local class '{class_name}'")
         if isinstance(decl, LEnum):
             raise ChoreoRuntimeError(f"cannot instantiate enum '{class_name}'")
-        obj = LocalObject(class_name)
-        self.run_ctor(obj, class_name, args)
-        return obj
+        return self.run_ctor(LocalObject(class_name), class_name, args)
 
-    def call(self, this, unit_name, method, args):
-        frame = _LFrame(this, unit_name, {p.name: a for p, a in zip(method.params, args)})
-        try:
-            self.exec_stm(frame, method.body)
-        except _Return as r:
-            return r.value
-        return UNIT
-
-    def invoke(self, receiver, name, args):
+    def _invoke(self, receiver, name, args):
         if isinstance(receiver, LocalObject):
-            decl, m = self.find_method(receiver.unit_name, name, len(args))
-            if m is None:
-                raise ChoreoRuntimeError(
-                    f"'{receiver.unit_name}' has no method '{name}/{len(args)}'")
-            return self.call(receiver, receiver.unit_name, m, args)
-        hit, value = self.builtins.try_call_method(receiver, name, args)
+            m = self.facts.method(receiver.unit_name, name, len(args))
+            return self._method(receiver, receiver.unit_name, m, args)
+        if type(receiver) is ChannelEndpoint and name in ("com", "select"):
+            message = args[0] if args else UNIT
+            sending = not is_unit(message)
+            if receiver.ready(sending):
+                return getattr(receiver, name)(message)
+            return _wait(receiver, name, message, sending)
+        hit, value = self.try_call_method(receiver, name, args)
         if hit:
             return value
         raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
 
+    def _call(self, frame, exp, args):
+        """The call ``exp``, given its arguments; its receiver must call
+        nothing."""
+        scope = exp.scope
+        if scope is None and exp.name == "super":
+            decl = self.facts.decls[frame.unit_name]
+            if decl.extends is None:
+                raise ChoreoRuntimeError("no superclass constructor")
+            return self.run_ctor(frame.this, decl.extends.name, args)
+        if scope is None:
+            m = self.facts.method(frame.unit_name, exp.name, len(args))
+            if "static" in m.modifiers:
+                return self._method(None, frame.unit_name, m, args)
+            if frame.this is None:
+                raise ChoreoRuntimeError(
+                    f"instance method '{exp.name}' called from a static context")
+            return self._method(frame.this, frame.unit_name, m, args)
+        if type(scope) is not LStaticName:
+            return self._invoke(self.eval(frame, scope), exp.name, args)
+        if scope.name in self.facts.decls:
+            m = self.facts.method(scope.name, exp.name, len(args), static=True)
+            return self._method(None, scope.name, m, args)
+        hit, value = self.try_static_call(scope.name, exp.name, args)
+        if hit:
+            return value
+        raise ChoreoRuntimeError(f"unknown static call '{scope.name}.{exp.name}'")
+
     # ----------------------------------------------------------- statements
 
-    def exec_stm(self, frame, stm):
-        while stm is not None:
-            self.context.check()
-            if isinstance(stm, LNil):
-                return
-            if isinstance(stm, LReturn):
-                raise _Return(self.eval(frame, stm.value) if stm.value is not None else UNIT)
-            if isinstance(stm, LThrow):
+    def _method(self, this, unit_name, method, args):
+        """One call of ``method``, as a generator (see ``_drive``)."""
+        frame = _LFrame(this, unit_name, {p.name: a for p, a in zip(method.params, args)})
+        deadline, facts, flags, ev = self.context.deadline, self.facts, self.facts.flags, self.eval
+        rest = []  # the continuations of the enclosing blocks, innermost last
+        stm = method.body
+        while True:
+            if stm is None or type(stm) is LNil:
+                if not rest:
+                    return UNIT
+                stm = rest.pop()
+                continue
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlockTimeout("deadline exceeded")
+            t = type(stm)
+            if t is LBlock or t is LTryCatch:
+                rest.append(stm.cont)
+                stm = stm.body
+                continue
+            if t is LThrow:
                 raise ChoreoRuntimeError(stm.message)
-            if isinstance(stm, LExpStm):
-                self.eval(frame, stm.exp)
-            elif isinstance(stm, LVarDecl):
-                frame.env[stm.name] = self.eval(frame, stm.init) if stm.init is not None else UNIT
-            elif isinstance(stm, LAssign):
-                value = self.eval(frame, stm.value)
+            # Every other statement evaluates one expression first.
+            exp = getattr(stm, _EXPRESSION.get(t, "exp"))
+            if exp is None:
+                value = UNIT
+            elif flags.get(id(exp)) or (id(exp) not in flags and facts.flag(exp)):
+                value = yield from self._eval_g(frame, exp, flags)
+            else:
+                value = ev(frame, exp)
+            if t is LReturn:
+                return value
+            if t is LIf:
+                rest.append(stm.cont)
+                stm = stm.then if value is True else stm.orelse
+            elif t is LSwitch:
+                if not isinstance(value, EnumV):
+                    raise ChoreoRuntimeError("switch guard must be an enumerated value")
+                rest.append(stm.cont)
+                stm = next((body for label, body in stm.cases if label == value.case),
+                           stm.default)
+            elif t is LVarDecl:
+                frame.env[stm.name] = value
+                stm = stm.cont
+            elif t is LAssign:
                 if stm.op != "=":
-                    current = self.eval(frame, stm.target)
-                    value = binary_value(stm.op[:-1], current, value)
+                    value = binary_value(stm.op[:-1], ev(frame, stm.target), value)
                 self.assign_to(frame, stm.target, value)
-            elif isinstance(stm, LIf):
-                guard = self.eval(frame, stm.guard)
-                self.exec_stm(frame, stm.then if guard is True else stm.orelse)
-            elif isinstance(stm, LBlock):
-                self.exec_stm(frame, stm.body)
-            elif isinstance(stm, LSwitch):
-                self.exec_switch(frame, stm)
-            elif isinstance(stm, LTryCatch):
-                self.exec_stm(frame, stm.body)
+                stm = stm.cont
+            elif t is LExpStm:
+                stm = stm.cont
             else:
                 raise ChoreoRuntimeError(f"cannot execute {stm!r}")
-            stm = getattr(stm, "cont", None)
-
-    def exec_switch(self, frame, stm):
-        guard = self.eval(frame, stm.guard)
-        if not isinstance(guard, EnumV):
-            raise ChoreoRuntimeError("switch guard must be an enumerated value")
-        for label, body in stm.cases:
-            if label == guard.case:
-                self.exec_stm(frame, body)
-                return
-        if stm.default is not None:
-            self.exec_stm(frame, stm.default)
 
     def assign_to(self, frame, target, value):
         if isinstance(target, LName):
@@ -192,15 +293,10 @@ class LocalInterpreter:
     # ---------------------------------------------------------- expressions
 
     def eval(self, frame, exp):
-        if isinstance(exp, LUnit):
-            return UNIT
-        if isinstance(exp, LUnitCall):
-            for a in exp.args:
-                self.eval(frame, a)
-            return UNIT
-        if isinstance(exp, LLit):
-            return exp.value
-        if isinstance(exp, LName):
+        """The value of ``exp``; a method of the program that it calls runs
+        at once, to the end, as a builtin's callback does."""
+        t = type(exp)
+        if t is LName:
             if exp.ident == "this":
                 return frame.this
             if exp.ident in frame.env:
@@ -208,80 +304,83 @@ class LocalInterpreter:
             if frame.this is not None and exp.ident in frame.this.fields:
                 return frame.this.fields[exp.ident]
             raise ChoreoRuntimeError(f"unbound name '{exp.ident}'")
-        if isinstance(exp, LFieldAcc):
-            return self.eval_field(frame, exp)
-        if isinstance(exp, LCall):
-            return self.eval_call(frame, exp)
-        if isinstance(exp, LNew):
-            return self.construct(exp.class_name, [self.eval(frame, a) for a in exp.args])
-        if isinstance(exp, LBinary):
-            return self.eval_binary(frame, exp)
-        if isinstance(exp, LStaticName):
+        if t is LLit:
+            return exp.value
+        if t is LUnit:
+            return UNIT
+        if t is LCall or t is LNew:
+            args = [self.eval(frame, a) for a in exp.args]
+            return self._now(self._call(frame, exp, args) if t is LCall
+                             else self._new(exp.class_name, args))
+        if t is LFieldAcc and type(exp.scope) is LStaticName:
+            cname, name = exp.scope.name, exp.name
+            if cname == "Unit" and name == "id":
+                return UNIT
+            decl = self.facts.decls.get(cname)
+            if isinstance(decl, LEnum) and name in decl.cases:
+                return EnumV(cname, name)
+            if cname == "System" and name == "out":
+                return PrintStreamV(self.console, self.role)
+            raise ChoreoRuntimeError(f"unknown static field '{cname}.{name}'")
+        if t is LFieldAcc:
+            return self.field_of(self.eval(frame, exp.scope), exp.name)
+        if t is LBinary:
+            left = self.eval(frame, exp.left)
+            logical = exp.op in ("&&", "||") and isinstance(left, bool)
+            if logical and left is (exp.op == "||"):
+                return left
+            right = self.eval(frame, exp.right)
+            return right if logical else binary_value(exp.op, left, right)
+        if t is LUnitCall:
+            for a in exp.args:
+                self.eval(frame, a)
+            return UNIT
+        if t is LStaticName:
             raise ChoreoRuntimeError(f"'{exp.name}' is a type, not a value")
         raise ChoreoRuntimeError(f"cannot evaluate {exp!r}")
 
-    def eval_field(self, frame, exp):
-        if isinstance(exp.scope, LStaticName):
-            cname = exp.scope.name
-            if cname == "Unit" and exp.name == "id":
-                return UNIT
-            decl = self.unit_decl(cname)
-            if isinstance(decl, LEnum) and exp.name in decl.cases:
-                return EnumV(cname, exp.name)
-            if cname == "System" and exp.name == "out":
-                return PrintStreamV(self.console, self.role)
-            raise ChoreoRuntimeError(f"unknown static field '{cname}.{exp.name}'")
-        scope = self.eval(frame, exp.scope)
+    def _eval_g(self, frame, exp, flags):
+        """``eval`` of an expression that calls something, as a generator
+        (see ``_drive``); ``flags`` holds those of its operands."""
+        ev, ev_g = self.eval, self._eval_g
+        t = type(exp)
+        if t is LBinary:
+            left, right = exp.left, exp.right
+            left = (yield from ev_g(frame, left, flags)) if flags.get(id(left)) else ev(frame, left)
+            logical = exp.op in ("&&", "||") and isinstance(left, bool)
+            if logical and left is (exp.op == "||"):
+                return left
+            right = (yield from ev_g(frame, right, flags)) if flags.get(id(right)) else ev(frame, right)
+            return right if logical else binary_value(exp.op, left, right)
+        if t is LFieldAcc:
+            return self.field_of((yield from ev_g(frame, exp.scope, flags)), exp.name)
+        args = []
+        for a in exp.args:
+            args.append((yield from ev_g(frame, a, flags)) if flags.get(id(a)) else ev(frame, a))
+        if t is LUnitCall:
+            return UNIT
+        if t is LNew:
+            value = self._new(exp.class_name, args)
+        elif flags.get(id(exp.scope)):
+            value = self._invoke((yield from ev_g(frame, exp.scope, flags)), exp.name, args)
+        else:
+            value = self._call(frame, exp, args)
+        if type(value) is GeneratorType:
+            value = yield value
+        return value
+
+    def field_of(self, scope, name):
         if isinstance(scope, LocalObject):
-            if exp.name in scope.fields:
-                return scope.fields[exp.name]
+            if name in scope.fields:
+                return scope.fields[name]
             raise ChoreoRuntimeError(
-                f"object of '{scope.unit_name}' has no field '{exp.name}' yet")
-        raise ChoreoRuntimeError(f"no field '{exp.name}' on {scope!r}")
+                f"object of '{scope.unit_name}' has no field '{name}' yet")
+        raise ChoreoRuntimeError(f"no field '{name}' on {scope!r}")
 
-    def eval_call(self, frame, exp):
-        args = [self.eval(frame, a) for a in exp.args]
-        if exp.scope is None:
-            if exp.name == "super":
-                decl = self.unit_decl(frame.unit_name)
-                sup = decl.extends.name if decl.extends is not None else None
-                if sup is None:
-                    raise ChoreoRuntimeError("no superclass constructor")
-                self.run_ctor(frame.this, sup, args)
-                return UNIT
-            decl, m = self.find_method(frame.unit_name, exp.name, len(args))
-            if m is None:
-                raise ChoreoRuntimeError(
-                    f"'{frame.unit_name}' has no method '{exp.name}/{len(args)}'")
-            if "static" in m.modifiers:
-                return self.call(None, frame.unit_name, m, args)
-            if frame.this is None:
-                raise ChoreoRuntimeError(
-                    f"instance method '{exp.name}' called from a static context")
-            return self.call(frame.this, frame.unit_name, m, args)
-        if isinstance(exp.scope, LStaticName):
-            cname = exp.scope.name
-            if self.unit_decl(cname) is not None:
-                decl, m = self.find_method(cname, exp.name, len(args), static=True)
-                if m is None:
-                    raise ChoreoRuntimeError(
-                        f"no static method '{cname}.{exp.name}/{len(args)}'")
-                return self.call(None, cname, m, args)
-            hit, value = self.builtins.try_static_call(cname, exp.name, args)
-            if hit:
-                return value
-            raise ChoreoRuntimeError(f"unknown static call '{cname}.{exp.name}'")
-        receiver = self.eval(frame, exp.scope)
-        return self.invoke(receiver, exp.name, args)
 
-    def eval_binary(self, frame, exp):
-        left = self.eval(frame, exp.left)
-        if exp.op in ("&&", "||") and isinstance(left, bool):
-            if exp.op == "&&":
-                return self.eval(frame, exp.right) if left else False
-            return True if left else self.eval(frame, exp.right)
-        right = self.eval(frame, exp.right)
-        return binary_value(exp.op, left, right)
+# The expression each statement evaluates first, where not ``exp``.
+_EXPRESSION = {LVarDecl: "init", LReturn: "value", LAssign: "value", LIf: "guard",
+               LSwitch: "guard"}
 
 
 @dataclass
@@ -304,11 +403,6 @@ def _observe_object(value):
 
 # ----------------------------------------------------------------- workers
 
-# How long past the deadline a run waits for a worker stuck inside a single
-# Python call, where it cannot see the deadline.
-JOIN_GRACE_SECONDS = 2.0
-
-
 @dataclass
 class WorkerOutcome:
     role: str
@@ -317,33 +411,36 @@ class WorkerOutcome:
     error: str = None
 
 
-def _run_entry(interp, unit_name, entry_method, ctor_args, method_args):
-    """A role's entry call: a static method, or a method of a new instance."""
-    _, m = interp.find_method(unit_name, entry_method, len(method_args))
-    if m is None:
-        raise ChoreoRuntimeError(f"'{unit_name}' has no method '{entry_method}'")
-    this = None if "static" in m.modifiers else interp.construct(unit_name, ctor_args)
-    return interp.call(this, unit_name, m, method_args)
+def _entry(interp, unit_name, entry_method, ctor_args, method_args):
+    """A role's entry call, on a new instance unless static, as a generator."""
+    m = interp.facts.method(unit_name, entry_method, len(method_args))
+    this = None if "static" in m.modifiers else (yield interp._new(unit_name, ctor_args))
+    return (yield interp._method(this, unit_name, m, method_args))
 
 
-def _work(interp, entry, outcome):
+def _step(stack, outcome, context):
+    """Runs a role until it waits on a channel (False), ends or fails."""
     try:
-        outcome.value = _run_entry(interp, *entry)
-        outcome.status = "ok"
+        wait, outcome.value = _drive(stack)
     except DeadlockTimeout as e:
         outcome.status, outcome.error = "deadlock-timeout", str(e)
-    except Cancelled as e:
-        outcome.error = f"cancelled: {e}"
     except ChoreoRuntimeError as e:
         outcome.error = f"{type(e).__name__}: {e}"
-    except Exception as e:  # worker panic
+    except Exception as e:  # a fault of the interpreter, or a limit of the host
         outcome.error = f"panic: {type(e).__name__}: {e}"
-    finally:
-        interp.context.finish(outcome.role, outcome.status, outcome.error)
+    else:
+        if wait is not None:
+            context.waits(outcome.role, *wait)
+            return False
+        outcome.status = "ok"
+    for g in reversed(stack):
+        g.close()
+    context.finish(outcome.role, outcome.status, outcome.error)
+    return True
 
 
 def run_workers(local_program, registry, console, entries):
-    """Runs each role's entry call on a thread of its own.
+    """Runs each role's entry call; all roles take turns on this thread.
 
     ``entries`` maps each role to (unit name, entry method, constructor
     arguments, method arguments). Returns the outcomes by role, the root
@@ -351,24 +448,24 @@ def run_workers(local_program, registry, console, entries):
     """
     context = registry.context
     outcomes = {role: WorkerOutcome(role, "error") for role in entries}
-    threads = [
-        threading.Thread(
-            target=_work,
-            args=(LocalInterpreter(local_program.units, role, registry, console, context),
-                  entry, outcomes[role]),
-            name=f"worker-{role}", daemon=True)
-        for role, entry in entries.items()
-    ]
+    stacks = {role: [_entry(LocalInterpreter(local_program, role, registry, console, context),
+                            *entry)] for role, entry in entries.items()}
     context.start(entries)
-    for t in threads:
-        t.start()
-    end = None if context.deadline is None else context.deadline + JOIN_GRACE_SECONDS
-    for t, outcome in zip(threads, outcomes.values()):
-        t.join(None if end is None else max(0.0, end - time.monotonic()))
-        if t.is_alive():
-            outcome.status = "deadlock-timeout"
-            outcome.error = "worker still running past the deadline"
-            context.finish(outcome.role, outcome.status, outcome.error)
+    pending = context.pending
+    while stacks and context.failure is None:
+        runnable = [r for r in stacks if r not in pending or pending[r][0].ready(pending[r][1])]
+        if not runnable:
+            context.deadlock(stacks)
+        for role in runnable:
+            pending.pop(role, None)
+            if context.failure is None and _step(stacks[role], outcomes[role], context):
+                del stacks[role]
+    for role, stack in stacks.items():  # cancelled; a proven deadlock stops all alike
+        for g in reversed(stack):
+            g.close()
+        failed, status, message = context.failure
+        outcomes[role].status, outcomes[role].error = (
+            (status, message) if failed is None else ("error", f"cancelled: {failed} failed"))
     root = context.failure[0] if context.failure is not None else None
     return {o.role: o for o in sorted(outcomes.values(), key=lambda o: o.role != root)}
 
@@ -409,9 +506,7 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
         def located(params, role=role):
             return [(p.name, set() if p.te.name == "Unit" else {role}) for p in params]
 
-        def claim(key, role=role):
-            return registry.claim(key, role)
-
+        claim = partial(registry.claim, claimant=role)
         ctor_args = []
         if isinstance(unit.decl, LClass) and unit.decl.constructors:
             ctor_args = wire_arguments(located(unit.decl.constructors[0].params),

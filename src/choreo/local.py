@@ -241,6 +241,8 @@ class LocalUnit:
 @dataclass
 class LocalProgram:
     units: list
+    # What the distributed evaluator works out once (``ProgramFacts``).
+    facts: object = field(default=None, compare=False, repr=False)
 
     def unit(self, generated_name):
         for u in self.units:

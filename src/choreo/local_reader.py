@@ -2,7 +2,9 @@
 
 Reuses the surface parser in its role-free mode and converts the result to
 the local AST. Static scopes and plain names are textually identical in the
-local language, so round-trips are checked at the rendered-text level.
+local language: a call or field scope that names no parameter, local
+variable or field of the unit reads back as a static name, such as a class
+(``TestUtils_A.newLocalChannel(...)``) or an enum (``Choice.GO``).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from .diagnostics import DiagnosticError, Reporter
 from .local import (
     LAnnotation, LAssign, LBinary, LBlock, LCall, LClass, LEnum, LExpStm,
     LFTP, LField, LFieldAcc, LIf, LInterface, LLit, LMethod, LName, LNew,
-    LNil, LParam, LReturn, LSwitch, LThrow, LTryCatch, LTE, LUnit, LUnitCall,
-    LVarDecl, LocalUnit,
+    LNil, LParam, LReturn, LStaticName, LSwitch, LThrow, LTryCatch, LTE, LUnit,
+    LUnitCall, LVarDecl, LocalUnit, walk_local,
 )
 from .parser import Parser
 from .span import SourceFile
@@ -28,7 +30,24 @@ def parse_local_unit(text, name="<local>"):
     if len(decls) != 1:
         raise ValueError(f"expected exactly one declaration, found {len(decls)}")
     decl = convert_decl(decls[0])
+    mark_static_scopes(decl)
     return LocalUnit(decl.name, decl.name, "<reparsed>", decl)
+
+
+def mark_static_scopes(decl):
+    """Makes each call or field scope of ``decl`` that names no parameter,
+    local variable or field of it a static name."""
+    fields = names = {"this"} | {f.name for f in getattr(decl, "fields", [])}
+    for node in walk_local(decl):  # each name comes before its uses
+        if isinstance(node, LMethod):
+            names = fields | {p.name for p in node.params}
+        elif isinstance(node, LVarDecl):
+            names.add(node.name)
+        elif isinstance(node, LTryCatch):
+            names.update(name for _, name, _ in node.handlers)
+        elif (isinstance(node, (LCall, LFieldAcc)) and isinstance(node.scope, LName)
+                and node.scope.ident not in names):
+            node.scope = LStaticName(node.scope.ident)
 
 
 def convert_te(te):
@@ -41,8 +60,6 @@ def convert_exp(exp):
     if isinstance(exp, S.Literal):
         return LLit(exp.value)
     if isinstance(exp, S.Name):
-        if exp.ident == "Unit":
-            return LName("Unit")
         return LName(exp.ident)
     if isinstance(exp, S.FieldAcc):
         if isinstance(exp.scope, S.Name) and exp.scope.ident == "Unit" and exp.name == "id":

@@ -8,17 +8,14 @@ endpoint sends when given a payload and receives when given the unit value,
 which is exactly the shape projection produces (receivers always pass the
 injected ``Unit.id``). Labels sent by ``select`` are received as equal labels.
 
-An ``ExecutionContext`` owns one lock for its run, and every channel
-direction waits on a condition of that lock. A send to a full direction or a
-receive from an empty one waits until it can proceed, the deadline passes,
-or the run stops. The run stops at its first failure, which cancels every
-other role, and as soon as every live role waits on an operation that cannot
-proceed: that is a deadlock, reported with each role's pending operation.
+All roles of a run take turns on one thread (``distributed.run_workers``).
+A role waits when a send finds its direction full or a receive finds it
+empty; the run's ``ExecutionContext`` records the pending operation and
+stops the run at its first failure, or as soon as a deadlock is proven.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,10 +33,6 @@ class AssertionFailure(ChoreoRuntimeError):
 
 class DeadlockTimeout(ChoreoRuntimeError):
     """A proven deadlock, or the deadline passed."""
-
-
-class Cancelled(ChoreoRuntimeError):
-    """Another role's failure stopped the run."""
 
 
 # ----------------------------------------------------------------- values
@@ -140,128 +133,103 @@ def observed_object(name, fields, observe):
 # ------------------------------------------------------------ one run
 
 class ExecutionContext:
-    """The shared state of one run, guarded by ``lock``: the deadline, the
-    live roles, each blocked role's pending operation and the run's first
-    failure.
-
-    Only roles passed to ``start`` are live; a run with none (a bare
-    registry) is never proven deadlocked and waits for its deadline.
-    """
+    """The shared state of one run: the deadline, the live roles (those
+    passed to ``start``), each waiting role's pending operation and the
+    run's first failure."""
 
     def __init__(self, deadline_seconds=10.0):
         self.deadline = (time.monotonic() + deadline_seconds
                          if deadline_seconds is not None else None)
-        self.lock = threading.Lock()
-        # (role, status, message) of the first failure; role None for a
-        # proven deadlock, which no single role caused.
+        # (role, status, message) of the first failure; no role for a deadlock.
         self.failure = None
-        self._live = set()
-        self._pending = {}  # blocked role -> (operation, ready)
-        self._conditions = []
-
-    def condition(self):
-        """A new condition of the run's lock; call with the lock held."""
-        cond = threading.Condition(self.lock)
-        self._conditions.append(cond)
-        return cond
+        self.live = set()
+        self.pending = {}  # waiting role -> (endpoint, sending)
 
     def start(self, roles):
-        with self.lock:
-            self._live.update(roles)
+        self.live.update(roles)
 
     def finish(self, role, status="ok", message=None):
         """``role`` has stopped; any status but ok stops the whole run."""
-        with self.lock:
-            self._live.discard(role)
-            if status != "ok":
-                self._stop(role, status, message)
-            else:
-                self._prove_deadlock()
-
-    def _stop(self, role, status, message):
-        if self.failure is None:
+        self.live.discard(role)
+        if status != "ok" and self.failure is None:
             self.failure = (role, status, message)
-            for cond in self._conditions:
-                cond.notify_all()
+        for waiting in list(self.pending):
+            self._prove_deadlock(waiting)
 
-    def _prove_deadlock(self):
-        live = self._live
-        if not live or not live <= self._pending.keys():
-            return
-        if any(self._pending[r][1]() for r in live):
-            return  # woken, but not yet running again
-        ops = "; ".join(f"{r} {self._pending[r][0]}" for r in sorted(live))
-        self._stop(None, "deadlock-timeout", f"deadlock: {ops}")
+    def waits(self, role, endpoint, sending):
+        """``role`` waits until ``endpoint`` can send (or receive)."""
+        self.pending[role] = (endpoint, sending)
+        self._prove_deadlock(role)
 
-    def check(self, waiting=None):
-        """Raises once the run has stopped or its deadline has passed."""
-        if self.failure is not None:
-            role, _, message = self.failure
-            if role is None:
-                raise DeadlockTimeout(message)
-            raise Cancelled(f"{role} failed")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise DeadlockTimeout("deadline exceeded"
-                                  + (f" while {waiting}" if waiting else ""))
+    def _prove_deadlock(self, role):
+        """Stops the run if the chain of waits from ``role``, each on the
+        other claimant of its channel, loops back or ends at a role that
+        has finished: none of them can ever proceed."""
+        chain = []
+        while role not in chain:
+            if role not in self.pending:
+                if role is None or role in self.live:
+                    return
+                break  # a finished peer
+            endpoint, sending = self.pending[role]
+            if endpoint.ready(sending):
+                return
+            chain.append(role)
+            role = endpoint.peer()
+        self.deadlock(chain)
 
-    def wait(self, cond, role, operation, ready):
-        """Waits on ``cond``, whose lock the caller holds, until ``ready()``.
-
-        ``operation`` says what ``role`` waits for, as a deadlock report
-        names it.
-        """
-        self._pending[role] = (operation, ready)
-        try:
-            self._prove_deadlock()
-            while not ready():
-                self.check(f"{role} {operation}")
-                cond.wait(None if self.deadline is None
-                          else self.deadline - time.monotonic())
-        finally:
-            del self._pending[role]
+    def deadlock(self, roles):
+        """Stops the run: none of ``roles`` can ever proceed."""
+        ops = "; ".join(f"{r} {self.pending[r][0].operation(self.pending[r][1])}"
+                        for r in sorted(roles))
+        if self.failure is None:
+            self.failure = (None, "deadlock-timeout", f"deadlock: {ops}")
 
 
 class _Pair:
-    """The two directions behind one registry key: a FIFO and a condition
-    of the run's lock each."""
+    """The two directions behind one registry key, a FIFO each."""
 
-    def __init__(self, key, context):
+    def __init__(self, key):
         self.key = key
         self.queues = (deque(), deque())
-        self.conditions = (context.condition(), context.condition())
         self.claimants = []  # role names, in claim order
 
 
 @dataclass
 class ChannelEndpoint:
-    """One side of a point-to-point in-memory channel."""
+    """One side of a point-to-point in-memory channel. An operation that
+    is not ``ready`` raises when called: no other role can run while this
+    one waits, so it would never proceed. The interpreter waits first."""
 
     pair: _Pair
     side: int  # 0 or 1; this side sends on queues[side]
     claimant: str
-    context: ExecutionContext
+
+    def ready(self, sending):
+        """Whether a send (or a receive) can proceed at once."""
+        if sending:
+            return len(self.pair.queues[self.side]) < CHANNEL_CAPACITY
+        return len(self.pair.queues[1 - self.side]) > 0
+
+    def peer(self):
+        """The other role on this channel, or None while it has one."""
+        claimants = self.pair.claimants
+        return claimants[1 - self.side] if len(claimants) == 2 else None
+
+    def operation(self, sending):
+        return f"{'sends' if sending else 'receives'} on '{self.pair.key}'"
 
     def _put(self, item):
-        out, cond = self.pair.queues[self.side], self.pair.conditions[self.side]
-        with cond:
-            if len(out) >= CHANNEL_CAPACITY:
-                self.context.wait(cond, self.claimant, f"sends on '{self.pair.key}'",
-                                  lambda: len(out) < CHANNEL_CAPACITY)
-            out.append(item)
-            if len(out) == 1:  # the receiver may be waiting
-                cond.notify()
+        out = self.pair.queues[self.side]
+        if len(out) >= CHANNEL_CAPACITY:
+            raise DeadlockTimeout(f"deadlock: {self.claimant} {self.operation(True)}")
+        out.append(item)
 
     def _get(self):
-        side = 1 - self.side
-        inq, cond = self.pair.queues[side], self.pair.conditions[side]
-        with cond:
-            if not inq:
-                self.context.wait(cond, self.claimant, f"receives on '{self.pair.key}'",
-                                  lambda: len(inq) > 0)
-            item = inq.popleft()
-            if len(inq) == CHANNEL_CAPACITY - 1:  # the sender may be waiting
-                cond.notify()
-            return item
+        inq = self.pair.queues[1 - self.side]
+        if not inq:
+            raise DeadlockTimeout(f"deadlock: {self.claimant} {self.operation(False)}")
+        return inq.popleft()
 
     def send_data(self, value):
         self._put(("data", value))
@@ -311,25 +279,22 @@ class ChannelRegistry:
     def claim(self, key, claimant):
         if not key:
             raise ChoreoRuntimeError("channel keys must be nonempty")
-        with self.context.lock:
-            pair = self._pairs.get(key)
-            if pair is None:
-                pair = self._pairs[key] = _Pair(key, self.context)
-            if (key, claimant) in self._endpoints:
-                return self._endpoints[(key, claimant)]
-            if len(pair.claimants) >= 2:
-                raise ChoreoRuntimeError(
-                    f"channel '{key}' already connects two roles "
-                    f"({', '.join(pair.claimants)}); it cannot serve '{claimant}'")
-            side = len(pair.claimants)
-            pair.claimants.append(claimant)
-            ep = ChannelEndpoint(pair, side, claimant, self.context)
-            self._endpoints[(key, claimant)] = ep
-            return ep
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = _Pair(key)
+        if (key, claimant) in self._endpoints:
+            return self._endpoints[(key, claimant)]
+        if len(pair.claimants) >= 2:
+            raise ChoreoRuntimeError(
+                f"channel '{key}' already connects two roles "
+                f"({', '.join(pair.claimants)}); it cannot serve '{claimant}'")
+        side = len(pair.claimants)
+        pair.claimants.append(claimant)
+        ep = self._endpoints[(key, claimant)] = ChannelEndpoint(pair, side, claimant)
+        return ep
 
     def keys(self):
-        with self.context.lock:
-            return sorted(self._pairs)
+        return sorted(self._pairs)
 
 
 def new_local_channel(registry, key, claimant):

@@ -1,12 +1,12 @@
 """Choreographic test runner.
 
 Discovers @Test-annotated methods (static, parameterless, void), projects
-their classes with provenance annotations, and runs one worker per role
-against a fresh channel registry per case, with the distributed
-evaluator's ``run_workers``. A case passes when every worker finishes
-without assertion failures or errors. The first failing role is listed
-first and cancels its peers at once; a missing selection leaves every role
-blocked, a proven deadlock that fails the case at once as a
+their classes with provenance annotations, and runs each case's roles, all
+on one thread, against a fresh channel registry per case, with the
+distributed evaluator's ``run_workers``. A case passes when every role
+finishes without assertion failures or errors. The first failing role is
+listed first and cancels its peers at once; a missing selection leaves
+every role waiting, a proven deadlock that fails the case at once as a
 deadlock-timeout.
 """
 

@@ -1,5 +1,6 @@
 """Global and distributed evaluation, and the differential harness."""
 
+import gc
 import sys
 import time
 
@@ -14,6 +15,7 @@ from choreo.local import (
     LCall, LClass, LExpStm, LMethod, LName, LNil, LTE, LParam, LUnit,
     LocalProgram, LocalUnit,
 )
+from choreo.local_reader import parse_local_unit
 from choreo.printer import render_unit
 from choreo.projector import project_program
 from choreo.runtime import CHANNEL_CAPACITY
@@ -135,6 +137,94 @@ def test_hand_built_mismatched_units_deadlock():
     assert report.status == "deadlock-timeout"
     assert report.error == "deadlock: A receives on 'only'; B receives on 'only'"
     assert {o.status for o in report.outcomes.values()} == {"deadlock-timeout"}
+
+
+def test_partial_deadlock_is_proven_while_another_role_computes():
+    # A and B wait on each other; C, which would compute past the deadline,
+    # cannot free them, and the run stops as soon as both wait.
+    receive = "public static void go(SymChannel<Object> ch) { ch.<Object>com(Unit.id); }"
+    program = LocalProgram([
+        parse_local_unit(f"public class Stuck_{r} {{ {receive} }}") for r in "AB"])
+    program.units.append(parse_local_unit("""
+    public class Stuck_C {
+        public static void go(Unit ch) { work(22); }
+        static void work(Integer n) { if (n > 0) { work(n - 1); work(n - 1); } }
+    }"""))
+    started = time.monotonic()
+    report = eval_distributed(program, "Stuck", ["A", "B", "C"], "go", {},
+                              {"ch": "k"}, deadline=10)
+    assert time.monotonic() - started < 1.0
+    assert report.status == "deadlock-timeout"
+    assert report.error == "deadlock: A receives on 'k'; B receives on 'k'"
+
+
+def test_builtin_callback_cannot_wait_on_a_channel():
+    program = LocalProgram([parse_local_unit(text) for text in ("""
+    public class Cb_A {
+        public static void go(SymChannel<Object> ch) { Optional.of(1).ifPresent(new Take(ch)); }
+    }""", """
+    public class Cb_B {
+        public static void go(SymChannel<Object> ch) { ch.<Integer>com(Unit.id); }
+    }""", """
+    public class Take {
+        SymChannel<Object> ch;
+        public Take(SymChannel<Object> ch) { this.ch = ch; }
+        public void accept(Integer x) { ch.<Integer>com(Unit.id); }
+    }""")])
+    report = eval_distributed(program, "Cb", ["A", "B"], "go", {}, {"ch": "k"}, deadline=10)
+    assert report.status == "error"
+    assert report.error.startswith(
+        "A: ChoreoRuntimeError: A receives on 'k' inside a builtin's callback")
+
+
+def test_read_back_units_run_as_the_projected_ones(corpus_compiled):
+    for name, cls, roles, method, args, chans in [
+        ("MergeSort", "Mergesort", ["A", "B", "C"], "sort", {"A": [[15, 3, 14, 2]]},
+         {"ch_AB": "x", "ch_BC": "y", "ch_CA": "z"}),
+        ("DistAuth", "DistAuth", ["Client", "Service", "IP"], "login",
+         {"Client": ["alice", "pwd123"]}, {"ch_Client_IP": "a", "ch_Service_IP": "b"}),
+    ]:
+        _, _, units = corpus_compiled[name]
+        read_back = LocalProgram([parse_local_unit(render_unit(u), u.generated_name)
+                                  for u in units.units])
+        want, got = (eval_distributed(p, cls, roles, method, args, chans, deadline=10)
+                     for p in (units, read_back))
+        assert want.status == "ok"
+        assert (got.status, got.error, got.returns, got.transcripts) == (
+            want.status, want.error, want.returns, want.transcripts), name
+
+
+def test_deep_recursion_runs_at_the_default_recursion_limit(corpus_compiled):
+    _, _, units = corpus_compiled["ConsumeItems"]
+    items = [f"item{i}" for i in range(20000)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        report = eval_distributed(units, "ConsumeItems", ["A", "B"], "run",
+                                  {"A": [items]}, {"ch": "deep"}, deadline=60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.status == "ok", report.error
+    assert report.transcripts["B"] == items
+
+
+def test_a_run_leaves_no_cyclic_garbage(corpus_compiled):
+    runs = [("MergeSort", "Mergesort", ["A", "B", "C"], "sort", {"A": [[15, 3, 14, 2]]},
+             {"ch_AB": "x", "ch_BC": "y", "ch_CA": "z"}),
+            ("DistAuth5", "DistAuth5", ["Client", "S1", "S2", "S3", "IP"], "login",
+             {"Client": ["alice", "pwd123"]},
+             {f"ch_{r}_IP": r for r in ("Client", "S1", "S2", "S3")})]
+    for name, cls, roles, method, args, chans in runs:
+        units = corpus_compiled[name][2]
+        gc.collect()
+        gc.disable()
+        try:
+            report = eval_distributed(units, cls, roles, method, args, chans, deadline=10)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert report.status == "ok", report.error
+        assert garbage == 0, name
 
 
 def test_peer_crash_mid_stream_cancels_the_sender_at_once():
