@@ -254,11 +254,3 @@ class Builtins:
         if class_name in ("Exception", "RuntimeException"):
             return True, ExceptionV(class_name, args[0] if args else "")
         return False, None
-
-
-def exception_matches(value, catch_class):
-    if not isinstance(value, ExceptionV):
-        return False
-    if value.class_name == catch_class:
-        return True
-    return catch_class == "Exception" and value.class_name == "RuntimeException"

@@ -135,9 +135,12 @@ class CheckedProgram:
         self.te_types = checker.te_types
         self.resolved = checker.resolved
         self.var_tes = checker.var_tes
+        self.method_keys = checker.method_keys
         self._type_roles = {}  # id(Exp or TE) -> roles of its own type
         self._exp_roles = {}  # id(Exp) -> roles of its type and all subterms
         self._role_sets = {}  # frozenset -> the one stored copy of it
+        # What the oracle works out once (``interpreter.OracleFacts``).
+        self.facts = None
 
     def decl_info(self, name):
         return self.table.get(name)
@@ -220,6 +223,9 @@ class Checker:
         self.te_types = {}
         self.resolved = {}  # id(Call/New) -> (kind, MethodInfo)
         self.var_tes = {}  # id(VarDecl) -> denoted Type
+        # (name, arity) of the methods with a body outside the prelude: a
+        # call that names none of these runs no method of the program.
+        self.method_keys = set()
         self.suppressed = set()  # decl names whose bodies are skipped
         self.cyclic = set()  # decl names reported for cyclic inheritance
         self._failed_tes = set()
@@ -269,6 +275,8 @@ class Checker:
                 for m in info.node.methods:
                     mi = MethodInfo(m, info)
                     info.methods.append(mi)
+                    if m.body is not None and not info.is_prelude:
+                        self.method_keys.add((m.name, len(m.params)))
                 if isinstance(info.node, S.ClassDecl):
                     for c in info.node.constructors:
                         info.constructors.append(MethodInfo(c, info))

@@ -1,13 +1,14 @@
 """Distributed evaluator: each role interprets its projected unit, and all
 roles of a run take turns on one thread (``run_workers``, which serves the
 test kit too), each until it waits on a channel or ends. A method call is
-one generator on its role's stack, run by ``_drive``, so recursion takes no
-Python stack; an expression that calls no method of the program and uses no
-channel evaluates with no generator. The first role to fail cancels the
-others, a proven deadlock stops every role at once, and the deadline,
-checked at every statement, stops programs that diverge. Try/catch executes
-its body (there is no user-level throw; generated default throws surface as
-role errors).
+one generator on its role's stack, run by ``runtime.drive`` as the oracle's
+are, so recursion takes no Python stack and is bounded only by
+``runtime.MAX_CALL_DEPTH``; an expression that calls no method of the
+program and uses no channel evaluates with no generator. The first role to
+fail cancels the others, a proven deadlock stops every role at once, and the
+deadline, checked at every statement, stops programs that diverge.
+Try/catch executes its body (there is no user-level throw; generated
+default throws surface as role errors).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .local import (
 from .projector import generated_name
 from .runtime import (
     UNIT, ChannelEndpoint, ChannelRegistry, ChoreoRuntimeError, DeadlockTimeout,
-    EnumV, ExecutionContext, is_unit, observe_value, observed_object,
+    EnumV, ExecutionContext, drive, is_unit, observe_value, observed_object,
 )
 
 
@@ -90,26 +91,6 @@ class ProgramFacts:
         return flag
 
 
-def _drive(stack, value=None):
-    """Runs the generators on ``stack``, each called by the one below it,
-    until the top one waits on a channel or the stack is empty. A generator
-    yields a generator to call it, and is sent its value, or yields an
-    ``(endpoint, sending)`` pair to wait. Returns the wait, or None and the
-    bottom generator's value."""
-    while stack:
-        try:
-            request = stack[-1].send(value)
-        except StopIteration as stop:
-            stack.pop()
-            value = stop.value
-            continue
-        if type(request) is not GeneratorType:
-            return request, None
-        stack.append(request)
-        value = None
-    return None, value
-
-
 def _wait(endpoint, name, message, sending):
     """``com`` or ``select`` on ``endpoint`` once it can proceed."""
     while not endpoint.ready(sending):
@@ -146,7 +127,7 @@ class LocalInterpreter(Builtins):
         """``value``, or the value of the generator ``value`` run at once."""
         if type(value) is not GeneratorType:
             return value
-        wait, value = _drive([value])
+        wait, value = drive([value])
         if wait is not None:
             raise ChoreoRuntimeError(f"{self.role} {wait[0].operation(wait[1])} "
                                      f"inside a builtin's callback, which cannot wait")
@@ -222,7 +203,7 @@ class LocalInterpreter(Builtins):
     # ----------------------------------------------------------- statements
 
     def _method(self, this, unit_name, method, args):
-        """One call of ``method``, as a generator (see ``_drive``)."""
+        """One call of ``method``, as a generator (see ``runtime.drive``)."""
         frame = _LFrame(this, unit_name, {p.name: a for p, a in zip(method.params, args)})
         deadline, facts, flags, ev = self.context.deadline, self.facts, self.facts.flags, self.eval
         rest = []  # the continuations of the enclosing blocks, innermost last
@@ -341,7 +322,7 @@ class LocalInterpreter(Builtins):
 
     def _eval_g(self, frame, exp, flags):
         """``eval`` of an expression that calls something, as a generator
-        (see ``_drive``); ``flags`` holds those of its operands."""
+        (see ``runtime.drive``); ``flags`` holds those of its operands."""
         ev, ev_g = self.eval, self._eval_g
         t = type(exp)
         if t is LBinary:
@@ -421,7 +402,7 @@ def _entry(interp, unit_name, entry_method, ctor_args, method_args):
 def _step(stack, outcome, context):
     """Runs a role until it waits on a channel (False), ends or fails."""
     try:
-        wait, outcome.value = _drive(stack)
+        wait, outcome.value = drive(stack)
     except DeadlockTimeout as e:
         outcome.status, outcome.error = "deadlock-timeout", str(e)
     except ChoreoRuntimeError as e:

@@ -1,24 +1,27 @@
 """Global evaluator: runs checked choreographies directly.
 
-Values are not located; the per-role structure shows up in the variable
-stores (a variable of a type located at R lives in R's store), the per-role
-console transcripts, and the observation function used by the differential
-harness. Channels are passive: ``com`` returns its payload relocated,
-``select`` returns its label. Role-permuted instantiation rebinds the formal
-roles of the constructed object, which is all the mergesort-style role
-rotation needs.
+Values are not located; the per-role structure shows up in the per-role
+console transcripts and in the observation function used by the
+differential harness. Channels are passive: ``com`` returns its payload
+relocated, ``select`` returns its label. Role-permuted instantiation
+rebinds the formal roles of the constructed object, which is all the
+mergesort-style role rotation needs. A method call is one generator, run by
+``runtime.drive`` as the distributed evaluator's are, so recursion takes no
+Python stack and is bounded only by ``runtime.MAX_CALL_DEPTH``; an
+expression that calls no method of the program evaluates with no generator.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import GeneratorType
 
 from . import surface as S
 from .builtins import Builtins, Console, PrintStreamV, binary_value
 from .projector import generated_name
 from .runtime import (
-    UNIT, ChoreoRuntimeError, EnumV, ListV, observe_value, observed_object,
+    UNIT, ChoreoRuntimeError, EnumV, ListV, drive, observe_value, observed_object,
 )
 from .types import TVar, spine
 
@@ -49,43 +52,13 @@ class GlobalObject:
         return None
 
 
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-class _Thrown(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-@dataclass
+@dataclass(slots=True)
 class Frame:
-    """One activation: role binding, per-role variable stores, this."""
+    """One activation: role binding, this, and one store of names."""
 
-    info: object
     binding: dict
-    this: GlobalObject = None
-    stores: dict = field(default_factory=dict)  # actual role -> {name: value}
-    var_roles: dict = field(default_factory=dict)  # name -> actual role tuple
-
-    def declare(self, name, actual_roles, value):
-        roles = tuple(sorted(actual_roles)) or ("<nowhere>",)
-        self.var_roles[name] = roles
-        for r in roles:
-            self.stores.setdefault(r, {})[name] = value
-
-    def assign(self, name, value):
-        for r in self.var_roles[name]:
-            self.stores[r][name] = value
-
-    def lookup(self, name):
-        roles = self.var_roles.get(name)
-        if roles is None:
-            return None, False
-        # Read from every store the variable lives in; isolation by keying.
-        value = self.stores[roles[0]][name]
-        return value, True
+    this: GlobalObject
+    env: dict
 
 
 @dataclass
@@ -97,50 +70,136 @@ class ExecutionReport:
     error: str = None
 
 
-class GlobalInterpreter:
+class OracleFacts:
+    """What the oracle looks up in one checked program, worked out on first
+    use: dynamic dispatch, and which expressions call a method of the
+    program. Kept as ``CheckedProgram.facts``; it holds the program's
+    tables, not the program."""
+
     def __init__(self, checked):
+        self.method_keys = checked.method_keys
+        self.resolved = checked.resolved
+        self.closure = checked._checker.supertype_closure
+        self._methods = {}  # (declaration, name, arity) -> (MethodInfo, supertype, subst)
+        self.flags = {}  # id(expression) -> flag; the program keeps each alive
+
+    def method(self, info, name, arity):
+        """The method with a body that dynamic dispatch finds for
+        ``name/arity`` on ``info``, with the ``supertype_closure`` entry
+        that declares it; Nones if none."""
+        key = (info.name, name, arity)
+        found = self._methods.get(key)
+        if found is None:
+            found = self._methods[key] = next(
+                ((mi, sup, submap) for sup, submap in self.closure(info) for mi in sup.methods
+                 if mi.name == name and len(mi.node.params) == arity
+                 and mi.node.body is not None), (None, None, None))
+        return found
+
+    def flag(self, exp):
+        """How ``exp`` calls methods of the program: not at all (0), only
+        as a call or ``new`` whose operands call none (``OWN``), or in an
+        operand (``DEEP``). Kept in ``flags`` where not 0, with its
+        operands' but for names, literals and class references."""
+        t = type(exp)
+        own = deep = False
+        if t is S.Call:
+            scope = exp.scope
+            own = scope is None or (exp.name, len(exp.args)) in self.method_keys
+            deep = scope is not None and type(scope) not in _LEAVES and self.flag(scope) != 0
+        elif t is S.New:
+            res = self.resolved.get(id(exp))
+            own = res is not None and res[1].node.body is not None
+        elif t is S.Binary:
+            left = type(exp.left) not in _LEAVES and self.flag(exp.left) != 0
+            right = type(exp.right) not in _LEAVES and self.flag(exp.right) != 0
+            deep = left or right
+        elif t is S.FieldAcc:
+            deep = type(exp.scope) not in _LEAVES and self.flag(exp.scope) != 0
+        else:
+            return 0
+        if t is S.Call or t is S.New:
+            for a in exp.args:
+                if type(a) not in _LEAVES and self.flag(a):
+                    deep = True
+        flag = DEEP if deep else OWN if own else 0
+        if flag:
+            self.flags[id(exp)] = flag
+        return flag
+
+
+OWN, DEEP = 1, 2  # see ``OracleFacts.flag``
+_LEAVES = frozenset((S.Name, S.Literal, S.StaticRef))  # they never call
+
+# The expression each statement evaluates first.
+_EXPRESSION = {S.ExpStm: "exp", S.VarDecl: "init", S.Return: "value", S.If: "guard",
+               S.Assign: "value", S.Switch: "guard"}
+
+
+class GlobalInterpreter(Builtins):
+    """Runs a checked program, and is its builtins. Its methods that make
+    calls return the value of a builtin, or the generator of a method of
+    the program, for their caller to run (see ``runtime.drive``); a
+    builtin's callback runs at once, to the end."""
+
+    def __init__(self, checked):
+        super().__init__(Console())
         self.checked = checked
         self.table = checked.table
-        self.console = Console()
+        self.resolved = checked.resolved
+        if checked.facts is None:
+            checked.facts = OracleFacts(checked)
+        self.facts = checked.facts
         self.channels = {}
-        self.builtins = Builtins(
-            self.console,
-            invoke=lambda recv, m, args: self.invoke_dynamic(recv, m, args),
-            claim_channel=self.global_channel,
-        )
 
-    # ------------------------------------------------------------- channels
-
-    def global_channel(self, key):
+    def claim_channel(self, key):
         if key not in self.channels:
             self.channels[key] = GlobalChannel(key)
         return self.channels[key]
 
-    # ------------------------------------------------------------ plumbing
+    def invoke(self, receiver, name, args):
+        return self.now(self.invoke_dynamic(receiver, name, args))
+
+    @staticmethod
+    def now(value):
+        """``value``, or the value of the generator ``value`` run at once."""
+        return drive([value])[1] if type(value) is GeneratorType else value
 
     def actual_roles(self, te, binding):
         """Actual roles of a denoted type expression under a role binding."""
         return {binding[r] for r in self.checked.type_roles(te) if r in binding}
 
-    def find_method(self, info, name, arity, binding):
-        """(MethodInfo, owner binding) via the supertype closure.
+    # ------------------------------------------------------------ calls
 
-        Dynamic dispatch needs an implementation, so signature-only members
-        (interface/abstract declarations) are skipped.
-        """
-        for sup, submap in self.checked._checker.supertype_closure(info):
-            for mi in sup.methods:
-                if mi.name != name or len(mi.node.params) != arity:
-                    continue
-                if mi.node.body is None:
-                    continue
-                sup_binding = self.super_binding(sup, submap, binding)
-                return mi, sup_binding
-        return None, None
+    def instantiate(self, info, actual_roles, ctor_mi, args):
+        """A new object of ``info``; a generator whose value is the object
+        when its constructor has a body."""
+        binding = {v.name: a for v, a in zip(info.role_vars, actual_roles)}
+        obj = GlobalObject(info, binding)
+        if ctor_mi is not None and ctor_mi.node.body is not None:
+            return self.run(obj, binding, ctor_mi, args)
+        return obj
 
-    def super_binding(self, sup, submap, binding):
+    def call_static(self, mi, binding, args, owner=None):
+        if mi.node.body is None:
+            owner = owner if owner is not None else mi.owner
+            raise ChoreoRuntimeError(
+                f"builtin static '{owner.name}.{mi.name}' is not implemented by "
+                f"the runtime")
+        return self.run(None, binding, mi, args)
+
+    def invoke_object(self, obj, name, arity, args):
+        mi, sup, submap = self.facts.method(obj.info, name, arity)
+        if mi is None:
+            raise ChoreoRuntimeError(f"'{obj.info.name}' has no method '{name}/{arity}'")
+        return self.run(obj, self.super_binding(sup, submap, obj.binding), mi, args)
+
+    @staticmethod
+    def super_binding(sup, submap, binding):
+        """The role binding of a ``supertype_closure`` entry's members, on an
+        object bound by ``binding``."""
         if not submap:
-            return dict(binding)
+            return binding
         out = {}
         for formal in sup.role_vars:
             arg = submap.get(formal.uid, formal)
@@ -148,175 +207,44 @@ class GlobalInterpreter:
                 out[formal.name] = binding.get(arg.name, arg.name)
         return out
 
-    # ------------------------------------------------------------ execution
+    def invoke_dynamic(self, receiver, name, args):
+        if isinstance(receiver, GlobalObject):
+            return self.invoke_object(receiver, name, len(args), args)
+        hit, value = self.try_call_method(receiver, name, args)
+        if hit:
+            return value
+        raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
 
-    def call_method(self, obj: GlobalObject, mi, args, binding=None):
-        binding = binding if binding is not None else obj.binding
-        frame = Frame(mi.owner, binding, this=obj)
-        for p, v in zip(mi.node.params, args):
-            frame.declare(p.name, self.actual_roles(p.te, binding), v)
-        try:
-            self.exec_stm(frame, mi.node.body)
-        except _Return as r:
-            return r.value
-        return UNIT
-
-    def construct(self, info, actual_roles, ctor_mi, args):
-        binding = {v.name: a for v, a in zip(info.role_vars, actual_roles)}
-        obj = GlobalObject(info, binding)
-        if ctor_mi is not None and ctor_mi.node.body is not None:
-            self.call_method(obj, ctor_mi, args)
-        return obj
-
-    # ------------------------------------------------------------ statements
-
-    def exec_stm(self, frame, stm):
-        while stm is not None:
-            if isinstance(stm, S.Nil):
-                return
-            if isinstance(stm, S.Return):
-                raise _Return(self.eval(frame, stm.value) if stm.value is not None else UNIT)
-            if isinstance(stm, S.ExpStm):
-                self.eval(frame, stm.exp)
-            elif isinstance(stm, S.VarDecl):
-                roles = self.actual_roles(stm.te, frame.binding) \
-                    if id(stm) in self.checked.var_tes else set()
-                value = self.eval(frame, stm.init) if stm.init is not None else UNIT
-                frame.declare(stm.name, roles, value)
-            elif isinstance(stm, S.Assign):
-                value = self.eval(frame, stm.value)
-                if stm.op != "=":
-                    current = self.eval(frame, stm.target)
-                    value = binary_value(stm.op[:-1], current, value)
-                self.assign_to(frame, stm.target, value)
-            elif isinstance(stm, S.If):
-                branch = stm.then if self.eval(frame, stm.guard) is True else stm.orelse
-                self.exec_stm(frame, branch)
-            elif isinstance(stm, S.Block):
-                self.exec_stm(frame, stm.body)
-            elif isinstance(stm, S.Switch):
-                self.exec_switch(frame, stm)
-            elif isinstance(stm, S.TryCatch):
-                self.exec_try(frame, stm)
-            else:
-                raise ChoreoRuntimeError(f"cannot execute {stm!r}")
-            stm = getattr(stm, "cont", None)
-
-    def exec_switch(self, frame, stm):
-        guard = self.eval(frame, stm.guard)
-        if not isinstance(guard, EnumV):
-            raise ChoreoRuntimeError("switch guard must be an enumerated value")
-        for c in stm.cases:
-            if c.label == guard.case:
-                self.exec_stm(frame, c.body)
-                return
-        if stm.default is not None:
-            self.exec_stm(frame, stm.default)
-
-    def exec_try(self, frame, stm):
-        from .builtins import exception_matches
-
-        try:
-            self.exec_stm(frame, stm.body)
-        except _Thrown as t:
-            for h in stm.handlers:
-                if exception_matches(t.value, h.te.name):
-                    roles = self.actual_roles(h.te, frame.binding)
-                    frame.declare(h.name, roles, t.value)
-                    self.exec_stm(frame, h.body)
-                    return
-            raise
-
-    def assign_to(self, frame, target, value):
-        if isinstance(target, S.Name):
-            _, found = frame.lookup(target.ident)
-            if found:
-                frame.assign(target.ident, value)
-                return
-            if frame.this is not None:
-                frame.this.fields[target.ident] = value
-                return
-            raise ChoreoRuntimeError(f"cannot assign unknown name '{target.ident}'")
-        if isinstance(target, S.FieldAcc):
-            scope = self.eval(frame, target.scope)
-            if isinstance(scope, GlobalObject):
-                scope.fields[target.name] = value
-                return
-        raise ChoreoRuntimeError("unsupported assignment target")
-
-    # ----------------------------------------------------------- expressions
-
-    def eval(self, frame, exp):
-        if isinstance(exp, S.Literal):
-            if exp.value is None:
-                return None
-            return exp.value
-        if isinstance(exp, S.Name):
-            if exp.ident == "this":
-                return frame.this
-            value, found = frame.lookup(exp.ident)
-            if found:
-                return value
-            if frame.this is not None and exp.ident in frame.this.fields:
-                return frame.this.fields[exp.ident]
-            raise ChoreoRuntimeError(f"unbound name '{exp.ident}'")
-        if isinstance(exp, S.FieldAcc):
-            return self.eval_field(frame, exp)
-        if isinstance(exp, S.Call):
-            return self.eval_call(frame, exp)
-        if isinstance(exp, S.New):
-            return self.eval_new(frame, exp)
-        if isinstance(exp, S.Binary):
-            return self.eval_binary(frame, exp)
-        raise ChoreoRuntimeError(f"cannot evaluate {exp!r}")
-
-    def eval_field(self, frame, exp):
-        if isinstance(exp.scope, S.StaticRef):
-            info = self.table.get(exp.scope.name)
-            if info is not None and info.is_enum and exp.name in info.node.cases:
-                return EnumV(info.name, exp.name)
-            if exp.scope.name == "System" and exp.name == "out":
-                actual = frame.binding[exp.scope.roles[0]]
-                return PrintStreamV(self.console, actual)
-            raise ChoreoRuntimeError(
-                f"unknown static field '{exp.scope.name}.{exp.name}'")
-        scope = self.eval(frame, exp.scope)
-        if isinstance(scope, GlobalObject):
-            if exp.name in scope.fields:
-                return scope.fields[exp.name]
-            raise ChoreoRuntimeError(
-                f"object of '{scope.info.name}' has no field '{exp.name}' yet")
-        raise ChoreoRuntimeError(f"no field '{exp.name}' on {scope!r}")
-
-    def eval_call(self, frame, exp):
-        args = [self.eval(frame, a) for a in exp.args]
-        resolved = self.checked.resolved.get(id(exp))
-        if exp.scope is None:
+    def _call(self, frame, exp, args):
+        """The call or ``new`` ``exp``, given its arguments: its value, or
+        the generator of the method of the program it calls. Its receiver
+        must call nothing."""
+        if type(exp) is S.New:
+            return self._new(frame, exp, args)
+        scope = exp.scope
+        if scope is not None and type(scope) is not S.StaticRef:
+            return self.invoke_dynamic(self.eval(frame, scope), exp.name, args)
+        resolved = self.resolved.get(id(exp))
+        if scope is None:
             if exp.name == "super":
                 mi = resolved[1]
-                sup_binding = self._super_ctor_binding(frame, mi)
-                self.call_method(frame.this, mi, args, binding=sup_binding)
-                return UNIT
+                return self.run(frame.this, self._super_ctor_binding(frame, mi), mi, args)
             mi = resolved[1] if resolved else None
             if mi is None:
                 raise ChoreoRuntimeError(f"unresolved call '{exp.name}'")
             if mi.is_static:
                 return self.call_static(mi, frame.binding, args)
             return self.invoke_object(frame.this, exp.name, len(args), args)
-        if isinstance(exp.scope, S.StaticRef):
-            actual_roles = [frame.binding[r] for r in exp.scope.roles]
-            hit, value = self.builtins.try_static_call(exp.scope.name, exp.name, args)
-            if hit:
-                return value
-            info = self.table.get(exp.scope.name)
-            mi = resolved[1] if resolved else None
-            if info is None or mi is None:
-                raise ChoreoRuntimeError(
-                    f"unknown static call '{exp.scope.name}.{exp.name}'")
-            binding = {v.name: a for v, a in zip(info.role_vars, actual_roles)}
-            return self.call_static(mi, binding, args, owner=info)
-        receiver = self.eval(frame, exp.scope)
-        return self.invoke_dynamic(receiver, exp.name, args)
+        actual_roles = [frame.binding[r] for r in scope.roles]
+        hit, value = self.try_static_call(scope.name, exp.name, args)
+        if hit:
+            return value
+        info = self.table.get(scope.name)
+        mi = resolved[1] if resolved else None
+        if info is None or mi is None:
+            raise ChoreoRuntimeError(f"unknown static call '{scope.name}.{exp.name}'")
+        binding = {v.name: a for v, a in zip(info.role_vars, actual_roles)}
+        return self.call_static(mi, binding, args, owner=info)
 
     def _super_ctor_binding(self, frame, mi):
         node = frame.this.info.node
@@ -334,57 +262,170 @@ class GlobalInterpreter:
                 break
         return binding
 
-    def call_static(self, mi, binding, args, owner=None):
-        owner = owner if owner is not None else mi.owner
-        if mi.node.body is None:
-            raise ChoreoRuntimeError(
-                f"builtin static '{owner.name}.{mi.name}' is not implemented by "
-                f"the runtime")
-        frame = Frame(owner, binding, this=None)
-        for p in mi.node.params:
-            roles = self.actual_roles(p.te, binding)
-            frame.declare(p.name, roles, args.pop(0) if args else UNIT)
-        try:
-            self.exec_stm(frame, mi.node.body)
-        except _Return as r:
-            return r.value
-        return UNIT
-
-    def invoke_object(self, obj, name, arity, args):
-        mi, binding = self.find_method(obj.info, name, arity, obj.binding)
-        if mi is None:
-            raise ChoreoRuntimeError(f"'{obj.info.name}' has no method '{name}/{arity}'")
-        return self.call_method(obj, mi, args, binding=binding)
-
-    def invoke_dynamic(self, receiver, name, args):
-        if isinstance(receiver, GlobalObject):
-            return self.invoke_object(receiver, name, len(args), args)
-        hit, value = self.builtins.try_call_method(receiver, name, args)
-        if hit:
-            return value
-        raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
-
-    def eval_new(self, frame, exp):
-        args = [self.eval(frame, a) for a in exp.args]
-        hit, value = self.builtins.construct(exp.class_name, args)
+    def _new(self, frame, exp, args):
+        hit, value = self.construct(exp.class_name, args)
         if hit:
             return value
         info = self.table.get(exp.class_name)
         if info is None:
             raise ChoreoRuntimeError(f"unknown class '{exp.class_name}'")
         actual_roles = [frame.binding[r] for r in exp.roles]
-        resolved = self.checked.resolved.get(id(exp))
+        resolved = self.resolved.get(id(exp))
         ctor = resolved[1] if resolved else None
-        return self.construct(info, actual_roles, ctor, args)
+        return self.instantiate(info, actual_roles, ctor, args)
 
-    def eval_binary(self, frame, exp):
-        left = self.eval(frame, exp.left)
-        if exp.op in ("&&", "||"):
+    # ------------------------------------------------------------ statements
+
+    def run(self, this, binding, mi, args):
+        """One call of ``mi`` on ``this`` (None for a static method), as a
+        generator (see ``runtime.drive``); a constructor's value is ``this``.
+        Nested blocks run on a list of continuations, and ``return``
+        returns from the generator."""
+        frame = Frame(binding, this, {p.name: a for p, a in zip(mi.node.params, args)})
+        ctor = mi.node.is_constructor
+        facts, flags, ev = self.facts, self.facts.flags, self.eval
+        rest = []  # the continuations of the enclosing blocks, innermost last
+        stm = mi.node.body
+        while True:
+            t = type(stm)
+            if t is S.Block or t is S.TryCatch:
+                rest.append(stm.cont)
+                stm = stm.body
+                continue
+            if stm is None or t is S.Nil:
+                if not rest:
+                    return this if ctor else UNIT
+                stm = rest.pop()
+                continue
+            attr = _EXPRESSION.get(t)
+            if attr is None:
+                raise ChoreoRuntimeError(f"cannot execute {stm!r}")
+            exp = getattr(stm, attr)
+            if exp is None:
+                value = UNIT
+            else:
+                flag = flags.get(id(exp))
+                if flag is None:
+                    flag = flags[id(exp)] = facts.flag(exp)
+                if not flag:
+                    value = ev(frame, exp)
+                elif flag == OWN:
+                    value = self._call(frame, exp, [ev(frame, a) for a in exp.args])
+                    if type(value) is GeneratorType:
+                        value = yield value
+                else:
+                    value = yield from self._eval_g(frame, exp, flags)
+            if t is S.ExpStm:
+                stm = stm.cont
+            elif t is S.VarDecl:
+                frame.env[stm.name] = value
+                stm = stm.cont
+            elif t is S.Return:
+                return this if ctor else value
+            elif t is S.If:
+                rest.append(stm.cont)
+                stm = stm.then if value is True else stm.orelse
+            elif t is S.Assign:
+                if stm.op != "=":
+                    value = binary_value(stm.op[:-1], ev(frame, stm.target), value)
+                self.assign_to(frame, stm.target, value)
+                stm = stm.cont
+            else:  # Switch
+                if not isinstance(value, EnumV):
+                    raise ChoreoRuntimeError("switch guard must be an enumerated value")
+                rest.append(stm.cont)
+                stm = next((c.body for c in stm.cases if c.label == value.case), stm.default)
+
+    def assign_to(self, frame, target, value):
+        if isinstance(target, S.Name):
+            if target.ident in frame.env:
+                frame.env[target.ident] = value
+                return
+            if frame.this is not None:
+                frame.this.fields[target.ident] = value
+                return
+            raise ChoreoRuntimeError(f"cannot assign unknown name '{target.ident}'")
+        if isinstance(target, S.FieldAcc):
+            scope = self.eval(frame, target.scope)
+            if isinstance(scope, GlobalObject):
+                scope.fields[target.name] = value
+                return
+        raise ChoreoRuntimeError("unsupported assignment target")
+
+    # ----------------------------------------------------------- expressions
+
+    def eval(self, frame, exp):
+        """The value of ``exp``; a method of the program that it calls runs
+        at once, to the end, as a builtin's callback does."""
+        t = type(exp)
+        if t is S.Name:
+            ident = exp.ident
+            if ident in frame.env:
+                return frame.env[ident]
+            if ident == "this":
+                return frame.this
+            if frame.this is not None and ident in frame.this.fields:
+                return frame.this.fields[ident]
+            raise ChoreoRuntimeError(f"unbound name '{ident}'")
+        if t is S.Literal:
+            return exp.value
+        if t is S.Call or t is S.New:
+            value = self._call(frame, exp, [self.eval(frame, a) for a in exp.args])
+            return drive([value])[1] if type(value) is GeneratorType else value
+        if t is S.FieldAcc and type(exp.scope) is S.StaticRef:
+            scope = exp.scope
+            info = self.table.get(scope.name)
+            if info is not None and info.is_enum and exp.name in info.node.cases:
+                return EnumV(info.name, exp.name)
+            if scope.name == "System" and exp.name == "out":
+                return PrintStreamV(self.console, frame.binding[scope.roles[0]])
+            raise ChoreoRuntimeError(f"unknown static field '{scope.name}.{exp.name}'")
+        if t is S.FieldAcc:
+            return self.field_of(self.eval(frame, exp.scope), exp.name)
+        if t is S.Binary:
+            left = self.eval(frame, exp.left)
             if exp.op == "&&":
                 return self.eval(frame, exp.right) if left is True else False
-            return True if left is True else self.eval(frame, exp.right)
-        right = self.eval(frame, exp.right)
-        return binary_value(exp.op, left, right)
+            if exp.op == "||":
+                return True if left is True else self.eval(frame, exp.right)
+            return binary_value(exp.op, left, self.eval(frame, exp.right))
+        raise ChoreoRuntimeError(f"cannot evaluate {exp!r}")
+
+    def _eval_g(self, frame, exp, flags):
+        """``eval`` of an expression that calls a method of the program, as
+        a generator (see ``runtime.drive``); ``flags`` holds those of its
+        operands."""
+        ev, ev_g = self.eval, self._eval_g
+        t = type(exp)
+        if t is S.Binary:
+            left, right, op = exp.left, exp.right, exp.op
+            left = (yield from ev_g(frame, left, flags)) if flags.get(id(left)) else ev(frame, left)
+            if op == "&&" and left is not True:
+                return False
+            if op == "||" and left is True:
+                return True
+            right = (yield from ev_g(frame, right, flags)) if flags.get(id(right)) else ev(frame, right)
+            return right if op in ("&&", "||") else binary_value(op, left, right)
+        if t is S.FieldAcc:
+            return self.field_of((yield from ev_g(frame, exp.scope, flags)), exp.name)
+        args = []
+        for a in exp.args:
+            args.append((yield from ev_g(frame, a, flags)) if flags.get(id(a)) else ev(frame, a))
+        if t is S.Call and flags.get(id(exp.scope)):
+            value = self.invoke_dynamic((yield from ev_g(frame, exp.scope, flags)), exp.name, args)
+        else:
+            value = self._call(frame, exp, args)
+        if type(value) is GeneratorType:
+            value = yield value
+        return value
+
+    def field_of(self, scope, name):
+        if isinstance(scope, GlobalObject):
+            if name in scope.fields:
+                return scope.fields[name]
+            raise ChoreoRuntimeError(
+                f"object of '{scope.info.name}' has no field '{name}' yet")
+        raise ChoreoRuntimeError(f"no field '{name}' on {scope!r}")
 
     # ----------------------------------------------------------- observation
 
@@ -449,16 +490,16 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
         if not entry_mi.is_static:
             ctor = info.constructors[0]
             ctor_args = wire_arguments(located(ctor.node.params), channels,
-                                       interp.global_channel, owner=entry_class)
-            receiver = interp.construct(info, info.role_names, ctor, ctor_args)
+                                       interp.claim_channel, owner=entry_class)
+            receiver = interp.now(interp.instantiate(info, info.role_names, ctor, ctor_args))
         pending = {r: list(vs) for r, vs in args_by_role.items()}
         call_args = wire_arguments(located(entry_mi.node.params), channels,
-                                   interp.global_channel, pending)
+                                   interp.claim_channel, pending)
 
         if entry_mi.is_static:
-            result = interp.call_static(entry_mi, binding, call_args, owner=info)
+            result = interp.now(interp.call_static(entry_mi, binding, call_args, owner=info))
         else:
-            result = interp.call_method(receiver, entry_mi, call_args)
+            result = interp.now(interp.run(receiver, receiver.binding, entry_mi, call_args))
         ret_roles = interp.actual_roles(entry_mi.node.return_te, binding)
         returns = {}
         for role in info.role_names:

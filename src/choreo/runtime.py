@@ -12,6 +12,8 @@ All roles of a run take turns on one thread (``distributed.run_workers``).
 A role waits when a send finds its direction full or a receive finds it
 empty; the run's ``ExecutionContext`` records the pending operation and
 stops the run at its first failure, or as soon as a deadlock is proven.
+Both evaluators run their method calls through ``drive``, as generators on
+an explicit stack of at most ``MAX_CALL_DEPTH`` calls.
 """
 
 from __future__ import annotations
@@ -19,8 +21,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from types import GeneratorType
 
 CHANNEL_CAPACITY = 16
+# Calls on one stack of either evaluator: far above any real recursion, it
+# stops one that never ends at a few hundred MB, before memory runs out.
+MAX_CALL_DEPTH = 200_000
 
 
 class ChoreoRuntimeError(Exception):
@@ -131,6 +137,28 @@ def observed_object(name, fields, observe):
 
 
 # ------------------------------------------------------------ one run
+
+def drive(stack, value=None):
+    """Runs the generators on ``stack``, each called by the one below it,
+    until the top one waits on a channel or the stack is empty. A generator
+    yields a generator to call it, and is sent its value, or yields an
+    ``(endpoint, sending)`` pair to wait. Returns the wait, or None and the
+    bottom generator's value. Both evaluators run their calls this way."""
+    while stack:
+        try:
+            request = stack[-1].send(value)
+        except StopIteration as stop:
+            stack.pop()
+            value = stop.value
+            continue
+        if type(request) is not GeneratorType:
+            return request, None
+        if len(stack) >= MAX_CALL_DEPTH:
+            raise ChoreoRuntimeError(f"call depth exceeds {MAX_CALL_DEPTH} calls")
+        stack.append(request)
+        value = None
+    return None, value
+
 
 class ExecutionContext:
     """The shared state of one run: the deadline, the live roles (those

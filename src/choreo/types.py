@@ -262,31 +262,31 @@ def type_equal(a, b, env=None):
 
 def roles_of_type(t):
     """Names of the role variables occurring in a type."""
-    out = []
+    out = set()
+    _add_roles(t, out)
+    return out
 
-    def walk(u):
-        if isinstance(u, TVar):
-            if u.role and u.name not in out:
-                out.append(u.name)
-        elif isinstance(u, TApp):
-            walk(u.ctor)
-            walk(u.arg)
-        elif isinstance(u, TAbs):
-            walk(u.body)
-        elif isinstance(u, TInter):
-            for i in u.items:
-                walk(i)
-        elif isinstance(u, TFun):
-            for p in u.params:
-                walk(p)
-            walk(u.result)
-        elif isinstance(u, TBottom):
-            for r in u.roles:
-                if r not in out:
-                    out.append(r)
 
-    walk(t)
-    return set(out)
+def _add_roles(u, out):
+    # Not a closure: a nested function that calls itself is a reference
+    # cycle, left to the cyclic collector after every call.
+    if isinstance(u, TVar):
+        if u.role:
+            out.add(u.name)
+    elif isinstance(u, TApp):
+        _add_roles(u.ctor, out)
+        _add_roles(u.arg, out)
+    elif isinstance(u, TAbs):
+        _add_roles(u.body, out)
+    elif isinstance(u, TInter):
+        for i in u.items:
+            _add_roles(i, out)
+    elif isinstance(u, TFun):
+        for p in u.params:
+            _add_roles(p, out)
+        _add_roles(u.result, out)
+    elif isinstance(u, TBottom):
+        out.update(u.roles)
 
 
 def pretty(t):

@@ -18,7 +18,7 @@ from choreo.local import (
 from choreo.local_reader import parse_local_unit
 from choreo.printer import render_unit
 from choreo.projector import project_program
-from choreo.runtime import CHANNEL_CAPACITY
+from choreo.runtime import CHANNEL_CAPACITY, MAX_CALL_DEPTH
 
 
 def project_ok(checked):
@@ -63,29 +63,6 @@ def test_global_evaluator_is_deterministic(corpus_compiled):
     assert r1.returns == r2.returns
     assert r1.transcripts == r2.transcripts
     assert r1.status == r2.status == "ok"
-
-
-def test_global_role_store_isolation():
-    checked = compile_ok("""
-    class Iso@(A, B) {
-        void m(SymChannel@(A, B)<Object> ch) {
-            Integer@A x = 1@A;
-            Integer@B y = ch.<Integer>com(x);
-        }
-    }
-    """)
-    from choreo.interpreter import GlobalInterpreter, Frame
-
-    interp = GlobalInterpreter(checked)
-    info = checked.decl_info("Iso")
-    mi = info.methods[0]
-    binding = {r: r for r in info.role_names}
-    frame = Frame(info, binding)
-    frame.declare("x", {"A"}, 1)
-    frame.declare("y", {"B"}, 2)
-    assert frame.var_roles["x"] == ("A",)
-    assert "x" in frame.stores["A"] and "x" not in frame.stores.get("B", {})
-    assert "y" in frame.stores["B"] and "y" not in frame.stores["A"]
 
 
 # ------------------------------------------------------------- distributed
@@ -177,6 +154,20 @@ def test_builtin_callback_cannot_wait_on_a_channel():
         "A: ChoreoRuntimeError: A receives on 'k' inside a builtin's callback")
 
 
+def test_builtin_callback_runs_a_method_of_the_program_in_both_evaluators():
+    checked = compile_ok("""
+    class Show@R implements Consumer@R<String> {
+        public void accept(String@R item) { System@R.out.println(item); }
+    }
+    class Cb@A {
+        public static void go(String@A s) { Optional@A.<String>of(s).ifPresent(new Show@A()); }
+    }
+    """)
+    cmp = differential_run(checked, "Cb", "go", {"A": ["hi"]}, local_program=project_ok(checked))
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.transcripts == {"A": ["hi"]}
+
+
 def test_read_back_units_run_as_the_projected_ones(corpus_compiled):
     for name, cls, roles, method, args, chans in [
         ("MergeSort", "Mergesort", ["A", "B", "C"], "sort", {"A": [[15, 3, 14, 2]]},
@@ -195,17 +186,29 @@ def test_read_back_units_run_as_the_projected_ones(corpus_compiled):
 
 
 def test_deep_recursion_runs_at_the_default_recursion_limit(corpus_compiled):
-    _, _, units = corpus_compiled["ConsumeItems"]
+    _, checked, units = corpus_compiled["ConsumeItems"]
     items = [f"item{i}" for i in range(20000)]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        report = eval_distributed(units, "ConsumeItems", ["A", "B"], "run",
-                                  {"A": [items]}, {"ch": "deep"}, deadline=60)
+        reports = [eval_global(checked, "ConsumeItems", "run", {"A": [items]}, {"ch": "deep"}),
+                   eval_distributed(units, "ConsumeItems", ["A", "B"], "run",
+                                    {"A": [items]}, {"ch": "deep"}, deadline=60)]
     finally:
         sys.setrecursionlimit(limit)
-    assert report.status == "ok", report.error
-    assert report.transcripts["B"] == items
+    for report in reports:
+        assert report.status == "ok", report.error
+        assert report.transcripts["B"] == items
+
+
+def test_endless_recursion_stops_at_the_call_depth_bound():
+    checked = compile_ok("class Spin@A { static void go(Integer@A n) { go(n); } }")
+    reports = [eval_global(checked, "Spin", "go", {"A": [0]}),
+               eval_distributed(project_ok(checked), "Spin", ["A"], "go", {"A": [0]},
+                                deadline=20)]
+    for report in reports:
+        assert report.status == "error"
+        assert f"call depth exceeds {MAX_CALL_DEPTH} calls" in report.error
 
 
 def test_a_run_leaves_no_cyclic_garbage(corpus_compiled):
@@ -215,16 +218,19 @@ def test_a_run_leaves_no_cyclic_garbage(corpus_compiled):
              {"Client": ["alice", "pwd123"]},
              {f"ch_{r}_IP": r for r in ("Client", "S1", "S2", "S3")})]
     for name, cls, roles, method, args, chans in runs:
-        units = corpus_compiled[name][2]
-        gc.collect()
-        gc.disable()
-        try:
-            report = eval_distributed(units, cls, roles, method, args, chans, deadline=10)
-            garbage = gc.collect()
-        finally:
-            gc.enable()
-        assert report.status == "ok", report.error
-        assert garbage == 0, name
+        _, checked, units = corpus_compiled[name]
+        for run in (lambda: eval_global(checked, cls, method, args, chans),
+                    lambda: eval_distributed(units, cls, roles, method, args, chans,
+                                             deadline=10)):
+            gc.collect()
+            gc.disable()
+            try:
+                report = run()
+                garbage = gc.collect()
+            finally:
+                gc.enable()
+            assert report.status == "ok", report.error
+            assert garbage == 0, name
 
 
 def test_peer_crash_mid_stream_cancels_the_sender_at_once():
@@ -275,19 +281,19 @@ def test_worker_error_carries_role_and_message(corpus_compiled):
                          {"A": [[1]]}, {}, deadline=1)
 
 
-def test_eval_global_reports_python_exceptions(corpus_compiled):
+def test_eval_global_reports_python_exceptions():
     """The oracle returns a report for a failure that is not a choreography
-    error, here the Python stack running out on a long stream."""
-    _, checked, _ = corpus_compiled["ConsumeItems"]
-    items = [f"item{i}" for i in range(2000)]
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        report = eval_global(checked, "ConsumeItems", "run", {"A": [items]}, {"ch": "deep"})
-    finally:
-        sys.setrecursionlimit(limit)
+    error, here a float division by zero."""
+    checked = compile_ok("""
+    class Div@A {
+        public static Double@A div(Integer@A n) {
+            return Math@A.floor(n) / Math@A.floor(0@A);
+        }
+    }
+    """)
+    report = eval_global(checked, "Div", "div", {"A": [3]})
     assert report.status == "error"
-    assert report.error.startswith("RecursionError")
+    assert report.error == "ZeroDivisionError: float division by zero"
 
 
 # ------------------------------------------------------------- differential
