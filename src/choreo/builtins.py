@@ -232,9 +232,6 @@ class Builtins:
         fn = _METHODS.get((type(receiver), name))
         if fn is not None:
             return True, fn(self, receiver, args)
-        if name in ("com", "select") and hasattr(receiver, "com"):
-            # A channel endpoint of either evaluator.
-            return True, getattr(receiver, name)(args[0] if args else UNIT)
         return False, None
 
     # ------------------------------------------------------------ statics

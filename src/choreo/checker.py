@@ -191,13 +191,12 @@ class CheckedProgram:
         if isinstance(exp, S.StaticRef):
             return self._stored(exp.roles)
         if isinstance(exp, S.Call) and exp.scope is None:
-            # Unqualified instance calls (and super) have an implicit
-            # receiver spanning the enclosing declaration's roles.
+            # Unqualified calls (and super) have an implicit receiver, or
+            # for a static method an implicit class, spanning the roles of
+            # the declaration of the method, as ``H@A.hello()`` does.
             res = self.resolved.get(id(exp))
             if res is not None and res[0] in ("call", "super"):
-                mi = res[1]
-                if res[0] == "super" or not mi.is_static:
-                    out.update(mi.owner.role_names)
+                out.update(res[1].owner.role_names)
         if id(exp) in self.exp_types:
             out |= self.type_roles(exp)
         for sub in S.sub_exps(exp):

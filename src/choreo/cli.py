@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .differential import load_manifest
 from .distributed import eval_distributed
-from .interpreter import eval_global
+from .interpreter import error_report, eval_global
 from .metrics import collect_metrics, to_csv
 from .pipeline import compile_files
 from .printer import render_unit
@@ -107,9 +107,11 @@ def cmd_run(args):
         return emit_diagnostics(reporter, args.json_diagnostics)
 
     def run(spec):
+        info = checked.decl_info(spec.entry_class)
+        if info is None:
+            return error_report(f"unknown entry class '{spec.entry_class}'")
         deadline = args.deadline if args.deadline is not None else spec.deadline
-        return eval_distributed(units, spec.entry_class,
-                                checked.decl_info(spec.entry_class).role_names,
+        return eval_distributed(units, spec.entry_class, info.role_names,
                                 spec.entry_method, spec.args, spec.channels, deadline)
 
     return _print_reports(args.manifest, run)

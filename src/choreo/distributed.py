@@ -1,30 +1,26 @@
 """Distributed evaluator: each role interprets its projected unit, and all
 roles of a run take turns on one thread (``run_workers``, which serves the
-test kit too), each until it waits on a channel or ends. A method call is
-one generator on its role's stack, run by ``runtime.drive`` as the oracle's
-are, so recursion takes no Python stack and is bounded only by
-``runtime.MAX_CALL_DEPTH``; an expression that calls no method of the
-program and uses no channel evaluates with no generator. The first role to
-fail cancels the others, a proven deadlock stops every role at once, and the
-deadline, checked at every statement, stops programs that diverge.
-Try/catch executes its body (there is no user-level throw; generated
-default throws surface as role errors).
+test kit too), each until it waits on a channel or ends. A worker runs on
+the evaluator core it shares with the oracle (``interpreter.Evaluator``),
+and supplies what only workers have: method lookup up the ``extends``
+chain, the unit forms and a wait on a channel, which is a generator on the
+role's stack as a method call is. The first role to fail cancels the
+others, a proven deadlock stops every role at once, and the deadline,
+checked at every statement, stops programs that diverge. Try/catch executes
+its body (there is no user-level throw; a generated default throw of a
+selection switch fails its role).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from types import GeneratorType
 
-from .builtins import Builtins, Console, PrintStreamV, binary_value
-from .interpreter import ExecutionReport, wire_arguments
-from .local import (
-    LAssign, LBinary, LBlock, LCall, LClass, LEnum, LExpStm, LFieldAcc, LIf,
-    LLit, LName, LNew, LNil, LocalProgram, LReturn, LStaticName, LSwitch,
-    LThrow, LTryCatch, LUnit, LUnitCall, LVarDecl,
-)
+from .builtins import Console, PrintStreamV
+from .interpreter import Evaluator, ExecutionReport, ProgramObject, error_report, wire_arguments
+from .local import LClass, LEnum, LNew, LocalProgram, LStaticName
 from .projector import generated_name
 from .runtime import (
     UNIT, ChannelEndpoint, ChannelRegistry, ChoreoRuntimeError, DeadlockTimeout,
@@ -32,15 +28,9 @@ from .runtime import (
 )
 
 
-@dataclass
-class LocalObject:
-    unit_name: str
-    fields: dict = field(default_factory=dict)
-
-
 class ProgramFacts:
     """What the interpreters of one ``LocalProgram`` look up, worked out
-    once: declarations, methods, and which expressions call something."""
+    once: declarations and methods, and their flags."""
 
     def __init__(self, units):
         self.decls = {u.generated_name: u.decl for u in units}
@@ -65,31 +55,6 @@ class ProgramFacts:
             raise ChoreoRuntimeError(f"'{class_name}' has no {kind} '{name}/{arity}'")
         return self._methods[key]
 
-    def flag(self, exp):
-        """Whether ``exp`` calls a method of the program or uses a channel,
-        kept in ``flags`` with its operands' (but for names and literals)."""
-        t = type(exp)
-        own, operands = False, ()
-        if t is LName or t is LLit or t is LUnit:
-            return False
-        if t is LCall:
-            scope = exp.scope
-            operands = exp.args if scope is None else exp.args + [scope]
-            if scope is None or type(scope) is LStaticName:
-                own = scope is None or scope.name in self.decls
-            else:
-                own = exp.name in ("com", "select") or (exp.name, len(exp.args)) in self.method_keys
-        elif t is LNew:
-            own, operands = exp.class_name in self.decls, exp.args
-        elif t is LUnitCall:
-            operands = exp.args
-        elif t is LBinary:
-            operands = (exp.left, exp.right)
-        elif t is LFieldAcc:
-            operands = (exp.scope,)
-        flag = self.flags[id(exp)] = any([self.flag(o) for o in operands]) or own
-        return flag
-
 
 def _wait(endpoint, name, message, sending):
     """``com`` or ``select`` on ``endpoint`` once it can proceed."""
@@ -98,12 +63,10 @@ def _wait(endpoint, name, message, sending):
     return getattr(endpoint, name)(message)
 
 
-class LocalInterpreter(Builtins):
-    """Interprets the local language for one role, and is that role's
-    builtins. Its methods that make calls return the value of a builtin, or
-    the generator of a method of the program, or of a wait on a channel,
-    for their caller to run; a builtin's callback runs at once, to the end.
-    """
+class LocalInterpreter(Evaluator):
+    """Interprets the local language for one role. A frame's site is the
+    name of the unit whose method it runs; every statement checks the run's
+    deadline."""
 
     def __init__(self, program, role, registry, console, context):
         """``program`` is a LocalProgram, or a list of its units."""
@@ -113,55 +76,45 @@ class LocalInterpreter(Builtins):
         if program.facts is None:
             program.facts = ProgramFacts(program.units)
         self.facts = program.facts
+        self.flags = self.facts.flags
         self.role = role
         self.registry = registry
-        self.context = context
+        self.deadline = context.deadline
 
     def claim_channel(self, key):
         return self.registry.claim(key, self.role)
 
-    def invoke(self, receiver, name, args):
-        return self._now(self._invoke(receiver, name, args))
-
-    def _now(self, value):
-        """``value``, or the value of the generator ``value`` run at once."""
-        if type(value) is not GeneratorType:
-            return value
-        wait, value = drive([value])
-        if wait is not None:
-            raise ChoreoRuntimeError(f"{self.role} {wait[0].operation(wait[1])} "
-                                     f"inside a builtin's callback, which cannot wait")
-        return value
-
     # ---------------------------------------------------------------- calls
+
+    def may_call(self, exp):
+        if type(exp) is LNew:
+            return exp.class_name in self.facts.decls
+        scope = exp.scope
+        if scope is None or type(scope) is LStaticName:
+            return scope is None or scope.name in self.facts.decls
+        return exp.name in ("com", "select") or (exp.name, len(exp.args)) in self.facts.method_keys
 
     def run_ctor(self, this, class_name, args):
         """Runs on ``this`` the constructor of ``class_name`` taking ``args``,
-        by default none; a generator whose value is ``this``."""
+        by default none: ``this``, or a generator whose value is ``this``."""
         decl = self.facts.decls.get(class_name)
         ctors = decl.constructors if isinstance(decl, LClass) else []
         ctor = next((c for c in ctors if len(c.params) == len(args)), None)
         if ctor is not None:
-            yield self._method(this, class_name, ctor, args)
-        elif args or not isinstance(decl, LClass):
+            return self.run(this, class_name, ctor, args)
+        if args or not isinstance(decl, LClass):
             raise ChoreoRuntimeError(f"no constructor '{class_name}/{len(args)}'")
         return this
 
-    def _new(self, class_name, args):
-        hit, value = self.construct(class_name, args)
-        if hit:
-            return value
-        decl = self.facts.decls.get(class_name)
-        if decl is None:
-            raise ChoreoRuntimeError(f"unknown local class '{class_name}'")
-        if isinstance(decl, LEnum):
-            raise ChoreoRuntimeError(f"cannot instantiate enum '{class_name}'")
-        return self.run_ctor(LocalObject(class_name), class_name, args)
+    def new(self, frame, exp, args):
+        if exp.class_name not in self.facts.decls:
+            raise ChoreoRuntimeError(f"unknown local class '{exp.class_name}'")
+        return self.run_ctor(ProgramObject(exp.class_name), exp.class_name, args)
 
-    def _invoke(self, receiver, name, args):
-        if isinstance(receiver, LocalObject):
-            m = self.facts.method(receiver.unit_name, name, len(args))
-            return self._method(receiver, receiver.unit_name, m, args)
+    def call_method(self, receiver, name, args):
+        if isinstance(receiver, ProgramObject):
+            m = self.facts.method(receiver.class_name, name, len(args))
+            return self.run(receiver, receiver.class_name, m, args)
         if type(receiver) is ChannelEndpoint and name in ("com", "select"):
             message = args[0] if args else UNIT
             sending = not is_unit(message)
@@ -173,213 +126,45 @@ class LocalInterpreter(Builtins):
             return value
         raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
 
-    def _call(self, frame, exp, args):
-        """The call ``exp``, given its arguments; its receiver must call
-        nothing."""
+    def call(self, frame, exp, args):
         scope = exp.scope
         if scope is None and exp.name == "super":
-            decl = self.facts.decls[frame.unit_name]
+            decl = self.facts.decls[frame.site]
             if decl.extends is None:
                 raise ChoreoRuntimeError("no superclass constructor")
             return self.run_ctor(frame.this, decl.extends.name, args)
         if scope is None:
-            m = self.facts.method(frame.unit_name, exp.name, len(args))
+            m = self.facts.method(frame.site, exp.name, len(args))
             if "static" in m.modifiers:
-                return self._method(None, frame.unit_name, m, args)
+                return self.run(None, frame.site, m, args)
             if frame.this is None:
                 raise ChoreoRuntimeError(
                     f"instance method '{exp.name}' called from a static context")
-            return self._method(frame.this, frame.unit_name, m, args)
-        if type(scope) is not LStaticName:
-            return self._invoke(self.eval(frame, scope), exp.name, args)
+            return self.run(frame.this, frame.site, m, args)
         if scope.name in self.facts.decls:
             m = self.facts.method(scope.name, exp.name, len(args), static=True)
-            return self._method(None, scope.name, m, args)
+            return self.run(None, scope.name, m, args)
         hit, value = self.try_static_call(scope.name, exp.name, args)
         if hit:
             return value
         raise ChoreoRuntimeError(f"unknown static call '{scope.name}.{exp.name}'")
 
-    # ----------------------------------------------------------- statements
-
-    def _method(self, this, unit_name, method, args):
-        """One call of ``method``, as a generator (see ``runtime.drive``)."""
-        frame = _LFrame(this, unit_name, {p.name: a for p, a in zip(method.params, args)})
-        deadline, facts, flags, ev = self.context.deadline, self.facts, self.facts.flags, self.eval
-        rest = []  # the continuations of the enclosing blocks, innermost last
-        stm = method.body
-        while True:
-            if stm is None or type(stm) is LNil:
-                if not rest:
-                    return UNIT
-                stm = rest.pop()
-                continue
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlockTimeout("deadline exceeded")
-            t = type(stm)
-            if t is LBlock or t is LTryCatch:
-                rest.append(stm.cont)
-                stm = stm.body
-                continue
-            if t is LThrow:
-                raise ChoreoRuntimeError(stm.message)
-            # Every other statement evaluates one expression first.
-            exp = getattr(stm, _EXPRESSION.get(t, "exp"))
-            if exp is None:
-                value = UNIT
-            elif flags.get(id(exp)) or (id(exp) not in flags and facts.flag(exp)):
-                value = yield from self._eval_g(frame, exp, flags)
-            else:
-                value = ev(frame, exp)
-            if t is LReturn:
-                return value
-            if t is LIf:
-                rest.append(stm.cont)
-                stm = stm.then if value is True else stm.orelse
-            elif t is LSwitch:
-                if not isinstance(value, EnumV):
-                    raise ChoreoRuntimeError("switch guard must be an enumerated value")
-                rest.append(stm.cont)
-                stm = next((body for label, body in stm.cases if label == value.case),
-                           stm.default)
-            elif t is LVarDecl:
-                frame.env[stm.name] = value
-                stm = stm.cont
-            elif t is LAssign:
-                if stm.op != "=":
-                    value = binary_value(stm.op[:-1], ev(frame, stm.target), value)
-                self.assign_to(frame, stm.target, value)
-                stm = stm.cont
-            elif t is LExpStm:
-                stm = stm.cont
-            else:
-                raise ChoreoRuntimeError(f"cannot execute {stm!r}")
-
-    def assign_to(self, frame, target, value):
-        if isinstance(target, LName):
-            if target.ident in frame.env:
-                frame.env[target.ident] = value
-                return
-            if frame.this is not None:
-                frame.this.fields[target.ident] = value
-                return
-            raise ChoreoRuntimeError(f"cannot assign unknown name '{target.ident}'")
-        if isinstance(target, LFieldAcc):
-            scope = self.eval(frame, target.scope)
-            if isinstance(scope, LocalObject):
-                scope.fields[target.name] = value
-                return
-        raise ChoreoRuntimeError("unsupported assignment target")
-
-    # ---------------------------------------------------------- expressions
-
-    def eval(self, frame, exp):
-        """The value of ``exp``; a method of the program that it calls runs
-        at once, to the end, as a builtin's callback does."""
-        t = type(exp)
-        if t is LName:
-            if exp.ident == "this":
-                return frame.this
-            if exp.ident in frame.env:
-                return frame.env[exp.ident]
-            if frame.this is not None and exp.ident in frame.this.fields:
-                return frame.this.fields[exp.ident]
-            raise ChoreoRuntimeError(f"unbound name '{exp.ident}'")
-        if t is LLit:
-            return exp.value
-        if t is LUnit:
+    def static_field(self, frame, scope, name):
+        cname = scope.name
+        if cname == "Unit" and name == "id":
             return UNIT
-        if t is LCall or t is LNew:
-            args = [self.eval(frame, a) for a in exp.args]
-            return self._now(self._call(frame, exp, args) if t is LCall
-                             else self._new(exp.class_name, args))
-        if t is LFieldAcc and type(exp.scope) is LStaticName:
-            cname, name = exp.scope.name, exp.name
-            if cname == "Unit" and name == "id":
-                return UNIT
-            decl = self.facts.decls.get(cname)
-            if isinstance(decl, LEnum) and name in decl.cases:
-                return EnumV(cname, name)
-            if cname == "System" and name == "out":
-                return PrintStreamV(self.console, self.role)
-            raise ChoreoRuntimeError(f"unknown static field '{cname}.{name}'")
-        if t is LFieldAcc:
-            return self.field_of(self.eval(frame, exp.scope), exp.name)
-        if t is LBinary:
-            left = self.eval(frame, exp.left)
-            logical = exp.op in ("&&", "||") and isinstance(left, bool)
-            if logical and left is (exp.op == "||"):
-                return left
-            right = self.eval(frame, exp.right)
-            return right if logical else binary_value(exp.op, left, right)
-        if t is LUnitCall:
-            for a in exp.args:
-                self.eval(frame, a)
-            return UNIT
-        if t is LStaticName:
-            raise ChoreoRuntimeError(f"'{exp.name}' is a type, not a value")
-        raise ChoreoRuntimeError(f"cannot evaluate {exp!r}")
-
-    def _eval_g(self, frame, exp, flags):
-        """``eval`` of an expression that calls something, as a generator
-        (see ``runtime.drive``); ``flags`` holds those of its operands."""
-        ev, ev_g = self.eval, self._eval_g
-        t = type(exp)
-        if t is LBinary:
-            left, right = exp.left, exp.right
-            left = (yield from ev_g(frame, left, flags)) if flags.get(id(left)) else ev(frame, left)
-            logical = exp.op in ("&&", "||") and isinstance(left, bool)
-            if logical and left is (exp.op == "||"):
-                return left
-            right = (yield from ev_g(frame, right, flags)) if flags.get(id(right)) else ev(frame, right)
-            return right if logical else binary_value(exp.op, left, right)
-        if t is LFieldAcc:
-            return self.field_of((yield from ev_g(frame, exp.scope, flags)), exp.name)
-        args = []
-        for a in exp.args:
-            args.append((yield from ev_g(frame, a, flags)) if flags.get(id(a)) else ev(frame, a))
-        if t is LUnitCall:
-            return UNIT
-        if t is LNew:
-            value = self._new(exp.class_name, args)
-        elif flags.get(id(exp.scope)):
-            value = self._invoke((yield from ev_g(frame, exp.scope, flags)), exp.name, args)
-        else:
-            value = self._call(frame, exp, args)
-        if type(value) is GeneratorType:
-            value = yield value
-        return value
-
-    def field_of(self, scope, name):
-        if isinstance(scope, LocalObject):
-            if name in scope.fields:
-                return scope.fields[name]
-            raise ChoreoRuntimeError(
-                f"object of '{scope.unit_name}' has no field '{name}' yet")
-        raise ChoreoRuntimeError(f"no field '{name}' on {scope!r}")
-
-
-# The expression each statement evaluates first, where not ``exp``.
-_EXPRESSION = {LVarDecl: "init", LReturn: "value", LAssign: "value", LIf: "guard",
-               LSwitch: "guard"}
-
-
-@dataclass
-class _LFrame:
-    this: LocalObject
-    unit_name: str
-    env: dict
+        decl = self.facts.decls.get(cname)
+        if isinstance(decl, LEnum) and name in decl.cases:
+            return EnumV(cname, name)
+        if cname == "System" and name == "out":
+            return PrintStreamV(self.console, self.role)
+        raise ChoreoRuntimeError(f"unknown static field '{cname}.{name}'")
 
 
 def observe_local(value):
     """Observation of a worker value, comparable with the global role view."""
-    return observe_value(value, _observe_object)
-
-
-def _observe_object(value):
-    if isinstance(value, LocalObject):
-        return observed_object(value.unit_name, value.fields.items(), observe_local)
-    return None
+    return observe_value(value, lambda v: observed_object(
+        v.class_name, v.fields.items(), observe_local) if isinstance(v, ProgramObject) else None)
 
 
 # ----------------------------------------------------------------- workers
@@ -395,8 +180,12 @@ class WorkerOutcome:
 def _entry(interp, unit_name, entry_method, ctor_args, method_args):
     """A role's entry call, on a new instance unless static, as a generator."""
     m = interp.facts.method(unit_name, entry_method, len(method_args))
-    this = None if "static" in m.modifiers else (yield interp._new(unit_name, ctor_args))
-    return (yield interp._method(this, unit_name, m, method_args))
+    this = None
+    if "static" not in m.modifiers:
+        this = interp.run_ctor(ProgramObject(unit_name), unit_name, ctor_args)
+        if type(this) is GeneratorType:
+            this = yield this
+    return (yield interp.run(this, unit_name, m, method_args))
 
 
 def _step(stack, outcome, context):
@@ -478,19 +267,21 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
     for role in roles:
         unit_name = generated_name(entry_class, roles, role)
         unit = local_program.unit(unit_name)
-        if unit is None:
-            raise ChoreoRuntimeError(f"missing projected unit '{unit_name}'")
-        method = next((m for m in unit.decl.methods if m.name == entry_method), None)
+        methods = getattr(unit.decl, "methods", ()) if unit is not None else ()
+        method = next((m for m in methods if m.name == entry_method), None)
         if method is None:
-            raise ChoreoRuntimeError(f"'{unit_name}' has no method '{entry_method}'")
+            report = error_report(f"missing projected unit '{unit_name}'" if unit is None
+                                  else f"'{unit_name}' has no method '{entry_method}'")
+            report.outcomes = {}
+            return report
 
         def located(params, role=role):
             return [(p.name, set() if p.te.name == "Unit" else {role}) for p in params]
 
         claim = partial(registry.claim, claimant=role)
-        ctor_args = []
-        if isinstance(unit.decl, LClass) and unit.decl.constructors:
-            ctor_args = wire_arguments(located(unit.decl.constructors[0].params),
+        ctor_args, decl = [], unit.decl  # a static entry makes no instance
+        if "static" not in method.modifiers and isinstance(decl, LClass) and decl.constructors:
+            ctor_args = wire_arguments(located(decl.constructors[0].params),
                                        channels, claim, owner=unit_name)
         method_args = wire_arguments(located(method.params), channels, claim,
                                      {role: list(args_by_role.get(role, []))})

@@ -1,30 +1,351 @@
-"""Global evaluator: runs checked choreographies directly.
+"""The evaluator core both evaluators share, and the global evaluator.
 
-Values are not located; the per-role structure shows up in the per-role
-console transcripts and in the observation function used by the
+``Evaluator`` runs method bodies of either language: the checked surface
+program for the oracle, a role's projected units for a worker
+(``distributed.LocalInterpreter``). It holds the one statement loop, which
+dispatches through ``DISPATCH``, the expression walkers and the frame; each
+evaluator supplies its calls, its static fields and which of its calls may
+run a method of the program, behind a few hooks. A method call is one
+generator, run by ``runtime.drive``, so recursion takes no Python stack and
+is bounded only by ``runtime.MAX_CALL_DEPTH``; an expression that calls no
+method of the program evaluates with no generator.
+
+The global evaluator (``GlobalInterpreter``) runs checked choreographies
+directly. Values are not located; the per-role structure shows up in the
+per-role console transcripts and in the observation function used by the
 differential harness. Channels are passive: ``com`` returns its payload
 relocated, ``select`` returns its label. Role-permuted instantiation
 rebinds the formal roles of the constructed object, which is all the
-mergesort-style role rotation needs. A method call is one generator, run by
-``runtime.drive`` as the distributed evaluator's are, so recursion takes no
-Python stack and is bounded only by ``runtime.MAX_CALL_DEPTH``; an
-expression that calls no method of the program evaluates with no generator.
+mergesort-style role rotation needs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import GeneratorType
 
 from . import surface as S
 from .builtins import Builtins, Console, PrintStreamV, binary_value
+from .local import (
+    LAssign, LBinary, LBlock, LCall, LExpStm, LFieldAcc, LIf, LLit, LName, LNew,
+    LNil, LReturn, LStaticName, LSwitch, LThrow, LTryCatch, LUnit, LUnitCall, LVarDecl,
+)
 from .projector import generated_name
 from .runtime import (
-    UNIT, ChoreoRuntimeError, EnumV, ListV, drive, observe_value, observed_object,
+    UNIT, ChoreoRuntimeError, DeadlockTimeout, EnumV, ListV, drive, observe_value,
+    observed_object,
 )
 from .types import TVar, spine
 
+# Statement kinds.
+EXP, VAR, ASSIGN, RETURN, IF, SWITCH, BLOCK, END, THROW = (
+    "exp", "var", "assign", "return", "if", "switch", "block", "end", "throw")
+# Expression kinds; a type is a class name used as a static scope.
+NAME, LITERAL, UNIT_ATOM, TYPE, FIELD, CALL, NEW, BINARY, UNIT_CALL = (
+    "name", "literal", "unit", "type", "field", "call", "new", "binary", "unit-call")
+
+# Kind, the attribute holding the expression a statement evaluates first,
+# then the classes of that kind in the surface and the local language.
+_FORMS = [
+    (EXP, "exp", S.ExpStm, LExpStm),
+    (VAR, "init", S.VarDecl, LVarDecl),
+    (ASSIGN, "value", S.Assign, LAssign),
+    (RETURN, "value", S.Return, LReturn),
+    (IF, "guard", S.If, LIf),
+    (SWITCH, "guard", S.Switch, LSwitch),
+    (BLOCK, None, S.Block, LBlock, S.TryCatch, LTryCatch),  # a try runs its body
+    (END, None, S.Nil, LNil, type(None)),  # None ends a block
+    (THROW, None, S.Throw, LThrow),
+    (NAME, None, S.Name, LName),
+    (LITERAL, None, S.Literal, LLit),
+    (UNIT_ATOM, None, LUnit),
+    (TYPE, None, S.StaticRef, LStaticName),
+    (FIELD, None, S.FieldAcc, LFieldAcc),
+    (CALL, None, S.Call, LCall),
+    (NEW, None, S.New, LNew),
+    (BINARY, None, S.Binary, LBinary),
+    (UNIT_CALL, None, LUnitCall),
+]
+# Each statement and expression class of both languages -> (kind, the
+# attribute holding the expression it evaluates first, or None).
+DISPATCH = {cls: (kind, attr) for kind, attr, *classes in _FORMS for cls in classes}
+KIND = {cls: kind for cls, (kind, _) in DISPATCH.items()}  # the kinds alone
+
+OWN, DEEP = 1, 2  # see ``Evaluator.flag``
+LEAVES = frozenset((NAME, LITERAL, UNIT_ATOM, TYPE))  # they never call
+
+
+class ProgramObject:
+    """An object of a class of the program: the name of its class (a
+    projected unit's, in a worker) and its fields."""
+
+    __slots__ = ("class_name", "fields")
+
+    def __init__(self, class_name):
+        self.class_name = class_name
+        self.fields = {}
+
+
+@dataclass(slots=True)
+class Frame:
+    """One activation: ``this``, one store of names, and the ``site`` the
+    evaluator's hooks read: the role binding in the oracle, the unit name
+    in a worker."""
+
+    this: ProgramObject
+    env: dict
+    site: object
+
+
+@dataclass
+class ExecutionReport:
+    returns: dict
+    transcripts: dict
+    duration: float
+    status: str  # "ok" | "deadlock-timeout" | "error"
+    error: str = None
+
+
+def error_report(message):
+    """The report of a run that could not start."""
+    return ExecutionReport({}, {}, 0.0, "error", message)
+
+
+class Evaluator(Builtins):
+    """Runs method bodies, and is the evaluator's builtins. Its methods that
+    make calls return the value of a builtin, or the generator of a method
+    of the program (or of a wait on a channel), for their caller to run
+    (see ``runtime.drive``); a builtin's callback runs at once, to the end.
+
+    An evaluator sets ``flags`` (``id(expression)`` -> flag, kept by its
+    program) and ``deadline`` (a ``time.monotonic()`` value, or None), and
+    supplies these hooks:
+
+    - ``call(frame, exp, args)``: the unqualified or static call ``exp``;
+    - ``new(frame, exp, args)``: the ``new`` expression ``exp`` of a class
+      of the program;
+    - ``call_method(receiver, name, args)``: the method ``name`` of a value;
+    - ``static_field(frame, scope, name)``: a field of the class ``scope``;
+    - ``may_call(exp)``: whether the call or ``new`` ``exp`` itself may run
+      a method of the program, or wait.
+    """
+
+    deadline = None
+
+    def invoke(self, receiver, name, args):
+        return self.now(self.call_method(receiver, name, args))
+
+    @staticmethod
+    def now(value):
+        """``value``, or the value of the generator ``value`` run at once."""
+        if type(value) is not GeneratorType:
+            return value
+        wait, value = drive([value])
+        if wait is not None:
+            raise ChoreoRuntimeError(f"{wait[0].claimant} {wait[0].operation(wait[1])} "
+                                     f"inside a builtin's callback, which cannot wait")
+        return value
+
+    def flag(self, exp):
+        """How ``exp`` calls methods of the program, or waits: not at all
+        (0), only as a call or ``new`` whose operands do neither (``OWN``),
+        or in an operand (``DEEP``). Kept in ``flags`` where not 0, with its
+        operands'."""
+        kind = KIND[type(exp)]
+        if kind is CALL:
+            operands = exp.args if exp.scope is None else exp.args + [exp.scope]
+        elif kind is NEW or kind is UNIT_CALL:
+            operands = exp.args
+        elif kind is BINARY:
+            operands = (exp.left, exp.right)
+        elif kind is FIELD:
+            operands = (exp.scope,)
+        else:
+            return 0
+        deep = False
+        for o in operands:
+            if KIND[type(o)] not in LEAVES and self.flag(o):
+                deep = True
+        own = not deep and (kind is CALL or kind is NEW) and self.may_call(exp)
+        flag = DEEP if deep else OWN if own else 0
+        if flag:
+            self.flags[id(exp)] = flag
+        return flag
+
+    # ------------------------------------------------------------ statements
+
+    def run(self, this, site, method, args):
+        """One call of ``method`` (a method node of either language) on
+        ``this`` (None for a static method), as a generator (see
+        ``runtime.drive``); a constructor's value is ``this``. Nested blocks
+        run on a list of continuations, and ``return`` returns from the
+        generator."""
+        frame = Frame(this, {p.name: a for p, a in zip(method.params, args)}, site)
+        ctor = method.is_constructor
+        deadline, flags, ev = self.deadline, self.flags, self.eval
+        rest = []  # the continuations of the enclosing blocks, innermost last
+        stm = method.body
+        while True:
+            kind, attr = DISPATCH[type(stm)]
+            if kind is END:
+                if not rest:
+                    return this if ctor else UNIT
+                stm = rest.pop()
+                continue
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlockTimeout("deadline exceeded")
+            if kind is BLOCK:
+                rest.append(stm.cont)
+                stm = stm.body
+                continue
+            if kind is THROW:
+                raise ChoreoRuntimeError(stm.message)
+            exp = getattr(stm, attr)
+            if exp is None:
+                value = UNIT
+            else:
+                flag = flags.get(id(exp))
+                if flag is None:
+                    flag = flags[id(exp)] = self.flag(exp)
+                if not flag:
+                    value = ev(frame, exp)
+                elif flag == OWN:
+                    value = self.apply(frame, exp, [ev(frame, a) for a in exp.args])
+                    if type(value) is GeneratorType:
+                        value = yield value
+                else:
+                    value = yield from self._eval_g(frame, exp, flags)
+            if kind is EXP:
+                stm = stm.cont
+            elif kind is VAR:
+                frame.env[stm.name] = value
+                stm = stm.cont
+            elif kind is RETURN:
+                return this if ctor else value
+            elif kind is IF:
+                rest.append(stm.cont)
+                stm = stm.then if value is True else stm.orelse
+            elif kind is ASSIGN:
+                if stm.op != "=":
+                    value = binary_value(stm.op[:-1], ev(frame, stm.target), value)
+                self.assign_to(frame, stm.target, value)
+                stm = stm.cont
+            else:  # SWITCH
+                if not isinstance(value, EnumV):
+                    raise ChoreoRuntimeError("switch guard must be an enumerated value")
+                rest.append(stm.cont)
+                stm = next((body for label, body in stm.cases if label == value.case),
+                           stm.default)
+
+    def assign_to(self, frame, target, value):
+        kind = KIND[type(target)]
+        if kind is NAME:
+            if target.ident in frame.env:
+                frame.env[target.ident] = value
+                return
+            if frame.this is not None:
+                frame.this.fields[target.ident] = value
+                return
+            raise ChoreoRuntimeError(f"cannot assign unknown name '{target.ident}'")
+        if kind is FIELD:
+            scope = self.eval(frame, target.scope)
+            if isinstance(scope, ProgramObject):
+                scope.fields[target.name] = value
+                return
+        raise ChoreoRuntimeError("unsupported assignment target")
+
+    # ----------------------------------------------------------- expressions
+
+    def apply(self, frame, exp, args):
+        """The call or ``new`` ``exp``, given its arguments: its value, or
+        the generator of the method of the program it calls. Its receiver
+        must call nothing."""
+        if KIND[type(exp)] is NEW:
+            hit, value = self.construct(exp.class_name, args)
+            return value if hit else self.new(frame, exp, args)
+        scope = exp.scope
+        if scope is None or KIND[type(scope)] is TYPE:
+            return self.call(frame, exp, args)
+        return self.call_method(self.eval(frame, scope), exp.name, args)
+
+    def eval(self, frame, exp):
+        """The value of ``exp``; a method of the program that it calls runs
+        at once, to the end, as a builtin's callback does."""
+        kind = KIND[type(exp)]
+        if kind is NAME:
+            ident = exp.ident
+            if ident in frame.env:
+                return frame.env[ident]
+            if ident == "this":
+                return frame.this
+            if frame.this is not None and ident in frame.this.fields:
+                return frame.this.fields[ident]
+            raise ChoreoRuntimeError(f"unbound name '{ident}'")
+        if kind is LITERAL:
+            return exp.value
+        if kind is CALL or kind is NEW:
+            value = self.apply(frame, exp, [self.eval(frame, a) for a in exp.args])
+            return self.now(value) if type(value) is GeneratorType else value
+        if kind is FIELD:
+            if KIND[type(exp.scope)] is TYPE:
+                return self.static_field(frame, exp.scope, exp.name)
+            return self.field_of(self.eval(frame, exp.scope), exp.name)
+        if kind is BINARY:
+            left, op = self.eval(frame, exp.left), exp.op
+            if (op == "&&" or op == "||") and (left is True or left is False):
+                return left if left is (op == "||") else self.eval(frame, exp.right)
+            return binary_value(op, left, self.eval(frame, exp.right))
+        if kind is UNIT_ATOM:
+            return UNIT
+        if kind is UNIT_CALL:
+            for a in exp.args:
+                self.eval(frame, a)
+            return UNIT
+        if kind is TYPE:
+            raise ChoreoRuntimeError(f"'{exp.name}' is a type, not a value")
+        raise ChoreoRuntimeError(f"cannot evaluate {exp!r}")
+
+    def _eval_g(self, frame, exp, flags):
+        """``eval`` of an expression that calls a method of the program, or
+        waits, as a generator (see ``runtime.drive``); ``flags`` holds those
+        of its operands."""
+        ev, ev_g = self.eval, self._eval_g
+        kind = KIND[type(exp)]
+        if kind is BINARY:
+            left, right, op = exp.left, exp.right, exp.op
+            left = (yield from ev_g(frame, left, flags)) if flags.get(id(left)) else ev(frame, left)
+            logical = (op == "&&" or op == "||") and (left is True or left is False)
+            if logical and left is (op == "||"):
+                return left
+            right = (yield from ev_g(frame, right, flags)) if flags.get(id(right)) else ev(frame, right)
+            return right if logical else binary_value(op, left, right)
+        if kind is FIELD:
+            return self.field_of((yield from ev_g(frame, exp.scope, flags)), exp.name)
+        args = []
+        for a in exp.args:
+            args.append((yield from ev_g(frame, a, flags)) if flags.get(id(a)) else ev(frame, a))
+        if kind is UNIT_CALL:
+            return UNIT
+        if kind is CALL and flags.get(id(exp.scope)):
+            value = self.call_method((yield from ev_g(frame, exp.scope, flags)), exp.name, args)
+        else:
+            value = self.apply(frame, exp, args)
+        if type(value) is GeneratorType:
+            value = yield value
+        return value
+
+    @staticmethod
+    def field_of(scope, name):
+        if isinstance(scope, ProgramObject):
+            if name in scope.fields:
+                return scope.fields[name]
+            raise ChoreoRuntimeError(
+                f"object of '{scope.class_name}' has no field '{name}' yet")
+        raise ChoreoRuntimeError(f"no field '{name}' on {scope!r}")
+
+
+# ---------------------------------------------------------------- the oracle
 
 class GlobalChannel:
     """Passive channel value: com relocates, select echoes."""
@@ -39,46 +360,24 @@ class GlobalChannel:
         return label
 
 
-@dataclass
-class GlobalObject:
-    info: object  # DeclInfo
-    binding: dict  # formal role name -> actual role name
-    fields: dict = field(default_factory=dict)
+class GlobalObject(ProgramObject):
+    """An object of the oracle, and its role binding: formal role name ->
+    actual role name."""
 
-    def formal_for_actual(self, actual):
-        for formal, act in self.binding.items():
-            if act == actual:
-                return formal
-        return None
+    __slots__ = ("info", "binding")
 
-
-@dataclass(slots=True)
-class Frame:
-    """One activation: role binding, this, and one store of names."""
-
-    binding: dict
-    this: GlobalObject
-    env: dict
-
-
-@dataclass
-class ExecutionReport:
-    returns: dict
-    transcripts: dict
-    duration: float
-    status: str  # "ok" | "deadlock-timeout" | "error"
-    error: str = None
+    def __init__(self, info, binding):
+        super().__init__(info.name)
+        self.info = info
+        self.binding = binding
 
 
 class OracleFacts:
-    """What the oracle looks up in one checked program, worked out on first
-    use: dynamic dispatch, and which expressions call a method of the
-    program. Kept as ``CheckedProgram.facts``; it holds the program's
-    tables, not the program."""
+    """Dynamic dispatch in one checked program, worked out on first use, and
+    the oracle's flags. Kept as ``CheckedProgram.facts``; it holds the
+    program's tables, not the program."""
 
     def __init__(self, checked):
-        self.method_keys = checked.method_keys
-        self.resolved = checked.resolved
         self.closure = checked._checker.supertype_closure
         self._methods = {}  # (declaration, name, arity) -> (MethodInfo, supertype, subst)
         self.flags = {}  # id(expression) -> flag; the program keeps each alive
@@ -96,51 +395,9 @@ class OracleFacts:
                  and mi.node.body is not None), (None, None, None))
         return found
 
-    def flag(self, exp):
-        """How ``exp`` calls methods of the program: not at all (0), only
-        as a call or ``new`` whose operands call none (``OWN``), or in an
-        operand (``DEEP``). Kept in ``flags`` where not 0, with its
-        operands' but for names, literals and class references."""
-        t = type(exp)
-        own = deep = False
-        if t is S.Call:
-            scope = exp.scope
-            own = scope is None or (exp.name, len(exp.args)) in self.method_keys
-            deep = scope is not None and type(scope) not in _LEAVES and self.flag(scope) != 0
-        elif t is S.New:
-            res = self.resolved.get(id(exp))
-            own = res is not None and res[1].node.body is not None
-        elif t is S.Binary:
-            left = type(exp.left) not in _LEAVES and self.flag(exp.left) != 0
-            right = type(exp.right) not in _LEAVES and self.flag(exp.right) != 0
-            deep = left or right
-        elif t is S.FieldAcc:
-            deep = type(exp.scope) not in _LEAVES and self.flag(exp.scope) != 0
-        else:
-            return 0
-        if t is S.Call or t is S.New:
-            for a in exp.args:
-                if type(a) not in _LEAVES and self.flag(a):
-                    deep = True
-        flag = DEEP if deep else OWN if own else 0
-        if flag:
-            self.flags[id(exp)] = flag
-        return flag
 
-
-OWN, DEEP = 1, 2  # see ``OracleFacts.flag``
-_LEAVES = frozenset((S.Name, S.Literal, S.StaticRef))  # they never call
-
-# The expression each statement evaluates first.
-_EXPRESSION = {S.ExpStm: "exp", S.VarDecl: "init", S.Return: "value", S.If: "guard",
-               S.Assign: "value", S.Switch: "guard"}
-
-
-class GlobalInterpreter(Builtins):
-    """Runs a checked program, and is its builtins. Its methods that make
-    calls return the value of a builtin, or the generator of a method of
-    the program, for their caller to run (see ``runtime.drive``); a
-    builtin's callback runs at once, to the end."""
+class GlobalInterpreter(Evaluator):
+    """Runs a checked program. A frame's site is its role binding."""
 
     def __init__(self, checked):
         super().__init__(Console())
@@ -150,6 +407,7 @@ class GlobalInterpreter(Builtins):
         if checked.facts is None:
             checked.facts = OracleFacts(checked)
         self.facts = checked.facts
+        self.flags = self.facts.flags
         self.channels = {}
 
     def claim_channel(self, key):
@@ -157,19 +415,17 @@ class GlobalInterpreter(Builtins):
             self.channels[key] = GlobalChannel(key)
         return self.channels[key]
 
-    def invoke(self, receiver, name, args):
-        return self.now(self.invoke_dynamic(receiver, name, args))
-
-    @staticmethod
-    def now(value):
-        """``value``, or the value of the generator ``value`` run at once."""
-        return drive([value])[1] if type(value) is GeneratorType else value
-
     def actual_roles(self, te, binding):
         """Actual roles of a denoted type expression under a role binding."""
         return {binding[r] for r in self.checked.type_roles(te) if r in binding}
 
     # ------------------------------------------------------------ calls
+
+    def may_call(self, exp):
+        if type(exp) is S.New:
+            res = self.resolved.get(id(exp))
+            return res is not None and res[1].node.body is not None
+        return exp.scope is None or (exp.name, len(exp.args)) in self.checked.method_keys
 
     def instantiate(self, info, actual_roles, ctor_mi, args):
         """A new object of ``info``; a generator whose value is the object
@@ -177,22 +433,20 @@ class GlobalInterpreter(Builtins):
         binding = {v.name: a for v, a in zip(info.role_vars, actual_roles)}
         obj = GlobalObject(info, binding)
         if ctor_mi is not None and ctor_mi.node.body is not None:
-            return self.run(obj, binding, ctor_mi, args)
+            return self.run(obj, binding, ctor_mi.node, args)
         return obj
 
-    def call_static(self, mi, binding, args, owner=None):
+    def call_static(self, mi, binding, args):
         if mi.node.body is None:
-            owner = owner if owner is not None else mi.owner
-            raise ChoreoRuntimeError(
-                f"builtin static '{owner.name}.{mi.name}' is not implemented by "
-                f"the runtime")
-        return self.run(None, binding, mi, args)
+            raise ChoreoRuntimeError(f"builtin static '{mi.owner.name}.{mi.name}' is "
+                                     f"not implemented by the runtime")
+        return self.run(None, binding, mi.node, args)
 
     def invoke_object(self, obj, name, arity, args):
         mi, sup, submap = self.facts.method(obj.info, name, arity)
         if mi is None:
             raise ChoreoRuntimeError(f"'{obj.info.name}' has no method '{name}/{arity}'")
-        return self.run(obj, self.super_binding(sup, submap, obj.binding), mi, args)
+        return self.run(obj, self.super_binding(sup, submap, obj.binding), mi.node, args)
 
     @staticmethod
     def super_binding(sup, submap, binding):
@@ -207,225 +461,60 @@ class GlobalInterpreter(Builtins):
                 out[formal.name] = binding.get(arg.name, arg.name)
         return out
 
-    def invoke_dynamic(self, receiver, name, args):
+    def call_method(self, receiver, name, args):
         if isinstance(receiver, GlobalObject):
             return self.invoke_object(receiver, name, len(args), args)
+        if type(receiver) is GlobalChannel and name in ("com", "select"):
+            return getattr(receiver, name)(args[0] if args else UNIT)
         hit, value = self.try_call_method(receiver, name, args)
         if hit:
             return value
         raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
 
-    def _call(self, frame, exp, args):
-        """The call or ``new`` ``exp``, given its arguments: its value, or
-        the generator of the method of the program it calls. Its receiver
-        must call nothing."""
-        if type(exp) is S.New:
-            return self._new(frame, exp, args)
-        scope = exp.scope
-        if scope is not None and type(scope) is not S.StaticRef:
-            return self.invoke_dynamic(self.eval(frame, scope), exp.name, args)
-        resolved = self.resolved.get(id(exp))
+    def call(self, frame, exp, args):
+        scope, resolved = exp.scope, self.resolved.get(id(exp))
+        mi = resolved[1] if resolved else None
         if scope is None:
-            if exp.name == "super":
-                mi = resolved[1]
-                return self.run(frame.this, self._super_ctor_binding(frame, mi), mi, args)
-            mi = resolved[1] if resolved else None
             if mi is None:
                 raise ChoreoRuntimeError(f"unresolved call '{exp.name}'")
+            if exp.name == "super":
+                return self.run(frame.this, self._super_ctor_binding(frame, mi), mi.node, args)
             if mi.is_static:
-                return self.call_static(mi, frame.binding, args)
+                return self.call_static(mi, frame.site, args)
             return self.invoke_object(frame.this, exp.name, len(args), args)
-        actual_roles = [frame.binding[r] for r in scope.roles]
         hit, value = self.try_static_call(scope.name, exp.name, args)
         if hit:
             return value
         info = self.table.get(scope.name)
-        mi = resolved[1] if resolved else None
         if info is None or mi is None:
             raise ChoreoRuntimeError(f"unknown static call '{scope.name}.{exp.name}'")
-        binding = {v.name: a for v, a in zip(info.role_vars, actual_roles)}
-        return self.call_static(mi, binding, args, owner=info)
+        binding = {v.name: frame.site[r] for v, r in zip(info.role_vars, scope.roles)}
+        return self.call_static(mi, binding, args)
 
     def _super_ctor_binding(self, frame, mi):
-        node = frame.this.info.node
-        t = self.checked.te_type(node.extends)
-        head, targs = spine(t)
-        sup = mi.owner
-        binding = {}
-        i = 0
-        for a in targs:
-            if isinstance(a, TVar) and a.role:
-                formal = sup.role_vars[i]
-                binding[formal.name] = frame.this.binding.get(a.name, a.name)
-                i += 1
-            if i >= len(sup.role_vars):
-                break
-        return binding
+        """The role binding of the superclass constructor ``mi`` on
+        ``frame.this``: its formal roles, bound as the ``extends`` clause
+        passes them."""
+        _, targs = spine(self.checked.te_type(frame.this.info.node.extends))
+        passed = [a for a in targs if isinstance(a, TVar) and a.role]
+        return {formal.name: frame.this.binding.get(a.name, a.name)
+                for formal, a in zip(mi.owner.role_vars, passed)}
 
-    def _new(self, frame, exp, args):
-        hit, value = self.construct(exp.class_name, args)
-        if hit:
-            return value
+    def new(self, frame, exp, args):
         info = self.table.get(exp.class_name)
         if info is None:
             raise ChoreoRuntimeError(f"unknown class '{exp.class_name}'")
-        actual_roles = [frame.binding[r] for r in exp.roles]
         resolved = self.resolved.get(id(exp))
-        ctor = resolved[1] if resolved else None
-        return self.instantiate(info, actual_roles, ctor, args)
+        return self.instantiate(info, [frame.site[r] for r in exp.roles],
+                                resolved[1] if resolved else None, args)
 
-    # ------------------------------------------------------------ statements
-
-    def run(self, this, binding, mi, args):
-        """One call of ``mi`` on ``this`` (None for a static method), as a
-        generator (see ``runtime.drive``); a constructor's value is ``this``.
-        Nested blocks run on a list of continuations, and ``return``
-        returns from the generator."""
-        frame = Frame(binding, this, {p.name: a for p, a in zip(mi.node.params, args)})
-        ctor = mi.node.is_constructor
-        facts, flags, ev = self.facts, self.facts.flags, self.eval
-        rest = []  # the continuations of the enclosing blocks, innermost last
-        stm = mi.node.body
-        while True:
-            t = type(stm)
-            if t is S.Block or t is S.TryCatch:
-                rest.append(stm.cont)
-                stm = stm.body
-                continue
-            if stm is None or t is S.Nil:
-                if not rest:
-                    return this if ctor else UNIT
-                stm = rest.pop()
-                continue
-            attr = _EXPRESSION.get(t)
-            if attr is None:
-                raise ChoreoRuntimeError(f"cannot execute {stm!r}")
-            exp = getattr(stm, attr)
-            if exp is None:
-                value = UNIT
-            else:
-                flag = flags.get(id(exp))
-                if flag is None:
-                    flag = flags[id(exp)] = facts.flag(exp)
-                if not flag:
-                    value = ev(frame, exp)
-                elif flag == OWN:
-                    value = self._call(frame, exp, [ev(frame, a) for a in exp.args])
-                    if type(value) is GeneratorType:
-                        value = yield value
-                else:
-                    value = yield from self._eval_g(frame, exp, flags)
-            if t is S.ExpStm:
-                stm = stm.cont
-            elif t is S.VarDecl:
-                frame.env[stm.name] = value
-                stm = stm.cont
-            elif t is S.Return:
-                return this if ctor else value
-            elif t is S.If:
-                rest.append(stm.cont)
-                stm = stm.then if value is True else stm.orelse
-            elif t is S.Assign:
-                if stm.op != "=":
-                    value = binary_value(stm.op[:-1], ev(frame, stm.target), value)
-                self.assign_to(frame, stm.target, value)
-                stm = stm.cont
-            else:  # Switch
-                if not isinstance(value, EnumV):
-                    raise ChoreoRuntimeError("switch guard must be an enumerated value")
-                rest.append(stm.cont)
-                stm = next((c.body for c in stm.cases if c.label == value.case), stm.default)
-
-    def assign_to(self, frame, target, value):
-        if isinstance(target, S.Name):
-            if target.ident in frame.env:
-                frame.env[target.ident] = value
-                return
-            if frame.this is not None:
-                frame.this.fields[target.ident] = value
-                return
-            raise ChoreoRuntimeError(f"cannot assign unknown name '{target.ident}'")
-        if isinstance(target, S.FieldAcc):
-            scope = self.eval(frame, target.scope)
-            if isinstance(scope, GlobalObject):
-                scope.fields[target.name] = value
-                return
-        raise ChoreoRuntimeError("unsupported assignment target")
-
-    # ----------------------------------------------------------- expressions
-
-    def eval(self, frame, exp):
-        """The value of ``exp``; a method of the program that it calls runs
-        at once, to the end, as a builtin's callback does."""
-        t = type(exp)
-        if t is S.Name:
-            ident = exp.ident
-            if ident in frame.env:
-                return frame.env[ident]
-            if ident == "this":
-                return frame.this
-            if frame.this is not None and ident in frame.this.fields:
-                return frame.this.fields[ident]
-            raise ChoreoRuntimeError(f"unbound name '{ident}'")
-        if t is S.Literal:
-            return exp.value
-        if t is S.Call or t is S.New:
-            value = self._call(frame, exp, [self.eval(frame, a) for a in exp.args])
-            return drive([value])[1] if type(value) is GeneratorType else value
-        if t is S.FieldAcc and type(exp.scope) is S.StaticRef:
-            scope = exp.scope
-            info = self.table.get(scope.name)
-            if info is not None and info.is_enum and exp.name in info.node.cases:
-                return EnumV(info.name, exp.name)
-            if scope.name == "System" and exp.name == "out":
-                return PrintStreamV(self.console, frame.binding[scope.roles[0]])
-            raise ChoreoRuntimeError(f"unknown static field '{scope.name}.{exp.name}'")
-        if t is S.FieldAcc:
-            return self.field_of(self.eval(frame, exp.scope), exp.name)
-        if t is S.Binary:
-            left = self.eval(frame, exp.left)
-            if exp.op == "&&":
-                return self.eval(frame, exp.right) if left is True else False
-            if exp.op == "||":
-                return True if left is True else self.eval(frame, exp.right)
-            return binary_value(exp.op, left, self.eval(frame, exp.right))
-        raise ChoreoRuntimeError(f"cannot evaluate {exp!r}")
-
-    def _eval_g(self, frame, exp, flags):
-        """``eval`` of an expression that calls a method of the program, as
-        a generator (see ``runtime.drive``); ``flags`` holds those of its
-        operands."""
-        ev, ev_g = self.eval, self._eval_g
-        t = type(exp)
-        if t is S.Binary:
-            left, right, op = exp.left, exp.right, exp.op
-            left = (yield from ev_g(frame, left, flags)) if flags.get(id(left)) else ev(frame, left)
-            if op == "&&" and left is not True:
-                return False
-            if op == "||" and left is True:
-                return True
-            right = (yield from ev_g(frame, right, flags)) if flags.get(id(right)) else ev(frame, right)
-            return right if op in ("&&", "||") else binary_value(op, left, right)
-        if t is S.FieldAcc:
-            return self.field_of((yield from ev_g(frame, exp.scope, flags)), exp.name)
-        args = []
-        for a in exp.args:
-            args.append((yield from ev_g(frame, a, flags)) if flags.get(id(a)) else ev(frame, a))
-        if t is S.Call and flags.get(id(exp.scope)):
-            value = self.invoke_dynamic((yield from ev_g(frame, exp.scope, flags)), exp.name, args)
-        else:
-            value = self._call(frame, exp, args)
-        if type(value) is GeneratorType:
-            value = yield value
-        return value
-
-    def field_of(self, scope, name):
-        if isinstance(scope, GlobalObject):
-            if name in scope.fields:
-                return scope.fields[name]
-            raise ChoreoRuntimeError(
-                f"object of '{scope.info.name}' has no field '{name}' yet")
-        raise ChoreoRuntimeError(f"no field '{name}' on {scope!r}")
+    def static_field(self, frame, scope, name):
+        info = self.table.get(scope.name)
+        if info is not None and info.is_enum and name in info.node.cases:
+            return EnumV(info.name, name)
+        if scope.name == "System" and name == "out":
+            return PrintStreamV(self.console, frame.site[scope.roles[0]])
+        raise ChoreoRuntimeError(f"unknown static field '{scope.name}.{name}'")
 
     # ----------------------------------------------------------- observation
 
@@ -445,7 +534,7 @@ class GlobalInterpreter(Builtins):
             # Single-role objects relocate wholesale over channels; their
             # content is visible wherever the value ends up.
             return observed_object(info.name, value.fields.items(), again)
-        formal = value.formal_for_actual(role)
+        formal = next((f for f, actual in value.binding.items() if actual == role), None)
         if formal is None:
             return "unit"
         fields = []
@@ -469,18 +558,16 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
     to registry keys (every channel-typed constructor parameter must
     appear). ``wire_arguments`` says which argument each parameter gets.
     """
-    args_by_role = dict(args_by_role or {})
-    channels = dict(channels or {})
-    interp = GlobalInterpreter(checked)
+    channels = channels or {}
     info = checked.decl_info(entry_class)
-    if info is None:
-        raise ChoreoRuntimeError(f"unknown entry class '{entry_class}'")
+    entry_mi = next((mi for mi in info.methods if mi.name == entry_method),
+                    None) if info is not None else None
+    if entry_mi is None:
+        return error_report(f"unknown entry class '{entry_class}'" if info is None
+                            else f"'{entry_class}' has no method '{entry_method}'")
+    interp = GlobalInterpreter(checked)
     binding = {r: r for r in info.role_names}
     started = time.perf_counter()
-
-    entry_mi = next((mi for mi in info.methods if mi.name == entry_method), None)
-    if entry_mi is None:
-        raise ChoreoRuntimeError(f"'{entry_class}' has no method '{entry_method}'")
 
     def located(params):
         return [(p.name, interp.actual_roles(p.te, binding)) for p in params]
@@ -492,25 +579,21 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
             ctor_args = wire_arguments(located(ctor.node.params), channels,
                                        interp.claim_channel, owner=entry_class)
             receiver = interp.now(interp.instantiate(info, info.role_names, ctor, ctor_args))
-        pending = {r: list(vs) for r, vs in args_by_role.items()}
+        pending = {r: list(vs) for r, vs in (args_by_role or {}).items()}
         call_args = wire_arguments(located(entry_mi.node.params), channels,
                                    interp.claim_channel, pending)
 
         if entry_mi.is_static:
-            result = interp.now(interp.call_static(entry_mi, binding, call_args, owner=info))
+            result = interp.now(interp.call_static(entry_mi, binding, call_args))
         else:
-            result = interp.now(interp.run(receiver, receiver.binding, entry_mi, call_args))
+            result = interp.now(interp.run(receiver, receiver.binding, entry_mi.node, call_args))
         ret_roles = interp.actual_roles(entry_mi.node.return_te, binding)
-        returns = {}
-        for role in info.role_names:
-            returns[role] = interp.observe(result, role) if role in ret_roles else "unit"
+        returns = {role: interp.observe(result, role) if role in ret_roles else "unit"
+                   for role in info.role_names}
         status, error = "ok", None
-    except ChoreoRuntimeError as e:
-        returns = {}
-        status, error = "error", str(e)
     except Exception as e:  # a library caller gets a report, never a traceback
-        returns = {}
-        status, error = "error", f"{type(e).__name__}: {e}"
+        returns, status = {}, "error"
+        error = str(e) if isinstance(e, ChoreoRuntimeError) else f"{type(e).__name__}: {e}"
     duration = time.perf_counter() - started
     return ExecutionReport(returns, interp.console.transcripts(), duration, status, error)
 

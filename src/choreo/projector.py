@@ -395,11 +395,12 @@ class Projector:
             if exp.scope is None or self._is_this(exp.scope):
                 # Calls on the enclosing declaration: instance methods exist
                 # in every role's unit, but a static member belongs only to
-                # the roles its signature mentions.
+                # the roles its signature mentions, or to all of its
+                # declaration's roles when the signature mentions none.
                 res = self.checked.resolved.get(id(exp))
                 mi = res[1] if res and res[0] == "call" else None
                 if mi is not None and mi.is_static:
-                    if role not in self._signature_roles(mi):
+                    if role not in (self._signature_roles(mi) or mi.owner.role_names):
                         return self.unit_residue(args)
                 if exp.scope is None:
                     return LCall(None, ty_args, exp.name, args)

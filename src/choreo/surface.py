@@ -172,6 +172,10 @@ class SwitchCase(Node):
     label: object  # case identifier string, or Literal; None for default
     body: Stm
 
+    def __iter__(self):
+        """Unpacks as ``(label, body)``, as a local switch's case does."""
+        return iter((self.label, self.body))
+
 
 @dataclass(eq=False)
 class Switch(Stm):

@@ -99,6 +99,16 @@ def test_run_subcommand(capsys):
     assert "return[A]: 7006652" in out
 
 
+@pytest.mark.parametrize("command", ["oracle", "run"])
+def test_unknown_entry_class_is_an_error_report(command, tmp_path, capsys):
+    manifest = tmp_path / "nope.run.json"
+    manifest.write_text(json.dumps({"entry": {"class": "Nope", "method": "main"}}))
+    code = main([command, corpus("HelloRoles.chor"), "--manifest", str(manifest)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status: error\nerror: unknown entry class 'Nope'" in out
+
+
 def test_test_subcommand_pass_and_fail(capsys):
     assert main(["test", corpus("VitalsStreaming.chor")]) == 0
     out = capsys.readouterr().out

@@ -298,6 +298,116 @@ def test_eval_global_reports_python_exceptions():
 
 # ------------------------------------------------------------- differential
 
+def test_unknown_entry_is_an_error_report_in_both_evaluators():
+    checked = compile_ok("class H@A { public static void main() { } }")
+    units = project_ok(checked)
+    for report, error in [
+        (eval_global(checked, "Nope", "main"), "unknown entry class 'Nope'"),
+        (eval_global(checked, "H", "nope"), "'H' has no method 'nope'"),
+        (eval_distributed(units, "Nope", ["A"], "main"), "missing projected unit 'Nope'"),
+        (eval_distributed(units, "H", ["A"], "nope"), "'H' has no method 'nope'"),
+    ]:
+        assert (report.status, report.error) == ("error", error)
+
+
+def test_static_entry_wires_no_constructor_in_either_evaluator():
+    checked = compile_ok("""
+    class K@A {
+        Integer@A n;
+        public K(Integer@A n) { this.n = n; }
+        public static Integer@A go(Integer@A x) { return x; }
+    }
+    """)
+    cmp = differential_run(checked, "K", "go", {"A": [5]})
+    assert cmp.equal, cmp.summary()
+    assert cmp.distributed_report.returns == {"A": 5}
+
+
+def test_dispatch_table_covers_every_statement_and_expression_class():
+    # S.Chain is desugared before checking, so no evaluator meets it.
+    import inspect
+
+    from choreo import local as L
+    from choreo import surface as S
+    from choreo.interpreter import DISPATCH
+
+    classes = [c for module, bases in ((S, (S.Stm, S.Exp)), (L, (L.LStm, L.LExp)))
+               for _, c in inspect.getmembers(module, inspect.isclass)
+               if issubclass(c, bases) and c not in bases and c is not S.Chain]
+    assert len(classes) == 36  # 17 of the surface, 19 of the local language
+    assert [c.__name__ for c in classes if c not in DISPATCH] == []
+
+
+def test_unqualified_static_call_is_projected():
+    checked = compile_ok("""
+    class H@A {
+        static void hello() { System@A.out.println("hi"@A); }
+        public static void main() { hello(); }
+    }
+    """)
+    cmp = differential_run(checked, "H", "main")
+    assert cmp.equal, cmp.summary()
+    assert cmp.distributed_report.transcripts == {"A": ["hi"]}
+    spin = project_ok(compile_ok("class Spin@A { static void go() { go(); } }"))
+    assert "go();" in render_unit(spin.unit("Spin"))
+
+
+FORMS = """
+enum Mode@R { ON, OFF }
+
+class Base@A {
+    Integer@A total;
+    public Base(Integer@A start) { this.total = start; }
+}
+
+class Forms@A extends Base@A {
+    public Forms() { super(30@A); }
+
+    Boolean@A say(String@A word, Boolean@A b) {
+        System@A.out.println(word);
+        return b;
+    }
+
+    Integer@A pick(Mode@A mode, Integer@A n) {
+        switch (mode) {
+            case ON -> { if (n > 0@A) { return n * 2@A; } }
+            case OFF -> { return 0@A; }
+        }
+        return 1@A;
+    }
+
+    Integer@A work(Integer@A n) {
+        Integer@A x = n;
+        x += 7@A;
+        total += x;
+        if (true@A || say("never"@A, true@A)) { System@A.out.println("yes"@A); }
+        if (false@A && say("never"@A, true@A)) { System@A.out.println("no"@A); }
+        if (say("loud"@A, true@A) && say("both"@A, true@A)) {
+            try { total += pick(Mode@A.ON, x); } catch (Exception@A e) { total = 0@A; }
+        }
+        if (say("right"@A, false@A) || false@A) { total = 0@A; }
+        return total;
+    }
+
+    public static Integer@A go(Integer@A n) {
+        Forms@A f = new Forms@A();
+        return f.work(n);
+    }
+}
+"""
+
+
+def test_every_statement_form_runs_alike_in_both_evaluators():
+    # Compound assignment on a local and a field, short-circuit operators
+    # whose right operand prints, an enum switch, a try body, a return from
+    # a nested block and a super(...) constructor.
+    checked = compile_ok(FORMS)
+    cmp = differential_run(checked, "Forms", "go", {"A": [3]})
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.returns == {"A": 60}
+    assert cmp.global_report.transcripts == {"A": ["yes", "loud", "both", "right"]}
+
+
 def test_differential_hello(corpus_compiled):
     _, checked, units = corpus_compiled["HelloRoles"]
     cmp = differential_run(checked, "HelloRoles", "sayHello", local_program=units)
