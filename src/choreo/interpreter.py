@@ -73,7 +73,8 @@ DISPATCH = {cls: (kind, attr) for kind, attr, *classes in _FORMS for cls in clas
 KIND = {cls: kind for cls, (kind, _) in DISPATCH.items()}  # the kinds alone
 
 OWN, DEEP = 1, 2  # see ``Evaluator.flag``
-LEAVES = frozenset((NAME, LITERAL, UNIT_ATOM, TYPE))  # they never call
+# The classes of the expressions that never call.
+LEAVES = frozenset(cls for cls, kind in KIND.items() if kind in (NAME, LITERAL, UNIT_ATOM, TYPE))
 
 
 class ProgramObject:
@@ -165,7 +166,7 @@ class Evaluator(Builtins):
             return 0
         deep = False
         for o in operands:
-            if KIND[type(o)] not in LEAVES and self.flag(o):
+            if type(o) not in LEAVES and self.flag(o):
                 deep = True
         own = not deep and (kind is CALL or kind is NEW) and self.may_call(exp)
         flag = DEEP if deep else OWN if own else 0
