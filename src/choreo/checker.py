@@ -6,11 +6,18 @@ clashes), validate selection annotations, kind-check declared type
 expressions, then check member bodies bidirectionally. The result is a
 CheckedProgram whose side tables answer ``type_of`` and ``roles_of`` for the
 projector and interpreters.
+
+The prelude's declarations are checked once per process into a read-only
+``PreludeLayer``; each program's checker starts from copies of its tables
+and checks only the program's own declarations.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import surface as S
 from .diagnostics import Code, Reporter
@@ -46,7 +53,7 @@ class FTPInfo:
 @dataclass
 class MethodInfo:
     node: S.Method
-    owner: "DeclInfo"
+    owner: "DeclInfo"  # a weak proxy: the DeclInfo holds its MethodInfos
     ftps: list = field(default_factory=list)
 
     @property
@@ -211,15 +218,21 @@ class CheckedProgram:
 # ------------------------------------------------------------------ checker
 
 class Checker:
-    def __init__(self, program: S.SurfaceProgram, reporter: Reporter, prelude_names=()):
+    """Checks ``decls``, a program's own declarations, on top of
+    ``prelude``, the ``PreludeLayer`` of the declarations before them. Each
+    table starts as a plain copy of the layer's, so a lookup reads one dict."""
+
+    def __init__(self, program: S.SurfaceProgram, reporter: Reporter, prelude, decls):
         self.program = program
         self.reporter = reporter
-        self.prelude_names = set(prelude_names)
-        self.table = {}
-        self.var_bounds = {}  # TVar uid -> [bound ctor Type]
-        self.var_ftp = {}  # TVar uid -> FTPInfo
+        self.prelude = prelude
+        self.decls = decls
+        self.own = []  # DeclInfos of ``decls`` that entered the table
+        self.table = prelude.table.copy()
+        self.var_bounds = prelude.var_bounds.copy()  # TVar uid -> [bound ctor Type]
+        self.var_ftp = prelude.var_ftp.copy()  # TVar uid -> FTPInfo
         self.exp_types = {}
-        self.te_types = {}
+        self.te_types = prelude.te_types.copy()
         self.resolved = {}  # id(Call/New) -> (kind, MethodInfo)
         self.var_tes = {}  # id(VarDecl) -> denoted Type
         # (name, arity) of the methods with a body outside the prelude: a
@@ -229,31 +242,31 @@ class Checker:
         self.cyclic = set()  # decl names reported for cyclic inheritance
         self._failed_tes = set()
         # Type facts, each computed on first use and kept for this program.
-        self._decl_scopes = {}  # decl name -> Scope
-        self._method_scopes = {}  # id(MethodInfo) -> Scope
-        self._decl_supers = {}  # decl name -> direct supertypes at its formals
-        self._closures = {}  # decl name -> [(DeclInfo, subst)]
-        self._param_types = {}  # id(MethodInfo) -> (param Type or None, ...)
-        self._return_types = {}  # id(MethodInfo) -> return Type or None
+        self._decl_scopes = prelude.decl_scopes.copy()  # decl name -> Scope
+        self._method_scopes = prelude.method_scopes.copy()  # id(MethodInfo) -> Scope
+        # decl name -> direct supertypes at its formals
+        self._decl_supers = prelude.decl_supers.copy()
+        self._closures = prelude.closures.copy()  # decl name -> [(DeclInfo, subst)]
+        # id(MethodInfo) -> (param Type or None, ...)
+        self._param_types = prelude.param_types.copy()
+        self._return_types = prelude.return_types.copy()  # id(MethodInfo) -> Type or None
 
     # ------------------------------------------------------------ pipeline
 
     def run(self):
         self.build_table()
-        if self.table:
-            self.check_role_constraints()
-            self.validate_selection_annotations()
-            self.kind_check_declarations()
-            for info in self.table.values():
-                if info.name in self.suppressed:
-                    continue
+        self.check_role_constraints()
+        self.validate_selection_annotations()
+        self.kind_check_declarations()
+        for info in self.own:
+            if info.name not in self.suppressed:
                 self.check_decl(info)
         return CheckedProgram(self.program, self.table, self)
 
     # -------------------------------------------------------- symbol table
 
-    def build_table(self):
-        for decl in self.program.decls:
+    def build_table(self, is_prelude=False):
+        for decl in self.decls:
             if decl.name in self.table:
                 self.reporter.error(
                     Code.DuplicateName, decl.span,
@@ -263,26 +276,27 @@ class Checker:
                 node=decl,
                 sym=TSym(decl.name),
                 role_vars=[fresh_var(r, role=True) for r in decl.roles],
-                is_prelude=decl.name in self.prelude_names,
+                is_prelude=is_prelude,
             )
             self.table[decl.name] = info
-        for info in list(self.table.values()):
+            self.own.append(info)
+        for info in self.own:
             scope = Scope({v.name: v for v in info.role_vars}, {})
             if isinstance(info.node, (S.ClassDecl, S.InterfaceDecl)):
                 info.ftps = self.build_ftps(info.node.ftps, scope)
                 scope = self.decl_scope(info)
+                owner = weakref.proxy(info)
                 for m in info.node.methods:
-                    mi = MethodInfo(m, info)
-                    info.methods.append(mi)
-                    if m.body is not None and not info.is_prelude:
+                    info.methods.append(MethodInfo(m, owner))
+                    if m.body is not None and not is_prelude:
                         self.method_keys.add((m.name, len(m.params)))
                 if isinstance(info.node, S.ClassDecl):
                     for c in info.node.constructors:
-                        info.constructors.append(MethodInfo(c, info))
+                        info.constructors.append(MethodInfo(c, owner))
                     if not info.constructors:
                         default = S.Method(info.node.span, [], ["public"], [], None,
                                            info.name, [], None, is_constructor=True)
-                        info.constructors.append(MethodInfo(default, info))
+                        info.constructors.append(MethodInfo(default, owner))
             # Method-level type parameters.
             for mi in info.methods + info.constructors:
                 mi.ftps = self.build_ftps(mi.node.ftps, scope)
@@ -482,11 +496,12 @@ class Checker:
     # -------------------------------------------------------------- kinds
 
     def kind_env(self):
-        theta = {}
-        for info in self.table.values():
+        theta = self.prelude.kinds.copy()
+        for info in self.own:
             theta[info.sym.name] = self.symbol_kind(info)
         for uid, fi in self.var_ftp.items():
-            theta[uid] = self.ftp_kind(fi)
+            if uid not in theta:
+                theta[uid] = self.ftp_kind(fi)
         return theta
 
     def symbol_kind(self, info):
@@ -557,7 +572,7 @@ class Checker:
             if kind.bound is None:
                 return kind
             mapping = {}
-            for v in self.collect_vars(kind.bound):
+            for v in collect_vars(kind.bound, []):
                 if v.name == var_name:
                     mapping[v.uid] = arg
             return StarKind(reduce_type(substitute(kind.bound, mapping)))
@@ -565,25 +580,6 @@ class Checker:
             return CtorKind(kind.var, self.subst_kind(kind.param, var_name, arg),
                             self.subst_kind(kind.result, var_name, arg))
         return kind
-
-    @staticmethod
-    def collect_vars(t):
-        out = []
-
-        def walk(u):
-            if isinstance(u, TVar):
-                out.append(u)
-            elif isinstance(u, TApp):
-                walk(u.ctor)
-                walk(u.arg)
-            elif isinstance(u, TAbs):
-                walk(u.body)
-            elif isinstance(u, TInter):
-                for i in u.items:
-                    walk(i)
-
-        walk(t)
-        return out
 
     # ----------------------------------------------------------- subtyping
 
@@ -734,9 +730,7 @@ class Checker:
 
     def check_role_constraints(self):
         self.check_cycles()
-        for info in self.table.values():
-            if info.is_prelude:
-                continue
+        for info in self.own:
             decl_roles = set(info.role_names)
             scope = self.decl_scope(info)
             for te in info.super_tes():
@@ -752,13 +746,15 @@ class Checker:
                         f"of '{info.name}' ({', '.join(sorted(decl_roles))}).")
                     self.suppressed.add(info.name)
             self.check_unused_roles(info)
-        for info in self.table.values():
-            if not info.is_prelude and info.name not in self.suppressed:
+        for info in self.own:
+            if info.name not in self.suppressed:
                 self.check_overload_clashes(info)
 
     def check_cycles(self):
+        # A cycle has no prelude declaration on it: the prelude's supertypes
+        # are all in the prelude, which is checked to have no cycle.
         edges = {}
-        for info in self.table.values():
+        for info in self.own:
             targets = []
             for te in info.super_tes():
                 if te.name in self.table:
@@ -790,34 +786,28 @@ class Checker:
 
     def check_unused_roles(self, info):
         used = set()
-
-        def te_roles(te):
-            used.update(te.roles)
-            for a in te.args:
-                te_roles(a)
-
         for te in self.all_member_tes(info):
-            te_roles(te)
+            te_roles(te, used)
         for mi in info.methods + info.constructors:
             if mi.node.body is None:
                 continue
             for stm in _walk_stms(mi.node.body):
                 te = getattr(stm, "te", None)
                 if te is not None:
-                    te_roles(te)
+                    te_roles(te, used)
                 if isinstance(stm, S.TryCatch):
                     for h in stm.handlers:
-                        te_roles(h.te)
+                        te_roles(h.te, used)
             for exp in S.walk_exps(mi.node.body):
                 if isinstance(exp, (S.Literal, S.StaticRef)):
                     used.update(exp.roles)
                 elif isinstance(exp, S.New):
                     used.update(exp.roles)
                     for t in exp.type_args:
-                        te_roles(t)
+                        te_roles(t, used)
                 elif isinstance(exp, S.Call):
                     for t in exp.type_args:
-                        te_roles(t)
+                        te_roles(t, used)
         for role in info.role_names:
             if role not in used and len(info.role_names) > 1:
                 self.reporter.warn(
@@ -892,7 +882,7 @@ class Checker:
     # ------------------------------------------------- selection annotations
 
     def validate_selection_annotations(self):
-        for info in self.table.values():
+        for info in self.own:
             for mi in info.methods:
                 if mi.annotation("SelectionMethod") is None:
                     continue
@@ -972,10 +962,8 @@ class Checker:
     def kind_check_declarations(self):
         theta = self.kind_env()
         well_kinded = set()  # many member types are the same type, e.g. String@A
-        for info in self.table.values():
+        for info in self.own:
             if info.name in self.suppressed:
-                continue
-            if info.is_prelude:
                 continue
             for te, scope in self.member_tes_with_scope(info):
                 t = self.denote(te, scope)
@@ -991,7 +979,7 @@ class Checker:
         return app(info.sym, *info.role_vars, *[f.var for f in info.ftps])
 
     def check_decl(self, info):
-        if info.is_prelude or info.is_enum:
+        if info.is_enum:
             return
         for mi in info.methods:
             if mi.node.body is None:
@@ -1610,6 +1598,28 @@ class Checker:
         return fail()
 
 
+def collect_vars(t, out):
+    """Append every variable of type ``t`` to ``out``; returns ``out``."""
+    if isinstance(t, TVar):
+        out.append(t)
+    elif isinstance(t, TApp):
+        collect_vars(t.ctor, out)
+        collect_vars(t.arg, out)
+    elif isinstance(t, TAbs):
+        collect_vars(t.body, out)
+    elif isinstance(t, TInter):
+        for i in t.items:
+            collect_vars(i, out)
+    return out
+
+
+def te_roles(te, out):
+    """Add the role names written in a type expression to the set ``out``."""
+    out.update(te.roles)
+    for a in te.args:
+        te_roles(a, out)
+
+
 def _walk_stms(stm):
     """Yield every statement node in a body, including nested ones."""
     while stm is not None:
@@ -1645,10 +1655,90 @@ class _BodyCtx:
     constructor: bool
 
 
+# ------------------------------------------------------------ prelude layer
+
+_NOTHING = MappingProxyType({})
+
+
+class PreludeLayer(NamedTuple):
+    """The prelude's declarations, checked once: the tables a ``Checker``
+    starts from, read-only. The default is the empty layer of a program
+    without a prelude."""
+
+    table: MappingProxyType = _NOTHING
+    var_bounds: MappingProxyType = _NOTHING
+    var_ftp: MappingProxyType = _NOTHING
+    kinds: MappingProxyType = _NOTHING
+    te_types: MappingProxyType = _NOTHING
+    decl_scopes: MappingProxyType = _NOTHING
+    method_scopes: MappingProxyType = _NOTHING
+    decl_supers: MappingProxyType = _NOTHING
+    closures: MappingProxyType = _NOTHING
+    param_types: MappingProxyType = _NOTHING
+    return_types: MappingProxyType = _NOTHING
+
+    @classmethod
+    def build(cls, decls):
+        """Check the prelude ``decls`` alone and work out, eagerly, the
+        scopes, supertypes, supertype closures, method signatures and kinds
+        of every one of them. The prelude is trusted: a diagnostic here is
+        a fault in it, raised as ``RuntimeError``."""
+        ck = Checker(S.SurfaceProgram(list(decls)), Reporter(), cls(), decls)
+        ck.build_table(is_prelude=True)
+        ck.check_cycles()
+        ck.validate_selection_annotations()
+        for info in ck.own:
+            ck.supertype_closure(info)
+            for mi in info.methods + info.constructors:
+                ck.param_types(mi)
+                ck.return_type(mi)
+        kinds = ck.kind_env()
+        if ck.reporter.items:
+            raise RuntimeError("prelude failed to check:\n" + "\n".join(
+                d.render() for d in ck.reporter.items))
+        tables = dict(
+            table=ck.table, var_bounds=ck.var_bounds, var_ftp=ck.var_ftp, kinds=kinds,
+            te_types=ck.te_types, decl_scopes=ck._decl_scopes, method_scopes=ck._method_scopes,
+            decl_supers=ck._decl_supers, closures=ck._closures, param_types=ck._param_types,
+            return_types=ck._return_types)
+        return cls(**{name: MappingProxyType(t) for name, t in tables.items()})
+
+
+_EMPTY_LAYER = PreludeLayer()
+_last_layer = []  # [(prelude declarations, their PreludeLayer)], at most one
+
+
+def prelude_layer(decls):
+    """The layer of the prelude ``decls``, built on first use and kept for
+    the next call with these very declaration objects."""
+    if not decls:
+        return _EMPTY_LAYER
+    if _last_layer:
+        kept, layer = _last_layer[0]
+        if len(kept) == len(decls) and all(a is b for a, b in zip(kept, decls)):
+            return layer
+    layer = PreludeLayer.build(decls)
+    _last_layer[:] = [(tuple(decls), layer)]
+    return layer
+
+
+def split_prelude(decls, prelude_names):
+    """The leading prelude declarations (the first of each name in
+    ``prelude_names``) and the program's own, which follow them."""
+    seen = set()
+    for i, decl in enumerate(decls):
+        if decl.name not in prelude_names or decl.name in seen:
+            return decls[:i], decls[i:]
+        seen.add(decl.name)
+    return decls, []
+
+
 # ------------------------------------------------------------- entry point
 
 def check_program(program, reporter=None, prelude_names=()):
+    """Check ``program``, whose declarations start with those of the prelude
+    when ``prelude_names`` names them; returns (CheckedProgram, reporter)."""
     reporter = reporter if reporter is not None else Reporter()
-    checker = Checker(program, reporter, prelude_names)
-    checked = checker.run()
+    prelude, own = split_prelude(program.decls, prelude_names)
+    checked = Checker(program, reporter, prelude_layer(prelude), own).run()
     return checked, reporter

@@ -249,6 +249,13 @@ def _failure_summary(context, outcomes):
     return "; ".join(parts)
 
 
+def _not_started(message):
+    """The report of a distributed run whose workers never started."""
+    report = error_report(message)
+    report.outcomes = {}
+    return report
+
+
 def eval_distributed(local_program, entry_class, roles, entry_method,
                      args_by_role=None, channels=None, deadline=10.0):
     """Runs one worker per role until all finish, one fails, they deadlock
@@ -270,21 +277,22 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
         methods = getattr(unit.decl, "methods", ()) if unit is not None else ()
         method = next((m for m in methods if m.name == entry_method), None)
         if method is None:
-            report = error_report(f"missing projected unit '{unit_name}'" if unit is None
-                                  else f"'{unit_name}' has no method '{entry_method}'")
-            report.outcomes = {}
-            return report
+            return _not_started(f"missing projected unit '{unit_name}'" if unit is None
+                                else f"'{unit_name}' has no method '{entry_method}'")
 
         def located(params, role=role):
             return [(p.name, set() if p.te.name == "Unit" else {role}) for p in params]
 
         claim = partial(registry.claim, claimant=role)
         ctor_args, decl = [], unit.decl  # a static entry makes no instance
-        if "static" not in method.modifiers and isinstance(decl, LClass) and decl.constructors:
-            ctor_args = wire_arguments(located(decl.constructors[0].params),
-                                       channels, claim, owner=unit_name)
-        method_args = wire_arguments(located(method.params), channels, claim,
-                                     {role: list(args_by_role.get(role, []))})
+        try:
+            if "static" not in method.modifiers and isinstance(decl, LClass) and decl.constructors:
+                ctor_args = wire_arguments(located(decl.constructors[0].params),
+                                           channels, claim, owner=unit_name)
+            method_args = wire_arguments(located(method.params), channels, claim,
+                                         {role: list(args_by_role.get(role, []))})
+        except ChoreoRuntimeError as e:
+            return _not_started(f"{role}: {e}")
         entries[role] = (unit_name, entry_method, ctor_args, method_args)
     outcomes = run_workers(local_program, registry, console, entries)
 

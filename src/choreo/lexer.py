@@ -8,7 +8,6 @@ into two ``>`` tokens inside type-argument lists.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .diagnostics import Code, Diagnostic, DiagnosticError, Severity
 from .span import SourceFile, Span
@@ -30,13 +29,32 @@ OPERATORS = [
 # One alternation, longest operators first, so that a match is greedy.
 _OPERATOR = re.compile("|".join(
     re.escape(op) for op in sorted(OPERATORS, key=len, reverse=True)))
+_SPACE = re.compile(r"[ \t\r\n]+")
+# The rest of an identifier: \w is str.isalnum() or "_".
+_WORD_REST = re.compile(r"\w*")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "ident" | "keyword" | "int" | "float" | "string" | "op" | "eof"
-    lexeme: str
-    span: Span
+    """One token: its kind, its lexeme and its half-open offsets in ``source``.
+
+    A ``Span`` is built only on demand, for an AST node or a diagnostic.
+    """
+
+    __slots__ = ("kind", "lexeme", "start", "end", "source")
+
+    def __init__(self, kind, lexeme, start, end, source):
+        self.kind = kind  # "ident" | "keyword" | "int" | "float" | "string" | "op" | "eof"
+        self.lexeme = lexeme
+        self.start = start
+        self.end = end
+        self.source = source
+
+    @property
+    def span(self):
+        return Span(self.source, self.start, self.end)
+
+    def __repr__(self):
+        return f"Token({self.kind!r}, {self.lexeme!r}, {self.start}, {self.end})"
 
 
 def lex(source: SourceFile):
@@ -53,13 +71,13 @@ def lex(source: SourceFile):
     while i < n:
         ch = text[i]
         if ch in " \t\r\n":
-            i += 1
+            i = _SPACE.match(text, i).end()
             continue
-        if text.startswith("//", i):
+        if ch == "/" and text.startswith("//", i):
             j = text.find("\n", i)
             i = n if j < 0 else j + 1
             continue
-        if text.startswith("/*", i):
+        if ch == "/" and text.startswith("/*", i):
             j = text.find("*/", i + 2)
             if j < 0:
                 err(i, "unterminated block comment")
@@ -67,11 +85,10 @@ def lex(source: SourceFile):
             continue
         start = i
         if ch.isalpha() or ch == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
+            i = _WORD_REST.match(text, i + 1).end()
             word = text[start:i]
             kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, Span(source, start, i)))
+            tokens.append(Token(kind, word, start, i, source))
             continue
         if ch.isdigit():
             while i < n and text[i].isdigit():
@@ -82,7 +99,7 @@ def lex(source: SourceFile):
                 i += 1
                 while i < n and text[i].isdigit():
                     i += 1
-            tokens.append(Token(kind, text[start:i], Span(source, start, i)))
+            tokens.append(Token(kind, text[start:i], start, i, source))
             continue
         if ch == '"':
             i += 1
@@ -107,12 +124,12 @@ def lex(source: SourceFile):
                     err(start, "unterminated string literal")
                 buf.append(c)
                 i += 1
-            tokens.append(Token("string", "".join(buf), Span(source, start, i)))
+            tokens.append(Token("string", "".join(buf), start, i, source))
             continue
         m = _OPERATOR.match(text, i)
         if m is None:
             err(i, f"unexpected character {ch!r}")
         i = m.end()
-        tokens.append(Token("op", m.group(), Span(source, start, i)))
-    tokens.append(Token("eof", "", Span(source, n, n)))
+        tokens.append(Token("op", m.group(), start, i, source))
+    tokens.append(Token("eof", "", n, n, source))
     return tokens

@@ -33,28 +33,31 @@ BIN_TIERS = [
 
 
 class _Stream:
+    """The token list, ending in the one ``eof`` token, which ``next`` never
+    moves past; ``peek(1)`` is only asked for after a token that is not
+    ``eof``."""
+
     def __init__(self, tokens):
         self.tokens = list(tokens)
         self.pos = 0
 
     def peek(self, ahead=0):
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
     def next(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def at(self, lexeme, kind=None):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if kind and tok.kind != kind:
             return False
         return tok.lexeme == lexeme
 
     def at_kind(self, kind):
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def mark(self):
         return self.pos
@@ -64,12 +67,12 @@ class _Stream:
 
     def split_shr(self):
         """Split a ``>>`` token into two ``>`` tokens (nested generics)."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "op" and tok.lexeme == ">>":
-            first = Token("op", ">", Span(tok.span.source, tok.span.start, tok.span.start + 1))
-            second = Token("op", ">", Span(tok.span.source, tok.span.start + 1, tok.span.end))
-            self.tokens[self.pos] = second
-            self.tokens.insert(self.pos, first)
+            self.tokens[self.pos:self.pos + 1] = [
+                Token("op", ">", tok.start, tok.start + 1, tok.source),
+                Token("op", ">", tok.start + 1, tok.end, tok.source),
+            ]
 
 
 class Parser:
@@ -99,7 +102,7 @@ class Parser:
 
     def span_from(self, start_tok):
         prev = self.ts.tokens[max(self.ts.pos - 1, 0)]
-        return Span(self.src, start_tok.span.start, prev.span.end)
+        return Span(self.src, start_tok.start, prev.end)
 
     # ------------------------------------------------------------ program
 
@@ -611,7 +614,7 @@ class Parser:
 
     def span_from_exp(self, exp):
         prev = self.ts.tokens[max(self.ts.pos - 1, 0)]
-        return Span(self.src, exp.span.start, prev.span.end)
+        return Span(self.src, exp.span.start, prev.end)
 
     def parse_call_type_args(self):
         self.expect("<")
@@ -820,40 +823,41 @@ def _all_methods(decl):
 def expand_literal_lists(program, reporter: Reporter = None):
     """Expand ``lit@[R1,..,Rn]`` arguments into n located literal arguments."""
     reporter = reporter if reporter is not None else Reporter()
-
-    def expand_args(args):
-        out = []
-        for a in args:
-            if isinstance(a, S.Literal) and a.is_list_sugar:
-                for role in a.roles:
-                    out.append(S.Literal(a.span, a.value, [role]))
-            else:
-                out.append(visit(a))
-        return out
-
-    def visit(exp):
-        if exp is None:
-            return None
-        if isinstance(exp, S.Literal) and exp.is_list_sugar:
-            reporter.error(Code.SyntaxError, exp.span,
-                           "literal role lists are only allowed in argument positions")
-            return S.Literal(exp.span, exp.value, exp.roles[:1])
-        if isinstance(exp, S.Call):
-            exp.scope = visit(exp.scope)
-            exp.args = expand_args(exp.args)
-        elif isinstance(exp, S.New):
-            exp.args = expand_args(exp.args)
-        elif isinstance(exp, S.FieldAcc):
-            exp.scope = visit(exp.scope)
-        elif isinstance(exp, S.Binary):
-            exp.left = visit(exp.left)
-            exp.right = visit(exp.right)
-        elif isinstance(exp, S.Chain):
-            exp.first = visit(exp.first)
-        return exp
-
     for decl in program.decls:
         for m in _all_methods(decl):
             if m.body is not None:
-                _map_stm_exps(m.body, visit)
+                _map_stm_exps(m.body, lambda exp: _expand_exp(exp, reporter))
     return program, reporter
+
+
+def _expand_args(args, reporter):
+    out = []
+    for a in args:
+        if isinstance(a, S.Literal) and a.is_list_sugar:
+            for role in a.roles:
+                out.append(S.Literal(a.span, a.value, [role]))
+        else:
+            out.append(_expand_exp(a, reporter))
+    return out
+
+
+def _expand_exp(exp, reporter):
+    if exp is None:
+        return None
+    if isinstance(exp, S.Literal) and exp.is_list_sugar:
+        reporter.error(Code.SyntaxError, exp.span,
+                       "literal role lists are only allowed in argument positions")
+        return S.Literal(exp.span, exp.value, exp.roles[:1])
+    if isinstance(exp, S.Call):
+        exp.scope = _expand_exp(exp.scope, reporter)
+        exp.args = _expand_args(exp.args, reporter)
+    elif isinstance(exp, S.New):
+        exp.args = _expand_args(exp.args, reporter)
+    elif isinstance(exp, S.FieldAcc):
+        exp.scope = _expand_exp(exp.scope, reporter)
+    elif isinstance(exp, S.Binary):
+        exp.left = _expand_exp(exp.left, reporter)
+        exp.right = _expand_exp(exp.right, reporter)
+    elif isinstance(exp, S.Chain):
+        exp.first = _expand_exp(exp.first, reporter)
+    return exp

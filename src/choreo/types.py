@@ -206,14 +206,20 @@ def _occurs(var, t):
 
 def reduce_type(t):
     """Normal form under beta (``(Abs X. body)[arg] -> body{arg/X}``) and eta
-    (``Abs X. f[X] -> f`` when X is not free in f)."""
-    if isinstance(t, TApp):
+    (``Abs X. f[X] -> f`` when X is not free in f). A term already in normal
+    form is returned as it is, not copied."""
+    cls = type(t)
+    if cls is TApp:
         ctor = reduce_type(t.ctor)
         arg = reduce_type(t.arg)
-        if isinstance(ctor, TAbs):
+        if type(ctor) is TAbs:
             return reduce_type(substitute(ctor.body, {ctor.var.uid: arg}))
+        if ctor is t.ctor and arg is t.arg:
+            return t
         return TApp(ctor, arg)
-    if isinstance(t, TAbs):
+    if cls is TVar or cls is TSym:
+        return t
+    if cls is TAbs:
         body = reduce_type(t.body)
         if (
             isinstance(body, TApp)
@@ -222,10 +228,13 @@ def reduce_type(t):
             and not _occurs(t.var, body.ctor)
         ):
             return reduce_type(body.ctor)
-        return TAbs(t.var, t.kind, body)
-    if isinstance(t, TInter):
-        return TInter(tuple(reduce_type(i) for i in t.items))
-    if isinstance(t, TFun):
+        return t if body is t.body else TAbs(t.var, t.kind, body)
+    if cls is TInter:
+        items = tuple(reduce_type(i) for i in t.items)
+        if all(a is b for a, b in zip(items, t.items)):
+            return t
+        return TInter(items)
+    if cls is TFun:
         return TFun(tuple(reduce_type(p) for p in t.params), reduce_type(t.result))
     return t
 

@@ -1,8 +1,16 @@
 """Denotation, subtyping, bidirectional checking, and role constraints."""
 
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from conftest import compile_ok, compile_text
 
+import choreo
 from choreo import surface as S
 from choreo.diagnostics import Code, Severity
 from choreo.printer import render_unit
@@ -384,6 +392,84 @@ def test_inherited_overload_clash():
 def test_duplicate_declarations_rejected():
     _, reporter = compile_text("class C@A { } class C@A { }")
     assert Code.DuplicateName in codes(reporter)
+
+
+def compile_outcome(name, text):
+    """Diagnostics (code, line, column, message) and rendered units of one
+    program; a fresh process runs this function's own source."""
+    from choreo.pipeline import compile_sources
+    from choreo.printer import render_unit
+    from choreo.projector import project_program
+
+    checked, reporter = compile_sources([(name, text)])
+    rendered = []
+    if not reporter.has_errors():
+        units, reporter = project_program(checked, reporter)
+        if not reporter.has_errors():
+            rendered = [render_unit(u) for u in units.units]
+    return {"diagnostics": [[d.code.value, d.span.line, d.span.col, d.message]
+                            for d in reporter.items],
+            "rendered": rendered}
+
+
+CHOICE_TWO = """enum Choice@R { LEFT, RIGHT }
+
+class Pick@(A, B) {
+    public static void go(DiSelectChannel@(A, B) ch, Choice@A c) {
+        switch (ch.<Choice>select(c)) {
+            case LEFT -> { System@B.out.println("left"@B); }
+            default -> { System@B.out.println("right"@B); }
+        }
+    }
+}
+"""
+
+CHOICE_THREE = """enum Choice@R { ONE, TWO, THREE }
+
+class Count@(A, B) {
+    public static void go(DiSelectChannel@(A, B) ch) {
+        switch (ch.<Choice>select(Choice@A.THREE)) {
+            case THREE -> { System@B.out.println("three"@B); }
+            default -> { System@B.out.println("less"@B); }
+        }
+    }
+}
+"""
+
+OWN_LIST = """interface List@A<T@X> { }
+
+class Keep@A {
+    public static List@A<Integer> keep(List@A<Integer> xs) { return xs; }
+}
+"""
+
+
+def test_programs_compiled_in_one_process_match_fresh_processes():
+    """The prelude is checked once per process; no program's declarations
+    leak into the next one's compile."""
+    from choreo.corpus import corpus_root
+
+    root = corpus_root()
+    programs = [("choice_two.chor", CHOICE_TWO), ("choice_three.chor", CHOICE_THREE),
+                ("own_list.chor", OWN_LIST)]
+    programs += [(str(path), path.read_text()) for path in (
+        root / "positive" / "HelloRoles.chor", root / "negative" / "type_mismatch.chor",
+        root / "positive" / "ConsumeItems.chor")]
+    here = [compile_outcome(name, text) for name, text in programs]
+    script = (inspect.getsource(compile_outcome) + "\nimport json, sys\n"
+              "print(json.dumps(compile_outcome(sys.argv[1], sys.stdin.read())))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(choreo.__file__).parents[1]))
+    fresh = [subprocess.Popen([sys.executable, "-c", script, name], env=env, text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+             for name, _ in programs]
+    for (name, text), proc, outcome in zip(programs, fresh, here):
+        out, _ = proc.communicate(text, timeout=60)
+        assert proc.returncode == 0, name
+        assert json.loads(out) == outcome, name
+    assert [len(o["rendered"]) for o in here] == [3, 3, 0, 2, 0, 4]
+    assert here[2]["diagnostics"] == [
+        ["DuplicateName", 1, 1, "duplicate declaration of 'List'."]]
+    assert [d[0] for d in here[4]["diagnostics"]] == ["TypeMismatch"]
 
 
 def test_unused_role_warns_but_does_not_fail():

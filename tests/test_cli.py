@@ -109,6 +109,20 @@ def test_unknown_entry_class_is_an_error_report(command, tmp_path, capsys):
     assert "status: error\nerror: unknown entry class 'Nope'" in out
 
 
+@pytest.mark.parametrize("command,error", [
+    ("oracle", "constructor parameter 'ch_AB' of 'Mergesort' has no channel wiring"),
+    ("run", "A: constructor parameter 'ch_AB' of 'Mergesort_A' has no channel wiring"),
+])
+def test_missing_channel_wiring_is_an_error_report(command, error, tmp_path, capsys):
+    manifest = tmp_path / "nowire.run.json"
+    manifest.write_text(json.dumps({"entry": {"class": "Mergesort", "method": "sort"},
+                                    "args": {"A": [[3, 1, 2]]}}))
+    code = main([command, corpus("MergeSort.chor"), "--manifest", str(manifest)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"status: error\nerror: {error}\n" in out
+
+
 def test_test_subcommand_pass_and_fail(capsys):
     assert main(["test", corpus("VitalsStreaming.chor")]) == 0
     out = capsys.readouterr().out

@@ -77,6 +77,29 @@ def test_negative_corpus_expected_diagnostics(path, expected):
             assert d.code.value == expected["code"], d.render()
 
 
+NEGATIVE_POSITIONS = {
+    "bad_selection": [("BadSelectionAnnotation", 2, 5)],
+    "cyclic_symchannel": [("CyclicInheritance", 1, 39)],
+    "illegal_overload": [("IllegalOverload", 4, 5)],
+    "role_aliasing": [("RoleAliasing", 2, 12)],
+    "role_mismatch": [("TypeMismatch", 4, 34)],
+    "role_set_change": [("RoleSetMismatch", 1, 57)],
+    "type_mismatch": [("TypeMismatch", 3, 23)],
+    "wrong_consume": [("MergeFailure", 7, 9)],
+}
+
+
+def test_negative_corpus_diagnostic_positions():
+    """Every diagnostic of the negative corpus, with its line and column."""
+    found = {}
+    for path, _ in negative_entries():
+        checked, reporter = compile_files([path])
+        if not reporter.has_errors():
+            _, reporter = project_program(checked, reporter)
+        found[path.stem] = [(d.code.value, d.span.line, d.span.col) for d in reporter.items]
+    assert found == NEGATIVE_POSITIONS
+
+
 def test_positive_unit_counts_match_roles(corpus_compiled):
     for name, (_, checked, units) in corpus_compiled.items():
         for info in checked.table.values():

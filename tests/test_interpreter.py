@@ -4,9 +4,9 @@ import gc
 import sys
 import time
 
-import pytest
 from conftest import compile_ok, compile_text
 
+from choreo.corpus import positive_entries
 from choreo.diagnostics import Code, Reporter
 from choreo.differential import differential_run
 from choreo.distributed import eval_distributed
@@ -16,6 +16,7 @@ from choreo.local import (
     LocalProgram, LocalUnit,
 )
 from choreo.local_reader import parse_local_unit
+from choreo.pipeline import compile_sources
 from choreo.printer import render_unit
 from choreo.projector import project_program
 from choreo.runtime import CHANNEL_CAPACITY, MAX_CALL_DEPTH
@@ -233,6 +234,23 @@ def test_a_run_leaves_no_cyclic_garbage(corpus_compiled):
             assert garbage == 0, name
 
 
+def test_a_compile_leaves_no_cyclic_garbage():
+    sources = [[(str(prog.path), prog.path.read_text())] for prog in positive_entries()]
+    gc.collect()
+    gc.disable()
+    try:
+        for srcs in sources:
+            checked, reporter = compile_sources(srcs)
+            units, reporter = project_program(checked, reporter)
+            assert not reporter.has_errors()
+            for unit in units.units:
+                render_unit(unit)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
+
+
 def test_peer_crash_mid_stream_cancels_the_sender_at_once():
     # B fails after its first receive while A has more to send than a
     # channel holds: A is cancelled instead of waiting out the deadline.
@@ -275,10 +293,17 @@ def test_both_evaluators_wire_a_channel_named_parameter_alike():
 
 def test_worker_error_carries_role_and_message(corpus_compiled):
     _, checked, units = corpus_compiled["MergeSort"]
-    # Missing channel wiring is a configuration error, reported per role.
-    with pytest.raises(Exception):
-        eval_distributed(units, "Mergesort", ["A", "B", "C"], "sort",
-                         {"A": [[1]]}, {}, deadline=1)
+    # Missing channel wiring is a configuration error: a report that names
+    # the first role whose unit cannot be wired, as the oracle reports it.
+    report = eval_distributed(units, "Mergesort", ["A", "B", "C"], "sort",
+                              {"A": [[1]]}, {}, deadline=1)
+    assert report.status == "error"
+    assert report.error == ("A: constructor parameter 'ch_AB' of 'Mergesort_A' "
+                            "has no channel wiring")
+    assert report.outcomes == {}
+    oracle = eval_global(checked, "Mergesort", "sort", {"A": [[1]]}, {})
+    assert oracle.status == "error"
+    assert oracle.error == "constructor parameter 'ch_AB' of 'Mergesort' has no channel wiring"
 
 
 def test_eval_global_reports_python_exceptions():

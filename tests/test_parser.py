@@ -1,13 +1,19 @@
 """Parsing, desugaring, and round-trip behaviour."""
 
+import importlib.util
+import re
+
 import pytest
 
 from choreo import surface as S
+from choreo.corpus import corpus_root
 from choreo.diagnostics import Code, DiagnosticError, Reporter
+from choreo.lexer import lex
 from choreo.parser import (
-    desugar_chain, desugar_program, expand_literal_lists, parse_program,
+    Parser, desugar_chain, desugar_program, expand_literal_lists, parse_program,
 )
 from choreo.render import render_exp, render_program
+from choreo.span import SourceFile
 from choreo.surface import structurally_equal
 
 
@@ -295,3 +301,71 @@ def test_every_line_end_prefix_parses_to_an_end(name):
     for n in range(len(lines) + 1):
         _, reporter = parse_program([(name, "".join(lines[:n]))])
         assert all(d.code is Code.SyntaxError for d in reporter.errors), n
+
+
+# ------------------------------------------------------------ tokens and spans
+
+_TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*\n?|/\*.*?\*/)*", re.S)
+
+
+def _corpus_and_distauth_texts():
+    """Every corpus file, then DistAuthN for N in 2..20 as the benchmark
+    generates it."""
+    root = corpus_root()
+    out = [(str(p), p.read_text()) for p in sorted(root.rglob("*.chor"))]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", root.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return out + [(f"DistAuth{n}", gen.distauth_source(n)) for n in range(2, 21)]
+
+
+def test_tokens_and_trivia_rebuild_every_corpus_text():
+    for name, text in _corpus_and_distauth_texts():
+        tokens = lex(SourceFile(name, text))
+        eof = tokens[-1]
+        assert (eof.kind, eof.lexeme, eof.start, eof.end) == ("eof", "", len(text), len(text))
+        pieces, at = [], 0
+        for tok in tokens:
+            trivia = text[at:tok.start]
+            assert _TRIVIA.fullmatch(trivia), (name, tok)
+            piece = text[tok.start:tok.end]
+            if tok.kind == "string":
+                assert piece[0] == piece[-1] == '"', (name, tok)
+            else:
+                assert piece == tok.lexeme, (name, tok)
+            pieces += [trivia, piece]
+            at = tok.end
+        assert "".join(pieces) == text, name
+
+
+def test_split_shr_gives_two_adjacent_closing_tokens():
+    text = "class C@A { void m(List@A<List<Integer>> xs) { } }"
+    parser = Parser(SourceFile("t.chor", text), Reporter())
+    [decl] = parser.parse_program()
+    at = text.index(">>")
+    closers = [(t.kind, t.lexeme, t.start, t.end) for t in parser.ts.tokens
+               if t.lexeme.startswith(">")]
+    assert closers == [("op", ">", at, at + 1), ("op", ">", at + 1, at + 2)]
+    te = decl.methods[0].params[0].te
+    assert text[te.span.start:te.span.end] == "List@A<List<Integer>>"
+    assert text[te.args[0].span.start:te.args[0].span.end] == "List<Integer>"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("class C@A { void m() { Integer@A x = ; } }",
+     (1, 34, "expected ';' after expression statement, found 'x'")),
+    ("class C@A {\n    void m() {\n        Integer@A x = 1@A # 2;\n    }\n}",
+     (3, 27, "unexpected character '#'")),
+    ('class C@A {\n    void m() {\n        String@A s = "open;\n    }\n}',
+     (3, 22, "unterminated string literal")),
+    ("class C@A { void m(List@A<List<Integer>> xs) { xs.get(0@[A, B]); "
+     "Integer@A y = 2@[A]; } }",
+     (1, 80, "literal role lists are only allowed in argument positions")),
+    ("class C@A {\n  /* never closed\n}", (2, 3, "unterminated block comment")),
+    ("class C@A { void m() { if (true@A) { } else ; } }", (1, 45, "expected '{', found ';'")),
+])
+def test_syntax_error_line_and_column(text, where):
+    program, reporter = parse_program([("t.chor", text)])
+    expand_literal_lists(program, reporter)
+    assert [(d.span.line, d.span.col, d.message) for d in reporter.errors] == [where]
