@@ -142,7 +142,6 @@ class CheckedProgram:
         self.te_types = checker.te_types
         self.resolved = checker.resolved
         self.var_tes = checker.var_tes
-        self.method_keys = checker.method_keys
         self._type_roles = {}  # id(Exp or TE) -> roles of its own type
         self._exp_roles = {}  # id(Exp) -> roles of its type and all subterms
         self._role_sets = {}  # frozenset -> the one stored copy of it
@@ -182,15 +181,6 @@ class CheckedProgram:
             if roles is None:
                 roles = self._exp_roles[id(node)] = self._exp_roles_of(node)
             return roles
-        if isinstance(node, S.Stm):
-            out = set()
-            for stm in S.stm_list(node) or [node]:
-                for sub in S.walk_exps(stm):
-                    out |= self.roles_of(sub)
-                te = getattr(stm, "te", None)
-                if te is not None:
-                    out |= self.roles_of(te)
-            return out
         raise TypeError(f"roles_of: {node!r}")
 
     def _exp_roles_of(self, exp):
@@ -235,9 +225,6 @@ class Checker:
         self.te_types = prelude.te_types.copy()
         self.resolved = {}  # id(Call/New) -> (kind, MethodInfo)
         self.var_tes = {}  # id(VarDecl) -> denoted Type
-        # (name, arity) of the methods with a body outside the prelude: a
-        # call that names none of these runs no method of the program.
-        self.method_keys = set()
         self.suppressed = set()  # decl names whose bodies are skipped
         self.cyclic = set()  # decl names reported for cyclic inheritance
         self._failed_tes = set()
@@ -286,10 +273,7 @@ class Checker:
                 info.ftps = self.build_ftps(info.node.ftps, scope)
                 scope = self.decl_scope(info)
                 owner = weakref.proxy(info)
-                for m in info.node.methods:
-                    info.methods.append(MethodInfo(m, owner))
-                    if m.body is not None and not is_prelude:
-                        self.method_keys.add((m.name, len(m.params)))
+                info.methods.extend(MethodInfo(m, owner) for m in info.node.methods)
                 if isinstance(info.node, S.ClassDecl):
                     for c in info.node.constructors:
                         info.constructors.append(MethodInfo(c, owner))
@@ -785,50 +769,18 @@ class Checker:
         state[name] = "done"
 
     def check_unused_roles(self, info):
+        # Every role written in the declaration except the binders it
+        # declares (its own and those of its type parameters).
         used = set()
-        for te in self.all_member_tes(info):
-            te_roles(te, used)
-        for mi in info.methods + info.constructors:
-            if mi.node.body is None:
-                continue
-            for stm in _walk_stms(mi.node.body):
-                te = getattr(stm, "te", None)
-                if te is not None:
-                    te_roles(te, used)
-                if isinstance(stm, S.TryCatch):
-                    for h in stm.handlers:
-                        te_roles(h.te, used)
-            for exp in S.walk_exps(mi.node.body):
-                if isinstance(exp, (S.Literal, S.StaticRef)):
-                    used.update(exp.roles)
-                elif isinstance(exp, S.New):
-                    used.update(exp.roles)
-                    for t in exp.type_args:
-                        te_roles(t, used)
-                elif isinstance(exp, S.Call):
-                    for t in exp.type_args:
-                        te_roles(t, used)
+        for node in S.walk(info.node):
+            if isinstance(node, (S.TE, S.Literal, S.StaticRef, S.New)):
+                used.update(node.roles)
         for role in info.role_names:
             if role not in used and len(info.role_names) > 1:
                 self.reporter.warn(
                     Code.UnusedRole, info.node.span,
                     f"role '{role}' of '{info.name}' is not used by any member "
                     f"or supertype.")
-
-    def all_member_tes(self, info):
-        out = [te for te in info.super_tes()]
-        for f in info.fields():
-            out.append(f.te)
-        for mi in info.methods + info.constructors:
-            if mi.node.return_te is not None:
-                out.append(mi.node.return_te)
-            for p in mi.node.params:
-                out.append(p.te)
-            for f in mi.node.ftps:
-                out.extend(f.bounds)
-        for f in getattr(info.node, "ftps", []) or []:
-            out.extend(f.bounds)
-        return out
 
     def check_overload_clashes(self, info):
         """Per-role projected signatures must stay pairwise distinct."""
@@ -1611,36 +1563,6 @@ def collect_vars(t, out):
         for i in t.items:
             collect_vars(i, out)
     return out
-
-
-def te_roles(te, out):
-    """Add the role names written in a type expression to the set ``out``."""
-    out.update(te.roles)
-    for a in te.args:
-        te_roles(a, out)
-
-
-def _walk_stms(stm):
-    """Yield every statement node in a body, including nested ones."""
-    while stm is not None:
-        yield stm
-        if isinstance(stm, (S.Nil, S.Return, S.Throw)):
-            return
-        if isinstance(stm, S.If):
-            yield from _walk_stms(stm.then)
-            yield from _walk_stms(stm.orelse)
-        elif isinstance(stm, S.Block):
-            yield from _walk_stms(stm.body)
-        elif isinstance(stm, S.Switch):
-            for c in stm.cases:
-                yield from _walk_stms(c.body)
-            if stm.default is not None:
-                yield from _walk_stms(stm.default)
-        elif isinstance(stm, S.TryCatch):
-            yield from _walk_stms(stm.body)
-            for h in stm.handlers:
-                yield from _walk_stms(h.body)
-        stm = getattr(stm, "cont", None)
 
 
 class KindError(Exception):

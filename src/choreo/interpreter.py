@@ -381,6 +381,10 @@ class OracleFacts:
     def __init__(self, checked):
         self.closure = checked._checker.supertype_closure
         self._methods = {}  # (declaration, name, arity) -> (MethodInfo, supertype, subst)
+        # (name, arity) of the methods with a body outside the prelude: a
+        # call that names none of these runs no method of the program.
+        self.method_keys = {(mi.name, len(mi.node.params)) for info in checked._checker.own
+                            for mi in info.methods if mi.node.body is not None}
         self.flags = {}  # id(expression) -> flag; the program keeps each alive
 
     def method(self, info, name, arity):
@@ -426,7 +430,7 @@ class GlobalInterpreter(Evaluator):
         if type(exp) is S.New:
             res = self.resolved.get(id(exp))
             return res is not None and res[1].node.body is not None
-        return exp.scope is None or (exp.name, len(exp.args)) in self.checked.method_keys
+        return exp.scope is None or (exp.name, len(exp.args)) in self.facts.method_keys
 
     def instantiate(self, info, actual_roles, ctor_mi, args):
         """A new object of ``info``; a generator whose value is the object

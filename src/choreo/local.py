@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .surface import walk
+
 
 @dataclass
 class LTE:
@@ -275,94 +277,5 @@ def concat_stm(a, b):
     return node
 
 
-def walk_local(node):
-    """Yield every node of a local declaration or statement tree."""
-    if node is None:
-        return
-    yield node
-    if isinstance(node, (LEnum,)):
-        return
-    if isinstance(node, LInterface):
-        for m in node.methods:
-            yield from walk_local(m)
-        for t in node.extends:
-            yield from walk_local(t)
-        for f in node.ftps:
-            yield from walk_local(f)
-        return
-    if isinstance(node, LClass):
-        for t in ([node.extends] if node.extends else []) + node.implements:
-            yield from walk_local(t)
-        for f in node.ftps:
-            yield from walk_local(f)
-        for f in node.fields:
-            yield from walk_local(f.te)
-        for m in node.constructors + node.methods:
-            yield from walk_local(m)
-        return
-    if isinstance(node, LFTP):
-        for b in node.bounds:
-            yield from walk_local(b)
-        return
-    if isinstance(node, LMethod):
-        if node.return_te is not None:
-            yield from walk_local(node.return_te)
-        for p in node.params:
-            yield from walk_local(p.te)
-        yield from walk_local(node.body)
-        return
-    if isinstance(node, LTE):
-        for a in node.args:
-            yield from walk_local(a)
-        return
-    if isinstance(node, LStm):
-        for stm in stm_list(node) or [node]:
-            if stm is not node:
-                yield stm
-            if isinstance(stm, LReturn):
-                yield from walk_local(stm.value)
-            elif isinstance(stm, LExpStm):
-                yield from walk_local(stm.exp)
-            elif isinstance(stm, LVarDecl):
-                yield from walk_local(stm.te)
-                yield from walk_local(stm.init)
-            elif isinstance(stm, LAssign):
-                yield from walk_local(stm.target)
-                yield from walk_local(stm.value)
-            elif isinstance(stm, LIf):
-                yield from walk_local(stm.guard)
-                yield from walk_local(stm.then)
-                yield from walk_local(stm.orelse)
-            elif isinstance(stm, LBlock):
-                yield from walk_local(stm.body)
-            elif isinstance(stm, LSwitch):
-                yield from walk_local(stm.guard)
-                for _, body in stm.cases:
-                    yield from walk_local(body)
-                yield from walk_local(stm.default)
-            elif isinstance(stm, LTryCatch):
-                yield from walk_local(stm.body)
-                for te, _, body in stm.handlers:
-                    yield from walk_local(te)
-                    yield from walk_local(body)
-        return
-    if isinstance(node, LExp):
-        if isinstance(node, LUnitCall):
-            for a in node.args:
-                yield from walk_local(a)
-        elif isinstance(node, LFieldAcc):
-            yield from walk_local(node.scope)
-        elif isinstance(node, LCall):
-            yield from walk_local(node.scope)
-            for t in node.type_args:
-                yield from walk_local(t)
-            for a in node.args:
-                yield from walk_local(a)
-        elif isinstance(node, LNew):
-            for t in node.type_args:
-                yield from walk_local(t)
-            for a in node.args:
-                yield from walk_local(a)
-        elif isinstance(node, LBinary):
-            yield from walk_local(node.left)
-            yield from walk_local(node.right)
+# Every node of a local declaration or statement tree, in pre-order.
+walk_local = walk

@@ -15,7 +15,7 @@ from .local import (
     LAnnotation, LAssign, LBinary, LBlock, LCall, LClass, LEnum, LExpStm,
     LFTP, LField, LFieldAcc, LIf, LInterface, LLit, LMethod, LName, LNew,
     LNil, LParam, LReturn, LStaticName, LSwitch, LThrow, LTryCatch, LTE, LUnit,
-    LUnitCall, LVarDecl, LocalUnit, walk_local,
+    LUnitCall, LVarDecl, LocalUnit,
 )
 from .parser import Parser
 from .span import SourceFile
@@ -38,7 +38,7 @@ def mark_static_scopes(decl):
     """Makes each call or field scope of ``decl`` that names no parameter,
     local variable or field of it a static name."""
     fields = names = {"this"} | {f.name for f in getattr(decl, "fields", [])}
-    for node in walk_local(decl):  # each name comes before its uses
+    for node in S.walk(decl):  # each name comes before its uses
         if isinstance(node, LMethod):
             names = fields | {p.name for p in node.params}
         elif isinstance(node, LVarDecl):

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from . import surface as S
-from .checker import _walk_stms, check_program
+from .checker import check_program
 from .diagnostics import Reporter
 from .pipeline import front_end, prelude_names
 from .projector import project_program
@@ -68,22 +68,8 @@ def count_loc(text):
 
 
 def count_conditionals(program, skip=()):
-    n = 0
-    for decl in program.decls:
-        if decl.name in skip:
-            continue
-        methods = []
-        if isinstance(decl, S.ClassDecl):
-            methods = decl.constructors + decl.methods
-        elif isinstance(decl, S.InterfaceDecl):
-            methods = decl.methods
-        for m in methods:
-            if m.body is None:
-                continue
-            for stm in _walk_stms(m.body):
-                if isinstance(stm, (S.If, S.Switch)):
-                    n += 1
-    return n
+    return sum(isinstance(node, (S.If, S.Switch))
+               for decl in program.decls if decl.name not in skip for node in S.walk(decl))
 
 
 def max_roles(program, skip=()):

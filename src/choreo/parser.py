@@ -5,8 +5,8 @@ Also houses the two desugaring passes: forward-chain elimination
 ``lit@[R1,..,Rn]`` literal lists into one located literal per role.
 
 A ``local_mode`` flag reuses the grammar for the role-free local language
-(no role annotations on literals or names, ``throw`` allowed); the projector
-uses it to round-trip printed units.
+(no role annotations on literals or names, ``throw`` allowed); ``local_reader``
+uses it to read printed units back.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ BIN_TIERS = [
     ["+", "-"],
     ["*", "/", "%"],
 ]
+PREC = {op: tier for tier, ops in enumerate(BIN_TIERS) for op in ops}  # for the printers
 
 
 class _Stream:
@@ -453,20 +454,22 @@ class Parser:
             self.expect(";")
             return S.Throw(self.span_from(tok), msg)
         # VarDecl: a TE followed by an identifier, then '=' or ';'.
+        # Only that prefix backtracks: an initializer's own error is reported.
         mark = self.ts.mark()
         try:
             te = self.parse_te()
-            if self.ts.at_kind("ident") and self.ts.peek(1).lexeme in ("=", ";"):
-                name = self.expect_ident().lexeme
-                init = None
-                if self.ts.at("=", "op"):
-                    self.ts.next()
-                    init = self.parse_exp()
-                self.expect(";")
-                return S.VarDecl(self.span_from(tok), te, name, init, None)
-            self.ts.reset(mark)
+            is_decl = self.ts.at_kind("ident") and self.ts.peek(1).lexeme in ("=", ";")
         except DiagnosticError:
-            self.ts.reset(mark)
+            is_decl = False
+        if is_decl:
+            name = self.expect_ident().lexeme
+            init = None
+            if self.ts.at("=", "op"):
+                self.ts.next()
+                init = self.parse_exp()
+            self.expect(";")
+            return S.VarDecl(self.span_from(tok), te, name, init, None)
+        self.ts.reset(mark)
         exp = self.parse_exp()
         nxt = self.ts.peek()
         if nxt.kind == "op" and nxt.lexeme in ASG_OPS:
@@ -746,118 +749,55 @@ def parse_program(sources, reporter: Reporter = None):
 # ------------------------------------------------------------ desugaring
 
 def desugar_chain(exp):
-    """Rewrite every forward chain into nested calls, left-associatively."""
-    if exp is None:
-        return None
-    if isinstance(exp, S.Chain):
-        acc = desugar_chain(exp.first)
-        for link in exp.links:
-            if link.method == "new":
-                acc = S.New(link.span, link.new_class, link.new_roles, list(link.type_args), [acc])
-            else:
-                acc = S.Call(link.span, desugar_chain(link.target), list(link.type_args),
-                             link.method, [acc])
-        return acc
-    if isinstance(exp, S.FieldAcc):
-        exp.scope = desugar_chain(exp.scope)
-    elif isinstance(exp, S.Call):
-        exp.scope = desugar_chain(exp.scope)
-        exp.args = [desugar_chain(a) for a in exp.args]
-    elif isinstance(exp, S.New):
-        exp.args = [desugar_chain(a) for a in exp.args]
-    elif isinstance(exp, S.Binary):
-        exp.left = desugar_chain(exp.left)
-        exp.right = desugar_chain(exp.right)
+    """Rewrite every forward chain in ``exp`` into nested calls,
+    left-associatively, one chain at a time as the walk reaches it."""
+    exp = _unchain(exp)
+    for node in S.walk(exp):
+        if not isinstance(node, (S.Exp, S.Stm)):
+            continue  # only expressions and statements hold expressions
+        for name in S.fields_of(node):
+            value = getattr(node, name)
+            if type(value) is S.Chain:
+                setattr(node, name, _unchain(value))
+            elif type(value) is list and S.Chain in map(type, value):
+                setattr(node, name, list(map(_unchain, value)))
     return exp
 
 
-def _map_stm_exps(stm, fn):
-    while stm is not None:
-        if isinstance(stm, S.Return):
-            stm.value = fn(stm.value)
-            return
-        if isinstance(stm, S.Nil):
-            return
-        if isinstance(stm, S.ExpStm):
-            stm.exp = fn(stm.exp)
-        elif isinstance(stm, S.VarDecl):
-            stm.init = fn(stm.init)
-        elif isinstance(stm, S.Assign):
-            stm.target = fn(stm.target)
-            stm.value = fn(stm.value)
-        elif isinstance(stm, S.If):
-            stm.guard = fn(stm.guard)
-            _map_stm_exps(stm.then, fn)
-            _map_stm_exps(stm.orelse, fn)
-        elif isinstance(stm, S.Block):
-            _map_stm_exps(stm.body, fn)
-        elif isinstance(stm, S.Switch):
-            stm.guard = fn(stm.guard)
-            for c in stm.cases:
-                _map_stm_exps(c.body, fn)
-            _map_stm_exps(stm.default, fn)
-        elif isinstance(stm, S.TryCatch):
-            _map_stm_exps(stm.body, fn)
-            for h in stm.handlers:
-                _map_stm_exps(h.body, fn)
-        stm = getattr(stm, "cont", None)
+def _unchain(exp):
+    """A chain as nested calls on its operands, which stay as they are;
+    anything else as it is."""
+    if type(exp) is not S.Chain:
+        return exp
+    acc = exp.first
+    for link in exp.links:
+        if link.method == "new":
+            acc = S.New(link.span, link.new_class, link.new_roles, list(link.type_args), [acc])
+        else:
+            acc = S.Call(link.span, link.target, list(link.type_args), link.method, [acc])
+    return acc
 
 
 def desugar_program(program):
-    """Apply chain desugaring to every method body in place."""
-    for decl in program.decls:
-        for m in _all_methods(decl):
-            if m.body is not None:
-                _map_stm_exps(m.body, desugar_chain)
+    """Apply chain desugaring to every declaration in place."""
+    desugar_chain(program)
     return program
-
-
-def _all_methods(decl):
-    if isinstance(decl, S.ClassDecl):
-        return decl.constructors + decl.methods
-    if isinstance(decl, S.InterfaceDecl):
-        return decl.methods
-    return []
 
 
 def expand_literal_lists(program, reporter: Reporter = None):
     """Expand ``lit@[R1,..,Rn]`` arguments into n located literal arguments."""
     reporter = reporter if reporter is not None else Reporter()
-    for decl in program.decls:
-        for m in _all_methods(decl):
-            if m.body is not None:
-                _map_stm_exps(m.body, lambda exp: _expand_exp(exp, reporter))
+    for node in S.walk(program):
+        if isinstance(node, (S.Call, S.New)):
+            args = []
+            for a in node.args:
+                if isinstance(a, S.Literal) and a.is_list_sugar:
+                    args.extend(S.Literal(a.span, a.value, [role]) for role in a.roles)
+                else:
+                    args.append(a)
+            node.args = args
+        elif isinstance(node, S.Literal) and node.is_list_sugar:
+            reporter.error(Code.SyntaxError, node.span,
+                           "literal role lists are only allowed in argument positions")
+            node.roles, node.is_list_sugar = node.roles[:1], False
     return program, reporter
-
-
-def _expand_args(args, reporter):
-    out = []
-    for a in args:
-        if isinstance(a, S.Literal) and a.is_list_sugar:
-            for role in a.roles:
-                out.append(S.Literal(a.span, a.value, [role]))
-        else:
-            out.append(_expand_exp(a, reporter))
-    return out
-
-
-def _expand_exp(exp, reporter):
-    if exp is None:
-        return None
-    if isinstance(exp, S.Literal) and exp.is_list_sugar:
-        reporter.error(Code.SyntaxError, exp.span,
-                       "literal role lists are only allowed in argument positions")
-        return S.Literal(exp.span, exp.value, exp.roles[:1])
-    if isinstance(exp, S.Call):
-        exp.scope = _expand_exp(exp.scope, reporter)
-        exp.args = _expand_args(exp.args, reporter)
-    elif isinstance(exp, S.New):
-        exp.args = _expand_args(exp.args, reporter)
-    elif isinstance(exp, S.FieldAcc):
-        exp.scope = _expand_exp(exp.scope, reporter)
-    elif isinstance(exp, S.Binary):
-        exp.left = _expand_exp(exp.left, reporter)
-        exp.right = _expand_exp(exp.right, reporter)
-    elif isinstance(exp, S.Chain):
-        exp.first = _expand_exp(exp.first, reporter)
-    return exp

@@ -35,14 +35,14 @@ def prelude_names():
     return frozenset(d.name for d in load_prelude().decls)
 
 
-def front_end(sources, reporter=None, include_prelude=True):
-    """Parse, desugar, and expand one program from (name, text) pairs."""
+def front_end(sources, reporter=None):
+    """Parse, desugar, and expand one program from (name, text) pairs, behind
+    the prelude declarations."""
     reporter = reporter if reporter is not None else Reporter()
     program, reporter = parse_program(sources, reporter)
     desugar_program(program)
     expand_literal_lists(program, reporter)
-    if include_prelude:
-        program.decls = list(load_prelude().decls) + program.decls
+    program.decls = list(load_prelude().decls) + program.decls
     return program, reporter
 
 

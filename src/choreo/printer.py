@@ -12,11 +12,7 @@ from .local import (
     LInterface, LLit, LMethod, LName, LNew, LNil, LReturn, LStaticName,
     LSwitch, LThrow, LTryCatch, LUnit, LUnitCall, LVarDecl,
 )
-
-_PREC = {
-    "||": 0, "&&": 1, "|": 2, "&": 3, "==": 4, "!=": 4,
-    "<": 5, ">": 5, "<=": 5, ">=": 5, "+": 6, "-": 6, "*": 7, "/": 7, "%": 7,
-}
+from .parser import PREC
 
 
 def render_value(value):
@@ -56,7 +52,7 @@ def render_exp(exp, prec=-1):
         args = ", ".join(render_exp(a) for a in exp.args)
         return f"new {exp.class_name}{targs}({args})"
     if isinstance(exp, LBinary):
-        p = _PREC[exp.op]
+        p = PREC[exp.op]
         s = f"{render_exp(exp.left, p)} {exp.op} {render_exp(exp.right, p + 1)}"
         return f"({s})" if p < prec else s
     raise TypeError(f"render_exp: {exp!r}")

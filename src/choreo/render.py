@@ -7,12 +7,7 @@ Used by the parser round-trip tests; also renders role lists back in the
 from __future__ import annotations
 
 from . import surface as S
-from .parser import BIN_TIERS
-
-_PREC = {}
-for _tier, _ops in enumerate(BIN_TIERS):
-    for _op in _ops:
-        _PREC[_op] = _tier
+from .parser import PREC
 
 
 def render_roles(roles):
@@ -72,7 +67,7 @@ def render_exp(exp, prec=-1):
         args = ", ".join(render_exp(a) for a in exp.args)
         return f"new {exp.class_name}{render_roles(exp.roles)}{targs}({args})"
     if isinstance(exp, S.Binary):
-        p = _PREC[exp.op]
+        p = PREC[exp.op]
         s = f"{render_exp(exp.left, p)} {exp.op} {render_exp(exp.right, p + 1)}"
         return f"({s})" if p < prec else s
     if isinstance(exp, S.Chain):

@@ -8,9 +8,10 @@ and every node carries a span.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
-from .span import Span
+from .span import SourceFile, Span
 
 
 @dataclass(eq=False)
@@ -291,15 +292,6 @@ class SurfaceProgram:
 
 # --------------------------------------------------------------- helpers
 
-def stm_list(stm):
-    """Flatten a continuation chain into a list of statements."""
-    out = []
-    while stm is not None and not isinstance(stm, Nil):
-        out.append(stm)
-        stm = getattr(stm, "cont", None)
-    return out
-
-
 def sub_exps(exp):
     """The direct subexpressions of an expression, in source order."""
     if isinstance(exp, FieldAcc):
@@ -315,41 +307,61 @@ def sub_exps(exp):
     return []
 
 
+_FIELDS = {}  # class -> its fields that may hold nodes, last first; None if not a node
+
+
+def _fields(cls):
+    # Fields annotated ``str`` or ``bool`` hold no node: both ASTs postpone
+    # annotations, so each ``f.type`` is the annotation's text.
+    names = None
+    if dataclasses.is_dataclass(cls) and cls not in (Span, SourceFile):
+        names = tuple(f.name for f in reversed(dataclasses.fields(cls))
+                      if f.name != "span" and f.type not in ("str", "bool"))
+    _FIELDS[cls] = names
+    return names
+
+
+def fields_of(node):
+    """The names of the fields of ``node`` that ``walk`` follows, last first."""
+    try:
+        return _FIELDS[type(node)] or ()
+    except KeyError:
+        return _fields(type(node)) or ()
+
+
+def walk(node):
+    """Yield every node of a surface or local tree, ``node`` first, in
+    pre-order and source order: the dataclass instances in its fields other
+    than ``span``, and in the lists and tuples those hold. The walk keeps its
+    own stack, so deep trees take no Python stack, and it reads a node's
+    fields only after yielding the node, so the caller may replace them."""
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        cls = type(item)
+        if cls is list or cls is tuple:
+            stack.extend(reversed(item))
+            continue
+        try:
+            names = _FIELDS[cls]
+        except KeyError:
+            names = _fields(cls)
+        if names is not None:
+            yield item
+            for name in names:
+                value = getattr(item, name)
+                if type(value) is list:
+                    # The lists of either tree hold one kind of item: a list
+                    # of strings (roles, modifiers, enum cases) holds no node.
+                    if value and type(value[0]) is not str:
+                        stack.extend(reversed(value))
+                elif value is not None:
+                    stack.append(value)
+
+
 def walk_exps(node):
     """Yield every expression node reachable from a statement or expression."""
-    if node is None:
-        return
-    if isinstance(node, Exp):
-        yield node
-        for sub in sub_exps(node):
-            yield from walk_exps(sub)
-        return
-    if isinstance(node, Stm):
-        for stm in stm_list(node) or ([node] if isinstance(node, Return) else []):
-            if isinstance(stm, Return):
-                yield from walk_exps(stm.value)
-            elif isinstance(stm, ExpStm):
-                yield from walk_exps(stm.exp)
-            elif isinstance(stm, VarDecl):
-                yield from walk_exps(stm.init)
-            elif isinstance(stm, Assign):
-                yield from walk_exps(stm.target)
-                yield from walk_exps(stm.value)
-            elif isinstance(stm, If):
-                yield from walk_exps(stm.guard)
-                yield from walk_exps(stm.then)
-                yield from walk_exps(stm.orelse)
-            elif isinstance(stm, Block):
-                yield from walk_exps(stm.body)
-            elif isinstance(stm, Switch):
-                yield from walk_exps(stm.guard)
-                for c in stm.cases:
-                    yield from walk_exps(c.body)
-                yield from walk_exps(stm.default)
-            elif isinstance(stm, TryCatch):
-                yield from walk_exps(stm.body)
-                for h in stm.handlers:
-                    yield from walk_exps(h.body)
+    return (n for n in walk(node) if isinstance(n, Exp))
 
 
 def structurally_equal(a, b):

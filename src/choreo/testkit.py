@@ -82,7 +82,7 @@ def discover_tests(checked, reporter: Reporter = None):
                     f"@Test method '{info.name}.{mi.name}' must "
                     + ", ".join(problems) + ".")
                 continue
-            if not _roles_confined(checked, info, mi):
+            if not _roles_confined(info, mi):
                 reporter.error(
                     Code.BadTestShape, node.span,
                     f"@Test method '{info.name}.{mi.name}' may only involve the "
@@ -92,19 +92,11 @@ def discover_tests(checked, reporter: Reporter = None):
     return cases, reporter
 
 
-def _roles_confined(checked, info, mi):
+def _roles_confined(info, mi):
     """Choreographies built inside a test must reuse the class's roles."""
     allowed = set(info.role_names)
-    from .checker import _walk_stms
-
-    if mi.node.body is None:
-        return True
-    for stm in _walk_stms(mi.node.body):
-        for exp in S.walk_exps(stm):
-            if isinstance(exp, (S.New, S.StaticRef)) and exp.roles:
-                if not set(exp.roles) <= allowed:
-                    return False
-    return True
+    return all(set(node.roles) <= allowed for node in S.walk(mi.node.body)
+               if isinstance(node, (S.New, S.StaticRef)))
 
 
 def run_tests(checked, cases=None, deadline=10.0, reporter=None):

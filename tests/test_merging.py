@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from choreo import surface as S
-from choreo.checker import _walk_stms
 from choreo.diagnostics import Reporter
 from choreo.local import (
     LAssign, LBinary, LBlock, LCall, LExpStm, LFieldAcc, LIf, LLit, LName,
@@ -35,7 +34,7 @@ def harvest_branch_pairs(corpus_compiled):
             for mi in info.methods + info.constructors:
                 if mi.node.body is None:
                     continue
-                for stm in _walk_stms(mi.node.body):
+                for stm in S.walk(mi.node.body):
                     if not isinstance(stm, S.If):
                         continue
                     for role in info.role_names:

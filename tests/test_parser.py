@@ -1,19 +1,24 @@
 """Parsing, desugaring, and round-trip behaviour."""
 
+import dataclasses
 import importlib.util
 import re
+import sys
 
 import pytest
 
 from choreo import surface as S
+from choreo.checker import check_program
 from choreo.corpus import corpus_root
 from choreo.diagnostics import Code, DiagnosticError, Reporter
 from choreo.lexer import lex
 from choreo.parser import (
     Parser, desugar_chain, desugar_program, expand_literal_lists, parse_program,
 )
+from choreo.pipeline import front_end, prelude_names
+from choreo.projector import project_program
 from choreo.render import render_exp, render_program
-from choreo.span import SourceFile
+from choreo.span import SourceFile, Span
 from choreo.surface import structurally_equal
 
 
@@ -354,7 +359,7 @@ def test_split_shr_gives_two_adjacent_closing_tokens():
 
 @pytest.mark.parametrize("text,where", [
     ("class C@A { void m() { Integer@A x = ; } }",
-     (1, 34, "expected ';' after expression statement, found 'x'")),
+     (1, 38, "expected expression, found ';'")),
     ("class C@A {\n    void m() {\n        Integer@A x = 1@A # 2;\n    }\n}",
      (3, 27, "unexpected character '#'")),
     ('class C@A {\n    void m() {\n        String@A s = "open;\n    }\n}',
@@ -364,8 +369,72 @@ def test_split_shr_gives_two_adjacent_closing_tokens():
      (1, 80, "literal role lists are only allowed in argument positions")),
     ("class C@A {\n  /* never closed\n}", (2, 3, "unterminated block comment")),
     ("class C@A { void m() { if (true@A) { } else ; } }", (1, 45, "expected '{', found ';'")),
+    ("class C@A { void m() { Integer@A x = 1; } }",
+     (1, 38, "literal must carry a role annotation, e.g. 1@A")),
 ])
 def test_syntax_error_line_and_column(text, where):
     program, reporter = parse_program([("t.chor", text)])
     expand_literal_lists(program, reporter)
     assert [(d.span.line, d.span.col, d.message) for d in reporter.errors] == [where]
+
+
+# ------------------------------------------------------------- tree walk
+
+def _naive_walk(node, out):
+    """Pre-order over dataclass fields, recursively: what ``S.walk`` must
+    yield."""
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            _naive_walk(item, out)
+    elif dataclasses.is_dataclass(node) and not isinstance(node, (type, Span, SourceFile)):
+        out.append(node)
+        for f in dataclasses.fields(node):
+            if f.name != "span":
+                _naive_walk(getattr(node, f.name), out)
+    return out
+
+
+def test_walk_matches_a_naive_traversal_of_both_trees():
+    projected = 0
+    for name, text in _corpus_and_distauth_texts():
+        program, reporter = front_end([(name, text)])
+        assert [id(n) for n in S.walk(program)] == [id(n) for n in _naive_walk(program, [])]
+        if reporter.has_errors():
+            continue
+        checked, reporter = check_program(program, Reporter(), prelude_names())
+        if reporter.has_errors():
+            continue
+        units, reporter = project_program(checked, Reporter())
+        if reporter.has_errors():
+            continue
+        projected += 1
+        assert [id(n) for n in S.walk(units)] == [id(n) for n in _naive_walk(units, [])], name
+    assert projected == 11 + 1 + 19  # positive, extra and DistAuth2..20
+
+
+def test_walk_of_none_yields_nothing():
+    assert list(S.walk(None)) == []
+
+
+@pytest.fixture
+def recursion_limit_1000():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_front_end_takes_no_python_stack_per_statement(recursion_limit_1000):
+    body = "".join(f"x = x + {i}@A;\n" for i in range(5000))
+    program, reporter = front_end([("long.chor", f"class C@A {{ void m(Integer@A x) {{\n{body}}} }}")])
+    assert not reporter.has_errors()
+    assert sum(isinstance(n, S.Assign) for n in S.walk(program.decls[-1])) == 5000
+
+
+def test_front_end_takes_no_python_stack_per_expression_level(recursion_limit_1000):
+    sum_exp = " + ".join(f"{i}@A" for i in range(2000))
+    program, reporter = front_end([("deep.chor", f"class C@A {{ Integer@A m() {{ return {sum_exp}; }} }}")])
+    assert not reporter.has_errors()
+    assert sum(isinstance(n, S.Binary) for n in S.walk(program.decls[-1])) == 1999
