@@ -247,7 +247,11 @@ class Checker:
         self.kind_check_declarations()
         for info in self.own:
             if info.name not in self.suppressed:
-                self.check_decl(info)
+                try:
+                    self.check_decl(info)
+                except RecursionError:  # the checker recurses per expression level
+                    self.reporter.error(Code.InternalError, info.node.span,
+                                        f"'{info.name}' is nested too deeply to check.")
         return CheckedProgram(self.program, self.table, self)
 
     # -------------------------------------------------------- symbol table

@@ -30,7 +30,8 @@ from .runtime import (
 
 class ProgramFacts:
     """What the interpreters of one ``LocalProgram`` look up, worked out
-    once: declarations and methods, and their flags."""
+    once: declarations and methods, their flags and their compiled bodies,
+    which every role's interpreter shares."""
 
     def __init__(self, units):
         self.decls = {u.generated_name: u.decl for u in units}
@@ -38,6 +39,8 @@ class ProgramFacts:
                             if isinstance(d, LClass) for m in d.methods}
         self._methods = {}
         self.flags = {}  # id(expression) -> flag; the program keeps each alive
+        self.calls = {}  # id(method) -> calls so far, until its body is compiled
+        self.bodies = {}  # id(method) -> (parameter names, Step of its body)
 
     def method(self, class_name, name, arity, static=False):
         """The method with a body that a call names, up the superclasses."""
@@ -76,7 +79,6 @@ class LocalInterpreter(Evaluator):
         if program.facts is None:
             program.facts = ProgramFacts(program.units)
         self.facts = program.facts
-        self.flags = self.facts.flags
         self.role = role
         self.registry = registry
         self.deadline = context.deadline

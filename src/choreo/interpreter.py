@@ -2,12 +2,18 @@
 
 ``Evaluator`` runs method bodies of either language: the checked surface
 program for the oracle, a role's projected units for a worker
-(``distributed.LocalInterpreter``). It holds the one statement loop, which
-dispatches through ``DISPATCH``, the expression walkers and the frame; each
-evaluator supplies its calls, its static fields and which of its calls may
-run a method of the program, behind a few hooks. A method call is one
-generator, run by ``runtime.drive``, so recursion takes no Python stack and
-is bounded only by ``runtime.MAX_CALL_DEPTH``; an expression that calls no
+(``distributed.LocalInterpreter``), on two tiers. A method's first
+``COMPILE_AT - 1`` calls in a program walk its body: one statement loop,
+which dispatches through ``DISPATCH``, and the expression walkers. From its
+``COMPILE_AT``-th call on, its body runs compiled, in the manner of Feeley
+and Lapalme's closure generation: each statement, when first reached,
+becomes a ``Step`` whose expression is a Python closure, and one loop runs
+the steps. The compiled bodies are kept in the program's facts, so every
+evaluator of a program shares one compile. Each evaluator supplies its
+calls, its static fields and which of its calls may run a method of the
+program, behind a few hooks. A method call is one generator on either
+tier, run by ``runtime.drive``, so recursion takes no Python stack and is
+bounded only by ``runtime.MAX_CALL_DEPTH``; an expression that calls no
 method of the program evaluates with no generator.
 
 The global evaluator (``GlobalInterpreter``) runs checked choreographies
@@ -75,6 +81,11 @@ KIND = {cls: kind for cls, (kind, _) in DISPATCH.items()}  # the kinds alone
 OWN, DEEP = 1, 2  # see ``Evaluator.flag``
 # The classes of the expressions that never call.
 LEAVES = frozenset(cls for cls, kind in KIND.items() if kind in (NAME, LITERAL, UNIT_ATOM, TYPE))
+# A method's first COMPILE_AT - 1 calls in a program walk its body, and the
+# COMPILE_AT-th compiles it (see ``Evaluator.run``): most statements of a
+# program compiled to run once run once, where compiling costs more than it
+# saves, and a method called this often is likely to be called again.
+COMPILE_AT = 8
 
 
 class ProgramObject:
@@ -119,9 +130,10 @@ class Evaluator(Builtins):
     of the program (or of a wait on a channel), for their caller to run
     (see ``runtime.drive``); a builtin's callback runs at once, to the end.
 
-    An evaluator sets ``flags`` (``id(expression)`` -> flag, kept by its
-    program) and ``deadline`` (a ``time.monotonic()`` value, or None), and
-    supplies these hooks:
+    An evaluator sets ``facts``, which its program keeps (``flags``:
+    ``id(expression)`` -> flag; ``calls`` and ``bodies``: see ``run``), and
+    ``deadline`` (a ``time.monotonic()`` value, or None), and supplies these
+    hooks:
 
     - ``call(frame, exp, args)``: the unqualified or static call ``exp``;
     - ``new(frame, exp, args)``: the ``new`` expression ``exp`` of a class
@@ -151,8 +163,8 @@ class Evaluator(Builtins):
     def flag(self, exp):
         """How ``exp`` calls methods of the program, or waits: not at all
         (0), only as a call or ``new`` whose operands do neither (``OWN``),
-        or in an operand (``DEEP``). Kept in ``flags`` where not 0, with its
-        operands'."""
+        or in an operand (``DEEP``). Kept in ``facts.flags`` where not 0,
+        with its operands'."""
         kind = KIND[type(exp)]
         if kind is CALL:
             operands = exp.args if exp.scope is None else exp.args + [exp.scope]
@@ -171,7 +183,7 @@ class Evaluator(Builtins):
         own = not deep and (kind is CALL or kind is NEW) and self.may_call(exp)
         flag = DEEP if deep else OWN if own else 0
         if flag:
-            self.flags[id(exp)] = flag
+            self.facts.flags[id(exp)] = flag
         return flag
 
     # ------------------------------------------------------------ statements
@@ -179,65 +191,141 @@ class Evaluator(Builtins):
     def run(self, this, site, method, args):
         """One call of ``method`` (a method node of either language) on
         ``this`` (None for a static method), as a generator (see
-        ``runtime.drive``); a constructor's value is ``this``. Nested blocks
-        run on a list of continuations, and ``return`` returns from the
-        generator."""
-        frame = Frame(this, {p.name: a for p, a in zip(method.params, args)}, site)
+        ``runtime.drive``); a constructor's value is ``this``. A method's
+        first ``COMPILE_AT - 1`` calls in a program walk its body; from the
+        next on, its body runs compiled (see ``Step``), once per program."""
+        facts, key = self.facts, id(method)
+        body = facts.bodies.get(key)
+        if body is None:
+            calls = facts.calls.get(key, 0) + 1
+            if calls < COMPILE_AT:
+                facts.calls[key] = calls
+                frame = Frame(this, {p.name: a for p, a in zip(method.params, args)}, site)
+                return self._walk(frame, method)
+            facts.calls.pop(key, None)
+            body = facts.bodies[key] = ([p.name for p in method.params],
+                                        self.compile_stm(method.body))
+        names, step = body
+        return self._run_steps(Frame(this, dict(zip(names, args)), site),
+                               method.is_constructor, step)
+
+    def _walk(self, frame, method):
+        """The tree-walking statement loop: nested blocks run on a list of
+        continuations, and ``return`` returns from the generator."""
         ctor = method.is_constructor
-        deadline, flags, ev = self.deadline, self.flags, self.eval
-        rest = []  # the continuations of the enclosing blocks, innermost last
+        deadline, flags, ev = self.deadline, self.facts.flags, self.eval
+        rest = None  # the continuations of the enclosing blocks, innermost last
         stm = method.body
         while True:
             kind, attr = DISPATCH[type(stm)]
             if kind is END:
                 if not rest:
-                    return this if ctor else UNIT
+                    return frame.this if ctor else UNIT
                 stm = rest.pop()
                 continue
             if deadline is not None and time.monotonic() > deadline:
                 raise DeadlockTimeout("deadline exceeded")
-            if kind is BLOCK:
-                rest.append(stm.cont)
-                stm = stm.body
-                continue
             if kind is THROW:
                 raise ChoreoRuntimeError(stm.message)
-            exp = getattr(stm, attr)
-            if exp is None:
-                value = UNIT
-            else:
-                flag = flags.get(id(exp))
-                if flag is None:
-                    flag = flags[id(exp)] = self.flag(exp)
-                if not flag:
-                    value = ev(frame, exp)
-                elif flag == OWN:
-                    value = self.apply(frame, exp, [ev(frame, a) for a in exp.args])
-                    if type(value) is GeneratorType:
-                        value = yield value
+            if kind is not BLOCK:
+                exp = getattr(stm, attr)
+                if exp is None:
+                    value = UNIT
                 else:
-                    value = yield from self._eval_g(frame, exp, flags)
-            if kind is EXP:
-                stm = stm.cont
-            elif kind is VAR:
-                frame.env[stm.name] = value
-                stm = stm.cont
-            elif kind is RETURN:
-                return this if ctor else value
-            elif kind is IF:
-                rest.append(stm.cont)
-                stm = stm.then if value is True else stm.orelse
-            elif kind is ASSIGN:
-                if stm.op != "=":
-                    value = binary_value(stm.op[:-1], ev(frame, stm.target), value)
-                self.assign_to(frame, stm.target, value)
-                stm = stm.cont
-            else:  # SWITCH
-                if not isinstance(value, EnumV):
+                    flag = flags.get(id(exp))
+                    if flag is None:
+                        flag = flags[id(exp)] = self.flag(exp)
+                    if not flag:
+                        value = ev(frame, exp)
+                    elif flag == OWN:
+                        value = self.apply(frame, exp, [ev(frame, a) for a in exp.args])
+                        if type(value) is GeneratorType:
+                            value = yield value
+                    else:
+                        value = yield from self._eval_g(frame, exp, flags)
+                if kind is EXP:
+                    stm = stm.cont
+                    continue
+                if kind is VAR:
+                    frame.env[stm.name] = value
+                    stm = stm.cont
+                    continue
+                if kind is RETURN:
+                    return frame.this if ctor else value
+                if kind is ASSIGN:
+                    if stm.op != "=":
+                        value = binary_value(stm.op[:-1], ev(frame, stm.target), value)
+                    self.assign_to(frame, stm.target, value)
+                    stm = stm.cont
+                    continue
+                if kind is SWITCH and not isinstance(value, EnumV):
                     raise ChoreoRuntimeError("switch guard must be an enumerated value")
-                rest.append(stm.cont)
+            # A block, branch or switch: run its body, then its continuation.
+            if rest is None:
+                rest = []
+            rest.append(stm.cont)
+            if kind is BLOCK:
+                stm = stm.body
+            elif kind is IF:
+                stm = stm.then if value is True else stm.orelse
+            else:
                 stm = next((body for label, body in stm.cases if label == value.case),
                            stm.default)
+
+    def _run_steps(self, frame, ctor, step):
+        """The compiled statement loop: ``_walk``'s, on the steps of a
+        body, each compiled when first reached (see ``Step``). ``rest`` holds
+        the steps of the blocks, branches and switches entered, innermost
+        last, whose continuations run when their bodies end."""
+        deadline, link = self.deadline, self._link
+        rest = None
+        while True:
+            kind = step.kind
+            if kind is END:
+                if not rest:
+                    return frame.this if ctor else UNIT
+                step = rest.pop()
+                step = step.cont or link(step, "cont")
+                continue
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlockTimeout("deadline exceeded")
+            if kind is THROW:
+                raise ChoreoRuntimeError(step.stm.message)
+            if kind is not BLOCK:
+                if step.deep:
+                    value = yield from step.fn(self, frame)
+                else:
+                    value = step.fn(self, frame)
+                    if type(value) is GeneratorType:
+                        value = yield value
+                if kind is EXP:
+                    step = step.cont or link(step, "cont")
+                    continue
+                if kind is VAR:
+                    frame.env[step.stm.name] = value
+                    step = step.cont or link(step, "cont")
+                    continue
+                if kind is RETURN:
+                    return frame.this if ctor else value
+                if kind is ASSIGN:
+                    stm = step.stm
+                    if stm.op != "=":
+                        value = binary_value(stm.op[:-1], self.eval(frame, stm.target), value)
+                    self.assign_to(frame, stm.target, value)
+                    step = step.cont or link(step, "cont")
+                    continue
+                if kind is SWITCH and not isinstance(value, EnumV):
+                    raise ChoreoRuntimeError("switch guard must be an enumerated value")
+            if rest is None:
+                rest = []
+            rest.append(step)
+            if kind is BLOCK:
+                step = step.body or link(step, "body")
+            elif kind is IF:
+                step = (step.then or link(step, "then")) if value is True else (
+                    step.orelse or link(step, "orelse"))
+            else:
+                step = step.arms.get(value.case) or self._arm(step, value.case)
 
     def assign_to(self, frame, target, value):
         kind = KIND[type(target)]
@@ -345,6 +433,243 @@ class Evaluator(Builtins):
                 f"object of '{scope.class_name}' has no field '{name}' yet")
         raise ChoreoRuntimeError(f"no field '{name}' on {scope!r}")
 
+    # ------------------------------------------------------ the compiled tier
+
+    def _link(self, step, attr):
+        """Compiles the statement in the field ``attr`` of ``step``'s node
+        into the step's slot of that name."""
+        compiled = self.compile_stm(getattr(step.stm, attr))
+        setattr(step, attr, compiled)
+        return compiled
+
+    def _arm(self, step, case):
+        """Compiles the arm that the switch ``step`` takes on the label
+        ``case``, and keeps it for that label."""
+        stm = step.stm
+        body = next((body for label, body in stm.cases if label == case), stm.default)
+        compiled = step.arms[case] = self.compile_stm(body)
+        return compiled
+
+    def compile_stm(self, stm):
+        """``stm`` as a ``Step``; the steps it goes on to are compiled when
+        first reached."""
+        kind, attr = DISPATCH[type(stm)]
+        step = Step(kind, stm)
+        if attr is not None:
+            exp = getattr(stm, attr)
+            flag, step.fn = (0, _unit) if exp is None else self.compile_exp(exp)
+            step.deep = flag == DEEP
+            if kind is SWITCH:
+                step.arms = {}
+        return step
+
+    def compile_exp(self, exp):
+        """``exp`` as ``(flag(exp), f)``, settled in the same pass:
+        ``f(evaluator, frame)`` returns its value (flag 0: by ``may_call``, a
+        call so flagged never returns a generator), returns the value or the
+        generator of the call or ``new`` it is (``OWN``), or is a generator
+        function whose value is its value (``DEEP``)."""
+        kind = KIND[type(exp)]
+        if kind is NAME:
+            return 0, _name(exp.ident)
+        if kind is LITERAL:
+            value = exp.value
+            return 0, lambda ev, fr: value
+        if kind is UNIT_ATOM:
+            return 0, _unit
+        if kind is TYPE:  # not a value: ``eval`` says so
+            return 0, lambda ev, fr: ev.eval(fr, exp)
+        if kind is FIELD:
+            scope, name = exp.scope, exp.name
+            if KIND[type(scope)] is TYPE:
+                return 0, lambda ev, fr: ev.static_field(fr, scope, name)
+            flag, scope = self.compile_exp(scope)
+            if flag:
+                return DEEP, _field_g(flag, scope, name)
+            return 0, lambda ev, fr: ev.field_of(scope(ev, fr), name)
+        if kind is BINARY:
+            left, right = self.compile_exp(exp.left), self.compile_exp(exp.right)
+            if left[0] or right[0]:
+                return DEEP, _binary_g(exp.op, left, right)
+            return 0, _binary(exp.op, left[1], right[1])
+        scope = exp.scope if kind is CALL else None
+        if scope is not None:
+            scope = None if KIND[type(scope)] is TYPE else self.compile_exp(scope)
+        deep = scope is not None and scope[0]
+        args, fns = [], []
+        for a in exp.args:
+            flag, f = arg = self.compile_exp(a)
+            deep = deep or flag
+            args.append(arg)
+            fns.append(f)
+        if deep:
+            return DEEP, _call_g(exp, kind, args, scope)
+        args = _arguments(fns)
+        if kind is UNIT_CALL:
+            return 0, _unit_call(args)
+        apply = _applier(exp, kind, scope and scope[1])
+        return OWN if self.may_call(exp) else 0, lambda ev, fr: apply(ev, fr, args(ev, fr))
+
+
+# ------------------------------------------- compiled statements and closures
+
+class Step:
+    """A statement compiled for ``Evaluator._run_steps``: its kind and node;
+    for a statement that evaluates an expression, that expression's closure
+    ``fn`` (a generator function when ``deep``, see ``compile_exp``); and
+    the steps it goes on to, each None until first reached, in the slots
+    named as the node's fields that hold their statements, or, for a
+    switch, in ``arms`` by label."""
+
+    __slots__ = ("kind", "stm", "deep", "fn", "cont", "body", "then", "orelse", "arms")
+
+    def __init__(self, kind, stm):
+        self.kind, self.stm, self.deep = kind, stm, False
+        self.fn = self.cont = self.body = self.then = self.orelse = self.arms = None
+
+
+# Closures of expressions, each ``f(evaluator, frame)`` (see ``compile_exp``).
+
+def _unit(ev, fr):
+    return UNIT
+
+
+def _name(ident):
+    def name(ev, fr):
+        env = fr.env
+        if ident in env:
+            return env[ident]
+        if ident == "this":
+            return fr.this
+        if fr.this is not None and ident in fr.this.fields:
+            return fr.this.fields[ident]
+        raise ChoreoRuntimeError(f"unbound name '{ident}'")
+    return name
+
+
+def _binary(op, left, right):
+    if op == "&&" or op == "||":
+        stop = op == "||"
+
+        def logical(ev, fr):
+            value = left(ev, fr)
+            if value is True or value is False:
+                return value if value is stop else right(ev, fr)
+            return binary_value(op, value, right(ev, fr))
+        return logical
+    return lambda ev, fr: binary_value(op, left(ev, fr), right(ev, fr))
+
+
+def _arguments(fns):
+    """The closure of the list of the values of the closures ``fns``."""
+    if not fns:
+        return lambda ev, fr: []
+    if len(fns) == 1:
+        (f,) = fns
+        return lambda ev, fr: [f(ev, fr)]
+    return lambda ev, fr: [f(ev, fr) for f in fns]
+
+
+def _applier(exp, kind, scope):
+    """``Evaluator.apply`` of the call or ``new`` ``exp``, as a closure
+    ``f(evaluator, frame, args)``; ``scope`` is the closure of its receiver,
+    None for an unqualified or static call."""
+    if kind is NEW:
+        class_name = exp.class_name
+
+        def new(ev, fr, args):
+            hit, value = ev.construct(class_name, args)
+            return value if hit else ev.new(fr, exp, args)
+        return new
+    if scope is None:
+        return lambda ev, fr, args: ev.call(fr, exp, args)
+    name = exp.name
+    return lambda ev, fr, args: ev.call_method(scope(ev, fr), name, args)
+
+
+def _unit_call(args):
+    def unit_call(ev, fr):
+        args(ev, fr)
+        return UNIT
+    return unit_call
+
+
+# Generator functions of the expressions with an operand that calls (see
+# ``Evaluator._eval_g``). An operand is ``(flag, closure)``; one flagged
+# ``DEEP`` runs with ``yield from``, and an ``OWN`` one yields its call.
+
+def _field_g(flag, scope, name):
+    def field(ev, fr):
+        if flag == DEEP:
+            value = yield from scope(ev, fr)
+        else:
+            value = scope(ev, fr)
+            if type(value) is GeneratorType:
+                value = yield value
+        return ev.field_of(value, name)
+    return field
+
+
+def _binary_g(op, left, right):
+    (lflag, left), (rflag, right) = left, right
+    logic, stop = op == "&&" or op == "||", op == "||"
+
+    def binary(ev, fr):
+        if lflag == DEEP:
+            lvalue = yield from left(ev, fr)
+        else:
+            lvalue = left(ev, fr)
+            if type(lvalue) is GeneratorType:
+                lvalue = yield lvalue
+        logical = logic and (lvalue is True or lvalue is False)
+        if logical and lvalue is stop:
+            return lvalue
+        if rflag == DEEP:
+            rvalue = yield from right(ev, fr)
+        else:
+            rvalue = right(ev, fr)
+            if type(rvalue) is GeneratorType:
+                rvalue = yield rvalue
+        return rvalue if logical else binary_value(op, lvalue, rvalue)
+    return binary
+
+
+def _call_g(exp, kind, args, scope):
+    """A call, ``new`` or unit call; ``scope`` is its compiled receiver, or
+    None for an unqualified or static call."""
+    receiver = scope if scope is not None and scope[0] else None
+    if receiver is not None:
+        rflag, receiver = receiver
+        name = exp.name
+    elif kind is not UNIT_CALL:
+        apply = _applier(exp, kind, scope and scope[1])
+
+    def call(ev, fr):
+        values = []
+        for flag, f in args:
+            if flag == DEEP:
+                value = yield from f(ev, fr)
+            else:
+                value = f(ev, fr)
+                if type(value) is GeneratorType:
+                    value = yield value
+            values.append(value)
+        if kind is UNIT_CALL:
+            return UNIT
+        if receiver is None:
+            value = apply(ev, fr, values)
+        elif rflag == DEEP:
+            value = ev.call_method((yield from receiver(ev, fr)), name, values)
+        else:
+            value = receiver(ev, fr)
+            if type(value) is GeneratorType:
+                value = yield value
+            value = ev.call_method(value, name, values)
+        if type(value) is GeneratorType:
+            value = yield value
+        return value
+    return call
+
 
 # ---------------------------------------------------------------- the oracle
 
@@ -375,8 +700,8 @@ class GlobalObject(ProgramObject):
 
 class OracleFacts:
     """Dynamic dispatch in one checked program, worked out on first use, and
-    the oracle's flags. Kept as ``CheckedProgram.facts``; it holds the
-    program's tables, not the program."""
+    the oracle's flags and compiled bodies. Kept as ``CheckedProgram.facts``;
+    it holds the program's tables, not the program."""
 
     def __init__(self, checked):
         self.closure = checked._checker.supertype_closure
@@ -386,6 +711,8 @@ class OracleFacts:
         self.method_keys = {(mi.name, len(mi.node.params)) for info in checked._checker.own
                             for mi in info.methods if mi.node.body is not None}
         self.flags = {}  # id(expression) -> flag; the program keeps each alive
+        self.calls = {}  # id(method) -> calls so far, until its body is compiled
+        self.bodies = {}  # id(method) -> (parameter names, Step of its body)
 
     def method(self, info, name, arity):
         """The method with a body that dynamic dispatch finds for
@@ -412,7 +739,6 @@ class GlobalInterpreter(Evaluator):
         if checked.facts is None:
             checked.facts = OracleFacts(checked)
         self.facts = checked.facts
-        self.flags = self.facts.flags
         self.channels = {}
 
     def claim_channel(self, key):

@@ -187,7 +187,12 @@ class Projector:
             name = node.name
         body = None
         if node.body is not None:
-            body = normalize_stm(self.project_stm(node.body, role))
+            try:
+                body = normalize_stm(self.project_stm(node.body, role))
+            except RecursionError:  # projection recurses per statement
+                self.reporter.error(Code.InternalError, node.span,
+                                    f"method '{name}' of '{info.name}' is nested too deeply "
+                                    f"to project at {role}.")
         return LMethod(annotations, list(node.modifiers), self.project_ftps(mi.ftps),
                        ret, name, params, body, node.is_constructor)
 

@@ -1,10 +1,11 @@
+import importlib.util
 import sys
 
 import pytest
 
 sys.setrecursionlimit(20000)
 
-from choreo.corpus import positive_entries
+from choreo.corpus import corpus_root, positive_entries
 from choreo.diagnostics import Reporter
 from choreo.pipeline import compile_files, compile_sources
 from choreo.projector import project_program
@@ -34,3 +35,25 @@ def corpus_compiled():
             prog.name + ":\n" + "\n".join(d.render() for d in reporter.errors))
         out[prog.name] = (prog, checked, units)
     return out
+
+
+@pytest.fixture
+def recursion_limit_1000():
+    """Python's default recursion limit, which library callers have, for one
+    test; the suite's own limit is restored afterwards."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def perfbench_gen():
+    """The benchmark's input generators, ``perfbench/gen.py``, read as they
+    are."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", corpus_root().parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen

@@ -679,3 +679,12 @@ def test_type_facts_belong_to_one_program():
     _, _, p_checked = _outcome(p)  # kept alive while Q compiles again
     assert p_checked is not None
     assert [_outcome(q)[:2], _outcome(q_bad)[:2]] == alone
+
+
+def test_too_deeply_nested_expression_is_a_diagnostic(recursion_limit_1000):
+    # The checker recurses once per expression level; at Python's default
+    # limit a 2,000-term sum is reported, not raised.
+    sum_exp = " + ".join(["1@A"] * 2000)
+    checked, reporter = compile_text(f"class D@A {{ Integer@A m() {{ return {sum_exp}; }} }}")
+    assert [(d.code, d.message) for d in reporter.items] == [
+        (Code.InternalError, "'D' is nested too deeply to check.")]

@@ -4,11 +4,12 @@ import gc
 import sys
 import time
 
-from conftest import compile_ok, compile_text
+from conftest import compile_ok, compile_text, perfbench_gen
 
-from choreo.corpus import positive_entries
+from choreo import interpreter
+from choreo.corpus import corpus_root, positive_entries
 from choreo.diagnostics import Code, Reporter
-from choreo.differential import differential_run
+from choreo.differential import RunSpec, differential_run
 from choreo.distributed import eval_distributed
 from choreo.interpreter import eval_global
 from choreo.local import (
@@ -422,15 +423,107 @@ class Forms@A extends Base@A {
 """
 
 
-def test_every_statement_form_runs_alike_in_both_evaluators():
+def test_every_statement_form_runs_alike_in_both_evaluators(monkeypatch):
     # Compound assignment on a local and a field, short-circuit operators
     # whose right operand prints, an enum switch, a try body, a return from
-    # a nested block and a super(...) constructor.
+    # a nested block and a super(...) constructor. The first run walks every
+    # body; the second compiles each at its first call.
     checked = compile_ok(FORMS)
-    cmp = differential_run(checked, "Forms", "go", {"A": [3]})
+    units = project_ok(checked)
+    for run in range(2):
+        if run:
+            monkeypatch.setattr(interpreter, "COMPILE_AT", 1)
+        cmp = differential_run(checked, "Forms", "go", {"A": [3]}, local_program=units)
+        assert cmp.equal, cmp.summary()
+        assert cmp.global_report.returns == {"A": 60}
+        assert cmp.global_report.transcripts == {"A": ["yes", "loud", "both", "right"]}
+    assert checked.facts.bodies and units.facts.bodies
+
+
+CELLS = """
+class Cell@A {
+    Integer@A n;
+    public Cell(Integer@A n) { this.n = n; return; }
+    Cell@A bump() { n += 1@A; return this; }
+    static Cell@A make(Integer@A n) { return new Cell@A(n); }
+    public static Cell@A go(Integer@A n) {
+        Cell@A c = make(n).bump();
+        return make(make(c.n).bump().n).bump();
+    }
+}
+"""
+
+
+def test_compiled_bodies_keep_fields_constructors_and_effects(monkeypatch):
+    # Every body compiles at its first call: a field assigned by its bare
+    # name, a constructor that returns, a field read off a call, and a unit
+    # call whose arguments print.
+    monkeypatch.setattr(interpreter, "COMPILE_AT", 1)
+    cmp = differential_run(compile_ok(CELLS), "Cell", "go", {"A": [3]})
     assert cmp.equal, cmp.summary()
-    assert cmp.global_report.returns == {"A": 60}
-    assert cmp.global_report.transcripts == {"A": ["yes", "loud", "both", "right"]}
+    assert cmp.global_report.returns == {"A": ("object", "Cell", (("n", 6),))}
+    program = LocalProgram([parse_local_unit("""
+    public class U {
+        public static void go() { Unit.id(System.out.println(1), System.out.println(2)); }
+    }""")])
+    report = eval_distributed(program, "U", ["A"], "go")
+    assert (report.status, report.transcripts) == ("ok", {"A": ["1", "2"]})
+
+
+def test_compiled_bodies_run_as_the_walked_ones(monkeypatch):
+    """Every corpus manifest run, DistAuthN logins as the benchmark generates
+    them, a QuickSort and a stream, each run twice on one compiled program in
+    both evaluators: the first run walks every body, the second compiles each
+    at its first call."""
+    gen = perfbench_gen()
+    cases = [(prog.path.read_text(), run) for prog in positive_entries() for run in prog.runs]
+    cases += [(gen.distauth_source(n), RunSpec(**gen.distauth_run(n, valid)))
+              for n in (2, 6, 12, 20) for valid in (True, False)]
+    sort_channels = {"ch_AB": "ab", "ch_BC": "bc", "ch_CA": "ca"}
+    cases += [
+        ((corpus_root() / "positive" / "QuickSort.chor").read_text(),
+         RunSpec("Quicksort", "sort", {"A": [[(i * 7) % 13 - 6 for i in range(20)]]},
+                 sort_channels)),
+        ((corpus_root() / "positive" / "ConsumeItems.chor").read_text(),
+         RunSpec("ConsumeItems", "run", {"A": [[f"item{i}" for i in range(30)]]},
+                 {"ch": "items"})),
+    ]
+    for text, run in cases:
+        checked = compile_ok(text)
+        units = project_ok(checked)
+        roles = checked.decl_info(run.entry_class).role_names
+        seen = []
+        for compile_at in (sys.maxsize, 1):
+            monkeypatch.setattr(interpreter, "COMPILE_AT", compile_at)
+            reports = [eval_global(checked, run.entry_class, run.entry_method, run.args,
+                                   run.channels),
+                       eval_distributed(units, run.entry_class, roles, run.entry_method,
+                                        run.args, run.channels, run.deadline)]
+            seen.append([(r.status, r.error, r.returns, r.transcripts) for r in reports])
+        assert seen[0] == seen[1], run
+        assert seen[0][0][0] == "ok", run
+        assert checked.facts.bodies and units.facts.bodies, run
+
+
+def test_a_method_is_compiled_once_it_is_called_often():
+    hello = compile_ok((corpus_root() / "positive" / "HelloRoles.chor").read_text())
+    hello_units = project_ok(hello)
+    assert differential_run(hello, "HelloRoles", "sayHello", local_program=hello_units).equal
+    assert hello.facts.bodies == {} and hello_units.facts.bodies == {}
+
+    checked = compile_ok((corpus_root() / "positive" / "ConsumeItems.chor").read_text())
+    units = project_ok(checked)
+    items = [f"item{i}" for i in range(30)]
+    cmp = differential_run(checked, "ConsumeItems", "run", {"A": [items]}, {"ch": "items"},
+                           local_program=units)
+    assert cmp.equal, cmp.summary()
+    methods = {mi.name: mi.node for mi in checked.decl_info("ConsumeItems").methods}
+    assert id(methods["consumeItems"]) in checked.facts.bodies
+    assert id(methods["run"]) not in checked.facts.bodies
+    for role in ("A", "B"):
+        methods = {m.name: m for m in units.unit(f"ConsumeItems_{role}").decl.methods}
+        assert id(methods["consumeItems"]) in units.facts.bodies
+        assert id(methods["run"]) not in units.facts.bodies
 
 
 def test_differential_hello(corpus_compiled):

@@ -1,11 +1,10 @@
 """Parsing, desugaring, and round-trip behaviour."""
 
 import dataclasses
-import importlib.util
 import re
-import sys
 
 import pytest
+from conftest import perfbench_gen
 
 from choreo import surface as S
 from choreo.checker import check_program
@@ -316,12 +315,8 @@ _TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*\n?|/\*.*?\*/)*", re.S)
 def _corpus_and_distauth_texts():
     """Every corpus file, then DistAuthN for N in 2..20 as the benchmark
     generates it."""
-    root = corpus_root()
-    out = [(str(p), p.read_text()) for p in sorted(root.rglob("*.chor"))]
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", root.parent / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    out = [(str(p), p.read_text()) for p in sorted(corpus_root().rglob("*.chor"))]
+    gen = perfbench_gen()
     return out + [(f"DistAuth{n}", gen.distauth_source(n)) for n in range(2, 21)]
 
 
@@ -414,16 +409,6 @@ def test_walk_matches_a_naive_traversal_of_both_trees():
 
 def test_walk_of_none_yields_nothing():
     assert list(S.walk(None)) == []
-
-
-@pytest.fixture
-def recursion_limit_1000():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 def test_front_end_takes_no_python_stack_per_statement(recursion_limit_1000):

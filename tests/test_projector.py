@@ -415,3 +415,13 @@ def test_round_trip_compiled_listing_keeps_nested_coms(corpus_compiled):
     assert render_stm(rt_b.body, 0) == ["return chBA.<T>com(chAB.<T>com(Unit.id));"]
     assert [p.te.render() for p in rt_b.params] == \
         ["DiDataChannel_B<T>", "DiDataChannel_A<T>", "Unit"]
+
+
+def test_too_long_method_is_a_projection_diagnostic(recursion_limit_1000):
+    # Projection recurses once per statement; at Python's default limit a
+    # 1,200-statement method that checks is reported, not raised.
+    body = "".join("x = x + 1@A;\n" for _ in range(1200))
+    checked = compile_ok(f"class D@A {{ Integer@A m(Integer@A x) {{\n{body}return x; }} }}")
+    units, reporter = project_program(checked, Reporter())
+    assert [(d.code, d.message) for d in reporter.items] == [
+        (Code.InternalError, "method 'm' of 'D' is nested too deeply to project at A.")]
