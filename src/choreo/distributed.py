@@ -30,17 +30,16 @@ from .runtime import (
 
 class ProgramFacts:
     """What the interpreters of one ``LocalProgram`` look up, worked out
-    once: declarations and methods, their flags and their compiled bodies,
-    which every role's interpreter shares."""
+    once: declarations and methods, and their compiled bodies, which every
+    role's interpreter shares."""
 
     def __init__(self, units):
         self.decls = {u.generated_name: u.decl for u in units}
         self.method_keys = {(m.name, len(m.params)) for d in self.decls.values()
                             if isinstance(d, LClass) for m in d.methods}
         self._methods = {}
-        self.flags = {}  # id(expression) -> flag; the program keeps each alive
-        self.calls = {}  # id(method) -> calls so far, until its body is compiled
-        self.bodies = {}  # id(method) -> (parameter names, Step of its body)
+        self.bodies = {}  # id(method) -> the first Step of its body
+        self.names = {}  # identifier -> its compiled name
 
     def method(self, class_name, name, arity, static=False):
         """The method with a body that a call names, up the superclasses."""

@@ -2,19 +2,18 @@
 
 ``Evaluator`` runs method bodies of either language: the checked surface
 program for the oracle, a role's projected units for a worker
-(``distributed.LocalInterpreter``), on two tiers. A method's first
-``COMPILE_AT - 1`` calls in a program walk its body: one statement loop,
-which dispatches through ``DISPATCH``, and the expression walkers. From its
-``COMPILE_AT``-th call on, its body runs compiled, in the manner of Feeley
-and Lapalme's closure generation: each statement, when first reached,
-becomes a ``Step`` whose expression is a Python closure, and one loop runs
-the steps. The compiled bodies are kept in the program's facts, so every
-evaluator of a program shares one compile. Each evaluator supplies its
+(``distributed.LocalInterpreter``). A method's body is compiled at its first
+call in a program, in the manner of Feeley and Lapalme's closure
+generation: each statement becomes a ``Step`` whose expression is a Python
+closure, a block's statements when the block is first entered, and one loop
+runs the steps. ``COMPILE`` holds the compile function of every statement
+and expression class of both languages. The compiled bodies are kept in the
+program's facts, so every evaluator of a program shares one compile. Each evaluator supplies its
 calls, its static fields and which of its calls may run a method of the
-program, behind a few hooks. A method call is one generator on either
-tier, run by ``runtime.drive``, so recursion takes no Python stack and is
-bounded only by ``runtime.MAX_CALL_DEPTH``; an expression that calls no
-method of the program evaluates with no generator.
+program, behind a few hooks. A method call is one generator, run by
+``runtime.drive``, so recursion takes no Python stack and is bounded only by
+``runtime.MAX_CALL_DEPTH``; an expression that calls no method of the
+program evaluates with no generator.
 
 The global evaluator (``GlobalInterpreter``) runs checked choreographies
 directly. Values are not located; the per-role structure shows up in the
@@ -44,48 +43,13 @@ from .runtime import (
 )
 from .types import TVar, spine
 
-# Statement kinds.
-EXP, VAR, ASSIGN, RETURN, IF, SWITCH, BLOCK, END, THROW = (
-    "exp", "var", "assign", "return", "if", "switch", "block", "end", "throw")
-# Expression kinds; a type is a class name used as a static scope.
-NAME, LITERAL, UNIT_ATOM, TYPE, FIELD, CALL, NEW, BINARY, UNIT_CALL = (
-    "name", "literal", "unit", "type", "field", "call", "new", "binary", "unit-call")
-
-# Kind, the attribute holding the expression a statement evaluates first,
-# then the classes of that kind in the surface and the local language.
-_FORMS = [
-    (EXP, "exp", S.ExpStm, LExpStm),
-    (VAR, "init", S.VarDecl, LVarDecl),
-    (ASSIGN, "value", S.Assign, LAssign),
-    (RETURN, "value", S.Return, LReturn),
-    (IF, "guard", S.If, LIf),
-    (SWITCH, "guard", S.Switch, LSwitch),
-    (BLOCK, None, S.Block, LBlock, S.TryCatch, LTryCatch),  # a try runs its body
-    (END, None, S.Nil, LNil, type(None)),  # None ends a block
-    (THROW, None, S.Throw, LThrow),
-    (NAME, None, S.Name, LName),
-    (LITERAL, None, S.Literal, LLit),
-    (UNIT_ATOM, None, LUnit),
-    (TYPE, None, S.StaticRef, LStaticName),
-    (FIELD, None, S.FieldAcc, LFieldAcc),
-    (CALL, None, S.Call, LCall),
-    (NEW, None, S.New, LNew),
-    (BINARY, None, S.Binary, LBinary),
-    (UNIT_CALL, None, LUnitCall),
-]
-# Each statement and expression class of both languages -> (kind, the
-# attribute holding the expression it evaluates first, or None).
-DISPATCH = {cls: (kind, attr) for kind, attr, *classes in _FORMS for cls in classes}
-KIND = {cls: kind for cls, (kind, _) in DISPATCH.items()}  # the kinds alone
-
-OWN, DEEP = 1, 2  # see ``Evaluator.flag``
-# The classes of the expressions that never call.
-LEAVES = frozenset(cls for cls, kind in KIND.items() if kind in (NAME, LITERAL, UNIT_ATOM, TYPE))
-# A method's first COMPILE_AT - 1 calls in a program walk its body, and the
-# COMPILE_AT-th compiles it (see ``Evaluator.run``): most statements of a
-# program compiled to run once run once, where compiling costs more than it
-# saves, and a method called this often is likely to be called again.
-COMPILE_AT = 8
+# Statement kinds; an assignment runs as an expression statement.
+EXP, VAR, RETURN, IF, SWITCH, BLOCK, END, THROW = (
+    "exp", "var", "return", "if", "switch", "block", "end", "throw")
+# How a compiled expression calls methods of the program, or waits (see
+# ``Evaluator.compile_exp``).
+OWN, DEEP = 1, 2
+TYPES = (S.StaticRef, LStaticName)  # a class name used as a static scope
 
 
 class ProgramObject:
@@ -130,8 +94,8 @@ class Evaluator(Builtins):
     of the program (or of a wait on a channel), for their caller to run
     (see ``runtime.drive``); a builtin's callback runs at once, to the end.
 
-    An evaluator sets ``facts``, which its program keeps (``flags``:
-    ``id(expression)`` -> flag; ``calls`` and ``bodies``: see ``run``), and
+    An evaluator sets ``facts``, which its program keeps (``bodies``: see
+    ``run``; ``names``: identifier -> the closure that reads it), and
     ``deadline`` (a ``time.monotonic()`` value, or None), and supplies these
     hooks:
 
@@ -160,123 +124,23 @@ class Evaluator(Builtins):
                                      f"inside a builtin's callback, which cannot wait")
         return value
 
-    def flag(self, exp):
-        """How ``exp`` calls methods of the program, or waits: not at all
-        (0), only as a call or ``new`` whose operands do neither (``OWN``),
-        or in an operand (``DEEP``). Kept in ``facts.flags`` where not 0,
-        with its operands'."""
-        kind = KIND[type(exp)]
-        if kind is CALL:
-            operands = exp.args if exp.scope is None else exp.args + [exp.scope]
-        elif kind is NEW or kind is UNIT_CALL:
-            operands = exp.args
-        elif kind is BINARY:
-            operands = (exp.left, exp.right)
-        elif kind is FIELD:
-            operands = (exp.scope,)
-        else:
-            return 0
-        deep = False
-        for o in operands:
-            if type(o) not in LEAVES and self.flag(o):
-                deep = True
-        own = not deep and (kind is CALL or kind is NEW) and self.may_call(exp)
-        flag = DEEP if deep else OWN if own else 0
-        if flag:
-            self.facts.flags[id(exp)] = flag
-        return flag
-
-    # ------------------------------------------------------------ statements
-
     def run(self, this, site, method, args):
         """One call of ``method`` (a method node of either language) on
         ``this`` (None for a static method), as a generator (see
         ``runtime.drive``); a constructor's value is ``this``. A method's
-        first ``COMPILE_AT - 1`` calls in a program walk its body; from the
-        next on, its body runs compiled (see ``Step``), once per program."""
-        facts, key = self.facts, id(method)
-        body = facts.bodies.get(key)
-        if body is None:
-            calls = facts.calls.get(key, 0) + 1
-            if calls < COMPILE_AT:
-                facts.calls[key] = calls
-                frame = Frame(this, {p.name: a for p, a in zip(method.params, args)}, site)
-                return self._walk(frame, method)
-            facts.calls.pop(key, None)
-            body = facts.bodies[key] = ([p.name for p in method.params],
-                                        self.compile_stm(method.body))
-        names, step = body
-        return self._run_steps(Frame(this, dict(zip(names, args)), site),
+        body is compiled at its first call in a program, into
+        ``facts.bodies``."""
+        step = self.facts.bodies.get(id(method))
+        if step is None:
+            step = self.facts.bodies[id(method)] = self.compile_stm(method.body)
+        return self._run_steps(Frame(this, {p.name: a for p, a in zip(method.params, args)}, site),
                                method.is_constructor, step)
 
-    def _walk(self, frame, method):
-        """The tree-walking statement loop: nested blocks run on a list of
-        continuations, and ``return`` returns from the generator."""
-        ctor = method.is_constructor
-        deadline, flags, ev = self.deadline, self.facts.flags, self.eval
-        rest = None  # the continuations of the enclosing blocks, innermost last
-        stm = method.body
-        while True:
-            kind, attr = DISPATCH[type(stm)]
-            if kind is END:
-                if not rest:
-                    return frame.this if ctor else UNIT
-                stm = rest.pop()
-                continue
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlockTimeout("deadline exceeded")
-            if kind is THROW:
-                raise ChoreoRuntimeError(stm.message)
-            if kind is not BLOCK:
-                exp = getattr(stm, attr)
-                if exp is None:
-                    value = UNIT
-                else:
-                    flag = flags.get(id(exp))
-                    if flag is None:
-                        flag = flags[id(exp)] = self.flag(exp)
-                    if not flag:
-                        value = ev(frame, exp)
-                    elif flag == OWN:
-                        value = self.apply(frame, exp, [ev(frame, a) for a in exp.args])
-                        if type(value) is GeneratorType:
-                            value = yield value
-                    else:
-                        value = yield from self._eval_g(frame, exp, flags)
-                if kind is EXP:
-                    stm = stm.cont
-                    continue
-                if kind is VAR:
-                    frame.env[stm.name] = value
-                    stm = stm.cont
-                    continue
-                if kind is RETURN:
-                    return frame.this if ctor else value
-                if kind is ASSIGN:
-                    if stm.op != "=":
-                        value = binary_value(stm.op[:-1], ev(frame, stm.target), value)
-                    self.assign_to(frame, stm.target, value)
-                    stm = stm.cont
-                    continue
-                if kind is SWITCH and not isinstance(value, EnumV):
-                    raise ChoreoRuntimeError("switch guard must be an enumerated value")
-            # A block, branch or switch: run its body, then its continuation.
-            if rest is None:
-                rest = []
-            rest.append(stm.cont)
-            if kind is BLOCK:
-                stm = stm.body
-            elif kind is IF:
-                stm = stm.then if value is True else stm.orelse
-            else:
-                stm = next((body for label, body in stm.cases if label == value.case),
-                           stm.default)
-
     def _run_steps(self, frame, ctor, step):
-        """The compiled statement loop: ``_walk``'s, on the steps of a
-        body, each compiled when first reached (see ``Step``). ``rest`` holds
-        the steps of the blocks, branches and switches entered, innermost
-        last, whose continuations run when their bodies end."""
+        """The statement loop, on the steps of a body (see ``Step``).
+        ``rest`` holds the steps of the blocks, branches and switches
+        entered, innermost last, whose continuations run when their bodies
+        end; ``return`` returns from the generator."""
         deadline, link = self.deadline, self._link
         rest = None
         while True:
@@ -284,8 +148,7 @@ class Evaluator(Builtins):
             if kind is END:
                 if not rest:
                     return frame.this if ctor else UNIT
-                step = rest.pop()
-                step = step.cont or link(step, "cont")
+                step = rest.pop().cont
                 continue
             if deadline is not None and time.monotonic() > deadline:
                 raise DeadlockTimeout("deadline exceeded")
@@ -299,21 +162,14 @@ class Evaluator(Builtins):
                     if type(value) is GeneratorType:
                         value = yield value
                 if kind is EXP:
-                    step = step.cont or link(step, "cont")
+                    step = step.cont
                     continue
                 if kind is VAR:
                     frame.env[step.stm.name] = value
-                    step = step.cont or link(step, "cont")
+                    step = step.cont
                     continue
                 if kind is RETURN:
                     return frame.this if ctor else value
-                if kind is ASSIGN:
-                    stm = step.stm
-                    if stm.op != "=":
-                        value = binary_value(stm.op[:-1], self.eval(frame, stm.target), value)
-                    self.assign_to(frame, stm.target, value)
-                    step = step.cont or link(step, "cont")
-                    continue
                 if kind is SWITCH and not isinstance(value, EnumV):
                     raise ChoreoRuntimeError("switch guard must be an enumerated value")
             if rest is None:
@@ -327,102 +183,16 @@ class Evaluator(Builtins):
             else:
                 step = step.arms.get(value.case) or self._arm(step, value.case)
 
-    def assign_to(self, frame, target, value):
-        kind = KIND[type(target)]
-        if kind is NAME:
-            if target.ident in frame.env:
-                frame.env[target.ident] = value
-                return
-            if frame.this is not None:
-                frame.this.fields[target.ident] = value
-                return
-            raise ChoreoRuntimeError(f"cannot assign unknown name '{target.ident}'")
-        if kind is FIELD:
-            scope = self.eval(frame, target.scope)
-            if isinstance(scope, ProgramObject):
-                scope.fields[target.name] = value
-                return
-        raise ChoreoRuntimeError("unsupported assignment target")
-
-    # ----------------------------------------------------------- expressions
-
-    def apply(self, frame, exp, args):
-        """The call or ``new`` ``exp``, given its arguments: its value, or
-        the generator of the method of the program it calls. Its receiver
-        must call nothing."""
-        if KIND[type(exp)] is NEW:
-            hit, value = self.construct(exp.class_name, args)
-            return value if hit else self.new(frame, exp, args)
-        scope = exp.scope
-        if scope is None or KIND[type(scope)] is TYPE:
-            return self.call(frame, exp, args)
-        return self.call_method(self.eval(frame, scope), exp.name, args)
-
     def eval(self, frame, exp):
         """The value of ``exp``; a method of the program that it calls runs
         at once, to the end, as a builtin's callback does."""
-        kind = KIND[type(exp)]
-        if kind is NAME:
-            ident = exp.ident
-            if ident in frame.env:
-                return frame.env[ident]
-            if ident == "this":
-                return frame.this
-            if frame.this is not None and ident in frame.this.fields:
-                return frame.this.fields[ident]
-            raise ChoreoRuntimeError(f"unbound name '{ident}'")
-        if kind is LITERAL:
-            return exp.value
-        if kind is CALL or kind is NEW:
-            value = self.apply(frame, exp, [self.eval(frame, a) for a in exp.args])
-            return self.now(value) if type(value) is GeneratorType else value
-        if kind is FIELD:
-            if KIND[type(exp.scope)] is TYPE:
-                return self.static_field(frame, exp.scope, exp.name)
-            return self.field_of(self.eval(frame, exp.scope), exp.name)
-        if kind is BINARY:
-            left, op = self.eval(frame, exp.left), exp.op
-            if (op == "&&" or op == "||") and (left is True or left is False):
-                return left if left is (op == "||") else self.eval(frame, exp.right)
-            return binary_value(op, left, self.eval(frame, exp.right))
-        if kind is UNIT_ATOM:
-            return UNIT
-        if kind is UNIT_CALL:
-            for a in exp.args:
-                self.eval(frame, a)
-            return UNIT
-        if kind is TYPE:
-            raise ChoreoRuntimeError(f"'{exp.name}' is a type, not a value")
-        raise ChoreoRuntimeError(f"cannot evaluate {exp!r}")
+        return self.now(self.compile_exp(exp)[1](self, frame))
 
-    def _eval_g(self, frame, exp, flags):
-        """``eval`` of an expression that calls a method of the program, or
-        waits, as a generator (see ``runtime.drive``); ``flags`` holds those
-        of its operands."""
-        ev, ev_g = self.eval, self._eval_g
-        kind = KIND[type(exp)]
-        if kind is BINARY:
-            left, right, op = exp.left, exp.right, exp.op
-            left = (yield from ev_g(frame, left, flags)) if flags.get(id(left)) else ev(frame, left)
-            logical = (op == "&&" or op == "||") and (left is True or left is False)
-            if logical and left is (op == "||"):
-                return left
-            right = (yield from ev_g(frame, right, flags)) if flags.get(id(right)) else ev(frame, right)
-            return right if logical else binary_value(op, left, right)
-        if kind is FIELD:
-            return self.field_of((yield from ev_g(frame, exp.scope, flags)), exp.name)
-        args = []
-        for a in exp.args:
-            args.append((yield from ev_g(frame, a, flags)) if flags.get(id(a)) else ev(frame, a))
-        if kind is UNIT_CALL:
-            return UNIT
-        if kind is CALL and flags.get(id(exp.scope)):
-            value = self.call_method((yield from ev_g(frame, exp.scope, flags)), exp.name, args)
-        else:
-            value = self.apply(frame, exp, args)
-        if type(value) is GeneratorType:
-            value = yield value
-        return value
+    def instance(self, frame, exp, args):
+        """The ``new`` expression ``exp``, given its arguments: a builtin
+        value, or what the ``new`` hook returns."""
+        hit, value = self.construct(exp.class_name, args)
+        return value if hit else self.new(frame, exp, args)
 
     @staticmethod
     def field_of(scope, name):
@@ -433,7 +203,7 @@ class Evaluator(Builtins):
                 f"object of '{scope.class_name}' has no field '{name}' yet")
         raise ChoreoRuntimeError(f"no field '{name}' on {scope!r}")
 
-    # ------------------------------------------------------ the compiled tier
+    # -------------------------------------------------------------- compiling
 
     def _link(self, step, attr):
         """Compiles the statement in the field ``attr`` of ``step``'s node
@@ -451,64 +221,23 @@ class Evaluator(Builtins):
         return compiled
 
     def compile_stm(self, stm):
-        """``stm`` as a ``Step``; the steps it goes on to are compiled when
-        first reached."""
-        kind, attr = DISPATCH[type(stm)]
-        step = Step(kind, stm)
-        if attr is not None:
-            exp = getattr(stm, attr)
-            flag, step.fn = (0, _unit) if exp is None else self.compile_exp(exp)
-            step.deep = flag == DEEP
-            if kind is SWITCH:
-                step.arms = {}
-        return step
+        """The statements from ``stm`` on to the end of its block, or to its
+        first ``return`` or ``throw``, as ``Step``s linked by ``cont``; the
+        bodies of blocks, branches and switches are compiled when first
+        reached."""
+        first = step = COMPILE[type(stm)](self, stm)
+        while step.kind is not END and step.kind is not RETURN and step.kind is not THROW:
+            stm = stm.cont
+            step.cont = step = COMPILE[type(stm)](self, stm)
+        return first
 
     def compile_exp(self, exp):
-        """``exp`` as ``(flag(exp), f)``, settled in the same pass:
-        ``f(evaluator, frame)`` returns its value (flag 0: by ``may_call``, a
-        call so flagged never returns a generator), returns the value or the
-        generator of the call or ``new`` it is (``OWN``), or is a generator
-        function whose value is its value (``DEEP``)."""
-        kind = KIND[type(exp)]
-        if kind is NAME:
-            return 0, _name(exp.ident)
-        if kind is LITERAL:
-            value = exp.value
-            return 0, lambda ev, fr: value
-        if kind is UNIT_ATOM:
-            return 0, _unit
-        if kind is TYPE:  # not a value: ``eval`` says so
-            return 0, lambda ev, fr: ev.eval(fr, exp)
-        if kind is FIELD:
-            scope, name = exp.scope, exp.name
-            if KIND[type(scope)] is TYPE:
-                return 0, lambda ev, fr: ev.static_field(fr, scope, name)
-            flag, scope = self.compile_exp(scope)
-            if flag:
-                return DEEP, _field_g(flag, scope, name)
-            return 0, lambda ev, fr: ev.field_of(scope(ev, fr), name)
-        if kind is BINARY:
-            left, right = self.compile_exp(exp.left), self.compile_exp(exp.right)
-            if left[0] or right[0]:
-                return DEEP, _binary_g(exp.op, left, right)
-            return 0, _binary(exp.op, left[1], right[1])
-        scope = exp.scope if kind is CALL else None
-        if scope is not None:
-            scope = None if KIND[type(scope)] is TYPE else self.compile_exp(scope)
-        deep = scope is not None and scope[0]
-        args, fns = [], []
-        for a in exp.args:
-            flag, f = arg = self.compile_exp(a)
-            deep = deep or flag
-            args.append(arg)
-            fns.append(f)
-        if deep:
-            return DEEP, _call_g(exp, kind, args, scope)
-        args = _arguments(fns)
-        if kind is UNIT_CALL:
-            return 0, _unit_call(args)
-        apply = _applier(exp, kind, scope and scope[1])
-        return OWN if self.may_call(exp) else 0, lambda ev, fr: apply(ev, fr, args(ev, fr))
+        """``exp`` as ``(flag, f)``: ``f(evaluator, frame)`` returns its
+        value (flag 0: by ``may_call``, a call so flagged never returns a
+        generator), returns the value or the generator of the call or
+        ``new`` it is (``OWN``), or is a generator function whose value is
+        its value (``DEEP``, when an operand has a flag)."""
+        return COMPILE[type(exp)](self, exp)
 
 
 # ------------------------------------------- compiled statements and closures
@@ -516,26 +245,165 @@ class Evaluator(Builtins):
 class Step:
     """A statement compiled for ``Evaluator._run_steps``: its kind and node;
     for a statement that evaluates an expression, that expression's closure
-    ``fn`` (a generator function when ``deep``, see ``compile_exp``); and
-    the steps it goes on to, each None until first reached, in the slots
-    named as the node's fields that hold their statements, or, for a
-    switch, in ``arms`` by label."""
+    ``fn`` (a generator function when ``deep``, see ``compile_exp``); its
+    continuation ``cont``; and the first steps of its body or branches, each
+    None until first reached, in the slots named as the node's fields that
+    hold them, or, for a switch, in ``arms`` by label."""
 
     __slots__ = ("kind", "stm", "deep", "fn", "cont", "body", "then", "orelse", "arms")
 
-    def __init__(self, kind, stm):
-        self.kind, self.stm, self.deep = kind, stm, False
-        self.fn = self.cont = self.body = self.then = self.orelse = self.arms = None
+    def __init__(self, kind, stm, flag=0, fn=None):
+        self.kind, self.stm, self.deep, self.fn = kind, stm, flag == DEEP, fn
+        self.cont = self.body = self.then = self.orelse = self.arms = None
+
+
+END_STEP = Step(END, None)  # every block's end: it goes on to nothing
+
+
+def _statement(kind, attr=None):
+    """The compile function of the statements of ``kind`` that first
+    evaluate the expression in their field ``attr``, if any."""
+    if attr is None:
+        return lambda ev, stm: Step(kind, stm)
+
+    def compile_statement(ev, stm):
+        exp = getattr(stm, attr)
+        if exp is None:
+            return Step(kind, stm, 0, _unit)
+        flag, fn = COMPILE[type(exp)](ev, exp)
+        step = Step(kind, stm, flag, fn)
+        if kind is SWITCH:
+            step.arms = {}
+        return step
+    return compile_statement
+
+
+def _c_assign(ev, stm):
+    """An assignment, in Java's order: a field target's receiver, then, for
+    ``op=``, the target's value, then the right operand, then the store."""
+    target, op, value = stm.target, stm.op[:-1], stm.value
+    value = COMPILE[type(value)](ev, value)
+    if type(target) is S.FieldAcc or type(target) is LFieldAcc:
+        scope, name = target.scope, target.name
+        receiver = COMPILE[type(scope)](ev, scope)
+        if not (op or receiver[0] or value[0]):
+            return Step(EXP, stm, 0, lambda ev, fr, r=receiver[1], n=name, v=value[1]:
+                        _set_field(r(ev, fr), n, v(ev, fr)))
+        read = lambda ev, obj, n=name: ev.field_of(obj, n)
+        store = lambda obj, v, n=name: _set_field(obj, n, v)
+    else:  # a name, whose receiver is the frame
+        ident = target.ident
+        if not (op or value[0]):
+            return Step(EXP, stm, 0, lambda ev, fr, i=ident, v=value[1]:
+                        _set_name(fr, i, v(ev, fr)))
+        receiver, read = (0, _frame), _c_name(ev, target)[1]
+        store = lambda fr, v, i=ident: _set_name(fr, i, v)
+    return Step(EXP, stm, DEEP, _assign_g(op, receiver, read, store, value))
+
+
+def _c_name(ev, exp):
+    names = ev.facts.names
+    name = names.get(exp.ident)
+    if name is None:
+        name = names[exp.ident] = _name(exp.ident)
+    return 0, name
+
+
+def _c_literal(ev, exp):
+    return 0, lambda ev, fr, value=exp.value: value
+
+
+def _c_type(ev, exp):
+    def not_a_value(ev, fr, message=f"'{exp.name}' is a type, not a value"):
+        raise ChoreoRuntimeError(message)
+    return 0, not_a_value
+
+
+def _c_field(ev, exp):
+    scope, name = exp.scope, exp.name
+    if type(scope) in TYPES:
+        return 0, lambda ev, fr, s=scope, n=name: ev.static_field(fr, s, n)
+    flag, scope = COMPILE[type(scope)](ev, scope)
+    if flag:
+        return DEEP, _field_g(flag, scope, name)
+    return 0, lambda ev, fr, s=scope, n=name: ev.field_of(s(ev, fr), n)
+
+
+def _c_binary(ev, exp):
+    left, right = exp.left, exp.right
+    left, right = COMPILE[type(left)](ev, left), COMPILE[type(right)](ev, right)
+    if left[0] or right[0]:
+        return DEEP, _binary_g(exp.op, left, right)
+    return 0, _binary(exp.op, left[1], right[1])
+
+
+def _c_call(ev, exp):
+    """A call; its arguments run before its receiver."""
+    scope = exp.scope
+    receiver = None if scope is None or type(scope) in TYPES else COMPILE[type(scope)](ev, scope)
+    args, deep = _c_arguments(ev, exp.args)
+    if deep or receiver is not None and receiver[0]:
+        return DEEP, _call_g(exp, args, receiver)
+    flag = OWN if ev.may_call(exp) else 0
+    if receiver is None:
+        return flag, lambda ev, fr, e=exp, a=_arguments(args): ev.call(fr, e, a(ev, fr))
+    if len(args) == 1:  # the most common call, as one closure
+        def call_1(ev, fr, f=args[0][1], receiver=receiver[1], name=exp.name):
+            arg = f(ev, fr)
+            return ev.call_method(receiver(ev, fr), name, [arg])
+        return flag, call_1
+
+    def call(ev, fr, args=_arguments(args), receiver=receiver[1], name=exp.name):
+        values = args(ev, fr)
+        return ev.call_method(receiver(ev, fr), name, values)
+    return flag, call
+
+
+def _c_new(ev, exp):
+    args, deep = _c_arguments(ev, exp.args)
+    if deep:
+        return DEEP, _call_g(exp, args, None)
+    return OWN if ev.may_call(exp) else 0, (
+        lambda ev, fr, e=exp, a=_arguments(args): ev.instance(fr, e, a(ev, fr)))
+
+
+def _c_unit_call(ev, exp):
+    args, deep = _c_arguments(ev, exp.args)
+    if deep:
+        return DEEP, _call_g(exp, args, None)
+
+    def unit_call(ev, fr, fns=tuple(f for _, f in args)):
+        for f in fns:
+            f(ev, fr)
+        return UNIT
+    return 0, unit_call
+
+
+def _c_arguments(ev, exps):
+    """The compiled arguments ``exps``, and whether any has a flag."""
+    args, deep = [], 0
+    for a in exps:
+        arg = COMPILE[type(a)](ev, a)
+        deep = deep or arg[0]
+        args.append(arg)
+    return args, deep
 
 
 # Closures of expressions, each ``f(evaluator, frame)`` (see ``compile_exp``).
+# They bind what they use as default arguments, not as free variables: a
+# default takes no cell, so a compiled body keeps fewer objects for the
+# cyclic collector to trace, and compiles faster.
 
 def _unit(ev, fr):
     return UNIT
 
 
+def _frame(ev, fr):
+    return fr
+
+
 def _name(ident):
-    def name(ev, fr):
+    def name(ev, fr, ident=ident):
         env = fr.env
         if ident in env:
             return env[ident]
@@ -547,59 +415,68 @@ def _name(ident):
     return name
 
 
+def _set_name(fr, ident, value):
+    if ident in fr.env:
+        fr.env[ident] = value
+    elif fr.this is not None:
+        fr.this.fields[ident] = value
+    else:
+        raise ChoreoRuntimeError(f"cannot assign unknown name '{ident}'")
+
+
+def _set_field(obj, name, value):
+    if not isinstance(obj, ProgramObject):
+        raise ChoreoRuntimeError("unsupported assignment target")
+    obj.fields[name] = value
+
+
 def _binary(op, left, right):
     if op == "&&" or op == "||":
-        stop = op == "||"
-
-        def logical(ev, fr):
+        def logical(ev, fr, op=op, left=left, right=right, stop=op == "||"):
             value = left(ev, fr)
             if value is True or value is False:
                 return value if value is stop else right(ev, fr)
             return binary_value(op, value, right(ev, fr))
         return logical
-    return lambda ev, fr: binary_value(op, left(ev, fr), right(ev, fr))
+    return lambda ev, fr, op=op, left=left, right=right: binary_value(
+        op, left(ev, fr), right(ev, fr))
 
 
-def _arguments(fns):
-    """The closure of the list of the values of the closures ``fns``."""
-    if not fns:
+def _arguments(args):
+    """The closure of the list of the values of the compiled ``args``."""
+    if not args:
         return lambda ev, fr: []
-    if len(fns) == 1:
-        (f,) = fns
-        return lambda ev, fr: [f(ev, fr)]
-    return lambda ev, fr: [f(ev, fr) for f in fns]
+    if len(args) == 1:
+        return lambda ev, fr, f=args[0][1]: [f(ev, fr)]
+    return lambda ev, fr, fns=tuple(f for _, f in args): [f(ev, fr) for f in fns]
 
 
-def _applier(exp, kind, scope):
-    """``Evaluator.apply`` of the call or ``new`` ``exp``, as a closure
-    ``f(evaluator, frame, args)``; ``scope`` is the closure of its receiver,
-    None for an unqualified or static call."""
-    if kind is NEW:
-        class_name = exp.class_name
+# Generator functions of the expressions with an operand that calls. An
+# operand is ``(flag, closure)``; one flagged ``DEEP`` runs with ``yield
+# from``, and an ``OWN`` one yields its call.
 
-        def new(ev, fr, args):
-            hit, value = ev.construct(class_name, args)
-            return value if hit else ev.new(fr, exp, args)
-        return new
-    if scope is None:
-        return lambda ev, fr, args: ev.call(fr, exp, args)
-    name = exp.name
-    return lambda ev, fr, args: ev.call_method(scope(ev, fr), name, args)
+def _operand(compiled, ev, fr):
+    """The value of the compiled operand ``compiled``, as a generator."""
+    flag, f = compiled
+    if flag == DEEP:
+        return (yield from f(ev, fr))
+    value = f(ev, fr)
+    if type(value) is GeneratorType:
+        value = yield value
+    return value
 
 
-def _unit_call(args):
-    def unit_call(ev, fr):
-        args(ev, fr)
-        return UNIT
-    return unit_call
+def _assign_g(op, receiver, read, store, value):
+    def assign(ev, fr, op=op, receiver=receiver, read=read, store=store, value=value):
+        obj = yield from _operand(receiver, ev, fr)
+        old = read(ev, obj) if op else None
+        new = yield from _operand(value, ev, fr)
+        store(obj, binary_value(op, old, new) if op else new)
+    return assign
 
-
-# Generator functions of the expressions with an operand that calls (see
-# ``Evaluator._eval_g``). An operand is ``(flag, closure)``; one flagged
-# ``DEEP`` runs with ``yield from``, and an ``OWN`` one yields its call.
 
 def _field_g(flag, scope, name):
-    def field(ev, fr):
+    def field(ev, fr, flag=flag, scope=scope, name=name):
         if flag == DEEP:
             value = yield from scope(ev, fr)
         else:
@@ -612,9 +489,9 @@ def _field_g(flag, scope, name):
 
 def _binary_g(op, left, right):
     (lflag, left), (rflag, right) = left, right
-    logic, stop = op == "&&" or op == "||", op == "||"
 
-    def binary(ev, fr):
+    def binary(ev, fr, op=op, lflag=lflag, left=left, rflag=rflag, right=right,
+               logic=op == "&&" or op == "||", stop=op == "||"):
         if lflag == DEEP:
             lvalue = yield from left(ev, fr)
         else:
@@ -634,17 +511,13 @@ def _binary_g(op, left, right):
     return binary
 
 
-def _call_g(exp, kind, args, scope):
-    """A call, ``new`` or unit call; ``scope`` is its compiled receiver, or
-    None for an unqualified or static call."""
-    receiver = scope if scope is not None and scope[0] else None
-    if receiver is not None:
-        rflag, receiver = receiver
-        name = exp.name
-    elif kind is not UNIT_CALL:
-        apply = _applier(exp, kind, scope and scope[1])
+def _call_g(exp, args, receiver):
+    """A call, ``new`` or unit call with an operand that calls; ``receiver``
+    is its compiled receiver, or None for an unqualified or static call."""
+    rflag, receiver = receiver or (0, None)
 
-    def call(ev, fr):
+    def call(ev, fr, exp=exp, kind=type(exp), args=tuple(args), rflag=rflag,
+             receiver=receiver):
         values = []
         for flag, f in args:
             if flag == DEEP:
@@ -654,21 +527,49 @@ def _call_g(exp, kind, args, scope):
                 if type(value) is GeneratorType:
                     value = yield value
             values.append(value)
-        if kind is UNIT_CALL:
+        if kind is LUnitCall:
             return UNIT
-        if receiver is None:
-            value = apply(ev, fr, values)
-        elif rflag == DEEP:
-            value = ev.call_method((yield from receiver(ev, fr)), name, values)
+        if receiver is not None:
+            if rflag == DEEP:
+                obj = yield from receiver(ev, fr)
+            else:
+                obj = receiver(ev, fr)
+                if type(obj) is GeneratorType:
+                    obj = yield obj
+            value = ev.call_method(obj, exp.name, values)
+        elif kind is S.New or kind is LNew:
+            value = ev.instance(fr, exp, values)
         else:
-            value = receiver(ev, fr)
-            if type(value) is GeneratorType:
-                value = yield value
-            value = ev.call_method(value, name, values)
+            value = ev.call(fr, exp, values)
         if type(value) is GeneratorType:
             value = yield value
         return value
     return call
+
+
+# Each statement and expression class of both languages -> its compile
+# function ``f(evaluator, node)``: a ``Step`` for a statement, ``(flag,
+# closure)`` for an expression (see ``Evaluator.compile_exp``).
+COMPILE = {cls: compile for *classes, compile in [
+    (S.ExpStm, LExpStm, _statement(EXP, "exp")),
+    (S.VarDecl, LVarDecl, _statement(VAR, "init")),
+    (S.Assign, LAssign, _c_assign),
+    (S.Return, LReturn, _statement(RETURN, "value")),
+    (S.If, LIf, _statement(IF, "guard")),
+    (S.Switch, LSwitch, _statement(SWITCH, "guard")),
+    (S.Block, LBlock, S.TryCatch, LTryCatch, _statement(BLOCK)),  # a try runs its body
+    (S.Nil, LNil, type(None), lambda ev, stm: END_STEP),  # None ends a block
+    (S.Throw, LThrow, _statement(THROW)),
+    (S.Name, LName, _c_name),
+    (S.Literal, LLit, _c_literal),
+    (LUnit, lambda ev, exp: (0, _unit)),
+    (S.StaticRef, LStaticName, _c_type),
+    (S.FieldAcc, LFieldAcc, _c_field),
+    (S.Call, LCall, _c_call),
+    (S.New, LNew, _c_new),
+    (LUnitCall, _c_unit_call),
+    (S.Binary, LBinary, _c_binary),
+] for cls in classes}
 
 
 # ---------------------------------------------------------------- the oracle
@@ -700,8 +601,8 @@ class GlobalObject(ProgramObject):
 
 class OracleFacts:
     """Dynamic dispatch in one checked program, worked out on first use, and
-    the oracle's flags and compiled bodies. Kept as ``CheckedProgram.facts``;
-    it holds the program's tables, not the program."""
+    the oracle's compiled bodies. Kept as ``CheckedProgram.facts``; it holds
+    the program's tables, not the program."""
 
     def __init__(self, checked):
         self.closure = checked._checker.supertype_closure
@@ -710,9 +611,8 @@ class OracleFacts:
         # call that names none of these runs no method of the program.
         self.method_keys = {(mi.name, len(mi.node.params)) for info in checked._checker.own
                             for mi in info.methods if mi.node.body is not None}
-        self.flags = {}  # id(expression) -> flag; the program keeps each alive
-        self.calls = {}  # id(method) -> calls so far, until its body is compiled
-        self.bodies = {}  # id(method) -> (parameter names, Step of its body)
+        self.bodies = {}  # id(method) -> the first Step of its body
+        self.names = {}  # identifier -> its compiled name
 
     def method(self, info, name, arity):
         """The method with a body that dynamic dispatch finds for

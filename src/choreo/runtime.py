@@ -13,10 +13,9 @@ A role waits when a send finds its direction full or a receive finds it
 empty; the run's ``ExecutionContext`` records the pending operation and
 stops the run at its first failure, or as soon as a deadlock is proven.
 The evaluator core both evaluators share (``interpreter.Evaluator.run``)
-makes each method call a generator, whether it walks the method's body or,
-from the method's ``interpreter.COMPILE_AT``-th call on, runs it compiled
-into closures, and ``drive`` runs them on an explicit stack of at most
-``MAX_CALL_DEPTH`` calls.
+makes each method call a generator that runs the method's body, compiled
+into closures at its first call, and ``drive`` runs them on an explicit
+stack of at most ``MAX_CALL_DEPTH`` calls.
 """
 
 from __future__ import annotations

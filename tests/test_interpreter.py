@@ -1,12 +1,12 @@
 """Global and distributed evaluation, and the differential harness."""
 
 import gc
+import hashlib
 import sys
 import time
 
 from conftest import compile_ok, compile_text, perfbench_gen
 
-from choreo import interpreter
 from choreo.corpus import corpus_root, positive_entries
 from choreo.diagnostics import Code, Reporter
 from choreo.differential import RunSpec, differential_run
@@ -355,13 +355,13 @@ def test_dispatch_table_covers_every_statement_and_expression_class():
 
     from choreo import local as L
     from choreo import surface as S
-    from choreo.interpreter import DISPATCH
+    from choreo.interpreter import COMPILE
 
     classes = [c for module, bases in ((S, (S.Stm, S.Exp)), (L, (L.LStm, L.LExp)))
                for _, c in inspect.getmembers(module, inspect.isclass)
                if issubclass(c, bases) and c not in bases and c is not S.Chain]
     assert len(classes) == 36  # 17 of the surface, 19 of the local language
-    assert [c.__name__ for c in classes if c not in DISPATCH] == []
+    assert [c.__name__ for c in classes if c not in COMPILE] == []
 
 
 def test_unqualified_static_call_is_projected():
@@ -423,16 +423,14 @@ class Forms@A extends Base@A {
 """
 
 
-def test_every_statement_form_runs_alike_in_both_evaluators(monkeypatch):
+def test_every_statement_form_runs_alike_in_both_evaluators():
     # Compound assignment on a local and a field, short-circuit operators
     # whose right operand prints, an enum switch, a try body, a return from
-    # a nested block and a super(...) constructor. The first run walks every
-    # body; the second compiles each at its first call.
+    # a nested block and a super(...) constructor; the second run reuses
+    # the bodies the first compiled.
     checked = compile_ok(FORMS)
     units = project_ok(checked)
-    for run in range(2):
-        if run:
-            monkeypatch.setattr(interpreter, "COMPILE_AT", 1)
+    for _ in range(2):
         cmp = differential_run(checked, "Forms", "go", {"A": [3]}, local_program=units)
         assert cmp.equal, cmp.summary()
         assert cmp.global_report.returns == {"A": 60}
@@ -454,11 +452,9 @@ class Cell@A {
 """
 
 
-def test_compiled_bodies_keep_fields_constructors_and_effects(monkeypatch):
-    # Every body compiles at its first call: a field assigned by its bare
-    # name, a constructor that returns, a field read off a call, and a unit
-    # call whose arguments print.
-    monkeypatch.setattr(interpreter, "COMPILE_AT", 1)
+def test_compiled_bodies_keep_fields_constructors_and_effects():
+    # A field assigned by its bare name, a constructor that returns, a field
+    # read off a call, and a unit call whose arguments print.
     cmp = differential_run(compile_ok(CELLS), "Cell", "go", {"A": [3]})
     assert cmp.equal, cmp.summary()
     assert cmp.global_report.returns == {"A": ("object", "Cell", (("n", 6),))}
@@ -470,60 +466,137 @@ def test_compiled_bodies_keep_fields_constructors_and_effects(monkeypatch):
     assert (report.status, report.transcripts) == ("ok", {"A": ["1", "2"]})
 
 
-def test_compiled_bodies_run_as_the_walked_ones(monkeypatch):
+# Per run, the first 16 hex digits of the SHA-256 of the repr of both
+# evaluators' (status, error, returns, transcripts), sorted by role. They
+# were recorded with the two-tier evaluator, which walked a method's first
+# seven calls and compiled its eighth, and whose second tier was checked
+# against the walker on each of these runs.
+RECORDED = {
+    "BuyerSellerShipper/0": "b458dea4c5d54b60",
+    "BuyerSellerShipper/1": "aa9b6ecf237292a5",
+    "BuyerSellerShipper/2": "566ab2949cbf2682",
+    "ConsumeItems/0": "1bc10a182922b726",
+    "ConsumeItems/1": "a071860418dd6702",
+    "DistAuth/0": "31e64b600fae7295",
+    "DistAuth/1": "9ff71e90293fe2da",
+    "DistAuth10/0": "0bd06ed9754f00db",
+    "DistAuth10/1": "c2d9f328acc0d011",
+    "DistAuth5/0": "61c1c425a0109a10",
+    "DistAuth5/1": "a79b98f68c7e81da",
+    "HelloRoles/0": "c9bec97aa203e4cc",
+    "Karatsuba/0": "d7501025f3be2fbc",
+    "Karatsuba/1": "5adae696a5c7c8a9",
+    "MergeSort/0": "b650a7a6def39dee",
+    "MergeSort/1": "0c4d4892f911f20a",
+    "MergeSort/2": "3baf4362ec8972ff",
+    "QuickSort/0": "af5499f35bcaa53f",
+    "QuickSort/1": "b0423ac3d5527949",
+    "RoundTrip/0": "7222e07cc09fb681",
+    "VitalsStreaming/0": "49f097b0e11dba2c",
+    "DistAuth2/True": "1862e3e5aab6e442",
+    "DistAuth2/False": "d89f087f789d75b4",
+    "DistAuth6/True": "ba6e9379cf4e31df",
+    "DistAuth6/False": "259cf248e7888da7",
+    "DistAuth12/True": "4397e6456441d98f",
+    "DistAuth12/False": "4775a926847cda9a",
+    "DistAuth20/True": "5063f2278ee5725a",
+    "DistAuth20/False": "7c2c8154810f89b4",
+    "QuickSort/20": "4c4739e4216f5689",
+    "ConsumeItems/30": "e07bfd97b66fd581",
+}
+
+
+def report_digest(reports):
+    seen = repr([(r.status, r.error, sorted(r.returns.items()), sorted(r.transcripts.items()))
+                 for r in reports])
+    return hashlib.sha256(seen.encode()).hexdigest()[:16]
+
+
+def test_runs_report_what_the_two_tier_evaluator_reported():
     """Every corpus manifest run, DistAuthN logins as the benchmark generates
     them, a QuickSort and a stream, each run twice on one compiled program in
-    both evaluators: the first run walks every body, the second compiles each
-    at its first call."""
+    both evaluators."""
     gen = perfbench_gen()
-    cases = [(prog.path.read_text(), run) for prog in positive_entries() for run in prog.runs]
-    cases += [(gen.distauth_source(n), RunSpec(**gen.distauth_run(n, valid)))
+    cases = [(f"{prog.path.stem}/{i}", prog.path.read_text(), run)
+             for prog in positive_entries() for i, run in enumerate(prog.runs)]
+    cases += [(f"DistAuth{n}/{valid}", gen.distauth_source(n),
+               RunSpec(**gen.distauth_run(n, valid)))
               for n in (2, 6, 12, 20) for valid in (True, False)]
     sort_channels = {"ch_AB": "ab", "ch_BC": "bc", "ch_CA": "ca"}
     cases += [
-        ((corpus_root() / "positive" / "QuickSort.chor").read_text(),
+        ("QuickSort/20", (corpus_root() / "positive" / "QuickSort.chor").read_text(),
          RunSpec("Quicksort", "sort", {"A": [[(i * 7) % 13 - 6 for i in range(20)]]},
                  sort_channels)),
-        ((corpus_root() / "positive" / "ConsumeItems.chor").read_text(),
+        ("ConsumeItems/30", (corpus_root() / "positive" / "ConsumeItems.chor").read_text(),
          RunSpec("ConsumeItems", "run", {"A": [[f"item{i}" for i in range(30)]]},
                  {"ch": "items"})),
     ]
-    for text, run in cases:
+    assert sorted(name for name, _, _ in cases) == sorted(RECORDED)
+    for name, text, run in cases:
         checked = compile_ok(text)
         units = project_ok(checked)
         roles = checked.decl_info(run.entry_class).role_names
-        seen = []
-        for compile_at in (sys.maxsize, 1):
-            monkeypatch.setattr(interpreter, "COMPILE_AT", compile_at)
+        for _ in range(2):  # the second run reuses the compiled bodies
             reports = [eval_global(checked, run.entry_class, run.entry_method, run.args,
                                    run.channels),
                        eval_distributed(units, run.entry_class, roles, run.entry_method,
                                         run.args, run.channels, run.deadline)]
-            seen.append([(r.status, r.error, r.returns, r.transcripts) for r in reports])
-        assert seen[0] == seen[1], run
-        assert seen[0][0][0] == "ok", run
-        assert checked.facts.bodies and units.facts.bodies, run
+            assert reports[0].status == "ok", name
+            assert report_digest(reports) == RECORDED[name], name
 
 
-def test_a_method_is_compiled_once_it_is_called_often():
-    hello = compile_ok((corpus_root() / "positive" / "HelloRoles.chor").read_text())
-    hello_units = project_ok(hello)
-    assert differential_run(hello, "HelloRoles", "sayHello", local_program=hello_units).equal
-    assert hello.facts.bodies == {} and hello_units.facts.bodies == {}
-
-    checked = compile_ok((corpus_root() / "positive" / "ConsumeItems.chor").read_text())
+def test_a_method_is_compiled_once_at_its_first_call():
+    checked = compile_ok("""
+    class Twice@A {
+        static Integer@A used(Integer@A n) { return n + 1@A; }
+        static Integer@A unused(Integer@A n) { return n; }
+        public static Integer@A go(Integer@A n) { return used(used(n)); }
+    }
+    """)
     units = project_ok(checked)
-    items = [f"item{i}" for i in range(30)]
-    cmp = differential_run(checked, "ConsumeItems", "run", {"A": [items]}, {"ch": "items"},
-                           local_program=units)
-    assert cmp.equal, cmp.summary()
-    methods = {mi.name: mi.node for mi in checked.decl_info("ConsumeItems").methods}
-    assert id(methods["consumeItems"]) in checked.facts.bodies
-    assert id(methods["run"]) not in checked.facts.bodies
-    for role in ("A", "B"):
-        methods = {m.name: m for m in units.unit(f"ConsumeItems_{role}").decl.methods}
-        assert id(methods["consumeItems"]) in units.facts.bodies
-        assert id(methods["run"]) not in units.facts.bodies
+    seen = []
+    for _ in range(2):
+        cmp = differential_run(checked, "Twice", "go", {"A": [1]}, local_program=units)
+        assert cmp.equal, cmp.summary()
+        assert cmp.global_report.returns == {"A": 3}
+        seen.append((dict(checked.facts.bodies), dict(units.facts.bodies)))
+    assert seen[0] == seen[1]  # the same steps: the second run compiled nothing
+    methods = {mi.name: mi.node for mi in checked.decl_info("Twice").methods}
+    local = {m.name: m for m in units.unit("Twice").decl.methods}
+    for facts, nodes in ((checked.facts, methods), (units.facts, local)):
+        assert sorted(facts.bodies) == sorted(id(nodes[name]) for name in ("used", "go"))
+        assert id(nodes["unused"]) not in facts.bodies
+
+
+COMPOUND = """
+class Acc@A {
+    Integer@A total;
+    public Acc() { this.total = 1@A; }
+    Integer@A bump() { total = 100@A; return 5@A; }
+    Acc@A pick() { System@A.out.println("pick"@A); return this; }
+    Integer@A said() { System@A.out.println("said"@A); return 5@A; }
+    Integer@A onName() { total += bump(); return total; }
+    Integer@A onField() { pick().total += bump(); return total; }
+    Integer@A onFieldSet() { pick().total = said(); return total; }
+    public static Integer@A byName() { return new Acc@A().onName(); }
+    public static Integer@A byField() { return new Acc@A().onField(); }
+    public static Integer@A byFieldSet() { return new Acc@A().onFieldSet(); }
+}
+"""
+
+
+def test_compound_assignment_reads_its_target_before_its_right_operand():
+    # Java (JLS 15.26.2): ``total += bump()`` reads total (1) before bump()
+    # sets it to 100 and returns 5, so it stores 6, not 105. A field
+    # target's receiver is evaluated once, and first (JLS 15.26.1).
+    checked = compile_ok(COMPOUND)
+    for entry, returns, transcripts in (("byName", 6, {}), ("byField", 6, {"A": ["pick"]}),
+                                        ("byFieldSet", 5, {"A": ["pick", "said"]})):
+        cmp = differential_run(checked, "Acc", entry)
+        assert cmp.equal, cmp.summary()
+        for report in (cmp.global_report, cmp.distributed_report):
+            assert (report.status, report.returns, report.transcripts) == (
+                "ok", {"A": returns}, transcripts), entry
 
 
 def test_differential_hello(corpus_compiled):
