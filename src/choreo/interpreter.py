@@ -291,13 +291,15 @@ def _c_assign(ev, stm):
                         _set_field(r(ev, fr), n, v(ev, fr)))
         read = lambda ev, obj, n=name: ev.field_of(obj, n)
         store = lambda obj, v, n=name: _set_field(obj, n, v)
-    else:  # a name, whose receiver is the frame
+    elif type(target) is S.Name or type(target) is LName:  # its receiver is the frame
         ident = target.ident
         if not (op or value[0]):
             return Step(EXP, stm, 0, lambda ev, fr, i=ident, v=value[1]:
                         _set_name(fr, i, v(ev, fr)))
         receiver, read = (0, _frame), _c_name(ev, target)[1]
         store = lambda fr, v, i=ident: _set_name(fr, i, v)
+    else:
+        return Step(EXP, stm, 0, _unsupported_target)
     return Step(EXP, stm, DEEP, _assign_g(op, receiver, read, store, value))
 
 
@@ -347,12 +349,6 @@ def _c_call(ev, exp):
     flag = OWN if ev.may_call(exp) else 0
     if receiver is None:
         return flag, lambda ev, fr, e=exp, a=_arguments(args): ev.call(fr, e, a(ev, fr))
-    if len(args) == 1:  # the most common call, as one closure
-        def call_1(ev, fr, f=args[0][1], receiver=receiver[1], name=exp.name):
-            arg = f(ev, fr)
-            return ev.call_method(receiver(ev, fr), name, [arg])
-        return flag, call_1
-
     def call(ev, fr, args=_arguments(args), receiver=receiver[1], name=exp.name):
         values = args(ev, fr)
         return ev.call_method(receiver(ev, fr), name, values)
@@ -422,6 +418,10 @@ def _set_name(fr, ident, value):
         fr.this.fields[ident] = value
     else:
         raise ChoreoRuntimeError(f"cannot assign unknown name '{ident}'")
+
+
+def _unsupported_target(ev, fr):
+    raise ChoreoRuntimeError("unsupported assignment target")
 
 
 def _set_field(obj, name, value):

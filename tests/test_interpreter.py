@@ -466,6 +466,19 @@ def test_compiled_bodies_keep_fields_constructors_and_effects():
     assert (report.status, report.transcripts) == ("ok", {"A": ["1", "2"]})
 
 
+def test_a_read_back_assignment_to_a_call_is_a_runtime_error():
+    # The checker rejects such a target in a choreography; a local unit read
+    # back from text is not checked, so the run reports it.
+    program = LocalProgram([parse_local_unit("""
+    public class U {
+        static Integer f() { return 1; }
+        public static void go() { f() = 1; }
+    }""")])
+    report = eval_distributed(program, "U", ["A"], "go")
+    assert (report.status, report.error) == (
+        "error", "A: ChoreoRuntimeError: unsupported assignment target")
+
+
 # Per run, the first 16 hex digits of the SHA-256 of the repr of both
 # evaluators' (status, error, returns, transcripts), sorted by role. They
 # were recorded with the two-tier evaluator, which walked a method's first
