@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from . import surface as S
 from .diagnostics import Code, Reporter
+from .printer import render_te
 from .types import (
     VOID, CtorKind, RoleKind, StarKind, TAbs, TApp, TBottom, TInter, TSym,
     TVar, TVoid, app, fresh_var, kind_shape_eq, pretty, reduce_type,
@@ -821,14 +822,9 @@ class Checker:
 
     def sig_text(self, mi):
         params = ", ".join(
-            f"{self.te_text(p.te)} {p.name}" for p in mi.node.params
+            f"{render_te(p.te)} {p.name}" for p in mi.node.params
         )
         return f"{mi.name}({params})"
-
-    @staticmethod
-    def te_text(te):
-        from .render import render_te
-        return render_te(te)
 
     def erased_name(self, t, role):
         """Projected type name at a role: the projector's signature erasure."""

@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .differential import RunSpec
+from .differential import load_manifest
 
 
 def corpus_root():
@@ -35,10 +35,7 @@ def positive_entries():
     root = corpus_root() / "positive"
     for path in sorted(root.glob("*.chor")):
         manifest = path.with_suffix(".run.json")
-        runs = []
-        if manifest.exists():
-            obj = json.loads(manifest.read_text())
-            runs = [RunSpec.from_dict(r) for r in obj.get("runs", [obj])]
+        runs = load_manifest(manifest) if manifest.exists() else []
         out.append(CorpusProgram(path.stem, path, runs))
     return out
 

@@ -340,7 +340,7 @@ def _c_binary(ev, exp):
 
 
 def _c_call(ev, exp):
-    """A call; its arguments run before its receiver."""
+    """A call; its receiver runs before its arguments (JLS 15.12.4)."""
     scope = exp.scope
     receiver = None if scope is None or type(scope) in TYPES else COMPILE[type(scope)](ev, scope)
     args, deep = _c_arguments(ev, exp.args)
@@ -349,10 +349,8 @@ def _c_call(ev, exp):
     flag = OWN if ev.may_call(exp) else 0
     if receiver is None:
         return flag, lambda ev, fr, e=exp, a=_arguments(args): ev.call(fr, e, a(ev, fr))
-    def call(ev, fr, args=_arguments(args), receiver=receiver[1], name=exp.name):
-        values = args(ev, fr)
-        return ev.call_method(receiver(ev, fr), name, values)
-    return flag, call
+    return flag, lambda ev, fr, r=receiver[1], n=exp.name, a=_arguments(args): (
+        ev.call_method(r(ev, fr), n, a(ev, fr)))
 
 
 def _c_new(ev, exp):
@@ -518,6 +516,13 @@ def _call_g(exp, args, receiver):
 
     def call(ev, fr, exp=exp, kind=type(exp), args=tuple(args), rflag=rflag,
              receiver=receiver):
+        if receiver is not None:
+            if rflag == DEEP:
+                obj = yield from receiver(ev, fr)
+            else:
+                obj = receiver(ev, fr)
+                if type(obj) is GeneratorType:
+                    obj = yield obj
         values = []
         for flag, f in args:
             if flag == DEEP:
@@ -530,12 +535,6 @@ def _call_g(exp, args, receiver):
         if kind is LUnitCall:
             return UNIT
         if receiver is not None:
-            if rflag == DEEP:
-                obj = yield from receiver(ev, fr)
-            else:
-                obj = receiver(ev, fr)
-                if type(obj) is GeneratorType:
-                    obj = yield obj
             value = ev.call_method(obj, exp.name, values)
         elif kind is S.New or kind is LNew:
             value = ev.instance(fr, exp, values)

@@ -18,11 +18,6 @@ class LTE:
     name: str
     args: list = field(default_factory=list)
 
-    def render(self):
-        if self.name == "void" or not self.args:
-            return self.name
-        return self.name + "<" + ", ".join(a.render() for a in self.args) + ">"
-
 
 # ------------------------------------------------------------- expressions
 

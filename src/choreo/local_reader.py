@@ -110,7 +110,8 @@ def convert_stm(stm):
     if isinstance(stm, S.Switch):
         return LSwitch(
             convert_exp(stm.guard),
-            [(str(c.label), convert_stm(c.body)) for c in stm.cases],
+            [(label if type(label) is str else convert_exp(label), convert_stm(body))
+             for label, body in stm.cases],
             convert_stm(stm.default) if stm.default is not None else None,
             convert_stm(stm.cont),
         )

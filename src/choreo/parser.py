@@ -150,16 +150,8 @@ class Parser:
 
     def parse_annotation_value(self):
         tok = self.ts.peek()
-        if tok.kind in ("string", "int", "float"):
-            self.ts.next()
-            if tok.kind == "int":
-                return int(tok.lexeme)
-            if tok.kind == "float":
-                return float(tok.lexeme)
-            return tok.lexeme
-        if tok.lexeme in ("true", "false"):
-            self.ts.next()
-            return tok.lexeme == "true"
+        if tok.kind in ("string", "int", "float") or tok.lexeme in ("true", "false"):
+            return self.parse_bare_literal()
         raise self.err(tok.span, "expected literal annotation value")
 
     def parse_modifiers(self):
@@ -503,7 +495,7 @@ class Parser:
             if label_tok.kind == "ident":
                 label = self.ts.next().lexeme
             elif label_tok.kind in ("int", "float", "string") or label_tok.lexeme in ("true", "false"):
-                label = self.parse_bare_literal()
+                label = S.Literal(label_tok.span, self.parse_bare_literal(), [])
             else:
                 raise self.err(label_tok.span, "expected case label")
             self.expect("->")

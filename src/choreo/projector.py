@@ -22,6 +22,7 @@ from .local import (
     LUnit, LUnitCall, LVarDecl, LocalProgram, LocalUnit, concat_stm,
 )
 from .merging import MergeError, big_merge, is_noop, merge_stm, normalize_exp, normalize_stm
+from .printer import render_stm_inline, render_te
 from .types import TAbs, TSym, TVar, TVoid, spine
 
 UNEXPECTED_LABEL = "unexpected selection label"
@@ -79,7 +80,7 @@ def project_type(checker, t, role):
 
 
 def project_type_name(checker, t, role):
-    return project_type(checker, t, role).render()
+    return render_te(project_type(checker, t, role))
 
 
 def generated_name(source_name, decl_roles, role):
@@ -262,7 +263,7 @@ class Projector:
                            if stm.default is not None else None)
                 return LSwitch(
                     self.project_exp(stm.guard, role),
-                    [(str(c.label), self.project_stm(c.body, role)) for c in stm.cases],
+                    [(label, self.project_stm(body, role)) for label, body in stm.cases],
                     default,
                     self.project_stm(stm.cont, role),
                 )
@@ -308,7 +309,6 @@ class Projector:
         return rest
 
     def merge_failure(self, stm, role, err):
-        from .printer import render_stm_inline
         left = render_stm_inline(err.left)
         right = render_stm_inline(err.right)
         self.reporter.error(

@@ -192,6 +192,10 @@ class CatchClause(Node):
     name: str
     body: Stm
 
+    def __iter__(self):
+        """Unpacks as ``(te, name, body)``, as a local try's handler does."""
+        return iter((self.te, self.name, self.body))
+
 
 @dataclass(eq=False)
 class TryCatch(Stm):

@@ -231,6 +231,17 @@ def test_switch_requires_enum_guard_and_known_cases():
     }
     """)
     assert Code.TypeMismatch in codes(reporter)
+    # "GO" is a string, not the case GO, which the oracle ran it as.
+    _, reporter = compile_text("""
+    enum Choice@R { GO, STOP }
+    class C@R {
+        void m(Choice@R c) {
+            switch (c) { case "GO" -> { } default -> { } }
+        }
+    }
+    """)
+    assert [(d.code, d.message) for d in reporter.errors] == [
+        (Code.TypeMismatch, "switch cases must name enum cases.")]
 
 
 def test_method_returning_wrong_role_is_rejected():

@@ -11,7 +11,7 @@ from choreo.local import LTryCatch, walk_local
 from choreo.parser import parse_program
 from choreo.pipeline import compile_sources
 from choreo.projector import project_program
-from choreo.render import render_exp
+from choreo.printer import render_exp
 from choreo.surface import structurally_equal
 
 

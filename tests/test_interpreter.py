@@ -612,6 +612,26 @@ def test_compound_assignment_reads_its_target_before_its_right_operand():
                 "ok", {"A": returns}, transcripts), entry
 
 
+RECEIVER_FIRST = """
+class C@A {
+    C@A pick() { System@A.out.println("receiver"@A); return this; }
+    Integer@A bump() { System@A.out.println("argument"@A); return 7@A; }
+    Integer@A take(Integer@A x) { return x; }
+    public static Integer@A main() { C@A c = new C@A(); return c.pick().take(c.bump()); }
+}
+"""
+
+
+def test_a_call_evaluates_its_receiver_before_its_arguments():
+    # Java (JLS 15.12.4): the target reference is evaluated, then the
+    # arguments.
+    cmp = differential_run(compile_ok(RECEIVER_FIRST), "C", "main")
+    assert cmp.equal, cmp.summary()
+    for report in (cmp.global_report, cmp.distributed_report):
+        assert (report.status, report.returns, report.transcripts) == (
+            "ok", {"A": 7}, {"A": ["receiver", "argument"]})
+
+
 def test_differential_hello(corpus_compiled):
     _, checked, units = corpus_compiled["HelloRoles"]
     cmp = differential_run(checked, "HelloRoles", "sayHello", local_program=units)

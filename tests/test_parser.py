@@ -16,7 +16,7 @@ from choreo.parser import (
 )
 from choreo.pipeline import front_end, prelude_names
 from choreo.projector import project_program
-from choreo.render import render_exp, render_program
+from choreo.printer import render_exp, render_program
 from choreo.span import SourceFile, Span
 from choreo.surface import structurally_equal
 
@@ -107,6 +107,8 @@ GRAMMAR_WITNESSES = [
     " class Signature@A { Signature(String@A t) { } }",
     "class C@(A, B) { void m(TestUtils@(A, B) u) { } }",   # multi-role TE in params
     "class C@A { <T@X> void m(Optional@A<String> o) { } }",
+    # literal case labels, which the checker rejects
+    "class C@A { void m(String@A s) { switch (s) { case \"a b\" -> { } case 1 -> { } } } }",
 ]
 
 

@@ -9,7 +9,7 @@ from choreo.local import (
     LClass, LEnum, LInterface, LSwitch, LThrow, LocalUnit, stm_list, walk_local,
 )
 from choreo.local_reader import parse_local_unit
-from choreo.printer import render_unit
+from choreo.printer import render_te, render_unit
 from choreo.projector import Projector, generated_name, project_program, project_type
 from choreo.types import TSym, app
 
@@ -103,7 +103,7 @@ def test_project_te_own_single_role():
     ck = checked._checker
     info = checked.decl_info("Carrier")
     client = info.role_vars[0]
-    assert project_type(ck, app(TSym("String"), client), "Client").render() == "String"
+    assert render_te(project_type(ck, app(TSym("String"), client), "Client")) == "String"
 
 
 def test_project_te_positional_suffix():
@@ -112,8 +112,8 @@ def test_project_te_positional_suffix():
     info = checked.decl_info("Carrier")
     client, service, _ = info.role_vars
     t = app(TSym("DiDataChannel"), client, service, info.ftps[0].var)
-    assert project_type(ck, t, "Client").render() == "DiDataChannel_A<T>"
-    assert project_type(ck, t, "Service").render() == "DiDataChannel_B<T>"
+    assert render_te(project_type(ck, t, "Client")) == "DiDataChannel_A<T>"
+    assert render_te(project_type(ck, t, "Service")) == "DiDataChannel_B<T>"
 
 
 def test_project_te_absent_role_is_unit():
@@ -122,7 +122,7 @@ def test_project_te_absent_role_is_unit():
     info = checked.decl_info("Carrier")
     service = info.role_vars[1]
     t = app(TSym("Optional"), service, TSym("AuthTokenish"))
-    assert project_type(ck, t, "Client").render() == "Unit"
+    assert render_te(project_type(ck, t, "Client")) == "Unit"
 
 
 # ------------------------------------------------------------ declarations
@@ -167,11 +167,11 @@ def test_interface_projection_splits_signatures():
     assert isinstance(a, LInterface)
     sig_a = [m for m in a.methods if m.name == "shuttle"][0]
     sig_b = [m for m in b.methods if m.name == "shuttle"][0]
-    assert sig_a.return_te.render() == "Unit"
-    assert sig_a.params[0].te.render() == "S"
-    assert sig_b.return_te.render() == "S"
-    assert sig_b.params[0].te.render() == "Unit"
-    assert [t.render() for t in a.extends] == ["DiDataChannel_A<T>"]
+    assert render_te(sig_a.return_te) == "Unit"
+    assert render_te(sig_a.params[0].te) == "S"
+    assert render_te(sig_b.return_te) == "S"
+    assert render_te(sig_b.params[0].te) == "Unit"
+    assert [render_te(t) for t in a.extends] == ["DiDataChannel_A<T>"]
 
 
 # ------------------------------------------------------- selection + merge
@@ -272,7 +272,7 @@ def test_checker_clash_rule_matches_projection(corpus_compiled):
                 continue
             seen = {}
             for m in decl.methods:
-                key = (m.name, tuple(p.te.render() for p in m.params))
+                key = (m.name, tuple(render_te(p.te) for p in m.params))
                 assert key not in seen, (unit.generated_name, key)
                 seen[key] = m
 
@@ -408,12 +408,12 @@ def test_round_trip_compiled_listing_keeps_nested_coms(corpus_compiled):
     a = units.unit("Courier_A").decl
     rt_a = [m for m in a.methods if m.name == "roundTrip"][0]
     assert render_stm(rt_a.body, 0) == ["return chBA.<T>com(chAB.<T>com(mesg));"]
-    assert [p.te.render() for p in rt_a.params] == \
+    assert [render_te(p.te) for p in rt_a.params] == \
         ["DiDataChannel_A<T>", "DiDataChannel_B<T>", "T"]
     b = units.unit("Courier_B").decl
     rt_b = [m for m in b.methods if m.name == "roundTrip"][0]
     assert render_stm(rt_b.body, 0) == ["return chBA.<T>com(chAB.<T>com(Unit.id));"]
-    assert [p.te.render() for p in rt_b.params] == \
+    assert [render_te(p.te) for p in rt_b.params] == \
         ["DiDataChannel_B<T>", "DiDataChannel_A<T>", "Unit"]
 
 
