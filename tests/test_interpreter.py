@@ -718,3 +718,104 @@ def test_twice_inherited_interface_keeps_each_direction_typed():
     mismatch = [d for d in reporter.errors if d.code is Code.TypeMismatch]
     assert [(d.span.line, d.message, d.expecting, d.found) for d in mismatch] == [
         (4, "Incompatible type argument:", "Integer@Y", "String@Y")]
+
+
+# ------------------------------------------------------- dispatch failures
+
+FAILING = """
+class C@A {
+    static Integer@A f;
+    public static String@A listText() { return new ArrayList@A<Integer>().toString(); }
+    public static Integer@A field() { return C@A.f; }
+    public static Integer@A firstFails() {
+        String@A s = new ArrayList@A<Integer>().toString();
+        return C@A.f;
+    }
+}
+"""
+
+
+def test_dispatch_failures_the_checker_lets_through_read_alike_in_both_evaluators():
+    # A list has no toString in the runtime, and C.f is no static field it
+    # knows. In the last entry the first statement fails, so the unknown
+    # field after it is never read: its error waits until it runs.
+    checked = compile_ok(FAILING)
+    units = project_ok(checked)
+    for entry, message in (("listText", "no method 'toString' on []"),
+                           ("field", "unknown static field 'C.f'"),
+                           ("firstFails", "no method 'toString' on []")):
+        cmp = differential_run(checked, "C", entry, local_program=units)
+        assert (cmp.global_report.status, cmp.global_report.error) == ("error", message)
+        assert (cmp.distributed_report.status, cmp.distributed_report.error) == (
+            "error", f"A: ChoreoRuntimeError: {message}"), entry
+
+
+def run_local(*texts, channels=None):
+    """Runs ``U.go`` of the local units ``texts`` as the one role A."""
+    program = LocalProgram([parse_local_unit(text) for text in texts])
+    return eval_distributed(program, "U", ["A"], "go", {}, channels or {}, deadline=10)
+
+
+def test_dispatch_failures_of_local_units_name_the_call():
+    enum = "public enum E { L, R }"
+    for body, message in (
+        ('"abc".nope();', "no method 'nope' on 'abc'"),
+        ("Integer x = E.Z;", "unknown static field 'E.Z'"),
+        ("Integer x = Nowhere.f;", "unknown static field 'Nowhere.f'"),
+        ("Math.nope(1);", "unknown static call 'Math.nope'"),
+        ("Nowhere.f(1);", "unknown static call 'Nowhere.f'"),
+        ('"abc".nope(); Integer x = Nowhere.f;', "no method 'nope' on 'abc'"),
+        ("E x = E.L; Integer y = Nowhere.f;", "unknown static field 'Nowhere.f'"),
+    ):
+        report = run_local(f"public class U {{ public static void go() {{ {body} }} }}", enum)
+        assert (report.status, report.error) == ("error", f"A: ChoreoRuntimeError: {message}"), body
+
+
+def test_a_channel_has_only_com_and_select():
+    report = run_local(
+        "public class U { public static void go(SymChannel<Object> ch) { ch.size(); } }",
+        channels={"ch": "k"})
+    assert report.status == "error"
+    assert report.error.startswith("A: ChoreoRuntimeError: no method 'size' on ChannelEndpoint(")
+
+
+BUILTIN_NAMES = """
+class Bag@A implements List@A<Integer> {
+    ArrayList@A<Integer> items;
+    public Bag() { this.items = new ArrayList@A<Integer>(); }
+    public Integer@A size() { return items.size() + 100@A; }
+    public Integer@A get(Integer@A i) { return items.get(i) * 10@A; }
+    public Boolean@A add(Integer@A x) { items.add(x); return false@A; }
+    public Boolean@A equals(Object@A other) { return true@A; }
+}
+class Names@(A, B) {
+    static Integer@A count(List@A<Integer> c) { return c.size() + c.get(0@A); }
+    public static Integer@B go(SymChannel@(A, B)<Object> ch, Integer@A n) {
+        ArrayList@A<Integer> xs = new ArrayList@A<Integer>();
+        Bag@A bag = new Bag@A();
+        System@A.out.println(xs.add(n));
+        System@A.out.println(bag.add(n));
+        bag.add(n + 1@A);
+        System@A.out.println(count(bag));
+        System@A.out.println(count(xs));
+        System@A.out.println(bag.equals(xs));
+        System@A.out.println(n.equals(5@A));
+        return ch.<Integer>com(bag.size());
+    }
+}
+"""
+
+
+def test_methods_of_the_program_with_builtin_names_run_as_written():
+    # Bag's size, get, add and equals are its own, not a list's; the call
+    # sites in count see a Bag on one call and a list on the next.
+    checked = compile_ok(BUILTIN_NAMES)
+    units = project_ok(checked)
+    for _ in range(2):
+        cmp = differential_run(checked, "Names", "go", {"A": [4]}, {"ch": "k"},
+                               local_program=units)
+        assert cmp.equal, cmp.summary()
+        for report in (cmp.global_report, cmp.distributed_report):
+            assert (report.status, report.returns, report.transcripts) == (
+                "ok", {"A": "unit", "B": 102},
+                {"A": ["true", "false", "142", "5", "true", "false"]})
