@@ -190,6 +190,19 @@ _METHODS.update(((t, "equals"), lambda b, v, a: value_equals(v, a[0]))
                 for t in (str, bool, int, float, EnumV))
 
 
+def method_table(extra=()):
+    """Method name -> exact receiver type -> fn(evaluator, receiver, args):
+    the builtin methods and the ``((type, name), fn)`` pairs ``extra``. Each
+    evaluator class builds its own at import; it never changes."""
+    table = {}
+    for (cls, name), fn in [*_METHODS.items(), *extra]:
+        table.setdefault(name, {})[cls] = fn
+    return table
+
+
+NO_METHODS = {}  # the table entry of a name no builtin has; never changed
+
+
 def _new_local_channel(builtins, args):
     keys = [a for a in args if isinstance(a, str)]
     if not keys:
@@ -217,6 +230,7 @@ class Builtins:
     ``claim_channel(key)`` for ``newLocalChannel``, or overrides them."""
 
     invoke = claim_channel = None
+    METHODS = method_table()
 
     def __init__(self, console, invoke=None, claim_channel=None):
         self.console = console
@@ -229,7 +243,7 @@ class Builtins:
 
     def try_call_method(self, receiver, name, args):
         """Dispatch on a builtin receiver; returns (True, value) on a hit."""
-        fn = _METHODS.get((type(receiver), name))
+        fn = self.METHODS.get(name, NO_METHODS).get(type(receiver))
         if fn is not None:
             return True, fn(self, receiver, args)
         return False, None

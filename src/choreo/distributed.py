@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from types import GeneratorType
 
-from .builtins import Console, PrintStreamV
+from .builtins import Console, PrintStreamV, method_table
 from .interpreter import Evaluator, ExecutionReport, ProgramObject, error_report, wire_arguments
 from .local import LClass, LEnum, LNew, LocalProgram, LStaticName
 from .projector import generated_name
@@ -58,6 +58,18 @@ class ProgramFacts:
         return self._methods[key]
 
 
+def _channel(name):
+    """``com`` or ``select`` on a worker's endpoint: its value, or a wait
+    until the endpoint can proceed."""
+    def operate(ev, endpoint, args, name=name):
+        message = args[0] if args else UNIT
+        sending = not is_unit(message)
+        if endpoint.ready(sending):
+            return getattr(endpoint, name)(message)
+        return _wait(endpoint, name, message, sending)
+    return operate
+
+
 def _wait(endpoint, name, message, sending):
     """``com`` or ``select`` on ``endpoint`` once it can proceed."""
     while not endpoint.ready(sending):
@@ -69,6 +81,9 @@ class LocalInterpreter(Evaluator):
     """Interprets the local language for one role. A frame's site is the
     name of the unit whose method it runs; every statement checks the run's
     deadline."""
+
+    METHODS = method_table([((ChannelEndpoint, name), _channel(name))
+                            for name in ("com", "select")])
 
     def __init__(self, program, role, registry, console, context):
         """``program`` is a LocalProgram, or a list of its units."""
@@ -112,20 +127,9 @@ class LocalInterpreter(Evaluator):
             raise ChoreoRuntimeError(f"unknown local class '{exp.class_name}'")
         return self.run_ctor(ProgramObject(exp.class_name), exp.class_name, args)
 
-    def call_method(self, receiver, name, args):
-        if isinstance(receiver, ProgramObject):
-            m = self.facts.method(receiver.class_name, name, len(args))
-            return self.run(receiver, receiver.class_name, m, args)
-        if type(receiver) is ChannelEndpoint and name in ("com", "select"):
-            message = args[0] if args else UNIT
-            sending = not is_unit(message)
-            if receiver.ready(sending):
-                return getattr(receiver, name)(message)
-            return _wait(receiver, name, message, sending)
-        hit, value = self.try_call_method(receiver, name, args)
-        if hit:
-            return value
-        raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
+    def call_object(self, obj, name, args):
+        m = self.facts.method(obj.class_name, name, len(args))
+        return self.run(obj, obj.class_name, m, args)
 
     def call(self, frame, exp, args):
         scope = exp.scope
@@ -150,16 +154,17 @@ class LocalInterpreter(Evaluator):
             return value
         raise ChoreoRuntimeError(f"unknown static call '{scope.name}.{exp.name}'")
 
-    def static_field(self, frame, scope, name):
+    def constant(self, scope, name):
         cname = scope.name
         if cname == "Unit" and name == "id":
             return UNIT
         decl = self.facts.decls.get(cname)
-        if isinstance(decl, LEnum) and name in decl.cases:
-            return EnumV(cname, name)
-        if cname == "System" and name == "out":
+        return EnumV(cname, name) if isinstance(decl, LEnum) and name in decl.cases else None
+
+    def static_field(self, frame, scope, name):
+        if scope.name == "System" and name == "out":
             return PrintStreamV(self.console, self.role)
-        raise ChoreoRuntimeError(f"unknown static field '{cname}.{name}'")
+        raise ChoreoRuntimeError(f"unknown static field '{scope.name}.{name}'")
 
 
 def observe_local(value):

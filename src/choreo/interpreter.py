@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from types import GeneratorType
 
 from . import surface as S
-from .builtins import Builtins, Console, PrintStreamV, binary_value
+from .builtins import NO_METHODS, Builtins, Console, PrintStreamV, binary_value, method_table
 from .local import (
     LAssign, LBinary, LBlock, LCall, LExpStm, LFieldAcc, LIf, LLit, LName, LNew,
     LNil, LReturn, LStaticName, LSwitch, LThrow, LTryCatch, LUnit, LUnitCall, LVarDecl,
@@ -96,14 +96,18 @@ class Evaluator(Builtins):
 
     An evaluator sets ``facts``, which its program keeps (``bodies``: see
     ``run``; ``names``: identifier -> the closure that reads it), and
-    ``deadline`` (a ``time.monotonic()`` value, or None), and supplies these
-    hooks:
+    ``deadline`` (a ``time.monotonic()`` value, or None). Its class has one
+    ``METHODS`` table (``builtins.method_table``, with its channels), which
+    a call on a receiver binds when compiled. It supplies these hooks:
 
     - ``call(frame, exp, args)``: the unqualified or static call ``exp``;
     - ``new(frame, exp, args)``: the ``new`` expression ``exp`` of a class
       of the program;
-    - ``call_method(receiver, name, args)``: the method ``name`` of a value;
-    - ``static_field(frame, scope, name)``: a field of the class ``scope``;
+    - ``call_object(obj, name, args)``: the method ``name`` of an object of
+      the program;
+    - ``constant(scope, name)``: the static field ``name`` of the class
+      ``scope`` if it is a constant, folded when compiled, else None;
+    - ``static_field(frame, scope, name)``: any other, read when it runs;
     - ``may_call(exp)``: whether the call or ``new`` ``exp`` itself may run
       a method of the program, or wait.
     """
@@ -112,6 +116,16 @@ class Evaluator(Builtins):
 
     def invoke(self, receiver, name, args):
         return self.now(self.call_method(receiver, name, args))
+
+    def call_method(self, receiver, name, args):
+        """The method ``name`` of ``receiver``: a method of the program, or
+        the ``METHODS`` entry for its type."""
+        if isinstance(receiver, ProgramObject):
+            return self.call_object(receiver, name, args)
+        hit, value = self.try_call_method(receiver, name, args)
+        if hit:
+            return value
+        raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
 
     @staticmethod
     def now(value):
@@ -324,7 +338,10 @@ def _c_type(ev, exp):
 def _c_field(ev, exp):
     scope, name = exp.scope, exp.name
     if type(scope) in TYPES:
-        return 0, lambda ev, fr, s=scope, n=name: ev.static_field(fr, s, n)
+        value = ev.constant(scope, name)
+        if value is None:  # read when it runs, which raises if it is no field
+            return 0, lambda ev, fr, s=scope, n=name: ev.static_field(fr, s, n)
+        return 0, lambda ev, fr, value=value: value
     flag, scope = COMPILE[type(scope)](ev, scope)
     if flag:
         return DEEP, _field_g(flag, scope, name)
@@ -340,17 +357,25 @@ def _c_binary(ev, exp):
 
 
 def _c_call(ev, exp):
-    """A call; its receiver runs before its arguments (JLS 15.12.4)."""
+    """A call; its receiver runs before its arguments (JLS 15.12.4). A call
+    on a receiver binds its name's ``METHODS`` entry (receiver type -> fn)."""
     scope = exp.scope
     receiver = None if scope is None or type(scope) in TYPES else COMPILE[type(scope)](ev, scope)
+    table = ev.METHODS.get(exp.name, NO_METHODS)
     args, deep = _c_arguments(ev, exp.args)
     if deep or receiver is not None and receiver[0]:
-        return DEEP, _call_g(exp, args, receiver)
+        return DEEP, _call_g(exp, args, receiver, table)
     flag = OWN if ev.may_call(exp) else 0
     if receiver is None:
         return flag, lambda ev, fr, e=exp, a=_arguments(args): ev.call(fr, e, a(ev, fr))
-    return flag, lambda ev, fr, r=receiver[1], n=exp.name, a=_arguments(args): (
-        ev.call_method(r(ev, fr), n, a(ev, fr)))
+
+    def method_call(ev, fr, r=receiver[1], t=table, n=exp.name, a=_arguments(args)):
+        obj = r(ev, fr)
+        fn = t.get(type(obj))
+        if fn is None:
+            return ev.call_method(obj, n, a(ev, fr))
+        return fn(ev, obj, a(ev, fr))
+    return flag, method_call
 
 
 def _c_new(ev, exp):
@@ -509,13 +534,14 @@ def _binary_g(op, left, right):
     return binary
 
 
-def _call_g(exp, args, receiver):
+def _call_g(exp, args, receiver, table=NO_METHODS):
     """A call, ``new`` or unit call with an operand that calls; ``receiver``
-    is its compiled receiver, or None for an unqualified or static call."""
+    is its compiled receiver and ``table`` its bound entry (see ``_c_call``),
+    or None for an unqualified or static call."""
     rflag, receiver = receiver or (0, None)
 
     def call(ev, fr, exp=exp, kind=type(exp), args=tuple(args), rflag=rflag,
-             receiver=receiver):
+             receiver=receiver, table=table):
         if receiver is not None:
             if rflag == DEEP:
                 obj = yield from receiver(ev, fr)
@@ -535,7 +561,8 @@ def _call_g(exp, args, receiver):
         if kind is LUnitCall:
             return UNIT
         if receiver is not None:
-            value = ev.call_method(obj, exp.name, values)
+            fn = table.get(type(obj))
+            value = ev.call_method(obj, exp.name, values) if fn is None else fn(ev, obj, values)
         elif kind is S.New or kind is LNew:
             value = ev.instance(fr, exp, values)
         else:
@@ -630,6 +657,9 @@ class OracleFacts:
 class GlobalInterpreter(Evaluator):
     """Runs a checked program. A frame's site is its role binding."""
 
+    METHODS = method_table([((GlobalChannel, "com"), lambda ev, ch, a: ch.com(*a)),
+                            ((GlobalChannel, "select"), lambda ev, ch, a: ch.select(*a))])
+
     def __init__(self, checked):
         super().__init__(Console())
         self.checked = checked
@@ -672,10 +702,10 @@ class GlobalInterpreter(Evaluator):
                                      f"not implemented by the runtime")
         return self.run(None, binding, mi.node, args)
 
-    def invoke_object(self, obj, name, arity, args):
-        mi, sup, submap = self.facts.method(obj.info, name, arity)
+    def call_object(self, obj, name, args):
+        mi, sup, submap = self.facts.method(obj.info, name, len(args))
         if mi is None:
-            raise ChoreoRuntimeError(f"'{obj.info.name}' has no method '{name}/{arity}'")
+            raise ChoreoRuntimeError(f"'{obj.info.name}' has no method '{name}/{len(args)}'")
         return self.run(obj, self.super_binding(sup, submap, obj.binding), mi.node, args)
 
     @staticmethod
@@ -691,16 +721,6 @@ class GlobalInterpreter(Evaluator):
                 out[formal.name] = binding.get(arg.name, arg.name)
         return out
 
-    def call_method(self, receiver, name, args):
-        if isinstance(receiver, GlobalObject):
-            return self.invoke_object(receiver, name, len(args), args)
-        if type(receiver) is GlobalChannel and name in ("com", "select"):
-            return getattr(receiver, name)(args[0] if args else UNIT)
-        hit, value = self.try_call_method(receiver, name, args)
-        if hit:
-            return value
-        raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
-
     def call(self, frame, exp, args):
         scope, resolved = exp.scope, self.resolved.get(id(exp))
         mi = resolved[1] if resolved else None
@@ -711,7 +731,7 @@ class GlobalInterpreter(Evaluator):
                 return self.run(frame.this, self._super_ctor_binding(frame, mi), mi.node, args)
             if mi.is_static:
                 return self.call_static(mi, frame.site, args)
-            return self.invoke_object(frame.this, exp.name, len(args), args)
+            return self.call_object(frame.this, exp.name, args)
         hit, value = self.try_static_call(scope.name, exp.name, args)
         if hit:
             return value
@@ -738,10 +758,13 @@ class GlobalInterpreter(Evaluator):
         return self.instantiate(info, [frame.site[r] for r in exp.roles],
                                 resolved[1] if resolved else None, args)
 
-    def static_field(self, frame, scope, name):
+    def constant(self, scope, name):
         info = self.table.get(scope.name)
         if info is not None and info.is_enum and name in info.node.cases:
             return EnumV(info.name, name)
+        return None
+
+    def static_field(self, frame, scope, name):
         if scope.name == "System" and name == "out":
             return PrintStreamV(self.console, frame.site[scope.roles[0]])
         raise ChoreoRuntimeError(f"unknown static field '{scope.name}.{name}'")
