@@ -242,7 +242,8 @@ class Builtins:
     # ---------------------------------------------------------- instances
 
     def try_call_method(self, receiver, name, args):
-        """Dispatch on a builtin receiver; returns (True, value) on a hit."""
+        """The class's ``METHODS`` entry for ``name`` on the type of
+        ``receiver``; returns (True, value) on a hit."""
         fn = self.METHODS.get(name, NO_METHODS).get(type(receiver))
         if fn is not None:
             return True, fn(self, receiver, args)

@@ -35,6 +35,7 @@ import statistics
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,13 +64,9 @@ def import_checkout(checkout, name, into):
     return package
 
 
-class Input:
-    """One run: the program's sources, its entry and its arguments."""
-
-    def __init__(self, name, sources, entry_class, entry_method, args, channels, deadline=10.0):
-        self.name, self.sources = name, sources
-        self.entry_class, self.entry_method = entry_class, entry_method
-        self.args, self.channels, self.deadline = args, channels, deadline
+# One run: the program's (file name, text) sources, its entry and its arguments.
+Input = namedtuple("Input", "name sources entry_class entry_method args channels deadline",
+                   defaults=(10.0,))
 
 
 def corpus_text(name):
@@ -129,11 +126,9 @@ def measure(packages, inputs, rounds):
     """input name -> stage -> side -> process times, one per round."""
     times = {item.name: {stage: {side: [] for side in SIDES} for stage in STAGES}
              for item in inputs}
-    turn = 0
-    for _ in range(rounds):
-        for item in inputs:
-            order = SIDES if turn % 2 == 0 else SIDES[::-1]
-            turn += 1
+    for r in range(rounds):
+        for i, item in enumerate(inputs):
+            order = SIDES if (r + i) % 2 == 0 else SIDES[::-1]
             seen = {}
             for side in order:
                 took, seen[side] = run_side(packages[side], item)
@@ -142,7 +137,6 @@ def measure(packages, inputs, rounds):
             if seen["parent"] != seen["change"]:
                 sys.exit(f"ab: {item.name}: the two sides report differently:\n"
                          f"  parent {seen['parent']}\n  change {seen['change']}")
-        turn += 1  # the next round starts each input on the other side
     return times
 
 
