@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
+from .record import field, record
 from .runtime import (
     UNIT, ChoreoRuntimeError, EnumV, ExceptionV, IteratorV,
     ListV, OptionalV, assert_builtin, is_unit,
@@ -31,9 +31,9 @@ class Console:
         return {r: list(ls) for r, ls in self._lines.items()}
 
 
-@dataclass
+@record
 class PrintStreamV:
-    console: Console
+    console: Console = field(repr=False)
     role: str
 
 
@@ -71,7 +71,7 @@ def value_equals(a, b):
         return a == b
     if type(a) is not type(b):
         return False
-    if isinstance(a, (str, bool, EnumV)):
+    if isinstance(a, (str, bool, EnumV, PrintStreamV)):
         return a == b
     if isinstance(a, ListV):
         return len(a.items) == len(b.items) and all(
@@ -164,12 +164,8 @@ _METHODS = {
     (str, "concat"): lambda b, s, a: s + a[0],
     (str, "substring"): lambda b, s, a: _slice(s, a, "substring"),
     (str, "reverse"): lambda b, s, a: s[::-1],
-    (str, "toString"): lambda b, s, a: s,
-    (bool, "toString"): lambda b, v, a: display(v),
     (int, "intValue"): lambda b, v, a: v,
-    (int, "toString"): lambda b, v, a: str(v),
     (float, "intValue"): lambda b, v, a: int(v),
-    (float, "toString"): lambda b, v, a: repr(v),
     (ListV, "size"): lambda b, lst, a: len(lst.items),
     (ListV, "isEmpty"): lambda b, lst, a: len(lst.items) == 0,
     (ListV, "get"): lambda b, lst, a: _list_get(lst, a[0]),
@@ -182,12 +178,14 @@ _METHODS = {
     (OptionalV, "isPresent"): lambda b, opt, a: opt.present,
     (OptionalV, "get"): lambda b, opt, a: _optional_get(opt),
     (OptionalV, "ifPresent"): lambda b, opt, a: _if_present(b, opt, a[0]),
-    (EnumV, "toString"): lambda b, e, a: e.case,
     (PrintStreamV, "println"): lambda b, stream, a: _println(b, stream, a[0]),
     (ExceptionV, "getMessage"): lambda b, e, a: e.message,
 }
-_METHODS.update(((t, "equals"), lambda b, v, a: value_equals(v, a[0]))
-                for t in (str, bool, int, float, EnumV))
+# The methods of the prelude's ``Object``; ``toString`` gives what ``println``
+# prints.
+_OBJECTS = (str, bool, int, float, EnumV, ListV, OptionalV, PrintStreamV, ExceptionV)
+_METHODS.update(((t, "toString"), lambda b, v, a: display(v)) for t in _OBJECTS)
+_METHODS.update(((t, "equals"), lambda b, v, a: value_equals(v, a[0])) for t in _OBJECTS)
 
 
 def method_table(extra=()):

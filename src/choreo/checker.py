@@ -15,13 +15,12 @@ and checks only the program's own declarations.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import NamedTuple
 
 from . import surface as S
 from .diagnostics import Code, Reporter
 from .printer import render_te
+from .record import field, record
 from .types import (
     VOID, CtorKind, RoleKind, StarKind, TAbs, TApp, TBottom, TInter, TSym,
     TVar, TVoid, app, fresh_var, kind_shape_eq, pretty, reduce_type,
@@ -37,7 +36,7 @@ NUMERIC = {"Integer", "Long", "Double"}
 
 # ------------------------------------------------------------ symbol table
 
-@dataclass
+@record
 class FTPInfo:
     name: str
     var: TVar
@@ -51,7 +50,7 @@ class FTPInfo:
         return len(self.role_binders)
 
 
-@dataclass
+@record
 class MethodInfo:
     node: S.Method
     owner: "DeclInfo"  # a weak proxy: the DeclInfo holds its MethodInfos
@@ -72,7 +71,7 @@ class MethodInfo:
         return None
 
 
-@dataclass
+@record
 class DeclInfo:
     node: S.Decl
     sym: TSym
@@ -113,7 +112,7 @@ class DeclInfo:
         return self.node.fields if isinstance(self.node, S.ClassDecl) else []
 
 
-@dataclass
+@record
 class Scope:
     """Name environments for denotation: role vars and type vars in scope."""
 
@@ -1569,7 +1568,7 @@ class KindError(Exception):
     pass
 
 
-@dataclass
+@record
 class _BodyCtx:
     info: DeclInfo
     mi: MethodInfo
@@ -1582,7 +1581,8 @@ class _BodyCtx:
 _NOTHING = MappingProxyType({})
 
 
-class PreludeLayer(NamedTuple):
+@record(frozen=True)
+class PreludeLayer:
     """The prelude's declarations, checked once: the tables a ``Checker``
     starts from, read-only. The default is the empty layer of a program
     without a prelude."""

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from .differential import load_manifest
+from .record import record
 
 
 def corpus_root():
@@ -23,7 +23,7 @@ def corpus_root():
     raise FileNotFoundError("corpus directory not found; set CHOREO_CORPUS")
 
 
-@dataclass
+@record
 class CorpusProgram:
     name: str
     path: Path

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
 
+from .record import field, record
 from .span import Span
 
 
@@ -32,7 +32,7 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     code: Code
     span: Span
@@ -83,7 +83,7 @@ class DiagnosticError(Exception):
         self.diagnostic = diagnostic
 
 
-@dataclass
+@record
 class Reporter:
     """Accumulates diagnostics for one compilation."""
 

@@ -8,16 +8,16 @@ interleaving is nondeterministic and deliberately not compared.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import Reporter
 from .distributed import eval_distributed
 from .interpreter import eval_global
 from .projector import project_program
+from .record import field, record
 
 
-@dataclass
+@record
 class Comparison:
     equal: bool
     diffs: list
@@ -70,7 +70,7 @@ def differential_run(checked, entry_class, entry_method, args_by_role=None,
 
 # ------------------------------------------------------------ run manifests
 
-@dataclass
+@record
 class RunSpec:
     """One execution: entry point, per-role args, channel wiring."""
 

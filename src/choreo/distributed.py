@@ -14,7 +14,6 @@ selection switch fails its role).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import partial
 from types import GeneratorType
 
@@ -22,6 +21,7 @@ from .builtins import Console, PrintStreamV, method_table
 from .interpreter import Evaluator, ExecutionReport, ProgramObject, error_report, wire_arguments
 from .local import LClass, LEnum, LNew, LocalProgram, LStaticName
 from .projector import generated_name
+from .record import record
 from .runtime import (
     UNIT, ChannelEndpoint, ChannelRegistry, ChoreoRuntimeError, DeadlockTimeout,
     EnumV, ExecutionContext, drive, is_unit, observe_value, observed_object,
@@ -175,7 +175,7 @@ def observe_local(value):
 
 # ----------------------------------------------------------------- workers
 
-@dataclass
+@record
 class WorkerOutcome:
     role: str
     status: str  # ok | deadlock-timeout | error

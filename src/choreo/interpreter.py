@@ -27,7 +27,6 @@ mergesort-style role rotation needs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from types import GeneratorType
 
 from . import surface as S
@@ -37,6 +36,7 @@ from .local import (
     LNil, LReturn, LStaticName, LSwitch, LThrow, LTryCatch, LUnit, LUnitCall, LVarDecl,
 )
 from .projector import generated_name
+from .record import record
 from .runtime import (
     UNIT, ChoreoRuntimeError, DeadlockTimeout, EnumV, ListV, drive, observe_value,
     observed_object,
@@ -63,18 +63,19 @@ class ProgramObject:
         self.fields = {}
 
 
-@dataclass(slots=True)
+@record
 class Frame:
     """One activation: ``this``, one store of names, and the ``site`` the
     evaluator's hooks read: the role binding in the oracle, the unit name
     in a worker."""
 
+    __slots__ = ("this", "env", "site")
     this: ProgramObject
     env: dict
     site: object
 
 
-@dataclass
+@record
 class ExecutionReport:
     returns: dict
     transcripts: dict
@@ -605,6 +606,9 @@ class GlobalChannel:
 
     def __init__(self, key="<anonymous>"):
         self.key = key
+
+    def __repr__(self):
+        return f"GlobalChannel(key={self.key!r})"
 
     def com(self, message=UNIT):
         return message

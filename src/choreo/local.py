@@ -8,12 +8,11 @@ which is what merging relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .record import field, record
 from .surface import walk
 
 
-@dataclass
+@record
 class LTE:
     name: str
     args: list = field(default_factory=list)
@@ -25,42 +24,42 @@ class LExp:
     pass
 
 
-@dataclass
+@record
 class LUnit(LExp):
     """The ``Unit.id`` atom."""
 
 
-@dataclass
+@record
 class LUnitCall(LExp):
     """``Unit.id(args)``: evaluate the arguments, produce the unit value."""
 
     args: list
 
 
-@dataclass
+@record
 class LLit(LExp):
     value: object  # int | float | str | bool | None
 
 
-@dataclass
+@record
 class LName(LExp):
     ident: str
 
 
-@dataclass
+@record
 class LStaticName(LExp):
     """Projected class name used as a static scope."""
 
     name: str
 
 
-@dataclass
+@record
 class LFieldAcc(LExp):
     scope: LExp
     name: str
 
 
-@dataclass
+@record
 class LCall(LExp):
     scope: LExp  # None for unqualified calls
     type_args: list
@@ -68,14 +67,14 @@ class LCall(LExp):
     args: list
 
 
-@dataclass
+@record
 class LNew(LExp):
     class_name: str
     type_args: list
     args: list
 
 
-@dataclass
+@record
 class LBinary(LExp):
     left: LExp
     op: str
@@ -88,28 +87,28 @@ class LStm:
     pass
 
 
-@dataclass
+@record
 class LNil(LStm):
     pass
 
 
-@dataclass
+@record
 class LReturn(LStm):
     value: LExp  # optional
 
 
-@dataclass
+@record
 class LThrow(LStm):
     message: str
 
 
-@dataclass
+@record
 class LExpStm(LStm):
     exp: LExp
     cont: LStm
 
 
-@dataclass
+@record
 class LVarDecl(LStm):
     te: LTE
     name: str
@@ -117,7 +116,7 @@ class LVarDecl(LStm):
     cont: LStm
 
 
-@dataclass
+@record
 class LAssign(LStm):
     target: LExp
     op: str
@@ -125,7 +124,7 @@ class LAssign(LStm):
     cont: LStm
 
 
-@dataclass
+@record
 class LIf(LStm):
     guard: LExp
     then: LStm
@@ -133,13 +132,13 @@ class LIf(LStm):
     cont: LStm
 
 
-@dataclass
+@record
 class LBlock(LStm):
     body: LStm
     cont: LStm
 
 
-@dataclass
+@record
 class LSwitch(LStm):
     guard: LExp
     cases: list  # (label, LStm) pairs
@@ -147,7 +146,7 @@ class LSwitch(LStm):
     cont: LStm
 
 
-@dataclass
+@record
 class LTryCatch(LStm):
     body: LStm
     handlers: list  # (LTE, name, LStm)
@@ -156,25 +155,25 @@ class LTryCatch(LStm):
 
 # ------------------------------------------------------------ declarations
 
-@dataclass
+@record
 class LAnnotation:
     name: str
     args: list  # (key, value) pairs
 
 
-@dataclass
+@record
 class LFTP:
     name: str
     bounds: list  # LTEs
 
 
-@dataclass
+@record
 class LParam:
     te: LTE
     name: str
 
 
-@dataclass
+@record
 class LMethod:
     annotations: list
     modifiers: list
@@ -186,7 +185,7 @@ class LMethod:
     is_constructor: bool = False
 
 
-@dataclass
+@record
 class LField:
     annotations: list
     modifiers: list
@@ -194,7 +193,7 @@ class LField:
     name: str
 
 
-@dataclass
+@record
 class LEnum:
     annotations: list
     modifiers: list
@@ -202,7 +201,7 @@ class LEnum:
     cases: list
 
 
-@dataclass
+@record
 class LInterface:
     annotations: list
     modifiers: list
@@ -212,7 +211,7 @@ class LInterface:
     methods: list
 
 
-@dataclass
+@record
 class LClass:
     annotations: list
     modifiers: list
@@ -225,7 +224,7 @@ class LClass:
     methods: list
 
 
-@dataclass
+@record
 class LocalUnit:
     """One projected declaration plus its provenance."""
 
@@ -235,7 +234,7 @@ class LocalUnit:
     decl: object  # LEnum | LInterface | LClass
 
 
-@dataclass
+@record
 class LocalProgram:
     units: list
     # What the distributed evaluator works out once (``ProgramFacts``).

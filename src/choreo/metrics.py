@@ -8,7 +8,6 @@ and measured iterations of checking and of projection.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from . import surface as S
 from .checker import check_program
@@ -16,11 +15,12 @@ from .diagnostics import Reporter
 from .pipeline import front_end, prelude_names
 from .projector import project_program
 from .printer import render_unit
+from .record import record
 
 CSV_HEADER = "program,choral_loc,roles,conditionals,local_loc,expansion_pct,typecheck_ms,projection_ms"
 
 
-@dataclass
+@record
 class MetricsRow:
     program: str
     choral_loc: int

@@ -30,7 +30,7 @@ BIN_TIERS = [
     ["+", "-"],
     ["*", "/", "%"],
 ]
-PREC = {op: tier for tier, ops in enumerate(BIN_TIERS) for op in ops}  # for the printers
+PREC = {op: tier for tier, ops in enumerate(BIN_TIERS) for op in ops}
 
 
 class _Stream:
@@ -579,15 +579,18 @@ class Parser:
         return S.ChainLink(self.span_from(tok), target, type_args, method)
 
     def parse_binary(self, tier):
-        if tier >= len(BIN_TIERS):
-            return self.parse_postfix()
-        left = self.parse_binary(tier + 1)
-        ops = BIN_TIERS[tier]
-        while self.ts.at_kind("op") and self.ts.peek().lexeme in ops:
-            op = self.ts.next().lexeme
-            right = self.parse_binary(tier + 1)
-            left = S.Binary(Span(self.src, left.span.start, right.span.end), left, op, right)
-        return left
+        """An operand followed by operators of ``tier`` or higher, by
+        precedence climbing: every operator associates to the left, so its
+        right operand holds only operators of higher tiers."""
+        left = self.parse_postfix()
+        while True:
+            tok = self.ts.peek()
+            op_tier = PREC.get(tok.lexeme, -1) if tok.kind == "op" else -1
+            if op_tier < tier:
+                return left
+            self.ts.next()
+            right = self.parse_binary(op_tier + 1)
+            left = S.Binary(Span(self.src, left.span.start, right.span.end), left, tok.lexeme, right)
 
     def parse_postfix(self):
         exp = self.parse_atom()

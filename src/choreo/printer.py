@@ -13,8 +13,6 @@ in interfaces, a delegating body in classes).
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import surface as S
 from .local import (
     LAssign, LBinary, LBlock, LCall, LEnum, LExpStm, LFieldAcc, LIf,
@@ -22,6 +20,7 @@ from .local import (
     LSwitch, LThrow, LTryCatch, LUnit, LUnitCall, LVarDecl,
 )
 from .parser import PREC
+from .record import replace
 
 
 def render_roles(roles):
@@ -318,6 +317,6 @@ def render_unit(unit, courtesy=False):
     if courtesy and not isinstance(decl, LEnum):
         in_interface = isinstance(decl, LInterface)
         methods = [(m, _courtesy_wrapper(m, in_interface)) for m in decl.methods]
-        decl = dataclasses.replace(
+        decl = replace(
             decl, methods=[m for pair in methods for m in pair if m is not None])
     return "\n".join(render_decl(decl)) + "\n"

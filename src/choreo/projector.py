@@ -11,7 +11,6 @@ conditionals (merge of branch projections at non-guard roles) and selections
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from . import surface as S
 from .diagnostics import Code, Reporter
@@ -23,6 +22,7 @@ from .local import (
 )
 from .merging import MergeError, big_merge, is_noop, merge_stm, normalize_exp, normalize_stm
 from .printer import render_stm_inline, render_te
+from .record import record
 from .types import TAbs, TSym, TVar, TVoid, spine
 
 UNEXPECTED_LABEL = "unexpected selection label"
@@ -92,7 +92,7 @@ def generated_name(source_name, decl_roles, role):
 
 # ------------------------------------------------------------- projector
 
-@dataclass
+@record
 class Projector:
     checked: object  # CheckedProgram
     reporter: Reporter

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from types import GeneratorType
+
+from .record import field, record
 
 CHANNEL_CAPACITY = 16
 # Calls on one stack of either evaluator: far above any real recursion, it
@@ -60,7 +61,7 @@ class UnitValue:
 UNIT = UnitValue()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EnumV:
     type_name: str
     case: str
@@ -69,7 +70,7 @@ class EnumV:
         return f"{self.type_name}.{self.case}"
 
 
-@dataclass
+@record
 class ListV:
     items: list = field(default_factory=list)
 
@@ -77,7 +78,7 @@ class ListV:
         return repr(self.items)
 
 
-@dataclass
+@record
 class OptionalV:
     present: bool
     value: object = None
@@ -86,13 +87,13 @@ class OptionalV:
         return f"Optional({self.value!r})" if self.present else "Optional.empty"
 
 
-@dataclass
+@record
 class IteratorV:
     items: list
     index: int = 0
 
 
-@dataclass
+@record
 class ExceptionV:
     class_name: str
     message: str
@@ -225,7 +226,7 @@ class _Pair:
         self.claimants = []  # role names, in claim order
 
 
-@dataclass
+@record
 class ChannelEndpoint:
     """One side of a point-to-point in-memory channel. An operation that
     is not ``ready`` raises when called: no other role can run while this
@@ -234,6 +235,9 @@ class ChannelEndpoint:
     pair: _Pair
     side: int  # 0 or 1; this side sends on queues[side]
     claimant: str
+
+    def __repr__(self):
+        return f"ChannelEndpoint(key={self.pair.key!r}, side={self.side}, claimant={self.claimant!r})"
 
     def ready(self, sending):
         """Whether a send (or a receive) can proceed at once."""

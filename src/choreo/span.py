@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
+
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SourceFile:
     name: str
     text: str
@@ -39,7 +40,7 @@ class SourceFile:
         return self.text[begin:end]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Span:
     """Half-open [start, end) region of one source file."""
 

@@ -8,20 +8,18 @@ and every node carries a span.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-
+from .record import field, fields, record
 from .span import SourceFile, Span
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Node:
     span: Span
 
 
 # ------------------------------------------------------------ type exprs
 
-@dataclass(eq=False)
+@record(eq=False)
 class TE(Node):
     """Type expression ``id[@(roles)][<TE...>]`` or ``void``."""
 
@@ -33,26 +31,26 @@ class TE(Node):
 
 # ------------------------------------------------------------ expressions
 
-@dataclass(eq=False)
+@record(eq=False)
 class Exp(Node):
     pass
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Literal(Exp):
     value: object  # int | float | str | bool | None
     roles: list  # one role normally; several for null@(..) and @[..] sugar
     is_list_sugar: bool = False  # lit@[R1,..,Rn] awaiting expansion
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Name(Exp):
     """Variable, parameter, implicit field, or ``this``."""
 
     ident: str
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class StaticRef(Exp):
     """Class reference with role arguments, used as a scope: ``Choice@A``."""
 
@@ -60,13 +58,13 @@ class StaticRef(Exp):
     roles: list
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class FieldAcc(Exp):
     scope: Exp  # Name | StaticRef | any expression
     name: str
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Call(Exp):
     """Method invocation; ``scope`` is None for unqualified calls."""
 
@@ -76,7 +74,7 @@ class Call(Exp):
     args: list
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class New(Exp):
     class_name: str
     roles: list
@@ -84,14 +82,14 @@ class New(Exp):
     args: list
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Binary(Exp):
     left: Exp
     op: str
     right: Exp
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class ChainLink(Node):
     """One ``>> target::<TAs>method`` or ``>> id@(..)<TAs>::new`` link."""
 
@@ -102,7 +100,7 @@ class ChainLink(Node):
     new_roles: list = None
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Chain(Exp):
     first: Exp
     links: list
@@ -110,35 +108,35 @@ class Chain(Exp):
 
 # ------------------------------------------------------------- statements
 
-@dataclass(eq=False)
+@record(eq=False)
 class Stm(Node):
     pass
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Nil(Stm):
     pass
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Return(Stm):
     value: Exp  # optional
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Throw(Stm):
     """Only produced when reading back generated local units."""
 
     message: str
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class ExpStm(Stm):
     exp: Exp
     cont: Stm = None
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class VarDecl(Stm):
     te: TE
     name: str
@@ -146,7 +144,7 @@ class VarDecl(Stm):
     cont: Stm = None
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Assign(Stm):
     target: Exp
     op: str  # "=", "+=", ...
@@ -154,7 +152,7 @@ class Assign(Stm):
     cont: Stm = None
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class If(Stm):
     guard: Exp
     then: Stm
@@ -162,13 +160,13 @@ class If(Stm):
     cont: Stm = None
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Block(Stm):
     body: Stm
     cont: Stm = None
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class SwitchCase(Node):
     label: object  # case identifier string, or Literal; None for default
     body: Stm
@@ -178,7 +176,7 @@ class SwitchCase(Node):
         return iter((self.label, self.body))
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Switch(Stm):
     guard: Exp
     cases: list  # SwitchCase with label != None
@@ -186,7 +184,7 @@ class Switch(Stm):
     cont: Stm = None
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class CatchClause(Node):
     te: TE
     name: str
@@ -197,7 +195,7 @@ class CatchClause(Node):
         return iter((self.te, self.name, self.body))
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class TryCatch(Stm):
     body: Stm
     handlers: list
@@ -206,13 +204,13 @@ class TryCatch(Stm):
 
 # ------------------------------------------------------------ declarations
 
-@dataclass(eq=False)
+@record(eq=False)
 class Annotation(Node):
     name: str
     args: list  # (key, literal value) pairs
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class FTP(Node):
     """Formal type parameter: ``T@(X,..) [extends TE & TE...]``."""
 
@@ -221,13 +219,13 @@ class FTP(Node):
     bounds: list
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Param(Node):
     te: TE
     name: str
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Method(Node):
     annotations: list
     modifiers: list
@@ -242,7 +240,7 @@ class Method(Node):
         return "static" in self.modifiers
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class FieldDecl(Node):
     annotations: list
     modifiers: list
@@ -253,7 +251,7 @@ class FieldDecl(Node):
         return "static" in self.modifiers
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class Decl(Node):
     annotations: list
     modifiers: list
@@ -261,19 +259,19 @@ class Decl(Node):
     roles: list
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class EnumDecl(Decl):
     cases: list = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class InterfaceDecl(Decl):
     ftps: list = field(default_factory=list)
     extends: list = field(default_factory=list)
     methods: list = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class ClassDecl(Decl):
     ftps: list = field(default_factory=list)
     extends: TE = None
@@ -283,7 +281,7 @@ class ClassDecl(Decl):
     methods: list = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class SurfaceProgram:
     decls: list
 
@@ -318,9 +316,9 @@ def _fields(cls):
     # Fields annotated ``str`` or ``bool`` hold no node: both ASTs postpone
     # annotations, so each ``f.type`` is the annotation's text.
     names = None
-    if dataclasses.is_dataclass(cls) and cls not in (Span, SourceFile):
-        names = tuple(f.name for f in reversed(dataclasses.fields(cls))
-                      if f.name != "span" and f.type not in ("str", "bool"))
+    if fields(cls) is not None and cls not in (Span, SourceFile):
+        names = tuple(name for name, f in reversed(fields(cls).items())
+                      if name != "span" and f.type not in ("str", "bool"))
     _FIELDS[cls] = names
     return names
 
@@ -335,7 +333,7 @@ def fields_of(node):
 
 def walk(node):
     """Yield every node of a surface or local tree, ``node`` first, in
-    pre-order and source order: the dataclass instances in its fields other
+    pre-order and source order: the record instances in its fields other
     than ``span``, and in the lists and tuples those hold. The walk keeps its
     own stack, so deep trees take no Python stack, and it reads a node's
     fields only after yielding the node, so the caller may replace them."""

@@ -13,18 +13,18 @@ deadlock-timeout.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from . import surface as S
 from .diagnostics import Code, Reporter
 from .distributed import run_workers
 from .builtins import Console
 from .projector import project_program
+from .record import field, record
 from .runtime import ChannelRegistry, ExecutionContext
 from .types import TVoid
 
 
-@dataclass
+@record
 class TestCase:
     class_name: str
     method_name: str
@@ -32,7 +32,7 @@ class TestCase:
     units: dict = None  # role -> LocalUnit
 
 
-@dataclass
+@record
 class CaseResult:
     case: TestCase
     passed: bool

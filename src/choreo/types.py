@@ -13,7 +13,8 @@ assignable to any reference type located at exactly those roles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+from .record import record
 
 _uids = itertools.count(1)
 
@@ -24,13 +25,13 @@ def fresh_uid():
 
 # ---------------------------------------------------------------- kinds
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RoleKind:
     def __str__(self):
         return "@"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StarKind:
     bound: "Type" = None  # None = unbounded
 
@@ -38,7 +39,7 @@ class StarKind:
         return f"*({self.bound})" if self.bound is not None else "*"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CtorKind:
     var: str
     param: "Kind"
@@ -64,7 +65,7 @@ def kind_shape_eq(a, b):
 
 # ---------------------------------------------------------------- types
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TVar:
     """Type or role variable; identity is the uid, the name is for display."""
 
@@ -76,7 +77,7 @@ class TVar:
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TSym:
     """Symbol introduced by a class/interface/enum declaration."""
 
@@ -86,7 +87,7 @@ class TSym:
         return self.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TAbs:
     var: TVar
     kind: "Kind"
@@ -96,7 +97,7 @@ class TAbs:
         return f"[{self.var}]->{self.body}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TApp:
     ctor: "Type"
     arg: "Type"
@@ -105,7 +106,7 @@ class TApp:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TInter:
     items: tuple
 
@@ -113,7 +114,7 @@ class TInter:
         return "&(" + ", ".join(str(t) for t in self.items) + ")"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TFun:
     params: tuple
     result: "Type"
@@ -122,13 +123,13 @@ class TFun:
         return "(" + ", ".join(str(t) for t in self.params) + ")->" + str(self.result)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TVoid:
     def __str__(self):
         return "void"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TBottom:
     """Type of a null literal, located at a fixed role list."""
 

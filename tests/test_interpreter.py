@@ -11,7 +11,7 @@ from choreo.corpus import corpus_root, positive_entries
 from choreo.diagnostics import Code, Reporter
 from choreo.differential import RunSpec, differential_run
 from choreo.distributed import eval_distributed
-from choreo.interpreter import eval_global
+from choreo.interpreter import GlobalChannel, eval_global
 from choreo.local import (
     LCall, LClass, LExpStm, LMethod, LName, LNil, LTE, LParam, LUnit,
     LocalProgram, LocalUnit,
@@ -725,10 +725,10 @@ def test_twice_inherited_interface_keeps_each_direction_typed():
 FAILING = """
 class C@A {
     static Integer@A f;
-    public static String@A listText() { return new ArrayList@A<Integer>().toString(); }
+    public static String@A iteratorText() { return new ArrayList@A<Integer>().iterator().toString(); }
     public static Integer@A field() { return C@A.f; }
     public static Integer@A firstFails() {
-        String@A s = new ArrayList@A<Integer>().toString();
+        String@A s = new ArrayList@A<Integer>().iterator().toString();
         return C@A.f;
     }
 }
@@ -736,18 +736,50 @@ class C@A {
 
 
 def test_dispatch_failures_the_checker_lets_through_read_alike_in_both_evaluators():
-    # A list has no toString in the runtime, and C.f is no static field it
-    # knows. In the last entry the first statement fails, so the unknown
-    # field after it is never read: its error waits until it runs.
+    # The checker gives an interface such as Iterator the methods of Object,
+    # which the prelude's Iterator does not declare and an iterator has not
+    # in the runtime; and C.f is no static field the runtime knows. In the
+    # last entry the first statement fails, so the unknown field after it is
+    # never read: its error waits until it runs.
     checked = compile_ok(FAILING)
     units = project_ok(checked)
-    for entry, message in (("listText", "no method 'toString' on []"),
+    no_method = "no method 'toString' on IteratorV(items=[], index=0)"
+    for entry, message in (("iteratorText", no_method),
                            ("field", "unknown static field 'C.f'"),
-                           ("firstFails", "no method 'toString' on []")):
+                           ("firstFails", no_method)):
         cmp = differential_run(checked, "C", entry, local_program=units)
         assert (cmp.global_report.status, cmp.global_report.error) == ("error", message)
         assert (cmp.distributed_report.status, cmp.distributed_report.error) == (
             "error", f"A: ChoreoRuntimeError: {message}"), entry
+
+
+OBJECT_METHODS = """
+class C@A {
+    public static Boolean@A go() {
+        ArrayList@A<Integer> xs = new ArrayList@A<Integer>();
+        xs.add(1@A);
+        System@A.out.println(new ArrayList@A<Integer>().toString());
+        System@A.out.println(xs.toString());
+        System@A.out.println(Optional@A.<Integer>of(2@A).toString());
+        System@A.out.println(Optional@A.<Integer>empty().equals(Optional@A.<Integer>empty()));
+        System@A.out.println(new Exception@A("e"@A).toString());
+        System@A.out.println(System@A.out.toString());
+        System@A.out.println(System@A.out.equals(System@A.out));
+        return xs.equals(xs);
+    }
+}
+"""
+
+
+def test_every_builtin_value_has_the_methods_of_object():
+    # toString gives what println prints; equals is the == of values.
+    checked = compile_ok(OBJECT_METHODS)
+    cmp = differential_run(checked, "C", "go", local_program=project_ok(checked))
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.returns == {"A": True}
+    assert cmp.global_report.transcripts == {"A": [
+        "[]", "[1]", "Optional(2)", "true", "ExceptionV(class_name='Exception', message='e')",
+        "PrintStreamV(role='A')", "true"]}
 
 
 def run_local(*texts, channels=None):
@@ -775,8 +807,9 @@ def test_a_channel_has_only_com_and_select():
     report = run_local(
         "public class U { public static void go(SymChannel<Object> ch) { ch.size(); } }",
         channels={"ch": "k"})
-    assert report.status == "error"
-    assert report.error.startswith("A: ChoreoRuntimeError: no method 'size' on ChannelEndpoint(")
+    assert (report.status, report.error) == ("error", "A: ChoreoRuntimeError: no method "
+                                             "'size' on ChannelEndpoint(key='k', side=0, claimant='A')")
+    assert repr(GlobalChannel("k")) == "GlobalChannel(key='k')"
 
 
 BUILTIN_NAMES = """

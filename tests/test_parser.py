@@ -1,6 +1,5 @@
 """Parsing, desugaring, and round-trip behaviour."""
 
-import dataclasses
 import re
 
 import pytest
@@ -17,6 +16,7 @@ from choreo.parser import (
 from choreo.pipeline import front_end, prelude_names
 from choreo.projector import project_program
 from choreo.printer import render_exp, render_program
+from choreo.record import fields
 from choreo.span import SourceFile, Span
 from choreo.surface import structurally_equal
 
@@ -378,16 +378,16 @@ def test_syntax_error_line_and_column(text, where):
 # ------------------------------------------------------------- tree walk
 
 def _naive_walk(node, out):
-    """Pre-order over dataclass fields, recursively: what ``S.walk`` must
+    """Pre-order over record fields, recursively: what ``S.walk`` must
     yield."""
     if isinstance(node, (list, tuple)):
         for item in node:
             _naive_walk(item, out)
-    elif dataclasses.is_dataclass(node) and not isinstance(node, (type, Span, SourceFile)):
+    elif fields(node) is not None and not isinstance(node, (type, Span, SourceFile)):
         out.append(node)
-        for f in dataclasses.fields(node):
-            if f.name != "span":
-                _naive_walk(getattr(node, f.name), out)
+        for name in fields(node):
+            if name != "span":
+                _naive_walk(getattr(node, name), out)
     return out
 
 

@@ -27,6 +27,17 @@ def test_ab_compares_this_checkout_with_itself_for_one_round():
         assert " ratio " in line and line.endswith(" inputs x 1 rounds"), line
 
 
+def test_ab_times_the_startup_of_this_checkout_against_itself_for_two_rounds():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT), "--rounds", "2",
+         "--startup"],
+        capture_output=True, text=True, timeout=300, check=True).stdout
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["startup", "import"], ["startup", "prelude"]]
+    for line in lines:
+        assert " ratio " in line and line.endswith(" 2 process pairs"), line
+
+
 def test_ab_builds_the_inputs_of_every_workload():
     ab = load_ab()
     gen = ab.load_gen()

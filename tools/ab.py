@@ -1,6 +1,7 @@
 """In-process A/B timing of the evaluators of two choreo checkouts.
 
     python tools/ab.py PARENT CHANGE [--rounds N] [--workload W ...] [--seed S]
+    python tools/ab.py PARENT CHANGE --startup [--rounds N]
 
 Each checkout's ``src/choreo`` is copied into a temporary directory under
 its own package name (``choreo_parent``, ``choreo_change``), and both are
@@ -21,6 +22,14 @@ distributed run (``eval_distributed``) are timed with ``time.process_time``.
 Both sides must give the same reports. The script prints, per workload and
 stage, each side's median time and the median over inputs of each input's
 median change/parent ratio, with that ratio's quartiles over inputs.
+
+With ``--startup``, each round instead starts one fresh process per side,
+in an order that alternates from round to round, which imports the copied
+package and then builds the prelude layer (``checker.prelude_layer``),
+timing each with ``time.perf_counter``. One untimed process per side first
+writes the copy's bytecode cache. The script prints, per stage, each side's
+median time and the median change/parent ratio of the rounds' pairs, with
+its quartiles.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import json
 import random
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -41,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 STAGES = ("oracle", "run")
+STARTUP_STAGES = ("import", "prelude")
 SORT_CHANNELS = {"ch_AB": "ab", "ch_BC": "bc", "ch_CA": "ca"}
 
 
@@ -51,13 +62,18 @@ def load_gen():
     return gen
 
 
-def import_checkout(checkout, name, into):
-    """The package ``src/choreo`` of ``checkout``, copied into ``into`` and
-    imported as ``name``."""
+def copy_checkout(checkout, name, into):
+    """Copies the package ``src/choreo`` of ``checkout`` into ``into`` as ``name``."""
     src = Path(checkout).resolve() / "src" / "choreo"
     if not (src / "__init__.py").is_file():
         sys.exit(f"ab: {checkout} is not a choreo checkout (no src/choreo)")
     shutil.copytree(src, Path(into) / name, ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def import_checkout(checkout, name, into):
+    """The package ``src/choreo`` of ``checkout``, copied into ``into`` and
+    imported as ``name``."""
+    copy_checkout(checkout, name, into)
     package = importlib.import_module(name)
     for module in ("diagnostics", "interpreter", "distributed", "pipeline", "projector"):
         importlib.import_module(f"{name}.{module}")
@@ -161,6 +177,49 @@ def report(workload, times, rounds):
     return lines
 
 
+# Run as ``python -c STARTUP PACKAGE`` in the directory that holds PACKAGE.
+STARTUP = """\
+import importlib, sys, time
+t0 = time.perf_counter()
+package = importlib.import_module(sys.argv[1])
+t1 = time.perf_counter()
+package.checker.prelude_layer(package.pipeline.load_prelude().decls)
+t2 = time.perf_counter()
+print(t1 - t0, t2 - t1)
+"""
+
+
+def start_side(into, side):
+    """The seconds a fresh process takes for each of ``STARTUP_STAGES``."""
+    out = subprocess.run([sys.executable, "-c", STARTUP, f"choreo_{side}"], cwd=into,
+                         capture_output=True, text=True, check=True).stdout
+    return [float(took) for took in out.split()]
+
+
+def measure_startup(into, rounds):
+    """stage -> side -> seconds, one per round."""
+    times = {stage: {side: [] for side in SIDES} for stage in STARTUP_STAGES}
+    for side in SIDES:
+        start_side(into, side)
+    for r in range(rounds):
+        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+            for stage, took in zip(STARTUP_STAGES, start_side(into, side)):
+                times[stage][side].append(took)
+    return times
+
+
+def startup_report(times, rounds):
+    lines = []
+    for stage in STARTUP_STAGES:
+        ratios = [c / p for p, c in zip(times[stage]["parent"], times[stage]["change"])]
+        ms = {side: 1e3 * statistics.median(times[stage][side]) for side in SIDES}
+        q1, q3 = quartiles(ratios)
+        lines.append(f"startup  {stage:7} parent {ms['parent']:8.3f} ms  change "
+                     f"{ms['change']:8.3f} ms  ratio {statistics.median(ratios):.3f} "
+                     f"(q1 {q1:.3f}, q3 {q3:.3f})  {rounds} process pairs")
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="the checkout to compare against")
@@ -168,7 +227,16 @@ def main(argv=None):
     ap.add_argument("--rounds", type=int, default=16)
     ap.add_argument("--workload", action="append", choices=("compile", "stream", "sort"))
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--startup", action="store_true",
+                    help="time fresh processes' import and prelude layer instead of the workloads")
     args = ap.parse_args(argv)
+    if args.startup:
+        with tempfile.TemporaryDirectory() as into:
+            for side in SIDES:
+                copy_checkout(getattr(args, side), f"choreo_{side}", into)
+            for line in startup_report(measure_startup(into, args.rounds), args.rounds):
+                print(line, flush=True)
+        return 0
     sys.setrecursionlimit(20000)  # as the benchmark and the command line set it
     gen = load_gen()
     with tempfile.TemporaryDirectory() as into:
