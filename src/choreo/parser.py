@@ -590,7 +590,8 @@ class Parser:
                 return left
             self.ts.next()
             right = self.parse_binary(op_tier + 1)
-            left = S.Binary(Span(self.src, left.span.start, right.span.end), left, tok.lexeme, right)
+            span = Span(self.src, left.span.start, right.span.end)
+            left = S.Binary(span, left, tok.lexeme, right)
 
     def parse_postfix(self):
         exp = self.parse_atom()

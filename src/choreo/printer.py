@@ -317,6 +317,5 @@ def render_unit(unit, courtesy=False):
     if courtesy and not isinstance(decl, LEnum):
         in_interface = isinstance(decl, LInterface)
         methods = [(m, _courtesy_wrapper(m, in_interface)) for m in decl.methods]
-        decl = replace(
-            decl, methods=[m for pair in methods for m in pair if m is not None])
+        decl = replace(decl, methods=[m for pair in methods for m in pair if m is not None])
     return "\n".join(render_decl(decl)) + "\n"

@@ -237,7 +237,8 @@ class ChannelEndpoint:
     claimant: str
 
     def __repr__(self):
-        return f"ChannelEndpoint(key={self.pair.key!r}, side={self.side}, claimant={self.claimant!r})"
+        return (f"ChannelEndpoint(key={self.pair.key!r}, side={self.side}, "
+                f"claimant={self.claimant!r})")
 
     def ready(self, sending):
         """Whether a send (or a receive) can proceed at once."""

@@ -26,10 +26,11 @@ median change/parent ratio, with that ratio's quartiles over inputs.
 With ``--startup``, each round instead starts one fresh process per side,
 in an order that alternates from round to round, which imports the copied
 package and then builds the prelude layer (``checker.prelude_layer``),
-timing each with ``time.perf_counter``. One untimed process per side first
-writes the copy's bytecode cache. The script prints, per stage, each side's
-median time and the median change/parent ratio of the rounds' pairs, with
-its quartiles.
+timing each with ``time.perf_counter``. The copies have no bytecode cache
+and the processes write none (``-B``), so each compiles the package from
+source, as the first run of a new checkout does. The script prints, per
+stage, each side's median time and the median change/parent ratio of the
+rounds' pairs, with its quartiles.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ print(t1 - t0, t2 - t1)
 
 def start_side(into, side):
     """The seconds a fresh process takes for each of ``STARTUP_STAGES``."""
-    out = subprocess.run([sys.executable, "-c", STARTUP, f"choreo_{side}"], cwd=into,
+    out = subprocess.run([sys.executable, "-B", "-c", STARTUP, f"choreo_{side}"], cwd=into,
                          capture_output=True, text=True, check=True).stdout
     return [float(took) for took in out.split()]
 
@@ -199,8 +200,6 @@ def start_side(into, side):
 def measure_startup(into, rounds):
     """stage -> side -> seconds, one per round."""
     times = {stage: {side: [] for side in SIDES} for stage in STARTUP_STAGES}
-    for side in SIDES:
-        start_side(into, side)
     for r in range(rounds):
         for side in SIDES if r % 2 == 0 else SIDES[::-1]:
             for stage, took in zip(STARTUP_STAGES, start_side(into, side)):
