@@ -178,7 +178,8 @@ def test_a_default_factory_gives_each_instance_a_fresh_object():
     assert decls[0].methods == decls[1].methods == [] and decls[0].methods is not decls[1].methods
     assert L.LTE("T").args is not L.LTE("T").args
     assert Reporter().items is not Reporter().items
-    assert S.ClassDecl.__dict__.get("methods", None) is None and S.ClassDecl.extends is None
+    # A default stays the class attribute; a default factory leaves none.
+    assert "methods" not in vars(S.ClassDecl) and S.ClassDecl.extends is None
 
 
 def test_surface_nodes_compare_and_hash_by_identity():

@@ -1,4 +1,5 @@
-"""In-process A/B timing of the evaluators of two choreo checkouts.
+"""A/B timing of two choreo checkouts: their evaluators in one process, or
+their start-up in fresh processes.
 
     python tools/ab.py PARENT CHANGE [--rounds N] [--workload W ...] [--seed S]
     python tools/ab.py PARENT CHANGE --startup [--rounds N]
