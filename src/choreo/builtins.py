@@ -48,6 +48,11 @@ def display(value):
         return value.case
     if isinstance(value, ListV):
         return "[" + ", ".join(display(v) for v in value.items) + "]"
+    if isinstance(value, OptionalV):
+        return f"Optional[{display(value.value)}]" if value.present else "Optional.empty"
+    if isinstance(value, ExceptionV):
+        # Made without a message, it prints as its class name alone.
+        return f"java.lang.{value.class_name}" + (f": {value.message}" if value.message else "")
     if isinstance(value, float):
         return repr(value)
     return str(value)

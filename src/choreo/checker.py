@@ -594,24 +594,6 @@ class Checker:
         out = self._decl_supers[info.name] = tuple(out)
         return out
 
-    def direct_supertypes(self, t):
-        t = reduce_type(t)
-        head, args = spine(t)
-        if isinstance(head, TSym):
-            info = self.table.get(head.name)
-            if info is None:
-                return []
-            formals = self.formals(info)
-            if len(args) != len(formals):
-                return []
-            mapping = {f.uid: a for f, a in zip(formals, args)}
-            return [reduce_type(substitute(s, mapping))
-                    for s in self.direct_supertypes_of_decl(info)]
-        if isinstance(head, TVar):
-            bounds = self.var_bounds.get(head.uid, [])
-            return [reduce_type(app(b, *args)) for b in bounds]
-        return []
-
     def supertype_closure(self, info):
         """The declaration, then every supertype it reaches, breadth first.
 

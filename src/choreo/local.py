@@ -3,13 +3,14 @@
 Mirrors the surface grammar without role annotations, plus the unit
 singleton forms (``Unit.id`` and ``Unit.id(...)``) and the throw statement
 generated as the default of selection switches. Nodes compare structurally,
-which is what merging relies on.
+which is what merging relies on. The annotations of expression and statement
+fields say which hold parts (``LExp``, ``LStm``), alone or in lists and
+tuples: the rewrites of ``merging`` are compiled from them.
 """
 
 from __future__ import annotations
 
 from .record import field, record
-from .surface import walk
 
 
 @record
@@ -33,7 +34,7 @@ class LUnit(LExp):
 class LUnitCall(LExp):
     """``Unit.id(args)``: evaluate the arguments, produce the unit value."""
 
-    args: list
+    args: list[LExp]
 
 
 @record
@@ -62,16 +63,16 @@ class LFieldAcc(LExp):
 @record
 class LCall(LExp):
     scope: LExp  # None for unqualified calls
-    type_args: list
+    type_args: list[LTE]
     name: str
-    args: list
+    args: list[LExp]
 
 
 @record
 class LNew(LExp):
     class_name: str
-    type_args: list
-    args: list
+    type_args: list[LTE]
+    args: list[LExp]
 
 
 @record
@@ -141,7 +142,7 @@ class LBlock(LStm):
 @record
 class LSwitch(LStm):
     guard: LExp
-    cases: list  # (label, LStm) pairs
+    cases: list[tuple[object, LStm]]  # a label is a case name or a literal
     default: LStm  # optional
     cont: LStm
 
@@ -149,7 +150,7 @@ class LSwitch(LStm):
 @record
 class LTryCatch(LStm):
     body: LStm
-    handlers: list  # (LTE, name, LStm)
+    handlers: list[tuple[LTE, str, LStm]]  # (type, name, body)
     cont: LStm
 
 
@@ -271,5 +272,12 @@ def concat_stm(a, b):
     return node
 
 
-# Every node of a local declaration or statement tree, in pre-order.
-walk_local = walk
+def link(stms):
+    """Chains ``stms`` in order, setting each one's ``cont`` to the next, and
+    returns the first; None for none. The last keeps the ``cont`` it has."""
+    head = None
+    for stm in reversed(stms):
+        if head is not None:
+            stm.cont = head
+        head = stm
+    return head

@@ -6,15 +6,28 @@ merge componentwise on matching shapes, and switches merge by uniting their
 cases (shared labels merge bodies, unshared labels pass through). The
 normaliser removes effect-free unit residue first, so that dropped code on
 one side merges with a blank on the other.
+
+Both are written once for every local class. ``REWRITE`` holds, for each,
+a function compiled from its field annotations (``record.fields``) that
+rebuilds a node with a function applied to each of its parts: the
+expressions and statements in fields annotated ``LExp`` or ``LStm``, alone
+or in lists and tuples. Every other value (a name, an operator, a type
+expression, a literal's value) is an atom. The normaliser rebuilds a node
+from its normalised parts; its only own rules collapse ``Unit.id(...)`` and
+drop a no-op expression statement. Two nodes merge when they are of one
+class with equal atoms and list lengths, into the node of their pairwise
+merged parts; only a switch has its own rule, the case union. Both follow a
+block's ``cont`` chain in a loop, so they take Python stack per level of
+nesting, not per statement.
 """
 
 from __future__ import annotations
 
 from .local import (
-    LAssign, LBinary, LBlock, LCall, LExpStm, LFieldAcc, LIf, LLit, LName,
-    LNew, LNil, LReturn, LStaticName, LSwitch, LThrow, LTryCatch, LUnit,
-    LUnitCall, LVarDecl,
+    LExp, LExpStm, LFieldAcc, LLit, LName, LNil, LStaticName, LStm, LSwitch,
+    LUnit, LUnitCall, link,
 )
+from .record import fields
 
 
 class MergeError(Exception):
@@ -24,6 +37,41 @@ class MergeError(Exception):
         self.left = left
         self.right = right
         super().__init__("irreconcilable branch fragments")
+
+
+# --------------------------------------------------------------- rewrites
+
+def _code(text, value):
+    """Source that rebuilds ``value``, annotated ``text``, applying ``f`` to
+    each part in it; ``value`` itself when it can hold no part. A tuple's
+    item annotations are split at commas, so they are not generic."""
+    if text in ("LExp", "LStm"):
+        return f"f({value})"
+    if text.startswith("list["):
+        item = _code(text[5:-1], "v")
+        return value if item == "v" else f"[{item} for v in {value}]"
+    if text.startswith("tuple["):
+        items = [_code(t, f"{value}[{i}]") for i, t in enumerate(text[6:-1].split(", "))]
+        return "(" + ", ".join(items) + ",)"
+    return value
+
+
+def _compile(cls):
+    """``rewrite(node, f, make=cls)``: ``make`` applied to the fields of a
+    node of ``cls``, with ``f`` applied to each part in them and ``cont``
+    None; None for a class whose nodes have neither parts nor ``cont``."""
+    args = ["None" if name == "cont" else _code(f.type, f"node.{name}")
+            for name, f in fields(cls).items()]
+    if args == [f"node.{name}" for name in fields(cls)]:
+        return None
+    ns = {"cls": cls}
+    exec(f"def rewrite(node, f, make=cls):\n return make({', '.join(args)})", ns)
+    return ns["rewrite"]
+
+
+# Each local expression and statement class -> its ``rewrite``.
+REWRITE = {cls: _compile(cls) for cls in LExp.__subclasses__() + LStm.__subclasses__()}
+REWRITE[type(None)] = None
 
 
 # ------------------------------------------------------------- normaliser
@@ -43,170 +91,83 @@ def is_noop(exp):
     return False
 
 
-def normalize_exp(exp):
-    if exp is None:
-        return None
-    if isinstance(exp, (LUnit, LLit, LName, LStaticName)):
-        return exp
-    if isinstance(exp, LFieldAcc):
-        return LFieldAcc(normalize_exp(exp.scope), exp.name)
-    if isinstance(exp, LBinary):
-        return LBinary(normalize_exp(exp.left), exp.op, normalize_exp(exp.right))
-    if isinstance(exp, LCall):
-        return LCall(normalize_exp(exp.scope), exp.type_args, exp.name,
-                     [normalize_exp(a) for a in exp.args])
-    if isinstance(exp, LNew):
-        return LNew(exp.class_name, exp.type_args, [normalize_exp(a) for a in exp.args])
-    if isinstance(exp, LUnitCall):
-        args = [normalize_exp(a) for a in exp.args]
-        if len(args) == 1:
-            # Unit.id(E) collapses to E outright; the carried value is the
-            # payload, which is exactly what nested com chains rely on.
-            return args[0]
-        effectful = [a for a in args if not is_noop(a)]
-        if not effectful:
-            return LUnit()
-        if len(effectful) == 1:
-            return effectful[0]
-        return LUnitCall(effectful)
-    raise TypeError(f"normalize_exp: {exp!r}")
-
-
 def normalize_stm(stm):
-    if stm is None:
-        return None
-    if isinstance(stm, LNil):
-        return LNil()
-    if isinstance(stm, LReturn):
-        return LReturn(normalize_exp(stm.value))
-    if isinstance(stm, LThrow):
-        return LThrow(stm.message)
-    if isinstance(stm, LExpStm):
-        exp = normalize_exp(stm.exp)
-        cont = normalize_stm(stm.cont)
-        if is_noop(exp):
-            return cont
-        return LExpStm(exp, cont)
-    if isinstance(stm, LVarDecl):
-        return LVarDecl(stm.te, stm.name, normalize_exp(stm.init), normalize_stm(stm.cont))
-    if isinstance(stm, LAssign):
-        return LAssign(normalize_exp(stm.target), stm.op, normalize_exp(stm.value),
-                       normalize_stm(stm.cont))
-    if isinstance(stm, LIf):
-        return LIf(normalize_exp(stm.guard), normalize_stm(stm.then),
-                   normalize_stm(stm.orelse), normalize_stm(stm.cont))
-    if isinstance(stm, LBlock):
-        return LBlock(normalize_stm(stm.body), normalize_stm(stm.cont))
-    if isinstance(stm, LSwitch):
-        return LSwitch(
-            normalize_exp(stm.guard),
-            [(label, normalize_stm(body)) for label, body in stm.cases],
-            normalize_stm(stm.default),
-            normalize_stm(stm.cont),
-        )
-    if isinstance(stm, LTryCatch):
-        return LTryCatch(
-            normalize_stm(stm.body),
-            [(te, name, normalize_stm(body)) for te, name, body in stm.handlers],
-            normalize_stm(stm.cont),
-        )
-    raise TypeError(f"normalize_stm: {stm!r}")
+    """The unit-normalised copy of a statement chain or an expression."""
+    if isinstance(stm, LExp):
+        return normalize_exp(stm)
+    out = []
+    while stm is not None:
+        rewrite = REWRITE[type(stm)]
+        new = stm if rewrite is None else rewrite(stm, normalize_stm)
+        if type(new) is not LExpStm or not is_noop(new.exp):
+            out.append(new)
+        stm = getattr(stm, "cont", None)
+    return link(out)
+
+
+def normalize_exp(exp):
+    """The unit-normalised copy of an expression."""
+    rewrite = REWRITE[type(exp)]
+    if rewrite is None:
+        return exp
+    new = rewrite(exp, normalize_exp)
+    if type(new) is LUnitCall:
+        # Unit.id(E) collapses to E outright; the carried value is the
+        # payload, which is exactly what nested com chains rely on.
+        args = new.args if len(new.args) == 1 else [a for a in new.args if not is_noop(a)]
+        new = args[0] if len(args) == 1 else LUnitCall(args) if args else LUnit()
+    return new
 
 
 # ---------------------------------------------------------------- merging
 
-def merge_exp(a, b):
-    if a is None and b is None:
-        return None
-    if a is None or b is None:
-        raise MergeError(a, b)
-    if a == b:
-        return a
-    if isinstance(a, LUnitCall) and isinstance(b, LUnitCall) and len(a.args) == len(b.args):
-        return LUnitCall([merge_exp(x, y) for x, y in zip(a.args, b.args)])
-    if (
-        isinstance(a, LCall)
-        and isinstance(b, LCall)
-        and a.name == b.name
-        and a.type_args == b.type_args
-        and len(a.args) == len(b.args)
-    ):
-        scope = merge_exp(a.scope, b.scope) if (a.scope is not None or b.scope is not None) else None
-        return LCall(scope, a.type_args, a.name, [merge_exp(x, y) for x, y in zip(a.args, b.args)])
-    if (
-        isinstance(a, LNew)
-        and isinstance(b, LNew)
-        and a.class_name == b.class_name
-        and a.type_args == b.type_args
-        and len(a.args) == len(b.args)
-    ):
-        return LNew(a.class_name, a.type_args, [merge_exp(x, y) for x, y in zip(a.args, b.args)])
-    if isinstance(a, LBinary) and isinstance(b, LBinary) and a.op == b.op:
-        return LBinary(merge_exp(a.left, b.left), a.op, merge_exp(a.right, b.right))
-    if isinstance(a, LFieldAcc) and isinstance(b, LFieldAcc) and a.name == b.name:
-        return LFieldAcc(merge_exp(a.scope, b.scope), a.name)
-    raise MergeError(a, b)
+def _shape(*values):
+    """A node's fields as a tuple; made by ``rewrite`` with ``list.append``
+    as ``f``, its shape: a None for each part."""
+    return values
 
 
 def merge_stm(a, b):
-    """The partial merge on unit-normalised statements."""
-    if a is None and b is None:
-        return None
-    if a is None or b is None:
-        raise MergeError(a, b)
-    if isinstance(a, LNil) and isinstance(b, LNil):
-        return LNil()
-    if isinstance(a, LReturn) and isinstance(b, LReturn):
-        return LReturn(merge_exp(a.value, b.value))
-    if isinstance(a, LThrow) and isinstance(b, LThrow) and a.message == b.message:
-        return LThrow(a.message)
-    if isinstance(a, LExpStm) and isinstance(b, LExpStm):
-        return LExpStm(merge_exp(a.exp, b.exp), merge_stm(a.cont, b.cont))
-    if (
-        isinstance(a, LVarDecl)
-        and isinstance(b, LVarDecl)
-        and a.te == b.te
-        and a.name == b.name
-    ):
-        return LVarDecl(a.te, a.name, merge_exp(a.init, b.init), merge_stm(a.cont, b.cont))
-    if isinstance(a, LAssign) and isinstance(b, LAssign) and a.op == b.op:
-        return LAssign(merge_exp(a.target, b.target), a.op,
-                       merge_exp(a.value, b.value), merge_stm(a.cont, b.cont))
-    if isinstance(a, LIf) and isinstance(b, LIf):
-        return LIf(merge_exp(a.guard, b.guard), merge_stm(a.then, b.then),
-                   merge_stm(a.orelse, b.orelse), merge_stm(a.cont, b.cont))
-    if isinstance(a, LBlock) and isinstance(b, LBlock):
-        return LBlock(merge_stm(a.body, b.body), merge_stm(a.cont, b.cont))
-    if isinstance(a, LSwitch) and isinstance(b, LSwitch):
-        guard = merge_exp(a.guard, b.guard)
-        blabels = {label: body for label, body in b.cases}
-        alabels = {label for label, _ in a.cases}
-        cases = []
-        for label, body in a.cases:
-            if label in blabels:
-                cases.append((label, merge_stm(body, blabels[label])))
-            else:
-                cases.append((label, body))
-        for label, body in b.cases:
-            if label not in alabels:
-                cases.append((label, body))
-        if a.default is not None and b.default is not None:
-            default = merge_stm(a.default, b.default)
+    """The partial merge of two unit-normalised statement chains (or
+    expressions), statement by statement."""
+    out = []
+    while a is not None or b is not None:
+        rewrite = REWRITE[type(a)]
+        if type(a) is not type(b) or rewrite is None and a != b:
+            raise MergeError(a, b)
+        if type(a) is LSwitch:
+            out.append(_merge_switch(a, b))
+        elif rewrite is None:
+            out.append(a)
         else:
-            default = a.default if a.default is not None else b.default
-        return LSwitch(guard, cases, default, merge_stm(a.cont, b.cont))
-    if (
-        isinstance(a, LTryCatch)
-        and isinstance(b, LTryCatch)
-        and len(a.handlers) == len(b.handlers)
-    ):
-        handlers = []
-        for (te1, n1, s1), (te2, n2, s2) in zip(a.handlers, b.handlers):
-            if te1 != te2 or n1 != n2:
+            # Atoms and list lengths first, then the parts, in field order.
+            parts, theirs = [], []
+            if rewrite(a, parts.append, _shape) != rewrite(b, theirs.append, _shape):
                 raise MergeError(a, b)
-            handlers.append((te1, n1, merge_stm(s1, s2)))
-        return LTryCatch(merge_stm(a.body, b.body), handlers, merge_stm(a.cont, b.cont))
-    raise MergeError(a, b)
+            merged = iter([merge_stm(x, y) for x, y in zip(parts, theirs)])
+            out.append(rewrite(a, lambda part: next(merged)))
+        a, b = getattr(a, "cont", None), getattr(b, "cont", None)
+    return link(out)
+
+
+def _merge_switch(a, b):
+    guard = merge_stm(a.guard, b.guard)
+    blabels = {label: body for label, body in b.cases}
+    alabels = {label for label, _ in a.cases}
+    cases = []
+    for label, body in a.cases:
+        if label in blabels:
+            cases.append((label, merge_stm(body, blabels[label])))
+        else:
+            cases.append((label, body))
+    for label, body in b.cases:
+        if label not in alabels:
+            cases.append((label, body))
+    if a.default is not None and b.default is not None:
+        default = merge_stm(a.default, b.default)
+    else:
+        default = a.default if a.default is not None else b.default
+    return LSwitch(guard, cases, default, None)
 
 
 def big_merge(stms):

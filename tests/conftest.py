@@ -9,6 +9,7 @@ from choreo.corpus import corpus_root, positive_entries
 from choreo.diagnostics import Reporter
 from choreo.pipeline import compile_files, compile_sources
 from choreo.projector import project_program
+from choreo.types import reduce_type, substitute
 
 
 def compile_text(text, name="test.chor"):
@@ -20,6 +21,13 @@ def compile_ok(text, name="test.chor"):
     checked, reporter = compile_text(text, name)
     assert not reporter.has_errors(), "\n".join(d.render() for d in reporter.errors)
     return checked
+
+
+def supertypes(checker, t):
+    """Every supertype of the normal type ``t``, ``t`` first: the entries of
+    its declaration's ``supertype_closure``, instantiated at ``t``."""
+    return [reduce_type(substitute(checker.self_type(sup), checker.instantiate(subst, actuals)))
+            for sup, subst, actuals in checker.supertype_instances(t)]
 
 
 @pytest.fixture(scope="session")

@@ -9,11 +9,12 @@ import time
 
 import pytest
 
+from choreo import surface as S
 from choreo.corpus import corpus_root, extra_path, negative_entries, positive_entries
 from choreo.diagnostics import Code, Reporter
 from choreo.differential import differential_run
 from choreo.distributed import eval_distributed
-from choreo.local import LSwitch, LThrow, walk_local
+from choreo.local import LSwitch, LThrow
 from choreo.merging import MergeError, big_merge, merge_stm, normalize_stm
 from choreo.metrics import CSV_HEADER, collect_metrics
 from choreo.pipeline import compile_files
@@ -74,7 +75,7 @@ def test_criterion_02_knowledge_of_choice():
     assert not reporter.has_errors()
     b = units.unit("ConsumeItems_B").decl
     switches = [n for m in b.methods if m.body is not None
-                for n in walk_local(m.body) if isinstance(n, LSwitch)]
+                for n in S.walk(m.body) if isinstance(n, LSwitch)]
     assert len(switches) == 1
     sw = switches[0]
     assert sorted(label for label, _ in sw.cases) == ["GO", "STOP"]
@@ -111,7 +112,7 @@ def test_criterion_03_golden_projection():
     units, _ = project_program(checked, Reporter())
     client = units.unit("DistAuth_Client").decl
     auth = [m for m in client.methods if m.name == "authenticate"][0]
-    switches = [n for n in walk_local(auth.body) if isinstance(n, LSwitch)]
+    switches = [n for n in S.walk(auth.body) if isinstance(n, LSwitch)]
     assert len(switches) == 1
     sw = switches[0]
     assert [label for label, _ in sw.cases] == ["OK", "KO"]

@@ -7,7 +7,7 @@ from conftest import compile_ok, compile_text
 
 from choreo import surface as S
 from choreo.diagnostics import Code, Reporter
-from choreo.local import LTryCatch, walk_local
+from choreo.local import LTryCatch
 from choreo.parser import parse_program
 from choreo.pipeline import compile_sources
 from choreo.projector import project_program
@@ -43,7 +43,7 @@ def test_try_catch_projection_keeps_body_and_filters_handlers():
     def handlers_at(role):
         decl = units.unit(f"Risky_{role}").decl
         body = decl.methods[0].body
-        tries = [n for n in walk_local(body) if isinstance(n, LTryCatch)]
+        tries = [n for n in S.walk(body) if isinstance(n, LTryCatch)]
         assert len(tries) == 1
         return tries[0].handlers
 
@@ -67,7 +67,7 @@ def test_try_catch_with_no_remaining_handlers_keeps_body():
     """)
     units, _ = project_program(checked, Reporter())
     body = units.unit("Risky_B").decl.methods[0].body
-    tries = [n for n in walk_local(body) if isinstance(n, LTryCatch)]
+    tries = [n for n in S.walk(body) if isinstance(n, LTryCatch)]
     assert len(tries) == 1
     assert tries[0].handlers == []
     # The communication inside the try body is preserved for B.

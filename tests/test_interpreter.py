@@ -761,6 +761,8 @@ class C@A {
         System@A.out.println(new ArrayList@A<Integer>().toString());
         System@A.out.println(xs.toString());
         System@A.out.println(Optional@A.<Integer>of(2@A).toString());
+        System@A.out.println(Optional@A.<String>of("a"@A).toString());
+        System@A.out.println(Optional@A.<Integer>empty().toString());
         System@A.out.println(Optional@A.<Integer>empty().equals(Optional@A.<Integer>empty()));
         System@A.out.println(new Exception@A("e"@A).toString());
         System@A.out.println(System@A.out.toString());
@@ -778,7 +780,7 @@ def test_every_builtin_value_has_the_methods_of_object():
     assert cmp.equal, cmp.summary()
     assert cmp.global_report.returns == {"A": True}
     assert cmp.global_report.transcripts == {"A": [
-        "[]", "[1]", "Optional(2)", "true", "ExceptionV(class_name='Exception', message='e')",
+        "[]", "[1]", "Optional[2]", "Optional[a]", "Optional.empty", "true", "java.lang.Exception: e",
         "PrintStreamV(role='A')", "true"]}
 
 

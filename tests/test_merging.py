@@ -6,18 +6,21 @@ local statements.
 """
 
 import pytest
+from conftest import compile_ok
 from hypothesis import given, settings, strategies as st
 
 from choreo import surface as S
 from choreo.diagnostics import Reporter
 from choreo.local import (
     LAssign, LBinary, LBlock, LCall, LExpStm, LFieldAcc, LIf, LLit, LName,
-    LNew, LNil, LReturn, LStaticName, LSwitch, LThrow, LTE, LUnit, LUnitCall,
-    LVarDecl,
+    LNew, LNil, LReturn, LStaticName, LSwitch, LThrow, LTE, LTryCatch, LUnit,
+    LUnitCall, LVarDecl, stm_list,
 )
+from choreo.local_reader import parse_local_unit
 from choreo.merging import MergeError, big_merge, merge_stm, normalize_exp, normalize_stm
-from choreo.printer import render_stm_inline
-from choreo.projector import Projector
+from choreo.printer import render_stm_inline, render_unit
+from choreo.projector import Projector, project_program
+from choreo.record import replace
 from choreo.types import roles_of_type
 
 
@@ -242,7 +245,106 @@ def test_normalize_examples():
         assert normalize_stm(LExpStm(e, LNil())) == LNil()
 
 
+def mismatches():
+    """Pairs that do not merge, each with the two nodes its ``MergeError``
+    names: the first pair found, parts in field order, whose classes, atoms
+    or list lengths differ, or that is a node against None."""
+    x, y, z = LName("x"), LName("y"), LName("z")
+    out = []
+
+    def pair(a, b, left, right):
+        out.append((a, b, left, right))
+
+    pair(a := LReturn(x), b := LNil(), a, b)  # different classes
+    pair(LExpStm(a := LName("x"), LNil()), LExpStm(b := LLit(1), LNil()), a, b)
+    pair(a := LBinary(x, "+", y), b := LBinary(x, "-", y), a, b)  # op
+    pair(a := LAssign(x, "=", y, LNil()), b := LAssign(x, "+=", y, LNil()), a, b)
+    pair(LReturn(a := LCall(x, [], "f", [y])), LReturn(b := LCall(x, [], "g", [y])), a, b)  # name
+    pair(LReturn(a := LCall(x, [], "f", [])), LReturn(b := LCall(z, [], "g", [])), a, b)
+    pair(LReturn(a := LFieldAcc(x, "f")), LReturn(b := LFieldAcc(x, "g")), a, b)
+    pair(LReturn(a := LStaticName("K")), LReturn(b := LStaticName("J")), a, b)
+    pair(a := LVarDecl(LTE("Integer"), "v", None, LNil()),
+         b := LVarDecl(LTE("Integer"), "w", None, LNil()), a, b)
+    pair(a := LVarDecl(LTE("Integer"), "v", None, LNil()),  # te
+         b := LVarDecl(LTE("String"), "v", None, LNil()), a, b)
+    pair(LReturn(a := LNew("Box", [LTE("Integer")], [])),
+         LReturn(b := LNew("Box", [LTE("String")], [])), a, b)
+    pair(LReturn(a := LCall(x, [], "f", [y])),  # argument counts
+         LReturn(b := LCall(x, [], "f", [y, z])), a, b)
+    pair(LReturn(a := LUnitCall([x, y])), LReturn(b := LUnitCall([x])), a, b)
+    pair(LReturn(a := LNew("Box", [], [x])), LReturn(b := LNew("Box", [], [])), a, b)
+    pair(LReturn(LCall(x, [], "f", [a := LLit(1)])),  # inside matching nodes
+         LReturn(LCall(x, [], "f", [b := LLit(2)])), a, b)
+    pair(LExpStm(x, a := LNil()), LExpStm(x, b := LExpStm(y, LNil())), a, b)
+    pair(LIf(x, LNil(), a := LReturn(y), LNil()), LIf(x, LNil(), b := LNil(), LNil()), a, b)
+    pair(LBlock(a := LThrow("s"), LNil()), LBlock(b := LThrow("t"), LNil()), a, b)
+    handler = (LTE("Exception"), "e", LNil())
+    pair(a := LTryCatch(LNil(), [handler], LNil()),  # handler type
+         b := LTryCatch(LNil(), [(LTE("RuntimeException"), "e", LNil())], LNil()), a, b)
+    pair(a := LTryCatch(LNil(), [handler], LNil()),  # handler name
+         b := LTryCatch(LNil(), [(LTE("Exception"), "f", LNil())], LNil()), a, b)
+    pair(a := LTryCatch(LNil(), [handler], LNil()), b := LTryCatch(LNil(), [], LNil()), a, b)
+    pair(LTryCatch(LNil(), [(LTE("Exception"), "e", a := LReturn(x))], LNil()),
+         LTryCatch(LNil(), [(LTE("Exception"), "e", b := LReturn(y))], LNil()), x, y)
+    pair(LReturn(a := None), LReturn(b := x), a, b)  # None against a node
+    pair(LReturn(a := x), LReturn(b := None), a, b)
+    pair(LVarDecl(LTE("Integer"), "v", None, LNil()),
+         LVarDecl(LTE("Integer"), "v", b := LLit(1), LNil()), None, b)
+    pair(LReturn(LCall(a := None, [], "f", [])), LReturn(LCall(b := x, [], "f", [])), a, b)
+    pair(a := None, b := LNil(), a, b)
+    pair(LSwitch(LCall(LName("ch"), [], "select", [a := LUnit()]), [], None, LNil()),  # guards
+         LSwitch(LCall(LName("ch"), [], "select", [b := LName("u")]), [], None, LNil()), a, b)
+    pair(LSwitch(LCall(a := LName("ch"), [], "select", []), [("L", LNil())], None, LNil()),
+         LSwitch(LCall(b := LName("dh"), [], "select", []), [("L", LNil())], None, LNil()), a, b)
+    pair(LSwitch(a := LName("g"), [("L", LNil())], None, LNil()),
+         LSwitch(b := LCall(None, [], "g", []), [("L", LNil())], None, LNil()), a, b)
+    pair(LSwitch(x, [("L", a := LNil())], None, LNil()),  # a shared case's bodies
+         LSwitch(x, [("L", b := LReturn(y))], None, LNil()), a, b)
+    pair(LSwitch(x, [], a := LThrow("s"), LNil()),  # defaults
+         LSwitch(x, [], b := LThrow("t"), LNil()), a, b)
+    return out
+
+
+def test_mismatches_name_the_nodes_that_differ():
+    for a, b, left, right in mismatches():
+        with pytest.raises(MergeError) as failed:
+            merge_stm(a, b)
+        assert failed.value.left is left and failed.value.right is right, render_stm_inline(a)
+
+
 def test_instance_budget(branch_pairs):
     # The property suite must cover at least 500 generated/harvested cases.
     generated = 300 + 300 + 200
     assert generated + len(branch_pairs) >= 500
+
+
+# ------------------------------------------------------ long straight lines
+
+def cut(unit):
+    """``unit``'s declaration with each method's body cut into its
+    statements, so that comparing two takes no Python stack per statement."""
+    decl = unit.decl
+    bodies = [[replace(s, cont=None) if hasattr(s, "cont") else s for s in stm_list(m.body)]
+              for m in decl.constructors + decl.methods]
+    return (replace(decl, constructors=[replace(m, body=None) for m in decl.constructors],
+                    methods=[replace(m, body=None) for m in decl.methods]), bodies)
+
+
+@pytest.mark.parametrize("line", [
+    'System@A.out.println("s"@A);', "Integer@A v{i} = {i}@A;", "x = x + 1@A;"])
+def test_long_methods_project_and_read_back_at_the_default_recursion_limit(
+        recursion_limit_1000, line):
+    body = "".join(line.format(i=i) + "\n" for i in range(900))
+    checked = compile_ok(f"class D@A {{ Integer@A m(Integer@A x) {{\n{body}return x; }} }}")
+    units, reporter = project_program(checked, Reporter())
+    assert not reporter.items
+    unit = units.unit("D")
+    reparsed = parse_local_unit(render_unit(unit))
+    assert len(stm_list(reparsed.decl.methods[0].body)) == 901
+    assert cut(reparsed) == cut(unit)
+
+
+def test_long_units_read_back_at_the_default_recursion_limit(recursion_limit_1000):
+    body = "".join(f'System.out.println("{i}");\n' for i in range(3000))
+    unit = parse_local_unit(f"public class U {{ public static void go() {{\n{body}}} }}")
+    assert len(stm_list(unit.decl.methods[0].body)) == 3000

@@ -1,12 +1,12 @@
 """Projection: golden listings, type-expression cases, erasure, printing."""
 
 import pytest
-from conftest import compile_ok, compile_text
+from conftest import compile_ok, compile_text, perfbench_gen
 
 from choreo import surface as S
 from choreo.diagnostics import Code, Reporter
 from choreo.local import (
-    LClass, LEnum, LInterface, LSwitch, LThrow, LocalUnit, stm_list, walk_local,
+    LClass, LEnum, LInterface, LSwitch, LThrow, LocalUnit, stm_list,
 )
 from choreo.local_reader import parse_local_unit
 from choreo.printer import render_te, render_unit
@@ -81,7 +81,7 @@ def test_unit_count_equals_role_count(corpus_compiled):
 def test_role_erasure_is_total(corpus_compiled):
     for name, (_, checked, units) in corpus_compiled.items():
         for unit in units.units:
-            for node in walk_local(unit.decl):
+            for node in S.walk(unit.decl):
                 assert not isinstance(node, S.Node), (name, unit.generated_name)
                 assert not hasattr(node, "roles")
 
@@ -199,7 +199,7 @@ def selection_switches(decl):
     for m in decl.methods:
         if m.body is None:
             continue
-        for node in walk_local(m.body):
+        for node in S.walk(m.body):
             if isinstance(node, LSwitch):
                out.append(node)
     return out
@@ -241,7 +241,7 @@ def test_dist_auth_client_merged_switch_shape(corpus_compiled):
     _, checked, units = corpus_compiled["DistAuth"]
     client = units.unit("DistAuth_Client").decl
     auth = [m for m in client.methods if m.name == "authenticate"][0]
-    switches = [n for n in walk_local(auth.body) if isinstance(n, LSwitch)]
+    switches = [n for n in S.walk(auth.body) if isinstance(n, LSwitch)]
     assert len(switches) == 1
     sw = switches[0]
     assert [label for label, _ in sw.cases] == ["OK", "KO"]
@@ -301,11 +301,20 @@ def test_courtesy_wrappers():
 
 
 def test_printing_round_trips(corpus_compiled):
-    for name, (_, checked, units) in corpus_compiled.items():
+    gen = perfbench_gen()
+    programs = [units for _, _, units in corpus_compiled.values()]
+    for n in range(2, 21):
+        checked = compile_ok(gen.distauth_source(n), f"DistAuth{n}.chor")
+        programs.append(project_program(checked, Reporter())[0])
+    count = 0
+    for units in programs:
         for unit in units.units:
             text = render_unit(unit)
             reparsed = parse_local_unit(text, unit.generated_name)
+            assert reparsed.decl == unit.decl, unit.generated_name
             assert render_unit(reparsed) == text, unit.generated_name
+            count += 1
+    assert count == 72 + 266
 
 
 def test_rendering_is_deterministic(corpus_compiled):
@@ -339,7 +348,7 @@ def test_selection_switches_always_carry_default_throw(corpus_compiled):
             for m in decl.methods:
                 if m.body is None:
                     continue
-                for node in walk_local(m.body):
+                for node in S.walk(m.body):
                     if isinstance(node, LSwitch) and isinstance(node.guard, LCall) \
                             and node.guard.name == "select":
                         assert isinstance(node.default, LThrow), unit.generated_name

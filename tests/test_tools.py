@@ -3,7 +3,11 @@
 import importlib.util
 import subprocess
 import sys
+import types
 
+import pytest
+
+import choreo
 from choreo.corpus import corpus_root
 
 ROOT = corpus_root().parent
@@ -22,7 +26,8 @@ def test_ab_compares_this_checkout_with_itself_for_one_round():
          "--workload", "compile"],
         capture_output=True, text=True, timeout=300, check=True).stdout
     lines = out.splitlines()
-    assert [line.split()[:2] for line in lines] == [["compile", "oracle"], ["compile", "run"]]
+    assert [line.split()[:2] for line in lines] == [
+        ["compile", "compile"], ["compile", "oracle"], ["compile", "run"]]
     for line in lines:
         assert " ratio " in line and line.endswith(" inputs x 1 rounds"), line
 
@@ -46,3 +51,13 @@ def test_ab_builds_the_inputs_of_every_workload():
     assert len(names["stream"]) == 20 and len(names["sort"]) == 15
     assert names["sort"][:2] == ["Mergesort/9", "Quicksort/11"]
     assert "MergeSort/0" in names["compile"] and "DistAuth20" in names["compile"]
+
+
+def test_ab_stops_when_the_two_sides_render_differently():
+    ab = load_ab()
+    item = ab.workload_inputs("compile", ab.load_gen(), 1)[0]
+    change = types.SimpleNamespace(**{name: getattr(choreo, name) for name in (
+        "diagnostics", "distributed", "interpreter", "pipeline", "projector")})
+    change.printer = types.SimpleNamespace(render_unit=lambda unit: "")
+    with pytest.raises(SystemExit, match=f"ab: {item.name}: the two sides render differently"):
+        ab.measure({"parent": choreo, "change": change}, [item], 1)

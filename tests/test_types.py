@@ -1,6 +1,6 @@
 """Kind and type machinery: reduction, substitution, equality, kinding."""
 
-from conftest import compile_ok
+from conftest import compile_ok, supertypes
 
 from choreo.checker import KindError
 from choreo.types import (
@@ -108,6 +108,6 @@ def test_bidata_channel_parents_swap_roles():
     ck = checked._checker
     a, b = checked.decl_info("C").role_vars
     t = app(TSym("BiDataChannel"), a, b, TSym("String"), TSym("Integer"))
-    supers = [pretty(s) for s in ck.direct_supertypes(t)]
+    supers = [pretty(s) for s in supertypes(ck, t)]
     assert "DiDataChannel@(A, B)<String>" in supers
     assert "DiDataChannel@(B, A)<Integer>" in supers

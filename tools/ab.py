@@ -1,5 +1,5 @@
-"""A/B timing of two choreo checkouts: their evaluators in one process, or
-their start-up in fresh processes.
+"""A/B timing of two choreo checkouts: their compile and evaluators in one
+process, or their start-up in fresh processes.
 
     python tools/ab.py PARENT CHANGE [--rounds N] [--workload W ...] [--seed S]
     python tools/ab.py PARENT CHANGE --startup [--rounds N]
@@ -17,12 +17,14 @@ workloads, built with this checkout's ``perfbench/gen.py`` from its
 - ``sort``: MergeSort and QuickSort, in turn, over 15 sizes from 8 to 150.
 
 Every round takes each input in turn. For each side, in an order that
-alternates from input to input and from round to round, the input's program
-is compiled afresh, untimed; then the oracle (``eval_global``) and the
-distributed run (``eval_distributed``) are timed with ``time.process_time``.
-Both sides must give the same reports. The script prints, per workload and
-stage, each side's median time and the median over inputs of each input's
-median change/parent ratio, with that ratio's quartiles over inputs.
+alternates from input to input and from round to round, three stages are
+timed with ``time.process_time``: the compile (``compile_sources``, then
+``project_program`` and ``render_unit`` of every projected unit), the oracle
+(``eval_global``) and the distributed run (``eval_distributed``). Both sides
+must render the same units and give the same reports. The script prints, per
+workload and stage, each side's median time and the median over inputs of
+each input's median change/parent ratio, with that ratio's quartiles over
+inputs.
 
 With ``--startup``, each round instead starts one fresh process per side,
 in an order that alternates from round to round, which imports the copied
@@ -52,7 +54,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-STAGES = ("oracle", "run")
+STAGES = ("compile", "oracle", "run")
 STARTUP_STAGES = ("import", "prelude")
 SORT_CHANNELS = {"ch_AB": "ab", "ch_BC": "bc", "ch_CA": "ca"}
 
@@ -77,7 +79,7 @@ def import_checkout(checkout, name, into):
     imported as ``name``."""
     copy_checkout(checkout, name, into)
     package = importlib.import_module(name)
-    for module in ("diagnostics", "interpreter", "distributed", "pipeline", "projector"):
+    for module in ("diagnostics", "interpreter", "distributed", "pipeline", "printer", "projector"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -121,23 +123,26 @@ def workload_inputs(workload, gen, seed):
 
 
 def run_side(choreo, item):
-    """Compiles ``item``'s program afresh, untimed, then runs both
-    evaluators; returns their process times and what they reported."""
+    """Compiles, projects and renders ``item``'s program afresh, then runs
+    both evaluators; returns each stage's process time, the rendered units
+    and what the evaluators reported."""
+    t0 = time.process_time()
     checked, reporter = choreo.pipeline.compile_sources(item.sources)
     if not reporter.has_errors():
         units, reporter = choreo.projector.project_program(checked, choreo.diagnostics.Reporter())
     if reporter.has_errors():
         sys.exit(f"ab: {item.name} does not compile")
+    texts = [choreo.printer.render_unit(unit) for unit in units.units]
+    t1 = time.process_time()
     roles = checked.decl_info(item.entry_class).role_names
-    t0 = time.process_time()
     oracle = choreo.interpreter.eval_global(checked, item.entry_class, item.entry_method,
                                             item.args, item.channels)
-    t1 = time.process_time()
+    t2 = time.process_time()
     run = choreo.distributed.eval_distributed(units, item.entry_class, roles, item.entry_method,
                                               item.args, item.channels, item.deadline)
-    t2 = time.process_time()
-    seen = [(r.status, r.error, r.returns, r.transcripts) for r in (oracle, run)]
-    return {"oracle": t1 - t0, "run": t2 - t1}, seen
+    t3 = time.process_time()
+    reports = [(r.status, r.error, r.returns, r.transcripts) for r in (oracle, run)]
+    return {"compile": t1 - t0, "oracle": t2 - t1, "run": t3 - t2}, texts, reports
 
 
 def measure(packages, inputs, rounds):
@@ -147,11 +152,13 @@ def measure(packages, inputs, rounds):
     for r in range(rounds):
         for i, item in enumerate(inputs):
             order = SIDES if (r + i) % 2 == 0 else SIDES[::-1]
-            seen = {}
+            texts, seen = {}, {}
             for side in order:
-                took, seen[side] = run_side(packages[side], item)
+                took, texts[side], seen[side] = run_side(packages[side], item)
                 for stage in STAGES:
                     times[item.name][stage][side].append(took[stage])
+            if texts["parent"] != texts["change"]:
+                sys.exit(f"ab: {item.name}: the two sides render differently")
             if seen["parent"] != seen["change"]:
                 sys.exit(f"ab: {item.name}: the two sides report differently:\n"
                          f"  parent {seen['parent']}\n  change {seen['change']}")
