@@ -224,6 +224,9 @@ class Checker:
         self.exp_types = {}
         self.te_types = prelude.te_types.copy()
         self.resolved = {}  # id(Call/New) -> (kind, MethodInfo)
+        # (receiver, name, type args, arg types, statics) -> (MethodInfo,
+        # return Type) of a method call resolved without a diagnostic.
+        self._calls = {}
         self.var_tes = {}  # id(VarDecl) -> denoted Type
         self.suppressed = set()  # decl names whose bodies are skipped
         self.cyclic = set()  # decl names reported for cyclic inheritance
@@ -609,7 +612,7 @@ class Checker:
         if out is not None:
             return out
         out = [(info, {})]
-        seen = {pretty(self.self_type(info))}
+        seen = {self.self_type(info)}
         for i, (cur, mapping) in enumerate(out):
             if i and cur.name in self.cyclic:
                 continue
@@ -621,10 +624,9 @@ class Checker:
                 if sup is None:
                     continue
                 formals = self.formals(sup)
-                key = pretty(t)
-                if len(formals) != len(args) or key in seen:
+                if len(formals) != len(args) or t in seen:
                     continue
-                seen.add(key)
+                seen.add(t)
                 out.append((sup, {f.uid: a for f, a in zip(formals, args)}))
         self._closures[info.name] = out
         return out
@@ -1299,6 +1301,22 @@ class Checker:
         return VOID
 
     def resolve_invocation(self, exp, receiver, name, type_args, arg_types, statics):
+        """The return type of the method call ``exp``, recording its
+        MethodInfo in ``resolved``; None after reporting why none applies.
+
+        Every other input of a resolution (the table, the type variables'
+        bounds and binders, the supertype closures) is fixed before the first
+        body is checked, so calls of one shape resolve alike wherever they
+        appear. A call that reported nothing is resolved once per compile;
+        one that reports is resolved again at each site, which reports at
+        its own span.
+        """
+        key = (receiver, name, tuple(type_args), tuple(arg_types), statics)
+        known = self._calls.get(key)
+        if known is not None:
+            self.resolved[id(exp)] = ("call", known[0])
+            return known[1]
+        reported = len(self.reporter.items)
         head, args = spine(receiver)
         info = self.table.get(head.name) if isinstance(head, TSym) else None
         if info is not None and len(args) != len(self.formals(info)):
@@ -1326,6 +1344,8 @@ class Checker:
             return None
         mi, ret = picked
         self.resolved[id(exp)] = ("call", mi)
+        if len(self.reporter.items) == reported:
+            self._calls[key] = picked
         return ret
 
     def pick_most_specific(self, exp, methods, mapping, type_args, arg_types,

@@ -197,11 +197,14 @@ STM = {cls: render for *classes, render in [
 ] for cls in classes}
 
 
-def render_stm_inline(stm):
-    """Single-line rendering for merge-failure messages."""
-    if stm is None:
+def render_inline(node):
+    """Single-line rendering of a statement chain or an expression, for
+    merge-failure messages."""
+    if node is None:
         return "<nothing>"
-    lines = render_stm(stm, 0)
+    if type(node) in EXP:
+        return render_exp(node)
+    lines = render_stm(node, 0)
     if not lines:
         return "<blank>"
     return " ".join(line.strip() for line in lines)

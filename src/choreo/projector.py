@@ -21,7 +21,7 @@ from .local import (
     LUnit, LUnitCall, LVarDecl, LocalProgram, LocalUnit, concat_stm,
 )
 from .merging import MergeError, big_merge, is_noop, merge_stm, normalize_exp, normalize_stm
-from .printer import render_stm_inline, render_te
+from .printer import render_inline, render_te
 from .record import record
 from .types import TAbs, TSym, TVar, TVoid, spine
 
@@ -309,8 +309,8 @@ class Projector:
         return rest
 
     def merge_failure(self, stm, role, err):
-        left = render_stm_inline(err.left)
-        right = render_stm_inline(err.right)
+        left = render_inline(err.left)
+        right = render_inline(err.right)
         self.reporter.error(
             Code.MergeFailure, stm.span,
             f"cannot merge the branches of this conditional for role '{role}': "

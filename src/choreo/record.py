@@ -6,7 +6,9 @@ bases, and compiles the class's methods with one ``exec``: an ``__init__``
 that takes the fields in order (a ``field(default_factory=...)`` gives each
 instance a fresh object) and then calls ``__post_init__`` if the class has
 one; unless ``eq=False``, an ``__eq__`` that compares the fields of two
-instances of the same class, leaving the class unhashable; and with
+instances of the same class, leaving the class unhashable (a statement's
+``cont`` chain is followed in a loop, so a long chain takes no Python stack
+per statement); and with
 ``frozen=True``, a ``__hash__`` of the fields and a ``__setattr__`` and
 ``__delattr__`` that refuse to change them. A method the class defines
 itself is kept. Every record without its own ``__repr__`` shares one that
@@ -89,7 +91,14 @@ def _build(cls, eq, frozen):
     src = [f"def __init__({', '.join(params)}):", *(f" {line}" for line in body or ["pass"])]
     compared = [name for name, f in found.items() if f.compare]
     mine = "".join(f"self.{name}," for name in compared)
-    if eq:
+    if eq and "cont" in compared:
+        rest = [name for name in compared if name != "cont"]
+        src += ["def _same_but_cont(self, other):",
+                f" return ({''.join(f'self.{name},' for name in rest)}) == "
+                f"({''.join(f'other.{name},' for name in rest)})"]
+        if "__eq__" not in own:
+            cls.__eq__ = _chain_eq
+    elif eq:
         src += ["def __eq__(self, other):",
                 " if other.__class__ is self.__class__:",
                 f"  return ({mine}) == ({''.join(f'other.{name},' for name in compared)})",
@@ -104,7 +113,8 @@ def _build(cls, eq, frozen):
                     f"  raise AttributeError(f'cannot {verb} field {{name!r}}')",
                     f" super(cls, self).{method}({args})"]
     exec("\n".join(src), ns)
-    for method in ("__init__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
+    for method in ("__init__", "__eq__", "_same_but_cont", "__hash__", "__setattr__",
+                   "__delattr__"):
         if method in ns and method not in own:
             ns[method].__qualname__ = f"{cls.__qualname__}.{method}"
             setattr(cls, method, ns[method])
@@ -113,6 +123,21 @@ def _build(cls, eq, frozen):
     if "__repr__" not in own:
         cls.__repr__ = _repr
     return cls
+
+
+def _chain_eq(self, other):
+    """``__eq__`` of a record with a ``cont`` field: compares every field
+    but ``cont``, then follows ``cont`` in a loop while both chains go on
+    through records of one such class."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    while self._same_but_cont(other):
+        self, other = self.cont, other.cont
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__ or self.__class__.__eq__ is not _chain_eq:
+            return self == other
+    return False
 
 
 _repr_running = set()

@@ -1,5 +1,6 @@
 """Denotation, subtyping, bidirectional checking, and role constraints."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -11,11 +12,16 @@ import pytest
 from conftest import compile_ok, compile_text, supertypes
 
 import choreo
-from choreo import surface as S
-from choreo.diagnostics import Code, Severity
+from choreo import checker as C, surface as S
+from choreo.checker import check_program
+from choreo.corpus import positive_entries
+from choreo.diagnostics import Code, Reporter, Severity
+from choreo.pipeline import front_end, prelude_names
 from choreo.printer import render_unit
 from choreo.projector import project_program
-from choreo.types import TSym, TVar, app, pretty, reduce_type, roles_of_type, spine
+from choreo.types import (
+    TSym, TVar, app, pretty, reduce_type, roles_of_type, spine, substitute,
+)
 
 
 def codes(reporter):
@@ -91,6 +97,27 @@ def test_type_arguments_are_invariant():
     lst_int = app(TSym("List"), a, TSym("Integer"))
     lst_num = app(TSym("List"), a, TSym("Number"))
     assert not ck.is_subtype(lst_int, lst_num)
+
+
+def test_supertype_closures_of_the_prelude_and_the_corpus_keep_their_entries(corpus_compiled):
+    # One line per declaration, the prelude's once: each closure entry at
+    # the declaration's own formals, as ``pretty`` prints it.
+    lines = []
+    for i, (name, (_, checked, _)) in enumerate(corpus_compiled.items()):
+        ck = checked._checker
+        for info in checked.table.values():
+            if info.is_prelude and i:
+                continue
+            entries = [pretty(reduce_type(substitute(ck.self_type(sup), subst)))
+                       for sup, subst in ck.supertype_closure(info)]
+            lines.append(f"{'<prelude>' if info.is_prelude else name} {info.name}: "
+                         + ", ".join(entries))
+    assert ("<prelude> BiChannel: BiChannel@(A, B)<T, R>, DiChannel@(A, B)<T>, "
+            "DiChannel@(B, A)<R>, BiDataChannel@(A, B)<T, R>, SymSelectChannel@(A, B), "
+            "DiDataChannel@(A, B)<T>, DiSelectChannel@(A, B), DiDataChannel@(B, A)<R>, "
+            "DiSelectChannel@(B, A)") in lines
+    assert len(lines) == 71
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "fa526734c72b38fc"
 
 
 def test_null_is_bottom_at_its_role_list():
@@ -311,14 +338,86 @@ def test_no_applicable_method():
 
 
 def test_generic_method_needs_explicit_type_arguments():
+    # A call that reports is resolved again at each site, which reports too.
     _, reporter = compile_text("""
     class C@(A, B) {
         void m(DiDataChannel@(A, B)<Object> ch, String@A s) {
             String@B r = ch.com(s);
+            String@B q = ch.com(s);
         }
     }
     """)
-    assert reporter.has_errors()
+    assert [(d.code, d.span.line) for d in reporter.items] == [
+        (Code.TypeMismatch, 4), (Code.UnknownName, 4),
+        (Code.TypeMismatch, 5), (Code.UnknownName, 5)]
+    assert reporter.items[0].message == "'com' needs 1 explicit type argument(s)."
+
+
+def test_calls_of_one_shape_resolve_alike_and_each_bad_one_reports():
+    checked, reporter = compile_text("""
+    class C@A {
+        void m(List@A<Integer> l) {
+            l.get("x"@A);
+            l.get(0@A);
+            l.get("x"@A);
+            l.get(1@A);
+        }
+    }
+    """)
+    assert [(d.code, d.span.line) for d in reporter.items] == [
+        (Code.UnknownName, 4), (Code.UnknownName, 6)]
+    calls = [e for e in S.walk_exps(checked.decl_info("C").methods[0].node.body)
+             if isinstance(e, S.Call)]
+    assert [id(e) in checked.resolved for e in calls] == [False, True, False, True]
+    assert checked.resolved[id(calls[1])] == checked.resolved[id(calls[3])]
+    assert checked.type_of(calls[1]) == checked.type_of(calls[3])
+
+
+def test_a_call_that_resolves_despite_a_bad_type_argument_reports_at_every_site():
+    checked, reporter = compile_text("""
+    class C@(A, B) {
+        <T@X> void f(Integer@A x) { }
+        void m() {
+            this.<DiSelectChannel@(A, B)>f(1@A);
+            this.<DiSelectChannel@(A, B)>f(1@A);
+        }
+    }
+    """)
+    assert [(d.code, d.span.line, d.message) for d in reporter.items] == [
+        (Code.KindMismatch, line,
+         "type argument 'DiSelectChannel@(A, B)' has 2 role(s), expected 1.")
+        for line in (5, 6)]
+    calls = [e for e in S.walk_exps(checked.decl_info("C").methods[1].node.body)
+             if isinstance(e, S.Call)]
+    assert [checked.resolved[id(e)][1].name for e in calls] == ["f", "f"]
+
+
+def test_every_corpus_call_resolves_as_it_does_without_the_memo(monkeypatch):
+    def calls(checked):
+        for info in checked.table.values():
+            if not info.is_prelude:
+                for mi in info.methods + info.constructors:
+                    yield from (e for e in S.walk_exps(mi.node.body) if isinstance(e, S.Call))
+
+    def resolved(program):
+        checked, reporter = check_program(program, Reporter(), prelude_names())
+        assert not reporter.has_errors()
+        return [(kind, mi.owner.name, mi.node)
+                for kind, mi in (checked.resolved[id(e)] for e in calls(checked))]
+
+    for prog in positive_entries():
+        program, _ = front_end([(str(prog.path), prog.path.read_text())])
+        memoised = resolved(program)
+        with monkeypatch.context() as m:
+            resolve = C.Checker.resolve_invocation
+
+            def unmemoised(self, *args, **kwargs):
+                self._calls.clear()
+                return resolve(self, *args, **kwargs)
+
+            m.setattr(C.Checker, "resolve_invocation", unmemoised)
+            assert resolved(program) == memoised, prog.name
+        assert memoised, prog.name
 
 
 def test_com_bound_violation_is_rejected():

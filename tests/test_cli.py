@@ -63,6 +63,18 @@ def test_project_output_layout(tmp_path, capsys):
     assert all(u["sourceChoreography"] == "HelloRoles" for u in manifest["units"])
 
 
+def test_project_reports_a_merge_failure_between_expressions(tmp_path, capsys):
+    f = tmp_path / "NoChoice.chor"
+    f.write_text("public class NoChoice@(A, B) { public static void go(Integer@A x) { "
+                 'if (x > 0@A) { System@B.out.println("pos"@B); } '
+                 'else { System@B.out.println("neg"@B); } } }')
+    code = main(["--json-diagnostics", "project", str(f), "--out", str(tmp_path / "gen")])
+    assert code == 1
+    [line] = capsys.readouterr().out.splitlines()
+    diag = json.loads(line)
+    assert (diag["code"], diag["line"], diag["col"]) == ("MergeFailure", 1, 69)
+
+
 def test_project_role_filter_and_annotate(tmp_path, capsys):
     out = tmp_path / "gen"
     code = main(["project", corpus("VitalsStreaming.chor"), "--out", str(out),

@@ -18,9 +18,8 @@ from choreo.local import (
 )
 from choreo.local_reader import parse_local_unit
 from choreo.merging import MergeError, big_merge, merge_stm, normalize_exp, normalize_stm
-from choreo.printer import render_stm_inline, render_unit
+from choreo.printer import render_inline, render_unit
 from choreo.projector import Projector, project_program
-from choreo.record import replace
 from choreo.types import roles_of_type
 
 
@@ -85,7 +84,7 @@ def test_harvested_merge_idempotent_and_symmetric(branch_pairs):
     for left, right in branch_pairs:
         for side in (left, right):
             merged = merge_stm(side, side)
-            assert merged == side, render_stm_inline(side)
+            assert merged == side, render_inline(side)
             checked_instances += 1
         try:
             ab = merge_stm(left, right)
@@ -309,7 +308,7 @@ def test_mismatches_name_the_nodes_that_differ():
     for a, b, left, right in mismatches():
         with pytest.raises(MergeError) as failed:
             merge_stm(a, b)
-        assert failed.value.left is left and failed.value.right is right, render_stm_inline(a)
+        assert failed.value.left is left and failed.value.right is right, render_inline(a)
 
 
 def test_instance_budget(branch_pairs):
@@ -319,16 +318,6 @@ def test_instance_budget(branch_pairs):
 
 
 # ------------------------------------------------------ long straight lines
-
-def cut(unit):
-    """``unit``'s declaration with each method's body cut into its
-    statements, so that comparing two takes no Python stack per statement."""
-    decl = unit.decl
-    bodies = [[replace(s, cont=None) if hasattr(s, "cont") else s for s in stm_list(m.body)]
-              for m in decl.constructors + decl.methods]
-    return (replace(decl, constructors=[replace(m, body=None) for m in decl.constructors],
-                    methods=[replace(m, body=None) for m in decl.methods]), bodies)
-
 
 @pytest.mark.parametrize("line", [
     'System@A.out.println("s"@A);', "Integer@A v{i} = {i}@A;", "x = x + 1@A;"])
@@ -341,7 +330,7 @@ def test_long_methods_project_and_read_back_at_the_default_recursion_limit(
     unit = units.unit("D")
     reparsed = parse_local_unit(render_unit(unit))
     assert len(stm_list(reparsed.decl.methods[0].body)) == 901
-    assert cut(reparsed) == cut(unit)
+    assert reparsed.decl == unit.decl
 
 
 def test_long_units_read_back_at_the_default_recursion_limit(recursion_limit_1000):

@@ -237,6 +237,27 @@ def test_wrong_consume_items_fails_merge_at_b():
     assert units.unit("WrongConsume_A") is not None
 
 
+@pytest.mark.parametrize("then, orelse, pair", [
+    ('System@B.out.println("pos"@B);', 'System@B.out.println("neg"@B);', """'"pos"' against '"neg"'"""),
+    ("return y + 1@B;", "return y - 1@B;", "'y + 1' against 'y - 1'"),
+], ids=["literal", "binary"])
+def test_branches_differing_in_an_expression_are_a_merge_failure(then, orelse, pair):
+    # The two branches differ at B only inside an expression, which the
+    # report prints as an expression.
+    returns = "Integer@B" if "return" in then else "void"
+    checked = compile_ok(f"""public class NoChoice@(A, B) {{
+    public static {returns} go(Integer@A x, Integer@B y) {{
+        if (x > 0@A) {{ {then} }} else {{ {orelse} }}
+    }}
+}}""")
+    units, reporter = project_program(checked, Reporter())
+    assert [(d.code, d.span.line) for d in reporter.items] == [(Code.MergeFailure, 3)]
+    assert reporter.items[0].message == (
+        f"cannot merge the branches of this conditional for role 'B': {pair}. "
+        "The roles taking the decision must inform 'B' via a selection.")
+    assert units.unit("NoChoice_B") is None and units.unit("NoChoice_A") is not None
+
+
 def test_dist_auth_client_merged_switch_shape(corpus_compiled):
     _, checked, units = corpus_compiled["DistAuth"]
     client = units.unit("DistAuth_Client").decl

@@ -198,6 +198,20 @@ def test_local_nodes_compare_by_fields_and_are_unhashable():
     assert L.LocalProgram([], facts=1) == L.LocalProgram([], facts=2)
 
 
+def test_statement_chains_compare_in_a_loop(recursion_limit_1000):
+    def chain(last):
+        stms = [L.LExpStm(L.LName(f"x{i}"), None) if i % 2 else
+                L.LVarDecl(L.LTE("Integer"), f"v{i}", L.LLit(i), None) for i in range(5000)]
+        return L.link(stms + [L.LReturn(L.LLit(last))])
+
+    assert chain(1) == chain(1) and not chain(1) != chain(1)
+    assert chain(1) != chain(2)
+    shorter = chain(1)
+    shorter.cont.cont = None
+    assert shorter != chain(1) and chain(1) != shorter
+    assert L.LExpStm(L.LName("x"), None) != L.LExpStm(L.LName("x"), L.LNil())
+
+
 def test_type_terms_and_spans_compare_by_fields_hash_and_are_read_only():
     src = SourceFile("a", "xy")
     pairs = [(T.TApp(T.TSym("List"), T.TVar("A", 1, True)),

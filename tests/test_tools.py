@@ -51,13 +51,42 @@ def test_ab_builds_the_inputs_of_every_workload():
     assert len(names["stream"]) == 20 and len(names["sort"]) == 15
     assert names["sort"][:2] == ["Mergesort/9", "Quicksort/11"]
     assert "MergeSort/0" in names["compile"] and "DistAuth20" in names["compile"]
+    negative = [name for name in names["compile"] if name.startswith("negative/")]
+    assert len(negative) == 8 and "negative/wrong_consume" in negative
+
+
+def change_side(**modules):
+    """A stand-in for the change's package: this checkout's modules, with
+    those named replaced."""
+    change = types.SimpleNamespace(**{name: getattr(choreo, name) for name in (
+        "diagnostics", "distributed", "interpreter", "pipeline", "printer", "projector")})
+    for name, attrs in modules.items():
+        setattr(change, name, types.SimpleNamespace(**attrs))
+    return change
 
 
 def test_ab_stops_when_the_two_sides_render_differently():
     ab = load_ab()
     item = ab.workload_inputs("compile", ab.load_gen(), 1)[0]
-    change = types.SimpleNamespace(**{name: getattr(choreo, name) for name in (
-        "diagnostics", "distributed", "interpreter", "pipeline", "projector")})
-    change.printer = types.SimpleNamespace(render_unit=lambda unit: "")
+    change = change_side(printer={"render_unit": lambda unit: ""})
     with pytest.raises(SystemExit, match=f"ab: {item.name}: the two sides render differently"):
+        ab.measure({"parent": choreo, "change": change}, [item], 1)
+
+
+def test_ab_times_only_the_compile_of_a_negative_program_and_compares_its_diagnostics():
+    ab = load_ab()
+    [item] = [item for item in ab.workload_inputs("compile", ab.load_gen(), 1)
+              if item.name == "negative/type_mismatch"]
+    times = ab.measure({"parent": choreo, "change": choreo}, [item], 2)
+    assert {stage: len(times[item.name][stage]["change"]) for stage in ab.STAGES} == {
+        "compile": 2, "oracle": 0, "run": 0}
+
+    def compile_twice_reported(sources):
+        checked, reporter = choreo.pipeline.compile_sources(sources)
+        reporter.items.append(reporter.items[0])
+        return checked, reporter
+
+    change = change_side(pipeline={"compile_sources": compile_twice_reported})
+    with pytest.raises(SystemExit, match=f"ab: {item.name}: the two sides give different "
+                                         "diagnostics"):
         ab.measure({"parent": choreo, "change": change}, [item], 1)

@@ -10,8 +10,8 @@ imported into this process. The inputs are those of the benchmark's three
 workloads, built with this checkout's ``perfbench/gen.py`` from its
 ``corpus/``, which are only read:
 
-- ``compile``: every run of the positive corpus programs' manifests, and one
-  DistAuthN login for each N in 2..20;
+- ``compile``: every run of the positive corpus programs' manifests, the 8
+  negative corpus programs, and one DistAuthN login for each N in 2..20;
 - ``stream``: ConsumeItems over 20 stream lengths, log-stratified over
   20..1500 items;
 - ``sort``: MergeSort and QuickSort, in turn, over 15 sizes from 8 to 150.
@@ -20,11 +20,13 @@ Every round takes each input in turn. For each side, in an order that
 alternates from input to input and from round to round, three stages are
 timed with ``time.process_time``: the compile (``compile_sources``, then
 ``project_program`` and ``render_unit`` of every projected unit), the oracle
-(``eval_global``) and the distributed run (``eval_distributed``). Both sides
-must render the same units and give the same reports. The script prints, per
-workload and stage, each side's median time and the median over inputs of
-each input's median change/parent ratio, with that ratio's quartiles over
-inputs.
+(``eval_global``) and the distributed run (``eval_distributed``); a negative
+program has only its compile timed, which stops at the first phase that
+reports an error. Both sides must give the same diagnostics (code, severity,
+line, column and message), render the same units and give the same reports.
+The script prints, per workload and stage, each side's median time and the
+median over inputs of each input's median change/parent ratio, with that
+ratio's quartiles over inputs.
 
 With ``--startup``, each round instead starts one fresh process per side,
 in an order that alternates from round to round, which imports the copied
@@ -84,9 +86,10 @@ def import_checkout(checkout, name, into):
     return package
 
 
-# One run: the program's (file name, text) sources, its entry and its arguments.
+# One run: the program's (file name, text) sources, its entry and its
+# arguments; a negative program has no entry and is only compiled.
 Input = namedtuple("Input", "name sources entry_class entry_method args channels deadline",
-                   defaults=(10.0,))
+                   defaults=(None, None, None, None, 10.0))
 
 
 def corpus_text(name):
@@ -104,6 +107,8 @@ def workload_inputs(workload, gen, seed):
                                     run["entry"]["class"], run["entry"]["method"],
                                     run.get("args", {}), run.get("channels", {}),
                                     run.get("deadline", 10.0)))
+        for path in sorted((ROOT / "corpus" / "negative").glob("*.chor")):
+            inputs.append(Input(f"negative/{path.stem}", [(path.stem, path.read_text())]))
         for n in range(2, 21):
             run = gen.distauth_run(n, rng.random() < 0.5)
             inputs.append(Input(f"DistAuth{n}", [(f"DistAuth{n}", gen.distauth_source(n))],
@@ -124,14 +129,22 @@ def workload_inputs(workload, gen, seed):
 
 def run_side(choreo, item):
     """Compiles, projects and renders ``item``'s program afresh, then runs
-    both evaluators; returns each stage's process time, the rendered units
-    and what the evaluators reported."""
+    both evaluators; returns each stage's process time, the diagnostics, the
+    rendered units and what the evaluators reported. A negative program
+    stops after the phase that reports an error."""
     t0 = time.process_time()
     checked, reporter = choreo.pipeline.compile_sources(item.sources)
+    found = list(reporter.items)
     if not reporter.has_errors():
         units, reporter = choreo.projector.project_program(checked, choreo.diagnostics.Reporter())
+        found += reporter.items
     if reporter.has_errors():
-        sys.exit(f"ab: {item.name} does not compile")
+        t1 = time.process_time()
+        if item.entry_class is not None:
+            sys.exit(f"ab: {item.name} does not compile")
+        return {"compile": t1 - t0}, diagnostic_keys(found), None, None
+    if item.entry_class is None:
+        sys.exit(f"ab: {item.name} compiles, but is a negative program")
     texts = [choreo.printer.render_unit(unit) for unit in units.units]
     t1 = time.process_time()
     roles = checked.decl_info(item.entry_class).role_names
@@ -142,21 +155,32 @@ def run_side(choreo, item):
                                               item.args, item.channels, item.deadline)
     t3 = time.process_time()
     reports = [(r.status, r.error, r.returns, r.transcripts) for r in (oracle, run)]
-    return {"compile": t1 - t0, "oracle": t2 - t1, "run": t3 - t2}, texts, reports
+    took = {"compile": t1 - t0, "oracle": t2 - t1, "run": t3 - t2}
+    return took, diagnostic_keys(found), texts, reports
+
+
+def diagnostic_keys(found):
+    """(code, severity, line, column, message) of each diagnostic."""
+    return [(d.code.value, d.severity.value, *d.span.source.line_col(d.span.start), d.message)
+            for d in found]
 
 
 def measure(packages, inputs, rounds):
-    """input name -> stage -> side -> process times, one per round."""
+    """input name -> stage -> side -> process times, one per round; a stage
+    a negative program does not reach has none."""
     times = {item.name: {stage: {side: [] for side in SIDES} for stage in STAGES}
              for item in inputs}
     for r in range(rounds):
         for i, item in enumerate(inputs):
             order = SIDES if (r + i) % 2 == 0 else SIDES[::-1]
-            texts, seen = {}, {}
+            found, texts, seen = {}, {}, {}
             for side in order:
-                took, texts[side], seen[side] = run_side(packages[side], item)
-                for stage in STAGES:
-                    times[item.name][stage][side].append(took[stage])
+                took, found[side], texts[side], seen[side] = run_side(packages[side], item)
+                for stage, t in took.items():
+                    times[item.name][stage][side].append(t)
+            if found["parent"] != found["change"]:
+                sys.exit(f"ab: {item.name}: the two sides give different diagnostics:\n"
+                         f"  parent {found['parent']}\n  change {found['change']}")
             if texts["parent"] != texts["change"]:
                 sys.exit(f"ab: {item.name}: the two sides render differently")
             if seen["parent"] != seen["change"]:
@@ -175,14 +199,14 @@ def quartiles(values):
 def report(workload, times, rounds):
     lines = []
     for stage in STAGES:
-        ratios = [statistics.median(c / p for p, c in zip(t[stage]["parent"], t[stage]["change"]))
-                  for t in times.values()]
-        ms = {side: 1e3 * statistics.median(v for t in times.values() for v in t[stage][side])
-              for side in SIDES}
+        timed = [t[stage] for t in times.values() if t[stage]["parent"]]
+        ratios = [statistics.median(c / p for p, c in zip(t["parent"], t["change"]))
+                  for t in timed]
+        ms = {side: 1e3 * statistics.median(v for t in timed for v in t[side]) for side in SIDES}
         q1, q3 = quartiles(ratios)
         lines.append(f"{workload:8} {stage:7} parent {ms['parent']:8.3f} ms  change "
                      f"{ms['change']:8.3f} ms  ratio {statistics.median(ratios):.3f} "
-                     f"(q1 {q1:.3f}, q3 {q3:.3f})  {len(times)} inputs x {rounds} rounds")
+                     f"(q1 {q1:.3f}, q3 {q3:.3f})  {len(timed)} inputs x {rounds} rounds")
     return lines
 
 
