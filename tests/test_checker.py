@@ -12,8 +12,8 @@ import pytest
 from conftest import compile_ok, compile_text, supertypes
 
 import choreo
-from choreo import checker as C, surface as S
-from choreo.checker import check_program
+from choreo import surface as S
+from choreo.checker import Checker, check_program
 from choreo.corpus import positive_entries
 from choreo.diagnostics import Code, Reporter, Severity
 from choreo.pipeline import front_end, prelude_names
@@ -405,17 +405,17 @@ def test_every_corpus_call_resolves_as_it_does_without_the_memo(monkeypatch):
         return [(kind, mi.owner.name, mi.node)
                 for kind, mi in (checked.resolved[id(e)] for e in calls(checked))]
 
+    resolve = Checker.resolve_invocation
+
+    def unmemoised(self, *args, **kwargs):
+        self._calls.clear()  # every call resolved afresh
+        return resolve(self, *args, **kwargs)
+
     for prog in positive_entries():
         program, _ = front_end([(str(prog.path), prog.path.read_text())])
         memoised = resolved(program)
         with monkeypatch.context() as m:
-            resolve = C.Checker.resolve_invocation
-
-            def unmemoised(self, *args, **kwargs):
-                self._calls.clear()
-                return resolve(self, *args, **kwargs)
-
-            m.setattr(C.Checker, "resolve_invocation", unmemoised)
+            m.setattr(Checker, "resolve_invocation", unmemoised)
             assert resolved(program) == memoised, prog.name
         assert memoised, prog.name
 
