@@ -1294,7 +1294,7 @@ class Checker:
         formals = self.formals(info)
         mapping = {f.uid: a for f, a in zip(formals, args)}
         mi = self.pick_most_specific(exp, info.constructors, mapping, type_args,
-                                     arg_types, "constructor", info)
+                                     arg_types, "constructor", info.name)
         if mi is None:
             return None
         self.resolved[id(exp)] = ("super", mi[0])
@@ -1339,7 +1339,7 @@ class Checker:
                     mapping = self.instantiate(subst, actuals)
                 candidates.append((mi, mapping))
         picked = self.pick_most_specific(exp, None, None, type_args, arg_types,
-                                         name, None, prepared=candidates)
+                                         "method", name, prepared=candidates)
         if picked is None:
             return None
         mi, ret = picked
@@ -1349,7 +1349,9 @@ class Checker:
         return ret
 
     def pick_most_specific(self, exp, methods, mapping, type_args, arg_types,
-                           what, owner, prepared=None):
+                           kind, name, prepared=None):
+        """(MethodInfo, return type) of the most specific applicable
+        candidate; None after reporting on the ``kind`` ``name``."""
         candidates = prepared
         if candidates is None:
             candidates = [(mi, mapping) for mi in methods
@@ -1374,8 +1376,7 @@ class Checker:
             shown = ", ".join(pretty(t) for t in arg_types)
             self.reporter.error(
                 Code.UnknownName, exp.span,
-                f"no applicable {what if isinstance(what, str) else 'method'} "
-                f"'{getattr(exp, 'name', what)}' for argument types ({shown}).")
+                f"no applicable {kind} '{name}' for argument types ({shown}).")
             return None
         # Unique minimum under pointwise parameter subtyping.
         def at_most(a, b):
@@ -1385,7 +1386,7 @@ class Checker:
         if not minima:
             self.reporter.error(
                 Code.AmbiguousOverload, exp.span,
-                f"ambiguous invocation of '{getattr(exp, 'name', what)}': "
+                f"ambiguous invocation of '{name}': "
                 f"no most specific overload.")
             return None
         first = minima[0]
@@ -1393,7 +1394,7 @@ class Checker:
             if not all(type_equal(x, y) for x, y in zip(first[1], other[1])):
                 self.reporter.error(
                     Code.AmbiguousOverload, exp.span,
-                    f"ambiguous invocation of '{getattr(exp, 'name', what)}'.")
+                    f"ambiguous invocation of '{name}'.")
                 return None
         return first[0], first[2]
 
@@ -1498,7 +1499,7 @@ class Checker:
             arg_types.append(t)
         mapping = {f.uid: a for f, a in zip(self.formals(info), actuals + type_args)}
         picked = self.pick_most_specific(exp, info.constructors, mapping, [],
-                                         arg_types, "constructor", info)
+                                         arg_types, "constructor", info.name)
         if picked is None:
             return None
         self.resolved[id(exp)] = ("new", picked[0])

@@ -256,22 +256,6 @@ def stm_list(stm):
     return out
 
 
-def concat_stm(a, b):
-    """Append chain b behind chain a, non-destructively.
-
-    Statements after a return or throw are unreachable and dropped.
-    """
-    import copy
-
-    if a is None or isinstance(a, LNil):
-        return b
-    if isinstance(a, (LReturn, LThrow)):
-        return a
-    node = copy.copy(a)
-    node.cont = concat_stm(getattr(a, "cont", None), b)
-    return node
-
-
 def link(stms):
     """Chains ``stms`` in order, setting each one's ``cont`` to the next, and
     returns the first; None for none. The last keeps the ``cont`` it has."""

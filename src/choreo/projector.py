@@ -6,11 +6,13 @@ position; absent: Unit). Expressions strip role information while the
 projecting role occurs in their type or receiver, and collapse to unit
 residue otherwise. Statements follow the same discipline, except
 conditionals (merge of branch projections at non-guard roles) and selections
-(a switch over the received label at the receiving role).
+(a switch over the received label at the receiving role). Each node class
+projects through its handler in ``STM`` or ``EXP``; a statement chain is
+projected in a loop along ``cont``, so it takes Python stack per level of
+nesting, not per statement.
 """
 
 from __future__ import annotations
-
 
 from . import surface as S
 from .diagnostics import Code, Reporter
@@ -18,8 +20,9 @@ from .local import (
     LAnnotation, LAssign, LBinary, LBlock, LCall, LClass, LEnum, LExpStm,
     LFTP, LField, LFieldAcc, LIf, LInterface, LLit, LMethod, LName, LNew,
     LNil, LParam, LReturn, LStaticName, LSwitch, LThrow, LTryCatch, LTE,
-    LUnit, LUnitCall, LVarDecl, LocalProgram, LocalUnit, concat_stm,
+    LUnit, LUnitCall, LVarDecl, LocalProgram, LocalUnit, link, stm_list,
 )
+# The benchmark's tracer wraps ``merge_stm`` and ``big_merge`` in this module.
 from .merging import MergeError, big_merge, is_noop, merge_stm, normalize_exp, normalize_stm
 from .printer import render_inline, render_te
 from .record import record
@@ -33,10 +36,6 @@ class ProjectionFailed(Exception):
 
 
 # --------------------------------------------------------- type projection
-
-def _head_name(head):
-    return head.name
-
 
 def _formal_role_names(checker, head):
     if isinstance(head, TSym):
@@ -58,7 +57,7 @@ def erase_ctor(checker, t):
         return LTE("void")
     head, args = spine(t)
     ty_args = [a for a in args if not (isinstance(a, TVar) and a.role)]
-    return LTE(_head_name(head), [erase_ctor(checker, a) for a in ty_args])
+    return LTE(head.name, [erase_ctor(checker, a) for a in ty_args])
 
 
 def project_type(checker, t, role):
@@ -69,12 +68,12 @@ def project_type(checker, t, role):
     role_names = [a.name for a in args if isinstance(a, TVar) and a.role]
     ty_args = [a for a in args if not (isinstance(a, TVar) and a.role)]
     if role_names == [role]:
-        return LTE(_head_name(head), [erase_ctor(checker, a) for a in ty_args])
+        return LTE(head.name, [erase_ctor(checker, a) for a in ty_args])
     if role in role_names:
         i = role_names.index(role)
         formals = _formal_role_names(checker, head)
         suffix = formals[i] if i < len(formals) else str(i + 1)
-        return LTE(f"{_head_name(head)}_{suffix}",
+        return LTE(f"{head.name}_{suffix}",
                    [erase_ctor(checker, a) for a in ty_args])
     return LTE("Unit")
 
@@ -132,7 +131,7 @@ class Projector:
                 annotations, modifiers, gen,
                 self.project_ftps(info.ftps),
                 [self.project_te(te, role) for te in node.extends],
-                [self.project_method(info, m, role, gen) for m in info.methods],
+                [self.project_method(m, role, gen) for m in info.methods],
             )
         else:
             decl = LClass(
@@ -141,9 +140,9 @@ class Projector:
                 self.project_te(node.extends, role) if node.extends is not None else None,
                 [self.project_te(te, role) for te in node.implements],
                 self.project_fields(info, role),
-                [self.project_method(info, c, role, gen) for c in info.constructors
+                [self.project_method(c, role, gen) for c in info.constructors
                  if c.node.body is not None or c.node.params],
-                [self.project_method(info, m, role, gen) for m in info.methods],
+                [self.project_method(m, role, gen) for m in info.methods],
             )
         return LocalUnit(gen, info.name, role, decl)
 
@@ -174,122 +173,64 @@ class Projector:
                     list(f.modifiers), self.project_te(f.te, role), f.name))
         return out
 
-    def project_method(self, info, mi, role, gen_class_name):
+    def project_method(self, mi, role, gen_class_name):
         node = mi.node
         annotations = [LAnnotation(a.name, list(a.args)) for a in node.annotations]
-        params = []
-        for p in node.params:
-            params.append(LParam(self.project_te(p.te, role), p.name))
-        if node.is_constructor:
-            ret = None
-            name = gen_class_name
-        else:
-            ret = self.project_te(node.return_te, role)
-            name = node.name
-        body = None
-        if node.body is not None:
-            try:
-                body = normalize_stm(self.project_stm(node.body, role))
-            except RecursionError:  # projection recurses per statement
-                self.reporter.error(Code.InternalError, node.span,
-                                    f"method '{name}' of '{info.name}' is nested too deeply "
-                                    f"to project at {role}.")
+        params = [LParam(self.project_te(p.te, role), p.name) for p in node.params]
+        ret = None if node.is_constructor else self.project_te(node.return_te, role)
+        name = gen_class_name if node.is_constructor else node.name
+        body = normalize_stm(self.project_stm(node.body, role))
         return LMethod(annotations, list(node.modifiers), self.project_ftps(mi.ftps),
                        ret, name, params, body, node.is_constructor)
 
     # ---------------------------------------------------------- statements
 
     def project_stm(self, stm, role):
-        if stm is None:
-            return None
-        if isinstance(stm, S.Nil):
-            return LNil()
-        if isinstance(stm, S.Return):
-            value = self.project_exp(stm.value, role) if stm.value is not None else None
-            return LReturn(value)
-        if isinstance(stm, S.ExpStm):
-            label = self.selection_label(stm.exp, role)
-            if label is not None:
-                inner = self.project_stm(stm.cont, role)
-                return LSwitch(
-                    self.project_exp(stm.exp, role),
-                    [(label, inner)],
-                    LThrow(UNEXPECTED_LABEL),
-                    LNil(),
-                )
-            if role in self.checked.roles_of(stm.exp):
-                return LExpStm(self.project_exp(stm.exp, role),
-                               self.project_stm(stm.cont, role))
-            return self.project_stm(stm.cont, role)
-        if isinstance(stm, S.VarDecl):
-            if role in self.checked.type_roles(stm.te):
-                init = self.project_exp(stm.init, role) if stm.init is not None else None
-                return LVarDecl(self.project_te(stm.te, role), stm.name, init,
-                                self.project_stm(stm.cont, role))
-            if stm.init is not None and role in self.checked.roles_of(stm.init):
-                return LExpStm(self.project_exp(stm.init, role),
-                               self.project_stm(stm.cont, role))
-            return self.project_stm(stm.cont, role)
-        if isinstance(stm, S.Assign):
-            if role in self.checked.type_roles(stm.target):
-                return LAssign(self.project_exp(stm.target, role), stm.op,
-                               self.project_exp(stm.value, role),
-                               self.project_stm(stm.cont, role))
-            involved = self.checked.roles_of(stm.target) | self.checked.roles_of(stm.value)
-            if role in involved:
-                residue = LUnitCall([self.project_exp(stm.target, role),
-                                     self.project_exp(stm.value, role)])
-                return LExpStm(residue, self.project_stm(stm.cont, role))
-            return self.project_stm(stm.cont, role)
-        if isinstance(stm, S.If):
-            if self.checked.type_roles(stm.guard) == {role}:
-                return LIf(self.project_exp(stm.guard, role),
-                           self.project_stm(stm.then, role),
-                           self.project_stm(stm.orelse, role),
-                           self.project_stm(stm.cont, role))
-            then_p = normalize_stm(self.project_stm(stm.then, role))
-            else_p = normalize_stm(self.project_stm(stm.orelse, role))
-            try:
-                merged = merge_stm(then_p, else_p)
-            except MergeError as e:
-                self.merge_failure(stm, role, e)
-                raise ProjectionFailed()
-            return self.attach_residue(stm.guard, role, merged, stm.cont)
-        if isinstance(stm, S.Block):
-            return LBlock(self.project_stm(stm.body, role), self.project_stm(stm.cont, role))
-        if isinstance(stm, S.Switch):
-            if role in self.checked.type_roles(stm.guard):
-                default = (self.project_stm(stm.default, role)
-                           if stm.default is not None else None)
-                return LSwitch(
-                    self.project_exp(stm.guard, role),
-                    [(label, self.project_stm(body, role)) for label, body in stm.cases],
-                    default,
-                    self.project_stm(stm.cont, role),
-                )
-            bodies = [c.body for c in stm.cases]
-            if stm.default is not None:
-                bodies.append(stm.default)
-            projected = [self.project_stm(b, role) for b in bodies]
-            if stm.default is None and not self.switch_is_exhaustive(stm):
-                # Without a default, the no-match path runs nothing at the
-                # guard role; other roles must reconcile with that too.
-                projected.append(LNil())
-            try:
-                merged = big_merge(projected)
-            except MergeError as e:
-                self.merge_failure(stm, role, e)
-                raise ProjectionFailed()
-            return self.attach_residue(stm.guard, role, merged, stm.cont)
-        if isinstance(stm, S.TryCatch):
-            handlers = []
-            for h in stm.handlers:
-                if role in self.checked.type_roles(h.te):
-                    handlers.append((self.project_te(h.te, role), h.name,
-                                     self.project_stm(h.body, role)))
-            return LTryCatch(self.project_stm(stm.body, role), handlers,
-                             self.project_stm(stm.cont, role))
-        raise TypeError(f"project_stm: {stm!r}")
+        """The projection at ``role`` of the chain from ``stm``: each
+        statement's own projection (``STM``), linked back to front. A
+        selection at ``role`` takes the rest of the chain as the body of its
+        one case. After a merged conditional that returns or throws, the rest
+        is still projected, for its diagnostics, and dropped as unreachable."""
+        opened = []  # per selection: the statements up to and including its switch
+        out = []
+        ended = False
+        while stm is not None:
+            got = STM[type(stm)](self, stm, role)
+            if got is None or ended:
+                pass
+            elif type(got) is list:  # merged branches, spliced in (``merged``)
+                out += got
+                ended = bool(got) and type(got[-1]) in (LReturn, LThrow)
+            elif type(got) is LSwitch and type(stm) is S.ExpStm:  # a selection
+                out.append(got)
+                opened.append(out)
+                out = []
+            else:
+                out.append(got)
+            stm = getattr(stm, "cont", None)
+        head = link(out)
+        for out in reversed(opened):
+            switch = out[-1]
+            switch.cases = [(switch.cases[0][0], head)]
+            head = link(out)
+        return head
+
+    def merged(self, stm, role, branches):
+        """The statements a conditional or switch projects to at a role that
+        does not take its decision: the guard's residue, then the merge of
+        its branches' projections, which ``project_stm`` splices into the
+        chain in place of the merge's closing ``LNil``."""
+        try:
+            merged = big_merge(branches)
+        except MergeError as e:
+            self.merge_failure(stm, role, e)
+            raise ProjectionFailed()
+        guard = normalize_exp(self.project_exp(stm.guard, role))
+        out = [] if is_noop(guard) else [LExpStm(guard, None)]
+        out += stm_list(merged)  # new nodes, which ``link`` may relink
+        if out and type(out[-1]) not in (LReturn, LThrow):
+            out[-1].cont = None
+        return out
 
     def switch_is_exhaustive(self, stm):
         head, _ = spine(self.checked.type_of(stm.guard))
@@ -299,14 +240,6 @@ class Projector:
                 labels = {c.label for c in stm.cases if isinstance(c.label, str)}
                 return labels >= set(info.node.cases)
         return False
-
-    def attach_residue(self, guard, role, merged, cont):
-        """Guard residue, then the merged branches, then the continuation."""
-        rest = concat_stm(merged, self.project_stm(cont, role))
-        guard_p = normalize_exp(self.project_exp(guard, role))
-        if not is_noop(guard_p):
-            return LExpStm(guard_p, rest)
-        return rest
 
     def merge_failure(self, stm, role, err):
         left = render_inline(err.left)
@@ -341,11 +274,10 @@ class Projector:
 
     # ---------------------------------------------------------- expressions
 
-    @staticmethod
-    def _is_this(exp):
-        return isinstance(exp, S.Name) and exp.ident == "this"
+    def project_exp(self, exp, role):
+        return EXP[type(exp)](self, exp, role)
 
-    def _signature_roles(self, mi):
+    def signature_roles(self, mi):
         """Roles mentioned by a method's parameter and return types."""
         out = set()
         tes = [p.te for p in mi.node.params]
@@ -374,71 +306,149 @@ class Projector:
             return LUnit()
         return LUnitCall(effectful)
 
-    def project_exp(self, exp, role):
-        if isinstance(exp, S.Literal):
-            if role in exp.roles:
-                return LLit(exp.value)
-            return LUnit()
-        if isinstance(exp, S.Name):
-            if role in self.checked.type_roles(exp):
-                return LName(exp.ident)
-            return LUnit()
-        if isinstance(exp, S.FieldAcc):
-            if role not in self.checked.type_roles(exp):
-                if isinstance(exp.scope, S.StaticRef):
-                    return LUnit()
-                return self.unit_residue([self.project_exp(exp.scope, role)])
-            if isinstance(exp.scope, S.StaticRef):
-                scope = LStaticName(self.static_name(exp.scope.name, exp.scope.roles, role))
-            else:
-                scope = self.project_exp(exp.scope, role)
-            return LFieldAcc(scope, exp.name)
-        if isinstance(exp, S.Call):
-            ty_args = [erase_ctor(self.checker, self.checked.te_type(te))
-                       for te in exp.type_args]
-            args = [self.project_exp(a, role) for a in exp.args]
-            if exp.scope is None or self._is_this(exp.scope):
-                # Calls on the enclosing declaration: instance methods exist
-                # in every role's unit, but a static member belongs only to
-                # the roles its signature mentions, or to all of its
-                # declaration's roles when the signature mentions none.
-                res = self.checked.resolved.get(id(exp))
-                mi = res[1] if res and res[0] == "call" else None
-                if mi is not None and mi.is_static:
-                    if role not in (self._signature_roles(mi) or mi.owner.role_names):
-                        return self.unit_residue(args)
-                if exp.scope is None:
-                    return LCall(None, ty_args, exp.name, args)
-                return LCall(LName("this"), ty_args, exp.name, args)
-            if isinstance(exp.scope, S.StaticRef):
-                if role in exp.scope.roles:
-                    scope = LStaticName(self.static_name(exp.scope.name, exp.scope.roles, role))
-                    return LCall(scope, ty_args, exp.name, args)
-                return self.unit_residue(args)
-            if role in self.checked.type_roles(exp.scope):
-                return LCall(self.project_exp(exp.scope, role), ty_args, exp.name, args)
-            # The receiver may carry effects for this role (e.g. a com whose
-            # result a foreign role consumes); keep its residue with the args.
-            return self.unit_residue([self.project_exp(exp.scope, role)] + args)
-        if isinstance(exp, S.New):
-            args = [self.project_exp(a, role) for a in exp.args]
-            if role in exp.roles:
-                info = self.table.get(exp.class_name)
-                name = generated_name(exp.class_name, info.role_names,
-                                      info.role_names[exp.roles.index(role)]) \
-                    if info is not None else exp.class_name
-                ty_args = [erase_ctor(self.checker, self.checked.te_type(te))
-                           for te in exp.type_args]
-                return LNew(name, ty_args, args)
-            return self.unit_residue(args)
-        if isinstance(exp, S.Binary):
-            if role in self.checked.roles_of(exp):
-                return LBinary(self.project_exp(exp.left, role), exp.op,
-                               self.project_exp(exp.right, role))
-            return LUnit()
-        if isinstance(exp, S.StaticRef):
-            return LStaticName(self.static_name(exp.name, exp.roles, role))
-        raise TypeError(f"project_exp: {exp!r}")
+
+# Each statement handler ``f(projector, stm, role)`` returns the projection of
+# ``stm`` alone, with its ``cont`` unset, or None when ``stm`` projects to
+# nothing at ``role``; a merged conditional gives a list (``merged``).
+
+def _exp_stm(p, stm, role):
+    label = p.selection_label(stm.exp, role)
+    if label is not None:  # the case's body is set by ``project_stm``
+        return LSwitch(p.project_exp(stm.exp, role), [(label, None)],
+                       LThrow(UNEXPECTED_LABEL), LNil())
+    if role in p.checked.roles_of(stm.exp):
+        return LExpStm(p.project_exp(stm.exp, role), None)
+    return None
+
+
+def _var_decl(p, stm, role):
+    if role in p.checked.type_roles(stm.te):
+        init = p.project_exp(stm.init, role) if stm.init is not None else None
+        return LVarDecl(p.project_te(stm.te, role), stm.name, init, None)
+    if stm.init is not None and role in p.checked.roles_of(stm.init):
+        return LExpStm(p.project_exp(stm.init, role), None)
+    return None
+
+
+def _assign(p, stm, role):
+    if role in p.checked.type_roles(stm.target):
+        return LAssign(p.project_exp(stm.target, role), stm.op,
+                       p.project_exp(stm.value, role), None)
+    if role in p.checked.roles_of(stm.target) | p.checked.roles_of(stm.value):
+        return LExpStm(LUnitCall([p.project_exp(stm.target, role),
+                                  p.project_exp(stm.value, role)]), None)
+    return None
+
+
+def _if(p, stm, role):
+    if p.checked.type_roles(stm.guard) == {role}:
+        return LIf(p.project_exp(stm.guard, role), p.project_stm(stm.then, role),
+                   p.project_stm(stm.orelse, role), None)
+    return p.merged(stm, role, [p.project_stm(stm.then, role),
+                                p.project_stm(stm.orelse, role)])
+
+
+def _switch(p, stm, role):
+    if role in p.checked.type_roles(stm.guard):
+        default = p.project_stm(stm.default, role)
+        return LSwitch(p.project_exp(stm.guard, role),
+                       [(label, p.project_stm(body, role)) for label, body in stm.cases],
+                       default, None)
+    branches = [p.project_stm(body, role) for _, body in stm.cases]
+    if stm.default is not None:
+        branches.append(p.project_stm(stm.default, role))
+    elif not p.switch_is_exhaustive(stm):
+        # Without a default, the no-match path runs nothing at the guard
+        # role; other roles must reconcile with that too.
+        branches.append(LNil())
+    return p.merged(stm, role, branches)
+
+
+def _try_catch(p, stm, role):
+    handlers = [(p.project_te(te, role), name, p.project_stm(body, role))
+                for te, name, body in stm.handlers if role in p.checked.type_roles(te)]
+    return LTryCatch(p.project_stm(stm.body, role), handlers, None)
+
+
+STM = {
+    S.Nil: lambda p, stm, role: LNil(),
+    S.Return: lambda p, stm, role: LReturn(
+        p.project_exp(stm.value, role) if stm.value is not None else None),
+    S.ExpStm: _exp_stm,
+    S.VarDecl: _var_decl,
+    S.Assign: _assign,
+    S.If: _if,
+    S.Block: lambda p, stm, role: LBlock(p.project_stm(stm.body, role), None),
+    S.Switch: _switch,
+    S.TryCatch: _try_catch,
+}
+
+
+# Each expression handler ``f(projector, exp, role)`` returns the projection
+# of ``exp`` at ``role``: its role-free form while ``role`` takes part in it,
+# else its unit residue.
+
+def _field_acc(p, exp, role):
+    if role in p.checked.type_roles(exp):
+        return LFieldAcc(p.project_exp(exp.scope, role), exp.name)
+    if type(exp.scope) is S.StaticRef:
+        return LUnit()
+    return p.unit_residue([p.project_exp(exp.scope, role)])
+
+
+def _call(p, exp, role):
+    ty_args = [erase_ctor(p.checker, p.checked.te_type(te)) for te in exp.type_args]
+    args = [p.project_exp(a, role) for a in exp.args]
+    scope = exp.scope
+    if scope is None or type(scope) is S.Name and scope.ident == "this":
+        # Calls on the enclosing declaration: instance methods exist in
+        # every role's unit, but a static member belongs only to the roles
+        # its signature mentions, or to all of its declaration's roles when
+        # the signature mentions none.
+        res = p.checked.resolved.get(id(exp))
+        mi = res[1] if res and res[0] == "call" else None
+        if mi is not None and mi.is_static:
+            if role not in (p.signature_roles(mi) or mi.owner.role_names):
+                return p.unit_residue(args)
+        return LCall(None if scope is None else LName("this"), ty_args, exp.name, args)
+    if type(scope) is S.StaticRef:
+        if role in scope.roles:
+            return LCall(p.project_exp(scope, role), ty_args, exp.name, args)
+        return p.unit_residue(args)
+    if role in p.checked.type_roles(scope):
+        return LCall(p.project_exp(scope, role), ty_args, exp.name, args)
+    # The receiver may carry effects for this role (e.g. a com whose result
+    # a foreign role consumes); keep its residue with the args.
+    return p.unit_residue([p.project_exp(scope, role)] + args)
+
+
+def _new(p, exp, role):
+    args = [p.project_exp(a, role) for a in exp.args]
+    if role not in exp.roles:
+        return p.unit_residue(args)
+    info = p.table.get(exp.class_name)
+    name = exp.class_name if info is None else generated_name(
+        exp.class_name, info.role_names, info.role_names[exp.roles.index(role)])
+    ty_args = [erase_ctor(p.checker, p.checked.te_type(te)) for te in exp.type_args]
+    return LNew(name, ty_args, args)
+
+
+def _binary(p, exp, role):
+    if role in p.checked.roles_of(exp):
+        return LBinary(p.project_exp(exp.left, role), exp.op, p.project_exp(exp.right, role))
+    return LUnit()
+
+
+EXP = {
+    S.Literal: lambda p, exp, role: LLit(exp.value) if role in exp.roles else LUnit(),
+    S.Name: lambda p, exp, role: (
+        LName(exp.ident) if role in p.checked.type_roles(exp) else LUnit()),
+    S.StaticRef: lambda p, exp, role: LStaticName(p.static_name(exp.name, exp.roles, role)),
+    S.FieldAcc: _field_acc,
+    S.Call: _call,
+    S.New: _new,
+    S.Binary: _binary,
+}
 
 
 def project_program(checked, reporter=None, annotate=False):

@@ -337,6 +337,29 @@ def test_no_applicable_method():
     assert Code.UnknownName in codes(reporter)
 
 
+@pytest.mark.parametrize("body, message", [
+    ('void m(List@A<Integer> l) { l.get("x"@A); }',
+     "no applicable method 'get' for argument types (String@A)."),
+    ("void m() { E@A e = new E@A(1@A); }",
+     "no applicable constructor 'E' for argument types (Integer@A)."),
+    ("void m() { E@A e = new E@A(null@A, null@A); }",
+     "ambiguous invocation of 'E': no most specific overload."),
+    ("void pick(Object@A x, String@A y) { } void pick(String@A x, Object@A y) { }"
+     " void m() { pick(null@A, null@A); }",
+     "ambiguous invocation of 'pick': no most specific overload."),
+])
+def test_unresolved_calls_name_the_method_or_the_class(body, message):
+    _, reporter = compile_text(f"""
+    class E@A {{
+        public E() {{ }}
+        public E(Object@A x, String@A y) {{ }}
+        public E(String@A x, Object@A y) {{ }}
+    }}
+    class C@A {{ {body} }}
+    """)
+    assert [d.message for d in reporter.errors] == [message]
+
+
 def test_generic_method_needs_explicit_type_arguments():
     # A call that reports is resolved again at each site, which reports too.
     _, reporter = compile_text("""

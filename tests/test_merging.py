@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from choreo import surface as S
 from choreo.diagnostics import Reporter
+from choreo.differential import differential_run
 from choreo.local import (
     LAssign, LBinary, LBlock, LCall, LExpStm, LFieldAcc, LIf, LLit, LName,
     LNew, LNil, LReturn, LStaticName, LSwitch, LThrow, LTE, LTryCatch, LUnit,
@@ -323,14 +324,29 @@ def test_instance_budget(branch_pairs):
     'System@A.out.println("s"@A);', "Integer@A v{i} = {i}@A;", "x = x + 1@A;"])
 def test_long_methods_project_and_read_back_at_the_default_recursion_limit(
         recursion_limit_1000, line):
-    body = "".join(line.format(i=i) + "\n" for i in range(900))
+    body = "".join(line.format(i=i) + "\n" for i in range(5000))
     checked = compile_ok(f"class D@A {{ Integer@A m(Integer@A x) {{\n{body}return x; }} }}")
     units, reporter = project_program(checked, Reporter())
     assert not reporter.items
     unit = units.unit("D")
     reparsed = parse_local_unit(render_unit(unit))
-    assert len(stm_list(reparsed.decl.methods[0].body)) == 901
+    assert len(stm_list(reparsed.decl.methods[0].body)) == 5001
     assert reparsed.decl == unit.decl
+    assert differential_run(checked, "D", "m", {"A": [1]}, local_program=units).equal
+
+
+def test_long_merged_branches_are_spliced_at_the_default_recursion_limit(recursion_limit_1000):
+    # At B, which does not take the decision, the two branches merge into
+    # one 2,000-statement chain, which the projection splices into the body.
+    branch = "".join(f'System@B.out.println("{i}"@B);\n' for i in range(2000))
+    checked = compile_ok(f"""class D@(A, B) {{ void m(Integer@A x) {{
+        if (x > 0@A) {{\n{branch}}} else {{\n{branch}}}
+        System@B.out.println("end"@B); }} }}""")
+    units, reporter = project_program(checked, Reporter())
+    assert not reporter.items
+    chain = stm_list(units.unit("D_B").decl.methods[0].body)
+    assert len(chain) == 2001 and chain[-1].exp.args == [LLit("end")]
+    assert differential_run(checked, "D", "m", {"A": [1]}, local_program=units).equal
 
 
 def test_long_units_read_back_at_the_default_recursion_limit(recursion_limit_1000):

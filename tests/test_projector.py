@@ -390,6 +390,28 @@ PLACEHOLDER
 """
 
 
+@pytest.mark.parametrize("after, found", [
+    ('System@B.out.println("after"@B);', []),
+    ('if (x > 1@A) { System@B.out.println("a"@B); } else { System@B.out.println("b"@B); }',
+     [(Code.MergeFailure, 4)]),
+], ids=["dropped", "still-projected"])
+def test_what_follows_a_merged_return_is_dropped_but_still_projected(after, found):
+    # Both branches return at B, so B's chain ends there; what follows is
+    # unreachable, but its diagnostics are still reported.
+    checked = compile_ok(f"""class D@(A, B) {{
+    Integer@A m(Integer@A x) {{
+        if (x > 0@A) {{ return 1@A; }} else {{ return 2@A; }}
+        {after}
+        return 3@A;
+    }}
+}}""")
+    units, reporter = project_program(checked, Reporter())
+    assert [(d.code, d.span.line) for d in reporter.items] == found
+    if not found:
+        assert tokens(render_unit(units.unit("D_B"))) == tokens(
+            "class D_B { Unit m(Unit x) { return Unit.id; } }")
+
+
 def test_surface_switch_without_default_merges_the_empty_path():
     # Role B must reconcile the PING body with the implicit no-match path,
     # which is impossible without a selection.
@@ -445,13 +467,3 @@ def test_round_trip_compiled_listing_keeps_nested_coms(corpus_compiled):
     assert render_stm(rt_b.body, 0) == ["return chBA.<T>com(chAB.<T>com(Unit.id));"]
     assert [render_te(p.te) for p in rt_b.params] == \
         ["DiDataChannel_B<T>", "DiDataChannel_A<T>", "Unit"]
-
-
-def test_too_long_method_is_a_projection_diagnostic(recursion_limit_1000):
-    # Projection recurses once per statement; at Python's default limit a
-    # 1,200-statement method that checks is reported, not raised.
-    body = "".join("x = x + 1@A;\n" for _ in range(1200))
-    checked = compile_ok(f"class D@A {{ Integer@A m(Integer@A x) {{\n{body}return x; }} }}")
-    units, reporter = project_program(checked, Reporter())
-    assert [(d.code, d.message) for d in reporter.items] == [
-        (Code.InternalError, "method 'm' of 'D' is nested too deeply to project at A.")]

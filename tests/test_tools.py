@@ -9,6 +9,7 @@ import pytest
 
 import choreo
 from choreo.corpus import corpus_root
+from choreo.local import LNil, stm_list
 
 ROOT = corpus_root().parent
 
@@ -70,6 +71,26 @@ def test_ab_stops_when_the_two_sides_render_differently():
     item = ab.workload_inputs("compile", ab.load_gen(), 1)[0]
     change = change_side(printer={"render_unit": lambda unit: ""})
     with pytest.raises(SystemExit, match=f"ab: {item.name}: the two sides render differently"):
+        ab.measure({"parent": choreo, "change": change}, [item], 1)
+
+
+def test_ab_stops_when_the_two_sides_project_differently():
+    ab = load_ab()
+    item = ab.workload_inputs("compile", ab.load_gen(), 1)[0]
+
+    def project_without_closing_nils(checked, reporter):
+        # A chain that ends in None renders as one that ends in LNil() does.
+        units, reporter = choreo.projector.project_program(checked, reporter)
+        for unit in units.units:
+            for method in getattr(unit.decl, "methods", []):
+                last = stm_list(method.body)[-1:]
+                if last and getattr(last[0], "cont", None) == LNil():
+                    last[0].cont = None
+        return units, reporter
+
+    change = change_side(projector={"project_program": project_without_closing_nils})
+    with pytest.raises(SystemExit,
+                       match=f"ab: {item.name}: the two sides project to different units"):
         ab.measure({"parent": choreo, "change": change}, [item], 1)
 
 

@@ -23,7 +23,10 @@ timed with ``time.process_time``: the compile (``compile_sources``, then
 (``eval_global``) and the distributed run (``eval_distributed``); a negative
 program has only its compile timed, which stops at the first phase that
 reports an error. Both sides must give the same diagnostics (code, severity,
-line, column and message), render the same units and give the same reports.
+line, column and message), render the same units, project to the same units
+(their ``repr``, taken after the timed stages: a chain that ends in None
+renders as one that ends in ``LNil()`` does, but merges differently) and give
+the same reports.
 The script prints, per workload and stage, each side's median time and the
 median over inputs of each input's median change/parent ratio, with that
 ratio's quartiles over inputs.
@@ -130,8 +133,9 @@ def workload_inputs(workload, gen, seed):
 def run_side(choreo, item):
     """Compiles, projects and renders ``item``'s program afresh, then runs
     both evaluators; returns each stage's process time, the diagnostics, the
-    rendered units and what the evaluators reported. A negative program
-    stops after the phase that reports an error."""
+    rendered units, the ``repr`` of the projected units and what the
+    evaluators reported. A negative program stops after the phase that
+    reports an error."""
     t0 = time.process_time()
     checked, reporter = choreo.pipeline.compile_sources(item.sources)
     found = list(reporter.items)
@@ -142,7 +146,7 @@ def run_side(choreo, item):
         t1 = time.process_time()
         if item.entry_class is not None:
             sys.exit(f"ab: {item.name} does not compile")
-        return {"compile": t1 - t0}, diagnostic_keys(found), None, None
+        return {"compile": t1 - t0}, diagnostic_keys(found), None, None, None
     if item.entry_class is None:
         sys.exit(f"ab: {item.name} compiles, but is a negative program")
     texts = [choreo.printer.render_unit(unit) for unit in units.units]
@@ -156,7 +160,7 @@ def run_side(choreo, item):
     t3 = time.process_time()
     reports = [(r.status, r.error, r.returns, r.transcripts) for r in (oracle, run)]
     took = {"compile": t1 - t0, "oracle": t2 - t1, "run": t3 - t2}
-    return took, diagnostic_keys(found), texts, reports
+    return took, diagnostic_keys(found), texts, repr(units.units), reports
 
 
 def diagnostic_keys(found):
@@ -173,9 +177,10 @@ def measure(packages, inputs, rounds):
     for r in range(rounds):
         for i, item in enumerate(inputs):
             order = SIDES if (r + i) % 2 == 0 else SIDES[::-1]
-            found, texts, seen = {}, {}, {}
+            found, texts, projected, seen = {}, {}, {}, {}
             for side in order:
-                took, found[side], texts[side], seen[side] = run_side(packages[side], item)
+                took, found[side], texts[side], projected[side], seen[side] = run_side(
+                    packages[side], item)
                 for stage, t in took.items():
                     times[item.name][stage][side].append(t)
             if found["parent"] != found["change"]:
@@ -183,6 +188,8 @@ def measure(packages, inputs, rounds):
                          f"  parent {found['parent']}\n  change {found['change']}")
             if texts["parent"] != texts["change"]:
                 sys.exit(f"ab: {item.name}: the two sides render differently")
+            if projected["parent"] != projected["change"]:
+                sys.exit(f"ab: {item.name}: the two sides project to different units")
             if seen["parent"] != seen["change"]:
                 sys.exit(f"ab: {item.name}: the two sides report differently:\n"
                          f"  parent {seen['parent']}\n  change {seen['change']}")
