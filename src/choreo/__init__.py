@@ -1,6 +1,6 @@
 """Choreographic language toolchain.
 
-Parse role-annotated sources, check kinds/types/role constraints, project
+Parse role-annotated sources, check types and role constraints, project
 each role to a role-free local program, and execute both the global
 choreography and the projected system for differential testing.
 """

@@ -38,6 +38,9 @@ class PrintStreamV:
 
 
 def display(value):
+    """A value as Java prints it, in ``println`` and string concatenation."""
+    if value is None:
+        return "null"
     if value is True:
         return "true"
     if value is False:
@@ -110,8 +113,9 @@ def binary_value(op, left, right):
         return UNIT
     if op in ("&", "|"):
         return (left and right) if op == "&" else (left or right)
-    if op == "+" and isinstance(left, str):
-        return left + right
+    if op == "+" and (isinstance(left, str) or isinstance(right, str)):
+        # The checker lets ``+`` join two Strings; either may be null.
+        return display(left) + display(right)
     if op == "/" and isinstance(left, int) and not isinstance(left, bool):
         return java_div(left, right)
     if op == "%" and isinstance(left, int) and not isinstance(left, bool):

@@ -1,9 +1,12 @@
-"""Kinding, type denotation, subtyping, and bidirectional checking.
+"""Type denotation, subtyping, and bidirectional checking.
 
 The pipeline: build the symbol table, run the role-constraint diagnostics
 (aliasing, cyclic inheritance, role-set preservation, per-role overload
-clashes), validate selection annotations, kind-check declared type
-expressions, then check member bodies bidirectionally. The result is a
+clashes), validate selection annotations, denote every member type, then
+check member bodies bidirectionally. Denotation is where a type
+expression's shape is checked (each head gets its number of roles and of
+type arguments, and a type argument fits the roles its formal binds), in
+member types and in bodies alike. The result is a
 CheckedProgram whose side tables answer ``type_of`` and ``roles_of`` for the
 projector and interpreters.
 
@@ -22,9 +25,8 @@ from .diagnostics import Code, Reporter
 from .printer import render_te
 from .record import field, record
 from .types import (
-    VOID, CtorKind, RoleKind, StarKind, TAbs, TApp, TBottom, TInter, TSym,
-    TVar, TVoid, app, fresh_var, kind_shape_eq, pretty, reduce_type,
-    roles_of_type, spine, substitute, type_equal,
+    VOID, TAbs, TBottom, TSym, TVar, TVoid, app, fresh_var, pretty,
+    reduce_type, roles_of_type, spine, substitute, type_equal,
 )
 
 ARITH_OPS = {"+", "-", "*", "/", "%"}
@@ -247,7 +249,7 @@ class Checker:
         self.build_table()
         self.check_role_constraints()
         self.validate_selection_annotations()
-        self.kind_check_declarations()
+        self.denote_member_types()
         for info in self.own:
             if info.name not in self.suppressed:
                 try:
@@ -313,7 +315,7 @@ class Checker:
                     continue
                 ctor = bound
                 for v in reversed(fi.role_binders):
-                    ctor = TAbs(v, RoleKind(), ctor)
+                    ctor = TAbs(v, ctor)
                 fi.bound_ctors.append(reduce_type(ctor))
             self.var_bounds[fi.var.uid] = list(fi.bound_ctors)
         return out
@@ -342,8 +344,15 @@ class Checker:
 
     # --------------------------------------------------------- denotation
 
-    def denote(self, te: S.TE, scope: Scope, as_argument_arity=None):
+    def denote(self, te: S.TE, scope: Scope, as_argument_arity=None, argument=False):
         """Implements the type denotation equations; records the normal form.
+
+        This is where a type's shape is checked: each head gets exactly its
+        roles, and its type arguments when any are written. A type argument
+        (``argument``; implied by ``as_argument_arity``, the number of roles
+        of the formal it is fitted to) must give a declaration all of its
+        type arguments. Each ill-formed type expression is reported once, at
+        the innermost one.
 
         Results (and failures) are cached per node so repeated closure walks
         neither redo work nor duplicate diagnostics.
@@ -353,24 +362,21 @@ class Checker:
             return t
         if id(te) in self._failed_tes:
             return None
-        t = self._denote(te, scope, as_argument_arity)
+        t = self._denote(te, scope, as_argument_arity,
+                         argument or as_argument_arity is not None)
         if t is not None:
             t = self.te_types[id(te)] = reduce_type(t)
         else:
             self._failed_tes.add(id(te))
         return t
 
-    def _denote(self, te, scope, as_argument_arity):
+    def _denote(self, te, scope, as_argument_arity, argument):
         if te.is_void:
             return VOID
-        head = None
-        target_roles = None  # formal role arity source
-        target_ftps = None
         if te.name in scope.types:
             head = scope.types[te.name]
-            fi = self.var_ftp[head.uid]
-            target_roles = fi.role_binders
-            target_ftps = []
+            target_roles = self.var_ftp[head.uid].role_binders
+            target_ftps = ()  # a type variable takes no type arguments
         elif te.name in self.table:
             info = self.table[te.name]
             head = info.sym
@@ -407,22 +413,18 @@ class Checker:
                     return None
                 role_args.append(rv)
 
+        if (te.args or argument) and len(te.args) != len(target_ftps):
+            self.reporter.error(
+                Code.KindMismatch, te.span,
+                f"'{te.name}' takes {len(target_ftps)} type argument(s), "
+                f"{len(te.args)} given.")
+            return None
         type_args = []
-        if te.args:
-            if target_ftps is not None and len(target_ftps) != len(te.args) and not (
-                te.name in scope.types
-            ):
-                self.reporter.error(
-                    Code.KindMismatch, te.span,
-                    f"'{te.name}' takes {len(target_ftps)} type argument(s), "
-                    f"{len(te.args)} given.")
+        for fi, arg in zip(target_ftps, te.args):
+            at = self.denote(arg, scope, as_argument_arity=fi.arity)
+            if at is None:
                 return None
-            for i, arg in enumerate(te.args):
-                want = target_ftps[i].arity if target_ftps else 1
-                at = self.denote(arg, scope, as_argument_arity=want)
-                if at is None:
-                    return None
-                type_args.append(at)
+            type_args.append(at)
 
         if not te.roles and not te.args:
             t = head
@@ -432,7 +434,7 @@ class Checker:
             fresh = [fresh_var(v.name, role=True) for v in target_roles]
             t = app(head, *fresh, *type_args)
             for v in reversed(fresh):
-                t = TAbs(v, RoleKind(), t)
+                t = TAbs(v, t)
         else:
             t = app(head, *role_args, *type_args)
 
@@ -460,7 +462,7 @@ class Checker:
             mapping = {v.uid: f for v, f in zip(role_args, fresh)}
             body = substitute(app(head, *role_args, *rest), mapping)
             for v in reversed(fresh):
-                body = TAbs(v, RoleKind(), body)
+                body = TAbs(v, body)
             return reduce_type(body)
         self.reporter.error(
             Code.KindMismatch, te.span,
@@ -483,94 +485,6 @@ class Checker:
             fi = self.var_ftp.get(t.uid)
             return fi.arity if fi else 0
         return 0
-
-    # -------------------------------------------------------------- kinds
-
-    def kind_env(self):
-        theta = self.prelude.kinds.copy()
-        for info in self.own:
-            theta[info.sym.name] = self.symbol_kind(info)
-        for uid, fi in self.var_ftp.items():
-            if uid not in theta:
-                theta[uid] = self.ftp_kind(fi)
-        return theta
-
-    def symbol_kind(self, info):
-        bound = self.declared_bound(info)
-        kind = StarKind(bound)
-        for fi in reversed(info.ftps):
-            kind = CtorKind(fi.name, self.ftp_kind(fi), kind)
-        for rv in reversed(info.role_vars):
-            kind = CtorKind(rv.name, RoleKind(), kind)
-        return kind
-
-    def ftp_kind(self, fi):
-        inner = StarKind(fi.bound_ctors[0] if fi.bound_ctors else None)
-        kind = inner
-        for rv in reversed(fi.role_binders):
-            kind = CtorKind(rv.name, RoleKind(), kind)
-        return kind
-
-    def declared_bound(self, info):
-        supers = self.direct_supertypes_of_decl(info)
-        if not supers:
-            return None
-        if len(supers) == 1:
-            return supers[0]
-        return TInter(tuple(supers))
-
-    def kind_of(self, theta, t):
-        """The kinding judgement (rules Abs and App); raises on mismatch."""
-        t = t if isinstance(t, (TAbs, TApp)) else reduce_type(t)
-        if isinstance(t, TVar):
-            if t.role:
-                return RoleKind()
-            k = theta.get(t.uid)
-            if k is None:
-                raise KindError(f"unbound type variable '{t.name}'")
-            return k
-        if isinstance(t, TSym):
-            k = theta.get(t.name)
-            if k is None:
-                raise KindError(f"unknown symbol '{t.name}'")
-            return k
-        if isinstance(t, TVoid):
-            return StarKind(None)
-        if isinstance(t, TBottom):
-            return StarKind(None)
-        if isinstance(t, TAbs):
-            inner = dict(theta)
-            inner[t.var.uid] = t.kind
-            return CtorKind(t.var.name, t.kind, self.kind_of(inner, t.body))
-        if isinstance(t, TApp):
-            ck = self.kind_of(theta, t.ctor)
-            if not isinstance(ck, CtorKind):
-                raise KindError(f"'{pretty(t.ctor)}' is not a type constructor")
-            ak = self.kind_of(theta, t.arg)
-            if not kind_shape_eq(ak, ck.param):
-                raise KindError(
-                    f"kind mismatch applying '{pretty(t.ctor)}': argument kind "
-                    f"{ak} does not fit parameter kind {ck.param}")
-            return self.subst_kind(ck.result, ck.var, t.arg)
-        if isinstance(t, TInter):
-            for i in t.items:
-                self.kind_of(theta, i)
-            return StarKind(None)
-        raise KindError(f"cannot kind {t!r}")
-
-    def subst_kind(self, kind, var_name, arg):
-        if isinstance(kind, StarKind):
-            if kind.bound is None:
-                return kind
-            mapping = {}
-            for v in collect_vars(kind.bound, []):
-                if v.name == var_name:
-                    mapping[v.uid] = arg
-            return StarKind(reduce_type(substitute(kind.bound, mapping)))
-        if isinstance(kind, CtorKind):
-            return CtorKind(kind.var, self.subst_kind(kind.param, var_name, arg),
-                            self.subst_kind(kind.result, var_name, arg))
-        return kind
 
     # ----------------------------------------------------------- subtyping
 
@@ -668,10 +582,6 @@ class Checker:
         """Subtyping on normal types."""
         if type_equal(a, b):
             return True
-        if isinstance(b, TInter):
-            return all(self.is_subtype(a, i) for i in b.items)
-        if isinstance(a, TInter):
-            return any(self.is_subtype(i, b) for i in a.items)
         if isinstance(a, TBottom):
             return not isinstance(b, (TVoid, TBottom)) and roles_of_type(b) == set(a.roles)
         if isinstance(a, TVoid) or isinstance(b, TVoid):
@@ -894,21 +804,13 @@ class Checker:
                 for bte in fi.bound_tes:
                     yield bte, inner
 
-    def kind_check_declarations(self):
-        theta = self.kind_env()
-        well_kinded = set()  # many member types are the same type, e.g. String@A
+    def denote_member_types(self):
+        """Denote every member type, so that each ill-formed or unknown one
+        is reported, even in a field or a signature no body uses."""
         for info in self.own:
-            if info.name in self.suppressed:
-                continue
-            for te, scope in self.member_tes_with_scope(info):
-                t = self.denote(te, scope)
-                if t is None or t in well_kinded:
-                    continue
-                try:
-                    self.kind_of(theta, t)
-                    well_kinded.add(t)
-                except KindError as e:
-                    self.reporter.error(Code.KindMismatch, te.span, str(e) + ".")
+            if info.name not in self.suppressed:
+                for te, scope in self.member_tes_with_scope(info):
+                    self.denote(te, scope)
 
     def self_type(self, info):
         return app(info.sym, *info.role_vars, *[f.var for f in info.ftps])
@@ -1241,7 +1143,7 @@ class Checker:
     def synth_call(self, ctx, gamma, exp):
         type_args = []
         for te in exp.type_args:
-            t = self.denote(te, ctx.scope)
+            t = self.denote(te, ctx.scope, argument=True)
             if t is None:
                 return None
             type_args.append(t)
@@ -1514,61 +1416,34 @@ class Checker:
         def single_role(t):
             head, args = spine(t)
             roles = [a for a in args if isinstance(a, TVar) and a.role]
-            if isinstance(head, TSym) and len(roles) == 1:
-                return head.name, roles[0]
-            return None, None
+            name = head.name if isinstance(head, TSym) else None
+            return name, roles[0] if len(roles) == 1 else None
 
-        lname, lrole = single_role(lt)
+        lname, role = single_role(lt)
         rname, rrole = single_role(rt)
-
-        def fail():
+        if role is None or rrole is None or role.uid != rrole.uid:
             self.reporter.error(
                 Code.TypeMismatch, exp.span,
                 f"operator '{exp.op}' needs both operands at one shared role,",
                 expecting=pretty(lt), found=pretty(rt))
             return None
-
-        if lname is None or rname is None or lrole.uid != rrole.uid:
-            return fail()
-        role = lrole
-        if exp.op in BOOL_OPS:
-            if lname == rname == "Boolean":
-                return app(TSym("Boolean"), role)
-            return fail()
-        if exp.op in COMPARE_OPS:
-            if lname == rname and lname in NUMERIC:
-                return app(TSym("Boolean"), role)
-            return fail()
-        if exp.op in EQ_OPS:
-            if lname == rname:
-                return app(TSym("Boolean"), role)
-            return fail()
-        if exp.op in ARITH_OPS:
-            if lname == rname and lname in NUMERIC:
-                return app(TSym(lname), role)
-            if exp.op == "+" and lname == rname == "String":
-                return app(TSym("String"), role)
-            return fail()
-        return fail()
-
-
-def collect_vars(t, out):
-    """Append every variable of type ``t`` to ``out``; returns ``out``."""
-    if isinstance(t, TVar):
-        out.append(t)
-    elif isinstance(t, TApp):
-        collect_vars(t.ctor, out)
-        collect_vars(t.arg, out)
-    elif isinstance(t, TAbs):
-        collect_vars(t.body, out)
-    elif isinstance(t, TInter):
-        for i in t.items:
-            collect_vars(i, out)
-    return out
-
-
-class KindError(Exception):
-    pass
+        result = None
+        if lname is not None and lname == rname:
+            if exp.op in BOOL_OPS:
+                result = "Boolean" if lname == "Boolean" else None
+            elif exp.op in COMPARE_OPS:
+                result = "Boolean" if lname in NUMERIC else None
+            elif exp.op in EQ_OPS:
+                result = "Boolean"
+            elif exp.op in ARITH_OPS:
+                if lname in NUMERIC or (exp.op == "+" and lname == "String"):
+                    result = lname
+        if result is None:
+            self.reporter.error(
+                Code.TypeMismatch, exp.span,
+                f"operator '{exp.op}' cannot be applied to '{pretty(lt)}' and '{pretty(rt)}'.")
+            return None
+        return app(TSym(result), role)
 
 
 @record
@@ -1593,7 +1468,6 @@ class PreludeLayer:
     table: MappingProxyType = _NOTHING
     var_bounds: MappingProxyType = _NOTHING
     var_ftp: MappingProxyType = _NOTHING
-    kinds: MappingProxyType = _NOTHING
     te_types: MappingProxyType = _NOTHING
     decl_scopes: MappingProxyType = _NOTHING
     method_scopes: MappingProxyType = _NOTHING
@@ -1605,8 +1479,8 @@ class PreludeLayer:
     @classmethod
     def build(cls, decls):
         """Check the prelude ``decls`` alone and work out, eagerly, the
-        scopes, supertypes, supertype closures, method signatures and kinds
-        of every one of them. The prelude is trusted: a diagnostic here is
+        scopes, supertypes, supertype closures and method signatures of
+        every one of them. The prelude is trusted: a diagnostic here is
         a fault in it, raised as ``RuntimeError``."""
         ck = Checker(S.SurfaceProgram(list(decls)), Reporter(), cls(), decls)
         ck.build_table(is_prelude=True)
@@ -1617,12 +1491,11 @@ class PreludeLayer:
             for mi in info.methods + info.constructors:
                 ck.param_types(mi)
                 ck.return_type(mi)
-        kinds = ck.kind_env()
         if ck.reporter.items:
             raise RuntimeError("prelude failed to check:\n" + "\n".join(
                 d.render() for d in ck.reporter.items))
         tables = dict(
-            table=ck.table, var_bounds=ck.var_bounds, var_ftp=ck.var_ftp, kinds=kinds,
+            table=ck.table, var_bounds=ck.var_bounds, var_ftp=ck.var_ftp,
             te_types=ck.te_types, decl_scopes=ck._decl_scopes, method_scopes=ck._method_scopes,
             decl_supers=ck._decl_supers, closures=ck._closures, param_types=ck._param_types,
             return_types=ck._return_types)

@@ -6,14 +6,14 @@ bases, and compiles the class's methods with one ``exec``: an ``__init__``
 that takes the fields in order (a ``field(default_factory=...)`` gives each
 instance a fresh object) and then calls ``__post_init__`` if the class has
 one; unless ``eq=False``, an ``__eq__`` that compares the fields of two
-instances of the same class, leaving the class unhashable (a statement's
-``cont`` chain is followed in a loop, so a long chain takes no Python stack
-per statement); and with
+instances of the same class, leaving the class unhashable; and with
 ``frozen=True``, a ``__hash__`` of the fields and a ``__setattr__`` and
 ``__delattr__`` that refuse to change them. A method the class defines
 itself is kept. Every record without its own ``__repr__`` shares one that
-lists the fields. ``fields(cls)`` gives ``surface.walk`` each field's name
-and annotation text.
+lists the fields. ``__eq__`` and ``__repr__`` follow a statement's
+``cont`` chain in a loop, so a long chain takes no Python stack per
+statement. ``fields(cls)`` gives ``surface.walk`` each field's name and
+annotation text.
 """
 
 from _thread import get_ident
@@ -144,13 +144,33 @@ _repr_running = set()
 
 
 def _repr(self):
-    key = id(self), get_ident()
-    if key in _repr_running:
-        return "..."
-    _repr_running.add(key)
+    """Lists the fields that have ``repr``. A ``cont`` chain is followed in
+    a loop, as ``_chain_eq`` does, so a long chain takes no Python stack
+    per statement; a record met again within its own repr shows as
+    ``...``."""
+    thread = get_ident()
+    head, tails, entered = [], [], []
+    node = self
     try:
-        return self.__class__.__qualname__ + "(" + ", ".join(
-            f"{name}={getattr(self, name)!r}"
-            for name, f in self.__record_fields__.items() if f.repr) + ")"
+        while True:
+            key = id(node), thread
+            if key in _repr_running:
+                head.append("...")
+                break
+            _repr_running.add(key)
+            entered.append(key)
+            names = [name for name, f in node.__record_fields__.items() if f.repr]
+            cut = names.index("cont") if "cont" in names else len(names)
+            shown = [f"{name}={getattr(node, name)!r}" for name in names if name != "cont"]
+            head.append(node.__class__.__qualname__ + "(" + ", ".join(shown[:cut]))
+            tails.append("".join(f", {s}" for s in shown[cut:]) + ")")
+            if cut == len(names):
+                break
+            head.append(", cont=" if cut else "cont=")
+            node = node.cont
+            if node.__class__.__repr__ is not _repr:
+                head.append(repr(node))
+                break
     finally:
-        _repr_running.discard(key)
+        _repr_running.difference_update(entered)
+    return "".join(head) + "".join(reversed(tails))

@@ -1,10 +1,13 @@
-"""Kinds and types.
+"""Types.
 
-The type grammar: variables, declaration symbols, abstraction, application,
-intersections, and function types. Roles are types of a dedicated role kind
-and only ever appear as variables bound by a declaration or a formal type
-parameter. Fully constructed nominal types are application spines
-``Sym[role...][typearg...]`` and inhabit a bounded star kind.
+The type grammar: variables, declaration symbols, abstraction over a role,
+and application. Roles only ever appear as variables bound by a
+declaration, a formal type parameter or an abstraction. Fully constructed
+nominal types are application spines ``Sym[role...][typearg...]``; a type
+argument of a formal that binds roles is an abstraction over them. The
+checker's denotation (``Checker._denote``) gives every head its number of
+roles and type arguments, so a term built from a type expression is well
+formed by construction.
 
 An internal bottom type carries the role list of a ``null`` literal; it is
 assignable to any reference type located at exactly those roles.
@@ -21,46 +24,6 @@ _uids = itertools.count(1)
 
 def fresh_uid():
     return next(_uids)
-
-
-# ---------------------------------------------------------------- kinds
-
-@record(frozen=True)
-class RoleKind:
-    def __str__(self):
-        return "@"
-
-
-@record(frozen=True)
-class StarKind:
-    bound: "Type" = None  # None = unbounded
-
-    def __str__(self):
-        return f"*({self.bound})" if self.bound is not None else "*"
-
-
-@record(frozen=True)
-class CtorKind:
-    var: str
-    param: "Kind"
-    result: "Kind"
-
-    def __str__(self):
-        return f"[{self.var}::{self.param}]=>{self.result}"
-
-
-ROLE_KIND = RoleKind()
-
-
-def kind_shape_eq(a, b):
-    """Compare kinds by shape: role vs star vs constructor arity/structure."""
-    if isinstance(a, RoleKind) and isinstance(b, RoleKind):
-        return True
-    if isinstance(a, StarKind) and isinstance(b, StarKind):
-        return True
-    if isinstance(a, CtorKind) and isinstance(b, CtorKind):
-        return kind_shape_eq(a.param, b.param) and kind_shape_eq(a.result, b.result)
-    return False
 
 
 # ---------------------------------------------------------------- types
@@ -89,8 +52,9 @@ class TSym:
 
 @record(frozen=True)
 class TAbs:
+    """Abstraction of a type over one role variable."""
+
     var: TVar
-    kind: "Kind"
     body: "Type"
 
     def __str__(self):
@@ -104,23 +68,6 @@ class TApp:
 
     def __str__(self):
         return pretty(self)
-
-
-@record(frozen=True)
-class TInter:
-    items: tuple
-
-    def __str__(self):
-        return "&(" + ", ".join(str(t) for t in self.items) + ")"
-
-
-@record(frozen=True)
-class TFun:
-    params: tuple
-    result: "Type"
-
-    def __str__(self):
-        return "(" + ", ".join(str(t) for t in self.params) + ")->" + str(self.result)
 
 
 @record(frozen=True)
@@ -183,11 +130,7 @@ def substitute(t, mapping):
             body = substitute(body, {var.uid: renamed})
             var = renamed
         inner = {k: v for k, v in mapping.items() if k != var.uid}
-        return TAbs(var, t.kind, substitute(body, inner))
-    if isinstance(t, TInter):
-        return TInter(tuple(substitute(i, mapping) for i in t.items))
-    if isinstance(t, TFun):
-        return TFun(tuple(substitute(p, mapping) for p in t.params), substitute(t.result, mapping))
+        return TAbs(var, substitute(body, inner))
     raise TypeError(f"substitute: {t!r}")
 
 
@@ -198,10 +141,6 @@ def _occurs(var, t):
         return _occurs(var, t.ctor) or _occurs(var, t.arg)
     if isinstance(t, TAbs):
         return _occurs(var, t.body)
-    if isinstance(t, TInter):
-        return any(_occurs(var, i) for i in t.items)
-    if isinstance(t, TFun):
-        return any(_occurs(var, p) for p in t.params) or _occurs(var, t.result)
     return False
 
 
@@ -229,14 +168,7 @@ def reduce_type(t):
             and not _occurs(t.var, body.ctor)
         ):
             return reduce_type(body.ctor)
-        return t if body is t.body else TAbs(t.var, t.kind, body)
-    if cls is TInter:
-        items = tuple(reduce_type(i) for i in t.items)
-        if all(a is b for a, b in zip(items, t.items)):
-            return t
-        return TInter(items)
-    if cls is TFun:
-        return TFun(tuple(reduce_type(p) for p in t.params), reduce_type(t.result))
+        return t if body is t.body else TAbs(t.var, body)
     return t
 
 
@@ -257,16 +189,6 @@ def type_equal(a, b, env=None):
         inner = dict(env)
         inner[a.var.uid] = b.var.uid
         return type_equal(a.body, b.body, inner)
-    if isinstance(a, TInter) and isinstance(b, TInter):
-        return len(a.items) == len(b.items) and all(
-            type_equal(x, y, env) for x, y in zip(a.items, b.items)
-        )
-    if isinstance(a, TFun) and isinstance(b, TFun):
-        return (
-            len(a.params) == len(b.params)
-            and all(type_equal(x, y, env) for x, y in zip(a.params, b.params))
-            and type_equal(a.result, b.result, env)
-        )
     return False
 
 
@@ -288,13 +210,6 @@ def _add_roles(u, out):
         _add_roles(u.arg, out)
     elif isinstance(u, TAbs):
         _add_roles(u.body, out)
-    elif isinstance(u, TInter):
-        for i in u.items:
-            _add_roles(i, out)
-    elif isinstance(u, TFun):
-        for p in u.params:
-            _add_roles(p, out)
-        _add_roles(u.result, out)
     elif isinstance(u, TBottom):
         out.update(u.roles)
 

@@ -197,6 +197,25 @@ def test_binary_operands_must_share_a_role():
     assert Code.TypeMismatch in codes(reporter)
 
 
+def test_an_operator_names_what_its_operands_lack():
+    _, reporter = compile_text("""
+    class C@(A, B)<T@X> {
+        void m(Boolean@A g, T@A t) {
+            String@A s = "x"@A + 3@A;
+            Integer@A x = 1@A + 1@B;
+            Boolean@A b = g < g;
+            Boolean@A e = t == t;
+        }
+    }
+    """)
+    assert [(d.span.line, d.message, d.expecting, d.found) for d in reporter.items] == [
+        (4, "operator '+' cannot be applied to 'String@A' and 'Integer@A'.", None, None),
+        (5, "operator '+' needs both operands at one shared role,", "Integer@A", "Integer@B"),
+        (6, "operator '<' cannot be applied to 'Boolean@A' and 'Boolean@A'.", None, None),
+        (7, "operator '==' cannot be applied to 'T@A' and 'T@A'.", None, None),
+    ]
+
+
 def test_incompatible_types_message_shape():
     _, reporter = compile_text('class C@A { void m() { Integer@A x = "foo"@A; } }')
     diag = [d for d in reporter.errors if d.code is Code.TypeMismatch][0]

@@ -784,6 +784,24 @@ def test_every_builtin_value_has_the_methods_of_object():
         "PrintStreamV(role='A')", "true"]}
 
 
+def test_a_null_string_prints_and_joins_as_java_does():
+    checked = compile_ok("""
+    class C@A {
+        public static String@A go() {
+            String@A s = null@A;
+            System@A.out.println(s);
+            System@A.out.println("x"@A + s);
+            System@A.out.println(s + "x"@A);
+            return s + "!"@A;
+        }
+    }
+    """)
+    cmp = differential_run(checked, "C", "go", local_program=project_ok(checked))
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.returns == {"A": "null!"}
+    assert cmp.global_report.transcripts == {"A": ["null", "xnull", "nullx"]}
+
+
 def run_local(*texts, channels=None):
     """Runs ``U.go`` of the local units ``texts`` as the one role A."""
     program = LocalProgram([parse_local_unit(text) for text in texts])

@@ -43,7 +43,7 @@ RECORDS = {
     "checker.DeclInfo": ("node sym role_vars ftps=<factory> methods=<factory> constructors=<factory> is_prelude=False", "eq"),
     "checker.Scope": ("roles types", "eq"),
     "checker._BodyCtx": ("info mi scope constructor", "eq"),
-    "checker.PreludeLayer": ("table=mappingproxy({}) var_bounds=mappingproxy({}) var_ftp=mappingproxy({}) kinds=mappingproxy({}) te_types=mappingproxy({}) decl_scopes=mappingproxy({}) method_scopes=mappingproxy({}) decl_supers=mappingproxy({}) closures=mappingproxy({}) param_types=mappingproxy({}) return_types=mappingproxy({})", "frozen"),
+    "checker.PreludeLayer": ("table=mappingproxy({}) var_bounds=mappingproxy({}) var_ftp=mappingproxy({}) te_types=mappingproxy({}) decl_scopes=mappingproxy({}) method_scopes=mappingproxy({}) decl_supers=mappingproxy({}) closures=mappingproxy({}) param_types=mappingproxy({}) return_types=mappingproxy({})", "frozen"),
     "corpus.CorpusProgram": ("name path runs", "eq"),
     "diagnostics.Diagnostic": ("code span message severity=<Severity.ERROR: 'error'> expecting=None found=None", "frozen"),
     "diagnostics.Reporter": ("items=<factory>", "eq"),
@@ -129,15 +129,10 @@ RECORDS = {
     "surface.SurfaceProgram": ("decls", "identity"),
     "testkit.TestCase": ("class_name method_name roles units=None", "eq"),
     "testkit.CaseResult": ("case passed duration failures=<factory>", "eq"),
-    "types.RoleKind": ("", "frozen"),
-    "types.StarKind": ("bound=None", "frozen"),
-    "types.CtorKind": ("var param result", "frozen"),
     "types.TVar": ("name uid role=False", "frozen"),
     "types.TSym": ("name", "frozen"),
-    "types.TAbs": ("var kind body", "frozen"),
+    "types.TAbs": ("var body", "frozen"),
     "types.TApp": ("ctor arg", "frozen"),
-    "types.TInter": ("items", "frozen"),
-    "types.TFun": ("params result", "frozen"),
     "types.TVoid": ("", "frozen"),
     "types.TBottom": ("roles", "frozen"),
 }
@@ -212,11 +207,21 @@ def test_statement_chains_compare_in_a_loop(recursion_limit_1000):
     assert L.LExpStm(L.LName("x"), None) != L.LExpStm(L.LName("x"), L.LNil())
 
 
+def test_repr_follows_a_statement_chain_in_a_loop(recursion_limit_1000):
+    stms = [L.LExpStm(L.LName(f"x{i}"), None) for i in range(5000)]
+    chain = L.link(stms + [L.LIf(L.LName("g"), L.LNil(), None, L.LReturn(L.LLit(1)))])
+    assert repr(chain) == (
+        "".join(f"LExpStm(exp=LName(ident='x{i}'), cont=" for i in range(5000))
+        + "LIf(guard=LName(ident='g'), then=LNil(), orelse=None, cont=LReturn(value=LLit(value=1)))"
+        + ")" * 5000)
+
+
 def test_type_terms_and_spans_compare_by_fields_hash_and_are_read_only():
     src = SourceFile("a", "xy")
     pairs = [(T.TApp(T.TSym("List"), T.TVar("A", 1, True)),
               T.TApp(T.TSym("List"), T.TVar("A", 1, True))),
-             (T.RoleKind(), T.RoleKind()), (Span(src, 0, 1), Span(SourceFile("a", "xy"), 0, 1))]
+             (T.TAbs(T.TVar("X", 2, True), T.TSym("C")), T.TAbs(T.TVar("X", 2, True), T.TSym("C"))),
+             (Span(src, 0, 1), Span(SourceFile("a", "xy"), 0, 1))]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b) and a is not b
     assert T.TVar("A", 1) != T.TVar("A", 2) and T.TSym("A") != T.TVar("A", 1)
@@ -278,10 +283,7 @@ REPRS = [
     "LExpStm(exp=LBinary(left=LLit(value='a'), op='+', right=LLit(value=None)), cont=LNil())",
     "LocalProgram(units=[LocalUnit(generated_name='C_A', source_name='C', role='A', decl=LEnum(annotations=[], modifiers=['public'], name='C_A', cases=['X']))])",
     "TApp(ctor=TApp(ctor=TSym(name='List'), arg=TVar(name='A', uid=3, role=True)), arg=TBottom(roles=('A',)))",
-    'StarKind(bound=None)',
-    'RoleKind()',
-    "CtorKind(var='X', param=RoleKind(), result=StarKind(bound=TVoid()))",
-    "TFun(params=(TSym(name='Integer'),), result=TInter(items=(TSym(name='A'), TSym(name='B'))))",
+    "TAbs(var=TVar(name='X', uid=2, role=True), body=TSym(name='C'))",
     "Scope(roles={'A': TVar(name='A', uid=1, role=True)}, types={})",
     "FTPInfo(name='T', var=TVar(name='T', uid=2, role=False), role_binders=[], bound_tes=[], node=None, bound_ctors=[])",
     "Diagnostic(code=<Code.TypeMismatch: 'TypeMismatch'>, span=a.chor:2:3, message='m', severity=<Severity.ERROR: 'error'>, expecting='Integer', found=None)",
@@ -312,8 +314,7 @@ def test_reprs_are_unchanged():
         L.LocalProgram([L.LocalUnit("C_A", "C", "A", L.LEnum([], ["public"], "C_A", ["X"]))],
                        facts=object()),
         T.TApp(T.TApp(T.TSym("List"), T.TVar("A", 3, True)), T.TBottom(("A",))),
-        T.StarKind(), T.RoleKind(), T.CtorKind("X", T.ROLE_KIND, T.StarKind(T.TVoid())),
-        T.TFun((T.TSym("Integer"),), T.TInter((T.TSym("A"), T.TSym("B")))),
+        T.TAbs(T.TVar("X", 2, True), T.TSym("C")),
         C.Scope({"A": T.TVar("A", 1, True)}, {}),
         C.FTPInfo("T", T.TVar("T", 2), [], []),
         Diagnostic(Code.TypeMismatch, sp, "m", expecting="Integer"),

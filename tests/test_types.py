@@ -1,38 +1,39 @@
-"""Kind and type machinery: reduction, substitution, equality, kinding."""
+"""Type machinery: reduction, substitution, equality; well-formed type expressions."""
 
-from conftest import compile_ok, supertypes
+import pytest
+from conftest import compile_ok, compile_text, supertypes
 
-from choreo.checker import KindError
+from choreo.diagnostics import Code
 from choreo.types import (
-    ROLE_KIND, RoleKind, StarKind, TAbs, TSym, TVar, app, fresh_var, pretty,
-    reduce_type, roles_of_type, spine, substitute, type_equal,
+    TAbs, TSym, app, fresh_var, pretty, reduce_type, roles_of_type, spine,
+    substitute, type_equal,
 )
 
 
 def test_identity_abstraction_reduces():
     x = fresh_var("X", role=True)
     a = fresh_var("A", role=True)
-    ident = TAbs(x, ROLE_KIND, x)
+    ident = TAbs(x, x)
     assert reduce_type(app(ident, a)) == a
 
 
 def test_reduce_is_idempotent():
     x = fresh_var("X", role=True)
-    t = app(TAbs(x, ROLE_KIND, app(TSym("List"), x)), fresh_var("A", role=True))
+    t = app(TAbs(x, app(TSym("List"), x)), fresh_var("A", role=True))
     once = reduce_type(t)
     assert reduce_type(once) == once
 
 
 def test_eta_contraction():
     x = fresh_var("X", role=True)
-    t = TAbs(x, ROLE_KIND, app(TSym("Choice"), x))
+    t = TAbs(x, app(TSym("Choice"), x))
     assert reduce_type(t) == TSym("Choice")
 
 
 def test_substitution_is_capture_avoiding():
     x = fresh_var("X", role=True)
     y = fresh_var("Y", role=True)
-    body = TAbs(y, ROLE_KIND, app(TSym("P"), x, y))
+    body = TAbs(y, app(TSym("P"), x, y))
     out = substitute(body, {x.uid: y})
     out = reduce_type(app(out, fresh_var("Z", role=True)))
     head, args = spine(out)
@@ -43,8 +44,8 @@ def test_substitution_is_capture_avoiding():
 
 def test_alpha_equality():
     x, y = fresh_var("X", role=True), fresh_var("Y", role=True)
-    a = TAbs(x, ROLE_KIND, app(TSym("L"), x))
-    b = TAbs(y, ROLE_KIND, app(TSym("L"), y))
+    a = TAbs(x, app(TSym("L"), x))
+    b = TAbs(y, app(TSym("L"), y))
     assert type_equal(a, b)
 
 
@@ -60,47 +61,58 @@ def test_pretty_forms():
     assert pretty(app(TSym("SymChannel"), b, a, TSym("T"))) == "SymChannel@(B, A)<T>"
 
 
-# ------------------------------------------------------------ kinding
+# ------------------------------------------------- well-formed type expressions
 
-def test_bare_role_kinds_to_role_kind():
-    checked = compile_ok("class C@A { }")
-    ck = checked._checker
-    theta = ck.kind_env()
-    role = checked.decl_info("C").role_vars[0]
-    assert isinstance(ck.kind_of(theta, role), RoleKind)
+# Where a type expression is written; ``{s}`` is the type under test. The
+# first five are member types, the last three are in method bodies.
+POSITIONS = {
+    "field": "class C@A<T@X> {{ {s} f; }}",
+    "parameter": "class C@A<T@X> {{ void m({s} p) {{ }} }}",
+    "return": "class C@A<T@X> {{ {s} m() {{ return null@A; }} }}",
+    "bound": "class C@A<T@X> {{ <S@Y extends {s}> void m() {{ }} }}",
+    "supertype": "class C@A<T@X> {{ }} class E@A<T@X> extends {s} {{ }}",
+    "local": "class C@A<T@X> {{ void m() {{ {s} x = null@A; }} }}",
+    "new": "class C@A<T@X> {{ void m() {{ new C@A<{s}>(); }} }}",
+    "call": "class C@A<T@X> {{ <S@Y> void f() {{ }} void m() {{ this.<{s}>f(); }} }}",
+}
+# A type variable given a type argument; a generic declaration given none,
+# as an argument and as the argument of an argument; a declaration whose
+# roles do not fit its formal and that is given no type argument; a type
+# variable given a role too many.
+ILL_FORMED = ["T@A<String>", "C@A<List>", "C@A<List<List>>", "C@A<DiDataChannel>", "T@(A, B)"]
 
 
-def test_integer_applied_to_role_has_declared_bound():
-    checked = compile_ok("class C@B { }")
-    ck = checked._checker
-    theta = ck.kind_env()
-    b = checked.decl_info("C").role_vars[0]
-    kind = ck.kind_of(theta, app(TSym("Integer"), b))
-    assert isinstance(kind, StarKind)
-    assert pretty(kind.bound) == "Number@B"
+@pytest.mark.parametrize("shape", ILL_FORMED)
+@pytest.mark.parametrize("position", POSITIONS)
+def test_an_ill_formed_type_is_reported_once_wherever_it_is_written(position, shape):
+    _, reporter = compile_text(POSITIONS[position].format(s=shape))
+    assert [d.code for d in reporter.items] == [Code.KindMismatch]
 
 
-def test_channel_fully_applied_kinds_to_star():
-    checked = compile_ok("class C@(A, B) { DiDataChannel@(A, B)<String> ch; }")
-    ck = checked._checker
-    theta = ck.kind_env()
-    a, b = checked.decl_info("C").role_vars
-    t = app(TSym("DiDataChannel"), a, b, TSym("String"))
-    assert isinstance(ck.kind_of(theta, t), StarKind)
+@pytest.mark.parametrize("position", POSITIONS)
+def test_the_well_formed_types_check_wherever_they_are_written(position):
+    for shape in ["C@A<List<String>>", "C@A<T>", "T@A", "C@A<ArrayList<Integer>>"]:
+        compile_ok(POSITIONS[position].format(s=shape))
+
+
+def test_a_type_argument_count_is_reported_at_the_innermost_type():
+    text = POSITIONS["local"].format(s="C@A<List<List>>")
+    _, reporter = compile_text(text)
+    assert [(d.span.col, d.message) for d in reporter.items] == [
+        (text.index("List>") + 1, "'List' takes 1 type argument(s), 0 given.")]
+    _, reporter = compile_text(POSITIONS["field"].format(s="T@A<String>"))
+    assert [d.message for d in reporter.items] == ["'T' takes 0 type argument(s), 1 given."]
+    # A call's type argument is an argument too, before it is fitted to
+    # the method's formal.
+    _, reporter = compile_text(POSITIONS["call"].format(s="List"))
+    assert [d.message for d in reporter.items] == ["'List' takes 1 type argument(s), 0 given."]
 
 
 def test_kind_mismatch_is_detected():
-    checked = compile_ok("class C@(A, B) { }")
-    ck = checked._checker
-    theta = ck.kind_env()
-    a, b = checked.decl_info("C").role_vars
-    # String expects one role; applying it twice is a kind error.
-    try:
-        ck.kind_of(theta, app(TSym("String"), a, b))
-    except KindError:
-        pass
-    else:
-        raise AssertionError("expected a kind error")
+    # String takes one role; applying it to two is a kind error.
+    _, reporter = compile_text("class C@(A, B) { String@(A, B) f; }")
+    assert [(d.code, d.message) for d in reporter.items] == [
+        (Code.KindMismatch, "'String' takes 1 role parameter(s), 2 given.")]
 
 
 def test_bidata_channel_parents_swap_roles():
