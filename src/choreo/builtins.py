@@ -116,6 +116,9 @@ def binary_value(op, left, right):
     if op == "+" and (isinstance(left, str) or isinstance(right, str)):
         # The checker lets ``+`` join two Strings; either may be null.
         return display(left) + display(right)
+    if left is None or right is None:
+        # Java unboxes the operands of arithmetic and comparison.
+        raise ChoreoRuntimeError(f"NullPointerException: null operand of '{op}'")
     if op == "/" and isinstance(left, int) and not isinstance(left, bool):
         return java_div(left, right)
     if op == "%" and isinstance(left, int) and not isinstance(left, bool):

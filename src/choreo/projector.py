@@ -10,7 +10,15 @@ conditionals (merge of branch projections at non-guard roles) and selections
 projects through its handler in ``STM`` or ``EXP``; a statement chain is
 projected in a loop along ``cont``, so it takes Python stack per level of
 nesting, not per statement.
-"""
+
+An expression statement, a declaration or an assignment is projected only at
+its acting roles (``ACTING``), worked out once per statement and projection:
+the roles where it leaves something. Every other role skips it without
+calling its handler, so a role pays only for the statements it takes part
+in. Nodes are built in unit-normal form (``merging.normalize_stm``): a
+single effectful part of a unit residue stands for itself, and a statement
+whose expression is a no-op is left out, so no pass re-normalises the
+projection."""
 
 from __future__ import annotations
 
@@ -23,7 +31,7 @@ from .local import (
     LUnit, LUnitCall, LVarDecl, LocalProgram, LocalUnit, link, stm_list,
 )
 # The benchmark's tracer wraps ``merge_stm`` and ``big_merge`` in this module.
-from .merging import MergeError, big_merge, is_noop, merge_stm, normalize_exp, normalize_stm
+from .merging import MergeError, big_merge, is_noop, merge_stm
 from .printer import render_inline, render_te
 from .record import record
 from .types import TAbs, TSym, TVar, TVoid, spine
@@ -100,6 +108,8 @@ class Projector:
     def __post_init__(self):
         self.checker = self.checked._checker
         self.table = self.checked.table
+        self.acting = {}  # id(Stm) -> the roles at which it can project to something
+        self.selections = {}  # id(ExpStm) of a selection -> (receiving role, label)
 
     # -------------------------------------------------------------- units
 
@@ -147,7 +157,9 @@ class Projector:
         return LocalUnit(gen, info.name, role, decl)
 
     def project_te(self, te, role):
-        return project_type(self.checker, self.checked.te_type(te), role)
+        if role in self.checked.type_roles(te):
+            return project_type(self.checker, self.checked.te_type(te), role)
+        return LTE("void" if isinstance(self.checked.te_type(te), TVoid) else "Unit")
 
     def project_ftps(self, ftps):
         out = []
@@ -179,7 +191,7 @@ class Projector:
         params = [LParam(self.project_te(p.te, role), p.name) for p in node.params]
         ret = None if node.is_constructor else self.project_te(node.return_te, role)
         name = gen_class_name if node.is_constructor else node.name
-        body = normalize_stm(self.project_stm(node.body, role))
+        body = self.project_stm(node.body, role)
         return LMethod(annotations, list(node.modifiers), self.project_ftps(mi.ftps),
                        ret, name, params, body, node.is_constructor)
 
@@ -188,13 +200,24 @@ class Projector:
     def project_stm(self, stm, role):
         """The projection at ``role`` of the chain from ``stm``: each
         statement's own projection (``STM``), linked back to front. A
-        selection at ``role`` takes the rest of the chain as the body of its
-        one case. After a merged conditional that returns or throws, the rest
-        is still projected, for its diagnostics, and dropped as unreachable."""
+        statement whose acting roles (``ACTING``) leave out ``role`` is
+        skipped. A selection at ``role`` takes the rest of the chain as the
+        body of its one case. After a merged conditional that returns or
+        throws, the rest is still projected, for its diagnostics, and dropped
+        as unreachable."""
+        acting = self.acting
         opened = []  # per selection: the statements up to and including its switch
         out = []
         ended = False
         while stm is not None:
+            acts = ACTING.get(type(stm))
+            if acts is not None:
+                roles = acting.get(id(stm))
+                if roles is None:
+                    roles = acting[id(stm)] = acts(self, stm)
+                if role not in roles:
+                    stm = stm.cont
+                    continue
             got = STM[type(stm)](self, stm, role)
             if got is None or ended:
                 pass
@@ -225,7 +248,7 @@ class Projector:
         except MergeError as e:
             self.merge_failure(stm, role, e)
             raise ProjectionFailed()
-        guard = normalize_exp(self.project_exp(stm.guard, role))
+        guard = self.project_exp(stm.guard, role)
         out = [] if is_noop(guard) else [LExpStm(guard, None)]
         out += stm_list(merged)  # new nodes, which ``link`` may relink
         if out and type(out[-1]) not in (LReturn, LThrow):
@@ -250,32 +273,53 @@ class Projector:
             f"'{left}' against '{right}'. The roles taking the decision must "
             f"inform '{role}' via a selection.")
 
-    def selection_label(self, exp, role):
-        """Case label when the selection rule fires at this role, else None."""
+    def selection(self, exp):
+        """(receiving role, label) when ``exp`` is a selection, else None.
+        The label is None when the argument is not a literal enum case."""
         if not isinstance(exp, S.Call):
             return None
         res = self.checked.resolved.get(id(exp))
-        if not res or res[0] != "call":
+        if not res or res[0] != "call" or res[1].annotation("SelectionMethod") is None:
             return None
-        mi = res[1]
-        if mi.annotation("SelectionMethod") is None:
+        roles = self.checked.type_roles(exp)
+        if len(roles) != 1:
             return None
-        if self.checked.type_roles(exp) != {role}:
-            return None
+        label = None
         if len(exp.args) == 1:
             arg = exp.args[0]
             if isinstance(arg, S.FieldAcc) and isinstance(arg.scope, S.StaticRef):
-                return arg.name
-        self.reporter.error(
-            Code.BadSelectionAnnotation, exp.span,
-            "selection labels must be literal enum-case accesses so receivers "
-            "can branch on them.")
-        raise ProjectionFailed()
+                label = arg.name
+        return next(iter(roles)), label
+
+    def selection_label(self, stm, role):
+        """Case label of the selection ``stm`` when ``role`` receives it, else None."""
+        receiver, label = self.selections.get(id(stm), (None, None))
+        if receiver != role:
+            return None
+        if label is None:
+            self.reporter.error(
+                Code.BadSelectionAnnotation, stm.exp.span,
+                "selection labels must be literal enum-case accesses so receivers "
+                "can branch on them.")
+            raise ProjectionFailed()
+        return label
 
     # ---------------------------------------------------------- expressions
 
     def project_exp(self, exp, role):
         return EXP[type(exp)](self, exp, role)
+
+    def effect_roles(self, exp):
+        """The roles at which the projection of ``exp`` is not a no-op
+        (``is_noop``): a field access has those of its scope, a name or a
+        class reference none, a literal its own unless it is null."""
+        while type(exp) is S.FieldAcc:
+            exp = exp.scope
+        if type(exp) is S.Literal:
+            return NO_ROLES if exp.value is None else frozenset(exp.roles)
+        if type(exp) in (S.Name, S.StaticRef):
+            return NO_ROLES
+        return self.checked.roles_of(exp)
 
     def signature_roles(self, mi):
         """Roles mentioned by a method's parameter and return types."""
@@ -298,46 +342,76 @@ class Projector:
         return f"{class_name}_{suffix}"
 
     def unit_residue(self, args):
-        """Unit.id(...) over the effectful residue; discardable parts drop
-        here so the normaliser's single-argument collapse only ever carries
-        genuine payloads."""
+        """Unit.id(...) over the effectful parts, in normal form: discardable
+        parts drop, and a single effectful part stands for itself, as the
+        payload nested coms carry."""
         effectful = [a for a in args if not is_noop(a)]
-        if not effectful:
-            return LUnit()
-        return LUnitCall(effectful)
+        if len(effectful) == 1:
+            return effectful[0]
+        return LUnitCall(effectful) if effectful else LUnit()
+
+
+# The roles at which a statement can project to something, its acting roles:
+# ``ACTING`` holds, per statement class whose projection can be nothing, a
+# function ``f(projector, stm)`` that works them out, once per projection
+# (``Projector.acting``). A statement of any other class acts at every role.
+
+NO_ROLES = frozenset()
+
+
+def _exp_stm_acting(p, stm):
+    roles = p.effect_roles(stm.exp)
+    selection = p.selection(stm.exp)
+    if selection is None:
+        return roles
+    p.selections[id(stm)] = selection
+    return roles | {selection[0]}
+
+
+def _var_decl_acting(p, stm):
+    roles = p.checked.type_roles(stm.te)
+    return roles if stm.init is None else roles | p.effect_roles(stm.init)
+
+
+def _assign_acting(p, stm):
+    return (p.checked.type_roles(stm.target) | p.effect_roles(stm.target)
+            | p.effect_roles(stm.value))
+
+
+ACTING = {S.ExpStm: _exp_stm_acting, S.VarDecl: _var_decl_acting, S.Assign: _assign_acting}
 
 
 # Each statement handler ``f(projector, stm, role)`` returns the projection of
-# ``stm`` alone, with its ``cont`` unset, or None when ``stm`` projects to
-# nothing at ``role``; a merged conditional gives a list (``merged``).
+# ``stm`` alone, with its ``cont`` unset and in unit-normal form
+# (``merging.normalize_stm``), or None when ``stm`` projects to nothing at
+# ``role``; a merged conditional gives a list (``merged``).
+
+def _effect(exp):
+    """An expression statement of ``exp``, or None when it is a no-op."""
+    return None if is_noop(exp) else LExpStm(exp, None)
+
 
 def _exp_stm(p, stm, role):
-    label = p.selection_label(stm.exp, role)
+    label = p.selection_label(stm, role)
     if label is not None:  # the case's body is set by ``project_stm``
         return LSwitch(p.project_exp(stm.exp, role), [(label, None)],
                        LThrow(UNEXPECTED_LABEL), LNil())
-    if role in p.checked.roles_of(stm.exp):
-        return LExpStm(p.project_exp(stm.exp, role), None)
-    return None
+    return _effect(p.project_exp(stm.exp, role))
 
 
 def _var_decl(p, stm, role):
     if role in p.checked.type_roles(stm.te):
         init = p.project_exp(stm.init, role) if stm.init is not None else None
         return LVarDecl(p.project_te(stm.te, role), stm.name, init, None)
-    if stm.init is not None and role in p.checked.roles_of(stm.init):
-        return LExpStm(p.project_exp(stm.init, role), None)
-    return None
+    return _effect(p.project_exp(stm.init, role))  # it acts here, so it has an init
 
 
 def _assign(p, stm, role):
     if role in p.checked.type_roles(stm.target):
         return LAssign(p.project_exp(stm.target, role), stm.op,
                        p.project_exp(stm.value, role), None)
-    if role in p.checked.roles_of(stm.target) | p.checked.roles_of(stm.value):
-        return LExpStm(LUnitCall([p.project_exp(stm.target, role),
-                                  p.project_exp(stm.value, role)]), None)
-    return None
+    return _effect(p.unit_residue([p.project_exp(stm.target, role),
+                                   p.project_exp(stm.value, role)]))
 
 
 def _if(p, stm, role):

@@ -5,6 +5,8 @@ import hashlib
 import sys
 import time
 
+import pytest
+
 from conftest import compile_ok, compile_text, perfbench_gen
 
 from choreo.corpus import corpus_root, positive_entries
@@ -800,6 +802,22 @@ def test_a_null_string_prints_and_joins_as_java_does():
     assert cmp.equal, cmp.summary()
     assert cmp.global_report.returns == {"A": "null!"}
     assert cmp.global_report.transcripts == {"A": ["null", "xnull", "nullx"]}
+
+
+@pytest.mark.parametrize("body", [
+    "Integer@A x = null@A; Integer@A y = 1@A; return x + y;",
+    "Integer@A x = null@A; if (x < 2@A) { return 1@A; } return 0@A;",
+    # Java joins two null Strings into "nullnull"; a value does not carry
+    # its static type, so both evaluators take this ``+`` as arithmetic.
+    "String@A s = null@A; String@A t = null@A; System@A.out.println(s + t); return 0@A;",
+])
+def test_a_null_operand_is_a_null_pointer_exception_in_both_evaluators(body):
+    checked = compile_ok("class C@A { public static Integer@A go() { %s } }" % body)
+    cmp = differential_run(checked, "C", "go", local_program=project_ok(checked))
+    reports = (cmp.global_report, cmp.distributed_report)
+    assert [r.status for r in reports] == ["error", "error"]
+    for report in reports:
+        assert "NullPointerException" in report.error and "panic:" not in report.error
 
 
 def run_local(*texts, channels=None):

@@ -1,14 +1,20 @@
 """Projection: golden listings, type-expression cases, erasure, printing."""
 
+import functools
+import hashlib
+
 import pytest
 from conftest import compile_ok, compile_text, perfbench_gen
 
+from choreo import projector
 from choreo import surface as S
 from choreo.diagnostics import Code, Reporter
+from choreo.differential import RunSpec, differential_run
 from choreo.local import (
     LClass, LEnum, LInterface, LSwitch, LThrow, LocalUnit, stm_list,
 )
 from choreo.local_reader import parse_local_unit
+from choreo.merging import normalize_stm
 from choreo.printer import render_te, render_unit
 from choreo.projector import Projector, generated_name, project_program, project_type
 from choreo.types import TSym, app
@@ -467,3 +473,81 @@ def test_round_trip_compiled_listing_keeps_nested_coms(corpus_compiled):
     assert render_stm(rt_b.body, 0) == ["return chBA.<T>com(chAB.<T>com(Unit.id));"]
     assert [render_te(p.te) for p in rt_b.params] == \
         ["DiDataChannel_B<T>", "DiDataChannel_A<T>", "Unit"]
+
+
+# ------------------------------------------------------------ many roles
+
+@functools.lru_cache(maxsize=None)
+def distauth(n):
+    """``DistAuth<n>`` from the benchmark's generator, checked."""
+    return compile_ok(perfbench_gen().distauth_source(n), f"DistAuth{n}.chor")
+
+
+def project_ok_checked(checked):
+    units, reporter = project_program(checked, Reporter())
+    assert not reporter.has_errors(), "\n".join(d.render() for d in reporter.errors)
+    return units
+
+
+def test_statement_handler_calls_grow_linearly_with_roles(monkeypatch):
+    # A role skips every statement that projects to nothing there, without
+    # calling its handler, so the calls grow with the program, not with the
+    # program times its roles.
+    calls = []
+    for cls, handler in projector.STM.items():
+        def counted(p, stm, role, handler=handler):
+            calls.append(cls)
+            return handler(p, stm, role)
+        monkeypatch.setitem(projector.STM, cls, counted)
+    counts = []
+    for n in (20, 40, 80):
+        calls.clear()
+        project_ok_checked(distauth(n))
+        counts.append(len(calls))
+    assert all(later <= 2.1 * earlier for earlier, later in zip(counts, counts[1:])), counts
+
+
+def method_bodies(units):
+    for unit in units.units:
+        decl = unit.decl
+        for m in getattr(decl, "constructors", []) + getattr(decl, "methods", []):
+            if m.body is not None:
+                yield unit.generated_name, m.name, m.body
+
+
+def test_projected_bodies_are_unit_normal(corpus_compiled):
+    # The projector builds normal forms directly, with no normalising pass.
+    programs = [units for _, _, units in corpus_compiled.values()]
+    programs += [project_ok_checked(distauth(n)) for n in (*range(2, 21), 40)]
+    count = 0
+    for units in programs:
+        for unit, method, body in method_bodies(units):
+            assert normalize_stm(body) == body, (unit, method)
+            count += 1
+    assert count > 1000
+
+
+# The SHA-256 of the rendered units of DistAuth40 and DistAuth80, which no
+# change to how fast the projector works may alter.
+RENDERED = {
+    40: "f4f01953a6227e0ea9f8d35cef1a5f0958693361d54b0bdd7b16ec9d7c6742a9",
+    80: "68b112c364f423b868975ed021d76763a5a86d08f6c61391d79d7113d7adafd8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RENDERED))
+def test_many_role_units_render_as_recorded(n):
+    units = project_ok_checked(distauth(n))
+    assert len(units.units) == n + 3
+    text = "".join(render_unit(unit) for unit in units.units)
+    assert hashlib.sha256(text.encode()).hexdigest() == RENDERED[n]
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+def test_distauth40_runs_alike_in_both_evaluators(valid):
+    gen = perfbench_gen()
+    run = RunSpec(**gen.distauth_run(40, valid))
+    cmp = differential_run(distauth(40), run.entry_class, run.entry_method, run.args,
+                           run.channels, run.deadline)
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.transcripts == gen.distauth_transcripts(40, valid)

@@ -1,6 +1,7 @@
 """The scripts under ``tools/``."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 import types
@@ -31,6 +32,19 @@ def test_ab_compares_this_checkout_with_itself_for_one_round():
         ["compile", "compile"], ["compile", "oracle"], ["compile", "run"]]
     for line in lines:
         assert " ratio " in line and line.endswith(" inputs x 1 rounds"), line
+        assert re.search(r"  p90\+ ratio \d+\.\d{3} \(\d+ inputs\)  ", line), line
+
+
+def test_ab_reports_the_ratio_of_the_slowest_inputs_apart():
+    # Ten inputs, the slowest of which alone runs in half the parent's time:
+    # the median ratio hides it, the p90+ ratio is its ratio.
+    ab = load_ab()
+    times = {f"in{i}": {stage: {"parent": [ms / 1e3], "change": [ms / 1e3]}
+                        for stage in ab.STAGES} for i, ms in enumerate(range(1, 11))}
+    times["in9"]["compile"]["change"] = [0.005]
+    line = ab.report("compile", times, 1)[0]
+    assert " ratio 1.000 (q1 1.000, q3 1.000)  p90+ ratio 0.500 (1 inputs)  " in line, line
+    assert line.endswith("  10 inputs x 1 rounds"), line
 
 
 def test_ab_times_the_startup_of_this_checkout_against_itself_for_two_rounds():

@@ -29,7 +29,10 @@ renders as one that ends in ``LNil()`` does, but merges differently) and give
 the same reports.
 The script prints, per workload and stage, each side's median time and the
 median over inputs of each input's median change/parent ratio, with that
-ratio's quartiles over inputs.
+ratio's quartiles over inputs. As ``p90+ ratio``, it also prints the median
+of those ratios over the slowest inputs: those whose median parent time is
+at or above the 90th percentile of the inputs' median parent times, where a
+gain on the largest inputs shows that the median over all of them hides.
 
 With ``--startup``, each round instead starts one fresh process per side,
 in an order that alternates from round to round, which imports the copied
@@ -203,6 +206,15 @@ def quartiles(values):
     return q1, q3
 
 
+def slowest_decile(parent_ms):
+    """The indices of the inputs whose parent time is at or above the 90th
+    percentile of all the inputs' parent times."""
+    if len(parent_ms) < 2:
+        return list(range(len(parent_ms)))
+    p90 = statistics.quantiles(parent_ms, n=10, method="inclusive")[-1]
+    return [i for i, ms in enumerate(parent_ms) if ms >= p90]
+
+
 def report(workload, times, rounds):
     lines = []
     for stage in STAGES:
@@ -211,9 +223,12 @@ def report(workload, times, rounds):
                   for t in timed]
         ms = {side: 1e3 * statistics.median(v for t in timed for v in t[side]) for side in SIDES}
         q1, q3 = quartiles(ratios)
+        slowest = slowest_decile([statistics.median(t["parent"]) for t in timed])
+        slow_ratio = statistics.median(ratios[i] for i in slowest)
         lines.append(f"{workload:8} {stage:7} parent {ms['parent']:8.3f} ms  change "
                      f"{ms['change']:8.3f} ms  ratio {statistics.median(ratios):.3f} "
-                     f"(q1 {q1:.3f}, q3 {q3:.3f})  {len(timed)} inputs x {rounds} rounds")
+                     f"(q1 {q1:.3f}, q3 {q3:.3f})  p90+ ratio {slow_ratio:.3f} "
+                     f"({len(slowest)} inputs)  {len(timed)} inputs x {rounds} rounds")
     return lines
 
 
