@@ -11,7 +11,7 @@ from .differential import Comparison, RunSpec, differential_run, load_manifest
 from .distributed import eval_distributed
 from .interpreter import ExecutionReport, eval_global
 from .merging import MergeError, big_merge, merge_stm, normalize_exp, normalize_stm
-from .parser import desugar_chain, desugar_program, expand_literal_lists, parse_program
+from .parser import parse_program
 from .pipeline import compile_files, compile_sources, front_end, load_prelude
 from .printer import render_unit
 from .projector import ProjectionFailed, project_program, project_type, project_type_name
@@ -26,8 +26,8 @@ __all__ = [
     "CheckedProgram", "check_program", "Code", "Diagnostic", "Reporter",
     "Severity", "Comparison", "RunSpec", "differential_run", "load_manifest",
     "eval_distributed", "ExecutionReport", "eval_global", "MergeError",
-    "big_merge", "merge_stm", "normalize_exp", "normalize_stm", "desugar_chain",
-    "desugar_program", "expand_literal_lists", "parse_program", "compile_files",
+    "big_merge", "merge_stm", "normalize_exp", "normalize_stm",
+    "parse_program", "compile_files",
     "compile_sources", "front_end", "load_prelude", "render_unit",
     "ProjectionFailed", "project_program", "project_type", "project_type_name",
     "UNIT", "AssertionFailure", "ChannelEndpoint", "ChannelRegistry",

@@ -102,6 +102,13 @@ _ARITH_AND_COMPARE = {
 }
 
 
+def not_null(value, op):
+    """``value``, an operand of ``op``, which Java unboxes: null raises."""
+    if value is None:
+        raise ChoreoRuntimeError(f"NullPointerException: null operand of '{op}'")
+    return value
+
+
 def binary_value(op, left, right):
     """Value of a strict binary operator, shared by both evaluators."""
     if op == "==":
@@ -111,14 +118,14 @@ def binary_value(op, left, right):
     # Unit residue from projection: evaluate for effects, produce unit.
     if is_unit(left) or is_unit(right):
         return UNIT
-    if op in ("&", "|"):
-        return (left and right) if op == "&" else (left or right)
     if op == "+" and (isinstance(left, str) or isinstance(right, str)):
         # The checker lets ``+`` join two Strings; either may be null.
         return display(left) + display(right)
     if left is None or right is None:
-        # Java unboxes the operands of arithmetic and comparison.
+        # Java unboxes the operands of arithmetic, comparison and logic.
         raise ChoreoRuntimeError(f"NullPointerException: null operand of '{op}'")
+    if op in ("&", "|"):
+        return (left and right) if op == "&" else (left or right)
     if op == "/" and isinstance(left, int) and not isinstance(left, bool):
         return java_div(left, right)
     if op == "%" and isinstance(left, int) and not isinstance(left, bool):

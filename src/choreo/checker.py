@@ -1020,10 +1020,6 @@ class Checker:
             return self.synth_new(ctx, gamma, exp)
         if isinstance(exp, S.Binary):
             return self.synth_binary(ctx, gamma, exp)
-        if isinstance(exp, S.Chain):
-            self.reporter.error(Code.InternalError, exp.span,
-                                "chains must be desugared before checking.")
-            return None
         raise TypeError(f"_synth: {exp!r}")
 
     def synth_literal(self, ctx, exp):

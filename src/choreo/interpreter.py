@@ -30,7 +30,9 @@ import time
 from types import GeneratorType
 
 from . import surface as S
-from .builtins import NO_METHODS, Builtins, Console, PrintStreamV, binary_value, method_table
+from .builtins import (
+    NO_METHODS, Builtins, Console, PrintStreamV, binary_value, method_table, not_null,
+)
 from .local import (
     LAssign, LBinary, LBlock, LCall, LExpStm, LFieldAcc, LIf, LLit, LName, LNew,
     LNil, LReturn, LStaticName, LSwitch, LThrow, LTryCatch, LUnit, LUnitCall, LVarDecl,
@@ -193,8 +195,12 @@ class Evaluator(Builtins):
             if kind is BLOCK:
                 step = step.body or link(step, "body")
             elif kind is IF:
-                step = (step.then or link(step, "then")) if value is True else (
-                    step.orelse or link(step, "orelse"))
+                if value is True:
+                    step = step.then or link(step, "then")
+                elif value is None:
+                    raise ChoreoRuntimeError("NullPointerException: null guard of 'if'")
+                else:
+                    step = step.orelse or link(step, "orelse")
             else:
                 step = step.arms.get(value.case) or self._arm(step, value.case)
 
@@ -459,8 +465,8 @@ def _binary(op, left, right):
         def logical(ev, fr, op=op, left=left, right=right, stop=op == "||"):
             value = left(ev, fr)
             if value is True or value is False:
-                return value if value is stop else right(ev, fr)
-            return binary_value(op, value, right(ev, fr))
+                return value if value is stop else not_null(right(ev, fr), op)
+            return binary_value(op, not_null(value, op), right(ev, fr))
         return logical
     return lambda ev, fr, op=op, left=left, right=right: binary_value(
         op, left(ev, fr), right(ev, fr))
@@ -525,13 +531,15 @@ def _binary_g(op, left, right):
         logical = logic and (lvalue is True or lvalue is False)
         if logical and lvalue is stop:
             return lvalue
+        if logic:
+            not_null(lvalue, op)  # before the right operand runs, as Java unboxes it
         if rflag == DEEP:
             rvalue = yield from right(ev, fr)
         else:
             rvalue = right(ev, fr)
             if type(rvalue) is GeneratorType:
                 rvalue = yield rvalue
-        return rvalue if logical else binary_value(op, lvalue, rvalue)
+        return not_null(rvalue, op) if logical else binary_value(op, lvalue, rvalue)
     return binary
 
 

@@ -1,8 +1,10 @@
 """Recursive-descent parser for ``.chor`` sources.
 
-Also houses the two desugaring passes: forward-chain elimination
-(``a >> obj::<T>m`` becomes ``obj.<T>m(a)``) and expansion of
-``lit@[R1,..,Rn]`` literal lists into one located literal per role.
+It builds the desugared tree directly: a forward chain ``a >> obj::<T>m``
+is parsed as the call ``obj.<T>m(a)``, and a literal list
+``lit@[R1,..,Rn]`` in an argument position as n located literals, one per
+role. A literal list anywhere else is reported, once every source has
+parsed, and keeps its first role.
 
 A ``local_mode`` flag reuses the grammar for the role-free local language
 (no role annotations on literals or names, ``throw`` allowed); ``local_reader``
@@ -82,6 +84,7 @@ class Parser:
         self.ts = _Stream(lex(source))
         self.reporter = reporter
         self.local_mode = local_mode
+        self.role_lists = {}  # literal parsed from lit@[R1,..,Rn] -> [R1,..,Rn]
 
     # ------------------------------------------------------------ helpers
 
@@ -519,17 +522,18 @@ class Parser:
     # -------------------------------------------------------- expressions
 
     def parse_exp(self):
-        first = self.parse_binary(0)
-        if not self.ts.at(">>", "op"):
-            return first
-        links = []
-        start = self.ts.peek()
+        """A binary expression, then each ``>>`` link as a call of the link
+        on what is left of it."""
+        exp = self.parse_binary(0)
         while self.ts.at(">>", "op"):
             self.ts.next()
-            links.append(self.parse_chain_link())
-        return S.Chain(Span(self.src, first.span.start, self.span_from(start).end), first, links)
+            exp = self.parse_chain_link(exp)
+        return exp
 
-    def parse_chain_link(self):
+    def parse_chain_link(self, operand):
+        """``target::<TAs>method`` or ``id@(..)<TAs>::new`` after a ``>>``:
+        the call or ``new`` of it on the one argument ``operand``, spanning
+        the link."""
         tok = self.ts.peek()
         target = None
         if tok.lexeme == "this":
@@ -553,10 +557,8 @@ class Parser:
                 if self.ts.at("::", "op") and self.ts.peek(1).lexeme == "new":
                     self.ts.next()
                     self.ts.next()
-                    return S.ChainLink(
-                        self.span_from(tok), None, type_args, "new",
-                        new_class=name_tok.lexeme, new_roles=roles,
-                    )
+                    return S.New(self.span_from(tok), name_tok.lexeme, roles, type_args,
+                                 self.arguments(operand))
                 if type_args:
                     raise self.err(self.ts.peek().span, "expected '::new' after constructor reference")
             else:
@@ -576,7 +578,7 @@ class Parser:
             self.ts.split_shr()
             self.expect(">")
         method = self.expect_ident("method name").lexeme
-        return S.ChainLink(self.span_from(tok), target, type_args, method)
+        return S.Call(self.span_from(tok), target, type_args, method, self.arguments(operand))
 
     def parse_binary(self, tier):
         """An operand followed by operators of ``tier`` or higher, by
@@ -629,11 +631,19 @@ class Parser:
         self.expect("(")
         args = []
         while not self.ts.at(")", "op"):
-            args.append(self.parse_exp())
+            args += self.arguments(self.parse_exp())
             if self.ts.at(",", "op"):
                 self.ts.next()
         self.expect(")")
         return args
+
+    def arguments(self, exp):
+        """The arguments that the argument ``exp`` stands for: one literal
+        per role when it is a literal list, else ``exp`` alone."""
+        roles = self.role_lists.pop(exp, None)
+        if roles is None:
+            return [exp]
+        return [S.Literal(exp.span, exp.value, [role]) for role in roles]
 
     def parse_atom(self):
         tok = self.ts.peek()
@@ -711,7 +721,9 @@ class Parser:
                 self.ts.next()
                 roles.append(self.expect_ident("role name").lexeme)
             self.expect("]")
-            return S.Literal(self.span_from(tok), value, roles, is_list_sugar=True)
+            literal = S.Literal(self.span_from(tok), value, roles[:1])
+            self.role_lists[literal] = roles
+            return literal
         if self.ts.at("(", "op"):
             self.ts.next()
             roles = [self.expect_ident("role name").lexeme]
@@ -729,71 +741,35 @@ class Parser:
 # ------------------------------------------------------------- public API
 
 def parse_program(sources, reporter: Reporter = None):
-    """Parse one program from (name, text) pairs or SourceFiles."""
+    """Parse one program from (name, text) pairs or SourceFiles. The
+    literal lists left out of argument positions are reported after every
+    source's syntax errors, in the order of ``surface.walk``."""
     reporter = reporter if reporter is not None else Reporter()
-    decls = []
+    decls, misplaced = [], {}
     for src in sources:
         if not isinstance(src, SourceFile):
             src = SourceFile(*src)
         try:
-            decls.extend(Parser(src, reporter).parse_program())
+            parser = Parser(src, reporter)
+            decls.extend(parser.parse_program())
+            misplaced.update(parser.role_lists)
         except DiagnosticError as e:
             reporter.add(e.diagnostic)
-    return S.SurfaceProgram(decls), reporter
-
-
-# ------------------------------------------------------------ desugaring
-
-def desugar_chain(exp):
-    """Rewrite every forward chain in ``exp`` into nested calls,
-    left-associatively, one chain at a time as the walk reaches it."""
-    exp = _unchain(exp)
-    for node in S.walk(exp):
-        if not isinstance(node, (S.Exp, S.Stm)):
-            continue  # only expressions and statements hold expressions
-        for name in S.fields_of(node):
-            value = getattr(node, name)
-            if type(value) is S.Chain:
-                setattr(node, name, _unchain(value))
-            elif type(value) is list and S.Chain in map(type, value):
-                setattr(node, name, list(map(_unchain, value)))
-    return exp
-
-
-def _unchain(exp):
-    """A chain as nested calls on its operands, which stay as they are;
-    anything else as it is."""
-    if type(exp) is not S.Chain:
-        return exp
-    acc = exp.first
-    for link in exp.links:
-        if link.method == "new":
-            acc = S.New(link.span, link.new_class, link.new_roles, list(link.type_args), [acc])
-        else:
-            acc = S.Call(link.span, link.target, list(link.type_args), link.method, [acc])
-    return acc
+    program = S.SurfaceProgram(decls)
+    if misplaced:
+        # Those in statements that a syntax error dropped are in no tree.
+        for node in S.walk(program):
+            if node in misplaced:
+                reporter.error(Code.SyntaxError, node.span,
+                               "literal role lists are only allowed in argument positions")
+    return program, reporter
 
 
 def desugar_program(program):
-    """Apply chain desugaring to every declaration in place."""
-    desugar_chain(program)
+    # A no-op, as the parser desugars; its only caller is perfbench/run.py.
     return program
 
 
 def expand_literal_lists(program, reporter: Reporter = None):
-    """Expand ``lit@[R1,..,Rn]`` arguments into n located literal arguments."""
-    reporter = reporter if reporter is not None else Reporter()
-    for node in S.walk(program):
-        if isinstance(node, (S.Call, S.New)):
-            args = []
-            for a in node.args:
-                if isinstance(a, S.Literal) and a.is_list_sugar:
-                    args.extend(S.Literal(a.span, a.value, [role]) for role in a.roles)
-                else:
-                    args.append(a)
-            node.args = args
-        elif isinstance(node, S.Literal) and node.is_list_sugar:
-            reporter.error(Code.SyntaxError, node.span,
-                           "literal role lists are only allowed in argument positions")
-            node.roles, node.is_list_sugar = node.roles[:1], False
-    return program, reporter
+    # A no-op, as the parser expands lists; its only caller is perfbench/run.py.
+    return program, reporter if reporter is not None else Reporter()

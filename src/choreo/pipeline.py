@@ -1,4 +1,5 @@
-"""End-to-end front end: prelude loading plus parse/desugar/check."""
+"""End-to-end front end: prelude loading plus parsing (which desugars) and
+checking."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from pathlib import Path
 
 from .checker import check_program
 from .diagnostics import Reporter
-from .parser import desugar_program, expand_literal_lists, parse_program
+from .parser import parse_program
 from .span import SourceFile
 
 _PRELUDE_PATH = Path(__file__).with_name("prelude.chor")
@@ -22,12 +23,11 @@ def _prelude_state():
         raise RuntimeError(
             "prelude failed to parse:\n"
             + "\n".join(d.render() for d in reporter.errors))
-    desugar_program(program)
     return program
 
 
 def load_prelude():
-    """The prelude declarations as a parsed, desugared program fragment."""
+    """The prelude declarations as a parsed program fragment."""
     return _prelude_state()
 
 
@@ -36,12 +36,10 @@ def prelude_names():
 
 
 def front_end(sources, reporter=None):
-    """Parse, desugar, and expand one program from (name, text) pairs, behind
-    the prelude declarations."""
+    """Parse one program from (name, text) pairs, behind the prelude
+    declarations."""
     reporter = reporter if reporter is not None else Reporter()
     program, reporter = parse_program(sources, reporter)
-    desugar_program(program)
-    expand_literal_lists(program, reporter)
     program.decls = list(load_prelude().decls) + program.decls
     return program, reporter
 

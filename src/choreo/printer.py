@@ -3,8 +3,7 @@ projected units (``render_unit``, the text of a ``.lchor`` file).
 
 Both trees name their fields alike, so each form is printed by one function
 for both, found by the node's class in ``EXP`` or ``STM``. A surface node's
-roles print as ``@A``, ``@(A, B)`` or, for list sugar, ``@[A, B]``; a local
-node has no ``roles``.
+roles print as ``@A`` or ``@(A, B)``; a local node has no ``roles``.
 
 The courtesy option adds, for every method whose parameters all became Unit,
 a zero-parameter overload that injects ``Unit.id`` arguments (signature only
@@ -65,12 +64,6 @@ def _type_args(type_args):
     return "<" + ", ".join(map(render_te, type_args)) + ">" if type_args else ""
 
 
-def _literal(exp, prec):
-    if getattr(exp, "is_list_sugar", False):
-        return render_value(exp.value) + "@[" + ", ".join(exp.roles) + "]"
-    return render_value(exp.value) + render_roles(getattr(exp, "roles", None))
-
-
 def _call(exp, prec):
     args = ", ".join(map(render_exp, exp.args))
     if exp.scope is None:
@@ -90,21 +83,11 @@ def _binary(exp, prec):
     return f"({s})" if p < prec else s
 
 
-def _chain(exp, prec):
-    s = render_exp(exp.first, 0)
-    for link in exp.links:
-        targs = _type_args(link.type_args)
-        if link.method == "new":
-            s += f" >> {link.new_class}{render_roles(link.new_roles)}{targs}::new"
-        else:
-            s += f" >> {render_exp(link.target, 99)}::{targs}{link.method}"
-    return f"({s})" if prec >= 0 else s
-
-
 # Each expression class of both trees -> its printer ``f(exp, prec)``:
 # ``exp``'s text, in parentheses when its operator binds looser than ``prec``.
 EXP = {cls: render for *classes, render in [
-    (S.Literal, LLit, _literal),
+    (S.Literal, LLit,
+     lambda exp, prec: render_value(exp.value) + render_roles(getattr(exp, "roles", None))),
     (S.Name, LName, lambda exp, prec: exp.ident),
     (S.StaticRef, LStaticName,
      lambda exp, prec: exp.name + render_roles(getattr(exp, "roles", None))),
@@ -112,7 +95,6 @@ EXP = {cls: render for *classes, render in [
     (S.Call, LCall, _call),
     (S.New, LNew, _new),
     (S.Binary, LBinary, _binary),
-    (S.Chain, _chain),
     (LUnit, lambda exp, prec: "Unit.id"),
     (LUnitCall, lambda exp, prec: "Unit.id(" + ", ".join(map(render_exp, exp.args)) + ")"),
 ] for cls in classes}

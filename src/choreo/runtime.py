@@ -109,7 +109,9 @@ def observe_value(value, observe_object):
     ``observe_object(value)`` is the evaluator's own case: the observation
     of one of its objects, or None when ``value`` is not one.
     """
-    if is_unit(value) or value is None:
+    if value is None:
+        return "null"
+    if is_unit(value):
         return "unit"
     if isinstance(value, (bool, int, float, str)):
         return value

@@ -39,8 +39,7 @@ class Exp(Node):
 @record(eq=False)
 class Literal(Exp):
     value: object  # int | float | str | bool | None
-    roles: list  # one role normally; several for null@(..) and @[..] sugar
-    is_list_sugar: bool = False  # lit@[R1,..,Rn] awaiting expansion
+    roles: list  # one role normally; several for null@(..)
 
 
 @record(eq=False)
@@ -87,23 +86,6 @@ class Binary(Exp):
     left: Exp
     op: str
     right: Exp
-
-
-@record(eq=False)
-class ChainLink(Node):
-    """One ``>> target::<TAs>method`` or ``>> id@(..)<TAs>::new`` link."""
-
-    target: Exp  # receiver path or StaticRef; None for constructor links
-    type_args: list
-    method: str  # method name; "new" for constructor links
-    new_class: str = None
-    new_roles: list = None
-
-
-@record(eq=False)
-class Chain(Exp):
-    first: Exp
-    links: list
 
 
 # ------------------------------------------------------------- statements
@@ -304,8 +286,6 @@ def sub_exps(exp):
         return list(exp.args)
     if isinstance(exp, Binary):
         return [exp.left, exp.right]
-    if isinstance(exp, Chain):
-        return [exp.first] + [link.target for link in exp.links if link.target is not None]
     return []
 
 
@@ -321,14 +301,6 @@ def _fields(cls):
                       if name != "span" and f.type not in ("str", "bool"))
     _FIELDS[cls] = names
     return names
-
-
-def fields_of(node):
-    """The names of the fields of ``node`` that ``walk`` follows, last first."""
-    try:
-        return _FIELDS[type(node)] or ()
-    except KeyError:
-        return _fields(type(node)) or ()
 
 
 def walk(node):

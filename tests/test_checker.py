@@ -698,11 +698,11 @@ def test_roles_of_monotone_under_subterms(corpus_compiled):
     info = checked.decl_info("Mergesort")
     for mi in info.methods:
         for exp in S.walk_exps(mi.node.body):
-            if isinstance(exp, (S.StaticRef, S.Chain)):
+            if isinstance(exp, S.StaticRef):
                 continue
             whole = checked.roles_of(exp)
             for sub in S.walk_exps(exp):
-                if sub is exp or isinstance(sub, (S.StaticRef, S.Chain)):
+                if sub is exp or isinstance(sub, S.StaticRef):
                     continue
                 assert checked.roles_of(sub) <= whole
 
@@ -716,7 +716,7 @@ def test_every_checked_expression_is_annotated(corpus_compiled):
                 if mi.node.body is None:
                     continue
                 for exp in S.walk_exps(mi.node.body):
-                    if isinstance(exp, (S.StaticRef, S.Chain)):
+                    if isinstance(exp, S.StaticRef):
                         continue
                     assert id(exp) in checked.exp_types, (name, info.name, mi.name)
 

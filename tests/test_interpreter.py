@@ -352,7 +352,6 @@ def test_static_entry_wires_no_constructor_in_either_evaluator():
 
 
 def test_dispatch_table_covers_every_statement_and_expression_class():
-    # S.Chain is desugared before checking, so no evaluator meets it.
     import inspect
 
     from choreo import local as L
@@ -361,7 +360,7 @@ def test_dispatch_table_covers_every_statement_and_expression_class():
 
     classes = [c for module, bases in ((S, (S.Stm, S.Exp)), (L, (L.LStm, L.LExp)))
                for _, c in inspect.getmembers(module, inspect.isclass)
-               if issubclass(c, bases) and c not in bases and c is not S.Chain]
+               if issubclass(c, bases) and c not in bases]
     assert len(classes) == 36  # 17 of the surface, 19 of the local language
     assert [c.__name__ for c in classes if c not in COMPILE] == []
 
@@ -810,14 +809,50 @@ def test_a_null_string_prints_and_joins_as_java_does():
     # Java joins two null Strings into "nullnull"; a value does not carry
     # its static type, so both evaluators take this ``+`` as arithmetic.
     "String@A s = null@A; String@A t = null@A; System@A.out.println(s + t); return 0@A;",
+    # Java unboxes a Boolean guard and both operands of '&', '|', '&&' and '||'.
+    "Boolean@A b = null@A; if (b) { return 1@A; } return 0@A;",
+    "Boolean@A b = null@A; if (b & true@A) { return 1@A; } return 0@A;",
+    "Boolean@A b = null@A; Boolean@A c = true@A | b; return 0@A;",
+    "Boolean@A b = null@A; Boolean@A c = true@A && b; return 0@A;",
+    "Boolean@A b = null@A; Boolean@A c = false@A || b; return 0@A;",
+    # A right operand that calls takes the evaluators' other path.
+    "Boolean@A c = true@A && nothing(); return 0@A;",
+    "if (false@A || nothing()) { return 1@A; } return 0@A;",
 ])
 def test_a_null_operand_is_a_null_pointer_exception_in_both_evaluators(body):
-    checked = compile_ok("class C@A { public static Integer@A go() { %s } }" % body)
+    checked = compile_ok("class C@A { static Boolean@A nothing() { return null@A; } "
+                         "public static Integer@A go() { %s } }" % body)
     cmp = differential_run(checked, "C", "go", local_program=project_ok(checked))
     reports = (cmp.global_report, cmp.distributed_report)
     assert [r.status for r in reports] == ["error", "error"]
     for report in reports:
         assert "NullPointerException" in report.error and "panic:" not in report.error
+
+
+# A right operand that calls prints; one that does not divides by zero.
+@pytest.mark.parametrize("guard", ["b && f()", "b || f()", "b && 1@A / 0@A == 0@A",
+                                   "b || 1@A / 0@A == 0@A"])
+def test_a_null_left_operand_of_a_conditional_operator_stops_before_the_right_one(guard):
+    checked = compile_ok(
+        'class C@A { static Boolean@A f() { System@A.out.println("right"@A); return true@A; } '
+        "public static Integer@A go() { Boolean@A b = null@A; if (%s) { return 1@A; } "
+        "return 0@A; } }" % guard)
+    cmp = differential_run(checked, "C", "go", local_program=project_ok(checked))
+    for report in (cmp.global_report, cmp.distributed_report):
+        assert report.status == "error" and "NullPointerException" in report.error, report
+        assert report.transcripts.get("A", []) == [], report
+
+
+@pytest.mark.parametrize("body,returns", [
+    ("String@A go() { String@A s = null@A; return s; }", {"A": "null", "B": "unit"}),
+    ("void go() { System@A.out.println(\"x\"@A); return; }", {"A": "unit", "B": "unit"}),
+    ("void go() { }", {"A": "unit", "B": "unit"}),
+])
+def test_a_null_return_observes_apart_from_a_void_one(body, returns):
+    checked = compile_ok("class C@(A, B) { public static %s }" % body)
+    cmp = differential_run(checked, "C", "go", local_program=project_ok(checked))
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.returns == cmp.distributed_report.returns == returns
 
 
 def run_local(*texts, channels=None):

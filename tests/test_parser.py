@@ -1,4 +1,4 @@
-"""Parsing, desugaring, and round-trip behaviour."""
+"""Parsing, which desugars chains and literal lists, and round-trip behaviour."""
 
 import re
 
@@ -7,12 +7,10 @@ from conftest import perfbench_gen
 
 from choreo import surface as S
 from choreo.checker import check_program
-from choreo.corpus import corpus_root
+from choreo.corpus import corpus_root, positive_entries
 from choreo.diagnostics import Code, DiagnosticError, Reporter
 from choreo.lexer import lex
-from choreo.parser import (
-    Parser, desugar_chain, desugar_program, expand_literal_lists, parse_program,
-)
+from choreo.parser import Parser, parse_program
 from choreo.pipeline import front_end, prelude_names
 from choreo.projector import project_program
 from choreo.printer import render_exp, render_program
@@ -133,47 +131,38 @@ def test_round_trip_hello():
 # ------------------------------------------------------------- chains
 
 def test_desugar_single_link():
-    exp = parse_one_exp("x >> f::apply")
-    out = desugar_chain(exp)
-    assert render_exp(out) == "f.apply(x)"
+    assert render_exp(parse_one_exp("x >> f::apply")) == "f.apply(x)"
 
 
 def test_desugar_left_associates():
     exp = parse_one_exp("t >> ch::<T>com >> f::apply >> ch::<R>com")
-    out = desugar_chain(exp)
-    assert render_exp(out) == "ch.<R>com(f.apply(ch.<T>com(t)))"
-
-
-def test_desugar_mergesort_line():
-    exp = parse_one_exp("a.subList(0@A, p) >> ch_AB::<List<Integer>>com >> mb::sort")
-    out = desugar_chain(exp)
-    assert render_exp(out) == "mb.sort(ch_AB.<List<Integer>>com(a.subList(0@A, p)))"
+    assert render_exp(exp) == "ch.<R>com(f.apply(ch.<T>com(t)))"
 
 
 def test_desugar_constructor_link():
     exp = parse_one_exp("e >> Box@(A, B)<String>::new")
-    out = desugar_chain(exp)
-    assert isinstance(out, S.New)
-    assert out.class_name == "Box" and out.roles == ["A", "B"]
-    assert render_exp(out.args[0]) == "e"
+    assert isinstance(exp, S.New)
+    assert exp.class_name == "Box" and exp.roles == ["A", "B"]
+    assert [te.name for te in exp.type_args] == ["String"]
+    assert render_exp(exp.args[0]) == "e"
 
 
-def test_desugar_is_idempotent_and_total():
-    program = parse_ok("""
-    class C@(A, B) {
-        void m(DiDataChannel@(A, B)<String> ch, Function@B<String, String> f) {
-            String@B r = "x"@A >> ch::<String>com >> f::apply;
-        }
-    }
-    """)
-    desugar_program(program)
-    once = render_program(program)
-    desugar_program(program)
-    assert render_program(program) == once
-    for decl in program.decls:
-        for m in decl.methods:
-            for exp in S.walk_exps(m.body):
-                assert not isinstance(exp, S.Chain)
+def test_desugar_mergesort_line():
+    # Each call spans its link; the innermost is the chain's first operand.
+    path = next(p.path for p in positive_entries() if p.name == "MergeSort")
+    text = path.read_text()
+    program = parse_ok(text, "MergeSort.chor")
+    [lhs] = [n for n in S.walk(program) if isinstance(n, S.VarDecl) and n.name == "lhs"]
+    calls, exp = [], lhs.init
+    while isinstance(exp, S.Call):
+        calls.append((exp.name, exp.span.line, exp.span.col, text[exp.span.start:exp.span.end]))
+        exp = exp.args[0]
+    assert calls == [
+        ("sort", 30, 100, "mb::sort"),
+        ("com", 30, 71, "ch_AB::<List<Integer>>com"),
+        ("subList", 30, 35, "a.subList(0@A, pivot.intValue())"),
+    ]
+    assert render_exp(lhs.init) == "mb.sort(ch_AB.<List<Integer>>com(a.subList(0@A, pivot.intValue())))"
 
 
 # ------------------------------------------------------- literal lists
@@ -187,16 +176,15 @@ def test_literal_list_expansion():
         }
     }
     """)
-    expand_literal_lists(program)
     call = program.decls[0].methods[0].body.init
     assert len(call.args) == 2
     assert [a.roles for a in call.args] == [["Device"], ["Gatherer"]]
     assert all(a.value == "VST_channel1" for a in call.args)
+    assert call.args[0].span == call.args[1].span
 
 
 def test_literal_list_singleton():
     program = parse_ok("class T@A { static void t() { f(1@[A]); } }")
-    expand_literal_lists(program)
     call = program.decls[0].methods[0].body.exp
     assert len(call.args) == 1
     assert call.args[0].roles == ["A"]
@@ -204,16 +192,57 @@ def test_literal_list_singleton():
 
 def test_literal_list_three_roles():
     program = parse_ok('class T@(A, B, C) { static void t() { g("k"@[A, B, C]); } }')
-    expand_literal_lists(program)
     call = program.decls[0].methods[0].body.exp
     assert len(call.args) == 3
     assert [a.roles[0] for a in call.args] == ["A", "B", "C"]
 
 
 def test_literal_list_outside_argument_position_is_an_error():
-    program = parse_ok('class T@(A, B) { static void t() { String@A x = "k"@[A, B]; } }')
-    _, reporter = expand_literal_lists(program, Reporter())
-    assert reporter.has_errors()
+    program, reporter = parse_program(
+        [("t.chor", 'class T@(A, B) { static void t() { String@A x = "k"@[A, B]; } }')])
+    assert [(d.code, d.span.col, d.message) for d in reporter.errors] == [
+        (Code.SyntaxError, 49, "literal role lists are only allowed in argument positions")]
+    assert program.decls[0].methods[0].body.init.roles == ["A"]
+
+
+@pytest.mark.parametrize("body,roles", [
+    ('f(("k"@[A, B]));', [["A"], ["B"]]),  # the argument node is the literal
+    ('"k"@[A, B] >> f::g;', [["A"], ["B"]]),  # a chain's operand is an argument
+    ('1@[A, B] >> D@(A, B)::new;', [["A"], ["B"]]),
+    ('new D@A(1@[A, B], 2@B);', [["A"], ["B"], ["B"]]),
+    ('super(2@[A, B], 3@A);', [["A"], ["B"], ["A"]]),
+])
+def test_literal_lists_expand_wherever_they_are_arguments(body, roles):
+    program = parse_ok(f"class T@(A, B) {{ T() {{ {body} }} }}")
+    exp = program.decls[0].constructors[0].body.exp
+    assert [getattr(a, "roles", None) for a in exp.args] == roles
+
+
+def test_a_literal_list_in_an_argument_expression_is_an_error():
+    _, reporter = parse_program([("t.chor", "class T@(A, B) { void t() { f(1@[A, B] + 2@A); } }")])
+    assert [(d.span.col, d.message) for d in reporter.errors] == [
+        (31, "literal role lists are only allowed in argument positions")]
+
+
+def test_literal_list_errors_come_after_every_syntax_error_in_walk_order():
+    program, reporter = parse_program([
+        ("a.chor", "class C@A { void m() { Integer@A y = 2@[A]; Integer@A z = ; } }"),
+        ("b.chor", "enum E@A { X } class D@(A, B) { void m(E@A e) { switch (e) { "
+                   "default -> { Integer@A x = 1@[A]; } case X -> { Integer@A y = 2@[A, B]; } } } "
+                   "D() { Integer@A w = 3@[B] + ; } }"),
+        ("c.chor", "class F@A { void m() { # } }"),
+    ])
+    assert [(d.span.source.name, d.span.col, d.message) for d in reporter.errors] == [
+        ("a.chor", 59, "expected expression, found ';'"),
+        ("b.chor", 168, "expected expression, found ';'"),
+        ("c.chor", 24, "unexpected character '#'"),
+        # A switch's cases come before its default; the list in the
+        # dropped statement of D() is in no tree.
+        ("a.chor", 38, "literal role lists are only allowed in argument positions"),
+        ("b.chor", 124, "literal role lists are only allowed in argument positions"),
+        ("b.chor", 89, "literal role lists are only allowed in argument positions"),
+    ]
+    assert [d.name for d in program.decls] == ["C", "E", "D"]
 
 
 # ------------------------------------------------------------ precedence
@@ -227,7 +256,7 @@ def test_operator_precedence_tiers():
 
 
 def test_chain_binds_looser_than_member_access():
-    exp = desugar_chain(parse_one_exp("a.size() >> f::apply"))
+    exp = parse_one_exp("a.size() >> f::apply")
     assert render_exp(exp) == "f.apply(a.size())"
 
 
@@ -370,8 +399,7 @@ def test_split_shr_gives_two_adjacent_closing_tokens():
      (1, 38, "literal must carry a role annotation, e.g. 1@A")),
 ])
 def test_syntax_error_line_and_column(text, where):
-    program, reporter = parse_program([("t.chor", text)])
-    expand_literal_lists(program, reporter)
+    _, reporter = parse_program([("t.chor", text)])
     assert [(d.span.line, d.span.col, d.message) for d in reporter.errors] == [where]
 
 

@@ -29,7 +29,8 @@ def corpus_files():
 
 def surface_digests():
     """name -> digest of the parsed program, every expression in it, and the
-    program after the front end (prelude, desugaring and list expansion)."""
+    program after the front end (behind the prelude). The parser desugars
+    chains and literal lists, so the first two print none of either."""
     out = {}
     for path in corpus_files():
         sources = [(path.name, path.read_text())]
@@ -75,18 +76,18 @@ def diagnostic_digests():
 
 
 SURFACE_DIGESTS = {
-    "BuyerSellerShipper": "568cb9f6af14ca1a",
-    "ConsumeItems": "ee05af672040e857",
-    "DistAuth": "5ad00f434593f344",
-    "DistAuth10": "22ad959d37d5f27f",
-    "DistAuth5": "fa0ec5dbc3ffab11",
+    "BuyerSellerShipper": "d8525b4b158285cd",
+    "ConsumeItems": "2bacb1fbab5428f2",
+    "DistAuth": "8cae0e1e26806d63",
+    "DistAuth10": "c8535edad3295e28",
+    "DistAuth5": "23ab02d3100b545a",
     "HelloRoles": "958aaf05160bc747",
     "Karatsuba": "6197774a48a12146",
-    "MergeSort": "9dc254629732a5c7",
-    "QuickSort": "bc6d04bfde39fd23",
+    "MergeSort": "72ba7299a55b668b",
+    "QuickSort": "675018dd04db8c36",
     "RoundTrip": "3b323889782ab025",
-    "VitalsStreaming": "e149c6f6ab2203cb",
-    "VitalsStreamingNoop": "b7b77087f2bf169d",
+    "VitalsStreaming": "2aa979b75f0f9a86",
+    "VitalsStreamingNoop": "e653a23a670d86e5",
     "bad_selection": "a55850bd9054672d",
     "cyclic_symchannel": "cf698c1fa50fccd4",
     "illegal_overload": "0b06c92146410744",
@@ -94,7 +95,7 @@ SURFACE_DIGESTS = {
     "role_mismatch": "3192ec93f8eab34f",
     "role_set_change": "ccce4949cacbe3d0",
     "type_mismatch": "7e9fb7492722ea1d",
-    "wrong_consume": "2a08401a638ce120",
+    "wrong_consume": "f0d5b37f7896bbd4",
 }
 
 UNIT_DIGESTS = {

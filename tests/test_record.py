@@ -95,15 +95,13 @@ RECORDS = {
     "surface.Node": ("span", "identity"),
     "surface.TE": ("span name roles args is_void=False", "identity"),
     "surface.Exp": ("span", "identity"),
-    "surface.Literal": ("span value roles is_list_sugar=False", "identity"),
+    "surface.Literal": ("span value roles", "identity"),
     "surface.Name": ("span ident", "identity"),
     "surface.StaticRef": ("span name roles", "identity"),
     "surface.FieldAcc": ("span scope name", "identity"),
     "surface.Call": ("span scope type_args name args", "identity"),
     "surface.New": ("span class_name roles type_args args", "identity"),
     "surface.Binary": ("span left op right", "identity"),
-    "surface.ChainLink": ("span target type_args method new_class=None new_roles=None", "identity"),
-    "surface.Chain": ("span first links", "identity"),
     "surface.Stm": ("span", "identity"),
     "surface.Nil": ("span", "identity"),
     "surface.Return": ("span value", "identity"),
@@ -276,9 +274,9 @@ REPRS = [
     "SourceFile(name='a.chor', text='class C@A {\\n  Integer@A f(Integer@A x) { return x + 1@A; }\\n}\\n')",
     'a.chor:2:3',
     "Param(span=a.chor:1:25, te=TE(span=a.chor:1:25, name='Integer', roles=['A'], args=[], is_void=False), name='x')",
-    "Return(span=a.chor:1:40, value=Binary(span=a.chor:1:47, left=Name(span=a.chor:1:47, ident='x'), op='+', right=Literal(span=a.chor:1:51, value=1, roles=['A'], is_list_sugar=False)))",
-    "Literal(span=a.chor:2:3, value=3, roles=['A'], is_list_sugar=False)",
-    "ChainLink(span=a.chor:2:3, target=None, type_args=[], method='new', new_class='C', new_roles=['A'])",
+    "Return(span=a.chor:1:40, value=Binary(span=a.chor:1:47, left=Name(span=a.chor:1:47, ident='x'), op='+', right=Literal(span=a.chor:1:51, value=1, roles=['A'])))",
+    "Literal(span=a.chor:2:3, value=3, roles=['A'])",
+    "TE(span=a.chor:2:3, name='void', roles=[], args=[], is_void=True)",
     "LCall(scope=LName(ident='x'), type_args=[LTE(name='T', args=[])], name='f', args=[LLit(value=1), LUnit()])",
     "LExpStm(exp=LBinary(left=LLit(value='a'), op='+', right=LLit(value=None)), cont=LNil())",
     "LocalProgram(units=[LocalUnit(generated_name='C_A', source_name='C', role='A', decl=LEnum(annotations=[], modifiers=['public'], name='C_A', cases=['X']))])",
@@ -308,7 +306,7 @@ def test_reprs_are_unchanged():
         src, sp,
         m.params[0], m.body,
         S.Literal(sp, 3, ["A"]),
-        S.ChainLink(sp, None, [], "new", "C", ["A"]),
+        S.TE(sp, "void", [], [], is_void=True),
         L.LCall(L.LName("x"), [L.LTE("T")], "f", [L.LLit(1), L.LUnit()]),
         L.LExpStm(L.LBinary(L.LLit("a"), "+", L.LLit(None)), L.LNil()),
         L.LocalProgram([L.LocalUnit("C_A", "C", "A", L.LEnum([], ["public"], "C_A", ["X"]))],

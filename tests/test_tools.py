@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -22,7 +23,7 @@ def load_ab():
     return ab
 
 
-def test_ab_compares_this_checkout_with_itself_for_one_round():
+def test_ab_compares_this_checkout_with_itself_for_one_round(tmp_path):
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT), "--rounds", "1",
          "--workload", "compile"],
@@ -33,6 +34,21 @@ def test_ab_compares_this_checkout_with_itself_for_one_round():
     for line in lines:
         assert " ratio " in line and line.endswith(" inputs x 1 rounds"), line
         assert re.search(r"  p90\+ ratio \d+\.\d{3} \(\d+ inputs\)  ", line), line
+    # A checkout whose parser moves the span of every ``void`` gives every
+    # compile input the same diagnostics, renders, units and reports as this
+    # one; only its front-end trees differ.
+    shutil.copytree(ROOT / "src" / "choreo", tmp_path / "src" / "choreo",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    parser = tmp_path / "src" / "choreo" / "parser.py"
+    void = 'return S.TE(tok.span, "void", [], [], is_void=True)'
+    assert void in parser.read_text()
+    parser.write_text(parser.read_text().replace(void, void.replace("tok.span", "self.ts.peek().span")))
+    moved = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(tmp_path), "--rounds", "1",
+         "--workload", "compile"],
+        capture_output=True, text=True, timeout=300)
+    assert moved.returncode == 1 and moved.stdout == ""
+    assert moved.stderr == "ab: BuyerSellerShipper/0: the two sides' front ends give different trees\n"
 
 
 def test_ab_reports_the_ratio_of_the_slowest_inputs_apart():
@@ -72,11 +88,12 @@ def test_ab_builds_the_inputs_of_every_workload():
 
 def change_side(**modules):
     """A stand-in for the change's package: this checkout's modules, with
-    those named replaced."""
+    the attributes given for those named replaced."""
     change = types.SimpleNamespace(**{name: getattr(choreo, name) for name in (
-        "diagnostics", "distributed", "interpreter", "pipeline", "printer", "projector")})
+        "diagnostics", "distributed", "interpreter", "pipeline", "printer", "projector",
+        "surface")})
     for name, attrs in modules.items():
-        setattr(change, name, types.SimpleNamespace(**attrs))
+        setattr(change, name, types.SimpleNamespace(**{**vars(getattr(choreo, name)), **attrs}))
     return change
 
 

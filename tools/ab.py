@@ -22,11 +22,14 @@ timed with ``time.process_time``: the compile (``compile_sources``, then
 ``project_program`` and ``render_unit`` of every projected unit), the oracle
 (``eval_global``) and the distributed run (``eval_distributed``); a negative
 program has only its compile timed, which stops at the first phase that
-reports an error. Both sides must give the same diagnostics (code, severity,
-line, column and message), render the same units, project to the same units
-(their ``repr``, taken after the timed stages: a chain that ends in None
-renders as one that ends in ``LNil()`` does, but merges differently) and give
-the same reports.
+reports an error. Before the first round, both sides' front ends
+(``pipeline.front_end``) must give each input the same tree: the same
+``render_program`` text, and the same class name, line and column of every
+node that ``surface.walk`` yields. Both sides must give the same diagnostics
+(code, severity, line, column and message), render the same units, project
+to the same units (their ``repr``, taken after the timed stages: a chain
+that ends in None renders as one that ends in ``LNil()`` does, but merges
+differently) and give the same reports.
 The script prints, per workload and stage, each side's median time and the
 median over inputs of each input's median change/parent ratio, with that
 ratio's quartiles over inputs. As ``p90+ ratio``, it also prints the median
@@ -87,7 +90,8 @@ def import_checkout(checkout, name, into):
     imported as ``name``."""
     copy_checkout(checkout, name, into)
     package = importlib.import_module(name)
-    for module in ("diagnostics", "interpreter", "distributed", "pipeline", "printer", "projector"):
+    for module in ("diagnostics", "interpreter", "distributed", "pipeline", "printer", "projector",
+                   "surface"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -166,6 +170,15 @@ def run_side(choreo, item):
     return took, diagnostic_keys(found), texts, repr(units.units), reports
 
 
+def front_end_keys(choreo, item):
+    """The text of ``item``'s program after the front end, and the class
+    name, line and column of each of its nodes."""
+    program, _ = choreo.pipeline.front_end(item.sources)
+    nodes = [(type(n).__name__, *n.span.source.line_col(n.span.start))
+             for n in choreo.surface.walk(program.decls)]
+    return choreo.printer.render_program(program), nodes
+
+
 def diagnostic_keys(found):
     """(code, severity, line, column, message) of each diagnostic."""
     return [(d.code.value, d.severity.value, *d.span.source.line_col(d.span.start), d.message)
@@ -177,6 +190,9 @@ def measure(packages, inputs, rounds):
     a negative program does not reach has none."""
     times = {item.name: {stage: {side: [] for side in SIDES} for stage in STAGES}
              for item in inputs}
+    for item in inputs:
+        if front_end_keys(packages["parent"], item) != front_end_keys(packages["change"], item):
+            sys.exit(f"ab: {item.name}: the two sides' front ends give different trees")
     for r in range(rounds):
         for i, item in enumerate(inputs):
             order = SIDES if (r + i) % 2 == 0 else SIDES[::-1]
