@@ -5,7 +5,7 @@ each role to a role-free local program, and execute both the global
 choreography and the projected system for differential testing.
 """
 
-from .checker import CheckedProgram, check_program
+from .checker import Checker, check_program
 from .diagnostics import Code, Diagnostic, Reporter, Severity
 from .differential import Comparison, RunSpec, differential_run, load_manifest
 from .distributed import eval_distributed
@@ -23,7 +23,7 @@ from .runtime import (
 from .testkit import discover_tests, run_tests
 
 __all__ = [
-    "CheckedProgram", "check_program", "Code", "Diagnostic", "Reporter",
+    "Checker", "check_program", "Code", "Diagnostic", "Reporter",
     "Severity", "Comparison", "RunSpec", "differential_run", "load_manifest",
     "eval_distributed", "ExecutionReport", "eval_global", "MergeError",
     "big_merge", "merge_stm", "normalize_exp", "normalize_stm",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from decimal import Decimal
 
 from .record import field, record
 from .runtime import (
@@ -54,11 +55,26 @@ def display(value):
     if isinstance(value, OptionalV):
         return f"Optional[{display(value.value)}]" if value.present else "Optional.empty"
     if isinstance(value, ExceptionV):
-        # Made without a message, it prints as its class name alone.
-        return f"java.lang.{value.class_name}" + (f": {value.message}" if value.message else "")
+        # Made without a message (null), it prints as its class name alone.
+        name = f"java.lang.{value.class_name}"
+        return name if value.message is None else f"{name}: {value.message}"
     if isinstance(value, float):
-        return repr(value)
+        return double_text(value)
     return str(value)
+
+
+def double_text(x):
+    """``Double.toString``: plain in [1e-3, 1e7), else ``d.dddE±n``, with
+    the fewest digits that give ``x`` back."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    if x == 0 or 1e-3 <= abs(x) < 1e7:
+        return repr(x)  # plain there, with a digit after the point
+    sign, digits, exponent = Decimal(repr(x)).normalize().as_tuple()
+    fraction = "".join(map(str, digits[1:])) or "0"
+    return f"{'-' if sign else ''}{digits[0]}.{fraction}E{len(digits) - 1 + exponent}"
 
 
 def java_div(a, b):
@@ -71,6 +87,23 @@ def java_div(a, b):
 
 def java_rem(a, b):
     return a - java_div(a, b) * b
+
+
+def double_div(a, b):
+    """``/`` on doubles: by zero it gives an infinity, or NaN for 0/0."""
+    if b == 0:
+        if a == 0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
+
+
+def double_rem(a, b):
+    """``%`` on doubles truncates, as ``fmod`` does; NaN where it has no
+    value."""
+    if b == 0 or math.isinf(a):
+        return math.nan
+    return math.fmod(a, b)
 
 
 def value_equals(a, b):
@@ -93,8 +126,8 @@ _ARITH_AND_COMPARE = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "/": operator.truediv,
-    "%": operator.mod,
+    "/": double_div,  # an Integer's ``/`` and ``%`` are java_div and java_rem
+    "%": double_rem,
     "<": operator.lt,
     ">": operator.gt,
     "<=": operator.le,
@@ -281,5 +314,5 @@ class Builtins:
         if class_name == "ArrayList":
             return True, ListV([])
         if class_name in ("Exception", "RuntimeException"):
-            return True, ExceptionV(class_name, args[0] if args else "")
+            return True, ExceptionV(class_name, args[0] if args else None)
         return False, None

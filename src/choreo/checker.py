@@ -4,11 +4,11 @@ The pipeline: build the symbol table, run the role-constraint diagnostics
 (aliasing, cyclic inheritance, role-set preservation, per-role overload
 clashes), validate selection annotations, denote every member type, then
 check member bodies bidirectionally. Denotation is where a type
-expression's shape is checked (each head gets its number of roles and of
-type arguments, and a type argument fits the roles its formal binds), in
-member types and in bodies alike. The result is a
-CheckedProgram whose side tables answer ``type_of`` and ``roles_of`` for the
-projector and interpreters.
+expression's shape is checked (each head gets its number of roles and all
+of its type arguments, as there are no raw types, and a type argument fits
+the roles its formal binds), in member types and in bodies alike. The
+checker is itself the checked program: its side tables answer ``type_of``,
+``te_type`` and ``roles_of`` for the projector and interpreters.
 
 The prelude's declarations are checked once per process into a read-only
 ``PreludeLayer``; each program's checker starts from copies of its tables
@@ -129,26 +129,69 @@ class Scope:
         return Scope(r, t)
 
 
-class CheckedProgram:
-    """A checked AST plus the annotation side tables.
+# ------------------------------------------------------------------ checker
 
-    Role sets are filled on first use and kept per node: the projector asks
-    for them once per role at every node. Equal sets are stored once.
+class Checker:
+    """Checks ``decls``, a program's own declarations, on top of
+    ``prelude``, the ``PreludeLayer`` of the declarations before them. Each
+    table starts as a plain copy of the layer's, so a lookup reads one dict.
+
+    ``run`` returns the checker, which is the checked program: its side
+    tables answer ``type_of``, ``te_type`` and ``roles_of`` for the
+    projector and the evaluators. Role sets are filled on first use and kept
+    per node, as the projector asks for them once per role at every node;
+    equal sets are stored once.
     """
 
-    def __init__(self, program, table, checker):
+    def __init__(self, program: S.SurfaceProgram, reporter: Reporter, prelude, decls):
         self.program = program
-        self.table = table
-        self._checker = checker
-        self.exp_types = checker.exp_types
-        self.te_types = checker.te_types
-        self.resolved = checker.resolved
-        self.var_tes = checker.var_tes
+        self.reporter = reporter
+        self.prelude = prelude
+        self.decls = decls
+        self.own = []  # DeclInfos of ``decls`` that entered the table
+        self.table = prelude.table.copy()
+        self.var_ftp = prelude.var_ftp.copy()  # TVar uid -> FTPInfo
+        self.exp_types = {}
+        self.te_types = prelude.te_types.copy()
+        self.resolved = {}  # id(Call/New) -> (kind, MethodInfo)
+        # (receiver, name, type args, arg types, statics) -> (MethodInfo,
+        # return Type) of a method call resolved without a diagnostic.
+        self._calls = {}
+        self.suppressed = set()  # decl names whose bodies are skipped
+        self.cyclic = set()  # decl names reported for cyclic inheritance
+        self._failed_tes = set()
+        # Type facts, each computed on first use and kept for this program.
+        self._decl_scopes = prelude.decl_scopes.copy()  # decl name -> Scope
+        self._method_scopes = prelude.method_scopes.copy()  # id(MethodInfo) -> Scope
+        # decl name -> direct supertypes at its formals
+        self._decl_supers = prelude.decl_supers.copy()
+        self._closures = prelude.closures.copy()  # decl name -> [(DeclInfo, subst)]
+        # id(MethodInfo) -> (param Type or None, ...)
+        self._param_types = prelude.param_types.copy()
+        self._return_types = prelude.return_types.copy()  # id(MethodInfo) -> Type or None
         self._type_roles = {}  # id(Exp or TE) -> roles of its own type
         self._exp_roles = {}  # id(Exp) -> roles of its type and all subterms
         self._role_sets = {}  # frozenset -> the one stored copy of it
         # What the oracle works out once (``interpreter.OracleFacts``).
         self.facts = None
+
+    # ------------------------------------------------------------ pipeline
+
+    def run(self):
+        self.build_table()
+        self.check_role_constraints()
+        self.validate_selection_annotations()
+        self.denote_member_types()
+        for info in self.own:
+            if info.name not in self.suppressed:
+                try:
+                    self.check_decl(info)
+                except RecursionError:  # the checker recurses per expression level
+                    self.reporter.error(Code.InternalError, info.node.span,
+                                        f"'{info.name}' is nested too deeply to check.")
+        return self
+
+    # ----------------------------------------------------- checked program
 
     def decl_info(self, name):
         return self.table.get(name)
@@ -205,59 +248,6 @@ class CheckedProgram:
     def _stored(self, roles):
         roles = frozenset(roles)
         return self._role_sets.setdefault(roles, roles)
-
-
-# ------------------------------------------------------------------ checker
-
-class Checker:
-    """Checks ``decls``, a program's own declarations, on top of
-    ``prelude``, the ``PreludeLayer`` of the declarations before them. Each
-    table starts as a plain copy of the layer's, so a lookup reads one dict."""
-
-    def __init__(self, program: S.SurfaceProgram, reporter: Reporter, prelude, decls):
-        self.program = program
-        self.reporter = reporter
-        self.prelude = prelude
-        self.decls = decls
-        self.own = []  # DeclInfos of ``decls`` that entered the table
-        self.table = prelude.table.copy()
-        self.var_bounds = prelude.var_bounds.copy()  # TVar uid -> [bound ctor Type]
-        self.var_ftp = prelude.var_ftp.copy()  # TVar uid -> FTPInfo
-        self.exp_types = {}
-        self.te_types = prelude.te_types.copy()
-        self.resolved = {}  # id(Call/New) -> (kind, MethodInfo)
-        # (receiver, name, type args, arg types, statics) -> (MethodInfo,
-        # return Type) of a method call resolved without a diagnostic.
-        self._calls = {}
-        self.var_tes = {}  # id(VarDecl) -> denoted Type
-        self.suppressed = set()  # decl names whose bodies are skipped
-        self.cyclic = set()  # decl names reported for cyclic inheritance
-        self._failed_tes = set()
-        # Type facts, each computed on first use and kept for this program.
-        self._decl_scopes = prelude.decl_scopes.copy()  # decl name -> Scope
-        self._method_scopes = prelude.method_scopes.copy()  # id(MethodInfo) -> Scope
-        # decl name -> direct supertypes at its formals
-        self._decl_supers = prelude.decl_supers.copy()
-        self._closures = prelude.closures.copy()  # decl name -> [(DeclInfo, subst)]
-        # id(MethodInfo) -> (param Type or None, ...)
-        self._param_types = prelude.param_types.copy()
-        self._return_types = prelude.return_types.copy()  # id(MethodInfo) -> Type or None
-
-    # ------------------------------------------------------------ pipeline
-
-    def run(self):
-        self.build_table()
-        self.check_role_constraints()
-        self.validate_selection_annotations()
-        self.denote_member_types()
-        for info in self.own:
-            if info.name not in self.suppressed:
-                try:
-                    self.check_decl(info)
-                except RecursionError:  # the checker recurses per expression level
-                    self.reporter.error(Code.InternalError, info.node.span,
-                                        f"'{info.name}' is nested too deeply to check.")
-        return CheckedProgram(self.program, self.table, self)
 
     # -------------------------------------------------------- symbol table
 
@@ -317,8 +307,13 @@ class Checker:
                 for v in reversed(fi.role_binders):
                     ctor = TAbs(v, ctor)
                 fi.bound_ctors.append(reduce_type(ctor))
-            self.var_bounds[fi.var.uid] = list(fi.bound_ctors)
         return out
+
+    def bounds(self, var):
+        """The bounds of a type variable, as constructors over its role
+        binders."""
+        fi = self.var_ftp.get(var.uid)
+        return fi.bound_ctors if fi is not None else ()
 
     def decl_scope(self, info):
         """Role and type variables of a declaration; valid once the table is built."""
@@ -344,15 +339,14 @@ class Checker:
 
     # --------------------------------------------------------- denotation
 
-    def denote(self, te: S.TE, scope: Scope, as_argument_arity=None, argument=False):
+    def denote(self, te: S.TE, scope: Scope, as_argument_arity=None):
         """Implements the type denotation equations; records the normal form.
 
         This is where a type's shape is checked: each head gets exactly its
-        roles, and its type arguments when any are written. A type argument
-        (``argument``; implied by ``as_argument_arity``, the number of roles
-        of the formal it is fitted to) must give a declaration all of its
-        type arguments. Each ill-formed type expression is reported once, at
-        the innermost one.
+        roles, when any are written, and all of its type arguments, as
+        there are no raw types. ``as_argument_arity`` is the number of roles
+        of the formal a type argument is fitted to. Each ill-formed type
+        expression is reported once, at the innermost one.
 
         Results (and failures) are cached per node so repeated closure walks
         neither redo work nor duplicate diagnostics.
@@ -362,15 +356,14 @@ class Checker:
             return t
         if id(te) in self._failed_tes:
             return None
-        t = self._denote(te, scope, as_argument_arity,
-                         argument or as_argument_arity is not None)
+        t = self._denote(te, scope, as_argument_arity)
         if t is not None:
             t = self.te_types[id(te)] = reduce_type(t)
         else:
             self._failed_tes.add(id(te))
         return t
 
-    def _denote(self, te, scope, as_argument_arity, argument):
+    def _denote(self, te, scope, as_argument_arity):
         if te.is_void:
             return VOID
         if te.name in scope.types:
@@ -413,7 +406,7 @@ class Checker:
                     return None
                 role_args.append(rv)
 
-        if (te.args or argument) and len(te.args) != len(target_ftps):
+        if len(te.args) != len(target_ftps):
             self.reporter.error(
                 Code.KindMismatch, te.span,
                 f"'{te.name}' takes {len(target_ftps)} type argument(s), "
@@ -557,7 +550,7 @@ class Checker:
         if isinstance(head, TVar):
             if head.uid in _bounded:
                 return
-            for b in self.var_bounds.get(head.uid, ()):
+            for b in self.bounds(head):
                 yield from self.supertype_instances(reduce_type(app(b, *args)),
                                                     _bounded | {head.uid})
             return
@@ -593,7 +586,7 @@ class Checker:
                 return False
             inner = _bounded | {head.uid}
             return any(self.is_subtype(reduce_type(app(bound, *args)), b, inner)
-                       for bound in self.var_bounds.get(head.uid, ()))
+                       for bound in self.bounds(head))
         bhead, bargs = spine(b)
         if not isinstance(bhead, TSym):
             return False
@@ -771,7 +764,7 @@ class Checker:
             info = self.table.get(head.name)
             return info is not None and (info.is_enum or info.name == "Enum")
         if isinstance(head, TVar):
-            for bound in self.var_bounds.get(head.uid, []):
+            for bound in self.bounds(head):
                 body = bound
                 while isinstance(body, TAbs):
                     body = body.body
@@ -888,7 +881,6 @@ class Checker:
             elif isinstance(stm, S.VarDecl):
                 t = self.denote(stm.te, ctx.scope)
                 if t is not None:
-                    self.var_tes[id(stm)] = t
                     if stm.init is not None:
                         self.check_exp(ctx, gamma, stm.init, t)
                     gamma = dict(gamma)
@@ -927,9 +919,6 @@ class Checker:
                     if t is not None:
                         inner[h.name] = t
                     self.check_stm(ctx, inner, h.body, expected)
-            elif isinstance(stm, S.Throw):
-                self.reporter.error(Code.InternalError, stm.span,
-                                    "'throw' cannot appear in source choreographies.")
             else:
                 raise TypeError(f"check_stm: {stm!r}")
             stm = getattr(stm, "cont", None)
@@ -1139,7 +1128,7 @@ class Checker:
     def synth_call(self, ctx, gamma, exp):
         type_args = []
         for te in exp.type_args:
-            t = self.denote(te, ctx.scope, argument=True)
+            t = self.denote(te, ctx.scope)
             if t is None:
                 return None
             type_args.append(t)
@@ -1191,8 +1180,8 @@ class Checker:
             return None
         formals = self.formals(info)
         mapping = {f.uid: a for f, a in zip(formals, args)}
-        mi = self.pick_most_specific(exp, info.constructors, mapping, type_args,
-                                     arg_types, "constructor", info.name)
+        mi = self.pick_most_specific(exp, [(mi, mapping) for mi in info.constructors],
+                                     type_args, arg_types, "constructor", info.name)
         if mi is None:
             return None
         self.resolved[id(exp)] = ("super", mi[0])
@@ -1215,18 +1204,8 @@ class Checker:
             self.resolved[id(exp)] = ("call", known[0])
             return known[1]
         reported = len(self.reporter.items)
-        head, args = spine(receiver)
-        info = self.table.get(head.name) if isinstance(head, TSym) else None
-        if info is not None and len(args) != len(self.formals(info)):
-            # Static receiver of a generic class: its own members only.
-            actuals = {}
-            if len(args) == len(info.role_vars):
-                actuals = {f.uid: a for f, a in zip(info.role_vars, args)}
-            decls = [(info, {}, actuals)]
-        else:
-            decls = self.supertype_instances(receiver)
         candidates = []
-        for sup, subst, actuals in decls:
+        for sup, subst, actuals in self.supertype_instances(receiver):
             mapping = None
             for mi in sup.methods:
                 if mi.name != name or len(mi.node.params) != len(arg_types):
@@ -1236,8 +1215,8 @@ class Checker:
                 if mapping is None:
                     mapping = self.instantiate(subst, actuals)
                 candidates.append((mi, mapping))
-        picked = self.pick_most_specific(exp, None, None, type_args, arg_types,
-                                         "method", name, prepared=candidates)
+        picked = self.pick_most_specific(exp, candidates, type_args, arg_types,
+                                         "method", name)
         if picked is None:
             return None
         mi, ret = picked
@@ -1246,17 +1225,15 @@ class Checker:
             self._calls[key] = picked
         return ret
 
-    def pick_most_specific(self, exp, methods, mapping, type_args, arg_types,
-                           kind, name, prepared=None):
-        """(MethodInfo, return type) of the most specific applicable
-        candidate; None after reporting on the ``kind`` ``name``."""
-        candidates = prepared
-        if candidates is None:
-            candidates = [(mi, mapping) for mi in methods
-                          if len(mi.node.params) == len(arg_types)]
+    def pick_most_specific(self, exp, candidates, type_args, arg_types, kind, name):
+        """(MethodInfo, return type) of the most specific applicable one of
+        ``candidates``, pairs of a MethodInfo and the mapping of its
+        declaration's formals; None after reporting on the ``kind`` ``name``."""
         applicable = []
         bound_errors = []
         for mi, sub in candidates:
+            if len(mi.node.params) != len(arg_types):
+                continue
             inst = self.instantiate_method(mi, sub, type_args, exp, bound_errors)
             if inst is None:
                 continue
@@ -1396,8 +1373,8 @@ class Checker:
                 return None
             arg_types.append(t)
         mapping = {f.uid: a for f, a in zip(self.formals(info), actuals + type_args)}
-        picked = self.pick_most_specific(exp, info.constructors, mapping, [],
-                                         arg_types, "constructor", info.name)
+        picked = self.pick_most_specific(exp, [(mi, mapping) for mi in info.constructors],
+                                         [], arg_types, "constructor", info.name)
         if picked is None:
             return None
         self.resolved[id(exp)] = ("new", picked[0])
@@ -1462,7 +1439,6 @@ class PreludeLayer:
     without a prelude."""
 
     table: MappingProxyType = _NOTHING
-    var_bounds: MappingProxyType = _NOTHING
     var_ftp: MappingProxyType = _NOTHING
     te_types: MappingProxyType = _NOTHING
     decl_scopes: MappingProxyType = _NOTHING
@@ -1491,7 +1467,7 @@ class PreludeLayer:
             raise RuntimeError("prelude failed to check:\n" + "\n".join(
                 d.render() for d in ck.reporter.items))
         tables = dict(
-            table=ck.table, var_bounds=ck.var_bounds, var_ftp=ck.var_ftp,
+            table=ck.table, var_ftp=ck.var_ftp,
             te_types=ck.te_types, decl_scopes=ck._decl_scopes, method_scopes=ck._method_scopes,
             decl_supers=ck._decl_supers, closures=ck._closures, param_types=ck._param_types,
             return_types=ck._return_types)
@@ -1531,7 +1507,7 @@ def split_prelude(decls, prelude_names):
 
 def check_program(program, reporter=None, prelude_names=()):
     """Check ``program``, whose declarations start with those of the prelude
-    when ``prelude_names`` names them; returns (CheckedProgram, reporter)."""
+    when ``prelude_names`` names them; returns (the ``Checker``, reporter)."""
     reporter = reporter if reporter is not None else Reporter()
     prelude, own = split_prelude(program.decls, prelude_names)
     checked = Checker(program, reporter, prelude_layer(prelude), own).run()

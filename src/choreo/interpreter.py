@@ -639,20 +639,19 @@ class GlobalObject(ProgramObject):
 
 class OracleFacts:
     """Dynamic dispatch in one checked program, worked out on first use, and
-    the oracle's compiled bodies. Kept as ``CheckedProgram.facts``; it holds
-    the program's tables, not the program."""
+    the oracle's compiled bodies. Kept as the checked program's ``facts``;
+    it holds no reference to the program, so the two make no cycle."""
 
     def __init__(self, checked):
-        self.closure = checked._checker.supertype_closure
         self._methods = {}  # (declaration, name, arity) -> (MethodInfo, supertype, subst)
         # (name, arity) of the methods with a body outside the prelude: a
         # call that names none of these runs no method of the program.
-        self.method_keys = {(mi.name, len(mi.node.params)) for info in checked._checker.own
+        self.method_keys = {(mi.name, len(mi.node.params)) for info in checked.own
                             for mi in info.methods if mi.node.body is not None}
         self.bodies = {}  # id(method) -> the first Step of its body
         self.names = {}  # identifier -> its compiled name
 
-    def method(self, info, name, arity):
+    def method(self, checked, info, name, arity):
         """The method with a body that dynamic dispatch finds for
         ``name/arity`` on ``info``, with the ``supertype_closure`` entry
         that declares it; Nones if none."""
@@ -660,7 +659,8 @@ class OracleFacts:
         found = self._methods.get(key)
         if found is None:
             found = self._methods[key] = next(
-                ((mi, sup, submap) for sup, submap in self.closure(info) for mi in sup.methods
+                ((mi, sup, submap) for sup, submap in checked.supertype_closure(info)
+                 for mi in sup.methods
                  if mi.name == name and len(mi.node.params) == arity
                  and mi.node.body is not None), (None, None, None))
         return found
@@ -715,7 +715,7 @@ class GlobalInterpreter(Evaluator):
         return self.run(None, binding, mi.node, args)
 
     def call_object(self, obj, name, args):
-        mi, sup, submap = self.facts.method(obj.info, name, len(args))
+        mi, sup, submap = self.facts.method(self.checked, obj.info, name, len(args))
         if mi is None:
             raise ChoreoRuntimeError(f"'{obj.info.name}' has no method '{name}/{len(args)}'")
         return self.run(obj, self.super_binding(sup, submap, obj.binding), mi.node, args)
@@ -803,7 +803,7 @@ class GlobalInterpreter(Evaluator):
         if formal is None:
             return "unit"
         fields = []
-        for sup, submap in self.checked._checker.supertype_closure(info):
+        for sup, submap in self.checked.supertype_closure(info):
             sup_binding = self.super_binding(sup, submap, value.binding)
             fields += [(f.name, value.fields[f.name]) for f in sup.fields()
                        if role in self.actual_roles(f.te, sup_binding)

@@ -108,6 +108,56 @@ class Parser:
         prev = self.ts.tokens[max(self.ts.pos - 1, 0)]
         return Span(self.src, start_tok.start, prev.end)
 
+    def separated(self, item, sep=","):
+        """One or more ``item``s, each after the first preceded by ``sep``."""
+        out = [item()]
+        while self.ts.at(sep, "op"):
+            self.ts.next()
+            out.append(item())
+        return out
+
+    def listed(self, close, item):
+        """``item``s up to ``close``, each optionally followed by a comma,
+        then ``close``."""
+        out = []
+        while not self.ts.at(close, "op"):
+            out.append(item())
+            if self.ts.at(",", "op"):
+                self.ts.next()
+        self.expect(close)
+        return out
+
+    def role_name(self):
+        return self.expect_ident("role name").lexeme
+
+    def role_names(self):
+        """``(A, B, ...)`` or ``A``."""
+        if self.ts.at("(", "op"):
+            self.ts.next()
+            roles = self.separated(self.role_name)
+            self.expect(")")
+            return roles
+        return [self.role_name()]
+
+    def decl_roles(self):
+        """The roles a declaration or type parameter binds; none in the
+        local language."""
+        return [] if self.local_mode else self.parse_role_params()
+
+    def name_roles(self):
+        """The roles after a name in a type or an expression, if any."""
+        if self.ts.at("@", "op") and not self.local_mode:
+            return self.parse_role_params()
+        return []
+
+    def type_args(self, what=None):
+        """``<TE, ...>``, whose ``>`` may be the first half of a ``>>``."""
+        self.expect("<")
+        args = self.separated(self.parse_te)
+        self.ts.split_shr()
+        self.expect(">", what)
+        return args
+
     # ------------------------------------------------------------ program
 
     def parse_program(self):
@@ -141,20 +191,16 @@ class Parser:
             args = []
             if self.ts.at("(", "op"):
                 self.ts.next()
-                while not self.ts.at(")", "op"):
-                    key = self.expect_ident("annotation key").lexeme
-                    self.expect("=")
-                    args.append((key, self.parse_annotation_value()))
-                    if self.ts.at(",", "op"):
-                        self.ts.next()
-                self.expect(")")
+                args = self.listed(")", self.parse_annotation_arg)
             out.append(S.Annotation(self.span_from(at), name, args))
         return out
 
-    def parse_annotation_value(self):
+    def parse_annotation_arg(self):
+        key = self.expect_ident("annotation key").lexeme
+        self.expect("=")
         tok = self.ts.peek()
         if tok.kind in ("string", "int", "float") or tok.lexeme in ("true", "false"):
-            return self.parse_bare_literal()
+            return key, self.parse_bare_literal()
         raise self.err(tok.span, "expected literal annotation value")
 
     def parse_modifiers(self):
@@ -179,66 +225,44 @@ class Parser:
     def parse_role_params(self):
         """``@A`` or ``@(A, B, ...)`` after a declared name."""
         self.expect("@", "role parameters")
-        if self.ts.at("(", "op"):
-            self.ts.next()
-            roles = [self.expect_ident("role name").lexeme]
-            while self.ts.at(",", "op"):
-                self.ts.next()
-                roles.append(self.expect_ident("role name").lexeme)
-            self.expect(")")
-            return roles
-        return [self.expect_ident("role name").lexeme]
+        return self.role_names()
 
     def parse_enum(self, start, annotations, modifiers):
         self.expect("enum")
         name = self.expect_ident("enum name").lexeme
-        roles = [] if self.local_mode else self.parse_role_params()
+        roles = self.decl_roles()
         self.expect("{")
-        cases = []
-        while not self.ts.at("}", "op"):
-            cases.append(self.expect_ident("enum case").lexeme)
-            if self.ts.at(",", "op"):
-                self.ts.next()
-        self.expect("}")
+        cases = self.listed("}", lambda: self.expect_ident("enum case").lexeme)
         return S.EnumDecl(self.span_from(start), annotations, modifiers, name, roles, cases)
 
     def parse_ftps(self):
         if not self.ts.at("<", "op"):
             return []
         self.ts.next()
-        ftps = []
-        while True:
-            tok = self.ts.peek()
-            name = self.expect_ident("type parameter").lexeme
-            roles = [] if self.local_mode else self.parse_role_params()
-            bounds = []
-            if self.ts.at("extends", "keyword"):
-                self.ts.next()
-                bounds.append(self.parse_te())
-                while self.ts.at("&", "op"):
-                    self.ts.next()
-                    bounds.append(self.parse_te())
-            ftps.append(S.FTP(self.span_from(tok), name, roles, bounds))
-            if self.ts.at(",", "op"):
-                self.ts.next()
-                continue
-            break
+        ftps = self.separated(self.parse_ftp)
         self.ts.split_shr()
         self.expect(">", "to close type parameters")
         return ftps
 
+    def parse_ftp(self):
+        tok = self.ts.peek()
+        name = self.expect_ident("type parameter").lexeme
+        roles = self.decl_roles()
+        bounds = []
+        if self.ts.at("extends", "keyword"):
+            self.ts.next()
+            bounds = self.separated(self.parse_te, "&")
+        return S.FTP(self.span_from(tok), name, roles, bounds)
+
     def parse_interface(self, start, annotations, modifiers):
         self.expect("interface")
         name = self.expect_ident("interface name").lexeme
-        roles = [] if self.local_mode else self.parse_role_params()
+        roles = self.decl_roles()
         ftps = self.parse_ftps()
         extends = []
         if self.ts.at("extends", "keyword"):
             self.ts.next()
-            extends.append(self.parse_te())
-            while self.ts.at(",", "op"):
-                self.ts.next()
-                extends.append(self.parse_te())
+            extends = self.separated(self.parse_te)
         self.expect("{")
         methods = []
         while not self.ts.at("}", "op"):
@@ -251,7 +275,7 @@ class Parser:
     def parse_class(self, start, annotations, modifiers):
         self.expect("class")
         name = self.expect_ident("class name").lexeme
-        roles = [] if self.local_mode else self.parse_role_params()
+        roles = self.decl_roles()
         ftps = self.parse_ftps()
         extends = None
         implements = []
@@ -260,10 +284,7 @@ class Parser:
             extends = self.parse_te()
         if self.ts.at("implements", "keyword"):
             self.ts.next()
-            implements.append(self.parse_te())
-            while self.ts.at(",", "op"):
-                self.ts.next()
-                implements.append(self.parse_te())
+            implements = self.separated(self.parse_te)
         self.expect("{")
         decl = S.ClassDecl(
             self.span_from(start), annotations, modifiers, name, roles, ftps,
@@ -293,27 +314,19 @@ class Parser:
             and self.ts.peek().lexeme == class_name
             and self.ts.peek(1).lexeme == "("
         ):
-            name_tok = self.ts.next()
+            te, name = None, self.ts.next().lexeme
+        else:
+            te = self.parse_te()
+            name = self.expect_ident("member name").lexeme
+        if te is None or self.ts.at("(", "op"):
             params = self.parse_params()
+            body = None
             if self.ts.at(";", "op"):
                 self.ts.next()
-                body = None
             else:
                 body = self.parse_block_stm()
-            return S.Method(
-                self.span_from(start), annotations, modifiers, ftps, None,
-                name_tok.lexeme, params, body, is_constructor=True,
-            )
-        te = self.parse_te()
-        name = self.expect_ident("member name").lexeme
-        if self.ts.at("(", "op"):
-            params = self.parse_params()
-            if self.ts.at(";", "op"):
-                self.ts.next()
-                body = None
-            else:
-                body = self.parse_block_stm()
-            return S.Method(self.span_from(start), annotations, modifiers, ftps, te, name, params, body)
+            return S.Method(self.span_from(start), annotations, modifiers, ftps, te, name,
+                            params, body, is_constructor=te is None)
         if ftps:
             raise self.err(self.ts.peek().span, "fields cannot declare type parameters")
         self.expect(";", "after field declaration")
@@ -321,16 +334,13 @@ class Parser:
 
     def parse_params(self):
         self.expect("(")
-        params = []
-        while not self.ts.at(")", "op"):
-            tok = self.ts.peek()
-            te = self.parse_te()
-            name = self.expect_ident("parameter name").lexeme
-            params.append(S.Param(self.span_from(tok), te, name))
-            if self.ts.at(",", "op"):
-                self.ts.next()
-        self.expect(")")
-        return params
+        return self.listed(")", self.parse_param)
+
+    def parse_param(self):
+        tok = self.ts.peek()
+        te = self.parse_te()
+        name = self.expect_ident("parameter name").lexeme
+        return S.Param(self.span_from(tok), te, name)
 
     # ------------------------------------------------------------- types
 
@@ -340,18 +350,8 @@ class Parser:
             self.ts.next()
             return S.TE(tok.span, "void", [], [], is_void=True)
         name = self.expect_ident("type name").lexeme
-        roles = []
-        if self.ts.at("@", "op") and not self.local_mode:
-            roles = self.parse_role_params()
-        args = []
-        if self.ts.at("<", "op"):
-            self.ts.next()
-            args.append(self.parse_te())
-            while self.ts.at(",", "op"):
-                self.ts.next()
-                args.append(self.parse_te())
-            self.ts.split_shr()
-            self.expect(">", "to close type arguments")
+        roles = self.name_roles()
+        args = self.type_args("to close type arguments") if self.ts.at("<", "op") else []
         return S.TE(self.span_from(tok), name, roles, args)
 
     # --------------------------------------------------------- statements
@@ -517,6 +517,8 @@ class Parser:
             return tok.lexeme
         if tok.lexeme in ("true", "false"):
             return tok.lexeme == "true"
+        if tok.lexeme == "null":
+            return None
         raise self.err(tok.span, "expected literal")
 
     # -------------------------------------------------------- expressions
@@ -545,15 +547,7 @@ class Parser:
                 roles = self.parse_role_params()
                 target = S.StaticRef(self.span_from(name_tok), name_tok.lexeme, roles)
                 # Constructor reference: id@(..)[<TEs>]::new
-                type_args = []
-                if self.ts.at("<", "op"):
-                    self.ts.next()
-                    type_args.append(self.parse_te())
-                    while self.ts.at(",", "op"):
-                        self.ts.next()
-                        type_args.append(self.parse_te())
-                    self.ts.split_shr()
-                    self.expect(">")
+                type_args = self.type_args() if self.ts.at("<", "op") else []
                 if self.ts.at("::", "op") and self.ts.peek(1).lexeme == "new":
                     self.ts.next()
                     self.ts.next()
@@ -568,15 +562,7 @@ class Parser:
             fname = self.expect_ident("member name")
             target = S.FieldAcc(self.span_from(tok), target, fname.lexeme)
         self.expect("::", "in chain target")
-        type_args = []
-        if self.ts.at("<", "op"):
-            self.ts.next()
-            type_args.append(self.parse_te())
-            while self.ts.at(",", "op"):
-                self.ts.next()
-                type_args.append(self.parse_te())
-            self.ts.split_shr()
-            self.expect(">")
+        type_args = self.type_args() if self.ts.at("<", "op") else []
         method = self.expect_ident("method name").lexeme
         return S.Call(self.span_from(tok), target, type_args, method, self.arguments(operand))
 
@@ -600,7 +586,7 @@ class Parser:
         while self.ts.at(".", "op"):
             self.ts.next()
             if self.ts.at("<", "op"):
-                type_args = self.parse_call_type_args()
+                type_args = self.type_args()
                 name = self.expect_ident("method name").lexeme
                 args = self.parse_args()
                 exp = S.Call(self.span_from_exp(exp), exp, type_args, name, args)
@@ -617,25 +603,9 @@ class Parser:
         prev = self.ts.tokens[max(self.ts.pos - 1, 0)]
         return Span(self.src, exp.span.start, prev.end)
 
-    def parse_call_type_args(self):
-        self.expect("<")
-        args = [self.parse_te()]
-        while self.ts.at(",", "op"):
-            self.ts.next()
-            args.append(self.parse_te())
-        self.ts.split_shr()
-        self.expect(">")
-        return args
-
     def parse_args(self):
         self.expect("(")
-        args = []
-        while not self.ts.at(")", "op"):
-            args += self.arguments(self.parse_exp())
-            if self.ts.at(",", "op"):
-                self.ts.next()
-        self.expect(")")
-        return args
+        return [arg for exp in self.listed(")", self.parse_exp) for arg in self.arguments(exp)]
 
     def arguments(self, exp):
         """The arguments that the argument ``exp`` stands for: one literal
@@ -663,28 +633,22 @@ class Parser:
             return exp
         if tok.lexeme == "new":
             self.ts.next()
-            ctor_type_args = []
-            if self.ts.at("<", "op"):
-                ctor_type_args = self.parse_call_type_args()
+            ctor_type_args = self.type_args() if self.ts.at("<", "op") else []
             name = self.expect_ident("class name").lexeme
-            roles = []
-            if self.ts.at("@", "op") and not self.local_mode:
-                roles = self.parse_role_params()
-            type_args = []
-            if self.ts.at("<", "op"):
-                type_args = self.parse_call_type_args()
+            roles = self.name_roles()
+            type_args = self.type_args() if self.ts.at("<", "op") else []
             args = self.parse_args()
             return S.New(self.span_from(tok), name, roles, ctor_type_args + type_args, args)
         if tok.lexeme == "<":
             # Unqualified generic call: <TE,..>name(args)
-            type_args = self.parse_call_type_args()
+            type_args = self.type_args()
             name = self.expect_ident("method name").lexeme
             args = self.parse_args()
             return S.Call(self.span_from(tok), None, type_args, name, args)
         if tok.kind == "ident":
             self.ts.next()
-            if self.ts.at("@", "op") and not self.local_mode:
-                roles = self.parse_role_params()
+            roles = self.name_roles()
+            if roles:
                 return S.StaticRef(self.span_from(tok), tok.lexeme, roles)
             if self.ts.at("(", "op"):
                 args = self.parse_args()
@@ -693,49 +657,24 @@ class Parser:
         raise self.err(tok.span, f"expected expression, found '{tok.lexeme or tok.kind}'")
 
     def parse_literal(self):
-        tok = self.ts.next()
-        if tok.kind == "int":
-            value = int(tok.lexeme)
-        elif tok.kind == "float":
-            value = float(tok.lexeme)
-        elif tok.kind == "string":
-            value = tok.lexeme
-        elif tok.lexeme == "true":
-            value = True
-        elif tok.lexeme == "false":
-            value = False
-        elif tok.lexeme == "null":
-            value = None
-        else:
-            raise self.err(tok.span, "expected literal")
+        tok = self.ts.peek()
+        value = self.parse_bare_literal()
         if self.local_mode:
             return S.Literal(tok.span, value, [])
-        nxt = self.ts.peek()
-        if not (nxt.kind == "op" and nxt.lexeme == "@"):
+        if not self.ts.at("@", "op"):
             raise self.err(tok.span, "literal must carry a role annotation, e.g. 1@A")
         self.ts.next()
         if self.ts.at("[", "op"):
             self.ts.next()
-            roles = [self.expect_ident("role name").lexeme]
-            while self.ts.at(",", "op"):
-                self.ts.next()
-                roles.append(self.expect_ident("role name").lexeme)
+            roles = self.separated(self.role_name)
             self.expect("]")
             literal = S.Literal(self.span_from(tok), value, roles[:1])
             self.role_lists[literal] = roles
             return literal
-        if self.ts.at("(", "op"):
-            self.ts.next()
-            roles = [self.expect_ident("role name").lexeme]
-            while self.ts.at(",", "op"):
-                self.ts.next()
-                roles.append(self.expect_ident("role name").lexeme)
-            self.expect(")")
-            if value is not None and len(roles) > 1:
-                raise self.err(self.span_from(tok), "only null may be located at several roles")
-            return S.Literal(self.span_from(tok), value, roles)
-        role = self.expect_ident("role name").lexeme
-        return S.Literal(self.span_from(tok), value, [role])
+        roles = self.role_names()
+        if value is not None and len(roles) > 1:
+            raise self.err(self.span_from(tok), "only null may be located at several roles")
+        return S.Literal(self.span_from(tok), value, roles)
 
 
 # ------------------------------------------------------------- public API

@@ -45,7 +45,7 @@ def front_end(sources, reporter=None):
 
 
 def compile_sources(sources, reporter=None):
-    """Full front end plus checking; returns (CheckedProgram, Reporter)."""
+    """Full front end plus checking; returns (the checked program, Reporter)."""
     reporter = reporter if reporter is not None else Reporter()
     program, reporter = front_end(sources, reporter)
     if reporter.has_errors():

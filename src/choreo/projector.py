@@ -101,12 +101,11 @@ def generated_name(source_name, decl_roles, role):
 
 @record
 class Projector:
-    checked: object  # CheckedProgram
+    checked: object  # the Checker that checked the program
     reporter: Reporter
     annotate: bool = False
 
     def __post_init__(self):
-        self.checker = self.checked._checker
         self.table = self.checked.table
         self.acting = {}  # id(Stm) -> the roles at which it can project to something
         self.selections = {}  # id(ExpStm) of a selection -> (receiving role, label)
@@ -158,7 +157,7 @@ class Projector:
 
     def project_te(self, te, role):
         if role in self.checked.type_roles(te):
-            return project_type(self.checker, self.checked.te_type(te), role)
+            return project_type(self.checked, self.checked.te_type(te), role)
         return LTE("void" if isinstance(self.checked.te_type(te), TVoid) else "Unit")
 
     def project_ftps(self, ftps):
@@ -166,12 +165,12 @@ class Projector:
         for fi in ftps:
             if fi.arity <= 1:
                 binder = fi.role_binders[0].name if fi.role_binders else None
-                bounds = [project_type(self.checker, self.checked.te_type(b), binder)
+                bounds = [project_type(self.checked, self.checked.te_type(b), binder)
                           for b in fi.bound_tes]
                 out.append(LFTP(fi.name, bounds))
             else:
                 for binder in fi.role_binders:
-                    bounds = [project_type(self.checker, self.checked.te_type(b), binder.name)
+                    bounds = [project_type(self.checked, self.checked.te_type(b), binder.name)
                               for b in fi.bound_tes]
                     out.append(LFTP(f"{fi.name}_{binder.name}", bounds))
         return out
@@ -471,7 +470,7 @@ def _field_acc(p, exp, role):
 
 
 def _call(p, exp, role):
-    ty_args = [erase_ctor(p.checker, p.checked.te_type(te)) for te in exp.type_args]
+    ty_args = [erase_ctor(p.checked, p.checked.te_type(te)) for te in exp.type_args]
     args = [p.project_exp(a, role) for a in exp.args]
     scope = exp.scope
     if scope is None or type(scope) is S.Name and scope.ident == "this":
@@ -503,7 +502,7 @@ def _new(p, exp, role):
     info = p.table.get(exp.class_name)
     name = exp.class_name if info is None else generated_name(
         exp.class_name, info.role_names, info.role_names[exp.roles.index(role)])
-    ty_args = [erase_ctor(p.checker, p.checked.te_type(te)) for te in exp.type_args]
+    ty_args = [erase_ctor(p.checked, p.checked.te_type(te)) for te in exp.type_args]
     return LNew(name, ty_args, args)
 
 

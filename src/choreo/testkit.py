@@ -58,7 +58,6 @@ class CaseResult:
 def discover_tests(checked, reporter: Reporter = None):
     """Every @Test method obeying the shape rule; violations are diagnostics."""
     reporter = reporter if reporter is not None else Reporter()
-    checker = checked._checker
     cases = []
     for info in checked.table.values():
         if info.is_prelude:
@@ -72,7 +71,7 @@ def discover_tests(checked, reporter: Reporter = None):
                 problems.append("be static")
             if node.params:
                 problems.append("have no parameters")
-            ret = checker.denote(node.return_te, checker.method_scope(info, mi)) \
+            ret = checked.denote(node.return_te, checked.method_scope(info, mi)) \
                 if node.return_te is not None else None
             if not isinstance(ret, TVoid):
                 problems.append("return no values")

@@ -32,7 +32,7 @@ def supertypes(checker, t):
 
 @pytest.fixture(scope="session")
 def corpus_compiled():
-    """name -> (CorpusProgram, CheckedProgram, LocalProgram); all must build."""
+    """name -> (CorpusProgram, Checker, LocalProgram); all must build."""
     out = {}
     for prog in positive_entries():
         checked, reporter = compile_files([prog.path])

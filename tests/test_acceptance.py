@@ -198,7 +198,7 @@ def test_criterion_06_both_or_neither(corpus_compiled):
 
 def test_criterion_07_channel_hierarchy(corpus_compiled):
     _, checked, _ = corpus_compiled["MergeSort"]
-    ck = checked._checker
+    ck = checked
     info = checked.decl_info("Mergesort")
     a, b, _c = info.role_vars
     t = TSym("Object")

@@ -1,6 +1,8 @@
 """Builtin value semantics shared by both evaluators."""
 
-from choreo.builtins import Builtins, Console, display, java_div, java_rem, value_equals
+from choreo.builtins import (
+    Builtins, Console, PrintStreamV, display, java_div, java_rem, value_equals,
+)
 from choreo.distributed import LocalInterpreter
 from choreo.local import LBinary, LLit, LUnit
 from choreo.runtime import (
@@ -50,6 +52,20 @@ def test_display_forms():
     assert display(UNIT) == "unit"
     assert display(EnumV("Choice", "GO")) == "GO"
     assert display(ListV([1, "a"])) == "[1, a]"
+
+
+def test_an_exception_made_without_a_message_has_a_null_message():
+    console = Console()
+    b = Builtins(console)
+    _, bare = b.construct("Exception", [])
+    _, empty = b.construct("RuntimeException", [""])
+    hit, message = b.try_call_method(bare, "getMessage", [])
+    assert hit and message is None
+    for value in (message, bare, empty):
+        b.try_call_method(PrintStreamV(console, "A"), "println", [value])
+    # As Java's Throwable prints them.
+    assert console.transcripts() == {"A": [
+        "null", "java.lang.Exception", "java.lang.RuntimeException: "]}
 
 
 def test_string_methods():

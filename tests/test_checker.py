@@ -70,11 +70,24 @@ def test_unknown_type_name():
     assert Code.UnknownName in codes(reporter)
 
 
+@pytest.mark.parametrize("member, col", [
+    ("List@A f;", 13),
+    ("void m() { List@A l = null@A; }", 24),
+    ("void m(List@A l) { }", 20),
+    ("List@A m() { return null@A; }", 13),
+])
+def test_a_generic_type_without_its_type_arguments_is_rejected(member, col):
+    # Choral, like Java, has no raw types.
+    _, reporter = compile_text(f"class C@A {{ {member} }}")
+    assert [(d.code, d.span.col, d.message) for d in reporter.items] == [
+        (Code.KindMismatch, col, "'List' takes 1 type argument(s), 0 given.")]
+
+
 # --------------------------------------------------------------- subtyping
 
 def test_subtyping_is_reflexive_and_transitive_on_corpus_closure():
     checked = compile_ok("class C@(A, B)<T@X> { SymChannel@(A, B)<T> ch; }")
-    ck = checked._checker
+    ck = checked
     info = checked.decl_info("C")
     a, b = info.role_vars
     t = info.ftps[0].var
@@ -92,7 +105,7 @@ def test_subtyping_is_reflexive_and_transitive_on_corpus_closure():
 
 def test_type_arguments_are_invariant():
     checked = compile_ok("class C@A { }")
-    ck = checked._checker
+    ck = checked
     a = checked.decl_info("C").role_vars[0]
     lst_int = app(TSym("List"), a, TSym("Integer"))
     lst_num = app(TSym("List"), a, TSym("Number"))
@@ -104,7 +117,7 @@ def test_supertype_closures_of_the_prelude_and_the_corpus_keep_their_entries(cor
     # the declaration's own formals, as ``pretty`` prints it.
     lines = []
     for i, (name, (_, checked, _)) in enumerate(corpus_compiled.items()):
-        ck = checked._checker
+        ck = checked
         for info in checked.table.values():
             if info.is_prelude and i:
                 continue
@@ -377,6 +390,54 @@ def test_unresolved_calls_name_the_method_or_the_class(body, message):
     class C@A {{ {body} }}
     """)
     assert [d.message for d in reporter.errors] == [message]
+
+
+# Diagnostics no other test reaches: (code, line, column, message).
+PINNED_DIAGNOSTICS = [
+    ("class C@A { void m() { Foo@A.f(1@A); } }",
+     [(Code.UnknownName, 1, 24, "unknown type 'Foo'.")]),
+    ('class C@A { void m() { System@(A, A).out.println("x"@A); } }',
+     [(Code.KindMismatch, 1, 24, "'System' takes 1 role parameter(s).")]),
+    ("class C@(A, B) { static void s() { } void m() { C@(A, A).s(); } }",
+     [(Code.UnusedRole, 1, 1, "role 'B' of 'C' is not used by any member or supertype."),
+      (Code.RoleAliasing, 1, 49,
+       "Illegal type instantiation: role 'A' must play exactly one role in 'C'.")]),
+    ('class C@A { void m() { System@Z.out.println("x"@A); } }',
+     [(Code.UnknownName, 1, 24, "unknown role 'Z'.")]),
+    ("class C@A { void m() { super(); } }",
+     [(Code.TypeMismatch, 1, 24, "'super(...)' is only allowed in constructors.")]),
+    ("class C@A { C() { super(); } }",
+     [(Code.TypeMismatch, 1, 19, "'C' has no superclass constructor.")]),
+    ("class C@A { void m() { new Foo@A(); } }",
+     [(Code.UnknownName, 1, 24, "unknown class 'Foo'.")]),
+    ("class C@A { void m() { new ArrayList@A<Integer, String>(); } }",
+     [(Code.KindMismatch, 1, 24, "'ArrayList' takes 1 type argument(s).")]),
+    ("class C@A { void inst() { } static void m() { C@A.inst(); } }",
+     [(Code.UnknownName, 1, 47, "no applicable method 'inst' for argument types ().")]),
+    ("class C@(A, B) { void m(DiDataChannel@(A, B)<Integer> ch) { "
+     "ch.<Integer, String>com(1@A); } }",
+     [(Code.UnknownName, 1, 61, "no applicable method 'com' for argument types (Integer@A).")]),
+    ("class C@A { void m(List@A<Integer> l) { l.<Integer>size(); } }",
+     [(Code.UnknownName, 1, 41, "no applicable method 'size' for argument types ().")]),
+    ("class C@A { void m() { Integer@A x = C@A; } }",
+     [(Code.TypeMismatch, 1, 38, "'C' is a type, not a value.")]),
+    ("class C@A { static void m() { C@A c = this; } }",
+     [(Code.UnknownName, 1, 39, "'this' is not available in a static context.")]),
+    ("class C@A { Integer@A m() { return; } }",
+     [(Code.TypeMismatch, 1, 29, "Incompatible types:")]),
+    ("class C@A { Integer@A f() { return 1@A; } void m() { f() = 1@A; } }",
+     [(Code.TypeMismatch, 1, 54, "assignment target must be a variable or field.")]),
+    ("class C@A { void m(List@A<Integer> l) { l += l; } }",
+     [(Code.TypeMismatch, 1, 41,
+       "operator '+=' needs a builtin operand type, found 'List@A<Integer>'.")]),
+]
+
+
+@pytest.mark.parametrize("text,diagnostics", PINNED_DIAGNOSTICS)
+def test_pinned_diagnostics(text, diagnostics):
+    _, reporter = compile_text(text)
+    assert [(d.code, d.span.line, d.span.col, d.message)
+            for d in reporter.items] == diagnostics
 
 
 def test_generic_method_needs_explicit_type_arguments():
@@ -742,7 +803,7 @@ def test_aliasing_invariant_on_accepted_corpus(corpus_compiled):
         for info in checked.table.values():
             if info.is_prelude:
                 continue
-            for te, scope in checked._checker.member_tes_with_scope(info):
+            for te, scope in checked.member_tes_with_scope(info):
                 assert len(set(te.roles)) == len(te.roles)
 
 

@@ -23,7 +23,7 @@ def test_prelude_hierarchy_facts():
     from conftest import compile_ok
 
     checked = compile_ok("class Probe@(A, B)<T@X> { SymChannel@(A, B)<T> ch; }")
-    ck = checked._checker
+    ck = checked
     info = checked.decl_info("Probe")
     a, b = info.role_vars
     t = info.ftps[0].var

@@ -238,16 +238,22 @@ def test_a_run_leaves_no_cyclic_garbage(corpus_compiled):
 
 
 def test_a_compile_leaves_no_cyclic_garbage():
-    sources = [[(str(prog.path), prog.path.read_text())] for prog in positive_entries()]
+    # Each program is also run once by the oracle, whose facts the checked
+    # program keeps, before it is dropped.
+    programs = [([(str(prog.path), prog.path.read_text())], prog.runs[0])
+                for prog in positive_entries()]
     gc.collect()
     gc.disable()
     try:
-        for srcs in sources:
+        for srcs, run in programs:
             checked, reporter = compile_sources(srcs)
             units, reporter = project_program(checked, reporter)
             assert not reporter.has_errors()
             for unit in units.units:
                 render_unit(unit)
+            report = eval_global(checked, run.entry_class, run.entry_method, run.args,
+                                 run.channels)
+            assert report.status == "ok", report.error
         garbage = gc.collect()
     finally:
         gc.enable()
@@ -311,17 +317,60 @@ def test_worker_error_carries_role_and_message(corpus_compiled):
 
 def test_eval_global_reports_python_exceptions():
     """The oracle returns a report for a failure that is not a choreography
-    error, here a float division by zero."""
+    error, here the prelude's Integer ``Math.pow`` of zero to a negative
+    power."""
     checked = compile_ok("""
-    class Div@A {
-        public static Double@A div(Integer@A n) {
-            return Math@A.floor(n) / Math@A.floor(0@A);
+    class Pow@A {
+        public static Integer@A pow(Integer@A n) {
+            return Math@A.pow(0@A, 0@A - n);
         }
     }
     """)
-    report = eval_global(checked, "Div", "div", {"A": [3]})
+    report = eval_global(checked, "Pow", "pow", {"A": [3]})
     assert report.status == "error"
-    assert report.error == "ZeroDivisionError: float division by zero"
+    assert report.error.startswith("ZeroDivisionError: ")
+
+
+DOUBLES = """
+class D@A {
+    public static Double@A go() {
+        Double@A inf = 1.0@A / 0.0@A;
+        System@A.out.println(inf);
+        System@A.out.println((0.0@A - 1.0@A) / 0.0@A);
+        System@A.out.println(1.0@A / ((0.0@A - 1.0@A) * 0.0@A));
+        System@A.out.println(0.0@A / 0.0@A);
+        System@A.out.println(1.0@A % 0.0@A);
+        System@A.out.println(inf % 2.0@A);
+        System@A.out.println((0.0@A - 5.5@A) % 2.0@A);
+        System@A.out.println(5.5@A % (0.0@A - 2.0@A));
+        System@A.out.println(5.5@A % inf);
+        System@A.out.println((0.0@A - 1.0@A) * 0.0@A);
+        System@A.out.println(10000000000000000.0@A);
+        System@A.out.println(0.0001@A);
+        System@A.out.println(12345678.0@A);
+        System@A.out.println(10000000.0@A);
+        System@A.out.println(9999999.0@A);
+        System@A.out.println(0.001@A);
+        System@A.out.println(0.1@A + 0.2@A);
+        System@A.out.println(0.0@A - 123456789.125@A);
+        System@A.out.println("x"@A + inf.toString());
+        return inf;
+    }
+}
+"""
+
+
+def test_doubles_divide_and_print_as_java_does():
+    # Each line is what the same expression prints in Java (JDK 17).
+    checked = compile_ok(DOUBLES)
+    cmp = differential_run(checked, "D", "go", local_program=project_ok(checked))
+    assert cmp.equal, cmp.summary()
+    assert "panic:" not in str(cmp.distributed_report.error)
+    assert cmp.global_report.returns == {"A": float("inf")}
+    assert cmp.global_report.transcripts == {"A": [
+        "Infinity", "-Infinity", "-Infinity", "NaN", "NaN", "NaN", "-1.5", "1.5", "5.5",
+        "-0.0", "1.0E16", "1.0E-4", "1.2345678E7", "1.0E7", "9999999.0", "0.001",
+        "0.30000000000000004", "-1.23456789125E8", "xInfinity"]}
 
 
 # ------------------------------------------------------------- differential

@@ -403,6 +403,43 @@ def test_syntax_error_line_and_column(text, where):
     assert [(d.span.line, d.span.col, d.message) for d in reporter.errors] == [where]
 
 
+# Forms no other test reaches, each pinned as its tree or its diagnostics.
+PINNED_FORMS = [
+    ("class C@A implements Consumer@A<String>, Consumer@A<Integer> { }",
+     "class C@A implements Consumer@A<String>, Consumer@A<Integer> {\n}\n", []),
+    ("class C@A { void m() { x.<Integer, String>f(y); } }",
+     "class C@A {\n    void m() {\n        x.<Integer, String>f(y);\n    }\n}\n", []),
+    ("class C@A { void m() { y >> x::<Integer, String>f; } }",
+     "class C@A {\n    void m() {\n        x.<Integer, String>f(y);\n    }\n}\n", []),
+    ("class C@A { void m() { y >> this.f.g::h; z >> x.f::h; } }",
+     "class C@A {\n    void m() {\n        this.f.g.h(y);\n        x.f.h(z);\n    }\n}\n", []),
+    ("class C@A { void m() { y >> Pair@(A, B)<Integer, String>::new; } }",
+     "class C@A {\n    void m() {\n        new Pair@(A, B)<Integer, String>(y);\n    }\n}\n",
+     []),
+    ("class C@A { void m() { y >> Pair@(A, B)<Integer>::f; } }", None,
+     [(1, 49, "expected '::new' after constructor reference")]),
+    ("class C@A { <T@X> Integer@A f; }", None,
+     [(1, 30, "fields cannot declare type parameters")]),
+    ("class C@A { void m() { switch (c) { default -> { } default -> { } } } }", None,
+     [(1, 52, "duplicate default case"), (1, 71, "expected declaration, found '}'")]),
+    ("class C@A { void m() { switch (c) { case + -> { } } } }", None,
+     [(1, 42, "expected case label"), (1, 55, "expected declaration, found '}'")]),
+    ('@Ann(a = 1, b = "x") class C@A { }', '@Ann(a = 1, b = "x")\nclass C@A {\n}\n', []),
+    ("@Ann(a = x) class C@A { }", None, [(1, 10, "expected literal annotation value")]),
+    ("foo bar { } class C@A { }", "class C@A {\n}\n",
+     [(1, 1, "expected declaration, found 'foo'")]),
+]
+
+
+@pytest.mark.parametrize("text,tree,errors", PINNED_FORMS)
+def test_pinned_forms_parse_to_their_tree_or_report(text, tree, errors):
+    program, reporter = parse_program([("t.chor", text)])
+    assert [(d.code, d.span.line, d.span.col, d.message) for d in reporter.items] == [
+        (Code.SyntaxError, *e) for e in errors]
+    if tree is not None:
+        assert render_program(program) == tree
+
+
 # ------------------------------------------------------------- tree walk
 
 def _naive_walk(node, out):

@@ -106,7 +106,7 @@ def te_cases_checked():
 
 def test_project_te_own_single_role():
     checked = te_cases_checked()
-    ck = checked._checker
+    ck = checked
     info = checked.decl_info("Carrier")
     client = info.role_vars[0]
     assert render_te(project_type(ck, app(TSym("String"), client), "Client")) == "String"
@@ -114,7 +114,7 @@ def test_project_te_own_single_role():
 
 def test_project_te_positional_suffix():
     checked = te_cases_checked()
-    ck = checked._checker
+    ck = checked
     info = checked.decl_info("Carrier")
     client, service, _ = info.role_vars
     t = app(TSym("DiDataChannel"), client, service, info.ftps[0].var)
@@ -124,7 +124,7 @@ def test_project_te_positional_suffix():
 
 def test_project_te_absent_role_is_unit():
     checked = te_cases_checked()
-    ck = checked._checker
+    ck = checked
     info = checked.decl_info("Carrier")
     service = info.role_vars[1]
     t = app(TSym("Optional"), service, TSym("AuthTokenish"))

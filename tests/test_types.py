@@ -117,7 +117,7 @@ def test_kind_mismatch_is_detected():
 
 def test_bidata_channel_parents_swap_roles():
     checked = compile_ok("class C@(A, B) { BiDataChannel@(A, B)<String, Integer> ch; }")
-    ck = checked._checker
+    ck = checked
     a, b = checked.decl_info("C").role_vars
     t = app(TSym("BiDataChannel"), a, b, TSym("String"), TSym("Integer"))
     supers = [pretty(s) for s in supertypes(ck, t)]
