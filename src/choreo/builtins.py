@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-from decimal import Decimal
 
 from .record import field, record
 from .runtime import (
@@ -64,17 +63,19 @@ def display(value):
 
 
 def double_text(x):
-    """``Double.toString``: plain in [1e-3, 1e7), else ``d.dddE±n``, with
-    the fewest digits that give ``x`` back."""
+    """``Double.toString``: plain in [1e-3, 1e7), else ``d.dddEn``, with
+    the fewest digits, and at least one after the point, that give ``x``
+    back."""
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     if x == 0 or 1e-3 <= abs(x) < 1e7:
         return repr(x)  # plain there, with a digit after the point
-    sign, digits, exponent = Decimal(repr(x)).normalize().as_tuple()
-    fraction = "".join(map(str, digits[1:])) or "0"
-    return f"{'-' if sign else ''}{digits[0]}.{fraction}E{len(digits) - 1 + exponent}"
+    # As many significant digits as the shortest repr has, and at least two.
+    digits = repr(x).partition("e")[0].replace("-", "").replace(".", "").strip("0")
+    mantissa, _, exponent = f"{x:.{max(len(digits), 2) - 1}e}".partition("e")
+    return f"{mantissa}E{int(exponent)}"
 
 
 def java_div(a, b):

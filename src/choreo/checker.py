@@ -1180,7 +1180,7 @@ class Checker:
             return None
         formals = self.formals(info)
         mapping = {f.uid: a for f, a in zip(formals, args)}
-        mi = self.pick_most_specific(exp, [(mi, mapping) for mi in info.constructors],
+        mi = self.pick_most_specific(exp, [(c, mapping) for c in info.constructors],
                                      type_args, arg_types, "constructor", info.name)
         if mi is None:
             return None
@@ -1373,7 +1373,7 @@ class Checker:
                 return None
             arg_types.append(t)
         mapping = {f.uid: a for f, a in zip(self.formals(info), actuals + type_args)}
-        picked = self.pick_most_specific(exp, [(mi, mapping) for mi in info.constructors],
+        picked = self.pick_most_specific(exp, [(c, mapping) for c in info.constructors],
                                          [], arg_types, "constructor", info.name)
         if picked is None:
             return None

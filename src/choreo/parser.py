@@ -6,9 +6,16 @@ is parsed as the call ``obj.<T>m(a)``, and a literal list
 role. A literal list anywhere else is reported, once every source has
 parsed, and keeps its first role.
 
+Each repeated form has one parse function: ``separated`` for a list whose
+items a separator joins, ``listed`` for a list up to its closing token,
+``type_args`` for ``<...>`` (splitting a ``>>``), ``parse_bare_literal``
+for a literal's value, and one method-body parse for constructors and
+methods.
+
 A ``local_mode`` flag reuses the grammar for the role-free local language
 (no role annotations on literals or names, ``throw`` allowed); ``local_reader``
-uses it to read printed units back.
+uses it to read printed units back. Only ``decl_roles``, ``name_roles`` and
+the literal and ``throw`` parses test it.
 """
 
 from __future__ import annotations
