@@ -16,9 +16,8 @@ from .pipeline import compile_files, compile_sources, front_end, load_prelude
 from .printer import render_unit
 from .projector import ProjectionFailed, project_program, project_type, project_type_name
 from .runtime import (
-    UNIT, AssertionFailure, ChannelEndpoint, ChannelRegistry, ChoreoRuntimeError,
-    DeadlockTimeout, EnumV, ExecutionContext, ListV, OptionalV, assert_builtin,
-    new_local_channel,
+    UNIT, AssertionFailure, ChannelEndpoint, ChoreoRuntimeError, DeadlockTimeout,
+    EnumV, ExecutionContext, ListV, OptionalV, assert_builtin,
 )
 from .testkit import discover_tests, run_tests
 
@@ -30,8 +29,8 @@ __all__ = [
     "parse_program", "compile_files",
     "compile_sources", "front_end", "load_prelude", "render_unit",
     "ProjectionFailed", "project_program", "project_type", "project_type_name",
-    "UNIT", "AssertionFailure", "ChannelEndpoint", "ChannelRegistry",
-    "ChoreoRuntimeError", "DeadlockTimeout", "EnumV", "ExecutionContext",
-    "ListV", "OptionalV", "assert_builtin", "new_local_channel",
+    "UNIT", "AssertionFailure", "ChannelEndpoint", "ChoreoRuntimeError",
+    "DeadlockTimeout", "EnumV", "ExecutionContext", "ListV", "OptionalV",
+    "assert_builtin",
     "discover_tests", "run_tests",
 ]

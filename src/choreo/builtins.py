@@ -2,8 +2,8 @@
 
 Hosts the lifted single-role types (strings, numbers, lists, iterators,
 optionals, console printing, math helpers) plus the test-kit statics. Both
-interpreters plug in callbacks for the pieces that differ: invoking a
-functional object, claiming a channel from the registry, and console output.
+evaluators subclass ``Builtins`` and supply the pieces that differ:
+invoking a functional object and claiming a channel for ``newLocalChannel``.
 """
 
 from __future__ import annotations
@@ -167,6 +167,19 @@ def binary_value(op, left, right):
     return _ARITH_AND_COMPARE[op](left, right)
 
 
+def _floor(x):
+    """``Math.floor``: NaN, an infinity or a signed zero is its own floor."""
+    return float(math.floor(x)) if math.isfinite(x) and x else float(x)
+
+
+def _int_value(x):
+    """A double narrowed to an ``int`` (JLS 5.1.3): NaN gives 0, any other
+    value is truncated toward zero and clamped to the ``int`` range."""
+    if -2147483648.0 <= x <= 2147483647.0:  # false for NaN
+        return int(x)
+    return 0 if math.isnan(x) else 2147483647 if x > 0 else -2147483648
+
+
 def _slice(seq, args, what):
     begin, end = args
     if not (0 <= begin <= end <= len(seq)):
@@ -218,7 +231,7 @@ _METHODS = {
     (str, "substring"): lambda b, s, a: _slice(s, a, "substring"),
     (str, "reverse"): lambda b, s, a: s[::-1],
     (int, "intValue"): lambda b, v, a: v,
-    (float, "intValue"): lambda b, v, a: int(v),
+    (float, "intValue"): lambda b, v, a: _int_value(v),
     (ListV, "size"): lambda b, lst, a: len(lst.items),
     (ListV, "isEmpty"): lambda b, lst, a: len(lst.items) == 0,
     (ListV, "get"): lambda b, lst, a: _list_get(lst, a[0]),
@@ -267,7 +280,7 @@ _STATICS = {
     ("Optional", "of"): lambda b, a: OptionalV(True, a[0]),
     ("Optional", "empty"): lambda b, a: OptionalV(False),
     ("Double", "valueOf"): lambda b, a: float(a[0]),
-    ("Math", "floor"): lambda b, a: float(math.floor(a[0])),
+    ("Math", "floor"): lambda b, a: _floor(a[0]),
     ("Math", "min"): lambda b, a: min(a[0], a[1]),
     ("Math", "pow"): lambda b, a: a[0] ** a[1],
     ("Assert", "assertTrue"): lambda b, a: assert_builtin(a[1], a[0]),
@@ -276,19 +289,14 @@ _STATICS = {
 
 
 class Builtins:
-    """The prelude's methods and statics for one evaluator, which supplies
-    ``invoke(receiver, method, args)`` for functional objects and
-    ``claim_channel(key)`` for ``newLocalChannel``, or overrides them."""
+    """The prelude's methods and statics for one evaluator, a subclass that
+    supplies ``invoke(receiver, method, args)`` for functional objects and
+    ``claim_channel(key)`` for ``newLocalChannel``."""
 
-    invoke = claim_channel = None
     METHODS = method_table()
 
-    def __init__(self, console, invoke=None, claim_channel=None):
+    def __init__(self, console):
         self.console = console
-        if invoke is not None:
-            self.invoke = invoke
-        if claim_channel is not None:
-            self.claim_channel = claim_channel
 
     # ---------------------------------------------------------- instances
 

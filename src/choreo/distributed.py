@@ -1,14 +1,15 @@
 """Distributed evaluator: each role interprets its projected unit, and all
-roles of a run take turns on one thread (``run_workers``, which serves the
-test kit too), each until it waits on a channel or ends. A worker runs on
-the evaluator core it shares with the oracle (``interpreter.Evaluator``),
-and supplies what only workers have: method lookup up the ``extends``
-chain, the unit forms and a wait on a channel, which is a generator on the
-role's stack as a method call is. The first role to fail cancels the
-others, a proven deadlock stops every role at once, and the deadline,
-checked at every statement, stops programs that diverge. Try/catch executes
-its body (there is no user-level throw; a generated default throw of a
-selection switch fails its role).
+roles of a run take turns on one thread (``run_workers``), each until it
+waits on a channel or ends. ``eval_distributed`` starts every run, the test
+kit's cases too, with one ``ExecutionContext`` that holds the run's state.
+A worker runs on the evaluator core it shares with the oracle
+(``interpreter.Evaluator``), and supplies what only workers have: method
+lookup up the ``extends`` chain, the unit forms and a wait on a channel,
+which is a generator on the role's stack as a method call is. The first
+role to fail cancels the others, a proven deadlock stops every role at
+once, and the deadline, checked at every statement, stops programs that
+diverge. Try/catch executes its body (there is no user-level throw; a
+generated default throw of a selection switch fails its role).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from types import GeneratorType
 
 from .builtins import Console, PrintStreamV, method_table
 from .interpreter import Evaluator, ExecutionReport, ProgramObject, error_report, wire_arguments
-from .local import LClass, LEnum, LNew, LocalProgram, LStaticName
+from .local import LClass, LEnum, LNew, LStaticName
 from .projector import generated_name
 from .record import record
 from .runtime import (
-    UNIT, ChannelEndpoint, ChannelRegistry, ChoreoRuntimeError, DeadlockTimeout,
+    UNIT, ChannelEndpoint, ChoreoRuntimeError, DeadlockTimeout,
     EnumV, ExecutionContext, drive, is_unit, observe_value, observed_object,
 )
 
@@ -71,9 +72,10 @@ def _channel(name):
 
 
 def _wait(endpoint, name, message, sending):
-    """``com`` or ``select`` on ``endpoint`` once it can proceed."""
-    while not endpoint.ready(sending):
-        yield endpoint, sending
+    """``com`` or ``select`` on ``endpoint`` once it can proceed. A key has
+    at most two claimants, so only this role reads (or writes) the direction
+    it waits on: once ``run_workers`` finds it ready, it stays ready."""
+    yield endpoint, sending
     return getattr(endpoint, name)(message)
 
 
@@ -85,20 +87,17 @@ class LocalInterpreter(Evaluator):
     METHODS = method_table([((ChannelEndpoint, name), _channel(name))
                             for name in ("com", "select")])
 
-    def __init__(self, program, role, registry, console, context):
-        """``program`` is a LocalProgram, or a list of its units."""
+    def __init__(self, program, role, context, console):
         super().__init__(console)
-        if not isinstance(program, LocalProgram):
-            program = LocalProgram(list(program))
         if program.facts is None:
             program.facts = ProgramFacts(program.units)
         self.facts = program.facts
         self.role = role
-        self.registry = registry
+        self.context = context
         self.deadline = context.deadline
 
     def claim_channel(self, key):
-        return self.registry.claim(key, self.role)
+        return self.context.claim(key, self.role)
 
     # ---------------------------------------------------------------- calls
 
@@ -215,18 +214,17 @@ def _step(stack, outcome, context):
     return True
 
 
-def run_workers(local_program, registry, console, entries):
-    """Runs each role's entry call; all roles take turns on this thread.
+def run_workers(local_program, context, console, entries):
+    """Runs each role's entry call in ``context``; all roles take turns on
+    this thread.
 
     ``entries`` maps each role to (unit name, entry method, constructor
     arguments, method arguments). Returns the outcomes by role, the root
     cause of a failure first.
     """
-    context = registry.context
     outcomes = {role: WorkerOutcome(role, "error") for role in entries}
-    stacks = {role: [_entry(LocalInterpreter(local_program, role, registry, console, context),
-                            *entry)] for role, entry in entries.items()}
-    context.start(entries)
+    stacks = {role: [_entry(LocalInterpreter(local_program, role, context, console), *entry)]
+              for role, entry in entries.items()}
     pending = context.pending
     while stacks and context.failure is None:
         runnable = [r for r in stacks if r not in pending or pending[r][0].ready(pending[r][1])]
@@ -267,12 +265,13 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
     """Runs one worker per role until all finish, one fails, they deadlock
     or the deadline passes; returns an ExecutionReport.
 
+    The entry is chosen as ``interpreter.eval_global`` chooses it.
     Arguments are wired as ``interpreter.wire_arguments`` says, with the
     parameters a role's unit types as ``Unit`` living at no role.
     """
     args_by_role = args_by_role or {}
     channels = channels or {}
-    registry = ChannelRegistry(ExecutionContext(deadline))
+    context = ExecutionContext(deadline)
     console = Console()
     started = time.perf_counter()
 
@@ -281,7 +280,8 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
         unit_name = generated_name(entry_class, roles, role)
         unit = local_program.unit(unit_name)
         methods = getattr(unit.decl, "methods", ()) if unit is not None else ()
-        method = next((m for m in methods if m.name == entry_method), None)
+        method = min((m for m in methods if m.name == entry_method),
+                     key=lambda m: len(m.params), default=None)
         if method is None:
             return _not_started(f"missing projected unit '{unit_name}'" if unit is None
                                 else f"'{unit_name}' has no method '{entry_method}'")
@@ -289,7 +289,7 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
         def located(params, role=role):
             return [(p.name, set() if p.te.name == "Unit" else {role}) for p in params]
 
-        claim = partial(registry.claim, claimant=role)
+        claim = partial(context.claim, claimant=role)
         ctor_args, decl = [], unit.decl  # a static entry makes no instance
         try:
             if "static" not in method.modifiers and isinstance(decl, LClass) and decl.constructors:
@@ -300,10 +300,9 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
         except ChoreoRuntimeError as e:
             return _not_started(f"{role}: {e}")
         entries[role] = (unit_name, entry_method, ctor_args, method_args)
-    outcomes = run_workers(local_program, registry, console, entries)
+    outcomes = run_workers(local_program, context, console, entries)
 
     duration = time.perf_counter() - started
-    context = registry.context
     status, error = "ok", None
     if context.failure is not None:
         status, error = context.failure[1], _failure_summary(context, outcomes)

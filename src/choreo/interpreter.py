@@ -820,13 +820,15 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
 
     ``args_by_role`` lists the entry method's argument values per role in
     parameter order; ``channels`` maps constructor and entry parameter names
-    to registry keys (every channel-typed constructor parameter must
+    to channel keys (every channel-typed constructor parameter must
     appear). ``wire_arguments`` says which argument each parameter gets.
+    An overloaded entry name means its overload with the fewest parameters
+    (the first declared of those), so a ``@Test`` method's name means it.
     """
     channels = channels or {}
     info = checked.decl_info(entry_class)
-    entry_mi = next((mi for mi in info.methods if mi.name == entry_method),
-                    None) if info is not None else None
+    entry_mi = min((mi for mi in info.methods if mi.name == entry_method),
+                   key=lambda mi: len(mi.node.params), default=None) if info is not None else None
     if entry_mi is None:
         return error_report(f"unknown entry class '{entry_class}'" if info is None
                             else f"'{entry_class}' has no method '{entry_method}'")

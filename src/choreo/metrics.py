@@ -12,10 +12,12 @@ import time
 from . import surface as S
 from .checker import check_program
 from .diagnostics import Reporter
+from .lexer import lex
 from .pipeline import front_end, prelude_names
 from .projector import project_program
 from .printer import render_unit
 from .record import record
+from .span import SourceFile
 
 CSV_HEADER = "program,choral_loc,roles,conditionals,local_loc,expansion_pct,typecheck_ms,projection_ms"
 
@@ -38,33 +40,10 @@ class MetricsRow:
 
 
 def count_loc(text):
-    """Non-blank lines, excluding comment-only lines."""
-    count = 0
-    in_block = False
-    for line in text.splitlines():
-        stripped = line.strip()
-        content = []
-        i = 0
-        while i < len(stripped):
-            if in_block:
-                end = stripped.find("*/", i)
-                if end < 0:
-                    i = len(stripped)
-                else:
-                    in_block = False
-                    i = end + 2
-                continue
-            if stripped.startswith("//", i):
-                break
-            if stripped.startswith("/*", i):
-                in_block = True
-                i += 2
-                continue
-            content.append(stripped[i])
-            i += 1
-        if "".join(content).strip():
-            count += 1
-    return count
+    """The lines on which a token starts: blank and comment-only lines,
+    as the lexer reads comments, do not count."""
+    source = SourceFile("<loc>", text)
+    return len({source.line_col(t.start)[0] for t in lex(source) if t.kind != "eof"})
 
 
 def count_conditionals(program, skip=()):

@@ -1,4 +1,4 @@
-"""Runtime values, channel semantics and the shared state of one run.
+"""Runtime values, channel semantics and the state of one run (``ExecutionContext``).
 
 Runtime values use native Python types where they fit (int, float, bool,
 str); the remaining variants are small classes (unit singleton, enum labels,
@@ -9,8 +9,9 @@ which is exactly the shape projection produces (receivers always pass the
 injected ``Unit.id``). Labels sent by ``select`` are received as equal labels.
 
 All roles of a run take turns on one thread (``distributed.run_workers``).
-A role waits when a send finds its direction full or a receive finds it
-empty; the run's ``ExecutionContext`` records the pending operation and
+The run's ``ExecutionContext`` holds its channels, from which each role
+claims its endpoints. A role waits when a send finds its direction full or
+a receive finds it empty; the context records the pending operation and
 stops the run at its first failure, or as soon as a deadlock is proven.
 The evaluator core both evaluators share (``interpreter.Evaluator.run``)
 makes each method call a generator that runs the method's body, compiled
@@ -166,24 +167,42 @@ def drive(stack, value=None):
 
 
 class ExecutionContext:
-    """The shared state of one run: the deadline, the live roles (those
-    passed to ``start``), each waiting role's pending operation and the
-    run's first failure."""
+    """The state of one run: the deadline, its channels (each key's pair of
+    directions and the endpoint each claimant holds), the finished roles,
+    each waiting role's pending operation and the run's first failure."""
 
     def __init__(self, deadline_seconds=10.0):
         self.deadline = (time.monotonic() + deadline_seconds
                          if deadline_seconds is not None else None)
         # (role, status, message) of the first failure; no role for a deadlock.
         self.failure = None
-        self.live = set()
+        self.finished = set()
         self.pending = {}  # waiting role -> (endpoint, sending)
+        self._pairs = {}
+        self._endpoints = {}
 
-    def start(self, roles):
-        self.live.update(roles)
+    def claim(self, key, claimant):
+        """``claimant``'s endpoint of the channel ``key``, made at its first
+        claim; a key connects at most two roles."""
+        if not key:
+            raise ChoreoRuntimeError("channel keys must be nonempty")
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = _Pair(key)
+        if (key, claimant) in self._endpoints:
+            return self._endpoints[(key, claimant)]
+        if len(pair.claimants) >= 2:
+            raise ChoreoRuntimeError(
+                f"channel '{key}' already connects two roles "
+                f"({', '.join(pair.claimants)}); it cannot serve '{claimant}'")
+        side = len(pair.claimants)
+        pair.claimants.append(claimant)
+        ep = self._endpoints[(key, claimant)] = ChannelEndpoint(pair, side, claimant)
+        return ep
 
     def finish(self, role, status="ok", message=None):
         """``role`` has stopped; any status but ok stops the whole run."""
-        self.live.discard(role)
+        self.finished.add(role)
         if status != "ok" and self.failure is None:
             self.failure = (role, status, message)
         for waiting in list(self.pending):
@@ -201,7 +220,7 @@ class ExecutionContext:
         chain = []
         while role not in chain:
             if role not in self.pending:
-                if role is None or role in self.live:
+                if role not in self.finished:
                     return
                 break  # a finished peer
             endpoint, sending = self.pending[role]
@@ -220,7 +239,7 @@ class ExecutionContext:
 
 
 class _Pair:
-    """The two directions behind one registry key, a FIFO each."""
+    """The two directions behind one channel key, a FIFO each."""
 
     def __init__(self, key):
         self.key = key
@@ -303,40 +322,6 @@ class ChannelEndpoint:
         if is_unit(label):
             return self.receive_label()
         return self.send_label(label)
-
-
-class ChannelRegistry:
-    """Shared key -> channel map; each role claims its own endpoint."""
-
-    def __init__(self, context: ExecutionContext = None):
-        self.context = context if context is not None else ExecutionContext(None)
-        self._pairs = {}
-        self._endpoints = {}
-
-    def claim(self, key, claimant):
-        if not key:
-            raise ChoreoRuntimeError("channel keys must be nonempty")
-        pair = self._pairs.get(key)
-        if pair is None:
-            pair = self._pairs[key] = _Pair(key)
-        if (key, claimant) in self._endpoints:
-            return self._endpoints[(key, claimant)]
-        if len(pair.claimants) >= 2:
-            raise ChoreoRuntimeError(
-                f"channel '{key}' already connects two roles "
-                f"({', '.join(pair.claimants)}); it cannot serve '{claimant}'")
-        side = len(pair.claimants)
-        pair.claimants.append(claimant)
-        ep = self._endpoints[(key, claimant)] = ChannelEndpoint(pair, side, claimant)
-        return ep
-
-    def keys(self):
-        return sorted(self._pairs)
-
-
-def new_local_channel(registry, key, claimant):
-    """First caller creates the channel; both roles obtain their endpoints."""
-    return registry.claim(key, claimant)
 
 
 def assert_builtin(cond, message):

@@ -1,10 +1,11 @@
 """Choreographic test runner.
 
 Discovers @Test-annotated methods (static, parameterless, void), projects
-their classes with provenance annotations, and runs each case's roles, all
-on one thread, against a fresh channel registry per case, with the
-distributed evaluator's ``run_workers``. A case passes when every role
-finishes without assertion failures or errors. The first failing role is
+the program, and runs each case as a distributed run of its own
+(``distributed.eval_distributed``, with a fresh ``ExecutionContext``) whose
+entry is the static test method of each role's unit. A case passes when
+every role finishes without assertion failures or errors; a case whose
+run cannot start fails with the run's error. The first failing role is
 listed first and cancels its peers at once; a missing selection leaves
 every role waiting, a proven deadlock that fails the case at once as a
 deadlock-timeout.
@@ -12,15 +13,11 @@ deadlock-timeout.
 
 from __future__ import annotations
 
-import time
-
 from . import surface as S
 from .diagnostics import Code, Reporter
-from .distributed import run_workers
-from .builtins import Console
+from .distributed import eval_distributed
 from .projector import project_program
 from .record import field, record
-from .runtime import ChannelRegistry, ExecutionContext
 from .types import TVoid
 
 
@@ -29,7 +26,6 @@ class TestCase:
     class_name: str
     method_name: str
     roles: list
-    units: dict = None  # role -> LocalUnit
 
 
 @record
@@ -37,7 +33,8 @@ class CaseResult:
     case: TestCase
     passed: bool
     duration: float
-    failures: list = field(default_factory=list)  # (role, status, message)
+    # (role, status, message); no role when the run could not start
+    failures: list = field(default_factory=list)
 
     @property
     def name(self):
@@ -99,35 +96,25 @@ def _roles_confined(info, mi):
 
 
 def run_tests(checked, cases=None, deadline=10.0, reporter=None):
-    """Project with provenance annotations and run each case in isolation."""
+    """Project the program and run each case in isolation."""
     reporter = reporter if reporter is not None else Reporter()
     if cases is None:
         cases, reporter = discover_tests(checked, reporter)
-    local_program, reporter = project_program(checked, reporter, annotate=True)
+    local_program, reporter = project_program(checked, reporter)
     if reporter.has_errors():
         return [], reporter
-
-    by_provenance = {}
-    for unit in local_program.units:
-        by_provenance[(unit.source_name, unit.role)] = unit
-
-    results = []
-    for case in cases:
-        case.units = {role: by_provenance[(case.class_name, role)]
-                      for role in case.roles}
-        results.append(_run_case(local_program, case, deadline))
-    return results, reporter
+    return [_run_case(local_program, case, deadline) for case in cases], reporter
 
 
 def _run_case(local_program, case, deadline):
-    registry = ChannelRegistry(ExecutionContext(deadline))
-    started = time.perf_counter()
-    outcomes = run_workers(local_program, registry, Console(), {
-        role: (case.units[role].generated_name, case.method_name, [], [])
-        for role in case.roles})
-    duration = time.perf_counter() - started
-    failures = [(r, o.status, o.error) for r, o in outcomes.items() if o.status != "ok"]
-    return CaseResult(case, not failures, duration, failures)
+    """Runs ``case`` as a distributed run of its own: a ``@Test`` method is
+    a static, parameterless entry."""
+    report = eval_distributed(local_program, case.class_name, case.roles, case.method_name,
+                              deadline=deadline)
+    failures = [(r, o.status, o.error) for r, o in report.outcomes.items() if o.status != "ok"]
+    if report.status != "ok" and not failures:  # the run never started
+        failures = [(None, report.status, report.error)]
+    return CaseResult(case, not failures, report.duration, failures)
 
 
 def summarize(results):

@@ -4,10 +4,9 @@ from choreo.builtins import (
     Builtins, Console, PrintStreamV, display, java_div, java_rem, value_equals,
 )
 from choreo.distributed import LocalInterpreter
-from choreo.local import LBinary, LLit, LUnit
+from choreo.local import LBinary, LLit, LocalProgram, LUnit
 from choreo.runtime import (
-    UNIT, ChannelRegistry, ChoreoRuntimeError, EnumV, ExecutionContext, ListV,
-    OptionalV, is_unit,
+    UNIT, ChoreoRuntimeError, EnumV, ExecutionContext, ListV, OptionalV, is_unit,
 )
 
 
@@ -27,8 +26,7 @@ def test_java_division_truncates_toward_zero():
 
 
 def test_unit_operand_binops_yield_unit():
-    interp = LocalInterpreter([], "A", ChannelRegistry(ExecutionContext(None)),
-                              Console(), ExecutionContext(None))
+    interp = LocalInterpreter(LocalProgram([]), "A", ExecutionContext(None), Console())
     out = interp.eval(None, LBinary(LUnit(), "<=", LLit(3)))
     assert is_unit(out)
     out = interp.eval(None, LBinary(LLit(1), "+", LUnit()))
@@ -82,7 +80,12 @@ def test_string_methods():
 
 def test_optional_if_present_invokes_consumer():
     seen = []
-    b = Builtins(Console(), invoke=lambda recv, m, args: seen.append((recv, m, args)))
+
+    class Invoking(Builtins):
+        def invoke(self, recv, m, args):
+            seen.append((recv, m, args))
+
+    b = Invoking(Console())
     b.try_call_method(OptionalV(True, 9), "ifPresent", ["consumer"])
     assert seen == [("consumer", "accept", [9])]
     b.try_call_method(OptionalV(False), "ifPresent", ["consumer"])

@@ -373,6 +373,36 @@ def test_doubles_divide_and_print_as_java_does():
         "0.30000000000000004", "-1.23456789125E8", "xInfinity"]}
 
 
+def test_floor_and_int_value_of_any_double_are_javas():
+    # Each line is what the same expression prints in Java (JDK 17):
+    # floor keeps NaN, the infinities and a signed zero, and intValue
+    # narrows by JLS 5.1.3.
+    checked = compile_ok("""
+    class F@A {
+        public static void go() {
+            Double@A inf = 1.0@A / 0.0@A;
+            Double@A nan = 0.0@A / 0.0@A;
+            Double@A negInf = (0.0@A - 1.0@A) / 0.0@A;
+            Double@A big = 10000000000.0@A;
+            Double@A neg = 0.0@A - 2.7@A;
+            System@A.out.println(Math@A.floor((0.0@A - 1.0@A) * 0.0@A));
+            System@A.out.println(Math@A.floor(inf));
+            System@A.out.println(Math@A.floor(nan));
+            System@A.out.println(nan.intValue());
+            System@A.out.println(inf.intValue());
+            System@A.out.println(negInf.intValue());
+            System@A.out.println(big.intValue());
+            System@A.out.println(neg.intValue());
+        }
+    }
+    """)
+    cmp = differential_run(checked, "F", "go", local_program=project_ok(checked))
+    assert cmp.equal, cmp.summary()
+    assert cmp.distributed_report.status == "ok"
+    assert cmp.global_report.transcripts == {"A": [
+        "-0.0", "Infinity", "NaN", "0", "2147483647", "-2147483648", "2147483647", "-2"]}
+
+
 # ------------------------------------------------------------- differential
 
 def test_unknown_entry_is_an_error_report_in_both_evaluators():

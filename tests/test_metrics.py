@@ -20,6 +20,17 @@ class C@A {  // trailing comment counts the line
     assert count_loc(text) == 3
 
 
+def test_count_loc_reads_comment_openers_in_strings_as_code():
+    text = """class C@A {
+    void m() {
+        System@A.out.println("/*"@A);
+        System@A.out.println("after"@A);
+    }
+}
+"""
+    assert count_loc(text) == 6
+
+
 def test_table_counts_for_named_programs():
     rows, reporter = collect_metrics(
         [corpus("HelloRoles.chor"), corpus("DistAuth.chor"),

@@ -125,7 +125,7 @@ RECORDS = {
     "surface.InterfaceDecl": ("span annotations modifiers name roles ftps=<factory> extends=<factory> methods=<factory>", "identity"),
     "surface.ClassDecl": ("span annotations modifiers name roles ftps=<factory> extends=None implements=<factory> fields=<factory> constructors=<factory> methods=<factory>", "identity"),
     "surface.SurfaceProgram": ("decls", "identity"),
-    "testkit.TestCase": ("class_name method_name roles units=None", "eq"),
+    "testkit.TestCase": ("class_name method_name roles", "eq"),
     "testkit.CaseResult": ("case passed duration failures=<factory>", "eq"),
     "types.TVar": ("name uid role=False", "frozen"),
     "types.TSym": ("name", "frozen"),

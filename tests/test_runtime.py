@@ -1,4 +1,4 @@
-"""Channel registry and endpoint semantics, and the scheduler that runs
+"""Channel claims and endpoint semantics, and the scheduler that runs
 every role of a run on one thread."""
 
 import time
@@ -10,24 +10,23 @@ from choreo.distributed import run_workers
 from choreo.local import LocalProgram
 from choreo.local_reader import parse_local_unit
 from choreo.runtime import (
-    CHANNEL_CAPACITY, UNIT, AssertionFailure, ChannelRegistry, ChoreoRuntimeError,
+    CHANNEL_CAPACITY, UNIT, AssertionFailure, ChoreoRuntimeError,
     DeadlockTimeout, EnumV, ExecutionContext, ListV, OptionalV,
-    assert_builtin, is_unit, new_local_channel,
+    assert_builtin, is_unit,
 )
 
 
 def make_pair(deadline=5.0):
     ctx = ExecutionContext(deadline)
-    reg = ChannelRegistry(ctx)
-    return reg, reg.claim("k", "A"), reg.claim("k", "B"), ctx
+    return ctx, ctx.claim("k", "A"), ctx.claim("k", "B")
 
 
-def run_units(registry, entries, *texts):
+def run_units(context, entries, *texts):
     """Runs hand-written local units through ``run_workers``; ``entries``
     maps each role to (unit, entry method, constructor args, method args)."""
     console = Console()
     program = LocalProgram([parse_local_unit(t) for t in texts])
-    return run_workers(program, registry, console, entries), console
+    return run_workers(program, context, console, entries), console
 
 
 def static_unit(name, body, params="", extra=""):
@@ -41,41 +40,41 @@ WORK = "static void work(Integer n) { if (n > 0) { work(n - 1); work(n - 1); } }
 
 
 def test_two_roles_obtain_connected_endpoints():
-    reg, a, b, _ = make_pair()
+    ctx, a, b = make_pair()
     a.send_data(5)
     assert b.receive_data() == 5
 
 
 def test_same_role_claiming_twice_gets_same_endpoint():
-    reg = ChannelRegistry(ExecutionContext(None))
-    e1 = new_local_channel(reg, "key", "Device")
-    e2 = new_local_channel(reg, "key", "Device")
+    ctx = ExecutionContext(None)
+    e1 = ctx.claim("key", "Device")
+    e2 = ctx.claim("key", "Device")
     assert e1 is e2
 
 
 def test_three_roles_on_one_key_is_an_error():
-    reg, a, b, _ = make_pair()
+    ctx, a, b = make_pair()
     with pytest.raises(ChoreoRuntimeError):
-        reg.claim("k", "C")
+        ctx.claim("k", "C")
 
 
 def test_registry_linearisability_under_concurrent_claims():
     # Both roles claim the key in their own bodies, in turns on one thread.
-    reg = ChannelRegistry(ExecutionContext(5.0))
+    ctx = ExecutionContext(5.0)
     claim = 'SymChannel<Object> ch = TestUtils.newLocalChannel("shared"); '
     outcomes, console = run_units(
-        reg, {"A": ("Claim_A", "go", [], []), "B": ("Claim_B", "go", [], [])},
+        ctx, {"A": ("Claim_A", "go", [], []), "B": ("Claim_B", "go", [], [])},
         static_unit("Claim_A", claim + "ch.<Integer>com(7);"),
         static_unit("Claim_B", claim + "System.out.println(ch.<Integer>com(Unit.id));"))
     assert {o.status for o in outcomes.values()} == {"ok"}
     assert console.transcripts() == {"B": ["7"]}
-    a, b = reg.claim("shared", "A"), reg.claim("shared", "B")
+    a, b = ctx.claim("shared", "A"), ctx.claim("shared", "B")
     assert a.pair is b.pair
     assert a.side != b.side
 
 
 def test_per_direction_fifo_order():
-    reg, a, b, _ = make_pair()
+    ctx, a, b = make_pair()
     sent = list(range(10))
     for v in sent:
         a.send_data(v)
@@ -83,7 +82,7 @@ def test_per_direction_fifo_order():
 
 
 def test_value_fidelity_for_prelude_values():
-    reg, a, b, _ = make_pair()
+    ctx, a, b = make_pair()
     payload = ListV([1, "two", OptionalV(True, 3), EnumV("Choice", "GO")])
     a.send_data(payload)
     got = b.receive_data()
@@ -91,14 +90,14 @@ def test_value_fidelity_for_prelude_values():
 
 
 def test_string_round_trip():
-    reg, a, b, _ = make_pair()
+    ctx, a, b = make_pair()
     a.send_data("Hello")
     assert b.receive_data() == "Hello"
 
 
 def test_com_direction_from_payload():
     # A payload argument sends; the injected unit receives.
-    reg, a, b, _ = make_pair()
+    ctx, a, b = make_pair()
     assert is_unit(a.com("msg"))
     assert b.com() == "msg"
     b.com("reply")
@@ -106,20 +105,20 @@ def test_com_direction_from_payload():
 
 
 def test_select_round_trips_equal_label():
-    reg, a, b, _ = make_pair()
+    ctx, a, b = make_pair()
     a.select(EnumV("Choice", "GO"))
     got = b.select(UNIT)
     assert got == EnumV("Choice", "GO")
 
 
 def test_select_rejects_non_enum_payload():
-    reg, a, b, _ = make_pair()
+    ctx, a, b = make_pair()
     with pytest.raises(ChoreoRuntimeError):
         a.send_label("GO")
 
 
 def test_label_vs_data_protocol_violation():
-    reg, a, b, _ = make_pair()
+    ctx, a, b = make_pair()
     a.send_data(1)
     with pytest.raises(ChoreoRuntimeError):
         b.receive_label()
@@ -131,7 +130,7 @@ def test_receive_hits_deadline():
     ctx = ExecutionContext(0.3)
     started = time.monotonic()
     outcomes, _ = run_units(
-        ChannelRegistry(ctx), {"B": ("Wait_B", "go", [], []), "A": ("Work_A", "go", [], [])},
+        ctx, {"B": ("Wait_B", "go", [], []), "A": ("Work_A", "go", [], [])},
         static_unit("Wait_B", RECEIVE_K), static_unit("Work_A", "work(22);", extra=WORK))
     assert 0.3 <= time.monotonic() - started < 2.0
     assert ctx.failure == ("A", "deadlock-timeout", "deadline exceeded")
@@ -140,8 +139,7 @@ def test_receive_hits_deadline():
 
 
 def test_closed_peer_error():
-    reg, a, b, ctx = make_pair(deadline=5.0)
-    ctx.start(["A", "B"])
+    ctx, a, b = make_pair(deadline=5.0)
     ctx.finish("A")
     started = time.monotonic()
     with pytest.raises(DeadlockTimeout) as exc:
@@ -151,8 +149,7 @@ def test_closed_peer_error():
 
 
 def test_receive_drains_a_finished_peer_first():
-    reg, a, b, ctx = make_pair(deadline=5.0)
-    ctx.start(["A", "B"])
+    ctx, a, b = make_pair(deadline=5.0)
     a.send_data(1)
     ctx.finish("A")
     assert b.receive_data() == 1
@@ -164,7 +161,7 @@ def test_first_failure_cancels_a_blocked_peer():
     ctx = ExecutionContext(5.0)
     started = time.monotonic()
     outcomes, _ = run_units(
-        ChannelRegistry(ctx), {"B": ("Wait_B", "go", [], []), "A": ("Fail_A", "go", [], [])},
+        ctx, {"B": ("Wait_B", "go", [], []), "A": ("Fail_A", "go", [], [])},
         static_unit("Wait_B", RECEIVE_K),
         static_unit("Fail_A", 'Assert.assertTrue("boom", false);'))
     assert time.monotonic() - started < 1.0
@@ -177,7 +174,7 @@ def test_deadlock_names_every_pending_operation():
     ctx = ExecutionContext(5.0)
     started = time.monotonic()
     outcomes, _ = run_units(
-        ChannelRegistry(ctx), {"A": ("Wait_A", "go", [], []), "B": ("Wait_B", "go", [], [])},
+        ctx, {"A": ("Wait_A", "go", [], []), "B": ("Wait_B", "go", [], [])},
         static_unit("Wait_A", RECEIVE_K), static_unit("Wait_B", RECEIVE_K))
     assert time.monotonic() - started < 1.0
     message = "deadlock: A receives on 'k'; B receives on 'k'"
@@ -192,8 +189,7 @@ def test_pipeline_under_fast_switching_keeps_order_and_proves_no_deadlock():
     roles = [f"R{i}" for i in range(6)]
     count = 20 * CHANNEL_CAPACITY
     ctx = ExecutionContext(30.0)
-    reg = ChannelRegistry(ctx)
-    links = [(reg.claim(f"l{i}", a), reg.claim(f"l{i}", b))
+    links = [(ctx.claim(f"l{i}", a), ctx.claim(f"l{i}", b))
              for i, (a, b) in enumerate(zip(roles, roles[1:]))]
     chan = "SymChannel<Object>"
     more = f"if (n < {count}) {{ "
@@ -211,7 +207,7 @@ def test_pipeline_under_fast_switching_keeps_order_and_proves_no_deadlock():
     entries.update({r: (f"Pipe_{r}", "go", [], [links[i][1], links[i + 1][0]])
                     for i, r in enumerate(roles[1:-1])})
     entries["R5"] = ("Pipe_R5", "go", [], [links[-1][1]])
-    outcomes, console = run_units(reg, entries, first, *middle, last)
+    outcomes, console = run_units(ctx, entries, first, *middle, last)
     assert {o.status for o in outcomes.values()} == {"ok"}
     assert ctx.failure is None
     assert console.transcripts() == {"R5": [str(n) for n in range(count)]}
@@ -220,25 +216,24 @@ def test_pipeline_under_fast_switching_keeps_order_and_proves_no_deadlock():
 def test_send_blocks_when_buffer_full():
     # A direction holds CHANNEL_CAPACITY messages. A send past that waits
     # for the receiver, and when the receiver has finished it never can.
-    reg, a, b, _ = make_pair(deadline=5.0)
+    ctx, a, b = make_pair(deadline=5.0)
     for i in range(CHANNEL_CAPACITY):
         a.send_data(i)
     with pytest.raises(DeadlockTimeout):
         a.send_data("overflow")
 
     ctx = ExecutionContext(5.0)
-    reg = ChannelRegistry(ctx)
     sends = "".join(f"ch.<Integer>com({i});" for i in range(CHANNEL_CAPACITY + 1))
     claim = 'SymChannel<Object> ch = TestUtils.newLocalChannel("k"); '
     started = time.monotonic()
     outcomes, _ = run_units(
-        reg, {"A": ("Send_A", "go", [], []), "B": ("Idle_B", "go", [], [])},
+        ctx, {"A": ("Send_A", "go", [], []), "B": ("Idle_B", "go", [], [])},
         static_unit("Send_A", claim + sends), static_unit("Idle_B", claim))
     assert time.monotonic() - started < 1.0
     assert outcomes["B"].status == "ok"
     assert (outcomes["A"].status, outcomes["A"].error) == (
         "deadlock-timeout", "deadlock: A sends on 'k'")
-    assert len(reg.claim("k", "A").pair.queues[0]) == CHANNEL_CAPACITY
+    assert len(ctx.claim("k", "A").pair.queues[0]) == CHANNEL_CAPACITY
 
 
 def test_assert_builtin():

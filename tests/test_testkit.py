@@ -5,12 +5,13 @@ import time
 import pytest
 from conftest import compile_ok, compile_text
 
-from choreo import testkit
+from choreo import record, testkit
 from choreo.corpus import extra_path
 from choreo.diagnostics import Code, Reporter
+from choreo.differential import differential_run
+from choreo.local import LocalProgram
 from choreo.pipeline import compile_files
 from choreo.projector import project_program
-from choreo.runtime import ChannelRegistry, ExecutionContext
 from choreo.testkit import discover_tests, run_tests, summarize
 
 
@@ -129,10 +130,8 @@ def test_registry_isolation_between_cases():
     }
     """)
     results, reporter = run_tests(checked)
+    # A fresh run per case: one run would have rejected a third claimant.
     assert [r.passed for r in results] == [True, True]
-    # A fresh registry would have rejected a third claimant otherwise; also
-    # verify a new registry starts empty.
-    assert ChannelRegistry(ExecutionContext(None)).keys() == []
 
 
 def test_every_case_runs_once_and_summary_counts(corpus_compiled):
@@ -167,10 +166,13 @@ def test_missing_selection_fails_at_once():
         }
     }
     """)
-    program, reporter = project_program(checked, Reporter(), annotate=True)
+    program, reporter = project_program(checked, Reporter())
     assert not reporter.has_errors()
-    case = testkit.TestCase("Sel", "t", ["A", "B"],
-                            {"A": program.unit("NoSel_A"), "B": program.unit("Sel_B")})
+    no_sel = program.unit("NoSel_A")
+    program = LocalProgram([record.replace(no_sel, generated_name="Sel_A",
+                                           decl=record.replace(no_sel.decl, name="Sel_A")),
+                            program.unit("Sel_B")])
+    case = testkit.TestCase("Sel", "t", ["A", "B"])
     started = time.monotonic()
     result = testkit._run_case(program, case, deadline=10.0)
     assert time.monotonic() - started < 1.0
@@ -178,3 +180,28 @@ def test_missing_selection_fails_at_once():
     message = "deadlock: A receives on 'sel'; B receives on 'sel'"
     assert result.failures == [("A", "deadlock-timeout", message),
                                ("B", "deadlock-timeout", message)]
+
+
+def test_a_case_that_cannot_start_is_a_failed_case():
+    checked = compile_ok("class Quiet@A { static void maybe() { } }")
+    results, reporter = run_tests(checked, cases=[testkit.TestCase("Missing", "t", ["A"])])
+    assert not reporter.has_errors()
+    assert [r.passed for r in results] == [False]
+    assert results[0].failures == [(None, "error", "missing projected unit 'Missing'")]
+
+
+def test_an_overloaded_test_name_runs_the_test_method():
+    # A case runs through the evaluators' entry rule: of the overloads of
+    # an entry name, the one with the fewest parameters.
+    checked = compile_ok("""
+    class Over@(A, B) {
+        public static void t(Integer@A x) { Assert@A.assertTrue("wrong overload"@A, false@A); }
+        @Test
+        public static void t() { System@A.out.println("test"@A); }
+    }
+    """)
+    results, _ = run_tests(checked)
+    assert [(r.name, r.passed, r.failures) for r in results] == [("Over.t", True, [])]
+    cmp = differential_run(checked, "Over", "t")
+    assert cmp.equal, cmp.summary()
+    assert cmp.distributed_report.transcripts == {"A": ["test"]}

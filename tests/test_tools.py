@@ -91,7 +91,7 @@ def change_side(**modules):
     the attributes given for those named replaced."""
     change = types.SimpleNamespace(**{name: getattr(choreo, name) for name in (
         "diagnostics", "distributed", "interpreter", "pipeline", "printer", "projector",
-        "surface")})
+        "surface", "testkit")})
     for name, attrs in modules.items():
         setattr(change, name, types.SimpleNamespace(**{**vars(getattr(choreo, name)), **attrs}))
     return change
@@ -102,6 +102,23 @@ def test_ab_stops_when_the_two_sides_render_differently():
     item = ab.workload_inputs("compile", ab.load_gen(), 1)[0]
     change = change_side(printer={"render_unit": lambda unit: ""})
     with pytest.raises(SystemExit, match=f"ab: {item.name}: the two sides render differently"):
+        ab.measure({"parent": choreo, "change": change}, [item], 1)
+
+
+def test_ab_stops_when_the_two_sides_test_kits_differ():
+    ab = load_ab()
+    [item] = [item for item in ab.workload_inputs("compile", ab.load_gen(), 1)
+              if item.name.startswith("VitalsStreaming/")][:1]
+
+    def run_tests_failing(checked):
+        results, reporter = choreo.testkit.run_tests(checked)
+        for r in results:
+            r.passed = False
+        return results, reporter
+
+    change = change_side(testkit={"run_tests": run_tests_failing})
+    with pytest.raises(SystemExit,
+                       match="ab: VitalsStreaming: the two sides' test kits give different"):
         ab.measure({"parent": choreo, "change": change}, [item], 1)
 
 

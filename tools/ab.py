@@ -25,11 +25,13 @@ program has only its compile timed, which stops at the first phase that
 reports an error. Before the first round, both sides' front ends
 (``pipeline.front_end``) must give each input the same tree: the same
 ``render_program`` text, and the same class name, line and column of every
-node that ``surface.walk`` yields. Both sides must give the same diagnostics
-(code, severity, line, column and message), render the same units, project
-to the same units (their ``repr``, taken after the timed stages: a chain
-that ends in None renders as one that ends in ``LNil()`` does, but merges
-differently) and give the same reports.
+node that ``surface.walk`` yields; and both sides' ``testkit.run_tests``
+must give each positive program's ``@Test`` cases the same name, verdict
+and failures. Both sides must give the same diagnostics (code, severity,
+line, column and message), render the same units, project to the same
+units (their ``repr``, taken after the timed stages: a chain that ends in
+None renders as one that ends in ``LNil()`` does, but merges differently)
+and give the same reports.
 The script prints, per workload and stage, each side's median time and the
 median over inputs of each input's median change/parent ratio, with that
 ratio's quartiles over inputs. As ``p90+ ratio``, it also prints the median
@@ -91,7 +93,7 @@ def import_checkout(checkout, name, into):
     copy_checkout(checkout, name, into)
     package = importlib.import_module(name)
     for module in ("diagnostics", "interpreter", "distributed", "pipeline", "printer", "projector",
-                   "surface"):
+                   "surface", "testkit"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -179,6 +181,14 @@ def front_end_keys(choreo, item):
     return choreo.printer.render_program(program), nodes
 
 
+def test_keys(choreo, sources):
+    """(name, passed, failures) of each ``@Test`` case of the program of
+    ``sources``, which compiles."""
+    checked, _ = choreo.pipeline.compile_sources(sources)
+    results, _ = choreo.testkit.run_tests(checked)
+    return [(r.name, r.passed, r.failures) for r in results]
+
+
 def diagnostic_keys(found):
     """(code, severity, line, column, message) of each diagnostic."""
     return [(d.code.value, d.severity.value, *d.span.source.line_col(d.span.start), d.message)
@@ -193,6 +203,11 @@ def measure(packages, inputs, rounds):
     for item in inputs:
         if front_end_keys(packages["parent"], item) != front_end_keys(packages["change"], item):
             sys.exit(f"ab: {item.name}: the two sides' front ends give different trees")
+    for sources in {tuple(item.sources): None for item in inputs if item.entry_class}:
+        tested = {side: test_keys(packages[side], sources) for side in SIDES}
+        if tested["parent"] != tested["change"]:
+            sys.exit(f"ab: {sources[0][0]}: the two sides' test kits give different results:\n"
+                     f"  parent {tested['parent']}\n  change {tested['change']}")
     for r in range(rounds):
         for i, item in enumerate(inputs):
             order = SIDES if (r + i) % 2 == 0 else SIDES[::-1]
