@@ -11,8 +11,9 @@ checker is itself the checked program: its side tables answer ``type_of``,
 ``te_type`` and ``roles_of`` for the projector and interpreters.
 
 The prelude's declarations are checked once per process into a read-only
-``PreludeLayer``; each program's checker starts from copies of its tables
-and checks only the program's own declarations.
+``PreludeLayer``; each program's checker starts from copies of its tables,
+shares its ``DeclInfo`` and ``MethodInfo`` objects with their facts, and
+checks only the program's own declarations.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ class MethodInfo:
     node: S.Method
     owner: "DeclInfo"  # a weak proxy: the DeclInfo holds its MethodInfos
     ftps: list = field(default_factory=list)
+    # Set with the symbol table; ``param_types`` and ``return_type`` fill
+    # the other two on first use (``...``: not yet, None: failed to denote).
+    scope: "Scope" = field(default=None, compare=False, repr=False)
+    params: tuple = field(default=None, compare=False, repr=False)
+    returns: object = field(default=..., compare=False, repr=False)
 
     @property
     def name(self):
@@ -82,6 +88,9 @@ class DeclInfo:
     methods: list = field(default_factory=list)
     constructors: list = field(default_factory=list)
     is_prelude: bool = False
+    # Set with the symbol table; ``direct_supertypes_of_decl`` fills supers.
+    scope: "Scope" = field(default=None, compare=False, repr=False)
+    supers: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def name(self):
@@ -146,7 +155,6 @@ class Checker:
     def __init__(self, program: S.SurfaceProgram, reporter: Reporter, prelude, decls):
         self.program = program
         self.reporter = reporter
-        self.prelude = prelude
         self.decls = decls
         self.own = []  # DeclInfos of ``decls`` that entered the table
         self.table = prelude.table.copy()
@@ -160,15 +168,7 @@ class Checker:
         self.suppressed = set()  # decl names whose bodies are skipped
         self.cyclic = set()  # decl names reported for cyclic inheritance
         self._failed_tes = set()
-        # Type facts, each computed on first use and kept for this program.
-        self._decl_scopes = prelude.decl_scopes.copy()  # decl name -> Scope
-        self._method_scopes = prelude.method_scopes.copy()  # id(MethodInfo) -> Scope
-        # decl name -> direct supertypes at its formals
-        self._decl_supers = prelude.decl_supers.copy()
         self._closures = prelude.closures.copy()  # decl name -> [(DeclInfo, subst)]
-        # id(MethodInfo) -> (param Type or None, ...)
-        self._param_types = prelude.param_types.copy()
-        self._return_types = prelude.return_types.copy()  # id(MethodInfo) -> Type or None
         self._type_roles = {}  # id(Exp or TE) -> roles of its own type
         self._exp_roles = {}  # id(Exp) -> roles of its type and all subterms
         self._role_sets = {}  # frozenset -> the one stored copy of it
@@ -267,10 +267,10 @@ class Checker:
             self.table[decl.name] = info
             self.own.append(info)
         for info in self.own:
-            scope = Scope({v.name: v for v in info.role_vars}, {})
+            scope = info.scope = Scope({v.name: v for v in info.role_vars}, {})
             if isinstance(info.node, (S.ClassDecl, S.InterfaceDecl)):
                 info.ftps = self.build_ftps(info.node.ftps, scope)
-                scope = self.decl_scope(info)
+                scope = info.scope = scope.child(types={f.name: f.var for f in info.ftps})
                 owner = weakref.proxy(info)
                 info.methods.extend(MethodInfo(m, owner) for m in info.node.methods)
                 if isinstance(info.node, S.ClassDecl):
@@ -280,9 +280,10 @@ class Checker:
                         default = S.Method(info.node.span, [], ["public"], [], None,
                                            info.name, [], None, is_constructor=True)
                         info.constructors.append(MethodInfo(default, owner))
-            # Method-level type parameters.
+            # Method-level type parameters, and the scopes they extend.
             for mi in info.methods + info.constructors:
                 mi.ftps = self.build_ftps(mi.node.ftps, scope)
+                mi.scope = scope.child(types={f.name: f.var for f in mi.ftps})
 
     def build_ftps(self, nodes, scope):
         out = []
@@ -314,23 +315,6 @@ class Checker:
         binders."""
         fi = self.var_ftp.get(var.uid)
         return fi.bound_ctors if fi is not None else ()
-
-    def decl_scope(self, info):
-        """Role and type variables of a declaration; valid once the table is built."""
-        scope = self._decl_scopes.get(info.name)
-        if scope is None:
-            scope = self._decl_scopes[info.name] = Scope(
-                roles={v.name: v for v in info.role_vars},
-                types={f.name: f.var for f in info.ftps},
-            )
-        return scope
-
-    def method_scope(self, info, mi):
-        scope = self._method_scopes.get(id(mi))
-        if scope is None:
-            scope = self._method_scopes[id(mi)] = self.decl_scope(info).child(
-                types={f.name: f.var for f in mi.ftps})
-        return scope
 
     @staticmethod
     def formals(info):
@@ -483,13 +467,11 @@ class Checker:
 
     def direct_supertypes_of_decl(self, info):
         """Denoted supertypes of a declaration, at its own formals."""
-        out = self._decl_supers.get(info.name)
-        if out is not None:
-            return out
-        scope = self.decl_scope(info)
+        if info.supers is not None:
+            return info.supers
         out = []
         for te in info.super_tes():
-            t = self.denote(te, scope)
+            t = self.denote(te, info.scope)
             if t is not None:
                 out.append(t)
         if info.is_enum:
@@ -501,8 +483,8 @@ class Checker:
             and "Object" in self.table
         ):
             out.append(app(TSym("Object"), info.role_vars[0]))
-        out = self._decl_supers[info.name] = tuple(out)
-        return out
+        info.supers = tuple(out)
+        return info.supers
 
     def supertype_closure(self, info):
         """The declaration, then every supertype it reaches, breadth first.
@@ -607,9 +589,8 @@ class Checker:
         self.check_cycles()
         for info in self.own:
             decl_roles = set(info.role_names)
-            scope = self.decl_scope(info)
             for te in info.super_tes():
-                t = self.denote(te, scope)
+                t = self.denote(te, info.scope)
                 if t is None:
                     self.suppressed.add(info.name)
                     continue
@@ -736,9 +717,8 @@ class Checker:
         if len(mi.node.params) != 1:
             bad("methods must take exactly one parameter.")
             return
-        scope = self.method_scope(info, mi)
-        pt = self.denote(mi.node.params[0].te, scope)
-        rt = self.denote(mi.node.return_te, scope) if mi.node.return_te else None
+        pt = self.denote(mi.node.params[0].te, mi.scope)
+        rt = self.denote(mi.node.return_te, mi.scope) if mi.node.return_te else None
         if pt is None or rt is None or isinstance(rt, TVoid):
             bad("methods must return the transmitted enumerated value.")
             return
@@ -777,7 +757,7 @@ class Checker:
 
     def member_tes_with_scope(self, info):
         """Every declared TE of a declaration paired with its denotation scope."""
-        scope = self.decl_scope(info)
+        scope = info.scope
         for te in info.super_tes():
             yield te, scope
         for f in info.fields():
@@ -787,13 +767,12 @@ class Checker:
             for bte in fi.bound_tes:
                 yield bte, inner
         for mi in info.methods + info.constructors:
-            mscope = self.method_scope(info, mi)
             if mi.node.return_te is not None:
-                yield mi.node.return_te, mscope
+                yield mi.node.return_te, mi.scope
             for p in mi.node.params:
-                yield p.te, mscope
+                yield p.te, mi.scope
             for fi in mi.ftps:
-                inner = mscope.child(roles={v.name: v for v in fi.role_binders})
+                inner = mi.scope.child(roles={v.name: v for v in fi.role_binders})
                 for bte in fi.bound_tes:
                     yield bte, inner
 
@@ -844,7 +823,7 @@ class Checker:
                     f"'{info.name}' does not implement abstract method '{name}'.")
 
     def check_method_body(self, info, mi, constructor=False):
-        scope = self.method_scope(info, mi)
+        scope = mi.scope
         gamma = {}
         if not mi.is_static or constructor:
             gamma["this"] = self.self_type(info)
@@ -1053,7 +1032,7 @@ class Checker:
                     continue
                 if static_only and not f.is_static():
                     continue
-                t = self.denote(f.te, self.decl_scope(sup))
+                t = self.denote(f.te, sup.scope)
                 if t is None or not subst:
                     return t
                 return reduce_type(substitute(t, subst))
@@ -1096,7 +1075,7 @@ class Checker:
             mapping = {v.uid: a for v, a in zip(info.role_vars, actuals)}
             for f in info.fields():
                 if f.name == exp.name and f.is_static():
-                    t = self.denote(f.te, self.decl_scope(info))
+                    t = self.denote(f.te, info.scope)
                     if t is None:
                         return None
                     return reduce_type(substitute(t, mapping))
@@ -1119,7 +1098,7 @@ class Checker:
         for sup, subst, actuals in self.supertype_instances(t):
             for f in sup.fields():
                 if f.name == name:
-                    ft = self.denote(f.te, self.decl_scope(sup))
+                    ft = self.denote(f.te, sup.scope)
                     if ft is None:
                         return None
                     return reduce_type(substitute(ft, self.instantiate(subst, actuals)))
@@ -1276,23 +1255,19 @@ class Checker:
     def param_types(self, mi):
         """Normal forms of a method's parameter types, None where one failed
         to denote; at the formals of the method and its declaration."""
-        out = self._param_types.get(id(mi))
-        if out is None:
-            scope = self.method_scope(mi.owner, mi)
-            out = self._param_types[id(mi)] = tuple(self.denote(p.te, scope)
-                                                    for p in mi.node.params)
-        return out
+        if mi.params is None:
+            mi.params = tuple(self.denote(p.te, mi.scope) for p in mi.node.params)
+        return mi.params
 
     def return_type(self, mi):
         """Normal form of a method's return type (void for constructors),
         None if it failed to denote."""
-        if id(mi) not in self._return_types:
+        if mi.returns is ...:
             if mi.node.is_constructor or mi.node.return_te is None:
-                t = VOID
+                mi.returns = VOID
             else:
-                t = self.denote(mi.node.return_te, self.method_scope(mi.owner, mi))
-            self._return_types[id(mi)] = t
-        return self._return_types[id(mi)]
+                mi.returns = self.denote(mi.node.return_te, mi.scope)
+        return mi.returns
 
     def instantiate_method(self, mi, mapping, type_args, exp, bound_errors):
         """Substituted (param types, return type), or None if not applicable.
@@ -1436,24 +1411,24 @@ _NOTHING = MappingProxyType({})
 class PreludeLayer:
     """The prelude's declarations, checked once: the tables a ``Checker``
     starts from, read-only. The default is the empty layer of a program
-    without a prelude."""
+    without a prelude. The facts of each declaration and method are on its
+    ``DeclInfo`` and ``MethodInfo``, shared by every program's table.
+    Supertype closures stay a table, as a closure lists its own
+    declaration: kept on the ``DeclInfo`` it would make a reference cycle.
+    """
 
     table: MappingProxyType = _NOTHING
     var_ftp: MappingProxyType = _NOTHING
     te_types: MappingProxyType = _NOTHING
-    decl_scopes: MappingProxyType = _NOTHING
-    method_scopes: MappingProxyType = _NOTHING
-    decl_supers: MappingProxyType = _NOTHING
     closures: MappingProxyType = _NOTHING
-    param_types: MappingProxyType = _NOTHING
-    return_types: MappingProxyType = _NOTHING
 
     @classmethod
     def build(cls, decls):
         """Check the prelude ``decls`` alone and work out, eagerly, the
-        scopes, supertypes, supertype closures and method signatures of
-        every one of them. The prelude is trusted: a diagnostic here is
-        a fault in it, raised as ``RuntimeError``."""
+        supertypes, supertype closures and method signatures of every one
+        of them, so that no program's checker writes to them. The prelude
+        is trusted: a diagnostic here is a fault in it, raised as
+        ``RuntimeError``."""
         ck = Checker(S.SurfaceProgram(list(decls)), Reporter(), cls(), decls)
         ck.build_table(is_prelude=True)
         ck.check_cycles()
@@ -1466,12 +1441,8 @@ class PreludeLayer:
         if ck.reporter.items:
             raise RuntimeError("prelude failed to check:\n" + "\n".join(
                 d.render() for d in ck.reporter.items))
-        tables = dict(
-            table=ck.table, var_ftp=ck.var_ftp,
-            te_types=ck.te_types, decl_scopes=ck._decl_scopes, method_scopes=ck._method_scopes,
-            decl_supers=ck._decl_supers, closures=ck._closures, param_types=ck._param_types,
-            return_types=ck._return_types)
-        return cls(**{name: MappingProxyType(t) for name, t in tables.items()})
+        return cls(MappingProxyType(ck.table), MappingProxyType(ck.var_ftp),
+                   MappingProxyType(ck.te_types), MappingProxyType(ck._closures))
 
 
 _EMPTY_LAYER = PreludeLayer()

@@ -54,6 +54,8 @@ def differential_run(checked, entry_class, entry_method, args_by_role=None,
                      channels=None, deadline=10.0, local_program=None):
     """Project (unless given) and compare both executions; see Comparison."""
     info = checked.decl_info(entry_class)
+    if info is None:
+        return Comparison(False, [f"unknown entry class '{entry_class}'"], None, None)
     roles = info.role_names
     global_report = eval_global(checked, entry_class, entry_method,
                                 args_by_role, channels)

@@ -840,12 +840,10 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
         return [(p.name, interp.actual_roles(p.te, binding)) for p in params]
 
     try:
-        receiver = None
         if not entry_mi.is_static:
             ctor = info.constructors[0]
             ctor_args = wire_arguments(located(ctor.node.params), channels,
                                        interp.claim_channel, owner=entry_class)
-            receiver = interp.now(interp.instantiate(info, info.role_names, ctor, ctor_args))
         pending = {r: list(vs) for r, vs in (args_by_role or {}).items()}
         call_args = wire_arguments(located(entry_mi.node.params), channels,
                                    interp.claim_channel, pending)
@@ -853,6 +851,7 @@ def eval_global(checked, entry_class, entry_method, args_by_role=None,
         if entry_mi.is_static:
             result = interp.now(interp.call_static(entry_mi, binding, call_args))
         else:
+            receiver = interp.now(interp.instantiate(info, info.role_names, ctor, ctor_args))
             result = interp.now(interp.run(receiver, receiver.binding, entry_mi.node, call_args))
         ret_roles = interp.actual_roles(entry_mi.node.return_te, binding)
         returns = {role: interp.observe(result, role) if role in ret_roles else "unit"
@@ -879,9 +878,10 @@ def wire_arguments(params, channels, claim, pending=None, owner=None):
     in the evaluator's view. A parameter that lives at no role gets unit; one
     named in ``channels`` gets the channel ``claim`` returns for its key; one
     that lives at a single role takes that role's next manifest value from
-    ``pending`` (role -> list, consumed); any other gets unit. Constructors
-    take no manifest values (``pending`` None): each of their parameters
-    that lives at some role must be a channel.
+    ``pending`` (role -> list, consumed), and is an error when none is left;
+    any other gets unit. Constructors take no manifest values (``pending``
+    None): each of their parameters that lives at some role must be a
+    channel.
     """
     args = []
     for name, roles in params:
@@ -892,7 +892,12 @@ def wire_arguments(params, channels, claim, pending=None, owner=None):
         elif pending is None:
             raise ChoreoRuntimeError(
                 f"constructor parameter '{name}' of '{owner}' has no channel wiring")
+        elif len(roles) > 1:
+            args.append(UNIT)
         else:
-            values = pending.get(next(iter(roles))) if len(roles) == 1 else None
-            args.append(decode_value(values.pop(0)) if values else UNIT)
+            role = next(iter(roles))
+            if not pending.get(role):
+                raise ChoreoRuntimeError(
+                    f"entry parameter '{name}' at {role} has no value in the arguments")
+            args.append(decode_value(pending[role].pop(0)))
     return args

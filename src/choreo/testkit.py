@@ -68,9 +68,7 @@ def discover_tests(checked, reporter: Reporter = None):
                 problems.append("be static")
             if node.params:
                 problems.append("have no parameters")
-            ret = checked.denote(node.return_te, checked.method_scope(info, mi)) \
-                if node.return_te is not None else None
-            if not isinstance(ret, TVoid):
+            if not isinstance(checked.return_type(mi), TVoid):
                 problems.append("return no values")
             if problems:
                 reporter.error(
@@ -123,7 +121,8 @@ def summarize(results):
         mark = "PASS" if r.passed else "FAIL"
         lines.append(f"{mark} {r.name} ({r.duration:.3f}s)")
         for role, status, message in r.failures:
-            lines.append(f"     {role}: {status}: {message}")
+            where = "" if role is None else f"{role}: "
+            lines.append(f"     {where}{status}: {message}")
     passed = sum(1 for r in results if r.passed)
     lines.append(f"{passed}/{len(results)} cases passed")
     return "\n".join(lines)

@@ -13,10 +13,10 @@ from conftest import compile_ok, compile_text, supertypes
 
 import choreo
 from choreo import surface as S
-from choreo.checker import Checker, check_program
+from choreo.checker import Checker, check_program, prelude_layer
 from choreo.corpus import positive_entries
 from choreo.diagnostics import Code, Reporter, Severity
-from choreo.pipeline import front_end, prelude_names
+from choreo.pipeline import compile_files, front_end, load_prelude, prelude_names
 from choreo.printer import render_unit
 from choreo.projector import project_program
 from choreo.types import (
@@ -110,6 +110,25 @@ def test_type_arguments_are_invariant():
     lst_int = app(TSym("List"), a, TSym("Integer"))
     lst_num = app(TSym("List"), a, TSym("Number"))
     assert not ck.is_subtype(lst_int, lst_num)
+
+
+def test_the_prelude_layer_sets_the_facts_of_the_prelude_and_compiles_keep_them():
+    layer = prelude_layer(load_prelude().decls)
+    infos = list(layer.table.values())
+    methods = [mi for info in infos for mi in info.methods + info.constructors]
+
+    def facts():
+        return ([(info.scope, info.supers) for info in infos]
+                + [(mi.scope, mi.params, mi.returns) for mi in methods])
+
+    before = facts()
+    assert infos and methods
+    assert all(f is not None and f is not ... for entry in before for f in entry)
+    for prog in positive_entries():
+        checked, reporter = compile_files([prog.path])
+        assert not reporter.has_errors()
+        assert all(checked.table[info.name] is info for info in infos)
+    assert all(a is b for old, new in zip(before, facts()) for a, b in zip(old, new))
 
 
 def test_supertype_closures_of_the_prelude_and_the_corpus_keep_their_entries(corpus_compiled):

@@ -417,6 +417,39 @@ def test_unknown_entry_is_an_error_report_in_both_evaluators():
         assert (report.status, report.error) == ("error", error)
 
 
+MISSING_ARGUMENT = """
+class M@A {
+    public M() { System@A.out.println("built"@A); }
+    public void t(Integer@A x) { System@A.out.println(x); }
+}
+"""
+
+
+def test_eval_global_reports_a_missing_argument_before_the_run_starts():
+    checked = compile_ok(MISSING_ARGUMENT)
+    report = eval_global(checked, "M", "t")
+    assert (report.status, report.error) == (
+        "error", "entry parameter 'x' at A has no value in the arguments")
+    assert report.transcripts.get("A", []) == []
+    assert eval_global(checked, "M", "t", {"A": [5]}).transcripts == {"A": ["built", "5"]}
+
+
+def test_eval_distributed_reports_a_missing_argument_before_the_run_starts():
+    units = project_ok(compile_ok(MISSING_ARGUMENT))
+    report = eval_distributed(units, "M", ["A"], "t", {"A": []})
+    assert (report.status, report.error, report.outcomes) == (
+        "error", "A: entry parameter 'x' at A has no value in the arguments", {})
+    assert report.transcripts.get("A", []) == []
+    assert eval_distributed(units, "M", ["A"], "t", {"A": [5]}).transcripts == {
+        "A": ["built", "5"]}
+
+
+def test_differential_run_of_an_unknown_entry_class_is_a_mismatch():
+    checked = compile_ok("class H@A { public static void main() { } }")
+    cmp = differential_run(checked, "Nope", "main")
+    assert (cmp.equal, cmp.diffs) == (False, ["unknown entry class 'Nope'"])
+
+
 def test_static_entry_wires_no_constructor_in_either_evaluator():
     checked = compile_ok("""
     class K@A {

@@ -39,11 +39,11 @@ def test_importing_the_package_loads_neither_dataclasses_nor_typing():
 RECORDS = {
     "builtins.PrintStreamV": ("console role", "eq"),
     "checker.FTPInfo": ("name var role_binders bound_tes node=None bound_ctors=<factory>", "eq"),
-    "checker.MethodInfo": ("node owner ftps=<factory>", "eq"),
-    "checker.DeclInfo": ("node sym role_vars ftps=<factory> methods=<factory> constructors=<factory> is_prelude=False", "eq"),
+    "checker.MethodInfo": ("node owner ftps=<factory> scope=None params=None returns=Ellipsis", "eq"),
+    "checker.DeclInfo": ("node sym role_vars ftps=<factory> methods=<factory> constructors=<factory> is_prelude=False scope=None supers=None", "eq"),
     "checker.Scope": ("roles types", "eq"),
     "checker._BodyCtx": ("info mi scope constructor", "eq"),
-    "checker.PreludeLayer": ("table=mappingproxy({}) var_ftp=mappingproxy({}) te_types=mappingproxy({}) decl_scopes=mappingproxy({}) method_scopes=mappingproxy({}) decl_supers=mappingproxy({}) closures=mappingproxy({}) param_types=mappingproxy({}) return_types=mappingproxy({})", "frozen"),
+    "checker.PreludeLayer": ("table=mappingproxy({}) var_ftp=mappingproxy({}) te_types=mappingproxy({}) closures=mappingproxy({})", "frozen"),
     "corpus.CorpusProgram": ("name path runs", "eq"),
     "diagnostics.Diagnostic": ("code span message severity=<Severity.ERROR: 'error'> expecting=None found=None", "frozen"),
     "diagnostics.Reporter": ("items=<factory>", "eq"),

@@ -190,6 +190,32 @@ def test_a_case_that_cannot_start_is_a_failed_case():
     assert results[0].failures == [(None, "error", "missing projected unit 'Missing'")]
 
 
+def test_summarize_prints_a_failure_without_a_role_as_its_status_and_message():
+    checked = compile_ok("class Quiet@A { static void maybe() { } }")
+    results, _ = run_tests(checked, cases=[testkit.TestCase("Missing", "t", ["A"])])
+    assert summarize(results).splitlines()[1:] == [
+        "     error: missing projected unit 'Missing'", "0/1 cases passed"]
+
+
+def test_a_role_waiting_on_a_key_no_peer_claims_is_a_deadlock_at_once():
+    # A sends on "k1" and finishes; B waits on "k2", which no role claims,
+    # so every remaining role is blocked.
+    checked = compile_ok("""
+    class Dead@(A, B) {
+        @Test
+        public static void t() {
+            SymChannel@(A, B)<Object> ch = TestUtils@(A, B).newLocalChannel("k1"@A, "k2"@B);
+            ch.<Integer>com(1@A);
+        }
+    }
+    """)
+    started = time.perf_counter()
+    results, _ = run_tests(checked, deadline=5.0)
+    assert [(r.passed, r.failures) for r in results] == [
+        (False, [("B", "deadlock-timeout", "deadlock: B receives on 'k2'")])]
+    assert time.perf_counter() - started < 2.0
+
+
 def test_an_overloaded_test_name_runs_the_test_method():
     # A case runs through the evaluators' entry rule: of the overloads of
     # an entry name, the one with the fewest parameters.
