@@ -193,14 +193,16 @@ def build_parser():
 
 
 def main(argv=None):
-    sys.setrecursionlimit(20000)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)  # for the command only; the caller keeps its own
     try:
         return args.fn(args)
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

@@ -4,16 +4,18 @@
 program for the oracle, a role's projected units for a worker
 (``distributed.LocalInterpreter``). A method's body is compiled at its first
 call in a program, in the manner of Feeley and Lapalme's closure
-generation: each statement becomes a ``Step`` whose expression is a Python
-closure, a block's statements when the block is first entered, and one loop
-runs the steps. ``COMPILE`` holds the compile function of every statement
-and expression class of both languages. The compiled bodies are kept in the
-program's facts, so every evaluator of a program shares one compile. Each evaluator supplies its
-calls, its static fields and which of its calls may run a method of the
-program, behind a few hooks. A method call is one generator, run by
-``runtime.drive``, so recursion takes no Python stack and is bounded only by
-``runtime.MAX_CALL_DEPTH``; an expression that calls no method of the
-program evaluates with no generator.
+generation: each statement becomes a ``Step`` that holds its expression's
+Python closure and the step that follows it, compiled last to first, so a
+block, branch or switch arm ends in the step after its statement (a branch
+or arm is compiled when first reached), and one loop runs the steps.
+``COMPILE`` holds the compile function of every statement and expression
+class of both languages. The compiled bodies are kept in the program's
+facts, so every evaluator of a program shares one compile. Each evaluator
+supplies its calls, its static fields and which of its calls may run a
+method of the program, behind a few hooks. A method call is one generator,
+run by ``runtime.drive``, so recursion takes no Python stack and is bounded
+only by ``runtime.MAX_CALL_DEPTH``; an expression that calls no method of
+the program evaluates with no generator.
 
 The global evaluator (``GlobalInterpreter``) runs checked choreographies
 directly. Values are not located; the per-role structure shows up in the
@@ -45,9 +47,8 @@ from .runtime import (
 )
 from .types import TVar, spine
 
-# Statement kinds; an assignment runs as an expression statement.
-EXP, VAR, RETURN, IF, SWITCH, BLOCK, END, THROW = (
-    "exp", "var", "return", "if", "switch", "block", "end", "throw")
+# Step kinds; an assignment and a ``throw`` run as expression statements.
+EXP, VAR, RETURN, IF, SWITCH = "exp", "var", "return", "if", "switch"
 # How a compiled expression calls methods of the program, or waits (see
 # ``Evaluator.compile_exp``).
 OWN, DEEP = 1, 2
@@ -154,55 +155,37 @@ class Evaluator(Builtins):
                                method.is_constructor, step)
 
     def _run_steps(self, frame, ctor, step):
-        """The statement loop, on the steps of a body (see ``Step``).
-        ``rest`` holds the steps of the blocks, branches and switches
-        entered, innermost last, whose continuations run when their bodies
-        end; ``return`` returns from the generator."""
-        deadline, link = self.deadline, self._link
-        rest = None
+        """The statement loop, on the steps of a body (see ``Step``);
+        ``return`` returns from the generator."""
+        deadline = self.deadline
         while True:
-            kind = step.kind
-            if kind is END:
-                if not rest:
-                    return frame.this if ctor else UNIT
-                step = rest.pop().cont
-                continue
             if deadline is not None and time.monotonic() > deadline:
                 raise DeadlockTimeout("deadline exceeded")
-            if kind is THROW:
-                raise ChoreoRuntimeError(step.stm.message)
-            if kind is not BLOCK:
-                if step.deep:
-                    value = yield from step.fn(self, frame)
-                else:
-                    value = step.fn(self, frame)
-                    if type(value) is GeneratorType:
-                        value = yield value
-                if kind is EXP:
-                    step = step.cont
-                    continue
-                if kind is VAR:
-                    frame.env[step.stm.name] = value
-                    step = step.cont
-                    continue
-                if kind is RETURN:
-                    return frame.this if ctor else value
-                if kind is SWITCH and not isinstance(value, EnumV):
-                    raise ChoreoRuntimeError("switch guard must be an enumerated value")
-            if rest is None:
-                rest = []
-            rest.append(step)
-            if kind is BLOCK:
-                step = step.body or link(step, "body")
+            if step.deep:
+                value = yield from step.fn(self, frame)
+            else:
+                value = step.fn(self, frame)
+                if type(value) is GeneratorType:
+                    value = yield value
+            kind = step.kind
+            if kind is EXP:
+                step = step.cont
+            elif kind is VAR:
+                frame.env[step.stm.name] = value
+                step = step.cont
+            elif kind is RETURN:
+                return frame.this if ctor else value
             elif kind is IF:
                 if value is True:
-                    step = step.then or link(step, "then")
+                    step = step.then or self._link(step, "then")
                 elif value is None:
                     raise ChoreoRuntimeError("NullPointerException: null guard of 'if'")
                 else:
-                    step = step.orelse or link(step, "orelse")
-            else:
+                    step = step.orelse or self._link(step, "orelse")
+            elif isinstance(value, EnumV):  # SWITCH
                 step = step.arms.get(value.case) or self._arm(step, value.case)
+            else:
+                raise ChoreoRuntimeError("switch guard must be an enumerated value")
 
     def eval(self, frame, exp):
         """The value of ``exp``; a method of the program that it calls runs
@@ -227,30 +210,33 @@ class Evaluator(Builtins):
     # -------------------------------------------------------------- compiling
 
     def _link(self, step, attr):
-        """Compiles the statement in the field ``attr`` of ``step``'s node
-        into the step's slot of that name."""
-        compiled = self.compile_stm(getattr(step.stm, attr))
+        """Compiles the branch in the field ``attr`` of ``step``'s node, which
+        ends in the step's ``cont``, into the step's slot of that name."""
+        compiled = self.compile_stm(getattr(step.stm, attr), step.cont)
         setattr(step, attr, compiled)
         return compiled
 
     def _arm(self, step, case):
         """Compiles the arm that the switch ``step`` takes on the label
-        ``case``, and keeps it for that label."""
-        stm = step.stm
-        body = next((body for label, body in stm.cases if label == case), stm.default)
-        compiled = step.arms[case] = self.compile_stm(body)
+        ``case``, which ends in the step's ``cont``, and keeps it by label."""
+        body = next((b for label, b in step.stm.cases if label == case), step.stm.default)
+        step.arms[case] = compiled = self.compile_stm(body, step.cont)
         return compiled
 
-    def compile_stm(self, stm):
+    def compile_stm(self, stm, cont=None):
         """The statements from ``stm`` on to the end of its block, or to its
-        first ``return`` or ``throw``, as ``Step``s linked by ``cont``; the
-        bodies of blocks, branches and switches are compiled when first
-        reached."""
-        first = step = COMPILE[type(stm)](self, stm)
-        while step.kind is not END and step.kind is not RETURN and step.kind is not THROW:
-            stm = stm.cont
-            step.cont = step = COMPILE[type(stm)](self, stm)
-        return first
+        first ``return`` or ``throw``, as ``Step``s linked by ``cont``, the
+        last going on to ``cont`` (``END_STEP``, a body's end, if None).
+        They compile last to first, so each is built knowing the step that
+        follows it; branches and arms are compiled when first reached."""
+        chain = []
+        while stm is not None:
+            chain.append(stm)
+            stm = getattr(stm, "cont", None)  # a return, throw or nil has none
+        step = cont or END_STEP
+        for stm in reversed(chain):
+            step = COMPILE[type(stm)](self, stm, step)
+        return step
 
     def compile_exp(self, exp):
         """``exp`` as ``(flag, f)``: ``f(evaluator, frame)`` returns its
@@ -265,41 +251,40 @@ class Evaluator(Builtins):
 
 class Step:
     """A statement compiled for ``Evaluator._run_steps``: its kind and node;
-    for a statement that evaluates an expression, that expression's closure
-    ``fn`` (a generator function when ``deep``, see ``compile_exp``); its
-    continuation ``cont``; and the first steps of its body or branches, each
-    None until first reached, in the slots named as the node's fields that
-    hold them, or, for a switch, in ``arms`` by label."""
+    its expression's closure ``fn`` (a generator function when ``deep``, see
+    ``compile_exp``); the step ``cont`` that follows the statement; and the
+    first steps of its branches, None until first reached, in the slots named
+    as the node's fields that hold them, or, for a switch, in ``arms`` by
+    label. A block or try makes no step, and a ``throw`` is an ``EXP`` step
+    whose closure raises."""
 
-    __slots__ = ("kind", "stm", "deep", "fn", "cont", "body", "then", "orelse", "arms")
+    __slots__ = ("kind", "stm", "deep", "fn", "cont", "then", "orelse", "arms")
 
-    def __init__(self, kind, stm, flag=0, fn=None):
-        self.kind, self.stm, self.deep, self.fn = kind, stm, flag == DEEP, fn
-        self.cont = self.body = self.then = self.orelse = self.arms = None
-
-
-END_STEP = Step(END, None)  # every block's end: it goes on to nothing
+    def __init__(self, kind, stm, cont, flag=0, fn=None):
+        self.kind, self.stm, self.cont, self.deep, self.fn = kind, stm, cont, flag == DEEP, fn
+        self.then = self.orelse = None
+        self.arms = {} if kind is SWITCH else None
 
 
-def _statement(kind, attr=None):
+def _statement(kind, attr):
     """The compile function of the statements of ``kind`` that first
-    evaluate the expression in their field ``attr``, if any."""
-    if attr is None:
-        return lambda ev, stm: Step(kind, stm)
-
-    def compile_statement(ev, stm):
+    evaluate the expression in their field ``attr``."""
+    def compile_statement(ev, stm, cont):
         exp = getattr(stm, attr)
         if exp is None:
-            return Step(kind, stm, 0, _unit)
+            return Step(kind, stm, cont, 0, _unit)
         flag, fn = COMPILE[type(exp)](ev, exp)
-        step = Step(kind, stm, flag, fn)
-        if kind is SWITCH:
-            step.arms = {}
-        return step
+        return Step(kind, stm, cont, flag, fn)
     return compile_statement
 
 
-def _c_assign(ev, stm):
+def _c_throw(ev, stm, cont):
+    def throw(ev, fr, message=stm.message):
+        raise ChoreoRuntimeError(message)
+    return Step(EXP, stm, cont, 0, throw)
+
+
+def _c_assign(ev, stm, cont):
     """An assignment, in Java's order: a field target's receiver, then, for
     ``op=``, the target's value, then the right operand, then the store."""
     target, op, value = stm.target, stm.op[:-1], stm.value
@@ -308,20 +293,20 @@ def _c_assign(ev, stm):
         scope, name = target.scope, target.name
         receiver = COMPILE[type(scope)](ev, scope)
         if not (op or receiver[0] or value[0]):
-            return Step(EXP, stm, 0, lambda ev, fr, r=receiver[1], n=name, v=value[1]:
+            return Step(EXP, stm, cont, 0, lambda ev, fr, r=receiver[1], n=name, v=value[1]:
                         _set_field(r(ev, fr), n, v(ev, fr)))
         read = lambda ev, obj, n=name: ev.field_of(obj, n)
         store = lambda obj, v, n=name: _set_field(obj, n, v)
     elif type(target) is S.Name or type(target) is LName:  # its receiver is the frame
         ident = target.ident
         if not (op or value[0]):
-            return Step(EXP, stm, 0, lambda ev, fr, i=ident, v=value[1]:
+            return Step(EXP, stm, cont, 0, lambda ev, fr, i=ident, v=value[1]:
                         _set_name(fr, i, v(ev, fr)))
         receiver, read = (0, _frame), _c_name(ev, target)[1]
         store = lambda fr, v, i=ident: _set_name(fr, i, v)
     else:
-        return Step(EXP, stm, 0, _unsupported_target)
-    return Step(EXP, stm, DEEP, _assign_g(op, receiver, read, store, value))
+        return Step(EXP, stm, cont, 0, _unsupported_target)
+    return Step(EXP, stm, cont, DEEP, _assign_g(op, receiver, read, store, value))
 
 
 def _c_name(ev, exp):
@@ -422,6 +407,9 @@ def _c_arguments(ev, exps):
 
 def _unit(ev, fr):
     return UNIT
+
+
+END_STEP = Step(RETURN, None, None, 0, _unit)  # a body's end returns unit
 
 
 def _frame(ev, fr):
@@ -583,8 +571,9 @@ def _call_g(exp, args, receiver, table=NO_METHODS):
 
 
 # Each statement and expression class of both languages -> its compile
-# function ``f(evaluator, node)``: a ``Step`` for a statement, ``(flag,
-# closure)`` for an expression (see ``Evaluator.compile_exp``).
+# function: ``f(evaluator, node, cont)`` for a statement, its first step
+# (see ``Evaluator.compile_stm``); ``f(evaluator, node)`` for an expression,
+# ``(flag, closure)`` (see ``Evaluator.compile_exp``).
 COMPILE = {cls: compile for *classes, compile in [
     (S.ExpStm, LExpStm, _statement(EXP, "exp")),
     (S.VarDecl, LVarDecl, _statement(VAR, "init")),
@@ -592,9 +581,10 @@ COMPILE = {cls: compile for *classes, compile in [
     (S.Return, LReturn, _statement(RETURN, "value")),
     (S.If, LIf, _statement(IF, "guard")),
     (S.Switch, LSwitch, _statement(SWITCH, "guard")),
-    (S.Block, LBlock, S.TryCatch, LTryCatch, _statement(BLOCK)),  # a try runs its body
-    (S.Nil, LNil, type(None), lambda ev, stm: END_STEP),  # None ends a block
-    (S.Throw, LThrow, _statement(THROW)),
+    (S.Block, LBlock, S.TryCatch, LTryCatch,  # a try runs its body
+     lambda ev, stm, cont: ev.compile_stm(stm.body, cont)),
+    (S.Nil, LNil, lambda ev, stm, cont: cont),
+    (S.Throw, LThrow, _c_throw),
     (S.Name, LName, _c_name),
     (S.Literal, LLit, _c_literal),
     (LUnit, lambda ev, exp: (0, _unit)),
@@ -879,7 +869,7 @@ def wire_arguments(params, channels, claim, pending=None, owner=None):
     named in ``channels`` gets the channel ``claim`` returns for its key; one
     that lives at a single role takes that role's next manifest value from
     ``pending`` (role -> list, consumed), and is an error when none is left;
-    any other gets unit. Constructors take no manifest values (``pending``
+    any other is an error. Constructors take no manifest values (``pending``
     None): each of their parameters that lives at some role must be a
     channel.
     """
@@ -893,7 +883,8 @@ def wire_arguments(params, channels, claim, pending=None, owner=None):
             raise ChoreoRuntimeError(
                 f"constructor parameter '{name}' of '{owner}' has no channel wiring")
         elif len(roles) > 1:
-            args.append(UNIT)
+            raise ChoreoRuntimeError(f"entry parameter '{name}' at {', '.join(sorted(roles))} "
+                                     f"has no channel wiring")
         else:
             role = next(iter(roles))
             if not pending.get(role):

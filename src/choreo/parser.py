@@ -170,10 +170,16 @@ class Parser:
     def parse_program(self):
         decls = []
         while not self.ts.at_kind("eof"):
+            start = self.ts.mark()
             try:
                 decls.append(self.parse_decl())
             except DiagnosticError as e:
                 self.reporter.add(e.diagnostic)
+                self.recover_to_decl()
+            except RecursionError:  # the parser recurses per nesting level
+                self.ts.reset(start)
+                self.reporter.error(Code.InternalError, self.ts.peek().span,
+                                    "declaration is nested too deeply to parse.")
                 self.recover_to_decl()
         return decls
 

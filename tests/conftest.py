@@ -3,8 +3,6 @@ import sys
 
 import pytest
 
-sys.setrecursionlimit(20000)
-
 from choreo.corpus import corpus_root, positive_entries
 from choreo.diagnostics import Reporter
 from choreo.pipeline import compile_files, compile_sources
@@ -48,7 +46,7 @@ def corpus_compiled():
 @pytest.fixture
 def recursion_limit_1000():
     """Python's default recursion limit, which library callers have, for one
-    test; the suite's own limit is restored afterwards."""
+    test; the limit it replaces is restored afterwards."""
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:

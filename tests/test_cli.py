@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, output layout, diagnostics modes."""
 
 import json
+import sys
 
 import pytest
 
@@ -18,6 +19,11 @@ def negative(name):
 
 def test_check_clean_file_exits_zero(capsys):
     assert main(["check", corpus("HelloRoles.chor")]) == 0
+
+
+def test_check_keeps_the_callers_recursion_limit(recursion_limit_1000, capsys):
+    assert main(["check", corpus("HelloRoles.chor")]) == 0
+    assert sys.getrecursionlimit() == 1000
 
 
 def test_check_empty_file_exits_zero(tmp_path, capsys):

@@ -444,6 +444,49 @@ def test_eval_distributed_reports_a_missing_argument_before_the_run_starts():
         "A": ["built", "5"]}
 
 
+def test_a_multi_role_entry_parameter_without_channel_wiring_is_refused_by_both():
+    checked = compile_ok("""
+    class M@(A, B) {
+        public static void t(SymChannel@(A, B)<Object> ch) { ch.<Integer>com(1@A); }
+    }
+    """)
+    cmp = differential_run(checked, "M", "t")
+    g, d = cmp.global_report, cmp.distributed_report
+    assert (g.status, g.error, g.transcripts) == (
+        "error", "entry parameter 'ch' at A, B has no channel wiring", {})
+    assert (d.status, d.error, d.transcripts) == (
+        "error", "A: entry parameter 'ch' at A has no value in the arguments", {})
+
+
+def test_operands_that_call_run_in_both_evaluators():
+    # An assignment whose value calls inside an operator, a sum whose left or
+    # right operand is such a sum, and a field of a call's result.
+    checked = compile_ok("""
+    class G@A {
+        Integer@A v;
+        public G(Integer@A v) { this.v = v; }
+        static Integer@A f(Integer@A x) { return x + 1@A; }
+        static G@A make(Integer@A x) { return new G@A(x); }
+        public static Integer@A go(Integer@A x) {
+            Integer@A a = 0@A;
+            a = f(x) + 1@A;
+            Integer@A b = (f(x) + 1@A) + 2@A;
+            Integer@A c = 1@A + (2@A + f(x));
+            Integer@A d = make(x).v;
+            System@A.out.println(a);
+            System@A.out.println(b);
+            System@A.out.println(c);
+            System@A.out.println(d);
+            return a + b + c + d;
+        }
+    }
+    """)
+    cmp = differential_run(checked, "G", "go", {"A": [5]})
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.returns == {"A": 30}
+    assert cmp.global_report.transcripts == {"A": ["7", "9", "9", "5"]}
+
+
 def test_differential_run_of_an_unknown_entry_class_is_a_mismatch():
     checked = compile_ok("class H@A { public static void main() { } }")
     cmp = differential_run(checked, "Nope", "main")

@@ -8,7 +8,7 @@ from conftest import perfbench_gen
 from choreo import surface as S
 from choreo.checker import check_program
 from choreo.corpus import corpus_root, positive_entries
-from choreo.diagnostics import Code, DiagnosticError, Reporter
+from choreo.diagnostics import Code, DiagnosticError, Reporter, Severity
 from choreo.lexer import lex
 from choreo.parser import Parser, parse_program
 from choreo.pipeline import front_end, prelude_names
@@ -490,3 +490,17 @@ def test_front_end_takes_no_python_stack_per_expression_level(recursion_limit_10
     program, reporter = front_end([("deep.chor", f"class C@A {{ Integer@A m() {{ return {sum_exp}; }} }}")])
     assert not reporter.has_errors()
     assert sum(isinstance(n, S.Binary) for n in S.walk(program.decls[-1])) == 1999
+
+
+def test_a_declaration_nested_too_deeply_to_parse_is_one_diagnostic(recursion_limit_1000):
+    # The parser recurses per parenthesised level; at Python's default limit
+    # 300 levels are reported at the declaration, which is skipped, and the
+    # next declaration still parses.
+    exp = "x"
+    for _ in range(300):
+        exp = f"(x + {exp})"
+    text = f"class C@A {{ Integer@A m(Integer@A x) {{ return {exp}; }} }}\nclass D@A {{ }}"
+    program, reporter = parse_program([("deep.chor", text)])
+    assert [(d.code, d.severity, d.span.line, d.span.col, d.message) for d in reporter.items] == [
+        (Code.InternalError, Severity.ERROR, 1, 1, "declaration is nested too deeply to parse.")]
+    assert [d.name for d in program.decls] == ["D"]
