@@ -267,30 +267,44 @@ def method_table(extra=()):
 NO_METHODS = {}  # the table entry of a name no builtin has; never changed
 
 
-def _new_local_channel(builtins, args):
+def _new_local_channel(ev, frame, args):
     keys = [a for a in args if isinstance(a, str)]
     if not keys:
         raise ChoreoRuntimeError("newLocalChannel needs a key string")
-    return builtins.claim_channel(keys[0])
+    return ev.claim_channel(keys[0])
 
 
-# (class name, static method name) -> fn(builtins, args); a projected
-# TestUtils_<role> is looked up as TestUtils.
-_STATICS = {
-    ("Optional", "of"): lambda b, a: OptionalV(True, a[0]),
-    ("Optional", "empty"): lambda b, a: OptionalV(False),
-    ("Double", "valueOf"): lambda b, a: float(a[0]),
-    ("Math", "floor"): lambda b, a: _floor(a[0]),
-    ("Math", "min"): lambda b, a: min(a[0], a[1]),
-    ("Math", "pow"): lambda b, a: a[0] ** a[1],
-    ("Assert", "assertTrue"): lambda b, a: assert_builtin(a[1], a[0]),
+# The builtin constructors and static methods, as the calls an evaluator
+# binds them to (see ``interpreter.Evaluator.bind``): class name, or (class
+# name, static method name) -> fn(evaluator, frame, args).
+CONSTRUCTORS = {
+    "ArrayList": lambda ev, fr, a: ListV([]),
+    "Exception": lambda ev, fr, a: ExceptionV("Exception", a[0] if a else None),
+    "RuntimeException": lambda ev, fr, a: ExceptionV("RuntimeException", a[0] if a else None),
+}
+STATICS = {
+    ("Optional", "of"): lambda ev, fr, a: OptionalV(True, a[0]),
+    ("Optional", "empty"): lambda ev, fr, a: OptionalV(False),
+    ("Double", "valueOf"): lambda ev, fr, a: float(a[0]),
+    ("Math", "floor"): lambda ev, fr, a: _floor(a[0]),
+    ("Math", "min"): lambda ev, fr, a: min(a[0], a[1]),
+    ("Math", "pow"): lambda ev, fr, a: a[0] ** a[1],
+    ("Assert", "assertTrue"): lambda ev, fr, a: assert_builtin(a[1], a[0]),
     ("TestUtils", "newLocalChannel"): _new_local_channel,
 }
 
 
+def builtin_static(class_name, name):
+    """The ``STATICS`` entry of ``class_name.name``, or None; a projected
+    ``TestUtils_<role>`` is looked up as ``TestUtils``."""
+    if class_name.startswith("TestUtils"):
+        class_name = class_name.split("_")[0]
+    return STATICS.get((class_name, name))
+
+
 class Builtins:
-    """The prelude's methods and statics for one evaluator, a subclass that
-    supplies ``invoke(receiver, method, args)`` for functional objects and
+    """The prelude's methods for one evaluator, a subclass that supplies
+    ``invoke(receiver, method, args)`` for functional objects and
     ``claim_channel(key)`` for ``newLocalChannel``."""
 
     METHODS = method_table()
@@ -298,30 +312,10 @@ class Builtins:
     def __init__(self, console):
         self.console = console
 
-    # ---------------------------------------------------------- instances
-
     def try_call_method(self, receiver, name, args):
         """The class's ``METHODS`` entry for ``name`` on the type of
         ``receiver``; returns (True, value) on a hit."""
         fn = self.METHODS.get(name, NO_METHODS).get(type(receiver))
         if fn is not None:
             return True, fn(self, receiver, args)
-        return False, None
-
-    # ------------------------------------------------------------ statics
-
-    def try_static_call(self, class_name, name, args):
-        """A builtin static call; returns (True, value) on a hit."""
-        base = class_name.split("_")[0] if class_name.startswith("TestUtils") else class_name
-        fn = _STATICS.get((base, name))
-        if fn is None:
-            return False, None
-        return True, fn(self, args)
-
-    def construct(self, class_name, args):
-        """Builtin constructors; returns (True, value) on a hit."""
-        if class_name == "ArrayList":
-            return True, ListV([])
-        if class_name in ("Exception", "RuntimeException"):
-            return True, ExceptionV(class_name, args[0] if args else None)
         return False, None

@@ -790,6 +790,10 @@ class Checker:
     def check_decl(self, info):
         if info.is_enum:
             return
+        for f in info.fields():
+            if f.is_static():  # the evaluators know only the prelude's, such as System.out
+                self.reporter.error(Code.TypeMismatch, f.span,
+                                    f"field '{f.name}' in class '{info.name}' cannot be static.")
         for mi in info.methods:
             if mi.node.body is None:
                 if not info.is_interface and "abstract" not in mi.node.modifiers \

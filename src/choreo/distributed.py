@@ -18,9 +18,11 @@ import time
 from functools import partial
 from types import GeneratorType
 
-from .builtins import Console, PrintStreamV, method_table
-from .interpreter import Evaluator, ExecutionReport, ProgramObject, error_report, wire_arguments
-from .local import LClass, LEnum, LNew, LStaticName
+from .builtins import CONSTRUCTORS, Console, PrintStreamV, builtin_static, method_table
+from .interpreter import (
+    OWN, Evaluator, ExecutionReport, ProgramObject, error_report, raising, wire_arguments,
+)
+from .local import LClass, LEnum, LNew
 from .projector import generated_name
 from .record import record
 from .runtime import (
@@ -86,6 +88,7 @@ class LocalInterpreter(Evaluator):
 
     METHODS = method_table([((ChannelEndpoint, name), _channel(name))
                             for name in ("com", "select")])
+    WAITS = ("com", "select")
 
     def __init__(self, program, role, context, console):
         super().__init__(console)
@@ -101,14 +104,6 @@ class LocalInterpreter(Evaluator):
 
     # ---------------------------------------------------------------- calls
 
-    def may_call(self, exp):
-        if type(exp) is LNew:
-            return exp.class_name in self.facts.decls
-        scope = exp.scope
-        if scope is None or type(scope) is LStaticName:
-            return scope is None or scope.name in self.facts.decls
-        return exp.name in ("com", "select") or (exp.name, len(exp.args)) in self.facts.method_keys
-
     def run_ctor(self, this, class_name, args):
         """Runs on ``this`` the constructor of ``class_name`` taking ``args``,
         by default none: ``this``, or a generator whose value is ``this``."""
@@ -121,49 +116,58 @@ class LocalInterpreter(Evaluator):
             raise ChoreoRuntimeError(f"no constructor '{class_name}/{len(args)}'")
         return this
 
-    def new(self, frame, exp, args):
-        if exp.class_name not in self.facts.decls:
-            raise ChoreoRuntimeError(f"unknown local class '{exp.class_name}'")
-        return self.run_ctor(ProgramObject(exp.class_name), exp.class_name, args)
-
     def call_object(self, obj, name, args):
         m = self.facts.method(obj.class_name, name, len(args))
         return self.run(obj, obj.class_name, m, args)
 
-    def call(self, frame, exp, args):
-        scope = exp.scope
-        if scope is None and exp.name == "super":
-            decl = self.facts.decls[frame.site]
-            if decl.extends is None:
-                raise ChoreoRuntimeError("no superclass constructor")
-            return self.run_ctor(frame.this, decl.extends.name, args)
+    def bind(self, exp):
+        decls = self.facts.decls
+        if type(exp) is LNew:
+            cname = exp.class_name
+            fn = CONSTRUCTORS.get(cname)
+            if fn is not None or cname not in decls:
+                return 0, fn or raising(f"unknown local class '{cname}'")
+            return OWN, lambda ev, fr, args, c=cname: ev.run_ctor(ProgramObject(c), c, args)
+        scope, name = exp.scope, exp.name
         if scope is None:
-            m = self.facts.method(frame.site, exp.name, len(args))
-            if "static" in m.modifiers:
-                return self.run(None, frame.site, m, args)
-            if frame.this is None:
-                raise ChoreoRuntimeError(
-                    f"instance method '{exp.name}' called from a static context")
-            return self.run(frame.this, frame.site, m, args)
-        if scope.name in self.facts.decls:
-            m = self.facts.method(scope.name, exp.name, len(args), static=True)
-            return self.run(None, scope.name, m, args)
-        hit, value = self.try_static_call(scope.name, exp.name, args)
-        if hit:
-            return value
-        raise ChoreoRuntimeError(f"unknown static call '{scope.name}.{exp.name}'")
+            return OWN, _super_call if name == "super" else _site_call(name)
+        if scope.name in decls:
+            try:
+                m = self.facts.method(scope.name, name, len(exp.args), static=True)
+            except ChoreoRuntimeError as e:
+                return 0, raising(str(e))
+            return OWN, lambda ev, fr, args, site=scope.name, m=m: ev.run(None, site, m, args)
+        return 0, builtin_static(scope.name, name) or raising(
+            f"unknown static call '{scope.name}.{name}'")
 
-    def constant(self, scope, name):
-        cname = scope.name
-        if cname == "Unit" and name == "id":
-            return UNIT
-        decl = self.facts.decls.get(cname)
-        return EnumV(cname, name) if isinstance(decl, LEnum) and name in decl.cases else None
-
-    def static_field(self, frame, scope, name):
+    def bind_static(self, scope, name):
+        decl = self.facts.decls.get(scope.name)
+        if isinstance(decl, LEnum) and name in decl.cases:
+            return lambda ev, fr, value=EnumV(scope.name, name): value
         if scope.name == "System" and name == "out":
-            return PrintStreamV(self.console, self.role)
-        raise ChoreoRuntimeError(f"unknown static field '{scope.name}.{name}'")
+            return lambda ev, fr: PrintStreamV(ev.console, ev.role)
+        return raising(f"unknown static field '{scope.name}.{name}'")
+
+
+def _super_call(ev, fr, args):
+    """``super(...)``: the constructor of the superclass of the frame's site."""
+    decl = ev.facts.decls[fr.site]
+    if decl.extends is None:
+        raise ChoreoRuntimeError("no superclass constructor")
+    return ev.run_ctor(fr.this, decl.extends.name, args)
+
+
+def _site_call(name):
+    """The unqualified call of ``name``, looked up from the frame's site when
+    it runs, as an inherited body runs with its object's class as its site."""
+    def call(ev, fr, args, name=name):
+        m = ev.facts.method(fr.site, name, len(args))
+        if "static" in m.modifiers:
+            return ev.run(None, fr.site, m, args)
+        if fr.this is None:
+            raise ChoreoRuntimeError(f"instance method '{name}' called from a static context")
+        return ev.run(fr.this, fr.site, m, args)
+    return call
 
 
 def observe_local(value):

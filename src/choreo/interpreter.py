@@ -11,11 +11,11 @@ or arm is compiled when first reached), and one loop runs the steps.
 ``COMPILE`` holds the compile function of every statement and expression
 class of both languages. The compiled bodies are kept in the program's
 facts, so every evaluator of a program shares one compile. Each evaluator
-supplies its calls, its static fields and which of its calls may run a
-method of the program, behind a few hooks. A method call is one generator,
-run by ``runtime.drive``, so recursion takes no Python stack and is bounded
-only by ``runtime.MAX_CALL_DEPTH``; an expression that calls no method of
-the program evaluates with no generator.
+binds every call, ``new`` and static field when its body compiles, behind
+three hooks. A method call is one generator, run by ``runtime.drive``, so
+recursion takes no Python stack and is bounded only by
+``runtime.MAX_CALL_DEPTH``; an expression that calls no method of the
+program evaluates with no generator.
 
 The global evaluator (``GlobalInterpreter``) runs checked choreographies
 directly. Values are not located; the per-role structure shows up in the
@@ -33,7 +33,8 @@ from types import GeneratorType
 
 from . import surface as S
 from .builtins import (
-    NO_METHODS, Builtins, Console, PrintStreamV, binary_value, method_table, not_null,
+    CONSTRUCTORS, NO_METHODS, Builtins, Console, PrintStreamV, binary_value, builtin_static,
+    method_table, not_null,
 )
 from .local import (
     LAssign, LBinary, LBlock, LCall, LExpStm, LFieldAcc, LIf, LLit, LName, LNew,
@@ -68,9 +69,9 @@ class ProgramObject:
 
 @record
 class Frame:
-    """One activation: ``this``, one store of names, and the ``site`` the
-    evaluator's hooks read: the role binding in the oracle, the unit name
-    in a worker."""
+    """One activation: ``this``, one store of names, and the ``site`` that
+    the calls its evaluator binds read: the role binding in the oracle, the
+    unit name in a worker."""
 
     __slots__ = ("this", "env", "site")
     this: ProgramObject
@@ -99,24 +100,29 @@ class Evaluator(Builtins):
     (see ``runtime.drive``); a builtin's callback runs at once, to the end.
 
     An evaluator sets ``facts``, which its program keeps (``bodies``: see
-    ``run``; ``names``: identifier -> the closure that reads it), and
-    ``deadline`` (a ``time.monotonic()`` value, or None). Its class has one
-    ``METHODS`` table (``builtins.method_table``, with its channels), which
-    a call on a receiver binds when compiled. It supplies these hooks:
+    ``run``; ``names``: identifier -> the closure that reads it;
+    ``method_keys``: the ``(name, arity)`` of each method of the program
+    with a body), and ``deadline`` (a ``time.monotonic()`` value, or None).
+    Its class has one ``METHODS`` table (``builtins.method_table``, with its
+    channels), which a call on a receiver binds when compiled; such a call
+    may run a method of the program if ``method_keys`` has its name and
+    arity, or wait if ``WAITS`` has its name. It supplies these hooks:
 
-    - ``call(frame, exp, args)``: the unqualified or static call ``exp``;
-    - ``new(frame, exp, args)``: the ``new`` expression ``exp`` of a class
-      of the program;
+    - ``bind(exp)``: the unqualified or static call, or the ``new``, ``exp``
+      as ``(flag, f(evaluator, frame, args))``; the flag is ``OWN`` if ``f``
+      may run a method of the program, or wait, else 0;
+    - ``bind_static(scope, name)``: the static field ``name`` of the class
+      ``scope``, as ``f(evaluator, frame)``;
     - ``call_object(obj, name, args)``: the method ``name`` of an object of
-      the program;
-    - ``constant(scope, name)``: the static field ``name`` of the class
-      ``scope`` if it is a constant, folded when compiled, else None;
-    - ``static_field(frame, scope, name)``: any other, read when it runs;
-    - ``may_call(exp)``: whether the call or ``new`` ``exp`` itself may run
-      a method of the program, or wait.
+      the program.
+
+    What ``bind`` and ``bind_static`` return for an unknown class, method or
+    field raises when it runs (see ``raising``). It holds no evaluator, nor
+    anything else of one run: every run of the program shares it.
     """
 
     deadline = None
+    WAITS = ()
 
     def invoke(self, receiver, name, args):
         return self.now(self.call_method(receiver, name, args))
@@ -192,12 +198,6 @@ class Evaluator(Builtins):
         at once, to the end, as a builtin's callback does."""
         return self.now(self.compile_exp(exp)[1](self, frame))
 
-    def instance(self, frame, exp, args):
-        """The ``new`` expression ``exp``, given its arguments: a builtin
-        value, or what the ``new`` hook returns."""
-        hit, value = self.construct(exp.class_name, args)
-        return value if hit else self.new(frame, exp, args)
-
     @staticmethod
     def field_of(scope, name):
         if isinstance(scope, ProgramObject):
@@ -240,10 +240,10 @@ class Evaluator(Builtins):
 
     def compile_exp(self, exp):
         """``exp`` as ``(flag, f)``: ``f(evaluator, frame)`` returns its
-        value (flag 0: by ``may_call``, a call so flagged never returns a
-        generator), returns the value or the generator of the call or
-        ``new`` it is (``OWN``), or is a generator function whose value is
-        its value (``DEEP``, when an operand has a flag)."""
+        value (flag 0: a call so flagged never returns a generator), returns
+        the value or the generator of the call or ``new`` it is (``OWN``),
+        or is a generator function whose value is its value (``DEEP``, when
+        an operand has a flag)."""
         return COMPILE[type(exp)](self, exp)
 
 
@@ -279,9 +279,7 @@ def _statement(kind, attr):
 
 
 def _c_throw(ev, stm, cont):
-    def throw(ev, fr, message=stm.message):
-        raise ChoreoRuntimeError(message)
-    return Step(EXP, stm, cont, 0, throw)
+    return Step(EXP, stm, cont, 0, raising(stm.message))
 
 
 def _c_assign(ev, stm, cont):
@@ -322,18 +320,13 @@ def _c_literal(ev, exp):
 
 
 def _c_type(ev, exp):
-    def not_a_value(ev, fr, message=f"'{exp.name}' is a type, not a value"):
-        raise ChoreoRuntimeError(message)
-    return 0, not_a_value
+    return 0, raising(f"'{exp.name}' is a type, not a value")
 
 
 def _c_field(ev, exp):
     scope, name = exp.scope, exp.name
     if type(scope) in TYPES:
-        value = ev.constant(scope, name)
-        if value is None:  # read when it runs, which raises if it is no field
-            return 0, lambda ev, fr, s=scope, n=name: ev.static_field(fr, s, n)
-        return 0, lambda ev, fr, value=value: value
+        return 0, ev.bind_static(scope, name)
     flag, scope = COMPILE[type(scope)](ev, scope)
     if flag:
         return DEEP, _field_g(flag, scope, name)
@@ -351,17 +344,17 @@ def _c_binary(ev, exp):
 def _c_call(ev, exp):
     """A call; its receiver runs before its arguments (JLS 15.12.4). A call
     on a receiver binds its name's ``METHODS`` entry (receiver type -> fn)."""
-    scope = exp.scope
-    receiver = None if scope is None or type(scope) in TYPES else COMPILE[type(scope)](ev, scope)
-    table = ev.METHODS.get(exp.name, NO_METHODS)
+    scope, name = exp.scope, exp.name
+    if scope is None or type(scope) in TYPES:
+        return _c_bound(ev, exp)
+    receiver = COMPILE[type(scope)](ev, scope)
+    table = ev.METHODS.get(name, NO_METHODS)
     args, deep = _c_arguments(ev, exp.args)
-    if deep or receiver is not None and receiver[0]:
-        return DEEP, _call_g(exp, args, receiver, table)
-    flag = OWN if ev.may_call(exp) else 0
-    if receiver is None:
-        return flag, lambda ev, fr, e=exp, a=_arguments(args): ev.call(fr, e, a(ev, fr))
+    if deep or receiver[0]:
+        return DEEP, _call_g([receiver, *args], _method(table, name))
+    flag = OWN if name in ev.WAITS or (name, len(args)) in ev.facts.method_keys else 0
 
-    def method_call(ev, fr, r=receiver[1], t=table, n=exp.name, a=_arguments(args)):
+    def method_call(ev, fr, r=receiver[1], t=table, n=name, a=_arguments(args)):
         obj = r(ev, fr)
         fn = t.get(type(obj))
         if fn is None:
@@ -370,18 +363,20 @@ def _c_call(ev, exp):
     return flag, method_call
 
 
-def _c_new(ev, exp):
+def _c_bound(ev, exp):
+    """An unqualified or static call, or a ``new``: what ``bind`` binds it
+    to, on its arguments."""
     args, deep = _c_arguments(ev, exp.args)
+    flag, fn = ev.bind(exp)
     if deep:
-        return DEEP, _call_g(exp, args, None)
-    return OWN if ev.may_call(exp) else 0, (
-        lambda ev, fr, e=exp, a=_arguments(args): ev.instance(fr, e, a(ev, fr)))
+        return DEEP, _call_g(args, fn)
+    return flag, lambda ev, fr, f=fn, a=_arguments(args): f(ev, fr, a(ev, fr))
 
 
 def _c_unit_call(ev, exp):
     args, deep = _c_arguments(ev, exp.args)
     if deep:
-        return DEEP, _call_g(exp, args, None)
+        return DEEP, _call_g(args, lambda ev, fr, values: UNIT)
 
     def unit_call(ev, fr, fns=tuple(f for _, f in args)):
         for f in fns:
@@ -407,6 +402,14 @@ def _c_arguments(ev, exps):
 
 def _unit(ev, fr):
     return UNIT
+
+
+def raising(message):
+    """A closure of ``compile_exp`` or of ``Evaluator.bind`` that raises
+    ``message`` when it runs."""
+    def fail(ev, fr, *args, message=message):
+        raise ChoreoRuntimeError(message)
+    return fail
 
 
 END_STEP = Step(RETURN, None, None, 0, _unit)  # a body's end returns unit
@@ -531,23 +534,13 @@ def _binary_g(op, left, right):
     return binary
 
 
-def _call_g(exp, args, receiver, table=NO_METHODS):
-    """A call, ``new`` or unit call with an operand that calls; ``receiver``
-    is its compiled receiver and ``table`` its bound entry (see ``_c_call``),
-    or None for an unqualified or static call."""
-    rflag, receiver = receiver or (0, None)
-
-    def call(ev, fr, exp=exp, kind=type(exp), args=tuple(args), rflag=rflag,
-             receiver=receiver, table=table):
-        if receiver is not None:
-            if rflag == DEEP:
-                obj = yield from receiver(ev, fr)
-            else:
-                obj = receiver(ev, fr)
-                if type(obj) is GeneratorType:
-                    obj = yield obj
+def _call_g(operands, fn):
+    """A call, ``new`` or unit call with an operand that calls:
+    ``fn(evaluator, frame, values)`` on the values of its compiled
+    ``operands``, which run in order."""
+    def call(ev, fr, operands=tuple(operands), fn=fn):
         values = []
-        for flag, f in args:
+        for flag, f in operands:
             if flag == DEEP:
                 value = yield from f(ev, fr)
             else:
@@ -555,19 +548,21 @@ def _call_g(exp, args, receiver, table=NO_METHODS):
                 if type(value) is GeneratorType:
                     value = yield value
             values.append(value)
-        if kind is LUnitCall:
-            return UNIT
-        if receiver is not None:
-            fn = table.get(type(obj))
-            value = ev.call_method(obj, exp.name, values) if fn is None else fn(ev, obj, values)
-        elif kind is S.New or kind is LNew:
-            value = ev.instance(fr, exp, values)
-        else:
-            value = ev.call(fr, exp, values)
+        value = fn(ev, fr, values)
         if type(value) is GeneratorType:
             value = yield value
         return value
     return call
+
+
+def _method(table, name):
+    """The call of the method ``name`` on the first of ``values``, with the
+    rest as its arguments, by its ``METHODS`` entry ``table``."""
+    def method(ev, fr, values, table=table, name=name):
+        obj, args = values[0], values[1:]
+        fn = table.get(type(obj))
+        return ev.call_method(obj, name, args) if fn is None else fn(ev, obj, args)
+    return method
 
 
 # Each statement and expression class of both languages -> its compile
@@ -591,7 +586,7 @@ COMPILE = {cls: compile for *classes, compile in [
     (S.StaticRef, LStaticName, _c_type),
     (S.FieldAcc, LFieldAcc, _c_field),
     (S.Call, LCall, _c_call),
-    (S.New, LNew, _c_new),
+    (S.New, LNew, _c_bound),
     (LUnitCall, _c_unit_call),
     (S.Binary, LBinary, _c_binary),
 ] for cls in classes}
@@ -666,7 +661,6 @@ class GlobalInterpreter(Evaluator):
         super().__init__(Console())
         self.checked = checked
         self.table = checked.table
-        self.resolved = checked.resolved
         if checked.facts is None:
             checked.facts = OracleFacts(checked)
         self.facts = checked.facts
@@ -682,12 +676,6 @@ class GlobalInterpreter(Evaluator):
         return {binding[r] for r in self.checked.type_roles(te) if r in binding}
 
     # ------------------------------------------------------------ calls
-
-    def may_call(self, exp):
-        if type(exp) is S.New:
-            res = self.resolved.get(id(exp))
-            return res is not None and res[1].node.body is not None
-        return exp.scope is None or (exp.name, len(exp.args)) in self.facts.method_keys
 
     def instantiate(self, info, actual_roles, ctor_mi, args):
         """A new object of ``info``; a generator whose value is the object
@@ -723,25 +711,35 @@ class GlobalInterpreter(Evaluator):
                 out[formal.name] = binding.get(arg.name, arg.name)
         return out
 
-    def call(self, frame, exp, args):
-        scope, resolved = exp.scope, self.resolved.get(id(exp))
+    def bind(self, exp):
+        resolved = self.checked.resolved.get(id(exp))
         mi = resolved[1] if resolved else None
+        if type(exp) is S.New:
+            fn, info = CONSTRUCTORS.get(exp.class_name), self.table.get(exp.class_name)
+            if fn is not None or info is None:
+                return 0, fn or raising(f"unknown class '{exp.class_name}'")
+            return OWN if mi is not None and mi.node.body is not None else 0, (
+                lambda ev, fr, args, info=info, roles=tuple(exp.roles), ctor=mi:
+                ev.instantiate(info, [fr.site[r] for r in roles], ctor, args))
+        scope, name = exp.scope, exp.name
         if scope is None:
             if mi is None:
-                raise ChoreoRuntimeError(f"unresolved call '{exp.name}'")
-            if exp.name == "super":
-                return self.run(frame.this, self._super_ctor_binding(frame, mi), mi.node, args)
+                return 0, raising(f"unresolved call '{name}'")
+            if name == "super":
+                return OWN, lambda ev, fr, args, mi=mi: ev.run(
+                    fr.this, ev._super_ctor_binding(fr, mi), mi.node, args)
             if mi.is_static:
-                return self.call_static(mi, frame.site, args)
-            return self.call_object(frame.this, exp.name, args)
-        hit, value = self.try_static_call(scope.name, exp.name, args)
-        if hit:
-            return value
+                return OWN, lambda ev, fr, args, mi=mi: ev.call_static(mi, fr.site, args)
+            return OWN, lambda ev, fr, args, n=name: ev.call_object(fr.this, n, args)
+        fn = builtin_static(scope.name, name)
+        if fn is not None:
+            return 0, fn
         info = self.table.get(scope.name)
         if info is None or mi is None:
-            raise ChoreoRuntimeError(f"unknown static call '{scope.name}.{exp.name}'")
-        binding = {v.name: frame.site[r] for v, r in zip(info.role_vars, scope.roles)}
-        return self.call_static(mi, binding, args)
+            return 0, raising(f"unknown static call '{scope.name}.{name}'")
+        roles = tuple((v.name, r) for v, r in zip(info.role_vars, scope.roles))
+        return OWN, lambda ev, fr, args, mi=mi, roles=roles: ev.call_static(
+            mi, {v: fr.site[r] for v, r in roles}, args)
 
     def _super_ctor_binding(self, frame, mi):
         """The role binding of the superclass constructor ``mi`` on
@@ -752,24 +750,13 @@ class GlobalInterpreter(Evaluator):
         return {formal.name: frame.this.binding.get(a.name, a.name)
                 for formal, a in zip(mi.owner.role_vars, passed)}
 
-    def new(self, frame, exp, args):
-        info = self.table.get(exp.class_name)
-        if info is None:
-            raise ChoreoRuntimeError(f"unknown class '{exp.class_name}'")
-        resolved = self.resolved.get(id(exp))
-        return self.instantiate(info, [frame.site[r] for r in exp.roles],
-                                resolved[1] if resolved else None, args)
-
-    def constant(self, scope, name):
+    def bind_static(self, scope, name):
         info = self.table.get(scope.name)
         if info is not None and info.is_enum and name in info.node.cases:
-            return EnumV(info.name, name)
-        return None
-
-    def static_field(self, frame, scope, name):
+            return lambda ev, fr, value=EnumV(info.name, name): value
         if scope.name == "System" and name == "out":
-            return PrintStreamV(self.console, frame.site[scope.roles[0]])
-        raise ChoreoRuntimeError(f"unknown static field '{scope.name}.{name}'")
+            return lambda ev, fr, role=scope.roles[0]: PrintStreamV(ev.console, fr.site[role])
+        return raising(f"unknown static field '{scope.name}.{name}'")
 
     # ----------------------------------------------------------- observation
 

@@ -74,27 +74,29 @@ def project_type(checker, t, role):
         return LTE("void")
     head, args = spine(t)
     role_names = [a.name for a in args if isinstance(a, TVar) and a.role]
-    ty_args = [a for a in args if not (isinstance(a, TVar) and a.role)]
-    if role_names == [role]:
-        return LTE(head.name, [erase_ctor(checker, a) for a in ty_args])
-    if role in role_names:
-        i = role_names.index(role)
-        formals = _formal_role_names(checker, head)
-        suffix = formals[i] if i < len(formals) else str(i + 1)
-        return LTE(f"{head.name}_{suffix}",
-                   [erase_ctor(checker, a) for a in ty_args])
-    return LTE("Unit")
+    if role not in role_names:
+        return LTE("Unit")
+    return LTE(view_name(head.name, _formal_role_names(checker, head), role_names, role),
+               [erase_ctor(checker, a) for a in args if not (isinstance(a, TVar) and a.role)])
 
 
 def project_type_name(checker, t, role):
     return render_te(project_type(checker, t, role))
 
 
+def view_name(name, formals, roles, role):
+    """The view at ``role`` of ``name`` at ``roles``: ``name`` at one role,
+    else suffixed with the formal role at the index of ``role``, or with
+    that index + 1 past ``formals``."""
+    if len(roles) <= 1:
+        return name
+    i = roles.index(role)
+    return f"{name}_{formals[i] if i < len(formals) else i + 1}"
+
+
 def generated_name(source_name, decl_roles, role):
     """Single-role declarations keep their name; others get a role suffix."""
-    if len(decl_roles) == 1:
-        return source_name
-    return f"{source_name}_{role}"
+    return view_name(source_name, decl_roles, decl_roles, role)
 
 
 # ------------------------------------------------------------- projector
@@ -332,13 +334,11 @@ class Projector:
         return out
 
     def static_name(self, class_name, actual_roles, role):
+        """The name of the view at ``role`` of ``class_name`` instantiated at
+        ``actual_roles``."""
         info = self.table.get(class_name)
-        formals = info.role_names if info is not None else []
-        if actual_roles == [role] or len(actual_roles) <= 1:
-            return class_name
-        i = actual_roles.index(role)
-        suffix = formals[i] if i < len(formals) else str(i + 1)
-        return f"{class_name}_{suffix}"
+        return view_name(class_name, info.role_names if info is not None else [],
+                         actual_roles, role)
 
     def unit_residue(self, args):
         """Unit.id(...) over the effectful parts, in normal form: discardable
@@ -499,11 +499,8 @@ def _new(p, exp, role):
     args = [p.project_exp(a, role) for a in exp.args]
     if role not in exp.roles:
         return p.unit_residue(args)
-    info = p.table.get(exp.class_name)
-    name = exp.class_name if info is None else generated_name(
-        exp.class_name, info.role_names, info.role_names[exp.roles.index(role)])
     ty_args = [erase_ctor(p.checked, p.checked.te_type(te)) for te in exp.type_args]
-    return LNew(name, ty_args, args)
+    return LNew(p.static_name(exp.class_name, exp.roles, role), ty_args, args)
 
 
 def _binary(p, exp, role):

@@ -1,7 +1,8 @@
 """Builtin value semantics shared by both evaluators."""
 
 from choreo.builtins import (
-    Builtins, Console, PrintStreamV, display, java_div, java_rem, value_equals,
+    CONSTRUCTORS, STATICS, Builtins, Console, PrintStreamV, display, java_div, java_rem,
+    value_equals,
 )
 from choreo.distributed import LocalInterpreter
 from choreo.local import LBinary, LLit, LocalProgram, LUnit
@@ -55,8 +56,8 @@ def test_display_forms():
 def test_an_exception_made_without_a_message_has_a_null_message():
     console = Console()
     b = Builtins(console)
-    _, bare = b.construct("Exception", [])
-    _, empty = b.construct("RuntimeException", [""])
+    bare = CONSTRUCTORS["Exception"](b, None, [])
+    empty = CONSTRUCTORS["RuntimeException"](b, None, [""])
     hit, message = b.try_call_method(bare, "getMessage", [])
     assert hit and message is None
     for value in (message, bare, empty):
@@ -105,7 +106,7 @@ def test_iterator_protocol():
 
 def test_math_statics():
     b = Builtins(Console())
-    assert b.try_static_call("Math", "floor", [3])[1] == 3.0
-    assert b.try_static_call("Math", "min", [4, 2])[1] == 2
-    assert b.try_static_call("Math", "pow", [10, 3])[1] == 1000
-    assert b.try_static_call("Double", "valueOf", [1.5])[1] == 1.5
+    assert STATICS["Math", "floor"](b, None, [3]) == 3.0
+    assert STATICS["Math", "min"](b, None, [4, 2]) == 2
+    assert STATICS["Math", "pow"](b, None, [10, 3]) == 1000
+    assert STATICS["Double", "valueOf"](b, None, [1.5]) == 1.5

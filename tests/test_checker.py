@@ -449,6 +449,8 @@ PINNED_DIAGNOSTICS = [
     ("class C@A { void m(List@A<Integer> l) { l += l; } }",
      [(Code.TypeMismatch, 1, 41,
        "operator '+=' needs a builtin operand type, found 'List@A<Integer>'.")]),
+    ("class C@A { static Integer@A f; }",
+     [(Code.TypeMismatch, 1, 13, "field 'f' in class 'C' cannot be static.")]),
 ]
 
 

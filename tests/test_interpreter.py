@@ -880,13 +880,7 @@ def test_twice_inherited_interface_keeps_each_direction_typed():
 
 FAILING = """
 class C@A {
-    static Integer@A f;
     public static String@A iteratorText() { return new ArrayList@A<Integer>().iterator().toString(); }
-    public static Integer@A field() { return C@A.f; }
-    public static Integer@A firstFails() {
-        String@A s = new ArrayList@A<Integer>().iterator().toString();
-        return C@A.f;
-    }
 }
 """
 
@@ -894,19 +888,14 @@ class C@A {
 def test_dispatch_failures_the_checker_lets_through_read_alike_in_both_evaluators():
     # The checker gives an interface such as Iterator the methods of Object,
     # which the prelude's Iterator does not declare and an iterator has not
-    # in the runtime; and C.f is no static field the runtime knows. In the
-    # last entry the first statement fails, so the unknown field after it is
-    # never read: its error waits until it runs.
+    # in the runtime.
     checked = compile_ok(FAILING)
     units = project_ok(checked)
-    no_method = "no method 'toString' on IteratorV(items=[], index=0)"
-    for entry, message in (("iteratorText", no_method),
-                           ("field", "unknown static field 'C.f'"),
-                           ("firstFails", no_method)):
-        cmp = differential_run(checked, "C", entry, local_program=units)
-        assert (cmp.global_report.status, cmp.global_report.error) == ("error", message)
-        assert (cmp.distributed_report.status, cmp.distributed_report.error) == (
-            "error", f"A: ChoreoRuntimeError: {message}"), entry
+    message = "no method 'toString' on IteratorV(items=[], index=0)"
+    cmp = differential_run(checked, "C", "iteratorText", local_program=units)
+    assert (cmp.global_report.status, cmp.global_report.error) == ("error", message)
+    assert (cmp.distributed_report.status, cmp.distributed_report.error) == (
+        "error", f"A: ChoreoRuntimeError: {message}")
 
 
 OBJECT_METHODS = """
@@ -1026,9 +1015,39 @@ def test_dispatch_failures_of_local_units_name_the_call():
         ("Nowhere.f(1);", "unknown static call 'Nowhere.f'"),
         ('"abc".nope(); Integer x = Nowhere.f;', "no method 'nope' on 'abc'"),
         ("E x = E.L; Integer y = Nowhere.f;", "unknown static field 'Nowhere.f'"),
+        ('"abc".nope(); Nowhere.f(1);', "no method 'nope' on 'abc'"),
+        ('"abc".nope(); new Nowhere();', "no method 'nope' on 'abc'"),
+        ("new Nowhere();", "unknown local class 'Nowhere'"),
     ):
         report = run_local(f"public class U {{ public static void go() {{ {body} }} }}", enum)
         assert (report.status, report.error) == ("error", f"A: ChoreoRuntimeError: {message}"), body
+    # An operand that never runs never fails.
+    report = run_local("public class U { public static void go() { "
+                       "Boolean b = false && Nowhere.g(); System.out.println(b); } }")
+    assert (report.status, report.transcripts) == ("ok", {"A": ["false"]})
+
+
+def test_a_selection_switch_without_the_label_takes_its_default_throw():
+    # B's generated default arm runs when A selects a label B has no case
+    # for: B fails with the throw's message, and A, which only selected, ends.
+    units = [parse_local_unit(text) for text in ("public enum E { L, R }", """
+    public class U_A {
+        public static void go(SymChannel<Object> ch) { ch.<E>select(E.R); }
+    }""", """
+    public class U_B {
+        public static void go(SymChannel<Object> ch) {
+            switch (ch.<E>select(Unit.id)) {
+                case L -> { System.out.println("left"); }
+                default -> { throw new RuntimeException("unexpected selection label"); }
+            }
+        }
+    }""")]
+    report = eval_distributed(LocalProgram(units), "U", ["A", "B"], "go", {}, {"ch": "k"},
+                              deadline=10)
+    assert (report.status, report.error) == (
+        "error", "B: ChoreoRuntimeError: unexpected selection label")
+    assert report.outcomes["A"].status == "ok"
+    assert report.transcripts == {}
 
 
 def test_a_channel_has_only_com_and_select():

@@ -155,6 +155,35 @@ def test_bipair_projection_keeps_only_local_field():
     assert render_stm(right.body, 0) == ["return Unit.id;"]
 
 
+def test_a_type_parameter_bound_at_two_roles_has_one_view_per_binder():
+    # P's views P_X and P_Y each take their binder's view of the bound, and
+    # a field typed P at (A, B) takes, at each role, the view of the binder
+    # in that position.
+    _, units = project_ok("""
+    class Pair@(X, Y)<T@Z> { T@X left; T@Y right; }
+    class Holder@(A, B)<P@(X, Y) extends Pair@(X, Y)<Integer>> { P@(A, B) p; }
+    """)
+    head = "<P_X extends Pair_X<Integer>, P_Y extends Pair_Y<Integer>>"
+    assert render_unit(units.unit("Holder_A")) == f"class Holder_A{head} {{\n    P_X p;\n}}\n"
+    assert render_unit(units.unit("Holder_B")) == f"class Holder_B{head} {{\n    P_Y p;\n}}\n"
+
+
+def test_an_assignment_keeps_its_effects_at_a_role_that_is_not_its_targets():
+    checked, units = project_ok("""
+    class M@(A, B) {
+        public static Integer@A go(DiChannel@(B, A)<Integer> ch) {
+            Integer@A x = 0@A;
+            x = ch.<Integer>com(5@B);
+            return x;
+        }
+    }
+    """)
+    assert "        ch.<Integer>com(5);\n" in render_unit(units.unit("M_B"))
+    cmp = differential_run(checked, "M", "go", channels={"ch": "k"}, local_program=units)
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.returns["A"] == 5
+
+
 def test_enum_projects_unsuffixed_with_cases():
     _, units = project_ok("enum Choice@A { GO, STOP }")
     decl = units.unit("Choice").decl
