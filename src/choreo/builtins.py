@@ -235,7 +235,7 @@ _METHODS = {
     (ListV, "size"): lambda b, lst, a: len(lst.items),
     (ListV, "isEmpty"): lambda b, lst, a: len(lst.items) == 0,
     (ListV, "get"): lambda b, lst, a: _list_get(lst, a[0]),
-    (ListV, "subList"): lambda b, lst, a: ListV(list(_slice(lst.items, a, "subList"))),
+    (ListV, "subList"): lambda b, lst, a: ListV(_slice(lst.items, a, "subList")),
     (ListV, "add"): lambda b, lst, a: _list_add(lst, [a[0]]),
     (ListV, "addAll"): lambda b, lst, a: _list_add(lst, a[0].items),
     (ListV, "iterator"): lambda b, lst, a: IteratorV(list(lst.items)),

@@ -4,12 +4,13 @@ waits on a channel or ends. ``eval_distributed`` starts every run, the test
 kit's cases too, with one ``ExecutionContext`` that holds the run's state.
 A worker runs on the evaluator core it shares with the oracle
 (``interpreter.Evaluator``), and supplies what only workers have: method
-lookup up the ``extends`` chain, the unit forms and a wait on a channel,
-which is a generator on the role's stack as a method call is. The first
-role to fail cancels the others, a proven deadlock stops every role at
-once, and the deadline, checked at every statement, stops programs that
-diverge. Try/catch executes its body (there is no user-level throw; a
-generated default throw of a selection switch fails its role).
+lookup up the ``extends`` chain, the unit forms and ``com``/``select``
+bound by direction when compiled, whose wait on a channel is a generator
+on the role's stack, as a method call is. The first role to fail cancels
+the others, a proven deadlock stops every role at once, and the deadline,
+checked at every call, stops programs that diverge. Try/catch executes its
+body (there is no user-level throw; a generated default throw of a
+selection switch fails its role).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .local import LClass, LEnum, LNew
 from .projector import generated_name
 from .record import record
 from .runtime import (
-    UNIT, ChannelEndpoint, ChoreoRuntimeError, DeadlockTimeout,
-    EnumV, ExecutionContext, drive, is_unit, observe_value, observed_object,
+    CHANNEL_CAPACITY, UNIT, ChannelEndpoint, ChoreoRuntimeError, DeadlockTimeout,
+    EnumV, ExecutionContext, drive, observe_value, observed_object,
 )
 
 
@@ -41,7 +42,7 @@ class ProgramFacts:
         self.method_keys = {(m.name, len(m.params)) for d in self.decls.values()
                             if isinstance(d, LClass) for m in d.methods}
         self._methods = {}
-        self.bodies = {}  # id(method) -> the first Step of its body
+        self.bodies = {}  # id(method) -> (its parameters' names, its first Step)
         self.names = {}  # identifier -> its compiled name
 
     def method(self, class_name, name, arity, static=False):
@@ -61,16 +62,40 @@ class ProgramFacts:
         return self._methods[key]
 
 
-def _channel(name):
-    """``com`` or ``select`` on a worker's endpoint: its value, or a wait
-    until the endpoint can proceed."""
-    def operate(ev, endpoint, args, name=name):
+def _send(name):
+    """``name`` (``com`` or ``select``) sending ``message`` on a worker's
+    endpoint ``ep``: its value, or a wait until the direction has room. A
+    receiver that is not an endpoint, or a unit message, takes the method
+    ``call_method`` finds for it."""
+    def send(ev, ep, message, name=name, label=name == "select"):
+        if type(ep) is not ChannelEndpoint or message is UNIT:
+            return ev.call_method(ep, name, [message])
+        if len(ep.pair.queues[ep.side]) < CHANNEL_CAPACITY:
+            return ep.send_label(message) if label else ep.send_data(message)
+        return _wait(ep, name, message, True)
+    return send
+
+
+def _receive(name):
+    """``name`` (``com`` or ``select``) receiving on a worker's endpoint
+    ``ep``: its value, or a wait until a message comes. A receiver that is
+    not an endpoint takes the method ``call_method`` finds for it."""
+    def receive(ev, ep, message, name=name, label=name == "select"):
+        if type(ep) is not ChannelEndpoint:
+            return ev.call_method(ep, name, [message])
+        if ep.pair.queues[1 - ep.side]:
+            return ep.receive_label() if label else ep.receive_data()
+        return _wait(ep, name, message, False)
+    return receive
+
+
+def _either(send, receive):
+    """The ``METHODS`` entry of a channel operation that its call did not
+    bind by direction: no argument, or a unit one, receives."""
+    def either(ev, ep, args, send=send, receive=receive):
         message = args[0] if args else UNIT
-        sending = not is_unit(message)
-        if endpoint.ready(sending):
-            return getattr(endpoint, name)(message)
-        return _wait(endpoint, name, message, sending)
-    return operate
+        return (receive if message is UNIT else send)(ev, ep, message)
+    return either
 
 
 def _wait(endpoint, name, message, sending):
@@ -83,12 +108,12 @@ def _wait(endpoint, name, message, sending):
 
 class LocalInterpreter(Evaluator):
     """Interprets the local language for one role. A frame's site is the
-    name of the unit whose method it runs; every statement checks the run's
+    name of the unit whose method it runs; every call checks the run's
     deadline."""
 
-    METHODS = method_table([((ChannelEndpoint, name), _channel(name))
-                            for name in ("com", "select")])
-    WAITS = ("com", "select")
+    CHANNELS = {name: (_send(name), _receive(name)) for name in ("com", "select")}
+    METHODS = method_table([((ChannelEndpoint, name), _either(*ops))
+                            for name, ops in CHANNELS.items()])
 
     def __init__(self, program, role, context, console):
         super().__init__(console)

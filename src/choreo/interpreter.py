@@ -12,10 +12,11 @@ or arm is compiled when first reached), and one loop runs the steps.
 class of both languages. The compiled bodies are kept in the program's
 facts, so every evaluator of a program shares one compile. Each evaluator
 binds every call, ``new`` and static field when its body compiles, behind
-three hooks. A method call is one generator, run by ``runtime.drive``, so
-recursion takes no Python stack and is bounded only by
-``runtime.MAX_CALL_DEPTH``; an expression that calls no method of the
-program evaluates with no generator.
+three hooks, and a worker's ``com`` or ``select`` by its direction. A
+method call is one generator, run by ``runtime.drive``, so recursion takes
+no Python stack and is bounded only by ``runtime.MAX_CALL_DEPTH``; an
+expression that calls no method of the program evaluates with no
+generator.
 
 The global evaluator (``GlobalInterpreter``) runs checked choreographies
 directly. Values are not located; the per-role structure shows up in the
@@ -46,7 +47,7 @@ from .runtime import (
     UNIT, ChoreoRuntimeError, DeadlockTimeout, EnumV, ListV, drive, observe_value,
     observed_object,
 )
-from .types import TVar, spine
+from .types import TVar
 
 # Step kinds; an assignment and a ``throw`` run as expression statements.
 EXP, VAR, RETURN, IF, SWITCH = "exp", "var", "return", "if", "switch"
@@ -106,7 +107,11 @@ class Evaluator(Builtins):
     Its class has one ``METHODS`` table (``builtins.method_table``, with its
     channels), which a call on a receiver binds when compiled; such a call
     may run a method of the program if ``method_keys`` has its name and
-    arity, or wait if ``WAITS`` has its name. It supplies these hooks:
+    arity, or wait if ``CHANNELS`` has its name. ``CHANNELS`` maps the name
+    of a channel operation that may wait to its ``(send, receive)``, each
+    ``f(evaluator, receiver, message)``: a call of it with one argument
+    binds the receive if that argument is ``Unit.id``, else the send. It
+    supplies these hooks:
 
     - ``bind(exp)``: the unqualified or static call, or the ``new``, ``exp``
       as ``(flag, f(evaluator, frame, args))``; the flag is ``OWN`` if ``f``
@@ -122,7 +127,7 @@ class Evaluator(Builtins):
     """
 
     deadline = None
-    WAITS = ()
+    CHANNELS = {}
 
     def invoke(self, receiver, name, args):
         return self.now(self.call_method(receiver, name, args))
@@ -153,20 +158,23 @@ class Evaluator(Builtins):
         ``this`` (None for a static method), as a generator (see
         ``runtime.drive``); a constructor's value is ``this``. A method's
         body is compiled at its first call in a program, into
-        ``facts.bodies``."""
-        step = self.facts.bodies.get(id(method))
-        if step is None:
-            step = self.facts.bodies[id(method)] = self.compile_stm(method.body)
-        return self._run_steps(Frame(this, {p.name: a for p, a in zip(method.params, args)}, site),
-                               method.is_constructor, step)
+        ``facts.bodies`` with its parameters' names. The language has no
+        loops, so a run that diverges makes calls without end: the deadline
+        is checked at every call."""
+        deadline = self.deadline
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlockTimeout("deadline exceeded")
+        body = self.facts.bodies.get(id(method))
+        if body is None:
+            body = self.facts.bodies[id(method)] = (
+                tuple(p.name for p in method.params), self.compile_stm(method.body))
+        return self._run_steps(Frame(this, dict(zip(body[0], args)), site),
+                               method.is_constructor, body[1])
 
     def _run_steps(self, frame, ctor, step):
         """The statement loop, on the steps of a body (see ``Step``);
         ``return`` returns from the generator."""
-        deadline = self.deadline
         while True:
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlockTimeout("deadline exceeded")
             if step.deep:
                 value = yield from step.fn(self, frame)
             else:
@@ -342,24 +350,41 @@ def _c_binary(ev, exp):
 
 
 def _c_call(ev, exp):
-    """A call; its receiver runs before its arguments (JLS 15.12.4). A call
-    on a receiver binds its name's ``METHODS`` entry (receiver type -> fn)."""
+    """A call; its receiver runs before its arguments (JLS 15.12.4). A
+    ``CHANNELS`` operation with one argument binds its send, or its receive
+    if that argument is ``Unit.id``; any other call on a receiver binds its
+    name's ``METHODS`` entry (receiver type -> fn)."""
     scope, name = exp.scope, exp.name
     if scope is None or type(scope) in TYPES:
         return _c_bound(ev, exp)
     receiver = COMPILE[type(scope)](ev, scope)
-    table = ev.METHODS.get(name, NO_METHODS)
     args, deep = _c_arguments(ev, exp.args)
+    ops = ev.CHANNELS.get(name) if len(args) == 1 else None
+    if ops is not None:
+        op = ops[type(exp.args[0]) is LUnit]
+        if deep or receiver[0]:
+            return DEEP, _call_g([receiver, *args], lambda ev, fr, values, op=op: op(ev, *values))
+        return OWN, lambda ev, fr, r=receiver[1], m=args[0][1], op=op: op(ev, r(ev, fr), m(ev, fr))
+    table = ev.METHODS.get(name, NO_METHODS)
     if deep or receiver[0]:
         return DEEP, _call_g([receiver, *args], _method(table, name))
-    flag = OWN if name in ev.WAITS or (name, len(args)) in ev.facts.method_keys else 0
-
-    def method_call(ev, fr, r=receiver[1], t=table, n=name, a=_arguments(args)):
-        obj = r(ev, fr)
-        fn = t.get(type(obj))
-        if fn is None:
-            return ev.call_method(obj, n, a(ev, fr))
-        return fn(ev, obj, a(ev, fr))
+    flag = OWN if name in ev.CHANNELS or (name, len(args)) in ev.facts.method_keys else 0
+    r = receiver[1]
+    if not args:
+        def method_call(ev, fr, r=r, t=table, n=name):
+            obj = r(ev, fr)
+            fn = t.get(type(obj))
+            return ev.call_method(obj, n, []) if fn is None else fn(ev, obj, [])
+    elif len(args) == 1:
+        def method_call(ev, fr, r=r, t=table, n=name, a=args[0][1]):
+            obj = r(ev, fr)
+            fn = t.get(type(obj))
+            return ev.call_method(obj, n, [a(ev, fr)]) if fn is None else fn(ev, obj, [a(ev, fr)])
+    else:
+        def method_call(ev, fr, r=r, t=table, n=name, a=_arguments(args)):
+            obj = r(ev, fr)
+            fn = t.get(type(obj))
+            return ev.call_method(obj, n, a(ev, fr)) if fn is None else fn(ev, obj, a(ev, fr))
     return flag, method_call
 
 
@@ -370,6 +395,10 @@ def _c_bound(ev, exp):
     flag, fn = ev.bind(exp)
     if deep:
         return DEEP, _call_g(args, fn)
+    if not args:
+        return flag, lambda ev, fr, f=fn: f(ev, fr, [])
+    if len(args) == 1:
+        return flag, lambda ev, fr, f=fn, a=args[0][1]: f(ev, fr, [a(ev, fr)])
     return flag, lambda ev, fr, f=fn, a=_arguments(args): f(ev, fr, a(ev, fr))
 
 
@@ -464,11 +493,8 @@ def _binary(op, left, right):
 
 
 def _arguments(args):
-    """The closure of the list of the values of the compiled ``args``."""
-    if not args:
-        return lambda ev, fr: []
-    if len(args) == 1:
-        return lambda ev, fr, f=args[0][1]: [f(ev, fr)]
+    """The closure of the list of the values of the compiled ``args``; a
+    call of fewer than two builds its list itself."""
     return lambda ev, fr, fns=tuple(f for _, f in args): [f(ev, fr) for f in fns]
 
 
@@ -633,7 +659,7 @@ class OracleFacts:
         # call that names none of these runs no method of the program.
         self.method_keys = {(mi.name, len(mi.node.params)) for info in checked.own
                             for mi in info.methods if mi.node.body is not None}
-        self.bodies = {}  # id(method) -> the first Step of its body
+        self.bodies = {}  # id(method) -> (its parameters' names, its first Step)
         self.names = {}  # identifier -> its compiled name
 
     def method(self, checked, info, name, arity):
@@ -743,12 +769,12 @@ class GlobalInterpreter(Evaluator):
 
     def _super_ctor_binding(self, frame, mi):
         """The role binding of the superclass constructor ``mi`` on
-        ``frame.this``: its formal roles, bound as the ``extends`` clause
-        passes them."""
-        _, targs = spine(self.checked.te_type(frame.this.info.node.extends))
-        passed = [a for a in targs if isinstance(a, TVar) and a.role]
-        return {formal.name: frame.this.binding.get(a.name, a.name)
-                for formal, a in zip(mi.owner.role_vars, passed)}
+        ``frame.this``: that of the ``supertype_closure`` entry of the
+        class that declares it, as an inherited method's."""
+        obj = frame.this
+        sup, submap = next(e for e in self.checked.supertype_closure(obj.info)
+                           if e[0].name == mi.owner.name)
+        return self.super_binding(sup, submap, obj.binding)
 
     def bind_static(self, scope, name):
         info = self.table.get(scope.name)

@@ -275,24 +275,18 @@ class ChannelEndpoint:
     def operation(self, sending):
         return f"{'sends' if sending else 'receives'} on '{self.pair.key}'"
 
-    def _put(self, item):
+    def send_data(self, value):
         out = self.pair.queues[self.side]
         if len(out) >= CHANNEL_CAPACITY:
             raise DeadlockTimeout(f"deadlock: {self.claimant} {self.operation(True)}")
-        out.append(item)
-
-    def _get(self):
-        inq = self.pair.queues[1 - self.side]
-        if not inq:
-            raise DeadlockTimeout(f"deadlock: {self.claimant} {self.operation(False)}")
-        return inq.popleft()
-
-    def send_data(self, value):
-        self._put(("data", value))
+        out.append(("data", value))
         return UNIT
 
     def receive_data(self):
-        kind, value = self._get()
+        inq = self.pair.queues[1 - self.side]
+        if not inq:
+            raise DeadlockTimeout(f"deadlock: {self.claimant} {self.operation(False)}")
+        kind, value = inq.popleft()
         if kind != "data":
             raise ChoreoRuntimeError(
                 f"protocol violation on '{self.pair.key}': expected data, got {kind}")
@@ -301,11 +295,17 @@ class ChannelEndpoint:
     def send_label(self, label):
         if not isinstance(label, EnumV):
             raise ChoreoRuntimeError("select requires an enumerated label")
-        self._put(("label", label))
+        out = self.pair.queues[self.side]
+        if len(out) >= CHANNEL_CAPACITY:
+            raise DeadlockTimeout(f"deadlock: {self.claimant} {self.operation(True)}")
+        out.append(("label", label))
         return label
 
     def receive_label(self):
-        kind, value = self._get()
+        inq = self.pair.queues[1 - self.side]
+        if not inq:
+            raise DeadlockTimeout(f"deadlock: {self.claimant} {self.operation(False)}")
+        kind, value = inq.popleft()
         if kind != "label":
             raise ChoreoRuntimeError(
                 f"protocol violation on '{self.pair.key}': expected label, got {kind}")

@@ -506,6 +506,28 @@ def test_static_entry_wires_no_constructor_in_either_evaluator():
     assert cmp.distributed_report.returns == {"A": 5}
 
 
+def test_a_super_constructor_runs_at_the_roles_its_own_extends_clause_passes():
+    # Mid passes its roles to Base swapped, and Top passes its own to Mid as
+    # they are: Base's P is Top's Q, so "base" prints at Q in both evaluators.
+    checked = compile_ok("""
+    class Base@(P, Q) {
+        public Base(Integer@Q x) { System@P.out.println("base"@P); }
+    }
+    class Mid@(P, Q) extends Base@(Q, P) {
+        public Mid(Integer@P x) { super(x); }
+    }
+    class Top@(P, Q) extends Mid@(P, Q) {
+        public Top(Integer@P x) { super(x); }
+    }
+    class Main@(P, Q) {
+        public static void main(Integer@P y) { new Top@(P, Q)(y); }
+    }
+    """)
+    cmp = differential_run(checked, "Main", "main", {"P": [1]}, local_program=project_ok(checked))
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.transcripts == {"Q": ["base"]}
+
+
 def test_dispatch_table_covers_every_statement_and_expression_class():
     import inspect
 

@@ -2,15 +2,16 @@
 every role of a run on one thread."""
 
 import time
+from collections import Counter
 
 import pytest
 
 from choreo.builtins import Console
-from choreo.distributed import run_workers
+from choreo.distributed import eval_distributed, run_workers
 from choreo.local import LocalProgram
 from choreo.local_reader import parse_local_unit
 from choreo.runtime import (
-    CHANNEL_CAPACITY, UNIT, AssertionFailure, ChoreoRuntimeError,
+    CHANNEL_CAPACITY, UNIT, AssertionFailure, ChannelEndpoint, ChoreoRuntimeError,
     DeadlockTimeout, EnumV, ExecutionContext, ListV, OptionalV,
     assert_builtin, is_unit,
 )
@@ -33,8 +34,8 @@ def static_unit(name, body, params="", extra=""):
     return f"public class {name} {{ public static void go({params}) {{ {body} }} {extra} }}"
 
 
-RECEIVE_K = ('SymChannel<Object> ch = TestUtils.newLocalChannel("k"); '
-             'ch.<Object>com(Unit.id);')
+CLAIM_K = 'SymChannel<Object> ch = TestUtils.newLocalChannel("k"); '
+RECEIVE_K = CLAIM_K + "ch.<Object>com(Unit.id);"
 # Longer than any deadline below: 2^22 calls, at most 22 deep.
 WORK = "static void work(Integer n) { if (n > 0) { work(n - 1); work(n - 1); } }"
 
@@ -126,7 +127,7 @@ def test_label_vs_data_protocol_violation():
 
 def test_receive_hits_deadline():
     # B waits on a channel while A computes past the deadline: the deadline,
-    # checked at every statement, stops A, and A's failure cancels B.
+    # checked at every call, stops A, and A's failure cancels B.
     ctx = ExecutionContext(0.3)
     started = time.monotonic()
     outcomes, _ = run_units(
@@ -224,16 +225,85 @@ def test_send_blocks_when_buffer_full():
 
     ctx = ExecutionContext(5.0)
     sends = "".join(f"ch.<Integer>com({i});" for i in range(CHANNEL_CAPACITY + 1))
-    claim = 'SymChannel<Object> ch = TestUtils.newLocalChannel("k"); '
     started = time.monotonic()
     outcomes, _ = run_units(
         ctx, {"A": ("Send_A", "go", [], []), "B": ("Idle_B", "go", [], [])},
-        static_unit("Send_A", claim + sends), static_unit("Idle_B", claim))
+        static_unit("Send_A", CLAIM_K + sends), static_unit("Idle_B", CLAIM_K))
     assert time.monotonic() - started < 1.0
     assert outcomes["B"].status == "ok"
     assert (outcomes["A"].status, outcomes["A"].error) == (
         "deadlock-timeout", "deadlock: A sends on 'k'")
     assert len(ctx.claim("k", "A").pair.queues[0]) == CHANNEL_CAPACITY
+
+
+def test_a_bound_receive_of_a_label_that_finds_data_is_a_protocol_violation():
+    # A runs first, so B's select finds the data at once (the compiled
+    # receive); with B first, it waits and then finds it.
+    send = static_unit("Send_A", CLAIM_K + "ch.<Integer>com(1);")
+    select = static_unit("Select_B", CLAIM_K + "ch.<Choice>select(Unit.id);")
+    message = "ChoreoRuntimeError: protocol violation on 'k': expected label, got data"
+    for order in (["A", "B"], ["B", "A"]):
+        ctx = ExecutionContext(5.0)
+        units = {"A": ("Send_A", "go", [], []), "B": ("Select_B", "go", [], [])}
+        outcomes, _ = run_units(ctx, {r: units[r] for r in order}, send, select)
+        assert ctx.failure == ("B", "error", message)
+        assert outcomes["A"].status == "ok"
+
+
+def test_com_of_an_object_of_the_program_runs_its_own_method():
+    # ``obj.com(Unit.id)`` binds a receive, whose receiver is no endpoint:
+    # the call runs the class's own com, and the role never waits.
+    echo = 'public class Echo { public String com(Unit x) { return "own com"; } }'
+    ctx = ExecutionContext(5.0)
+    outcomes, console = run_units(
+        ctx, {"A": ("Own_A", "go", [], [])},
+        static_unit("Own_A", "Echo e = new Echo(); System.out.println(e.com(Unit.id));"), echo)
+    assert outcomes["A"].status == "ok"
+    assert console.transcripts() == {"A": ["own com"]}
+
+
+def test_a_send_into_a_full_direction_waits_for_the_receiver():
+    # A runs first, and its 17th send waits until B has received; if B
+    # waits on another channel from A instead, the two wait on each other
+    # and the run is proven a deadlock.
+    sends = "".join(f"ch.<Integer>com({i});" for i in range(CHANNEL_CAPACITY + 1))
+    receives = "".join("System.out.println(ch.<Integer>com(Unit.id));"
+                       for _ in range(CHANNEL_CAPACITY + 1))
+    ctx = ExecutionContext(5.0)
+    outcomes, console = run_units(
+        ctx, {"A": ("Send_A", "go", [], []), "B": ("Take_B", "go", [], [])},
+        static_unit("Send_A", CLAIM_K + sends), static_unit("Take_B", CLAIM_K + receives))
+    assert {o.status for o in outcomes.values()} == {"ok"}
+    assert console.transcripts() == {"B": [str(i) for i in range(CHANNEL_CAPACITY + 1)]}
+
+    ctx = ExecutionContext(5.0)
+    started = time.monotonic()
+    outcomes, _ = run_units(
+        ctx, {"A": ("Send_A", "go", [], []), "B": ("Wait_B", "go", [], [])},
+        static_unit("Send_A", CLAIM_K + sends),
+        static_unit("Wait_B", CLAIM_K + 'TestUtils.newLocalChannel("k2").<Integer>com(Unit.id);'))
+    assert time.monotonic() - started < 1.0
+    message = "deadlock: A sends on 'k'; B receives on 'k2'"
+    assert ctx.failure == (None, "deadlock-timeout", message)
+    assert {r: (o.status, o.error) for r, o in outcomes.items()} == {
+        "A": ("deadlock-timeout", message), "B": ("deadlock-timeout", message)}
+
+
+def test_every_message_is_one_send_and_one_receive_call(corpus_compiled, monkeypatch):
+    # The benchmark's runtime.messages and runtime.labels count the calls
+    # of these four methods; each message makes one call of a send and one
+    # of a receive, whatever path the operation takes.
+    calls = Counter()
+    for name in ("send_data", "send_label", "receive_data", "receive_label"):
+        def counted(self, *args, name=name, method=getattr(ChannelEndpoint, name)):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(ChannelEndpoint, name, counted)
+    _, _, units = corpus_compiled["MergeSort"]
+    report = eval_distributed(units, "Mergesort", ["A", "B", "C"], "sort", {"A": [[15, 3, 14]]},
+                              {"ch_AB": "x", "ch_BC": "y", "ch_CA": "z"}, deadline=10)
+    assert (report.status, report.returns["A"]) == ("ok", ["list", 3, 14, 15])
+    assert calls == {"send_label": 34, "receive_label": 34, "send_data": 12, "receive_data": 12}
 
 
 def test_assert_builtin():
