@@ -27,7 +27,7 @@ from .printer import render_te
 from .record import field, record
 from .types import (
     VOID, TAbs, TBottom, TSym, TVar, TVoid, app, fresh_var, pretty,
-    reduce_type, roles_of_type, spine, substitute, type_equal,
+    reduce_type, role_canonical, roles_of_type, spine, substitute, type_equal,
 )
 
 ARITH_OPS = {"+", "-", "*", "/", "%"}
@@ -162,9 +162,12 @@ class Checker:
         self.exp_types = {}
         self.te_types = prelude.te_types.copy()
         self.resolved = {}  # id(Call/New) -> (kind, MethodInfo)
-        # (receiver, name, type args, arg types, statics) -> (MethodInfo,
-        # return Type) of a method call resolved without a diagnostic.
+        # (role_canonical key of receiver, type args and arg types, number of
+        # type args, name, statics) -> (MethodInfo, return Type, the role
+        # variables the key numbers) of the first call of that key, resolved
+        # without a diagnostic.
         self._calls = {}
+        self._pinned = prelude.pinned  # uids of type variables whose bounds name a role
         self.suppressed = set()  # decl names whose bodies are skipped
         self.cyclic = set()  # decl names reported for cyclic inheritance
         self._failed_tes = set()
@@ -308,7 +311,17 @@ class Checker:
                 for v in reversed(fi.role_binders):
                     ctor = TAbs(v, ctor)
                 fi.bound_ctors.append(reduce_type(ctor))
-        return out
+        # A bound that names a role of its scope, or a pinned variable, pins
+        # the variable (``resolve_invocation``).
+        while True:
+            pins = []
+            for fi in out:
+                shape = role_canonical(fi.bound_ctors, self._pinned)
+                if fi.var.uid not in self._pinned and (shape is None or shape[1]):
+                    pins.append(fi.var.uid)
+            if not pins:
+                return out
+            self._pinned = self._pinned.union(pins)
 
     def bounds(self, var):
         """The bounds of a type variable, as constructors over its role
@@ -656,7 +669,7 @@ class Checker:
 
     def check_overload_clashes(self, info):
         """Per-role projected signatures must stay pairwise distinct."""
-        candidates = []  # (MethodInfo, [param Type], own: bool)
+        candidates = []  # (MethodInfo, subst, [param Type], own: bool)
         for i, (sup, subst) in enumerate(self.supertype_closure(info)):
             for mi in sup.methods:
                 params = self.param_types(mi)
@@ -664,17 +677,17 @@ class Checker:
                     continue
                 if subst:
                     params = [reduce_type(substitute(p, subst)) for p in params]
-                candidates.append((mi, params, i == 0))
+                candidates.append((mi, subst, params, i == 0))
         for i in range(len(candidates)):
             for j in range(i + 1, len(candidates)):
-                m1, p1, own1 = candidates[i]
-                m2, p2, own2 = candidates[j]
+                m1, s1, p1, own1 = candidates[i]
+                m2, s2, p2, own2 = candidates[j]
                 if m1.name != m2.name or len(p1) != len(p2):
                     continue
                 if not (own1 or own2):
                     continue
-                if all(type_equal(a, b) for a, b in zip(p1, p2)):
-                    continue  # override
+                if not (own1 and own2) and self.same_signature(m1, s1, m2, s2):
+                    continue  # override; a class cannot override its own method
                 for role in info.role_names:
                     e1 = [self.erased_name(t, role) for t in p1]
                     e2 = [self.erased_name(t, role) for t in p2]
@@ -686,6 +699,33 @@ class Checker:
                             f"'{self.sig_text(m1)}' have the same signature for "
                             f"role '{role}'.")
                         break
+
+    def same_signature(self, m1, subst1, m2, subst2):
+        """Whether ``m2`` has the signature of ``m1`` (JLS 8.4.2), each taken
+        at a class through its supertype-closure ``subst``: the same name,
+        and the same parameter types and type-parameter bounds once ``m2``'s
+        type parameters are renamed to ``m1``'s, by position."""
+        if m1.name != m2.name or len(m1.node.params) != len(m2.node.params) \
+                or len(m1.ftps) != len(m2.ftps):
+            return False
+        subst2 = dict(subst2)
+        for f1, f2 in zip(m1.ftps, m2.ftps):
+            if f1.arity != f2.arity or len(f1.bound_ctors) != len(f2.bound_ctors):
+                return False
+            subst2[f2.var.uid] = f1.var
+
+        def agree(ts1, ts2):
+            for t1, t2 in zip(ts1, ts2):
+                if t1 is None or t2 is None:  # failed to denote
+                    if t1 is not t2:
+                        return False
+                elif not type_equal(reduce_type(substitute(t1, subst1)),
+                                    reduce_type(substitute(t2, subst2))):
+                    return False
+            return True
+
+        return agree(self.param_types(m1), self.param_types(m2)) and all(
+            agree(f1.bound_ctors, f2.bound_ctors) for f1, f2 in zip(m1.ftps, m2.ftps))
 
     def sig_text(self, mi):
         params = ", ".join(
@@ -811,20 +851,21 @@ class Checker:
             self.check_abstract_implementations(info)
 
     def check_abstract_implementations(self, info):
-        implemented = {}
+        signatures = []  # [MethodInfo, subst, implemented], one per signature
         for sup, subst in self.supertype_closure(info):
             for mi in sup.methods:
-                params = tuple(pretty(substitute(p or VOID, subst))
-                               for p in self.param_types(mi))
-                key = (mi.name, params)
                 has_body = mi.node.body is not None or sup.is_prelude
-                if key not in implemented or implemented[key] is False:
-                    implemented[key] = has_body or implemented.get(key, False)
-        for (name, params), ok in implemented.items():
-            if not ok:
+                for sig in signatures:
+                    if self.same_signature(sig[0], sig[1], mi, subst):
+                        sig[2] = sig[2] or has_body
+                        break
+                else:
+                    signatures.append([mi, subst, has_body])
+        for mi, _, implemented in signatures:
+            if not implemented:
                 self.reporter.error(
                     Code.TypeMismatch, info.node.span,
-                    f"'{info.name}' does not implement abstract method '{name}'.")
+                    f"'{info.name}' does not implement abstract method '{mi.name}'.")
 
     def check_method_body(self, info, mi, constructor=False):
         scope = mi.scope
@@ -1176,16 +1217,29 @@ class Checker:
 
         Every other input of a resolution (the table, the type variables'
         bounds and binders, the supertype closures) is fixed before the first
-        body is checked, so calls of one shape resolve alike wherever they
-        appear. A call that reported nothing is resolved once per compile;
-        one that reports is resolved again at each site, which reports at
-        its own span.
+        body is checked, and every rule it applies tells role variables apart
+        only by identity. So calls whose receiver, type arguments and argument
+        types are one shape up to a renaming of their roles and binders
+        (``role_canonical``) resolve alike wherever they appear, with the
+        return type renamed to each call's roles. A call that reported
+        nothing is resolved once per compile; one that reports is resolved
+        again at each site, which reports at its own span. A call that
+        mentions a type variable whose bound names a role of its scope is
+        resolved at each site, as a renaming of the call's roles leaves that
+        one as it is.
         """
-        key = (receiver, name, tuple(type_args), tuple(arg_types), statics)
-        known = self._calls.get(key)
-        if known is not None:
-            self.resolved[id(exp)] = ("call", known[0])
-            return known[1]
+        shape = role_canonical([receiver, *type_args, *arg_types], self._pinned)
+        if shape is not None:
+            terms, roles = shape
+            key = (terms, len(type_args), name, statics)
+            known = self._calls.get(key)
+            if known is not None:
+                mi, ret, at = known
+                self.resolved[id(exp)] = ("call", mi)
+                # Renaming roles to roles keeps a normal form normal.
+                renaming = {v.uid: w for v, w in zip(at, roles)
+                            if v is not None and v.uid != w.uid}
+                return substitute(ret, renaming) if renaming else ret
         reported = len(self.reporter.items)
         candidates = []
         for sup, subst, actuals in self.supertype_instances(receiver):
@@ -1204,8 +1258,8 @@ class Checker:
             return None
         mi, ret = picked
         self.resolved[id(exp)] = ("call", mi)
-        if len(self.reporter.items) == reported:
-            self._calls[key] = picked
+        if shape is not None and len(self.reporter.items) == reported:
+            self._calls[key] = (mi, ret, roles)
         return ret
 
     def pick_most_specific(self, exp, candidates, type_args, arg_types, kind, name):
@@ -1419,12 +1473,15 @@ class PreludeLayer:
     ``DeclInfo`` and ``MethodInfo``, shared by every program's table.
     Supertype closures stay a table, as a closure lists its own
     declaration: kept on the ``DeclInfo`` it would make a reference cycle.
+    ``pinned`` holds the uids of the type variables whose bounds name a
+    role (``Checker.resolve_invocation``).
     """
 
     table: MappingProxyType = _NOTHING
     var_ftp: MappingProxyType = _NOTHING
     te_types: MappingProxyType = _NOTHING
     closures: MappingProxyType = _NOTHING
+    pinned: frozenset = frozenset()
 
     @classmethod
     def build(cls, decls):
@@ -1446,7 +1503,7 @@ class PreludeLayer:
             raise RuntimeError("prelude failed to check:\n" + "\n".join(
                 d.render() for d in ck.reporter.items))
         return cls(MappingProxyType(ck.table), MappingProxyType(ck.var_ftp),
-                   MappingProxyType(ck.te_types), MappingProxyType(ck._closures))
+                   MappingProxyType(ck.te_types), MappingProxyType(ck._closures), ck._pinned)
 
 
 _EMPTY_LAYER = PreludeLayer()

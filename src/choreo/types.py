@@ -192,6 +192,95 @@ def type_equal(a, b, env=None):
     return False
 
 
+class _Unshared(Exception):
+    """Two role variables of one key share a name, or a pinned variable occurs."""
+
+
+def role_canonical(terms, pinned):
+    """A key of nested tuples for ``terms``, equal for every list of terms
+    that differs from them only by an injective renaming of their free role
+    variables and of their binders, and the role variables the key numbers,
+    in order: None for a number only a ``TBottom`` names. None when two role
+    variables of ``terms`` share a name, as a ``TBottom`` names its roles,
+    or a type variable whose uid is in ``pinned`` occurs.
+
+    In the key a free role variable, and a ``TBottom`` role name, is its
+    number in order of first occurrence; a binder is its depth (after de
+    Bruijn), as a negative number; any other type variable is
+    ``(None, uid)``, a symbol its name and an application spine the tuple of
+    its head and its arguments. A key with a ``TBottom`` ends with the role
+    names by number, so it holds only under a renaming that keeps them.
+    """
+    numbers = {}  # role name -> its number in the key; None -> 0 once a TBottom occurs
+    roles = []
+    try:
+        key = tuple([_canonical(t, numbers, roles, {}, pinned) for t in terms])
+    except _Unshared:
+        return None
+    if numbers.pop(None, None) is not None:
+        # A null's roles are told apart from a type's by name, and the names
+        # of a type's binders count too (``Checker.is_subtype``), so the key
+        # keeps the names.
+        key += (tuple(numbers),)
+    return key, roles
+
+
+def _canonical(t, numbers, roles, binders, pinned):
+    cls = type(t)
+    if cls is TApp:
+        args = []
+        while cls is TApp:
+            args.append(t.arg)
+            t = t.ctor
+            cls = type(t)
+        args.append(t)
+        args.reverse()
+        out = []
+        for a in args:  # most are symbols and free roles, keyed here without a call
+            cls = type(a)
+            if cls is TSym:
+                out.append(a.name)
+            elif cls is TVar and a.role and a.uid not in binders:
+                out.append(_role_number(a.name, a, numbers, roles))
+            else:
+                out.append(_canonical(a, numbers, roles, binders, pinned))
+        return tuple(out)
+    if cls is TVar:
+        if not t.role:
+            if t.uid in pinned:
+                raise _Unshared
+            return (None, t.uid)
+        depth = binders.get(t.uid)
+        if depth is not None:
+            return -1 - depth
+        return _role_number(t.name, t, numbers, roles)
+    if cls is TSym:
+        return t.name
+    if cls is TAbs:
+        binders[t.var.uid] = len(binders)
+        body = _canonical(t.body, numbers, roles, binders, pinned)
+        del binders[t.var.uid]
+        return (body,)
+    if cls is TBottom:
+        numbers[None] = 0
+        return (None, tuple(_role_number(r, None, numbers, roles) for r in t.roles))
+    return None  # void
+
+
+def _role_number(name, var, numbers, roles):
+    i = numbers.get(name)
+    if i is None:
+        numbers[name] = i = len(roles)
+        roles.append(var)
+    elif var is not None:
+        had = roles[i]
+        if had is None:
+            roles[i] = var
+        elif had.uid != var.uid:
+            raise _Unshared
+    return i
+
+
 def roles_of_type(t):
     """Names of the role variables occurring in a type."""
     out = set()

@@ -9,13 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import compile_ok, compile_text, supertypes
+from conftest import compile_ok, compile_text, perfbench_gen, supertypes
 
 import choreo
 from choreo import surface as S
 from choreo.checker import Checker, check_program, prelude_layer
-from choreo.corpus import positive_entries
+from choreo.corpus import corpus_root, positive_entries
 from choreo.diagnostics import Code, Reporter, Severity
+from choreo.differential import differential_run
 from choreo.pipeline import compile_files, front_end, load_prelude, prelude_names
 from choreo.printer import render_unit
 from choreo.projector import project_program
@@ -526,8 +527,8 @@ def test_every_corpus_call_resolves_as_it_does_without_the_memo(monkeypatch):
     def resolved(program):
         checked, reporter = check_program(program, Reporter(), prelude_names())
         assert not reporter.has_errors()
-        return [(kind, mi.owner.name, mi.node)
-                for kind, mi in (checked.resolved[id(e)] for e in calls(checked))]
+        return [(kind, mi.owner.name, mi.node, pretty(checked.type_of(e)))
+                for e in calls(checked) for kind, mi in [checked.resolved[id(e)]]]
 
     resolve = Checker.resolve_invocation
 
@@ -535,13 +536,141 @@ def test_every_corpus_call_resolves_as_it_does_without_the_memo(monkeypatch):
         self._calls.clear()  # every call resolved afresh
         return resolve(self, *args, **kwargs)
 
-    for prog in positive_entries():
-        program, _ = front_end([(str(prog.path), prog.path.read_text())])
+    gen = perfbench_gen()
+    programs = [(prog.name, [(str(prog.path), prog.path.read_text())])
+                for prog in positive_entries()]
+    programs += [(f"DistAuth{n}", [(f"DistAuth{n}.chor", gen.distauth_source(n))])
+                 for n in range(2, 21)]
+    for name, sources in programs:
+        program, _ = front_end(sources)
         memoised = resolved(program)
         with monkeypatch.context() as m:
             m.setattr(Checker, "resolve_invocation", unmemoised)
-            assert resolved(program) == memoised, prog.name
-        assert memoised, prog.name
+            assert resolved(program) == memoised, name
+        assert memoised, name
+
+
+def test_calls_that_differ_only_in_their_roles_share_one_resolution():
+    checked, reporter = compile_text("""
+    class AuthToken@R {
+        public AuthToken() { }
+    }
+    class D@(S1, S2, IP) {
+        void m(SymChannel@(S1, IP)<Object> ch1, SymChannel@(S2, IP)<Object> ch2,
+               AuthToken@IP t) {
+            AuthToken@S1 a = ch1.<AuthToken>com(t);
+            AuthToken@S2 b = ch2.<AuthToken>com(t);
+        }
+    }
+    """)
+    assert not reporter.items
+    calls = [e for e in S.walk_exps(checked.decl_info("D").methods[0].node.body)
+             if isinstance(e, S.Call)]
+    assert [pretty(checked.type_of(e)) for e in calls] == ["AuthToken@S1", "AuthToken@S2"]
+    assert checked.resolved[id(calls[0])] == checked.resolved[id(calls[1])]
+    assert len(checked._calls) == 1
+
+
+@pytest.mark.parametrize("overloads, calls, picked", [
+    # Two role patterns of one shape: the same role twice, and two roles.
+    ("Integer@A f(Integer@A x, Integer@A y) { return x; }\n"
+     "    Integer@B f(Integer@A x, Integer@B y) { return y; }",
+     ["f(1@A, 2@A)", "f(1@A, 2@B)"], ["Integer@A", "Integer@B"]),
+    # A null literal names its roles, which number as the role variables do.
+    ("Integer@A h(String@A s) { return 1@A; }\n"
+     "    Integer@B h(String@B s) { return 1@B; }",
+     ["h(null@A)", "h(null@B)"], ["Integer@A", "Integer@B"]),
+])
+def test_calls_with_different_role_patterns_resolve_apart(overloads, calls, picked):
+    checked, reporter = compile_text(f"""
+    class C@(A, B) {{
+        {overloads}
+        void m() {{ {"; ".join(calls)}; }}
+    }}
+    """)
+    assert not reporter.items
+    info = checked.decl_info("C")
+    found = [e for e in S.walk_exps(info.methods[2].node.body) if isinstance(e, S.Call)]
+    assert [checked.resolved[id(e)][1] for e in found] == info.methods[:2]
+    assert [pretty(checked.type_of(e)) for e in found] == picked
+    assert len(checked._calls) == 2
+
+
+def test_a_type_variable_whose_bound_names_a_role_is_resolved_at_each_site():
+    # T@B is Foo@(B, B), whose g returns at B; T@A is Foo@(A, B), whose g
+    # also returns at B, not at A, as a renaming of B to A would say.
+    checked, reporter = compile_text("""
+    class Foo@(P, Q) {
+        Integer@P f() { return 1@P; }
+        Integer@Q g() { return 1@Q; }
+    }
+    class C@(A, B)<T@X extends Foo@(X, B)> {
+        Integer@B m(T@B b, T@A a) {
+            Integer@B x = b.g();
+            return a.g();
+        }
+    }
+    """)
+    assert not reporter.items
+    calls = [e for e in S.walk_exps(checked.decl_info("C").methods[0].node.body)
+             if isinstance(e, S.Call)]
+    assert [pretty(checked.type_of(e)) for e in calls] == ["Integer@B", "Integer@B"]
+    assert len(checked._calls) == 0
+
+
+def test_two_calls_with_a_partially_applied_type_argument_share_one_resolution():
+    # Each List<Integer> abstracts over a fresh binder: the key numbers
+    # binders by depth.
+    checked = compile_ok("""
+    class C@(A, B) {
+        void m(DiDataChannel@(A, B)<Object> ch, List@A<Integer> l) {
+            List@B<Integer> x = ch.<List<Integer>>com(l);
+            List@B<Integer> y = ch.<List<Integer>>com(l);
+        }
+    }
+    """)
+    assert len(checked._calls) == 1
+
+
+def test_a_null_argument_resolves_under_its_own_role_names(monkeypatch):
+    # Box@P<List<Integer>> abstracts over a binder named after List's role A.
+    # is_subtype counts that name among the type's roles, so a null@A fits
+    # where P is A and a null@B does not fit where P is B: the two calls,
+    # one shape up to renaming A and B, must not share a resolution.
+    text = """
+    class Box@R<T@Y> { }
+    class K@(P, Q) {
+        void h(Box@P<List<Integer>> b) { }
+        void go(Integer@Q q) { }
+    }
+    class C@(A, B) {
+        void m(K@(A, B) x, K@(B, A) y) {
+            x.h(null@A);
+            y.h(null@B);
+        }
+    }
+    """
+
+    def diagnostics():
+        _, reporter = compile_text(text)
+        return [(d.code, d.span.line, d.message) for d in reporter.items]
+
+    memoised = diagnostics()
+    resolve = Checker.resolve_invocation
+
+    def unmemoised(self, *args, **kwargs):
+        self._calls.clear()
+        return resolve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Checker, "resolve_invocation", unmemoised)
+    assert memoised == diagnostics()
+
+
+def test_the_sort_and_distauth20_calls_resolve_once_per_shape_up_to_their_roles():
+    sort = compile_files([corpus_root() / "positive" / f"{name}.chor"
+                          for name in ("MergeSort", "QuickSort")])[0]
+    distauth = compile_ok(perfbench_gen().distauth_source(20), "DistAuth20.chor")
+    assert (len(sort._calls), len(distauth._calls)) == (26, 12)
 
 
 def test_com_bound_violation_is_rejected():
@@ -615,6 +744,77 @@ def test_inherited_overload_clash():
     }
     """)
     assert Code.IllegalOverload in codes(reporter)
+
+
+def test_a_generic_method_overrides_one_of_the_same_signature():
+    compile_ok("""
+    class Base@A {
+        public <S@X> S@A id(S@A m) { return m; }
+    }
+    class Sub@A extends Base@A {
+        public <S@X> S@A id(S@A m) { return m; }
+    }
+    """)
+
+
+# A class that implements a prelude channel interface's generic ``com``,
+# naming its type parameter as the interface does or otherwise.
+WRAP = """
+class Wrap@(A, B)<T@X> implements DiDataChannel@(A, B)<T> {
+    DiDataChannel@(A, B)<T> ch;
+    public Wrap(DiDataChannel@(A, B)<T> ch) { this.ch = ch; }
+    public <S@Y extends T@Y> S@B com(S@A m) { return ch.<S>com(m); }
+}
+class P@(A, B) {
+    public static Integer@B go(DiDataChannel@(A, B)<Integer> ch) {
+        Wrap@(A, B)<Integer> w = new Wrap@(A, B)<Integer>(ch);
+        return w.<Integer>com(5@A);
+    }
+}
+"""
+WRAP2 = WRAP.replace("<S@Y extends T@Y> S@B com(S@A m) { return ch.<S>com(m); }",
+                     "<V@Z extends T@Z> V@B com(V@A m) { return ch.<V>com(m); }")
+
+
+@pytest.mark.parametrize("text", [WRAP, WRAP2], ids=["Wrap", "Wrap2"])
+def test_a_class_implements_a_channel_interface_s_generic_com(text):
+    compile_ok(text)
+
+
+def test_a_protocol_sends_through_a_class_that_implements_a_channel_interface():
+    checked = compile_ok(WRAP)
+    units, reporter = project_program(checked, Reporter())
+    assert not reporter.has_errors()
+    cmp = differential_run(checked, "P", "go", channels={"ch": "k"}, local_program=units)
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.returns["B"] == 5
+
+
+@pytest.mark.parametrize("impl, message", [
+    ("public <V@X> V@A id(V@A m) { return m; }", None),
+    # A type parameter with another bound is another signature.
+    ("public <V@X extends Integer@X> V@A id(V@A m) { return m; }",
+     "'K' does not implement abstract method 'id'."),
+])
+def test_an_abstract_generic_method_is_implemented_up_to_its_type_parameters(impl, message):
+    _, reporter = compile_text(f"""
+    interface I@A {{ <S@X> S@A id(S@A m); }}
+    class K@A implements I@A {{ {impl} }}
+    """)
+    assert [d.message for d in reporter.items] == ([message] if message else [])
+
+
+@pytest.mark.parametrize("ftp", ["", "<S@X> "])
+def test_two_methods_of_one_signature_in_one_class_clash(ftp):
+    _, reporter = compile_text(f"""
+    class C@A {{
+        {ftp}void m(Integer@A x) {{ }}
+        {ftp}void m(Integer@A y) {{ }}
+    }}
+    """)
+    assert [d.message for d in reporter.items] == [
+        "Illegal overload: 'm(Integer@A y)' and 'm(Integer@A x)' have the same signature "
+        "for role 'A'."]
 
 
 def test_duplicate_declarations_rejected():

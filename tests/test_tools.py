@@ -77,13 +77,23 @@ def test_ab_times_the_startup_of_this_checkout_against_itself_for_two_rounds():
 def test_ab_builds_the_inputs_of_every_workload():
     ab = load_ab()
     gen = ab.load_gen()
-    names = {w: [item.name for item in ab.workload_inputs(w, gen, 1)]
-             for w in ("compile", "stream", "sort")}
+    names = {w: [item.name for item in ab.workload_inputs(w, gen, 1)] for w in ab.WORKLOADS}
     assert len(names["stream"]) == 20 and len(names["sort"]) == 15
+    assert names["roles"] == ["DistAuth20", "DistAuth40", "DistAuth80", "DistAuth160"]
     assert names["sort"][:2] == ["Mergesort/9", "Quicksort/11"]
     assert "MergeSort/0" in names["compile"] and "DistAuth20" in names["compile"]
     negative = [name for name in names["compile"] if name.startswith("negative/")]
     assert len(negative) == 8 and "negative/wrong_consume" in negative
+
+
+def test_ab_compares_the_roles_workload_of_this_checkout_with_itself():
+    # The two smallest inputs only: one pair of DistAuth160 runs takes seconds.
+    ab = load_ab()
+    inputs = ab.workload_inputs("roles", ab.load_gen(), 1)[:2]
+    lines = ab.report("roles", ab.measure({"parent": choreo, "change": choreo}, inputs, 1), 1)
+    assert [line.split()[:2] for line in lines] == [["roles", stage] for stage in ab.STAGES]
+    for line in lines:
+        assert line.endswith("  2 inputs x 1 rounds"), line
 
 
 def change_side(**modules):

@@ -7,14 +7,15 @@ process, or their start-up in fresh processes.
 Each checkout's ``src/choreo`` is copied into a temporary directory under
 its own package name (``choreo_parent``, ``choreo_change``), and both are
 imported into this process. The inputs are those of the benchmark's three
-workloads, built with this checkout's ``perfbench/gen.py`` from its
-``corpus/``, which are only read:
+workloads and a fourth that grows the role count, built with this
+checkout's ``perfbench/gen.py`` from its ``corpus/``, which are only read:
 
 - ``compile``: every run of the positive corpus programs' manifests, the 8
   negative corpus programs, and one DistAuthN login for each N in 2..20;
 - ``stream``: ConsumeItems over 20 stream lengths, log-stratified over
   20..1500 items;
-- ``sort``: MergeSort and QuickSort, in turn, over 15 sizes from 8 to 150.
+- ``sort``: MergeSort and QuickSort, in turn, over 15 sizes from 8 to 150;
+- ``roles``: one valid DistAuthN login for each N in 20, 40, 80 and 160.
 
 Every round takes each input in turn. For each side, in an order that
 alternates from input to input and from round to round, three stages are
@@ -68,6 +69,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 STAGES = ("compile", "oracle", "run")
+WORKLOADS = ("compile", "stream", "sort", "roles")
 STARTUP_STAGES = ("import", "prelude")
 SORT_CHANNELS = {"ch_AB": "ab", "ch_BC": "bc", "ch_CA": "ca"}
 
@@ -108,6 +110,12 @@ def corpus_text(name):
     return (ROOT / "corpus" / "positive" / f"{name}.chor").read_text()
 
 
+def distauth_input(gen, n, valid):
+    run = gen.distauth_run(n, valid)
+    return Input(f"DistAuth{n}", [(f"DistAuth{n}", gen.distauth_source(n))],
+                 run["entry_class"], run["entry_method"], run["args"], run["channels"])
+
+
 def workload_inputs(workload, gen, seed):
     rng = random.Random(f"{seed}/{workload}")
     if workload == "compile":
@@ -121,12 +129,10 @@ def workload_inputs(workload, gen, seed):
                                     run.get("deadline", 10.0)))
         for path in sorted((ROOT / "corpus" / "negative").glob("*.chor")):
             inputs.append(Input(f"negative/{path.stem}", [(path.stem, path.read_text())]))
-        for n in range(2, 21):
-            run = gen.distauth_run(n, rng.random() < 0.5)
-            inputs.append(Input(f"DistAuth{n}", [(f"DistAuth{n}", gen.distauth_source(n))],
-                                run["entry_class"], run["entry_method"], run["args"],
-                                run["channels"]))
+        inputs += [distauth_input(gen, n, rng.random() < 0.5) for n in range(2, 21)]
         return inputs
+    if workload == "roles":
+        return [distauth_input(gen, n, True) for n in (20, 40, 80, 160)]
     if workload == "stream":
         sources = [("ConsumeItems", corpus_text("ConsumeItems"))]
         return [Input(f"ConsumeItems/{n}", sources, "ConsumeItems", "run",
@@ -309,7 +315,7 @@ def main(argv=None):
     ap.add_argument("parent", help="the checkout to compare against")
     ap.add_argument("change", help="the checkout whose times are the numerators")
     ap.add_argument("--rounds", type=int, default=16)
-    ap.add_argument("--workload", action="append", choices=("compile", "stream", "sort"))
+    ap.add_argument("--workload", action="append", choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--startup", action="store_true",
                     help="time fresh processes' import and prelude layer instead of the workloads")
@@ -328,7 +334,7 @@ def main(argv=None):
         try:
             packages = {side: import_checkout(getattr(args, side), f"choreo_{side}", into)
                         for side in SIDES}
-            for workload in args.workload or ("compile", "stream", "sort"):
+            for workload in args.workload or WORKLOADS:
                 times = measure(packages, workload_inputs(workload, gen, args.seed), args.rounds)
                 for line in report(workload, times, args.rounds):
                     print(line, flush=True)
