@@ -4,13 +4,14 @@ waits on a channel or ends. ``eval_distributed`` starts every run, the test
 kit's cases too, with one ``ExecutionContext`` that holds the run's state.
 A worker runs on the evaluator core it shares with the oracle
 (``interpreter.Evaluator``), and supplies what only workers have: method
-lookup up the ``extends`` chain, the unit forms and ``com``/``select``
-bound by direction when compiled, whose wait on a channel is a generator
-on the role's stack, as a method call is. The first role to fail cancels
-the others, a proven deadlock stops every role at once, and the deadline,
-checked at every call, stops programs that diverge. Try/catch executes its
-body (there is no user-level throw; a generated default throw of a
-selection switch fails its role).
+lookup up the ``extends`` chain, kept per receiver class by a call on an
+object and per frame site by an unqualified call, the unit forms and
+``com``/``select`` bound by direction when compiled, whose wait on a
+channel is a generator on the role's stack, as a method call is. The first
+role to fail cancels the others, a proven deadlock stops every role at
+once, and the deadline, checked at every call, stops programs that
+diverge. Try/catch executes its body (there is no user-level throw; a
+generated default throw of a selection switch fails its role).
 """
 
 from __future__ import annotations
@@ -33,33 +34,29 @@ from .runtime import (
 
 
 class ProgramFacts:
-    """What the interpreters of one ``LocalProgram`` look up, worked out
-    once: declarations and methods, and their compiled bodies, which every
-    role's interpreter shares."""
+    """What the interpreters of one ``LocalProgram`` look up: its
+    declarations and methods, and the compiled bodies and receiver tables
+    that every role's interpreter shares."""
 
     def __init__(self, units):
         self.decls = {u.generated_name: u.decl for u in units}
         self.method_keys = {(m.name, len(m.params)) for d in self.decls.values()
                             if isinstance(d, LClass) for m in d.methods}
-        self._methods = {}
-        self.bodies = {}  # id(method) -> (its parameters' names, its first Step)
+        self.bodies = {}  # id(method) -> (its frame's store builder, its first Step)
         self.names = {}  # identifier -> its compiled name
+        self.receivers = {}  # (name, arity) -> its receiver table (see ``receivers``)
 
     def method(self, class_name, name, arity, static=False):
         """The method with a body that a call names, up the superclasses."""
-        key = (class_name, name, arity, static)
-        if key not in self._methods:
-            decl, found = self.decls.get(class_name), None
-            while found is None and isinstance(decl, LClass):
-                found = next((m for m in decl.methods if m.name == name
-                              and len(m.params) == arity and m.body is not None
-                              and (not static or "static" in m.modifiers)), None)
-                decl = self.decls.get(decl.extends.name) if decl.extends is not None else None
-            self._methods[key] = found
-        if self._methods[key] is None:
-            kind = "static method" if static else "method"
-            raise ChoreoRuntimeError(f"'{class_name}' has no {kind} '{name}/{arity}'")
-        return self._methods[key]
+        decl = self.decls.get(class_name)
+        while isinstance(decl, LClass):
+            for m in decl.methods:
+                if (m.name == name and len(m.params) == arity and m.body is not None
+                        and (not static or "static" in m.modifiers)):
+                    return m
+            decl = self.decls.get(decl.extends.name) if decl.extends is not None else None
+        kind = "static method" if static else "method"
+        raise ChoreoRuntimeError(f"'{class_name}' has no {kind} '{name}/{arity}'")
 
 
 def _send(name):
@@ -141,9 +138,16 @@ class LocalInterpreter(Evaluator):
             raise ChoreoRuntimeError(f"no constructor '{class_name}/{len(args)}'")
         return this
 
-    def call_object(self, obj, name, args):
-        m = self.facts.method(obj.class_name, name, len(args))
-        return self.run(obj, obj.class_name, m, args)
+    @staticmethod
+    def dispatcher(name, arity):
+        cache = {}  # class name -> its method
+
+        def dispatch(ev, obj, args, name=name, arity=arity, cache=cache):
+            m = cache.get(obj.class_name)
+            if m is None:
+                m = cache[obj.class_name] = ev.facts.method(obj.class_name, name, arity)
+            return ev.run(obj, obj.class_name, m, args)
+        return dispatch
 
     def bind(self, exp):
         decls = self.facts.decls
@@ -155,7 +159,7 @@ class LocalInterpreter(Evaluator):
             return OWN, lambda ev, fr, args, c=cname: ev.run_ctor(ProgramObject(c), c, args)
         scope, name = exp.scope, exp.name
         if scope is None:
-            return OWN, _super_call if name == "super" else _site_call(name)
+            return OWN, _super_call if name == "super" else _site_call(name, len(exp.args))
         if scope.name in decls:
             try:
                 m = self.facts.method(scope.name, name, len(exp.args), static=True)
@@ -182,16 +186,24 @@ def _super_call(ev, fr, args):
     return ev.run_ctor(fr.this, decl.extends.name, args)
 
 
-def _site_call(name):
-    """The unqualified call of ``name``, looked up from the frame's site when
-    it runs, as an inherited body runs with its object's class as its site."""
-    def call(ev, fr, args, name=name):
-        m = ev.facts.method(fr.site, name, len(args))
-        if "static" in m.modifiers:
-            return ev.run(None, fr.site, m, args)
+def _site_call(name, arity):
+    """The unqualified call of ``name/arity``, looked up from the frame's
+    site, as an inherited body runs with its object's class as its site;
+    the method, and whether it is static, is kept per site."""
+    cache = {}  # site -> (method, static)
+
+    def call(ev, fr, args, name=name, arity=arity, cache=cache):
+        site = fr.site
+        found = cache.get(site)
+        if found is None:
+            m = ev.facts.method(site, name, arity)
+            found = cache[site] = (m, "static" in m.modifiers)
+        m, static = found
+        if static:
+            return ev.run(None, site, m, args)
         if fr.this is None:
             raise ChoreoRuntimeError(f"instance method '{name}' called from a static context")
-        return ev.run(fr.this, fr.site, m, args)
+        return ev.run(fr.this, site, m, args)
     return call
 
 

@@ -12,7 +12,11 @@ or arm is compiled when first reached), and one loop runs the steps.
 class of both languages. The compiled bodies are kept in the program's
 facts, so every evaluator of a program shares one compile. Each evaluator
 binds every call, ``new`` and static field when its body compiles, behind
-three hooks, and a worker's ``com`` or ``select`` by its direction. A
+three hooks, and a worker's ``com`` or ``select`` by its direction. A call
+on an object of the program finds its method once per receiver class and
+keeps it, as an inline cache does (Deutsch and Schiffman, keyed by class as
+in Hölzle, Chambers and Ungar's polymorphic one); the cache of the calls
+on a receiver is shared by the program's calls of one name and arity. A
 method call is one generator, run by ``runtime.drive``, so recursion takes
 no Python stack and is bounded only by ``runtime.MAX_CALL_DEPTH``; an
 expression that calls no method of the program evaluates with no
@@ -102,24 +106,27 @@ class Evaluator(Builtins):
 
     An evaluator sets ``facts``, which its program keeps (``bodies``: see
     ``run``; ``names``: identifier -> the closure that reads it;
-    ``method_keys``: the ``(name, arity)`` of each method of the program
-    with a body), and ``deadline`` (a ``time.monotonic()`` value, or None).
-    Its class has one ``METHODS`` table (``builtins.method_table``, with its
-    channels), which a call on a receiver binds when compiled; such a call
-    may run a method of the program if ``method_keys`` has its name and
-    arity, or wait if ``CHANNELS`` has its name. ``CHANNELS`` maps the name
-    of a channel operation that may wait to its ``(send, receive)``, each
-    ``f(evaluator, receiver, message)``: a call of it with one argument
-    binds the receive if that argument is ``Unit.id``, else the send. It
-    supplies these hooks:
+    ``receivers``: see ``receivers``; ``method_keys``: the ``(name, arity)``
+    of each method of the program with a body), and ``deadline`` (a
+    ``time.monotonic()`` value, or None). Its class has one ``METHODS``
+    table (``builtins.method_table``, with its channels), which a call on a
+    receiver binds when compiled; such a call may run a method of the
+    program if ``method_keys`` has its name and arity, and then binds its
+    ``receivers`` table instead, or wait if ``CHANNELS`` has its name.
+    ``OBJECT`` is the class of its objects of the program. ``CHANNELS`` maps
+    the name of a channel operation that may wait to its ``(send,
+    receive)``, each ``f(evaluator, receiver, message)``: a call of it with
+    one argument binds the receive if that argument is ``Unit.id``, else the
+    send. It supplies these hooks:
 
     - ``bind(exp)``: the unqualified or static call, or the ``new``, ``exp``
       as ``(flag, f(evaluator, frame, args))``; the flag is ``OWN`` if ``f``
       may run a method of the program, or wait, else 0;
     - ``bind_static(scope, name)``: the static field ``name`` of the class
       ``scope``, as ``f(evaluator, frame)``;
-    - ``call_object(obj, name, args)``: the method ``name`` of an object of
-      the program.
+    - ``dispatcher(name, arity)``: the call of the method ``name/arity``
+      on an object of the program, as ``f(evaluator, obj, args)``, which
+      finds that method once per class of ``obj`` and keeps its node.
 
     What ``bind`` and ``bind_static`` return for an unknown class, method or
     field raises when it runs (see ``raising``). It holds no evaluator, nor
@@ -128,6 +135,7 @@ class Evaluator(Builtins):
 
     deadline = None
     CHANNELS = {}
+    OBJECT = ProgramObject
 
     def invoke(self, receiver, name, args):
         return self.now(self.call_method(receiver, name, args))
@@ -136,11 +144,23 @@ class Evaluator(Builtins):
         """The method ``name`` of ``receiver``: a method of the program, or
         the ``METHODS`` entry for its type."""
         if isinstance(receiver, ProgramObject):
-            return self.call_object(receiver, name, args)
+            return self.receivers(name, len(args))[self.OBJECT](self, receiver, args)
         hit, value = self.try_call_method(receiver, name, args)
         if hit:
             return value
         raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
+
+    def receivers(self, name, arity):
+        """The receiver table of the calls of ``name/arity`` on a receiver in
+        the program: its name's ``METHODS`` entry, and the ``dispatcher`` for
+        objects of the program, made once per program and kept in its
+        facts."""
+        key = (name, arity)
+        table = self.facts.receivers.get(key)
+        if table is None:
+            table = self.facts.receivers[key] = {**self.METHODS.get(name, NO_METHODS),
+                                                 self.OBJECT: self.dispatcher(name, arity)}
+        return table
 
     @staticmethod
     def now(value):
@@ -158,18 +178,17 @@ class Evaluator(Builtins):
         ``this`` (None for a static method), as a generator (see
         ``runtime.drive``); a constructor's value is ``this``. A method's
         body is compiled at its first call in a program, into
-        ``facts.bodies`` with its parameters' names. The language has no
-        loops, so a run that diverges makes calls without end: the deadline
-        is checked at every call."""
+        ``facts.bodies`` with the builder of its frame's names (see
+        ``_env``). The language has no loops, so a run that diverges makes
+        calls without end: the deadline is checked at every call."""
         deadline = self.deadline
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlockTimeout("deadline exceeded")
         body = self.facts.bodies.get(id(method))
         if body is None:
             body = self.facts.bodies[id(method)] = (
-                tuple(p.name for p in method.params), self.compile_stm(method.body))
-        return self._run_steps(Frame(this, dict(zip(body[0], args)), site),
-                               method.is_constructor, body[1])
+                _env([p.name for p in method.params]), self.compile_stm(method.body))
+        return self._run_steps(Frame(this, body[0](args), site), method.is_constructor, body[1])
 
     def _run_steps(self, frame, ctor, step):
         """The statement loop, on the steps of a body (see ``Step``);
@@ -353,7 +372,9 @@ def _c_call(ev, exp):
     """A call; its receiver runs before its arguments (JLS 15.12.4). A
     ``CHANNELS`` operation with one argument binds its send, or its receive
     if that argument is ``Unit.id``; any other call on a receiver binds its
-    name's ``METHODS`` entry (receiver type -> fn)."""
+    name's ``METHODS`` entry (receiver type -> fn), or, if it may run a
+    method of the program, the program's ``receivers`` table of its name and
+    arity."""
     scope, name = exp.scope, exp.name
     if scope is None or type(scope) in TYPES:
         return _c_bound(ev, exp)
@@ -365,10 +386,13 @@ def _c_call(ev, exp):
         if deep or receiver[0]:
             return DEEP, _call_g([receiver, *args], lambda ev, fr, values, op=op: op(ev, *values))
         return OWN, lambda ev, fr, r=receiver[1], m=args[0][1], op=op: op(ev, r(ev, fr), m(ev, fr))
-    table = ev.METHODS.get(name, NO_METHODS)
+    table, flag = ev.METHODS.get(name, NO_METHODS), 0
+    if name in ev.CHANNELS:
+        flag = OWN
+    elif (name, len(args)) in ev.facts.method_keys:
+        table, flag = ev.receivers(name, len(args)), OWN
     if deep or receiver[0]:
         return DEEP, _call_g([receiver, *args], _method(table, name))
-    flag = OWN if name in ev.CHANNELS or (name, len(args)) in ev.facts.method_keys else 0
     r = receiver[1]
     if not args:
         def method_call(ev, fr, r=r, t=table, n=name):
@@ -380,6 +404,12 @@ def _c_call(ev, exp):
             obj = r(ev, fr)
             fn = t.get(type(obj))
             return ev.call_method(obj, n, [a(ev, fr)]) if fn is None else fn(ev, obj, [a(ev, fr)])
+    elif len(args) == 2:
+        def method_call(ev, fr, r=r, t=table, n=name, a=args[0][1], b=args[1][1]):
+            obj = r(ev, fr)
+            fn = t.get(type(obj))
+            values = [a(ev, fr), b(ev, fr)]
+            return ev.call_method(obj, n, values) if fn is None else fn(ev, obj, values)
     else:
         def method_call(ev, fr, r=r, t=table, n=name, a=_arguments(args)):
             obj = r(ev, fr)
@@ -399,6 +429,9 @@ def _c_bound(ev, exp):
         return flag, lambda ev, fr, f=fn: f(ev, fr, [])
     if len(args) == 1:
         return flag, lambda ev, fr, f=fn, a=args[0][1]: f(ev, fr, [a(ev, fr)])
+    if len(args) == 2:
+        return flag, lambda ev, fr, f=fn, a=args[0][1], b=args[1][1]: f(
+            ev, fr, [a(ev, fr), b(ev, fr)])
     return flag, lambda ev, fr, f=fn, a=_arguments(args): f(ev, fr, a(ev, fr))
 
 
@@ -494,8 +527,20 @@ def _binary(op, left, right):
 
 def _arguments(args):
     """The closure of the list of the values of the compiled ``args``; a
-    call of fewer than two builds its list itself."""
+    call of fewer than three builds its list itself."""
     return lambda ev, fr, fns=tuple(f for _, f in args): [f(ev, fr) for f in fns]
+
+
+def _env(names):
+    """The builder of a frame's store from the values of the arguments of a
+    call, by the names of its method's parameters."""
+    if not names:
+        return lambda args: {}
+    if len(names) == 1:
+        return lambda args, a=names[0]: {a: args[0]}
+    if len(names) == 2:
+        return lambda args, a=names[0], b=names[1]: {a: args[0], b: args[1]}
+    return lambda args, names=tuple(names): dict(zip(names, args))
 
 
 # Generator functions of the expressions with an operand that calls. An
@@ -649,37 +694,25 @@ class GlobalObject(ProgramObject):
 
 
 class OracleFacts:
-    """Dynamic dispatch in one checked program, worked out on first use, and
-    the oracle's compiled bodies. Kept as the checked program's ``facts``;
-    it holds no reference to the program, so the two make no cycle."""
+    """The oracle's compiled bodies of one checked program, and the method
+    keys and receiver tables their calls bind. Kept as the checked
+    program's ``facts``; it holds no reference to the program, so the two
+    make no cycle."""
 
     def __init__(self, checked):
-        self._methods = {}  # (declaration, name, arity) -> (MethodInfo, supertype, subst)
         # (name, arity) of the methods with a body outside the prelude: a
         # call that names none of these runs no method of the program.
         self.method_keys = {(mi.name, len(mi.node.params)) for info in checked.own
                             for mi in info.methods if mi.node.body is not None}
-        self.bodies = {}  # id(method) -> (its parameters' names, its first Step)
+        self.bodies = {}  # id(method) -> (its frame's store builder, its first Step)
         self.names = {}  # identifier -> its compiled name
-
-    def method(self, checked, info, name, arity):
-        """The method with a body that dynamic dispatch finds for
-        ``name/arity`` on ``info``, with the ``supertype_closure`` entry
-        that declares it; Nones if none."""
-        key = (info.name, name, arity)
-        found = self._methods.get(key)
-        if found is None:
-            found = self._methods[key] = next(
-                ((mi, sup, submap) for sup, submap in checked.supertype_closure(info)
-                 for mi in sup.methods
-                 if mi.name == name and len(mi.node.params) == arity
-                 and mi.node.body is not None), (None, None, None))
-        return found
+        self.receivers = {}  # (name, arity) -> its receiver table (see ``receivers``)
 
 
 class GlobalInterpreter(Evaluator):
     """Runs a checked program. A frame's site is its role binding."""
 
+    OBJECT = GlobalObject
     METHODS = method_table([((GlobalChannel, "com"), lambda ev, ch, a: ch.com(*a)),
                             ((GlobalChannel, "select"), lambda ev, ch, a: ch.select(*a))])
 
@@ -718,11 +751,28 @@ class GlobalInterpreter(Evaluator):
                                      f"not implemented by the runtime")
         return self.run(None, binding, mi.node, args)
 
-    def call_object(self, obj, name, args):
-        mi, sup, submap = self.facts.method(self.checked, obj.info, name, len(args))
-        if mi is None:
-            raise ChoreoRuntimeError(f"'{obj.info.name}' has no method '{name}/{len(args)}'")
-        return self.run(obj, self.super_binding(sup, submap, obj.binding), mi.node, args)
+    @staticmethod
+    def dispatcher(name, arity):
+        # class name -> the node of the first method with a body in the
+        # class's supertype closure, and that entry of the closure (None if
+        # it binds its roles as the object's class does)
+        cache = {}
+
+        def dispatch(ev, obj, args, name=name, arity=arity, cache=cache):
+            found = cache.get(obj.class_name)
+            if found is None:
+                found = next(((mi.node, sup if submap else None, submap)
+                              for sup, submap in ev.checked.supertype_closure(obj.info)
+                              for mi in sup.methods if mi.name == name
+                              and len(mi.node.params) == arity and mi.node.body is not None),
+                             None)
+                if found is None:
+                    raise ChoreoRuntimeError(f"'{obj.info.name}' has no method '{name}/{arity}'")
+                cache[obj.class_name] = found
+            node, sup, submap = found
+            return ev.run(obj, obj.binding if sup is None else
+                          ev.super_binding(sup, submap, obj.binding), node, args)
+        return dispatch
 
     @staticmethod
     def super_binding(sup, submap, binding):
@@ -756,7 +806,8 @@ class GlobalInterpreter(Evaluator):
                     fr.this, ev._super_ctor_binding(fr, mi), mi.node, args)
             if mi.is_static:
                 return OWN, lambda ev, fr, args, mi=mi: ev.call_static(mi, fr.site, args)
-            return OWN, lambda ev, fr, args, n=name: ev.call_object(fr.this, n, args)
+            dispatch = self.receivers(name, len(exp.args))[GlobalObject]
+            return OWN, lambda ev, fr, args, d=dispatch: d(ev, fr.this, args)
         fn = builtin_static(scope.name, name)
         if fn is not None:
             return 0, fn

@@ -208,20 +208,14 @@ def role_canonical(terms, pinned):
     number in order of first occurrence; a binder is its depth (after de
     Bruijn), as a negative number; any other type variable is
     ``(None, uid)``, a symbol its name and an application spine the tuple of
-    its head and its arguments. A key with a ``TBottom`` ends with the role
-    names by number, so it holds only under a renaming that keeps them.
+    its head and its arguments.
     """
-    numbers = {}  # role name -> its number in the key; None -> 0 once a TBottom occurs
+    numbers = {}  # role name -> its number in the key
     roles = []
     try:
         key = tuple([_canonical(t, numbers, roles, {}, pinned) for t in terms])
     except _Unshared:
         return None
-    if numbers.pop(None, None) is not None:
-        # A null's roles are told apart from a type's by name, and the names
-        # of a type's binders count too (``Checker.is_subtype``), so the key
-        # keeps the names.
-        key += (tuple(numbers),)
     return key, roles
 
 
@@ -262,7 +256,6 @@ def _canonical(t, numbers, roles, binders, pinned):
         del binders[t.var.uid]
         return (body,)
     if cls is TBottom:
-        numbers[None] = 0
         return (None, tuple(_role_number(r, None, numbers, roles) for r in t.roles))
     return None  # void
 
@@ -282,23 +275,24 @@ def _role_number(name, var, numbers, roles):
 
 
 def roles_of_type(t):
-    """Names of the role variables occurring in a type."""
+    """Names of the free role variables of a type: a role variable that a
+    ``TAbs`` binds is none of its roles."""
     out = set()
-    _add_roles(t, out)
+    _add_roles(t, out, frozenset())
     return out
 
 
-def _add_roles(u, out):
+def _add_roles(u, out, bound):
     # Not a closure: a nested function that calls itself is a reference
     # cycle, left to the cyclic collector after every call.
     if isinstance(u, TVar):
-        if u.role:
+        if u.role and u.uid not in bound:
             out.add(u.name)
     elif isinstance(u, TApp):
-        _add_roles(u.ctor, out)
-        _add_roles(u.arg, out)
+        _add_roles(u.ctor, out, bound)
+        _add_roles(u.arg, out, bound)
     elif isinstance(u, TAbs):
-        _add_roles(u.body, out)
+        _add_roles(u.body, out, bound | {u.var.uid})
     elif isinstance(u, TBottom):
         out.update(u.roles)
 

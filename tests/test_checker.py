@@ -634,9 +634,8 @@ def test_two_calls_with_a_partially_applied_type_argument_share_one_resolution()
 
 def test_a_null_argument_resolves_under_its_own_role_names(monkeypatch):
     # Box@P<List<Integer>> abstracts over a binder named after List's role A.
-    # is_subtype counts that name among the type's roles, so a null@A fits
-    # where P is A and a null@B does not fit where P is B: the two calls,
-    # one shape up to renaming A and B, must not share a resolution.
+    # The two calls are one shape up to renaming A and B, and must resolve
+    # as each does alone.
     text = """
     class Box@R<T@Y> { }
     class K@(P, Q) {
@@ -664,6 +663,30 @@ def test_a_null_argument_resolves_under_its_own_role_names(monkeypatch):
 
     monkeypatch.setattr(Checker, "resolve_invocation", unmemoised)
     assert memoised == diagnostics()
+
+
+def test_a_null_argument_fits_a_type_whose_binder_is_named_after_another_role():
+    # List<Integer> abstracts over a binder named after List's role A, which
+    # is no role of Box@B<List<Integer>>: null@B fits it as null@A fits
+    # Box@A<List<Integer>>.
+    for role in ("A", "B"):
+        compile_ok(f"""
+        class Box@R<T@Y> {{ }}
+        class C@{role} {{
+            void h(Box@{role}<List<Integer>> b) {{ }}
+            void m() {{ h(null@{role}); }}
+        }}
+        """)
+
+
+def test_a_supertype_s_binders_are_none_of_its_roles():
+    # Foo@(P, Q)<List<Integer>> involves P and Q; its binder, named after
+    # List's role A, is not a role it involves.
+    for roles in ("P, Q", "A, B"):
+        compile_ok(f"""
+        interface Foo@(X, Y)<T@Z> {{ }}
+        class K@({roles}) implements Foo@({roles})<List<Integer>> {{ }}
+        """)
 
 
 def test_the_sort_and_distauth20_calls_resolve_once_per_shape_up_to_their_roles():

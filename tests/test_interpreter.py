@@ -215,6 +215,39 @@ def test_endless_recursion_stops_at_the_call_depth_bound():
         assert f"call depth exceeds {MAX_CALL_DEPTH} calls" in report.error
 
 
+SPIN = """
+class Spin@A {
+    void viaReceiver(Spin@A r, Integer@A n) {
+        if (n > 0@A) { r.viaReceiver(r, n - 1@A); r.viaReceiver(r, n - 1@A); }
+    }
+    void unqualified(Integer@A n) {
+        if (n > 0@A) { unqualified(n - 1@A); unqualified(n - 1@A); }
+    }
+    void endless(Spin@A r) { r.endless(r); }
+    public static void byReceiver(Integer@A n) { Spin@A s = new Spin@A(); s.viaReceiver(s, n); }
+    public static void byName(Integer@A n) { new Spin@A().unqualified(n); }
+    public static void forever() { Spin@A s = new Spin@A(); s.endless(s); }
+}
+"""
+
+
+def test_the_deadline_stops_a_worker_recursing_through_calls_on_objects():
+    # 2^60 calls, never deeper than 61: only the deadline can stop them.
+    checked = compile_ok(SPIN)
+    units = project_ok(checked)
+    for entry in ("byReceiver", "byName"):
+        started = time.monotonic()
+        report = eval_distributed(units, "Spin", ["A"], entry, {"A": [60]}, deadline=0.3)
+        assert (report.status, report.error) == ("deadlock-timeout", "A: deadline exceeded"), entry
+        assert time.monotonic() - started < 2.0
+
+
+def test_the_call_depth_bound_stops_the_oracle_recursing_through_a_receiver():
+    report = eval_global(compile_ok(SPIN), "Spin", "forever")
+    assert (report.status, report.error) == (
+        "error", f"call depth exceeds {MAX_CALL_DEPTH} calls")
+
+
 def test_a_run_leaves_no_cyclic_garbage(corpus_compiled):
     runs = [("MergeSort", "Mergesort", ["A", "B", "C"], "sort", {"A": [[15, 3, 14, 2]]},
              {"ch_AB": "x", "ch_BC": "y", "ch_CA": "z"}),
@@ -1121,3 +1154,67 @@ def test_methods_of_the_program_with_builtin_names_run_as_written():
             assert (report.status, report.returns, report.transcripts) == (
                 "ok", {"A": "unit", "B": 102},
                 {"A": ["true", "false", "142", "5", "true", "false"]})
+
+
+PER_SITE = """
+class Base@A {
+    public void hello() { System@A.out.println("base"@A); }
+    public void go() { hello(); }
+}
+class Sub1@A extends Base@A {
+    public void hello() { System@A.out.println("one"@A); }
+}
+class Sub2@A extends Base@A {
+    public void hello() { System@A.out.println("two"@A); }
+}
+class Calls@A {
+    static void call(Base@A b) { b.hello(); }
+    public static void run() {
+        call(new Sub1@A());
+        call(new Sub2@A());
+        call(new Base@A());
+        new Sub1@A().go();
+        new Sub2@A().go();
+    }
+}
+"""
+
+
+def test_a_call_site_dispatches_on_the_class_of_each_receiver():
+    # b.hello() sees three classes at one site, and the hello() of the
+    # inherited go() two; the second run reuses the compiled sites.
+    checked = compile_ok(PER_SITE)
+    units = project_ok(checked)
+    for _ in range(2):
+        cmp = differential_run(checked, "Calls", "run", local_program=units)
+        assert cmp.equal, cmp.summary()
+        assert cmp.global_report.transcripts == {"A": ["one", "two", "base", "one", "two"]}
+
+
+MISSING = """
+class Named@A {
+    public String@A toString() { return "named"@A; }
+}
+class Plain@A { }
+class Show@A {
+    static String@A show(Object@A o) { return o.toString(); }
+    public static String@A run() {
+        System@A.out.println(show(new Named@A()));
+        return show(new Plain@A());
+    }
+}
+"""
+
+
+def test_a_call_site_that_finds_no_method_fails_on_every_call():
+    # o.toString() runs Named's, then finds none on a Plain, in each run.
+    checked = compile_ok(MISSING)
+    units = project_ok(checked)
+    message = "'Plain' has no method 'toString/0'"
+    for _ in range(2):
+        cmp = differential_run(checked, "Show", "run", local_program=units)
+        assert (cmp.global_report.status, cmp.global_report.error) == ("error", message)
+        assert (cmp.distributed_report.status, cmp.distributed_report.error) == (
+            "error", f"A: ChoreoRuntimeError: {message}")
+        for report in (cmp.global_report, cmp.distributed_report):
+            assert report.transcripts == {"A": ["named"]}
