@@ -167,7 +167,6 @@ class Checker:
         # variables the key numbers) of the first call of that key, resolved
         # without a diagnostic.
         self._calls = {}
-        self._pinned = prelude.pinned  # uids of type variables whose bounds name a role
         self.suppressed = set()  # decl names whose bodies are skipped
         self.cyclic = set()  # decl names reported for cyclic inheritance
         self._failed_tes = set()
@@ -175,7 +174,7 @@ class Checker:
         self._type_roles = {}  # id(Exp or TE) -> roles of its own type
         self._exp_roles = {}  # id(Exp) -> roles of its type and all subterms
         self._role_sets = {}  # frozenset -> the one stored copy of it
-        # What the oracle works out once (``interpreter.OracleFacts``).
+        # What the oracle works out once (``interpreter.Facts``).
         self.facts = None
 
     # ------------------------------------------------------------ pipeline
@@ -311,17 +310,7 @@ class Checker:
                 for v in reversed(fi.role_binders):
                     ctor = TAbs(v, ctor)
                 fi.bound_ctors.append(reduce_type(ctor))
-        # A bound that names a role of its scope, or a pinned variable, pins
-        # the variable (``resolve_invocation``).
-        while True:
-            pins = []
-            for fi in out:
-                shape = role_canonical(fi.bound_ctors, self._pinned)
-                if fi.var.uid not in self._pinned and (shape is None or shape[1]):
-                    pins.append(fi.var.uid)
-            if not pins:
-                return out
-            self._pinned = self._pinned.union(pins)
+        return out
 
     def bounds(self, var):
         """The bounds of a type variable, as constructors over its role
@@ -668,8 +657,13 @@ class Checker:
                     f"or supertype.")
 
     def check_overload_clashes(self, info):
-        """Per-role projected signatures must stay pairwise distinct."""
-        candidates = []  # (MethodInfo, subst, [param Type], own: bool)
+        """Per-role projected signatures must stay pairwise distinct. The
+        class's own methods, and each inherited one that one of them does
+        not override, are keyed per role by their name and erased parameter
+        types. Each pair of one key that has an own method and no override
+        is reported, at the first role where it meets, in the pairs' order."""
+        candidates = []  # (MethodInfo, subst, [param Type], own: bool), own ones first
+        groups = {}  # (name, arity) -> the indices of its candidates
         for i, (sup, subst) in enumerate(self.supertype_closure(info)):
             for mi in sup.methods:
                 params = self.param_types(mi)
@@ -677,28 +671,30 @@ class Checker:
                     continue
                 if subst:
                     params = [reduce_type(substitute(p, subst)) for p in params]
-                candidates.append((mi, subst, params, i == 0))
-        for i in range(len(candidates)):
-            for j in range(i + 1, len(candidates)):
-                m1, s1, p1, own1 = candidates[i]
-                m2, s2, p2, own2 = candidates[j]
-                if m1.name != m2.name or len(p1) != len(p2):
-                    continue
-                if not (own1 or own2):
-                    continue
-                if not (own1 and own2) and self.same_signature(m1, s1, m2, s2):
-                    continue  # override; a class cannot override its own method
-                for role in info.role_names:
-                    e1 = [self.erased_name(t, role) for t in p1]
-                    e2 = [self.erased_name(t, role) for t in p2]
-                    if e1 == e2:
-                        at = m2 if own2 else m1
-                        self.reporter.error(
-                            Code.IllegalOverload, at.node.span,
-                            f"Illegal overload: '{self.sig_text(m2)}' and "
-                            f"'{self.sig_text(m1)}' have the same signature for "
-                            f"role '{role}'.")
-                        break
+                group = groups.setdefault((mi.name, len(params)), [])
+                if i == 0 or any(candidates[k][3] and not self.same_signature(
+                        *candidates[k][:2], mi, subst) for k in group):
+                    group.append(len(candidates))
+                    candidates.append((mi, subst, params, i == 0))
+        shared = [group for group in groups.values() if len(group) > 1]
+        met = {}  # (i, j) -> the first role where candidates i < j meet
+        for role in info.role_names:
+            for group in shared:
+                keyed = {}  # erased parameter types -> the indices of their candidates
+                for j in group:
+                    erased = tuple([self.erased_name(t, role) for t in candidates[j][2]])
+                    for i in keyed.setdefault(erased, []):
+                        met.setdefault((i, j), role)
+                    keyed[erased].append(j)
+        for (i, j), role in sorted(met.items()):
+            m1, s1, _, own1 = candidates[i]
+            m2, s2, _, own2 = candidates[j]
+            if not own1 or (not own2 and self.same_signature(m1, s1, m2, s2)):
+                continue  # both inherited, or an override
+            self.reporter.error(
+                Code.IllegalOverload, (m2 if own2 else m1).node.span,
+                f"Illegal overload: '{self.sig_text(m2)}' and "
+                f"'{self.sig_text(m1)}' have the same signature for role '{role}'.")
 
     def same_signature(self, m1, subst1, m2, subst2):
         """Whether ``m2`` has the signature of ``m1`` (JLS 8.4.2), each taken
@@ -1224,11 +1220,10 @@ class Checker:
         return type renamed to each call's roles. A call that reported
         nothing is resolved once per compile; one that reports is resolved
         again at each site, which reports at its own span. A call that
-        mentions a type variable whose bound names a role of its scope is
-        resolved at each site, as a renaming of the call's roles leaves that
-        one as it is.
+        mentions a type variable is resolved at each site, as its bounds may
+        name roles that a renaming of the call's roles leaves as they are.
         """
-        shape = role_canonical([receiver, *type_args, *arg_types], self._pinned)
+        shape = role_canonical([receiver, *type_args, *arg_types])
         if shape is not None:
             terms, roles = shape
             key = (terms, len(type_args), name, statics)
@@ -1473,15 +1468,12 @@ class PreludeLayer:
     ``DeclInfo`` and ``MethodInfo``, shared by every program's table.
     Supertype closures stay a table, as a closure lists its own
     declaration: kept on the ``DeclInfo`` it would make a reference cycle.
-    ``pinned`` holds the uids of the type variables whose bounds name a
-    role (``Checker.resolve_invocation``).
     """
 
     table: MappingProxyType = _NOTHING
     var_ftp: MappingProxyType = _NOTHING
     te_types: MappingProxyType = _NOTHING
     closures: MappingProxyType = _NOTHING
-    pinned: frozenset = frozenset()
 
     @classmethod
     def build(cls, decls):
@@ -1503,7 +1495,7 @@ class PreludeLayer:
             raise RuntimeError("prelude failed to check:\n" + "\n".join(
                 d.render() for d in ck.reporter.items))
         return cls(MappingProxyType(ck.table), MappingProxyType(ck.var_ftp),
-                   MappingProxyType(ck.te_types), MappingProxyType(ck._closures), ck._pinned)
+                   MappingProxyType(ck.te_types), MappingProxyType(ck._closures))
 
 
 _EMPTY_LAYER = PreludeLayer()

@@ -6,12 +6,13 @@ A worker runs on the evaluator core it shares with the oracle
 (``interpreter.Evaluator``), and supplies what only workers have: method
 lookup up the ``extends`` chain, kept per receiver class by a call on an
 object and per frame site by an unqualified call, the unit forms and
-``com``/``select`` bound by direction when compiled, whose wait on a
-channel is a generator on the role's stack, as a method call is. The first
-role to fail cancels the others, a proven deadlock stops every role at
-once, and the deadline, checked at every call, stops programs that
-diverge. Try/catch executes its body (there is no user-level throw; a
-generated default throw of a selection switch fails its role).
+``com``/``select`` bound by direction when compiled (a send of unit
+receives), whose wait on a channel is a generator on the role's stack, as a
+method call is; an endpoint has no other method. The first role to fail
+cancels the others, a proven deadlock stops every role at once, and the
+deadline, checked at every call, stops programs that diverge. Try/catch
+executes its body (there is no user-level throw; a generated default throw
+of a selection switch fails its role).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import time
 from functools import partial
 from types import GeneratorType
 
-from .builtins import CONSTRUCTORS, Console, PrintStreamV, builtin_static, method_table
+from .builtins import CONSTRUCTORS, Console, PrintStreamV, builtin_static
 from .interpreter import (
-    OWN, Evaluator, ExecutionReport, ProgramObject, error_report, raising, wire_arguments,
+    OWN, Evaluator, ExecutionReport, Facts, ProgramObject, error_report, raising, wire_arguments,
 )
 from .local import LClass, LEnum, LNew
 from .projector import generated_name
@@ -33,18 +34,14 @@ from .runtime import (
 )
 
 
-class ProgramFacts:
-    """What the interpreters of one ``LocalProgram`` look up: its
-    declarations and methods, and the compiled bodies and receiver tables
-    that every role's interpreter shares."""
+class ProgramFacts(Facts):
+    """The ``Facts`` that every role's interpreter of one ``LocalProgram``
+    shares, and its declarations by unit name, which they look up."""
 
     def __init__(self, units):
         self.decls = {u.generated_name: u.decl for u in units}
-        self.method_keys = {(m.name, len(m.params)) for d in self.decls.values()
-                            if isinstance(d, LClass) for m in d.methods}
-        self.bodies = {}  # id(method) -> (its frame's store builder, its first Step)
-        self.names = {}  # identifier -> its compiled name
-        self.receivers = {}  # (name, arity) -> its receiver table (see ``receivers``)
+        super().__init__({(m.name, len(m.params)) for d in self.decls.values()
+                          if isinstance(d, LClass) for m in d.methods})
 
     def method(self, class_name, name, arity, static=False):
         """The method with a body that a call names, up the superclasses."""
@@ -59,40 +56,28 @@ class ProgramFacts:
         raise ChoreoRuntimeError(f"'{class_name}' has no {kind} '{name}/{arity}'")
 
 
-def _send(name):
-    """``name`` (``com`` or ``select``) sending ``message`` on a worker's
-    endpoint ``ep``: its value, or a wait until the direction has room. A
-    receiver that is not an endpoint, or a unit message, takes the method
+def _channel(name):
+    """``name`` (``com`` or ``select``) on a worker's endpoint ``ep``, as its
+    ``(send, receive)``, each ``f(evaluator, ep, message)``: its value, or a
+    wait until the direction has room or a message comes. A send of unit
+    receives; a receiver that is not an endpoint takes the method
     ``call_method`` finds for it."""
-    def send(ev, ep, message, name=name, label=name == "select"):
-        if type(ep) is not ChannelEndpoint or message is UNIT:
-            return ev.call_method(ep, name, [message])
-        if len(ep.pair.queues[ep.side]) < CHANNEL_CAPACITY:
-            return ep.send_label(message) if label else ep.send_data(message)
-        return _wait(ep, name, message, True)
-    return send
-
-
-def _receive(name):
-    """``name`` (``com`` or ``select``) receiving on a worker's endpoint
-    ``ep``: its value, or a wait until a message comes. A receiver that is
-    not an endpoint takes the method ``call_method`` finds for it."""
     def receive(ev, ep, message, name=name, label=name == "select"):
         if type(ep) is not ChannelEndpoint:
             return ev.call_method(ep, name, [message])
         if ep.pair.queues[1 - ep.side]:
             return ep.receive_label() if label else ep.receive_data()
         return _wait(ep, name, message, False)
-    return receive
 
-
-def _either(send, receive):
-    """The ``METHODS`` entry of a channel operation that its call did not
-    bind by direction: no argument, or a unit one, receives."""
-    def either(ev, ep, args, send=send, receive=receive):
-        message = args[0] if args else UNIT
-        return (receive if message is UNIT else send)(ev, ep, message)
-    return either
+    def send(ev, ep, message, name=name, label=name == "select", receive=receive):
+        if type(ep) is not ChannelEndpoint:
+            return ev.call_method(ep, name, [message])
+        if message is UNIT:
+            return receive(ev, ep, message)
+        if len(ep.pair.queues[ep.side]) < CHANNEL_CAPACITY:
+            return ep.send_label(message) if label else ep.send_data(message)
+        return _wait(ep, name, message, True)
+    return send, receive
 
 
 def _wait(endpoint, name, message, sending):
@@ -108,9 +93,7 @@ class LocalInterpreter(Evaluator):
     name of the unit whose method it runs; every call checks the run's
     deadline."""
 
-    CHANNELS = {name: (_send(name), _receive(name)) for name in ("com", "select")}
-    METHODS = method_table([((ChannelEndpoint, name), _either(*ops))
-                            for name, ops in CHANNELS.items()])
+    CHANNELS = {name: _channel(name) for name in ("com", "select")}
 
     def __init__(self, program, role, context, console):
         super().__init__(console)

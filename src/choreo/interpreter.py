@@ -84,6 +84,20 @@ class Frame:
     site: object
 
 
+class Facts:
+    """What every evaluator of one program shares, kept as its ``facts``:
+    ``method_keys``, the ``(name, arity)`` of each method of the program
+    with a body (a call that names none runs no method of the program), and
+    the compiled bodies, names and receiver tables of its calls. It holds no
+    reference to the program, so the two make no cycle."""
+
+    def __init__(self, method_keys):
+        self.method_keys = method_keys
+        self.bodies = {}  # id(method) -> (its frame's store builder, its first Step)
+        self.names = {}  # identifier -> its compiled name
+        self.receivers = {}  # (name, arity) -> its receiver table (``Evaluator.receivers``)
+
+
 @record
 class ExecutionReport:
     returns: dict
@@ -104,20 +118,19 @@ class Evaluator(Builtins):
     of the program (or of a wait on a channel), for their caller to run
     (see ``runtime.drive``); a builtin's callback runs at once, to the end.
 
-    An evaluator sets ``facts``, which its program keeps (``bodies``: see
-    ``run``; ``names``: identifier -> the closure that reads it;
-    ``receivers``: see ``receivers``; ``method_keys``: the ``(name, arity)``
-    of each method of the program with a body), and ``deadline`` (a
-    ``time.monotonic()`` value, or None). Its class has one ``METHODS``
-    table (``builtins.method_table``, with its channels), which a call on a
-    receiver binds when compiled; such a call may run a method of the
-    program if ``method_keys`` has its name and arity, and then binds its
-    ``receivers`` table instead, or wait if ``CHANNELS`` has its name.
-    ``OBJECT`` is the class of its objects of the program. ``CHANNELS`` maps
-    the name of a channel operation that may wait to its ``(send,
-    receive)``, each ``f(evaluator, receiver, message)``: a call of it with
-    one argument binds the receive if that argument is ``Unit.id``, else the
-    send. It supplies these hooks:
+    An evaluator sets ``facts``, the ``Facts`` its program keeps, and
+    ``deadline`` (a ``time.monotonic()`` value, or None). Its class has one
+    ``METHODS`` table (``builtins.method_table``, with the oracle's
+    channels), which a call on a receiver binds when compiled; such a call
+    may run a method of the program if ``method_keys`` has its name and
+    arity, and then binds its ``receivers`` table instead. A receiver that
+    the bound table has no entry for, and a builtin's callback, take
+    ``call_method``. ``OBJECT`` is the class of its objects of the program.
+    ``CHANNELS`` maps the name of a worker's channel operation, which may
+    wait, to its ``(send, receive)``, each ``f(evaluator, receiver,
+    message)``: a call of it with one argument binds the receive if that
+    argument is ``Unit.id``, else the send, and is flagged ``OWN``. It
+    supplies these hooks:
 
     - ``bind(exp)``: the unqualified or static call, or the ``new``, ``exp``
       as ``(flag, f(evaluator, frame, args))``; the flag is ``OWN`` if ``f``
@@ -141,14 +154,12 @@ class Evaluator(Builtins):
         return self.now(self.call_method(receiver, name, args))
 
     def call_method(self, receiver, name, args):
-        """The method ``name`` of ``receiver``: a method of the program, or
-        the ``METHODS`` entry for its type."""
-        if isinstance(receiver, ProgramObject):
-            return self.receivers(name, len(args))[self.OBJECT](self, receiver, args)
-        hit, value = self.try_call_method(receiver, name, args)
-        if hit:
-            return value
-        raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
+        """The method ``name`` of ``receiver`` by its ``receivers`` table: a
+        method of the program, or the ``METHODS`` entry for its type."""
+        fn = self.receivers(name, len(args)).get(type(receiver))
+        if fn is None:
+            raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
+        return fn(self, receiver, args)
 
     def receivers(self, name, arity):
         """The receiver table of the calls of ``name/arity`` on a receiver in
@@ -219,11 +230,6 @@ class Evaluator(Builtins):
                 step = step.arms.get(value.case) or self._arm(step, value.case)
             else:
                 raise ChoreoRuntimeError("switch guard must be an enumerated value")
-
-    def eval(self, frame, exp):
-        """The value of ``exp``; a method of the program that it calls runs
-        at once, to the end, as a builtin's callback does."""
-        return self.now(self.compile_exp(exp)[1](self, frame))
 
     @staticmethod
     def field_of(scope, name):
@@ -354,10 +360,10 @@ def _c_field(ev, exp):
     scope, name = exp.scope, exp.name
     if type(scope) in TYPES:
         return 0, ev.bind_static(scope, name)
-    flag, scope = COMPILE[type(scope)](ev, scope)
-    if flag:
-        return DEEP, _field_g(flag, scope, name)
-    return 0, lambda ev, fr, s=scope, n=name: ev.field_of(s(ev, fr), n)
+    operand = COMPILE[type(scope)](ev, scope)
+    if operand[0]:
+        return DEEP, _call_g([operand], lambda ev, fr, values, n=name: ev.field_of(values[0], n))
+    return 0, lambda ev, fr, s=operand[1], n=name: ev.field_of(s(ev, fr), n)
 
 
 def _c_binary(ev, exp):
@@ -387,9 +393,7 @@ def _c_call(ev, exp):
             return DEEP, _call_g([receiver, *args], lambda ev, fr, values, op=op: op(ev, *values))
         return OWN, lambda ev, fr, r=receiver[1], m=args[0][1], op=op: op(ev, r(ev, fr), m(ev, fr))
     table, flag = ev.METHODS.get(name, NO_METHODS), 0
-    if name in ev.CHANNELS:
-        flag = OWN
-    elif (name, len(args)) in ev.facts.method_keys:
+    if (name, len(args)) in ev.facts.method_keys:
         table, flag = ev.receivers(name, len(args)), OWN
     if deep or receiver[0]:
         return DEEP, _call_g([receiver, *args], _method(table, name))
@@ -567,18 +571,6 @@ def _assign_g(op, receiver, read, store, value):
     return assign
 
 
-def _field_g(flag, scope, name):
-    def field(ev, fr, flag=flag, scope=scope, name=name):
-        if flag == DEEP:
-            value = yield from scope(ev, fr)
-        else:
-            value = scope(ev, fr)
-            if type(value) is GeneratorType:
-                value = yield value
-        return ev.field_of(value, name)
-    return field
-
-
 def _binary_g(op, left, right):
     (lflag, left), (rflag, right) = left, right
 
@@ -693,22 +685,6 @@ class GlobalObject(ProgramObject):
         self.binding = binding
 
 
-class OracleFacts:
-    """The oracle's compiled bodies of one checked program, and the method
-    keys and receiver tables their calls bind. Kept as the checked
-    program's ``facts``; it holds no reference to the program, so the two
-    make no cycle."""
-
-    def __init__(self, checked):
-        # (name, arity) of the methods with a body outside the prelude: a
-        # call that names none of these runs no method of the program.
-        self.method_keys = {(mi.name, len(mi.node.params)) for info in checked.own
-                            for mi in info.methods if mi.node.body is not None}
-        self.bodies = {}  # id(method) -> (its frame's store builder, its first Step)
-        self.names = {}  # identifier -> its compiled name
-        self.receivers = {}  # (name, arity) -> its receiver table (see ``receivers``)
-
-
 class GlobalInterpreter(Evaluator):
     """Runs a checked program. A frame's site is its role binding."""
 
@@ -720,8 +696,9 @@ class GlobalInterpreter(Evaluator):
         super().__init__(Console())
         self.checked = checked
         self.table = checked.table
-        if checked.facts is None:
-            checked.facts = OracleFacts(checked)
+        if checked.facts is None:  # the methods with a body outside the prelude
+            checked.facts = Facts({(mi.name, len(mi.node.params)) for info in checked.own
+                                   for mi in info.methods if mi.node.body is not None})
         self.facts = checked.facts
         self.channels = {}
 

@@ -193,33 +193,33 @@ def type_equal(a, b, env=None):
 
 
 class _Unshared(Exception):
-    """Two role variables of one key share a name, or a pinned variable occurs."""
+    """Two role variables of one key share a name, or a type variable occurs."""
 
 
-def role_canonical(terms, pinned):
+def role_canonical(terms):
     """A key of nested tuples for ``terms``, equal for every list of terms
     that differs from them only by an injective renaming of their free role
     variables and of their binders, and the role variables the key numbers,
     in order: None for a number only a ``TBottom`` names. None when two role
     variables of ``terms`` share a name, as a ``TBottom`` names its roles,
-    or a type variable whose uid is in ``pinned`` occurs.
+    or a type variable occurs, whose bounds may name roles that a renaming
+    leaves as they are.
 
     In the key a free role variable, and a ``TBottom`` role name, is its
     number in order of first occurrence; a binder is its depth (after de
-    Bruijn), as a negative number; any other type variable is
-    ``(None, uid)``, a symbol its name and an application spine the tuple of
-    its head and its arguments.
+    Bruijn), as a negative number; a symbol is its name and an application
+    spine the tuple of its head and its arguments.
     """
     numbers = {}  # role name -> its number in the key
     roles = []
     try:
-        key = tuple([_canonical(t, numbers, roles, {}, pinned) for t in terms])
+        key = tuple([_canonical(t, numbers, roles, {}) for t in terms])
     except _Unshared:
         return None
     return key, roles
 
 
-def _canonical(t, numbers, roles, binders, pinned):
+def _canonical(t, numbers, roles, binders):
     cls = type(t)
     if cls is TApp:
         args = []
@@ -237,13 +237,11 @@ def _canonical(t, numbers, roles, binders, pinned):
             elif cls is TVar and a.role and a.uid not in binders:
                 out.append(_role_number(a.name, a, numbers, roles))
             else:
-                out.append(_canonical(a, numbers, roles, binders, pinned))
+                out.append(_canonical(a, numbers, roles, binders))
         return tuple(out)
     if cls is TVar:
         if not t.role:
-            if t.uid in pinned:
-                raise _Unshared
-            return (None, t.uid)
+            raise _Unshared
         depth = binders.get(t.uid)
         if depth is not None:
             return -1 - depth
@@ -252,7 +250,7 @@ def _canonical(t, numbers, roles, binders, pinned):
         return t.name
     if cls is TAbs:
         binders[t.var.uid] = len(binders)
-        body = _canonical(t.body, numbers, roles, binders, pinned)
+        body = _canonical(t.body, numbers, roles, binders)
         del binders[t.var.uid]
         return (body,)
     if cls is TBottom:

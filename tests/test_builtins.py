@@ -1,14 +1,10 @@
 """Builtin value semantics shared by both evaluators."""
 
 from choreo.builtins import (
-    CONSTRUCTORS, STATICS, Builtins, Console, PrintStreamV, display, java_div, java_rem,
-    value_equals,
+    CONSTRUCTORS, STATICS, Builtins, Console, PrintStreamV, binary_value, display, java_div,
+    java_rem, value_equals,
 )
-from choreo.distributed import LocalInterpreter
-from choreo.local import LBinary, LLit, LocalProgram, LUnit
-from choreo.runtime import (
-    UNIT, ChoreoRuntimeError, EnumV, ExecutionContext, ListV, OptionalV, is_unit,
-)
+from choreo.runtime import UNIT, ChoreoRuntimeError, EnumV, ListV, OptionalV, is_unit
 
 
 def test_java_division_truncates_toward_zero():
@@ -27,11 +23,8 @@ def test_java_division_truncates_toward_zero():
 
 
 def test_unit_operand_binops_yield_unit():
-    interp = LocalInterpreter(LocalProgram([]), "A", ExecutionContext(None), Console())
-    out = interp.eval(None, LBinary(LUnit(), "<=", LLit(3)))
-    assert is_unit(out)
-    out = interp.eval(None, LBinary(LLit(1), "+", LUnit()))
-    assert is_unit(out)
+    assert is_unit(binary_value("<=", UNIT, 3))
+    assert is_unit(binary_value("+", 1, UNIT))
 
 
 def test_value_equality_is_structural_for_prelude_values():

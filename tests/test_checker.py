@@ -618,6 +618,38 @@ def test_a_type_variable_whose_bound_names_a_role_is_resolved_at_each_site():
     assert len(checked._calls) == 0
 
 
+def test_a_call_that_mentions_a_type_variable_is_resolved_at_each_site(monkeypatch):
+    # Neither T nor its list names a role in a bound, yet each call is
+    # resolved afresh, and as it is without the memo.
+    text = """
+    class C@A {
+        <T@X> T@A first(List@A<T> l, List@A<T> k) {
+            T@A x = l.get(0@A);
+            return k.get(1@A);
+        }
+    }
+    """
+
+    def resolutions():
+        checked, reporter = compile_text(text)
+        assert not reporter.items
+        calls = [e for e in S.walk_exps(checked.decl_info("C").methods[0].node.body)
+                 if isinstance(e, S.Call)]
+        return checked, [(checked.resolved[id(e)], pretty(checked.type_of(e))) for e in calls]
+
+    checked, memoised = resolutions()
+    assert [t for _, t in memoised] == ["T@A", "T@A"]
+    assert len(checked._calls) == 0
+    resolve = Checker.resolve_invocation
+
+    def unmemoised(self, *args, **kwargs):
+        self._calls.clear()
+        return resolve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Checker, "resolve_invocation", unmemoised)
+    assert resolutions()[1] == memoised
+
+
 def test_two_calls_with_a_partially_applied_type_argument_share_one_resolution():
     # Each List<Integer> abstracts over a fresh binder: the key numbers
     # binders by depth.

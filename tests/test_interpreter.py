@@ -1218,3 +1218,32 @@ def test_a_call_site_that_finds_no_method_fails_on_every_call():
             "error", f"A: ChoreoRuntimeError: {message}")
         for report in (cmp.global_report, cmp.distributed_report):
             assert report.transcripts == {"A": ["named"]}
+
+
+SAME_ARITY = """
+class C@A {
+    public C() { }
+    %s void f(Integer@A x) { System@A.out.println("int"@A); }
+    %s void f(String@A x) { System@A.out.println("string"@A); }
+    public static void go() { %s }
+}
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="a call on an object dispatches by name and arity, "
+                                       "so both evaluators run the first f")
+def test_same_arity_overloads_on_an_object_dispatch_by_parameter_types():
+    calls = 'new C@A().f("s"@A); new C@A().f(1@A);'
+    checked = compile_ok(SAME_ARITY % ("public", "public", calls))
+    cmp = differential_run(checked, "C", "go")
+    for report in (cmp.global_report, cmp.distributed_report):
+        assert (report.status, report.transcripts) == ("ok", {"A": ["string", "int"]})
+
+
+@pytest.mark.xfail(strict=True, reason="a worker's unqualified call finds its method by name "
+                                       "and arity, so the workers run the first f")
+def test_same_arity_static_overloads_dispatch_by_parameter_types():
+    checked = compile_ok(SAME_ARITY % ("static", "static", 'f("s"@A); f(1@A);'))
+    cmp = differential_run(checked, "C", "go")
+    for report in (cmp.global_report, cmp.distributed_report):
+        assert (report.status, report.transcripts) == ("ok", {"A": ["string", "int"]})

@@ -43,7 +43,7 @@ RECORDS = {
     "checker.DeclInfo": ("node sym role_vars ftps=<factory> methods=<factory> constructors=<factory> is_prelude=False scope=None supers=None", "eq"),
     "checker.Scope": ("roles types", "eq"),
     "checker._BodyCtx": ("info mi scope constructor", "eq"),
-    "checker.PreludeLayer": ("table=mappingproxy({}) var_ftp=mappingproxy({}) te_types=mappingproxy({}) closures=mappingproxy({}) pinned=frozenset()", "frozen"),
+    "checker.PreludeLayer": ("table=mappingproxy({}) var_ftp=mappingproxy({}) te_types=mappingproxy({}) closures=mappingproxy({})", "frozen"),
     "corpus.CorpusProgram": ("name path runs", "eq"),
     "diagnostics.Diagnostic": ("code span message severity=<Severity.ERROR: 'error'> expecting=None found=None", "frozen"),
     "diagnostics.Reporter": ("items=<factory>", "eq"),

@@ -262,6 +262,35 @@ def test_com_of_an_object_of_the_program_runs_its_own_method():
     assert console.transcripts() == {"A": ["own com"]}
 
 
+def test_a_com_of_a_unit_value_receives():
+    # Projection writes a receive as ``com(Unit.id)``; a message that is
+    # unit only when it runs, as at the end of a ``>> ch::com`` chain, also
+    # receives.
+    ctx = ExecutionContext(5.0)
+    outcomes, console = run_units(
+        ctx, {"A": ("Send_A", "go", [], []), "B": ("Take_B", "go", [], [UNIT])},
+        static_unit("Send_A", CLAIM_K + "ch.<Integer>com(7);"),
+        static_unit("Take_B", CLAIM_K + "System.out.println(ch.<Integer>com(u));", "Unit u"))
+    assert {o.status for o in outcomes.values()} == {"ok"}
+    assert console.transcripts() == {"B": ["7"]}
+
+
+@pytest.mark.parametrize("operation", ["<Integer>com", "<Choice>select"])
+def test_a_channel_operation_with_no_argument_is_no_method_of_an_endpoint(operation):
+    # The prelude's com and select take one argument, and every call that
+    # projection writes has one.
+    ctx = ExecutionContext(5.0)
+    outcomes, console = run_units(
+        ctx, {"A": ("Send_A", "go", [], []), "B": ("Take_B", "go", [], [])},
+        static_unit("Send_A", CLAIM_K + "ch.<Integer>com(1);"),
+        static_unit("Take_B", CLAIM_K + f"System.out.println(ch.{operation}());"))
+    failed, status, message = ctx.failure
+    assert (failed, status) == ("B", "error")
+    no_method = f"ChoreoRuntimeError: no method '{operation.split('>')[1]}' on ChannelEndpoint("
+    assert message.startswith(no_method), message
+    assert outcomes["B"].status == "error" and console.transcripts() == {}
+
+
 def test_a_send_into_a_full_direction_waits_for_the_receiver():
     # A runs first, and its 17th send waits until B has received; if B
     # waits on another channel from A instead, the two wait on each other

@@ -34,6 +34,7 @@ def test_ab_compares_this_checkout_with_itself_for_one_round(tmp_path):
     for line in lines:
         assert " ratio " in line and line.endswith(" inputs x 1 rounds"), line
         assert re.search(r"  p90\+ ratio \d+\.\d{3} \(\d+ inputs\)  ", line), line
+        assert re.search(r"  by round \(q1 \d+\.\d{3}, q3 \d+\.\d{3}\)  \d+ inputs x", line), line
     # A checkout whose parser moves the span of every ``void`` gives every
     # compile input the same diagnostics, renders, units and reports as this
     # one; only its front-end trees differ.
@@ -61,6 +62,19 @@ def test_ab_reports_the_ratio_of_the_slowest_inputs_apart():
     line = ab.report("compile", times, 1)[0]
     assert " ratio 1.000 (q1 1.000, q3 1.000)  p90+ ratio 0.500 (1 inputs)  " in line, line
     assert line.endswith("  10 inputs x 1 rounds"), line
+
+
+def test_ab_reports_the_spread_of_the_ratio_from_round_to_round():
+    # Three inputs whose change/parent ratio is the same in a round and
+    # reads 0.9, 1.0, 1.1 and 1.2 in the four rounds: the quartiles over
+    # inputs show no spread, those over rounds do.
+    ab = load_ab()
+    times = {f"in{i}": {stage: {"parent": [ms / 1e3] * 4,
+                                "change": [ms * r / 1e3 for r in (0.9, 1.0, 1.1, 1.2)]}
+                        for stage in ab.STAGES} for i, ms in enumerate((1, 2, 3))}
+    line = ab.report("compile", times, 4)[0]
+    assert " ratio 1.050 (q1 1.050, q3 1.050)  " in line, line
+    assert "  by round (q1 0.975, q3 1.125)  3 inputs x 4 rounds" in line, line
 
 
 def test_ab_times_the_startup_of_this_checkout_against_itself_for_two_rounds():

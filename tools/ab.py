@@ -39,6 +39,10 @@ ratio's quartiles over inputs. As ``p90+ ratio``, it also prints the median
 of those ratios over the slowest inputs: those whose median parent time is
 at or above the 90th percentile of the inputs' median parent times, where a
 gain on the largest inputs shows that the median over all of them hides.
+As ``by round``, it prints the quartiles over rounds of each round's median
+over inputs of the change/parent ratio: how far one round's reading strays
+from the next, which the quartiles over inputs do not show when there are
+few inputs.
 
 With ``--startup``, each round instead starts one fresh process per side,
 in an order that alternates from round to round, which imports the copied
@@ -262,10 +266,13 @@ def report(workload, times, rounds):
         q1, q3 = quartiles(ratios)
         slowest = slowest_decile([statistics.median(t["parent"]) for t in timed])
         slow_ratio = statistics.median(ratios[i] for i in slowest)
+        r1, r3 = quartiles([statistics.median(t["change"][r] / t["parent"][r] for t in timed)
+                            for r in range(rounds)])
         lines.append(f"{workload:8} {stage:7} parent {ms['parent']:8.3f} ms  change "
                      f"{ms['change']:8.3f} ms  ratio {statistics.median(ratios):.3f} "
                      f"(q1 {q1:.3f}, q3 {q3:.3f})  p90+ ratio {slow_ratio:.3f} "
-                     f"({len(slowest)} inputs)  {len(timed)} inputs x {rounds} rounds")
+                     f"({len(slowest)} inputs)  by round (q1 {r1:.3f}, q3 {r3:.3f})  "
+                     f"{len(timed)} inputs x {rounds} rounds")
     return lines
 
 
