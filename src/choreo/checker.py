@@ -644,13 +644,19 @@ class Checker:
 
     def check_unused_roles(self, info):
         # Every role written in the declaration except the binders it
-        # declares (its own and those of its type parameters).
-        used = set()
+        # declares (its own and those of its type parameters). A declaration
+        # of one role never warns, and the walk stops once every role is seen.
+        roles = info.role_names
+        if len(roles) < 2:
+            return
+        unused = set(roles)
         for node in S.walk(info.node):
             if isinstance(node, (S.TE, S.Literal, S.StaticRef, S.New)):
-                used.update(node.roles)
-        for role in info.role_names:
-            if role not in used and len(info.role_names) > 1:
+                unused.difference_update(node.roles)
+                if not unused:
+                    return
+        for role in roles:
+            if role in unused:
                 self.reporter.warn(
                     Code.UnusedRole, info.node.span,
                     f"role '{role}' of '{info.name}' is not used by any member "
@@ -661,17 +667,22 @@ class Checker:
         class's own methods, and each inherited one that one of them does
         not override, are keyed per role by their name and erased parameter
         types. Each pair of one key that has an own method and no override
-        is reported, at the first role where it meets, in the pairs' order."""
+        is reported, at the first role where it meets, in the pairs' order.
+        An inherited method is keyed only when an own method has its name and
+        arity, as no other can be in a reported pair."""
         candidates = []  # (MethodInfo, subst, [param Type], own: bool), own ones first
         groups = {}  # (name, arity) -> the indices of its candidates
         for i, (sup, subst) in enumerate(self.supertype_closure(info)):
             for mi in sup.methods:
+                key = (mi.name, len(mi.node.params))
+                if i and key not in groups:
+                    continue
                 params = self.param_types(mi)
                 if any(p is None for p in params):
                     continue
                 if subst:
                     params = [reduce_type(substitute(p, subst)) for p in params]
-                group = groups.setdefault((mi.name, len(params)), [])
+                group = groups.setdefault(key, [])
                 if i == 0 or any(candidates[k][3] and not self.same_signature(
                         *candidates[k][:2], mi, subst) for k in group):
                     group.append(len(candidates))
@@ -1126,11 +1137,15 @@ class Checker:
         st = self.synth_exp(ctx, gamma, exp.scope)
         if st is None:
             return None
-        head, _ = spine(st)
-        if isinstance(head, TSym) and head.name in self.table:
-            t = self.member_field_type(st, exp.name)
-            if t is not None:
-                return t
+        if st is gamma.get("this"):
+            # As a bare name is: the class's self type needs no unwinding.
+            t = self.find_field(ctx.info, exp.name)
+        else:
+            head, _ = spine(st)
+            t = (self.member_field_type(st, exp.name)
+                 if isinstance(head, TSym) and head.name in self.table else None)
+        if t is not None:
+            return t
         self.reporter.error(Code.UnknownName, exp.span,
                             f"'{pretty(st)}' has no field '{exp.name}'.")
         return None
@@ -1289,7 +1304,7 @@ class Checker:
         def at_most(a, b):
             return all(self.is_subtype(x, y) for x, y in zip(a[1], b[1]))
 
-        minima = [c for c in applicable if all(at_most(c, o) for o in applicable)]
+        minima = [c for c in applicable if all(at_most(c, o) for o in applicable if o is not c)]
         if not minima:
             self.reporter.error(
                 Code.AmbiguousOverload, exp.span,

@@ -113,14 +113,18 @@ def spine(t):
 # ------------------------------------------------------------ operations
 
 def substitute(t, mapping):
-    """Capture-avoiding substitution of TVars (keyed by uid)."""
-    if isinstance(t, TVar):
+    """Capture-avoiding substitution of TVars (keyed by uid). A term the
+    mapping leaves unchanged is returned as it is, not copied."""
+    cls = type(t)
+    if cls is TApp:
+        ctor = substitute(t.ctor, mapping)
+        arg = substitute(t.arg, mapping)
+        if ctor is t.ctor and arg is t.arg:
+            return t
+        return TApp(ctor, arg)
+    if cls is TVar:
         return mapping.get(t.uid, t)
-    if isinstance(t, TSym) or isinstance(t, TVoid) or isinstance(t, TBottom):
-        return t
-    if isinstance(t, TApp):
-        return TApp(substitute(t.ctor, mapping), substitute(t.arg, mapping))
-    if isinstance(t, TAbs):
+    if cls is TAbs:
         # Binder uids are globally fresh, so shadowing cannot occur; still
         # rename when the mapping could capture the binder.
         var = t.var
@@ -130,7 +134,10 @@ def substitute(t, mapping):
             body = substitute(body, {var.uid: renamed})
             var = renamed
         inner = {k: v for k, v in mapping.items() if k != var.uid}
-        return TAbs(var, substitute(body, inner))
+        body = substitute(body, inner)
+        return t if var is t.var and body is t.body else TAbs(var, body)
+    if cls is TSym or cls is TVoid or cls is TBottom:
+        return t
     raise TypeError(f"substitute: {t!r}")
 
 
@@ -174,6 +181,8 @@ def reduce_type(t):
 
 def type_equal(a, b, env=None):
     """Structural equality on reduced types, alpha-aware for abstractions."""
+    if a is b and not env:  # under a binder, env may tell a term from itself
+        return True
     env = env or {}
     if isinstance(a, TVar) and isinstance(b, TVar):
         return env.get(a.uid, a.uid) == b.uid

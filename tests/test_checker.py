@@ -801,6 +801,22 @@ def test_inherited_overload_clash():
     assert Code.IllegalOverload in codes(reporter)
 
 
+def test_only_an_own_method_clashes_with_an_inherited_one():
+    # Mid's own m meets Base's at role B, where both take Unit; Leaf
+    # inherits the pair and reports nothing of its own, also beside an own
+    # method of another name.
+    _, reporter = compile_text("""
+    class Base@(A, B) { void m(Char@A x) { } }
+    class Mid@(A, B) extends Base@(A, B) { void m(Long@A x) { } }
+    class Leaf@(A, B) extends Mid@(A, B) { void k(Char@B x) { } }
+    """)
+    assert [(d.code, *d.span.source.line_col(d.span.start), d.message)
+            for d in reporter.errors] == [
+        (Code.IllegalOverload, 3, 44,
+         "Illegal overload: 'm(Char@A x)' and 'm(Long@A x)' have the same signature "
+         "for role 'B'.")]
+
+
 def test_a_generic_method_overrides_one_of_the_same_signature():
     compile_ok("""
     class Base@A {
@@ -960,6 +976,51 @@ def test_unused_role_warns_but_does_not_fail():
     assert not reporter.has_errors()
     assert any(d.code is Code.UnusedRole and d.severity is Severity.WARNING
                for d in reporter.items)
+
+
+def test_a_role_written_only_in_the_last_method_is_used():
+    _, reporter = compile_text("""
+    class T@(A, B, C) {
+        Integer@A a;
+        String@B b;
+        void m() { }
+        void last() { System@C.out.println("c"@C); }
+    }
+    """)
+    assert reporter.items == []
+
+
+def test_a_role_written_nowhere_warns_once():
+    _, reporter = compile_text("class U@(A, B, C) { Integer@A a; void m(String@B b) { } }")
+    assert [(d.code, d.severity, d.message) for d in reporter.items] == [
+        (Code.UnusedRole, Severity.WARNING,
+         "role 'C' of 'U' is not used by any member or supertype.")]
+
+
+def test_a_field_read_through_this_has_its_type_at_the_reading_class():
+    # Sub passes its roles to Base swapped, so Base's Integer@A field is
+    # Integer@Y in Sub, read through ``this`` or by its bare name; Sub's own
+    # field keeps its declared type.
+    checked = compile_ok("""
+    class Base@(A, B) { Integer@A f; }
+    class Sub@(X, Y) extends Base@(Y, X) {
+        String@X own;
+        Integer@Y inherited() { return this.f; }
+        Integer@Y bare() { return f; }
+        String@X mine() { return this.own; }
+    }
+    """)
+    reads = {m: find_exp(checked, "Sub", m, lambda e: isinstance(e, (S.FieldAcc, S.Name))
+                         and getattr(e, "ident", None) != "this")
+             for m in ("inherited", "bare", "mine")}
+    assert {m: pretty(checked.type_of(e)) for m, e in reads.items()} == {
+        "inherited": "Integer@Y", "bare": "Integer@Y", "mine": "String@X"}
+    _, reporter = compile_text("""
+    class Base@(A, B) { Integer@A f; }
+    class Sub@(X, Y) extends Base@(Y, X) { Integer@X g() { return this.f; } }
+    """)
+    assert [(d.code, d.message) for d in reporter.errors] == [
+        (Code.TypeMismatch, "Incompatible types:")]
 
 
 # ------------------------------------------------- selection annotations

@@ -30,7 +30,7 @@ def test_ab_compares_this_checkout_with_itself_for_one_round(tmp_path):
         capture_output=True, text=True, timeout=300, check=True).stdout
     lines = out.splitlines()
     assert [line.split()[:2] for line in lines] == [
-        ["compile", "compile"], ["compile", "oracle"], ["compile", "run"]]
+        ["compile", "compile"], ["compile", "check"], ["compile", "oracle"], ["compile", "run"]]
     for line in lines:
         assert " ratio " in line and line.endswith(" inputs x 1 rounds"), line
         assert re.search(r"  p90\+ ratio \d+\.\d{3} \(\d+ inputs\)  ", line), line
@@ -172,7 +172,7 @@ def test_ab_times_only_the_compile_of_a_negative_program_and_compares_its_diagno
               if item.name == "negative/type_mismatch"]
     times = ab.measure({"parent": choreo, "change": choreo}, [item], 2)
     assert {stage: len(times[item.name][stage]["change"]) for stage in ab.STAGES} == {
-        "compile": 2, "oracle": 0, "run": 0}
+        "compile": 2, "check": 2, "oracle": 0, "run": 0}
 
     def compile_twice_reported(sources):
         checked, reporter = choreo.pipeline.compile_sources(sources)

@@ -30,6 +30,17 @@ def test_eta_contraction():
     assert reduce_type(t) == TSym("Choice")
 
 
+def test_substitution_shares_a_term_it_leaves_unchanged():
+    a = fresh_var("A", role=True)
+    b = fresh_var("B", role=True)
+    x = fresh_var("X", role=True)
+    t = app(TSym("P"), a, TAbs(x, app(TSym("Q"), x)))
+    assert substitute(t, {b.uid: a}) is t
+    out = substitute(t, {a.uid: b})
+    assert out is not t and out == app(TSym("P"), b, TAbs(x, app(TSym("Q"), x)))
+    assert out.arg is t.arg  # the abstraction mentions no A
+
+
 def test_substitution_is_capture_avoiding():
     x = fresh_var("X", role=True)
     y = fresh_var("Y", role=True)

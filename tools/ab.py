@@ -18,11 +18,13 @@ checkout's ``perfbench/gen.py`` from its ``corpus/``, which are only read:
 - ``roles``: one valid DistAuthN login for each N in 20, 40, 80 and 160.
 
 Every round takes each input in turn. For each side, in an order that
-alternates from input to input and from round to round, three stages are
+alternates from input to input and from round to round, four stages are
 timed with ``time.process_time``: the compile (``compile_sources``, then
-``project_program`` and ``render_unit`` of every projected unit), the oracle
-(``eval_global``) and the distributed run (``eval_distributed``); a negative
-program has only its compile timed, which stops at the first phase that
+``project_program`` and ``render_unit`` of every projected unit), the check
+(``compile_sources`` alone: the front end and the checker, the part of the
+compile a checker change moves), the oracle (``eval_global``) and the
+distributed run (``eval_distributed``); a negative program has only its
+compile and check timed, and its compile stops at the first phase that
 reports an error. Before the first round, both sides' front ends
 (``pipeline.front_end``) must give each input the same tree: the same
 ``render_program`` text, and the same class name, line and column of every
@@ -72,7 +74,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-STAGES = ("compile", "oracle", "run")
+STAGES = ("compile", "check", "oracle", "run")
 WORKLOADS = ("compile", "stream", "sort", "roles")
 STARTUP_STAGES = ("import", "prelude")
 SORT_CHANNELS = {"ch_AB": "ab", "ch_BC": "bc", "ch_CA": "ca"}
@@ -157,6 +159,7 @@ def run_side(choreo, item):
     reports an error."""
     t0 = time.process_time()
     checked, reporter = choreo.pipeline.compile_sources(item.sources)
+    checked_at = time.process_time()
     found = list(reporter.items)
     if not reporter.has_errors():
         units, reporter = choreo.projector.project_program(checked, choreo.diagnostics.Reporter())
@@ -165,7 +168,8 @@ def run_side(choreo, item):
         t1 = time.process_time()
         if item.entry_class is not None:
             sys.exit(f"ab: {item.name} does not compile")
-        return {"compile": t1 - t0}, diagnostic_keys(found), None, None, None
+        return ({"compile": t1 - t0, "check": checked_at - t0}, diagnostic_keys(found),
+                None, None, None)
     if item.entry_class is None:
         sys.exit(f"ab: {item.name} compiles, but is a negative program")
     texts = [choreo.printer.render_unit(unit) for unit in units.units]
@@ -178,7 +182,7 @@ def run_side(choreo, item):
                                               item.args, item.channels, item.deadline)
     t3 = time.process_time()
     reports = [(r.status, r.error, r.returns, r.transcripts) for r in (oracle, run)]
-    took = {"compile": t1 - t0, "oracle": t2 - t1, "run": t3 - t2}
+    took = {"compile": t1 - t0, "check": checked_at - t0, "oracle": t2 - t1, "run": t3 - t2}
     return took, diagnostic_keys(found), texts, repr(units.units), reports
 
 
