@@ -26,7 +26,7 @@ from .diagnostics import Code, Reporter
 from .printer import render_te
 from .record import field, record
 from .types import (
-    VOID, TAbs, TBottom, TSym, TVar, TVoid, app, fresh_var, pretty,
+    VOID, TAbs, TBottom, TSym, TVar, TVoid, app, fresh_uid, fresh_var, pretty,
     reduce_type, role_canonical, roles_of_type, spine, substitute, type_equal,
 )
 
@@ -63,6 +63,7 @@ class MethodInfo:
     scope: "Scope" = field(default=None, compare=False, repr=False)
     params: tuple = field(default=None, compare=False, repr=False)
     returns: object = field(default=..., compare=False, repr=False)
+    slot: int = field(default_factory=fresh_uid, compare=False, repr=False)  # see ``overrides``
 
     @property
     def name(self):
@@ -169,6 +170,8 @@ class Checker:
         self._calls = {}
         self.suppressed = set()  # decl names whose bodies are skipped
         self.cyclic = set()  # decl names reported for cyclic inheritance
+        self.tables = {}  # decl name -> its method table (``overrides``)
+        self._overrides = {}  # decl name -> what ``overrides`` walked
         self._failed_tes = set()
         self._closures = prelude.closures.copy()  # decl name -> [(DeclInfo, subst)]
         self._type_roles = {}  # id(Exp or TE) -> roles of its own type
@@ -662,45 +665,83 @@ class Checker:
                     f"role '{role}' of '{info.name}' is not used by any member "
                     f"or supertype.")
 
+    def overrides(self, info):
+        """The methods that the supertype closure of ``info`` reaches,
+        grouped in the order met by their signature (``same_signature``), as
+        ``(group_of, groups)``, kept per declaration: ``group_of[closure
+        index, id(MethodInfo)]`` indexes ``groups``, each a list of
+        ``(MethodInfo, subst)`` whose first overrides the rest (JLS 8.4.8).
+        The walk also builds the class's method table, ``tables[info.name]``:
+        each member's slot -> the node of its group's first member with a
+        body, which a call resolved to any of them runs (JLS 15.12.4.4), but
+        a static member's -> its own, as it is hidden, not overridden."""
+        found = self._overrides.get(info.name)
+        if found is not None:
+            return found
+        groups, group_of, named = [], {}, {}  # named: (name, arity) -> group indices
+        for i, (sup, subst) in enumerate(self.supertype_closure(info)):
+            for mi in sup.methods:
+                same = named.setdefault((mi.node.name, len(mi.node.params)), [])
+                for g in same:
+                    if self.same_signature(*groups[g][0], mi, subst):
+                        break
+                else:
+                    g = len(groups)
+                    same.append(g)
+                    groups.append([])
+                groups[g].append((mi, subst))
+                group_of[i, id(mi)] = g
+        table = self.tables[info.name] = {}
+        for group in groups:
+            for mi, _ in group:
+                if mi.node.body is not None:
+                    table.update((m.slot, m.node if m.is_static else mi.node) for m, _ in group)
+                    break
+        found = self._overrides[info.name] = group_of, groups
+        return found
+
     def check_overload_clashes(self, info):
         """Per-role projected signatures must stay pairwise distinct. The
         class's own methods, and each inherited one that one of them does
-        not override, are keyed per role by their name and erased parameter
-        types. Each pair of one key that has an own method and no override
-        is reported, at the first role where it meets, in the pairs' order.
-        An inherited method is keyed only when an own method has its name and
-        arity, as no other can be in a reported pair."""
-        candidates = []  # (MethodInfo, subst, [param Type], own: bool), own ones first
-        groups = {}  # (name, arity) -> the indices of its candidates
+        not override (``overrides``), are keyed per role by their name and
+        erased parameter types. Each pair of one key that has an own method
+        and no override is reported, at the first role where it meets, in
+        the pairs' order. An inherited method is keyed only when an own
+        method has its name and arity, as no other can be in a reported
+        pair."""
+        for mi in info.methods:  # first, so a diagnostic of their types keeps its place
+            self.param_types(mi)
+        group_of = self.overrides(info)[0]
+        candidates = []  # (MethodInfo, [param Type], own: bool, group), own ones first
+        keyed = {}  # (name, arity) -> the indices of its candidates
         for i, (sup, subst) in enumerate(self.supertype_closure(info)):
             for mi in sup.methods:
                 key = (mi.name, len(mi.node.params))
-                if i and key not in groups:
+                if i and key not in keyed:
                     continue
                 params = self.param_types(mi)
                 if any(p is None for p in params):
                     continue
                 if subst:
                     params = [reduce_type(substitute(p, subst)) for p in params]
-                group = groups.setdefault(key, [])
-                if i == 0 or any(candidates[k][3] and not self.same_signature(
-                        *candidates[k][:2], mi, subst) for k in group):
-                    group.append(len(candidates))
-                    candidates.append((mi, subst, params, i == 0))
-        shared = [group for group in groups.values() if len(group) > 1]
+                group, same = group_of[i, id(mi)], keyed.setdefault(key, [])
+                if i == 0 or any(candidates[k][2] and candidates[k][3] != group for k in same):
+                    same.append(len(candidates))
+                    candidates.append((mi, params, i == 0, group))
+        shared = [same for same in keyed.values() if len(same) > 1]
         met = {}  # (i, j) -> the first role where candidates i < j meet
         for role in info.role_names:
-            for group in shared:
-                keyed = {}  # erased parameter types -> the indices of their candidates
-                for j in group:
-                    erased = tuple([self.erased_name(t, role) for t in candidates[j][2]])
-                    for i in keyed.setdefault(erased, []):
+            for same in shared:
+                erasures = {}  # erased parameter types -> the indices of their candidates
+                for j in same:
+                    erased = tuple([self.erased_name(t, role) for t in candidates[j][1]])
+                    for i in erasures.setdefault(erased, []):
                         met.setdefault((i, j), role)
-                    keyed[erased].append(j)
+                    erasures[erased].append(j)
         for (i, j), role in sorted(met.items()):
-            m1, s1, _, own1 = candidates[i]
-            m2, s2, _, own2 = candidates[j]
-            if not own1 or (not own2 and self.same_signature(m1, s1, m2, s2)):
+            m1, _, own1, group1 = candidates[i]
+            m2, _, own2, group2 = candidates[j]
+            if not own1 or (not own2 and group1 == group2):
                 continue  # both inherited, or an override
             self.reporter.error(
                 Code.IllegalOverload, (m2 if own2 else m1).node.span,
@@ -858,21 +899,13 @@ class Checker:
             self.check_abstract_implementations(info)
 
     def check_abstract_implementations(self, info):
-        signatures = []  # [MethodInfo, subst, implemented], one per signature
-        for sup, subst in self.supertype_closure(info):
-            for mi in sup.methods:
-                has_body = mi.node.body is not None or sup.is_prelude
-                for sig in signatures:
-                    if self.same_signature(sig[0], sig[1], mi, subst):
-                        sig[2] = sig[2] or has_body
-                        break
-                else:
-                    signatures.append([mi, subst, has_body])
-        for mi, _, implemented in signatures:
-            if not implemented:
+        """Each signature of the class's ``overrides`` needs a body, or a
+        builtin one in the prelude."""
+        for group in self.overrides(info)[1]:
+            if not any(mi.node.body is not None or mi.owner.is_prelude for mi, _ in group):
                 self.reporter.error(
                     Code.TypeMismatch, info.node.span,
-                    f"'{info.name}' does not implement abstract method '{mi.name}'.")
+                    f"'{info.name}' does not implement abstract method '{group[0][0].name}'.")
 
     def check_method_body(self, info, mi, constructor=False):
         scope = mi.scope

@@ -4,12 +4,11 @@ waits on a channel or ends. ``eval_distributed`` starts every run, the test
 kit's cases too, with one ``ExecutionContext`` that holds the run's state.
 A worker runs on the evaluator core it shares with the oracle
 (``interpreter.Evaluator``), and supplies what only workers have: method
-lookup up the ``extends`` chain, kept per receiver class by a call on an
-object and per frame site by an unqualified call, the unit forms and
-``com``/``select`` bound by direction when compiled (a send of unit
-receives), whose wait on a channel is a generator on the role's stack, as a
-method call is; an endpoint has no other method. The first role to fail
-cancels the others, a proven deadlock stops every role at once, and the
+tables built from the slots the projector copies onto each method, the unit
+forms and ``com``/``select`` bound by direction when compiled (a send of
+unit receives), whose wait on a channel is a generator on the role's stack,
+as a method call is; an endpoint has no other method. The first role to
+fail cancels the others, a proven deadlock stops every role at once, and the
 deadline, checked at every call, stops programs that diverge. Try/catch
 executes its body (there is no user-level throw; a generated default throw
 of a selection switch fails its role).
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from types import GeneratorType
 
 from .builtins import CONSTRUCTORS, Console, PrintStreamV, builtin_static
 from .interpreter import (
@@ -36,44 +34,45 @@ from .runtime import (
 
 class ProgramFacts(Facts):
     """The ``Facts`` that every role's interpreter of one ``LocalProgram``
-    shares, and its declarations by unit name, which they look up."""
+    shares, and its declarations by unit name. A class's table holds its
+    constructors, then each method with a body up ``extends``, the nearest
+    under each of its ``slots``; one read back from text has none and is
+    held under its ``id``, for ``Facts.method`` to find by name."""
 
     def __init__(self, units):
         self.decls = {u.generated_name: u.decl for u in units}
-        super().__init__({(m.name, len(m.params)) for d in self.decls.values()
-                          if isinstance(d, LClass) for m in d.methods})
-
-    def method(self, class_name, name, arity, static=False):
-        """The method with a body that a call names, up the superclasses."""
-        decl = self.decls.get(class_name)
-        while isinstance(decl, LClass):
-            for m in decl.methods:
-                if (m.name == name and len(m.params) == arity and m.body is not None
-                        and (not static or "static" in m.modifiers)):
-                    return m
-            decl = self.decls.get(decl.extends.name) if decl.extends is not None else None
-        kind = "static method" if static else "method"
-        raise ChoreoRuntimeError(f"'{class_name}' has no {kind} '{name}/{arity}'")
+        tables = {}
+        for name, decl in self.decls.items():
+            if isinstance(decl, LClass):
+                table = tables[name] = {}
+                methods = list(decl.constructors)
+                while isinstance(decl, LClass):
+                    methods += [m for m in decl.methods if m.body is not None]
+                    decl = self.decls.get(decl.extends.name) if decl.extends is not None else None
+                for m in methods:
+                    for slot in m.slots or (id(m),):
+                        table.setdefault(slot, m)
+        super().__init__(tables)
 
 
 def _channel(name):
     """``name`` (``com`` or ``select``) on a worker's endpoint ``ep``, as its
-    ``(send, receive)``, each ``f(evaluator, ep, message)``: its value, or a
-    wait until the direction has room or a message comes. A send of unit
-    receives; a receiver that is not an endpoint takes the method
-    ``call_method`` finds for it."""
-    def receive(ev, ep, message, name=name, label=name == "select"):
+    ``(send, receive)``, each ``f(evaluator, ep, message, slot)``: its value,
+    or a wait until the direction has room or a message comes. A send of
+    unit receives; a receiver that is not an endpoint takes the method of
+    the call's slot that ``call_method`` finds for it."""
+    def receive(ev, ep, message, slot, name=name, label=name == "select"):
         if type(ep) is not ChannelEndpoint:
-            return ev.call_method(ep, name, [message])
+            return ev.call_method(ep, name, [message], slot)
         if ep.pair.queues[1 - ep.side]:
             return ep.receive_label() if label else ep.receive_data()
         return _wait(ep, name, message, False)
 
-    def send(ev, ep, message, name=name, label=name == "select", receive=receive):
+    def send(ev, ep, message, slot, name=name, label=name == "select", receive=receive):
         if type(ep) is not ChannelEndpoint:
-            return ev.call_method(ep, name, [message])
+            return ev.call_method(ep, name, [message], slot)
         if message is UNIT:
-            return receive(ev, ep, message)
+            return receive(ev, ep, message, slot)
         if len(ep.pair.queues[ep.side]) < CHANNEL_CAPACITY:
             return ep.send_label(message) if label else ep.send_data(message)
         return _wait(ep, name, message, True)
@@ -109,26 +108,30 @@ class LocalInterpreter(Evaluator):
 
     # ---------------------------------------------------------------- calls
 
-    def run_ctor(self, this, class_name, args):
-        """Runs on ``this`` the constructor of ``class_name`` taking ``args``,
-        by default none: ``this``, or a generator whose value is ``this``."""
+    def run_ctor(self, this, class_name, slot, args):
+        """Runs on ``this`` the constructor of ``class_name`` of ``slot``
+        (a read-back call's has none): ``this``, or a generator whose value
+        is ``this``. A class that declares none takes no arguments."""
         decl = self.facts.decls.get(class_name)
-        ctors = decl.constructors if isinstance(decl, LClass) else []
-        ctor = next((c for c in ctors if len(c.params) == len(args)), None)
-        if ctor is not None:
+        if isinstance(decl, LClass) and decl.constructors:
+            ctor = self.facts.method(class_name, class_name, len(args), slot)
             return self.run(this, class_name, ctor, args)
         if args or not isinstance(decl, LClass):
             raise ChoreoRuntimeError(f"no constructor '{class_name}/{len(args)}'")
         return this
 
     @staticmethod
-    def dispatcher(name, arity):
-        cache = {}  # class name -> its method
+    def slot(exp):
+        return exp.slot
 
-        def dispatch(ev, obj, args, name=name, arity=arity, cache=cache):
+    @staticmethod
+    def dispatcher(name, arity, slot):
+        cache = {}  # class name -> its method of the slot
+
+        def dispatch(ev, obj, args, name=name, arity=arity, slot=slot, cache=cache):
             m = cache.get(obj.class_name)
             if m is None:
-                m = cache[obj.class_name] = ev.facts.method(obj.class_name, name, arity)
+                m = cache[obj.class_name] = ev.facts.method(obj.class_name, name, arity, slot)
             return ev.run(obj, obj.class_name, m, args)
         return dispatch
 
@@ -139,13 +142,15 @@ class LocalInterpreter(Evaluator):
             fn = CONSTRUCTORS.get(cname)
             if fn is not None or cname not in decls:
                 return 0, fn or raising(f"unknown local class '{cname}'")
-            return OWN, lambda ev, fr, args, c=cname: ev.run_ctor(ProgramObject(c), c, args)
-        scope, name = exp.scope, exp.name
+            return OWN, lambda ev, fr, args, c=cname, s=exp.slot: ev.run_ctor(
+                ProgramObject(c), c, s, args)
+        scope, name, slot = exp.scope, exp.name, exp.slot
         if scope is None:
-            return OWN, _super_call if name == "super" else _site_call(name, len(exp.args))
+            return OWN, (_super_call(slot) if name == "super"
+                         else _site_call(name, len(exp.args), slot))
         if scope.name in decls:
             try:
-                m = self.facts.method(scope.name, name, len(exp.args), static=True)
+                m = self.facts.method(scope.name, name, len(exp.args), slot)
             except ChoreoRuntimeError as e:
                 return 0, raising(str(e))
             return OWN, lambda ev, fr, args, site=scope.name, m=m: ev.run(None, site, m, args)
@@ -161,32 +166,36 @@ class LocalInterpreter(Evaluator):
         return raising(f"unknown static field '{scope.name}.{name}'")
 
 
-def _super_call(ev, fr, args):
-    """``super(...)``: the constructor of the superclass of the frame's site."""
-    decl = ev.facts.decls[fr.site]
-    if decl.extends is None:
-        raise ChoreoRuntimeError("no superclass constructor")
-    return ev.run_ctor(fr.this, decl.extends.name, args)
+def _super_call(slot):
+    """``super(...)`` of ``slot``: the constructor of the superclass of the
+    frame's site."""
+    def call(ev, fr, args, slot=slot):
+        decl = ev.facts.decls[fr.site]
+        if decl.extends is None:
+            raise ChoreoRuntimeError("no superclass constructor")
+        return ev.run_ctor(fr.this, decl.extends.name, slot, args)
+    return call
 
 
-def _site_call(name, arity):
-    """The unqualified call of ``name/arity``, looked up from the frame's
-    site, as an inherited body runs with its object's class as its site;
-    the method, and whether it is static, is kept per site."""
-    cache = {}  # site -> (method, static)
+def _site_call(name, arity, slot):
+    """The unqualified call of ``slot``, a method ``name/arity``, looked up
+    in the table of the class of ``this``, or, in a static method, of the
+    frame's site; the method, and whether it is static, is kept per class."""
+    cache = {}  # class name -> (method, static)
 
-    def call(ev, fr, args, name=name, arity=arity, cache=cache):
-        site = fr.site
+    def call(ev, fr, args, name=name, arity=arity, slot=slot, cache=cache):
+        this = fr.this
+        site = fr.site if this is None else this.class_name
         found = cache.get(site)
         if found is None:
-            m = ev.facts.method(site, name, arity)
+            m = ev.facts.method(site, name, arity, slot)
             found = cache[site] = (m, "static" in m.modifiers)
         m, static = found
         if static:
             return ev.run(None, site, m, args)
-        if fr.this is None:
+        if this is None:
             raise ChoreoRuntimeError(f"instance method '{name}' called from a static context")
-        return ev.run(fr.this, site, m, args)
+        return ev.run(this, site, m, args)
     return call
 
 
@@ -206,15 +215,18 @@ class WorkerOutcome:
     error: str = None
 
 
-def _entry(interp, unit_name, entry_method, ctor_args, method_args):
-    """A role's entry call, on a new instance unless static, as a generator."""
-    m = interp.facts.method(unit_name, entry_method, len(method_args))
+def _entry(interp, unit_name, method, ctor_args, method_args):
+    """A role's entry call of ``method``, on a new instance unless static,
+    as a generator. A method given by its name is found as a read-back
+    call's (``Facts.method``); the instance, by the first constructor."""
+    if type(method) is str:
+        method = interp.facts.method(unit_name, method, len(method_args), None)
     this = None
-    if "static" not in m.modifiers:
-        this = interp.run_ctor(ProgramObject(unit_name), unit_name, ctor_args)
-        if type(this) is GeneratorType:
-            this = yield this
-    return (yield interp.run(this, unit_name, m, method_args))
+    if "static" not in method.modifiers:
+        this, ctors = ProgramObject(unit_name), interp.facts.decls[unit_name].constructors
+        if ctors:
+            this = yield interp.run(this, unit_name, ctors[0], ctor_args)
+    return (yield interp.run(this, unit_name, method, method_args))
 
 
 def _step(stack, outcome, context):
@@ -242,9 +254,9 @@ def run_workers(local_program, context, console, entries):
     """Runs each role's entry call in ``context``; all roles take turns on
     this thread.
 
-    ``entries`` maps each role to (unit name, entry method, constructor
-    arguments, method arguments). Returns the outcomes by role, the root
-    cause of a failure first.
+    ``entries`` maps each role to (unit name, entry method or its name,
+    constructor arguments, method arguments). Returns the outcomes by role,
+    the root cause of a failure first.
     """
     outcomes = {role: WorkerOutcome(role, "error") for role in entries}
     stacks = {role: [_entry(LocalInterpreter(local_program, role, context, console), *entry)]
@@ -323,7 +335,7 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
                                          {role: list(args_by_role.get(role, []))})
         except ChoreoRuntimeError as e:
             return _not_started(f"{role}: {e}")
-        entries[role] = (unit_name, entry_method, ctor_args, method_args)
+        entries[role] = (unit_name, method, ctor_args, method_args)
     outcomes = run_workers(local_program, context, console, entries)
 
     duration = time.perf_counter() - started

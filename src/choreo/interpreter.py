@@ -12,12 +12,13 @@ or arm is compiled when first reached), and one loop runs the steps.
 class of both languages. The compiled bodies are kept in the program's
 facts, so every evaluator of a program shares one compile. Each evaluator
 binds every call, ``new`` and static field when its body compiles, behind
-three hooks, and a worker's ``com`` or ``select`` by its direction. A call
-on an object of the program finds its method once per receiver class and
-keeps it, as an inline cache does (Deutsch and Schiffman, keyed by class as
-in Hölzle, Chambers and Ungar's polymorphic one); the cache of the calls
-on a receiver is shared by the program's calls of one name and arity. A
-method call is one generator, run by ``runtime.drive``, so recursion takes
+its hooks, and a worker's ``com`` or ``select`` by its direction. A call
+runs the method the checker resolved it to (JLS 15.12.4): it looks the
+slot of that method up in the method table of its receiver's class
+(``Facts``) once per class and keeps what it finds, as an inline cache does
+(Deutsch and Schiffman, keyed by class as in Hölzle, Chambers and Ungar's
+polymorphic one), shared by the program's calls of one slot. A method
+call is one generator, run by ``runtime.drive``, so recursion takes
 no Python stack and is bounded only by ``runtime.MAX_CALL_DEPTH``; an
 expression that calls no method of the program evaluates with no
 generator.
@@ -56,7 +57,7 @@ from .types import TVar
 # Step kinds; an assignment and a ``throw`` run as expression statements.
 EXP, VAR, RETURN, IF, SWITCH = "exp", "var", "return", "if", "switch"
 # How a compiled expression calls methods of the program, or waits (see
-# ``Evaluator.compile_exp``).
+# ``COMPILE``).
 OWN, DEEP = 1, 2
 TYPES = (S.StaticRef, LStaticName)  # a class name used as a static scope
 
@@ -86,16 +87,35 @@ class Frame:
 
 class Facts:
     """What every evaluator of one program shares, kept as its ``facts``:
-    ``method_keys``, the ``(name, arity)`` of each method of the program
-    with a body (a call that names none runs no method of the program), and
-    the compiled bodies, names and receiver tables of its calls. It holds no
-    reference to the program, so the two make no cycle."""
+    ``tables``, each class's method table by class name (slot -> the node
+    of the method with a body that a call of that slot runs), and ``slots``,
+    those they hold (a call of any other runs no method of the program);
+    and the compiled bodies, names and receiver tables of its calls. It
+    holds no reference to the program, so the two make no cycle."""
 
-    def __init__(self, method_keys):
-        self.method_keys = method_keys
+    def __init__(self, tables):
+        self.tables = tables
+        self.slots = {slot for table in tables.values() for slot in table}
         self.bodies = {}  # id(method) -> (its frame's store builder, its first Step)
         self.names = {}  # identifier -> its compiled name
-        self.receivers = {}  # (name, arity) -> its receiver table (``Evaluator.receivers``)
+        self.receivers = {}  # slot -> its receiver table (``Evaluator.receivers``)
+
+    def method(self, class_name, name, arity, slot):
+        """The method that the call of ``slot``, of ``name/arity``, runs on an
+        object of ``class_name``. A call with no slot, read back from text or
+        a builtin's callback, runs the one method of its name and arity."""
+        table = self.tables.get(class_name, NO_METHODS)
+        if slot is None:
+            named = {id(m): m for m in table.values() if m.name == name and len(m.params) == arity}
+            if len(named) > 1:
+                raise ChoreoRuntimeError(
+                    f"'{class_name}' has {len(named)} methods '{name}/{arity}'")
+            method = next(iter(named.values()), None)
+        else:
+            method = table.get(slot)
+        if method is None:
+            raise ChoreoRuntimeError(f"'{class_name}' has no method '{name}/{arity}'")
+        return method
 
 
 @record
@@ -122,24 +142,27 @@ class Evaluator(Builtins):
     ``deadline`` (a ``time.monotonic()`` value, or None). Its class has one
     ``METHODS`` table (``builtins.method_table``, with the oracle's
     channels), which a call on a receiver binds when compiled; such a call
-    may run a method of the program if ``method_keys`` has its name and
-    arity, and then binds its ``receivers`` table instead. A receiver that
-    the bound table has no entry for, and a builtin's callback, take
-    ``call_method``. ``OBJECT`` is the class of its objects of the program.
-    ``CHANNELS`` maps the name of a worker's channel operation, which may
-    wait, to its ``(send, receive)``, each ``f(evaluator, receiver,
-    message)``: a call of it with one argument binds the receive if that
-    argument is ``Unit.id``, else the send, and is flagged ``OWN``. It
-    supplies these hooks:
+    may run a method of the program if its slot is in ``facts.slots`` (or
+    it has none), and then binds its ``receivers`` table instead. A
+    receiver that the bound table has no entry for, and a builtin's
+    callback, take ``call_method``. ``OBJECT`` is the class of its objects
+    of the program. ``CHANNELS`` maps the name of a worker's channel
+    operation, which may wait, to its ``(send, receive)``, each
+    ``f(evaluator, receiver, message, slot)``: a call of it with one
+    argument binds the receive if that argument is ``Unit.id``, else the
+    send, and is flagged ``OWN``. It supplies these hooks:
 
+    - ``slot(exp)``: the slot of the method that the checker resolved the
+      call ``exp`` to, None if it has none;
     - ``bind(exp)``: the unqualified or static call, or the ``new``, ``exp``
       as ``(flag, f(evaluator, frame, args))``; the flag is ``OWN`` if ``f``
       may run a method of the program, or wait, else 0;
     - ``bind_static(scope, name)``: the static field ``name`` of the class
       ``scope``, as ``f(evaluator, frame)``;
-    - ``dispatcher(name, arity)``: the call of the method ``name/arity``
-      on an object of the program, as ``f(evaluator, obj, args)``, which
-      finds that method once per class of ``obj`` and keeps its node.
+    - ``dispatcher(name, arity, slot)``: the call of ``slot``, a method
+      ``name/arity``, on an object of the program, as ``f(evaluator, obj,
+      args)``, which finds its method (``Facts.method``) once per class of
+      ``obj`` and keeps it.
 
     What ``bind`` and ``bind_static`` return for an unknown class, method or
     field raises when it runs (see ``raising``). It holds no evaluator, nor
@@ -153,24 +176,25 @@ class Evaluator(Builtins):
     def invoke(self, receiver, name, args):
         return self.now(self.call_method(receiver, name, args))
 
-    def call_method(self, receiver, name, args):
-        """The method ``name`` of ``receiver`` by its ``receivers`` table: a
-        method of the program, or the ``METHODS`` entry for its type."""
-        fn = self.receivers(name, len(args)).get(type(receiver))
+    def call_method(self, receiver, name, args, slot=None):
+        """The method ``name`` of ``receiver`` by the ``receivers`` table of
+        ``slot``: a method of the program, or the ``METHODS`` entry for its
+        type."""
+        fn = self.receivers(name, len(args), slot).get(type(receiver))
         if fn is None:
             raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
         return fn(self, receiver, args)
 
-    def receivers(self, name, arity):
-        """The receiver table of the calls of ``name/arity`` on a receiver in
-        the program: its name's ``METHODS`` entry, and the ``dispatcher`` for
-        objects of the program, made once per program and kept in its
-        facts."""
-        key = (name, arity)
+    def receivers(self, name, arity, slot):
+        """The receiver table of the calls of ``slot`` (of ``name/arity``
+        when None) on a receiver in the program: its name's ``METHODS``
+        entry, and the ``dispatcher`` for objects of the program, made once
+        per program and kept in its facts."""
+        key = (name, arity) if slot is None else slot
         table = self.facts.receivers.get(key)
         if table is None:
             table = self.facts.receivers[key] = {**self.METHODS.get(name, NO_METHODS),
-                                                 self.OBJECT: self.dispatcher(name, arity)}
+                                                 self.OBJECT: self.dispatcher(name, arity, slot)}
         return table
 
     @staticmethod
@@ -271,21 +295,13 @@ class Evaluator(Builtins):
             step = COMPILE[type(stm)](self, stm, step)
         return step
 
-    def compile_exp(self, exp):
-        """``exp`` as ``(flag, f)``: ``f(evaluator, frame)`` returns its
-        value (flag 0: a call so flagged never returns a generator), returns
-        the value or the generator of the call or ``new`` it is (``OWN``),
-        or is a generator function whose value is its value (``DEEP``, when
-        an operand has a flag)."""
-        return COMPILE[type(exp)](self, exp)
-
 
 # ------------------------------------------- compiled statements and closures
 
 class Step:
     """A statement compiled for ``Evaluator._run_steps``: its kind and node;
     its expression's closure ``fn`` (a generator function when ``deep``, see
-    ``compile_exp``); the step ``cont`` that follows the statement; and the
+    ``COMPILE``); the step ``cont`` that follows the statement; and the
     first steps of its branches, None until first reached, in the slots named
     as the node's fields that hold them, or, for a switch, in ``arms`` by
     label. A block or try makes no step, and a ``throw`` is an ``EXP`` step
@@ -379,46 +395,49 @@ def _c_call(ev, exp):
     ``CHANNELS`` operation with one argument binds its send, or its receive
     if that argument is ``Unit.id``; any other call on a receiver binds its
     name's ``METHODS`` entry (receiver type -> fn), or, if it may run a
-    method of the program, the program's ``receivers`` table of its name and
-    arity."""
+    method of the program, the program's ``receivers`` table of its slot."""
     scope, name = exp.scope, exp.name
     if scope is None or type(scope) in TYPES:
         return _c_bound(ev, exp)
     receiver = COMPILE[type(scope)](ev, scope)
     args, deep = _c_arguments(ev, exp.args)
+    slot = ev.slot(exp)
     ops = ev.CHANNELS.get(name) if len(args) == 1 else None
     if ops is not None:
         op = ops[type(exp.args[0]) is LUnit]
         if deep or receiver[0]:
-            return DEEP, _call_g([receiver, *args], lambda ev, fr, values, op=op: op(ev, *values))
-        return OWN, lambda ev, fr, r=receiver[1], m=args[0][1], op=op: op(ev, r(ev, fr), m(ev, fr))
+            return DEEP, _call_g([receiver, *args],
+                                 lambda ev, fr, values, op=op, s=slot: op(ev, *values, s))
+        return OWN, lambda ev, fr, r=receiver[1], m=args[0][1], op=op, s=slot: op(
+            ev, r(ev, fr), m(ev, fr), s)
     table, flag = ev.METHODS.get(name, NO_METHODS), 0
-    if (name, len(args)) in ev.facts.method_keys:
-        table, flag = ev.receivers(name, len(args)), OWN
+    if slot is None or slot in ev.facts.slots:
+        table, flag = ev.receivers(name, len(args), slot), OWN
     if deep or receiver[0]:
-        return DEEP, _call_g([receiver, *args], _method(table, name))
+        return DEEP, _call_g([receiver, *args], _method(table, name, slot))
     r = receiver[1]
     if not args:
-        def method_call(ev, fr, r=r, t=table, n=name):
+        def method_call(ev, fr, r=r, t=table, n=name, s=slot):
             obj = r(ev, fr)
             fn = t.get(type(obj))
-            return ev.call_method(obj, n, []) if fn is None else fn(ev, obj, [])
+            return ev.call_method(obj, n, [], s) if fn is None else fn(ev, obj, [])
     elif len(args) == 1:
-        def method_call(ev, fr, r=r, t=table, n=name, a=args[0][1]):
+        def method_call(ev, fr, r=r, t=table, n=name, s=slot, a=args[0][1]):
             obj = r(ev, fr)
             fn = t.get(type(obj))
-            return ev.call_method(obj, n, [a(ev, fr)]) if fn is None else fn(ev, obj, [a(ev, fr)])
+            return (ev.call_method(obj, n, [a(ev, fr)], s) if fn is None
+                    else fn(ev, obj, [a(ev, fr)]))
     elif len(args) == 2:
-        def method_call(ev, fr, r=r, t=table, n=name, a=args[0][1], b=args[1][1]):
+        def method_call(ev, fr, r=r, t=table, n=name, s=slot, a=args[0][1], b=args[1][1]):
             obj = r(ev, fr)
             fn = t.get(type(obj))
             values = [a(ev, fr), b(ev, fr)]
-            return ev.call_method(obj, n, values) if fn is None else fn(ev, obj, values)
+            return ev.call_method(obj, n, values, s) if fn is None else fn(ev, obj, values)
     else:
-        def method_call(ev, fr, r=r, t=table, n=name, a=_arguments(args)):
+        def method_call(ev, fr, r=r, t=table, n=name, s=slot, a=_arguments(args)):
             obj = r(ev, fr)
             fn = t.get(type(obj))
-            return ev.call_method(obj, n, a(ev, fr)) if fn is None else fn(ev, obj, a(ev, fr))
+            return ev.call_method(obj, n, a(ev, fr), s) if fn is None else fn(ev, obj, a(ev, fr))
     return flag, method_call
 
 
@@ -461,7 +480,7 @@ def _c_arguments(ev, exps):
     return args, deep
 
 
-# Closures of expressions, each ``f(evaluator, frame)`` (see ``compile_exp``).
+# Closures of expressions, each ``f(evaluator, frame)`` (see ``COMPILE``).
 # They bind what they use as default arguments, not as free variables: a
 # default takes no cell, so a compiled body keeps fewer objects for the
 # cyclic collector to trace, and compiles faster.
@@ -471,8 +490,8 @@ def _unit(ev, fr):
 
 
 def raising(message):
-    """A closure of ``compile_exp`` or of ``Evaluator.bind`` that raises
-    ``message`` when it runs."""
+    """A compiled closure (see ``COMPILE``) or one of ``Evaluator.bind``
+    that raises ``message`` when it runs."""
     def fail(ev, fr, *args, message=message):
         raise ChoreoRuntimeError(message)
     return fail
@@ -618,20 +637,24 @@ def _call_g(operands, fn):
     return call
 
 
-def _method(table, name):
-    """The call of the method ``name`` on the first of ``values``, with the
-    rest as its arguments, by its ``METHODS`` entry ``table``."""
-    def method(ev, fr, values, table=table, name=name):
+def _method(table, name, slot):
+    """The call of the method ``name`` of ``slot`` on the first of
+    ``values``, with the rest as its arguments, by its receiver table
+    ``table``."""
+    def method(ev, fr, values, table=table, name=name, slot=slot):
         obj, args = values[0], values[1:]
         fn = table.get(type(obj))
-        return ev.call_method(obj, name, args) if fn is None else fn(ev, obj, args)
+        return ev.call_method(obj, name, args, slot) if fn is None else fn(ev, obj, args)
     return method
 
 
 # Each statement and expression class of both languages -> its compile
 # function: ``f(evaluator, node, cont)`` for a statement, its first step
 # (see ``Evaluator.compile_stm``); ``f(evaluator, node)`` for an expression,
-# ``(flag, closure)`` (see ``Evaluator.compile_exp``).
+# ``(flag, f)``: ``f(evaluator, frame)`` returns its value (flag 0: a call so
+# flagged never returns a generator), returns the value or the generator of
+# the call or ``new`` it is (``OWN``), or is a generator function whose
+# value is its value (``DEEP``, when an operand has a flag).
 COMPILE = {cls: compile for *classes, compile in [
     (S.ExpStm, LExpStm, _statement(EXP, "exp")),
     (S.VarDecl, LVarDecl, _statement(VAR, "init")),
@@ -696,9 +719,8 @@ class GlobalInterpreter(Evaluator):
         super().__init__(Console())
         self.checked = checked
         self.table = checked.table
-        if checked.facts is None:  # the methods with a body outside the prelude
-            checked.facts = Facts({(mi.name, len(mi.node.params)) for info in checked.own
-                                   for mi in info.methods if mi.node.body is not None})
+        if checked.facts is None:
+            checked.facts = Facts(checked.tables)
         self.facts = checked.facts
         self.channels = {}
 
@@ -728,24 +750,24 @@ class GlobalInterpreter(Evaluator):
                                      f"not implemented by the runtime")
         return self.run(None, binding, mi.node, args)
 
+    def slot(self, exp):
+        resolved = self.checked.resolved.get(id(exp))
+        return resolved[1].slot if resolved else None
+
     @staticmethod
-    def dispatcher(name, arity):
-        # class name -> the node of the first method with a body in the
-        # class's supertype closure, and that entry of the closure (None if
-        # it binds its roles as the object's class does)
+    def dispatcher(name, arity, slot):
+        # class name -> the node of its method of the slot, and the entry of
+        # the class's supertype closure that declares it (None if it binds
+        # its roles as the object's class does)
         cache = {}
 
-        def dispatch(ev, obj, args, name=name, arity=arity, cache=cache):
+        def dispatch(ev, obj, args, name=name, arity=arity, slot=slot, cache=cache):
             found = cache.get(obj.class_name)
             if found is None:
-                found = next(((mi.node, sup if submap else None, submap)
-                              for sup, submap in ev.checked.supertype_closure(obj.info)
-                              for mi in sup.methods if mi.name == name
-                              and len(mi.node.params) == arity and mi.node.body is not None),
-                             None)
-                if found is None:
-                    raise ChoreoRuntimeError(f"'{obj.info.name}' has no method '{name}/{arity}'")
-                cache[obj.class_name] = found
+                node = ev.facts.method(obj.class_name, name, arity, slot)
+                sup, submap = next(e for e in ev.checked.supertype_closure(obj.info)
+                                   if any(mi.node is node for mi in e[0].methods))
+                found = cache[obj.class_name] = (node, sup if submap else None, submap)
             node, sup, submap = found
             return ev.run(obj, obj.binding if sup is None else
                           ev.super_binding(sup, submap, obj.binding), node, args)
@@ -783,7 +805,7 @@ class GlobalInterpreter(Evaluator):
                     fr.this, ev._super_ctor_binding(fr, mi), mi.node, args)
             if mi.is_static:
                 return OWN, lambda ev, fr, args, mi=mi: ev.call_static(mi, fr.site, args)
-            dispatch = self.receivers(name, len(exp.args))[GlobalObject]
+            dispatch = self.receivers(name, len(exp.args), mi.slot)[GlobalObject]
             return OWN, lambda ev, fr, args, d=dispatch: d(ev, fr.this, args)
         fn = builtin_static(scope.name, name)
         if fn is not None:

@@ -3,9 +3,12 @@
 Mirrors the surface grammar without role annotations, plus the unit
 singleton forms (``Unit.id`` and ``Unit.id(...)``) and the throw statement
 generated as the default of selection switches. Nodes compare structurally,
-which is what merging relies on. The annotations of expression and statement
-fields say which hold parts (``LExp``, ``LStm``), alone or in lists and
-tuples: the rewrites of ``merging`` are compiled from them.
+which is what merging relies on. A call, ``new`` and method also carry the
+method-table slots of the checker (``checker.Checker.overrides``), which
+equality, ``repr`` and the printer leave out; text read back has none. The
+annotations of expression and statement fields say which hold parts
+(``LExp``, ``LStm``), alone or in lists and tuples: the rewrites of
+``merging`` are compiled from them.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ class LCall(LExp):
     type_args: list[LTE]
     name: str
     args: list[LExp]
+    slot: int = field(default=None, compare=False, repr=False)  # its resolved method's
 
 
 @record
@@ -73,6 +77,7 @@ class LNew(LExp):
     class_name: str
     type_args: list[LTE]
     args: list[LExp]
+    slot: int = field(default=None, compare=False, repr=False)  # its resolved constructor's
 
 
 @record
@@ -184,6 +189,7 @@ class LMethod:
     params: list
     body: LStm  # None for signatures
     is_constructor: bool = False
+    slots: tuple = field(default=None, compare=False, repr=False)  # those it fills
 
 
 @record

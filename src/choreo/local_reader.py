@@ -86,12 +86,13 @@ def convert(value):
 
 
 def convert_node(node):
-    """The local form of one surface node, its ``cont`` left None."""
+    """The local form of one surface node, its ``cont`` left None, and a
+    field the surface node has not (a slot) None."""
     scope = getattr(node, "scope", None)
     if type(scope) is S.Name and scope.ident == "Unit" and node.name == "id":
         return LUnit() if type(node) is S.FieldAcc else LUnitCall(convert(node.args))
     local = LOCAL[type(node)]
     if local is tuple:
         return tuple(map(convert, node))
-    return local(*[None if name == "cont" else convert(getattr(node, name))
+    return local(*[None if name == "cont" else convert(getattr(node, name, None))
                    for name in fields(local)])

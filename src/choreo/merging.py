@@ -12,7 +12,8 @@ a function compiled from its field annotations (``record.fields``) that
 rebuilds a node with a function applied to each of its parts: the
 expressions and statements in fields annotated ``LExp`` or ``LStm``, alone
 or in lists and tuples. Every other value (a name, an operator, a type
-expression, a literal's value) is an atom. The normaliser rebuilds a node
+expression, a literal's value) is an atom, and a field left out of
+comparison (a slot) is carried over as it is. The normaliser rebuilds a node
 from its normalised parts; its only own rules collapse ``Unit.id(...)`` and
 drop a no-op expression statement. Two nodes merge when they are of one
 class with equal atoms and list lengths, into the node of their pairwise
@@ -59,9 +60,10 @@ def _code(text, value):
 def _compile(cls):
     """``rewrite(node, f, make=cls)``: ``make`` applied to the fields of a
     node of ``cls``, with ``f`` applied to each part in them and ``cont``
-    None; None for a class whose nodes have neither parts nor ``cont``."""
-    args = ["None" if name == "cont" else _code(f.type, f"node.{name}")
-            for name, f in fields(cls).items()]
+    None, and those left out of comparison passed by keyword; None for a
+    class whose nodes have neither parts nor ``cont``."""
+    args = ["None" if name == "cont" else _code(f.type, f"node.{name}") if f.compare
+            else f"{name}=node.{name}" for name, f in fields(cls).items()]
     if args == [f"node.{name}" for name in fields(cls)]:
         return None
     ns = {"cls": cls}
@@ -121,9 +123,9 @@ def normalize_exp(exp):
 
 # ---------------------------------------------------------------- merging
 
-def _shape(*values):
-    """A node's fields as a tuple; made by ``rewrite`` with ``list.append``
-    as ``f``, its shape: a None for each part."""
+def _shape(*values, **carried):
+    """A node's compared fields as a tuple; made by ``rewrite`` with
+    ``list.append`` as ``f``, its shape: a None for each part."""
     return values
 
 

@@ -193,8 +193,9 @@ class Projector:
         ret = None if node.is_constructor else self.project_te(node.return_te, role)
         name = gen_class_name if node.is_constructor else node.name
         body = self.project_stm(node.body, role)
+        slots = [s for s, m in self.checked.tables.get(mi.owner.name, {}).items() if m is node]
         return LMethod(annotations, list(node.modifiers), self.project_ftps(mi.ftps),
-                       ret, name, params, body, node.is_constructor)
+                       ret, name, params, body, node.is_constructor, tuple(slots) or (mi.slot,))
 
     # ---------------------------------------------------------- statements
 
@@ -472,24 +473,23 @@ def _field_acc(p, exp, role):
 def _call(p, exp, role):
     ty_args = [erase_ctor(p.checked, p.checked.te_type(te)) for te in exp.type_args]
     args = [p.project_exp(a, role) for a in exp.args]
+    kind, mi = p.checked.resolved[id(exp)]
     scope = exp.scope
     if scope is None or type(scope) is S.Name and scope.ident == "this":
         # Calls on the enclosing declaration: instance methods exist in
         # every role's unit, but a static member belongs only to the roles
         # its signature mentions, or to all of its declaration's roles when
         # the signature mentions none.
-        res = p.checked.resolved.get(id(exp))
-        mi = res[1] if res and res[0] == "call" else None
-        if mi is not None and mi.is_static:
+        if kind == "call" and mi.is_static:
             if role not in (p.signature_roles(mi) or mi.owner.role_names):
                 return p.unit_residue(args)
-        return LCall(None if scope is None else LName("this"), ty_args, exp.name, args)
+        return LCall(None if scope is None else LName("this"), ty_args, exp.name, args, mi.slot)
     if type(scope) is S.StaticRef:
         if role in scope.roles:
-            return LCall(p.project_exp(scope, role), ty_args, exp.name, args)
+            return LCall(p.project_exp(scope, role), ty_args, exp.name, args, mi.slot)
         return p.unit_residue(args)
     if role in p.checked.type_roles(scope):
-        return LCall(p.project_exp(scope, role), ty_args, exp.name, args)
+        return LCall(p.project_exp(scope, role), ty_args, exp.name, args, mi.slot)
     # The receiver may carry effects for this role (e.g. a com whose result
     # a foreign role consumes); keep its residue with the args.
     return p.unit_residue([p.project_exp(scope, role)] + args)
@@ -500,7 +500,8 @@ def _new(p, exp, role):
     if role not in exp.roles:
         return p.unit_residue(args)
     ty_args = [erase_ctor(p.checked, p.checked.te_type(te)) for te in exp.type_args]
-    return LNew(p.static_name(exp.class_name, exp.roles, role), ty_args, args)
+    return LNew(p.static_name(exp.class_name, exp.roles, role), ty_args, args,
+                p.checked.resolved[id(exp)][1].slot)
 
 
 def _binary(p, exp, role):

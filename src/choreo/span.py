@@ -56,8 +56,5 @@ class Span:
     def col(self):
         return self.source.line_col(self.start)[1]
 
-    def to(self, other: "Span") -> "Span":
-        return Span(self.source, self.start, other.end)
-
     def __repr__(self):
         return f"{self.source.name}:{self.line}:{self.col}"

@@ -267,12 +267,6 @@ class ClassDecl(Decl):
 class SurfaceProgram:
     decls: list
 
-    def decl(self, name):
-        for d in self.decls:
-            if d.name == name:
-                return d
-        return None
-
 
 # --------------------------------------------------------------- helpers
 

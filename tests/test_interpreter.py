@@ -1230,8 +1230,6 @@ class C@A {
 """
 
 
-@pytest.mark.xfail(strict=True, reason="a call on an object dispatches by name and arity, "
-                                       "so both evaluators run the first f")
 def test_same_arity_overloads_on_an_object_dispatch_by_parameter_types():
     calls = 'new C@A().f("s"@A); new C@A().f(1@A);'
     checked = compile_ok(SAME_ARITY % ("public", "public", calls))
@@ -1240,10 +1238,77 @@ def test_same_arity_overloads_on_an_object_dispatch_by_parameter_types():
         assert (report.status, report.transcripts) == ("ok", {"A": ["string", "int"]})
 
 
-@pytest.mark.xfail(strict=True, reason="a worker's unqualified call finds its method by name "
-                                       "and arity, so the workers run the first f")
 def test_same_arity_static_overloads_dispatch_by_parameter_types():
     checked = compile_ok(SAME_ARITY % ("static", "static", 'f("s"@A); f(1@A);'))
     cmp = differential_run(checked, "C", "go")
     for report in (cmp.global_report, cmp.distributed_report):
         assert (report.status, report.transcripts) == ("ok", {"A": ["string", "int"]})
+
+
+def test_same_arity_constructors_run_the_one_the_checker_resolved():
+    checked = compile_ok("""
+    class C@A {
+        public C(Integer@A x) { System@A.out.println("int"@A); }
+        public C(String@A x) { System@A.out.println("string"@A); }
+        public static void go() { new C@A("s"@A); new C@A(1@A); }
+    }
+    """)
+    cmp = differential_run(checked, "C", "go")
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.transcripts == {"A": ["string", "int"]}
+
+
+def test_an_inherited_overload_beside_an_override_runs_as_in_java():
+    # C overrides only f(String); f(1) runs B's f(Integer), as Java's
+    # method table does, not the first f of C's.
+    checked = compile_ok("""
+    class B@A {
+        public void f(Integer@A x) { System@A.out.println("b-int"@A); }
+        public void f(String@A x) { System@A.out.println("b-string"@A); }
+    }
+    class C@A extends B@A {
+        public void f(String@A x) { System@A.out.println("c-string"@A); }
+        public static void go() { new C@A().f("s"@A); new C@A().f(1@A); }
+    }
+    """)
+    cmp = differential_run(checked, "C", "go")
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.transcripts == {"A": ["c-string", "b-int"]}
+
+
+def test_a_read_back_call_of_an_overloaded_name_and_arity_is_reported():
+    # A unit read back from text carries no slots, so a call finds its
+    # method by name and arity; two of them are reported, not the first run.
+    overloads = ("void f(Integer x) { System.out.println(1); } "
+                 "void f(String x) { System.out.println(2); }")
+    for call in ("f(1);", "new U().f(1);"):
+        report = run_local(f"public class U {{ {overloads} public void go() {{ {call} }} }}")
+        assert (report.status, report.error, report.transcripts) == (
+            "error", "A: ChoreoRuntimeError: 'U' has 2 methods 'f/1'", {}), call
+
+
+@pytest.mark.parametrize("text, printed", [
+    # B's g calls B's static h, which C's h hides rather than overrides.
+    ("""class B@A {
+            static void h() { System@A.out.println("b"@A); }
+            public void g() { h(); }
+        }
+        class C@A extends B@A {
+            static void h() { System@A.out.println("c"@A); }
+            public static void go() { new C@A().g(); }
+        }""", ["b"]),
+    # B's constructor calls init on the C that it makes, so C's init runs.
+    ("""class B@A {
+            public B() { init(); }
+            public void init() { System@A.out.println("b"@A); }
+        }
+        class C@A extends B@A {
+            public C() { super(); }
+            public void init() { System@A.out.println("c"@A); }
+            public static void go() { new C@A(); }
+        }""", ["c"]),
+], ids=["static-hidden", "virtual-in-super-constructor"])
+def test_an_unqualified_call_in_an_inherited_body_runs_as_in_java(text, printed):
+    cmp = differential_run(compile_ok(text), "C", "go")
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.transcripts == {"A": printed}

@@ -39,7 +39,7 @@ def test_importing_the_package_loads_neither_dataclasses_nor_typing():
 RECORDS = {
     "builtins.PrintStreamV": ("console role", "eq"),
     "checker.FTPInfo": ("name var role_binders bound_tes node=None bound_ctors=<factory>", "eq"),
-    "checker.MethodInfo": ("node owner ftps=<factory> scope=None params=None returns=Ellipsis", "eq"),
+    "checker.MethodInfo": ("node owner ftps=<factory> scope=None params=None returns=Ellipsis slot=<factory>", "eq"),
     "checker.DeclInfo": ("node sym role_vars ftps=<factory> methods=<factory> constructors=<factory> is_prelude=False scope=None supers=None", "eq"),
     "checker.Scope": ("roles types", "eq"),
     "checker._BodyCtx": ("info mi scope constructor", "eq"),
@@ -59,8 +59,8 @@ RECORDS = {
     "local.LName": ("ident", "eq"),
     "local.LStaticName": ("name", "eq"),
     "local.LFieldAcc": ("scope name", "eq"),
-    "local.LCall": ("scope type_args name args", "eq"),
-    "local.LNew": ("class_name type_args args", "eq"),
+    "local.LCall": ("scope type_args name args slot=None", "eq"),
+    "local.LNew": ("class_name type_args args slot=None", "eq"),
     "local.LBinary": ("left op right", "eq"),
     "local.LNil": ("", "eq"),
     "local.LReturn": ("value", "eq"),
@@ -75,7 +75,7 @@ RECORDS = {
     "local.LAnnotation": ("name args", "eq"),
     "local.LFTP": ("name bounds", "eq"),
     "local.LParam": ("te name", "eq"),
-    "local.LMethod": ("annotations modifiers ftps return_te name params body is_constructor=False", "eq"),
+    "local.LMethod": ("annotations modifiers ftps return_te name params body is_constructor=False slots=None", "eq"),
     "local.LField": ("annotations modifiers te name", "eq"),
     "local.LEnum": ("annotations modifiers name cases", "eq"),
     "local.LInterface": ("annotations modifiers name ftps extends methods", "eq"),
