@@ -672,14 +672,19 @@ class Checker:
         index, id(MethodInfo)]`` indexes ``groups``, each a list of
         ``(MethodInfo, subst)`` whose first overrides the rest (JLS 8.4.8).
         The walk also builds the class's method table, ``tables[info.name]``:
-        each member's slot -> the node of its group's first member with a
-        body, which a call resolved to any of them runs (JLS 15.12.4.4), but
-        a static member's -> its own, as it is hidden, not overridden."""
+        each member's slot -> ``(MethodInfo, subst)`` of its group's first
+        member with a body, which a call resolved to any of them runs (JLS
+        15.12.4.4), but a static member's -> its own, as it is hidden, not
+        overridden; and the slot of each constructor in the closure -> its
+        own, which ``new`` and ``super(...)`` run."""
         found = self._overrides.get(info.name)
         if found is not None:
             return found
         groups, group_of, named = [], {}, {}  # named: (name, arity) -> group indices
+        table = self.tables[info.name] = {}
         for i, (sup, subst) in enumerate(self.supertype_closure(info)):
+            for c in sup.constructors:
+                table[c.slot] = (c, subst)
             for mi in sup.methods:
                 same = named.setdefault((mi.node.name, len(mi.node.params)), [])
                 for g in same:
@@ -691,11 +696,11 @@ class Checker:
                     groups.append([])
                 groups[g].append((mi, subst))
                 group_of[i, id(mi)] = g
-        table = self.tables[info.name] = {}
         for group in groups:
-            for mi, _ in group:
-                if mi.node.body is not None:
-                    table.update((m.slot, m.node if m.is_static else mi.node) for m, _ in group)
+            for found in group:
+                if found[0].node.body is not None:
+                    for member in group:
+                        table[member[0].slot] = member if member[0].is_static else found
                     break
         found = self._overrides[info.name] = group_of, groups
         return found

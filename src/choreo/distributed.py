@@ -3,15 +3,16 @@ roles of a run take turns on one thread (``run_workers``), each until it
 waits on a channel or ends. ``eval_distributed`` starts every run, the test
 kit's cases too, with one ``ExecutionContext`` that holds the run's state.
 A worker runs on the evaluator core it shares with the oracle
-(``interpreter.Evaluator``), and supplies what only workers have: method
-tables built from the slots the projector copies onto each method, the unit
-forms and ``com``/``select`` bound by direction when compiled (a send of
-unit receives), whose wait on a channel is a generator on the role's stack,
-as a method call is; an endpoint has no other method. The first role to
-fail cancels the others, a proven deadlock stops every role at once, and the
-deadline, checked at every call, stops programs that diverge. Try/catch
-executes its body (there is no user-level throw; a generated default throw
-of a selection switch fails its role).
+(``interpreter.Evaluator``), and supplies what only workers have: the
+method tables that the projector copies onto each class, with each slot
+taken to its method up ``extends``, the unit forms and ``com``/``select``
+bound by direction when compiled (a send of unit receives), whose wait on
+a channel is a generator on the role's stack, as a method call is; an
+endpoint has no other method. The first role to fail cancels the others, a
+proven deadlock stops every role at once, and the deadline, checked at every
+call, stops programs that diverge. Try/catch executes its body (there is no
+user-level throw; a generated default throw of a selection switch fails its
+role).
 """
 
 from __future__ import annotations
@@ -34,25 +35,27 @@ from .runtime import (
 
 class ProgramFacts(Facts):
     """The ``Facts`` that every role's interpreter of one ``LocalProgram``
-    shares, and its declarations by unit name. A class's table holds its
-    constructors, then each method with a body up ``extends``, the nearest
-    under each of its ``slots``; one read back from text has none and is
-    held under its ``id``, for ``Facts.method`` to find by name."""
+    shares, and its declarations by unit name. A class's table is its
+    projected one (``LClass.table``) with each own slot in it taken to the
+    method of that slot up ``extends``; a unit read back from text has
+    none."""
 
     def __init__(self, units):
         self.decls = {u.generated_name: u.decl for u in units}
         tables = {}
         for name, decl in self.decls.items():
-            if isinstance(decl, LClass):
-                table = tables[name] = {}
-                methods = list(decl.constructors)
-                while isinstance(decl, LClass):
-                    methods += [m for m in decl.methods if m.body is not None]
-                    decl = self.decls.get(decl.extends.name) if decl.extends is not None else None
-                for m in methods:
-                    for slot in m.slots or (id(m),):
-                        table.setdefault(slot, m)
+            if isinstance(decl, LClass) and decl.table is not None:
+                own = {m.slot: m for methods in self.declared(name) for m in methods}
+                tables[name] = {slot: own[s] for slot, s in decl.table.items() if s in own}
         super().__init__(tables)
+
+    def declared(self, class_name):
+        """The constructors and methods of the class ``class_name``, then of
+        each class up ``extends``, one list per class."""
+        decl = self.decls.get(class_name)
+        while isinstance(decl, LClass):
+            yield decl.constructors + decl.methods
+            decl = self.decls.get(decl.extends.name) if decl.extends is not None else None
 
 
 def _channel(name):
@@ -114,7 +117,7 @@ class LocalInterpreter(Evaluator):
         is ``this``. A class that declares none takes no arguments."""
         decl = self.facts.decls.get(class_name)
         if isinstance(decl, LClass) and decl.constructors:
-            ctor = self.facts.method(class_name, class_name, len(args), slot)
+            ctor = self.method(class_name, class_name, len(args), slot)
             return self.run(this, class_name, ctor, args)
         if args or not isinstance(decl, LClass):
             raise ChoreoRuntimeError(f"no constructor '{class_name}/{len(args)}'")
@@ -124,6 +127,9 @@ class LocalInterpreter(Evaluator):
     def slot(exp):
         return exp.slot
 
+    def declared(self, class_name):
+        return ([(m, m) for m in methods] for methods in self.facts.declared(class_name))
+
     @staticmethod
     def dispatcher(name, arity, slot):
         cache = {}  # class name -> its method of the slot
@@ -131,7 +137,7 @@ class LocalInterpreter(Evaluator):
         def dispatch(ev, obj, args, name=name, arity=arity, slot=slot, cache=cache):
             m = cache.get(obj.class_name)
             if m is None:
-                m = cache[obj.class_name] = ev.facts.method(obj.class_name, name, arity, slot)
+                m = cache[obj.class_name] = ev.method(obj.class_name, name, arity, slot)
             return ev.run(obj, obj.class_name, m, args)
         return dispatch
 
@@ -150,7 +156,7 @@ class LocalInterpreter(Evaluator):
                          else _site_call(name, len(exp.args), slot))
         if scope.name in decls:
             try:
-                m = self.facts.method(scope.name, name, len(exp.args), slot)
+                m = self.method(scope.name, name, len(exp.args), slot)
             except ChoreoRuntimeError as e:
                 return 0, raising(str(e))
             return OWN, lambda ev, fr, args, site=scope.name, m=m: ev.run(None, site, m, args)
@@ -188,7 +194,7 @@ def _site_call(name, arity, slot):
         site = fr.site if this is None else this.class_name
         found = cache.get(site)
         if found is None:
-            m = ev.facts.method(site, name, arity, slot)
+            m = ev.method(site, name, arity, slot)
             found = cache[site] = (m, "static" in m.modifiers)
         m, static = found
         if static:
@@ -216,11 +222,9 @@ class WorkerOutcome:
 
 
 def _entry(interp, unit_name, method, ctor_args, method_args):
-    """A role's entry call of ``method``, on a new instance unless static,
-    as a generator. A method given by its name is found as a read-back
-    call's (``Facts.method``); the instance, by the first constructor."""
-    if type(method) is str:
-        method = interp.facts.method(unit_name, method, len(method_args), None)
+    """A role's entry call of the method node ``method``, on an instance
+    that the first constructor makes unless it is static, as a
+    generator."""
     this = None
     if "static" not in method.modifiers:
         this, ctors = ProgramObject(unit_name), interp.facts.decls[unit_name].constructors
@@ -254,7 +258,7 @@ def run_workers(local_program, context, console, entries):
     """Runs each role's entry call in ``context``; all roles take turns on
     this thread.
 
-    ``entries`` maps each role to (unit name, entry method or its name,
+    ``entries`` maps each role to (unit name, entry method node,
     constructor arguments, method arguments). Returns the outcomes by role,
     the root cause of a failure first.
     """

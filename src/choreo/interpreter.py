@@ -17,7 +17,8 @@ runs the method the checker resolved it to (JLS 15.12.4): it looks the
 slot of that method up in the method table of its receiver's class
 (``Facts``) once per class and keeps what it finds, as an inline cache does
 (Deutsch and Schiffman, keyed by class as in Hölzle, Chambers and Ungar's
-polymorphic one), shared by the program's calls of one slot. A method
+polymorphic one), shared by the program's calls of one slot; a call with no
+slot finds its method by name and arity (``Evaluator.method``). A method
 call is one generator, run by ``runtime.drive``, so recursion takes
 no Python stack and is bounded only by ``runtime.MAX_CALL_DEPTH``; an
 expression that calls no method of the program evaluates with no
@@ -87,11 +88,12 @@ class Frame:
 
 class Facts:
     """What every evaluator of one program shares, kept as its ``facts``:
-    ``tables``, each class's method table by class name (slot -> the node
-    of the method with a body that a call of that slot runs), and ``slots``,
-    those they hold (a call of any other runs no method of the program);
-    and the compiled bodies, names and receiver tables of its calls. It
-    holds no reference to the program, so the two make no cycle."""
+    ``tables``, each class's method table by class name (slot -> what a
+    call of that slot runs on an object of the class: a method node in a
+    worker, the checker's ``(MethodInfo, subst)`` in the oracle), and
+    ``slots``, those they hold (a call of any other runs no method of
+    the program); and the compiled bodies, names and receiver tables of its
+    calls. It holds no reference to the program, so the two make no cycle."""
 
     def __init__(self, tables):
         self.tables = tables
@@ -99,23 +101,6 @@ class Facts:
         self.bodies = {}  # id(method) -> (its frame's store builder, its first Step)
         self.names = {}  # identifier -> its compiled name
         self.receivers = {}  # slot -> its receiver table (``Evaluator.receivers``)
-
-    def method(self, class_name, name, arity, slot):
-        """The method that the call of ``slot``, of ``name/arity``, runs on an
-        object of ``class_name``. A call with no slot, read back from text or
-        a builtin's callback, runs the one method of its name and arity."""
-        table = self.tables.get(class_name, NO_METHODS)
-        if slot is None:
-            named = {id(m): m for m in table.values() if m.name == name and len(m.params) == arity}
-            if len(named) > 1:
-                raise ChoreoRuntimeError(
-                    f"'{class_name}' has {len(named)} methods '{name}/{arity}'")
-            method = next(iter(named.values()), None)
-        else:
-            method = table.get(slot)
-        if method is None:
-            raise ChoreoRuntimeError(f"'{class_name}' has no method '{name}/{arity}'")
-        return method
 
 
 @record
@@ -161,8 +146,11 @@ class Evaluator(Builtins):
       ``scope``, as ``f(evaluator, frame)``;
     - ``dispatcher(name, arity, slot)``: the call of ``slot``, a method
       ``name/arity``, on an object of the program, as ``f(evaluator, obj,
-      args)``, which finds its method (``Facts.method``) once per class of
-      ``obj`` and keeps it.
+      args)``, which finds its method (``method``) once per class of
+      ``obj`` and keeps it;
+    - ``declared(class_name)``: the methods that the class declares, then
+      those of each type it inherits from, one list per type, each as
+      ``(node, what a call of it runs)``.
 
     What ``bind`` and ``bind_static`` return for an unknown class, method or
     field raises when it runs (see ``raising``). It holds no evaluator, nor
@@ -184,6 +172,28 @@ class Evaluator(Builtins):
         if fn is None:
             raise ChoreoRuntimeError(f"no method '{name}' on {receiver!r}")
         return fn(self, receiver, args)
+
+    def method(self, class_name, name, arity, slot):
+        """The method that a call of ``slot``, a method ``name/arity``, runs
+        on an object of ``class_name``: the slot's entry in the class's
+        table. A call with no slot, read back from text or a builtin's
+        callback, runs the method of its name and arity that the nearest
+        class to declare one with a body declares, and is reported when that
+        class declares several."""
+        if slot is not None:
+            method = self.facts.tables.get(class_name, NO_METHODS).get(slot)
+            if method is not None:
+                return method
+        else:
+            for methods in self.declared(class_name):
+                named = [found for m, found in methods
+                         if m.name == name and len(m.params) == arity and m.body is not None]
+                if len(named) == 1:
+                    return named[0]
+                if named:
+                    raise ChoreoRuntimeError(
+                        f"'{class_name}' has {len(named)} methods '{name}/{arity}'")
+        raise ChoreoRuntimeError(f"'{class_name}' has no method '{name}/{arity}'")
 
     def receivers(self, name, arity, slot):
         """The receiver table of the calls of ``slot`` (of ``name/arity``
@@ -756,22 +766,24 @@ class GlobalInterpreter(Evaluator):
 
     @staticmethod
     def dispatcher(name, arity, slot):
-        # class name -> the node of its method of the slot, and the entry of
-        # the class's supertype closure that declares it (None if it binds
-        # its roles as the object's class does)
+        # class name -> the node of its method of the slot, and the declaring
+        # class with its closure subst (None if it binds its roles as the
+        # object's class does)
         cache = {}
 
         def dispatch(ev, obj, args, name=name, arity=arity, slot=slot, cache=cache):
             found = cache.get(obj.class_name)
             if found is None:
-                node = ev.facts.method(obj.class_name, name, arity, slot)
-                sup, submap = next(e for e in ev.checked.supertype_closure(obj.info)
-                                   if any(mi.node is node for mi in e[0].methods))
-                found = cache[obj.class_name] = (node, sup if submap else None, submap)
+                mi, subst = ev.method(obj.class_name, name, arity, slot)
+                found = cache[obj.class_name] = (mi.node, mi.owner if subst else None, subst)
             node, sup, submap = found
             return ev.run(obj, obj.binding if sup is None else
                           ev.super_binding(sup, submap, obj.binding), node, args)
         return dispatch
+
+    def declared(self, class_name):
+        return ([(mi.node, (mi, subst)) for mi in sup.methods]
+                for sup, subst in self.checked.supertype_closure(self.table[class_name]))
 
     @staticmethod
     def super_binding(sup, submap, binding):
@@ -819,12 +831,11 @@ class GlobalInterpreter(Evaluator):
 
     def _super_ctor_binding(self, frame, mi):
         """The role binding of the superclass constructor ``mi`` on
-        ``frame.this``: that of the ``supertype_closure`` entry of the
-        class that declares it, as an inherited method's."""
+        ``frame.this``, as an inherited method's, by the subst that the
+        table of its class holds for it."""
         obj = frame.this
-        sup, submap = next(e for e in self.checked.supertype_closure(obj.info)
-                           if e[0].name == mi.owner.name)
-        return self.super_binding(sup, submap, obj.binding)
+        return self.super_binding(mi.owner, self.facts.tables[obj.class_name][mi.slot][1],
+                                  obj.binding)
 
     def bind_static(self, scope, name):
         info = self.table.get(scope.name)

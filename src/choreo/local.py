@@ -4,8 +4,9 @@ Mirrors the surface grammar without role annotations, plus the unit
 singleton forms (``Unit.id`` and ``Unit.id(...)``) and the throw statement
 generated as the default of selection switches. Nodes compare structurally,
 which is what merging relies on. A call, ``new`` and method also carry the
-method-table slots of the checker (``checker.Checker.overrides``), which
-equality, ``repr`` and the printer leave out; text read back has none. The
+slot of their method, and a class its method table, as the checker made
+them (``checker.Checker.overrides``); equality, ``repr`` and the printer
+leave them out, and text read back has none. The
 annotations of expression and statement fields say which hold parts
 (``LExp``, ``LStm``), alone or in lists and tuples: the rewrites of
 ``merging`` are compiled from them.
@@ -189,7 +190,7 @@ class LMethod:
     params: list
     body: LStm  # None for signatures
     is_constructor: bool = False
-    slots: tuple = field(default=None, compare=False, repr=False)  # those it fills
+    slot: int = field(default=None, compare=False, repr=False)  # its own
 
 
 @record
@@ -229,6 +230,8 @@ class LClass:
     fields: list
     constructors: list
     methods: list
+    # The checker's method table: slot -> the own slot of the method it runs.
+    table: dict = field(default=None, compare=False, repr=False)
 
 
 @record

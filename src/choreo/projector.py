@@ -154,6 +154,7 @@ class Projector:
                 [self.project_method(c, role, gen) for c in info.constructors
                  if c.node.body is not None or c.node.params],
                 [self.project_method(m, role, gen) for m in info.methods],
+                {slot: mi.slot for slot, (mi, _) in self.checked.tables.get(info.name, {}).items()},
             )
         return LocalUnit(gen, info.name, role, decl)
 
@@ -193,9 +194,8 @@ class Projector:
         ret = None if node.is_constructor else self.project_te(node.return_te, role)
         name = gen_class_name if node.is_constructor else node.name
         body = self.project_stm(node.body, role)
-        slots = [s for s, m in self.checked.tables.get(mi.owner.name, {}).items() if m is node]
         return LMethod(annotations, list(node.modifiers), self.project_ftps(mi.ftps),
-                       ret, name, params, body, node.is_constructor, tuple(slots) or (mi.slot,))
+                       ret, name, params, body, node.is_constructor, mi.slot)
 
     # ---------------------------------------------------------- statements
 

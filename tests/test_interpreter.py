@@ -1312,3 +1312,28 @@ def test_an_unqualified_call_in_an_inherited_body_runs_as_in_java(text, printed)
     cmp = differential_run(compile_ok(text), "C", "go")
     assert cmp.equal, cmp.summary()
     assert cmp.global_report.transcripts == {"A": printed}
+
+
+def test_a_read_back_override_runs_the_nearest_method():
+    # Read back, U and B each hold one f/0; U's overrides B's, as up
+    # ``extends`` the nearest class that declares the name and arity wins.
+    base = 'public class B { public void f() { System.out.println("b"); } }'
+    for call in ("f();", "new U().f();"):
+        report = run_local(
+            'public class U extends B { public void f() { System.out.println("u"); } '
+            f"public void go() {{ {call} }} }}", base)
+        assert (report.status, report.transcripts) == ("ok", {"A": ["u"]}), call
+
+
+def test_an_interface_method_that_a_superclass_implements_runs_in_both_evaluators():
+    # C's table maps I's g to B's g, a method that no table of B names.
+    checked = compile_ok("""
+    interface I@A { void g(); }
+    class B@A { public void g() { System@A.out.println("b"@A); } }
+    class C@A extends B@A implements I@A {
+        public static void go() { I@A i = new C@A(); i.g(); }
+    }
+    """)
+    cmp = differential_run(checked, "C", "go")
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.transcripts == {"A": ["b"]}

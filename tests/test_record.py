@@ -75,11 +75,11 @@ RECORDS = {
     "local.LAnnotation": ("name args", "eq"),
     "local.LFTP": ("name bounds", "eq"),
     "local.LParam": ("te name", "eq"),
-    "local.LMethod": ("annotations modifiers ftps return_te name params body is_constructor=False slots=None", "eq"),
+    "local.LMethod": ("annotations modifiers ftps return_te name params body is_constructor=False slot=None", "eq"),
     "local.LField": ("annotations modifiers te name", "eq"),
     "local.LEnum": ("annotations modifiers name cases", "eq"),
     "local.LInterface": ("annotations modifiers name ftps extends methods", "eq"),
-    "local.LClass": ("annotations modifiers name ftps extends implements fields constructors methods", "eq"),
+    "local.LClass": ("annotations modifiers name ftps extends implements fields constructors methods table=None", "eq"),
     "local.LocalUnit": ("generated_name source_name role decl", "eq"),
     "local.LocalProgram": ("units facts=None", "eq"),
     "metrics.MetricsRow": ("program choral_loc roles conditionals local_loc expansion_pct typecheck_ms projection_ms", "eq"),

@@ -24,9 +24,13 @@ def make_pair(deadline=5.0):
 
 def run_units(context, entries, *texts):
     """Runs hand-written local units through ``run_workers``; ``entries``
-    maps each role to (unit, entry method, constructor args, method args)."""
+    maps each role to (unit, entry method name, constructor args, method
+    args), and the entry is the unit's method of that name and arity."""
     console = Console()
     program = LocalProgram([parse_local_unit(t) for t in texts])
+    entries = {role: (unit, next(m for m in program.unit(unit).decl.methods
+                                 if m.name == name and len(m.params) == len(args)), ctor, args)
+               for role, (unit, name, ctor, args) in entries.items()}
     return run_workers(program, context, console, entries), console
 
 
