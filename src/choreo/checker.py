@@ -1160,7 +1160,6 @@ class Checker:
             if info is None:
                 return None
             if info.is_enum and exp.name in info.node.cases:
-                self.resolved[id(exp)] = ("enumcase", info)
                 return app(info.sym, *actuals)
             mapping = {v.uid: a for v, a in zip(info.role_vars, actuals)}
             for f in info.fields():

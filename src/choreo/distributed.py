@@ -5,14 +5,14 @@ kit's cases too, with one ``ExecutionContext`` that holds the run's state.
 A worker runs on the evaluator core it shares with the oracle
 (``interpreter.Evaluator``), and supplies what only workers have: the
 method tables that the projector copies onto each class, with each slot
-taken to its method up ``extends``, the unit forms and ``com``/``select``
-bound by direction when compiled (a send of unit receives), whose wait on
-a channel is a generator on the role's stack, as a method call is; an
-endpoint has no other method. The first role to fail cancels the others, a
-proven deadlock stops every role at once, and the deadline, checked at every
-call, stops programs that diverge. Try/catch executes its body (there is no
-user-level throw; a generated default throw of a selection switch fails its
-role).
+taken to its method up ``extends`` once per program, the unit forms and
+``com``/``select`` bound by direction when compiled (a send of unit
+receives), whose wait on a channel is a generator on the role's stack, as
+a method call is; an endpoint has no other method. The first role to fail
+cancels the others, a proven deadlock stops every role at once, and the
+deadline, checked at every call, stops programs that diverge. Try/catch
+executes its body (there is no user-level throw; a generated default throw
+of a selection switch fails its role).
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class ProgramFacts(Facts):
     """The ``Facts`` that every role's interpreter of one ``LocalProgram``
     shares, and its declarations by unit name. A class's table is its
     projected one (``LClass.table``) with each own slot in it taken to the
-    method of that slot up ``extends``; a unit read back from text has
-    none."""
+    method of that slot up ``extends``, with whether it is static; a unit
+    read back from text has none."""
 
     def __init__(self, units):
         self.decls = {u.generated_name: u.decl for u in units}
@@ -46,7 +46,8 @@ class ProgramFacts(Facts):
         for name, decl in self.decls.items():
             if isinstance(decl, LClass) and decl.table is not None:
                 own = {m.slot: m for methods in self.declared(name) for m in methods}
-                tables[name] = {slot: own[s] for slot, s in decl.table.items() if s in own}
+                tables[name] = {slot: (m, "static" in m.modifiers)
+                                for slot, s in decl.table.items() if (m := own.get(s)) is not None}
         super().__init__(tables)
 
     def declared(self, class_name):
@@ -117,7 +118,7 @@ class LocalInterpreter(Evaluator):
         is ``this``. A class that declares none takes no arguments."""
         decl = self.facts.decls.get(class_name)
         if isinstance(decl, LClass) and decl.constructors:
-            ctor = self.method(class_name, class_name, len(args), slot)
+            ctor = self.method(class_name, class_name, len(args), slot)[0]
             return self.run(this, class_name, ctor, args)
         if args or not isinstance(decl, LClass):
             raise ChoreoRuntimeError(f"no constructor '{class_name}/{len(args)}'")
@@ -128,16 +129,16 @@ class LocalInterpreter(Evaluator):
         return exp.slot
 
     def declared(self, class_name):
-        return ([(m, m) for m in methods] for methods in self.facts.declared(class_name))
+        return ([(m, (m, "static" in m.modifiers)) for m in methods]
+                for methods in self.facts.declared(class_name))
 
     @staticmethod
     def dispatcher(name, arity, slot):
-        cache = {}  # class name -> its method of the slot
-
-        def dispatch(ev, obj, args, name=name, arity=arity, slot=slot, cache=cache):
-            m = cache.get(obj.class_name)
-            if m is None:
-                m = cache[obj.class_name] = ev.method(obj.class_name, name, arity, slot)
+        def dispatch(ev, obj, args, name=name, arity=arity, slot=slot):
+            try:
+                m = ev.facts.tables[obj.class_name][slot][0]
+            except KeyError:
+                m = ev.method(obj.class_name, name, arity, slot)[0]
             return ev.run(obj, obj.class_name, m, args)
         return dispatch
 
@@ -156,7 +157,7 @@ class LocalInterpreter(Evaluator):
                          else _site_call(name, len(exp.args), slot))
         if scope.name in decls:
             try:
-                m = self.method(scope.name, name, len(exp.args), slot)
+                m = self.method(scope.name, name, len(exp.args), slot)[0]
             except ChoreoRuntimeError as e:
                 return 0, raising(str(e))
             return OWN, lambda ev, fr, args, site=scope.name, m=m: ev.run(None, site, m, args)
@@ -186,17 +187,14 @@ def _super_call(slot):
 def _site_call(name, arity, slot):
     """The unqualified call of ``slot``, a method ``name/arity``, looked up
     in the table of the class of ``this``, or, in a static method, of the
-    frame's site; the method, and whether it is static, is kept per class."""
-    cache = {}  # class name -> (method, static)
-
-    def call(ev, fr, args, name=name, arity=arity, slot=slot, cache=cache):
+    frame's site."""
+    def call(ev, fr, args, name=name, arity=arity, slot=slot):
         this = fr.this
         site = fr.site if this is None else this.class_name
-        found = cache.get(site)
-        if found is None:
-            m = ev.method(site, name, arity, slot)
-            found = cache[site] = (m, "static" in m.modifiers)
-        m, static = found
+        try:
+            m, static = ev.facts.tables[site][slot]
+        except KeyError:
+            m, static = ev.method(site, name, arity, slot)
         if static:
             return ev.run(None, site, m, args)
         if this is None:
@@ -293,13 +291,6 @@ def _failure_summary(context, outcomes):
     return "; ".join(parts)
 
 
-def _not_started(message):
-    """The report of a distributed run whose workers never started."""
-    report = error_report(message)
-    report.outcomes = {}
-    return report
-
-
 def eval_distributed(local_program, entry_class, roles, entry_method,
                      args_by_role=None, channels=None, deadline=10.0):
     """Runs one worker per role until all finish, one fails, they deadlock
@@ -323,8 +314,8 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
         method = min((m for m in methods if m.name == entry_method),
                      key=lambda m: len(m.params), default=None)
         if method is None:
-            return _not_started(f"missing projected unit '{unit_name}'" if unit is None
-                                else f"'{unit_name}' has no method '{entry_method}'")
+            return error_report(f"missing projected unit '{unit_name}'" if unit is None
+                                else f"'{unit_name}' has no method '{entry_method}'", {})
 
         def located(params, role=role):
             return [(p.name, set() if p.te.name == "Unit" else {role}) for p in params]
@@ -338,7 +329,7 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
             method_args = wire_arguments(located(method.params), channels, claim,
                                          {role: list(args_by_role.get(role, []))})
         except ChoreoRuntimeError as e:
-            return _not_started(f"{role}: {e}")
+            return error_report(f"{role}: {e}", {})
         entries[role] = (unit_name, method, ctor_args, method_args)
     outcomes = run_workers(local_program, context, console, entries)
 
@@ -348,6 +339,4 @@ def eval_distributed(local_program, entry_class, roles, entry_method,
         status, error = context.failure[1], _failure_summary(context, outcomes)
     returns = {role: observe_local(o.value) if o.status == "ok" else "unit"
                for role, o in outcomes.items()}
-    report = ExecutionReport(returns, console.transcripts(), duration, status, error)
-    report.outcomes = outcomes
-    return report
+    return ExecutionReport(returns, console.transcripts(), duration, status, error, outcomes)

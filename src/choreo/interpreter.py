@@ -13,16 +13,14 @@ class of both languages. The compiled bodies are kept in the program's
 facts, so every evaluator of a program shares one compile. Each evaluator
 binds every call, ``new`` and static field when its body compiles, behind
 its hooks, and a worker's ``com`` or ``select`` by its direction. A call
-runs the method the checker resolved it to (JLS 15.12.4): it looks the
-slot of that method up in the method table of its receiver's class
-(``Facts``) once per class and keeps what it finds, as an inline cache does
-(Deutsch and Schiffman, keyed by class as in Hölzle, Chambers and Ungar's
-polymorphic one), shared by the program's calls of one slot; a call with no
-slot finds its method by name and arity (``Evaluator.method``). A method
-call is one generator, run by ``runtime.drive``, so recursion takes
-no Python stack and is bounded only by ``runtime.MAX_CALL_DEPTH``; an
-expression that calls no method of the program evaluates with no
-generator.
+runs the method the checker resolved it to (JLS 15.12.4): at every call
+it looks the slot of that method up in the method table of its receiver's
+class (``Facts``), as the JVM's ``invokevirtual`` does, and keeps no method
+of its own; a call with no slot finds its method by name and arity
+(``Evaluator.method``). A method call is one generator, run by
+``runtime.drive``, so recursion takes no Python stack and is bounded only
+by ``runtime.MAX_CALL_DEPTH``; an expression that calls no method of the
+program evaluates with no generator.
 
 The global evaluator (``GlobalInterpreter``) runs checked choreographies
 directly. Values are not located; the per-role structure shows up in the
@@ -48,7 +46,7 @@ from .local import (
     LNil, LReturn, LStaticName, LSwitch, LThrow, LTryCatch, LUnit, LUnitCall, LVarDecl,
 )
 from .projector import generated_name
-from .record import record
+from .record import field, record
 from .runtime import (
     UNIT, ChoreoRuntimeError, DeadlockTimeout, EnumV, ListV, drive, observe_value,
     observed_object,
@@ -89,8 +87,9 @@ class Frame:
 class Facts:
     """What every evaluator of one program shares, kept as its ``facts``:
     ``tables``, each class's method table by class name (slot -> what a
-    call of that slot runs on an object of the class: a method node in a
-    worker, the checker's ``(MethodInfo, subst)`` in the oracle), and
+    call of that slot runs on an object of the class: ``(method node,
+    whether it is static)`` in a worker, the checker's ``(MethodInfo,
+    subst)`` in the oracle), the one place where a call finds its method, and
     ``slots``, those they hold (a call of any other runs no method of
     the program); and the compiled bodies, names and receiver tables of its
     calls. It holds no reference to the program, so the two make no cycle."""
@@ -110,11 +109,14 @@ class ExecutionReport:
     duration: float
     status: str  # "ok" | "deadlock-timeout" | "error"
     error: str = None
+    # A distributed run's ``WorkerOutcome``s by role, the root cause first.
+    outcomes: dict = field(default=None, compare=False, repr=False)
 
 
-def error_report(message):
-    """The report of a run that could not start."""
-    return ExecutionReport({}, {}, 0.0, "error", message)
+def error_report(message, outcomes=None):
+    """The report of a run that could not start (``outcomes`` {} for a
+    distributed one)."""
+    return ExecutionReport({}, {}, 0.0, "error", message, outcomes)
 
 
 class Evaluator(Builtins):
@@ -146,11 +148,11 @@ class Evaluator(Builtins):
       ``scope``, as ``f(evaluator, frame)``;
     - ``dispatcher(name, arity, slot)``: the call of ``slot``, a method
       ``name/arity``, on an object of the program, as ``f(evaluator, obj,
-      args)``, which finds its method (``method``) once per class of
-      ``obj`` and keeps it;
+      args)``, which reads the slot's entry in the table of ``obj``'s class
+      at every call, and takes ``method`` when the table has none;
     - ``declared(class_name)``: the methods that the class declares, then
       those of each type it inherits from, one list per type, each as
-      ``(node, what a call of it runs)``.
+      ``(node, what a call of it runs)``, in the form of a table's entry.
 
     What ``bind`` and ``bind_static`` return for an unknown class, method or
     field raises when it runs (see ``raising``). It holds no evaluator, nor
@@ -174,12 +176,13 @@ class Evaluator(Builtins):
         return fn(self, receiver, args)
 
     def method(self, class_name, name, arity, slot):
-        """The method that a call of ``slot``, a method ``name/arity``, runs
-        on an object of ``class_name``: the slot's entry in the class's
-        table. A call with no slot, read back from text or a builtin's
-        callback, runs the method of its name and arity that the nearest
-        class to declare one with a body declares, and is reported when that
-        class declares several."""
+        """What a call of ``slot``, a method ``name/arity``, runs on an
+        object of ``class_name``, as an entry of a method table (see
+        ``Facts``): the slot's entry in the class's table. A call with no
+        slot, read back from text or a builtin's callback, runs the method of
+        its name and arity that the nearest class to declare one with a body
+        declares, found again at every call, and is reported when that class
+        declares several."""
         if slot is not None:
             method = self.facts.tables.get(class_name, NO_METHODS).get(slot)
             if method is not None:
@@ -766,19 +769,13 @@ class GlobalInterpreter(Evaluator):
 
     @staticmethod
     def dispatcher(name, arity, slot):
-        # class name -> the node of its method of the slot, and the declaring
-        # class with its closure subst (None if it binds its roles as the
-        # object's class does)
-        cache = {}
-
-        def dispatch(ev, obj, args, name=name, arity=arity, slot=slot, cache=cache):
-            found = cache.get(obj.class_name)
-            if found is None:
+        def dispatch(ev, obj, args, name=name, arity=arity, slot=slot):
+            try:
+                mi, subst = ev.facts.tables[obj.class_name][slot]
+            except KeyError:
                 mi, subst = ev.method(obj.class_name, name, arity, slot)
-                found = cache[obj.class_name] = (mi.node, mi.owner if subst else None, subst)
-            node, sup, submap = found
-            return ev.run(obj, obj.binding if sup is None else
-                          ev.super_binding(sup, submap, obj.binding), node, args)
+            return ev.run(obj, ev.super_binding(mi.owner, subst, obj.binding) if subst
+                          else obj.binding, mi.node, args)
         return dispatch
 
     def declared(self, class_name):

@@ -1276,6 +1276,52 @@ def test_an_inherited_overload_beside_an_override_runs_as_in_java():
     assert cmp.global_report.transcripts == {"A": ["c-string", "b-int"]}
 
 
+def test_an_inherited_method_runs_at_the_roles_its_superclass_binds():
+    # Sub passes its roles to Base swapped, so Base's X is Sub's B.
+    checked = compile_ok("""
+    class Base@(X, Y) {
+        public void hello() { System@X.out.println("x"@X); }
+    }
+    class Sub@(A, B) extends Base@(B, A) {
+        public static void go() { new Sub@(A, B)().hello(); }
+    }
+    """)
+    cmp = differential_run(checked, "Sub", "go")
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.transcripts == {"B": ["x"]}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: both calls resolve to the one "
+                   "DiDataChannel.com, so they share its slot and run one override")
+def test_each_com_of_a_class_over_a_bidatachannel_runs_its_own_override():
+    # Both implements DiDataChannel@(A, B)<Integer> and DiDataChannel@(B,
+    # A)<String> with one com each; in Java each call runs its own once.
+    checked = compile_ok("""
+    class Both@(A, B) implements BiDataChannel@(A, B)<Integer, String> {
+        BiDataChannel@(A, B)<Integer, String> ch;
+        public Both(BiDataChannel@(A, B)<Integer, String> ch) { this.ch = ch; }
+        public <S@Y extends Integer@Y> S@B com(S@A m) {
+            System@B.out.println("ab"@B);
+            return ch.<S>com(m);
+        }
+        public <S@Y extends String@Y> S@A com(S@B m) {
+            System@A.out.println("ba"@A);
+            return ch.<S>com(m);
+        }
+    }
+    class Use@(A, B) {
+        public static void go(BiDataChannel@(A, B)<Integer, String> ch) {
+            BiDataChannel@(A, B)<Integer, String> w = new Both@(A, B)(ch);
+            System@B.out.println(w.<Integer>com(5@A));
+            System@A.out.println(w.<String>com("s"@B));
+        }
+    }
+    """)
+    cmp = differential_run(checked, "Use", "go", channels={"ch": "k"}, deadline=1)
+    assert cmp.equal, cmp.summary()
+    assert cmp.global_report.transcripts == {"A": ["ba", "s"], "B": ["ab", "5"]}
+
+
 def test_a_read_back_call_of_an_overloaded_name_and_arity_is_reported():
     # A unit read back from text carries no slots, so a call finds its
     # method by name and arity; two of them are reported, not the first run.

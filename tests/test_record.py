@@ -51,7 +51,7 @@ RECORDS = {
     "differential.RunSpec": ("entry_class entry_method args=<factory> channels=<factory> deadline=10.0 name=None", "eq"),
     "distributed.WorkerOutcome": ("role status value=None error=None", "eq"),
     "interpreter.Frame": ("this env site", "eq"),
-    "interpreter.ExecutionReport": ("returns transcripts duration status error=None", "eq"),
+    "interpreter.ExecutionReport": ("returns transcripts duration status error=None outcomes=None", "eq"),
     "local.LTE": ("name args=<factory>", "eq"),
     "local.LUnit": ("", "eq"),
     "local.LUnitCall": ("args", "eq"),

@@ -28,9 +28,11 @@ def test_ab_compares_this_checkout_with_itself_for_one_round(tmp_path):
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT), "--rounds", "1",
          "--workload", "compile"],
         capture_output=True, text=True, timeout=300, check=True).stdout
-    lines = out.splitlines()
+    *lines, count = out.splitlines()
     assert [line.split()[:2] for line in lines] == [
         ["compile", "compile"], ["compile", "check"], ["compile", "oracle"], ["compile", "run"]]
+    src = sum(len(f.read_text().splitlines()) for f in (ROOT / "src" / "choreo").glob("*.py"))
+    assert count == f"lines of src/choreo/*.py: parent {src}, change {src}"
     for line in lines:
         assert " ratio " in line and line.endswith(" inputs x 1 rounds"), line
         assert re.search(r"  p90\+ ratio \d+\.\d{3} \(\d+ inputs\)  ", line), line

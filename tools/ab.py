@@ -44,7 +44,8 @@ gain on the largest inputs shows that the median over all of them hides.
 As ``by round``, it prints the quartiles over rounds of each round's median
 over inputs of the change/parent ratio: how far one round's reading strays
 from the next, which the quartiles over inputs do not show when there are
-few inputs.
+few inputs. Its last line gives each side's line count of
+``src/choreo/*.py``, as ``wc -l`` counts it.
 
 With ``--startup``, each round instead starts one fresh process per side,
 in an order that alternates from round to round, which imports the copied
@@ -93,6 +94,12 @@ def copy_checkout(checkout, name, into):
     if not (src / "__init__.py").is_file():
         sys.exit(f"ab: {checkout} is not a choreo checkout (no src/choreo)")
     shutil.copytree(src, Path(into) / name, ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def source_lines(checkout):
+    """The number of lines of ``src/choreo/*.py`` in ``checkout``."""
+    return sum(f.read_bytes().count(b"\n")
+               for f in (Path(checkout).resolve() / "src" / "choreo").glob("*.py"))
 
 
 def import_checkout(checkout, name, into):
@@ -351,6 +358,8 @@ def main(argv=None):
                     print(line, flush=True)
         finally:
             sys.path.remove(into)
+    print("lines of src/choreo/*.py: " + ", ".join(
+        f"{side} {source_lines(getattr(args, side))}" for side in SIDES))
     return 0
 
 
