@@ -249,12 +249,16 @@ class LocalProgram:
     units: list
     # What the distributed evaluator works out once (``ProgramFacts``).
     facts: object = field(default=None, compare=False, repr=False)
+    # Generated name -> the first unit of that name, built by the first
+    # ``unit`` lookup, after which ``units`` stays as it is.
+    by_name: dict = field(default=None, compare=False, repr=False)
 
     def unit(self, generated_name):
-        for u in self.units:
-            if u.generated_name == generated_name:
-                return u
-        return None
+        if self.by_name is None:
+            self.by_name = {}
+            for u in self.units:
+                self.by_name.setdefault(u.generated_name, u)
+        return self.by_name.get(generated_name)
 
 
 def stm_list(stm):

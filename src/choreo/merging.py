@@ -3,9 +3,10 @@
 Merging is the partial operator that reconciles the per-role projections of
 alternative branches: equal atoms merge to themselves, composite statements
 merge componentwise on matching shapes, and switches merge by uniting their
-cases (shared labels merge bodies, unshared labels pass through). The
-normaliser removes effect-free unit residue first, so that dropped code on
-one side merges with a blank on the other.
+cases (shared labels merge bodies, unshared labels pass through).
+``big_merge`` removes effect-free unit residue first, so that dropped code
+on one side merges with a blank on the other; the projector builds its
+branches in that normal form and merges them with ``merge_stm`` as they are.
 
 Both are written once for every local class. ``REWRITE`` holds, for each,
 a function compiled from its field annotations (``record.fields``) that
@@ -173,7 +174,8 @@ def _merge_switch(a, b):
 
 
 def big_merge(stms):
-    """Normalise each statement and fold the merge across the list."""
+    """Normalise each statement and fold the merge across the list: the
+    merge of chains that may not be in unit-normal form."""
     stms = [normalize_stm(s) for s in stms]
     if not stms:
         return LNil()

@@ -1,4 +1,5 @@
-"""Per-role projection of checked choreographies into the local language.
+"""Projection of checked choreographies into the local language, every role
+of a declaration at once.
 
 Type expressions project by the three-case rule (own role: same name; one of
 several roles: name suffixed with the declaration's formal role name at that
@@ -6,19 +7,25 @@ position; absent: Unit). Expressions strip role information while the
 projecting role occurs in their type or receiver, and collapse to unit
 residue otherwise. Statements follow the same discipline, except
 conditionals (merge of branch projections at non-guard roles) and selections
-(a switch over the received label at the receiving role). Each node class
-projects through its handler in ``STM`` or ``EXP``; a statement chain is
-projected in a loop along ``cont``, so it takes Python stack per level of
-nesting, not per statement.
+(a switch over the received label at the receiving role).
 
-An expression statement, a declaration or an assignment is projected only at
-its acting roles (``ACTING``), worked out once per statement and projection:
-the roles where it leaves something. Every other role skips it without
-calling its handler, so a role pays only for the statements it takes part
-in. Nodes are built in unit-normal form (``merging.normalize_stm``): a
-single effectful part of a unit residue stands for itself, and a statement
-whose expression is a no-op is left out, so no pass re-normalises the
-projection."""
+Each method body is walked once, along its ``cont`` chain, and the walk
+builds every role's chain together, so it takes Python stack per level of
+nesting, not per statement. An expression statement, a declaration or an
+assignment is projected by its handler in ``STM`` only at its acting roles
+(``ACTING``), worked out once per statement: the roles where it leaves
+something. Every other role skips it without a call, so a role pays only for
+the statements it takes part in. A statement with nested chains (``NESTED``)
+walks each of them once for all the roles, then builds each role's node or
+merges the branches of each role that does not take the decision. The type
+of a declaration's field, parameter or result is projected only at the roles
+of that type; every other role shares one ``Unit``. A role whose projection
+fails drops out of the walk and loses its unit; the others go on.
+
+Nodes are built in unit-normal form (``merging.normalize_stm``): a single
+effectful part of a unit residue stands for itself, and a statement whose
+expression is a no-op is left out, so the branches merge as they are built
+(``merge_stm``), and no pass re-normalises the projection."""
 
 from __future__ import annotations
 
@@ -30,8 +37,9 @@ from .local import (
     LNil, LParam, LReturn, LStaticName, LSwitch, LThrow, LTryCatch, LTE,
     LUnit, LUnitCall, LVarDecl, LocalProgram, LocalUnit, link, stm_list,
 )
-# The benchmark's tracer wraps ``merge_stm`` and ``big_merge`` in this module.
-from .merging import MergeError, big_merge, is_noop, merge_stm
+# The benchmark's tracer wraps ``merge_stm`` and ``big_merge`` in this module;
+# the projector calls ``merge_stm`` (``Projector.merged``).
+from .merging import MergeError, big_merge, is_noop, merge_stm  # noqa: F401
 from .printer import render_inline, render_te
 from .record import record
 from .types import TAbs, TSym, TVar, TVoid, spine
@@ -101,6 +109,10 @@ def generated_name(source_name, decl_roles, role):
 
 # ------------------------------------------------------------- projector
 
+# What a type projects to at a role outside it; every such role shares one.
+UNIT, VOID = LTE("Unit"), LTE("void")
+
+
 @record
 class Projector:
     checked: object  # the Checker that checked the program
@@ -109,59 +121,72 @@ class Projector:
 
     def __post_init__(self):
         self.table = self.checked.table
-        self.acting = {}  # id(Stm) -> the roles at which it can project to something
         self.selections = {}  # id(ExpStm) of a selection -> (receiving role, label)
+        self.failed = {}  # role -> (code, span, message) of the error that stopped it
 
     # -------------------------------------------------------------- units
 
     def project_program(self):
         units = []
         for info in self.table.values():
-            if info.is_prelude:
-                continue
-            for role in info.role_names:
-                try:
-                    units.append(self.project_decl(info, role))
-                except ProjectionFailed:
-                    pass
+            if not info.is_prelude:
+                units += self.project_decl(info)
         return LocalProgram(units)
 
-    def project_decl(self, info, role):
-        assert role in info.role_names, f"{role} is not a role of {info.name}"
-        gen = generated_name(info.name, info.role_names, role)
-        annotations = [LAnnotation(a.name, list(a.args)) for a in info.node.annotations]
-        if self.annotate:
-            annotations.append(LAnnotation(
-                "Choreography", [("name", info.name), ("role", role)]))
-        modifiers = list(info.node.modifiers)
-        node = info.node
-        if isinstance(node, S.EnumDecl):
-            decl = LEnum(annotations, modifiers, gen, list(node.cases))
-        elif isinstance(node, S.InterfaceDecl):
-            decl = LInterface(
-                annotations, modifiers, gen,
-                self.project_ftps(info.ftps),
-                [self.project_te(te, role) for te in node.extends],
-                [self.project_method(m, role, gen) for m in info.methods],
-            )
-        else:
-            decl = LClass(
-                annotations, modifiers, gen,
-                self.project_ftps(info.ftps),
-                self.project_te(node.extends, role) if node.extends is not None else None,
-                [self.project_te(te, role) for te in node.implements],
-                self.project_fields(info, role),
-                [self.project_method(c, role, gen) for c in info.constructors
-                 if c.node.body is not None or c.node.params],
-                [self.project_method(m, role, gen) for m in info.methods],
-                {slot: mi.slot for slot, (mi, _) in self.checked.tables.get(info.name, {}).items()},
-            )
-        return LocalUnit(gen, info.name, role, decl)
+    def project_decl(self, info):
+        """The units of ``info``, one per role in order, but for the roles
+        whose projection fails. Each such role's error is reported once the
+        declaration is projected, in role order."""
+        roles, node = info.role_names, info.node
+        self.failed = {}
+        gens = {role: generated_name(info.name, roles, role) for role in roles}
+        annotations = [LAnnotation(a.name, list(a.args)) for a in node.annotations]
+        ftps = self.project_ftps(info.ftps)
+        if isinstance(node, S.InterfaceDecl):
+            extends = [self.views(te) for te in node.extends]
+        elif not isinstance(node, S.EnumDecl):
+            extends = self.views(node.extends) if node.extends is not None else None
+            implements = [self.views(te) for te in node.implements]
+            fields = self.project_fields(info, roles)
+            constructors = [self.project_method(c, roles, gens) for c in info.constructors
+                            if c.node.body is not None or c.node.params]
+            table = {slot: mi.slot for slot, (mi, _) in self.checked.tables.get(info.name, {}).items()}
+        if not isinstance(node, S.EnumDecl):
+            methods = [self.project_method(m, roles, gens) for m in info.methods]
+        units = []
+        for role in roles:
+            if role in self.failed:
+                self.reporter.error(*self.failed[role])
+                continue
+            gen = gens[role]
+            annotated = list(annotations)
+            if self.annotate:
+                annotated.append(LAnnotation("Choreography", [("name", info.name), ("role", role)]))
+            if isinstance(node, S.EnumDecl):
+                decl = LEnum(annotated, list(node.modifiers), gen, list(node.cases))
+            elif isinstance(node, S.InterfaceDecl):
+                decl = LInterface(annotated, list(node.modifiers), gen, list(ftps),
+                                  [_at(te, role) for te in extends], [m[role] for m in methods])
+            else:
+                decl = LClass(annotated, list(node.modifiers), gen, list(ftps),
+                              _at(extends, role) if extends is not None else None,
+                              [_at(te, role) for te in implements], fields[role],
+                              [c[role] for c in constructors], [m[role] for m in methods], table)
+            units.append(LocalUnit(gen, info.name, role, decl))
+        return units
+
+    def views(self, te):
+        """The projection of ``te`` at each role of its type, and the one
+        type it projects to at every other role: ``Unit``, or ``void``
+        (``_at`` reads them)."""
+        t = self.checked.te_type(te)
+        inside = {}
+        for role in self.checked.type_roles(te):
+            inside[role] = project_type(self.checked, t, role)
+        return inside, VOID if isinstance(t, TVoid) else UNIT
 
     def project_te(self, te, role):
-        if role in self.checked.type_roles(te):
-            return project_type(self.checked, self.checked.te_type(te), role)
-        return LTE("void" if isinstance(self.checked.te_type(te), TVoid) else "Unit")
+        return _at(self.views(te), role)
 
     def project_ftps(self, ftps):
         out = []
@@ -178,84 +203,127 @@ class Projector:
                     out.append(LFTP(f"{fi.name}_{binder.name}", bounds))
         return out
 
-    def project_fields(self, info, role):
-        out = []
+    def project_fields(self, info, roles):
+        """{role: its fields}: each field is at the roles of its type."""
+        out = {role: [] for role in roles}
         for f in info.fields():
-            if role in self.checked.type_roles(f.te):
-                out.append(LField(
-                    [LAnnotation(a.name, list(a.args)) for a in f.annotations],
-                    list(f.modifiers), self.project_te(f.te, role), f.name))
+            annotations = [LAnnotation(a.name, list(a.args)) for a in f.annotations]
+            for role, te in self.views(f.te)[0].items():
+                if role in out:
+                    out[role].append(LField(list(annotations), list(f.modifiers), te, f.name))
         return out
 
-    def project_method(self, mi, role, gen_class_name):
+    def project_method(self, mi, roles, gens):
+        """{role: the projection of ``mi`` at it}, for each of ``roles``
+        that has not failed and does not fail in its body. Each parameter
+        type is projected at the roles of its type only (``views``)."""
         node = mi.node
+        if self.failed:
+            roles = [role for role in roles if role not in self.failed]
+        bodies = self.project_stm(node.body, roles)
         annotations = [LAnnotation(a.name, list(a.args)) for a in node.annotations]
-        params = [LParam(self.project_te(p.te, role), p.name) for p in node.params]
-        ret = None if node.is_constructor else self.project_te(node.return_te, role)
-        name = gen_class_name if node.is_constructor else node.name
-        body = self.project_stm(node.body, role)
-        return LMethod(annotations, list(node.modifiers), self.project_ftps(mi.ftps),
-                       ret, name, params, body, node.is_constructor, mi.slot)
+        ftps = self.project_ftps(mi.ftps)
+        params = []
+        for p in node.params:
+            inside, rest = self.views(p.te)
+            for role, te in inside.items():
+                inside[role] = LParam(te, p.name)
+            params.append((inside, LParam(rest, p.name)))
+        ret, ret_rest = ({}, None) if node.is_constructor else self.views(node.return_te)
+        for role, body in bodies.items():
+            bodies[role] = LMethod(list(annotations), list(node.modifiers), list(ftps),
+                                   ret.get(role, ret_rest),
+                                   gens[role] if node.is_constructor else node.name,
+                                   [inside.get(role, rest) for inside, rest in params],
+                                   body, node.is_constructor, mi.slot)
+        return bodies
 
     # ---------------------------------------------------------- statements
 
-    def project_stm(self, stm, role):
-        """The projection at ``role`` of the chain from ``stm``: each
-        statement's own projection (``STM``), linked back to front. A
-        statement whose acting roles (``ACTING``) leave out ``role`` is
-        skipped. A selection at ``role`` takes the rest of the chain as the
-        body of its one case. After a merged conditional that returns or
-        throws, the rest is still projected, for its diagnostics, and dropped
-        as unreachable."""
-        acting = self.acting
-        opened = []  # per selection: the statements up to and including its switch
-        out = []
-        ended = False
-        while stm is not None:
-            acts = ACTING.get(type(stm))
-            if acts is not None:
-                roles = acting.get(id(stm))
-                if roles is None:
-                    roles = acting[id(stm)] = acts(self, stm)
-                if role not in roles:
-                    stm = stm.cont
-                    continue
-            got = STM[type(stm)](self, stm, role)
-            if got is None or ended:
-                pass
-            elif type(got) is list:  # merged branches, spliced in (``merged``)
-                out += got
-                ended = bool(got) and type(got[-1]) in (LReturn, LThrow)
-            elif type(got) is LSwitch and type(stm) is S.ExpStm:  # a selection
-                out.append(got)
-                opened.append(out)
-                out = []
+    def project_stm(self, stm, roles):
+        """{role: the projection at it of the chain from ``stm``}, for each
+        of ``roles`` that does not fail on it. One walk along ``cont`` builds
+        every role's chain: a statement of a class in ``NESTED`` is projected
+        once for all the roles, and any other statement by its handler in
+        ``STM`` at each of its acting roles (``ACTING``), while every other
+        role skips it without a call. A selection takes, at its receiving
+        role, the rest of the chain as the body of its one case. After a
+        merged conditional that returns or throws at a role, the rest is
+        still projected there, for its diagnostics, and dropped as
+        unreachable."""
+        outs = {}  # role -> its chain's statements so far
+        for role in roles:
+            outs[role] = []
+        opened = {}  # role -> per selection: the statements up to and including its switch
+        ended = set()
+        while stm is not None and outs:  # until no role is left to project
+            handler = STM.get(type(stm))
+            if handler is None:
+                projected = NESTED[type(stm)](self, stm, outs)
+                if len(projected) < len(outs):  # the roles that failed drop out
+                    outs = {role: out for role, out in outs.items() if role in projected}
+                for role, got in projected.items():
+                    if role in ended:
+                        continue
+                    if type(got) is list:  # merged branches, spliced in (``merged``)
+                        outs[role] += got
+                        if got and type(got[-1]) in (LReturn, LThrow):
+                            ended.add(role)
+                    else:
+                        outs[role].append(got)
             else:
-                out.append(got)
+                acts = ACTING.get(type(stm))
+                for role in tuple(outs) if acts is None else acts(self, stm):
+                    out = outs.get(role)
+                    if out is None:
+                        continue
+                    try:
+                        got = handler(self, stm, role)
+                    except ProjectionFailed:
+                        del outs[role]
+                        continue
+                    if got is None or role in ended:
+                        continue
+                    out.append(got)
+                    if type(got) is LSwitch:  # a selection
+                        opened.setdefault(role, []).append(out)
+                        outs[role] = []
             stm = getattr(stm, "cont", None)
-        head = link(out)
-        for out in reversed(opened):
-            switch = out[-1]
-            switch.cases = [(switch.cases[0][0], head)]
+        for role, out in outs.items():
             head = link(out)
-        return head
+            for out in reversed(opened.get(role, ())):
+                switch = out[-1]
+                switch.cases = [(switch.cases[0][0], head)]
+                head = link(out)
+            outs[role] = head
+        return outs
 
     def merged(self, stm, role, branches):
         """The statements a conditional or switch projects to at a role that
         does not take its decision: the guard's residue, then the merge of
         its branches' projections, which ``project_stm`` splices into the
-        chain in place of the merge's closing ``LNil``."""
+        chain in place of the merge's closing ``LNil``. The branches are
+        merged as they were built, in unit-normal form."""
         try:
-            merged = big_merge(branches)
+            merged = branches[0] if branches else LNil()
+            for branch in branches[1:]:
+                merged = merge_stm(merged, branch)
         except MergeError as e:
-            self.merge_failure(stm, role, e)
-            raise ProjectionFailed()
+            self.fail(role, Code.MergeFailure, stm.span,
+                      f"cannot merge the branches of this conditional for role '{role}': "
+                      f"'{render_inline(e.left)}' against '{render_inline(e.right)}'. The roles "
+                      f"taking the decision must inform '{role}' via a selection.")
         guard = self.project_exp(stm.guard, role)
         out = [] if is_noop(guard) else [LExpStm(guard, None)]
         out += stm_list(merged)  # new nodes, which ``link`` may relink
         if out and type(out[-1]) not in (LReturn, LThrow):
             out[-1].cont = None
         return out
+
+    def fail(self, role, code, span, message):
+        """Stops the projection at ``role``; ``project_decl`` reports the error."""
+        self.failed[role] = (code, span, message)
+        raise ProjectionFailed()
 
     def switch_is_exhaustive(self, stm):
         head, _ = spine(self.checked.type_of(stm.guard))
@@ -265,15 +333,6 @@ class Projector:
                 labels = {c.label for c in stm.cases if isinstance(c.label, str)}
                 return labels >= set(info.node.cases)
         return False
-
-    def merge_failure(self, stm, role, err):
-        left = render_inline(err.left)
-        right = render_inline(err.right)
-        self.reporter.error(
-            Code.MergeFailure, stm.span,
-            f"cannot merge the branches of this conditional for role '{role}': "
-            f"'{left}' against '{right}'. The roles taking the decision must "
-            f"inform '{role}' via a selection.")
 
     def selection(self, exp):
         """(receiving role, label) when ``exp`` is a selection, else None.
@@ -299,11 +358,9 @@ class Projector:
         if receiver != role:
             return None
         if label is None:
-            self.reporter.error(
-                Code.BadSelectionAnnotation, stm.exp.span,
-                "selection labels must be literal enum-case accesses so receivers "
-                "can branch on them.")
-            raise ProjectionFailed()
+            self.fail(role, Code.BadSelectionAnnotation, stm.exp.span,
+                      "selection labels must be literal enum-case accesses so receivers "
+                      "can branch on them.")
         return label
 
     # ---------------------------------------------------------- expressions
@@ -351,10 +408,17 @@ class Projector:
         return LUnitCall(effectful) if effectful else LUnit()
 
 
+def _at(views, role):
+    """What ``role`` takes of ``views``: its own, else the one all others share."""
+    inside, rest = views
+    return inside.get(role, rest)
+
+
 # The roles at which a statement can project to something, its acting roles:
 # ``ACTING`` holds, per statement class whose projection can be nothing, a
-# function ``f(projector, stm)`` that works them out, once per projection
-# (``Projector.acting``). A statement of any other class acts at every role.
+# function ``f(projector, stm)`` that works them out, once per statement, as
+# the one walk of its chain reaches it. A statement of any other class acts at
+# every role.
 
 NO_ROLES = frozenset()
 
@@ -381,10 +445,13 @@ def _assign_acting(p, stm):
 ACTING = {S.ExpStm: _exp_stm_acting, S.VarDecl: _var_decl_acting, S.Assign: _assign_acting}
 
 
-# Each statement handler ``f(projector, stm, role)`` returns the projection of
-# ``stm`` alone, with its ``cont`` unset and in unit-normal form
-# (``merging.normalize_stm``), or None when ``stm`` projects to nothing at
-# ``role``; a merged conditional gives a list (``merged``).
+# Each statement handler in ``STM``, ``f(projector, stm, role)``, returns the
+# projection of ``stm`` alone at ``role``, with its ``cont`` unset and in
+# unit-normal form (``merging.normalize_stm``), or None when ``stm`` projects
+# to nothing there. A statement with nested chains has its handler in
+# ``NESTED`` instead, ``f(projector, stm, roles)``: it walks each nested chain
+# once for all of ``roles`` and returns {role: projection} for each role that
+# does not fail, where a merged conditional gives a list (``merged``).
 
 def _effect(exp):
     """An expression statement of ``exp``, or None when it is a no-op."""
@@ -414,36 +481,6 @@ def _assign(p, stm, role):
                                    p.project_exp(stm.value, role)]))
 
 
-def _if(p, stm, role):
-    if p.checked.type_roles(stm.guard) == {role}:
-        return LIf(p.project_exp(stm.guard, role), p.project_stm(stm.then, role),
-                   p.project_stm(stm.orelse, role), None)
-    return p.merged(stm, role, [p.project_stm(stm.then, role),
-                                p.project_stm(stm.orelse, role)])
-
-
-def _switch(p, stm, role):
-    if role in p.checked.type_roles(stm.guard):
-        default = p.project_stm(stm.default, role)
-        return LSwitch(p.project_exp(stm.guard, role),
-                       [(label, p.project_stm(body, role)) for label, body in stm.cases],
-                       default, None)
-    branches = [p.project_stm(body, role) for _, body in stm.cases]
-    if stm.default is not None:
-        branches.append(p.project_stm(stm.default, role))
-    elif not p.switch_is_exhaustive(stm):
-        # Without a default, the no-match path runs nothing at the guard
-        # role; other roles must reconcile with that too.
-        branches.append(LNil())
-    return p.merged(stm, role, branches)
-
-
-def _try_catch(p, stm, role):
-    handlers = [(p.project_te(te, role), name, p.project_stm(body, role))
-                for te, name, body in stm.handlers if role in p.checked.type_roles(te)]
-    return LTryCatch(p.project_stm(stm.body, role), handlers, None)
-
-
 STM = {
     S.Nil: lambda p, stm, role: LNil(),
     S.Return: lambda p, stm, role: LReturn(
@@ -451,8 +488,78 @@ STM = {
     S.ExpStm: _exp_stm,
     S.VarDecl: _var_decl,
     S.Assign: _assign,
+}
+
+
+def _if(p, stm, roles):
+    then = p.project_stm(stm.then, roles)
+    orelse = p.project_stm(stm.orelse, then)  # at the roles that did not fail in then
+    decides = p.checked.type_roles(stm.guard)
+    decider = next(iter(decides)) if len(decides) == 1 else None
+    out = {}
+    for role, chain in orelse.items():
+        if role == decider:
+            out[role] = LIf(p.project_exp(stm.guard, role), then[role], chain, None)
+            continue
+        try:
+            out[role] = p.merged(stm, role, [then[role], chain])
+        except ProjectionFailed:
+            pass
+    return out
+
+
+def _walk(p, chains, roles):
+    """[{role: its projection} for each of ``chains``], each chain walked at
+    the roles that did not fail in those before it."""
+    out = []
+    for chain in chains:
+        roles = p.project_stm(chain, roles)
+        out.append(roles)
+    return out
+
+
+def _switch(p, stm, roles):
+    # A role that takes the decision walks the default first, any other
+    # role walks it last, so each reports the failure it reached first.
+    decides = p.checked.type_roles(stm.guard)
+    bodies = [body for _, body in stm.cases]
+    *cases, default = _walk(p, bodies + [stm.default], [r for r in roles if r not in decides])
+    deciding = _walk(p, [stm.default] + bodies, [r for r in roles if r in decides])
+    out = {role: LSwitch(p.project_exp(stm.guard, role),
+                         [(label, case[role]) for (label, _), case in zip(stm.cases, deciding[1:])],
+                         deciding[0][role], None)
+           for role in deciding[-1]}
+    for role, chain in default.items():
+        branches = [case[role] for case in cases]
+        if stm.default is not None:
+            branches.append(chain)
+        elif not p.switch_is_exhaustive(stm):
+            # Without a default, the no-match path runs nothing at the guard
+            # role; other roles must reconcile with that too.
+            branches.append(LNil())
+        try:
+            out[role] = p.merged(stm, role, branches)
+        except ProjectionFailed:
+            pass
+    return out
+
+
+def _try_catch(p, stm, roles):
+    handlers = []  # (te, name, {role: body}), walked at the roles of te
+    for te, name, body in stm.handlers:
+        at = p.checked.type_roles(te)
+        bodies = p.project_stm(body, [role for role in roles if role in at])
+        roles = [role for role in roles if role not in at or role in bodies]
+        handlers.append((te, name, bodies))
+    return {role: LTryCatch(body, [(p.project_te(te, role), name, bodies[role])
+                                   for te, name, bodies in handlers if role in bodies], None)
+            for role, body in p.project_stm(stm.body, roles).items()}
+
+
+NESTED = {
     S.If: _if,
-    S.Block: lambda p, stm, role: LBlock(p.project_stm(stm.body, role), None),
+    S.Block: lambda p, stm, roles: {
+        role: LBlock(body, None) for role, body in p.project_stm(stm.body, roles).items()},
     S.Switch: _switch,
     S.TryCatch: _try_catch,
 }
@@ -512,8 +619,12 @@ def _binary(p, exp, role):
 
 EXP = {
     S.Literal: lambda p, exp, role: LLit(exp.value) if role in exp.roles else LUnit(),
+    # ``this`` has its declaration's type, at every role the body is
+    # projected at, so its type's roles, as many as the declaration's, are
+    # not worked out per node.
     S.Name: lambda p, exp, role: (
-        LName(exp.ident) if role in p.checked.type_roles(exp) else LUnit()),
+        LName(exp.ident) if exp.ident == "this" or role in p.checked.type_roles(exp)
+        else LUnit()),
     S.StaticRef: lambda p, exp, role: LStaticName(p.static_name(exp.name, exp.roles, role)),
     S.FieldAcc: _field_acc,
     S.Call: _call,

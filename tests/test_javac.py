@@ -67,8 +67,7 @@ def write_channels(folder):
                 if info.is_prelude and info.is_interface and info.name.endswith("Channel")]
     assert len(channels) == 8
     projector = Projector(checked, Reporter())
-    units = [render_unit(projector.project_decl(info, role))
-             for info in channels for role in info.role_names]
+    units = [render_unit(unit) for info in channels for unit in projector.project_decl(info)]
     body = "".join("    " + line + "\n" for unit in units for line in unit.splitlines())
     path = folder / "choral" / "Channels.java"
     path.parent.mkdir(parents=True)

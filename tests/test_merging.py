@@ -1,15 +1,18 @@
 """Merge and unit-normalisation properties.
 
-Instances come from two sources: statement pairs harvested from the corpus
-conditionals (both branch projections at every role) and randomly generated
-local statements.
+Instances come from two sources: statement pairs harvested from the
+conditionals of the corpus, of the negative program wrong_consume and of
+DistAuth2..20 (both branch projections at every role that merges them, as
+the projector gives them to ``merge_stm``) and randomly generated local
+statements.
 """
 
 import pytest
-from conftest import compile_ok
+from conftest import compile_ok, perfbench_gen
 from hypothesis import given, settings, strategies as st
 
-from choreo import surface as S
+from choreo import projector
+from choreo.corpus import corpus_root
 from choreo.diagnostics import Reporter
 from choreo.differential import differential_run
 from choreo.local import (
@@ -19,40 +22,38 @@ from choreo.local import (
 )
 from choreo.local_reader import parse_local_unit
 from choreo.merging import MergeError, big_merge, merge_stm, normalize_exp, normalize_stm
+from choreo.pipeline import compile_files
 from choreo.printer import render_inline, render_unit
-from choreo.projector import Projector, project_program
-from choreo.types import roles_of_type
+from choreo.projector import project_program
 
 
 # ------------------------------------------------------------- harvesting
 
-def harvest_branch_pairs(corpus_compiled):
-    """Unit-normalised (then, else) projections of every corpus conditional."""
+def harvest_branch_pairs(corpus_compiled, more=()):
+    """The (then, else) projections of every conditional of the corpus
+    programs and of the checked programs ``more``, at each role that merges
+    them: the pairs that projecting the programs gives ``merge_stm``, as
+    they are given."""
     pairs = []
-    for name, (_, checked, _) in corpus_compiled.items():
-        projector = Projector(checked, Reporter())
-        for info in checked.table.values():
-            if info.is_prelude:
-                continue
-            for mi in info.methods + info.constructors:
-                if mi.node.body is None:
-                    continue
-                for stm in S.walk(mi.node.body):
-                    if not isinstance(stm, S.If):
-                        continue
-                    for role in info.role_names:
-                        guard_roles = roles_of_type(checked.type_of(stm.guard))
-                        if guard_roles == {role}:
-                            continue
-                        left = normalize_stm(projector.project_stm(stm.then, role))
-                        right = normalize_stm(projector.project_stm(stm.orelse, role))
-                        pairs.append((left, right))
+
+    def recording(left, right):
+        pairs.append((left, right))
+        return merge_stm(left, right)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projector, "merge_stm", recording)
+        for checked in [checked for _, checked, _ in corpus_compiled.values()] + list(more):
+            project_program(checked, Reporter())
     return pairs
 
 
 @pytest.fixture(scope="module")
 def branch_pairs(corpus_compiled):
-    pairs = harvest_branch_pairs(corpus_compiled)
+    gen = perfbench_gen()
+    # wrong_consume checks, and its projection fails to merge at B.
+    wrong_consume, _ = compile_files([corpus_root() / "negative" / "wrong_consume.chor"])
+    pairs = harvest_branch_pairs(corpus_compiled, [wrong_consume] + [
+        compile_ok(gen.distauth_source(n), f"DistAuth{n}.chor") for n in range(2, 21)])
     assert pairs, "corpus produced no mergeable conditionals"
     return pairs
 
@@ -98,9 +99,25 @@ def test_harvested_merge_idempotent_and_symmetric(branch_pairs):
 
 
 def test_harvested_normalize_idempotent(branch_pairs):
+    # The projector builds its branches in unit-normal form, so the merge
+    # needs no normalising pass before it.
     for left, right in branch_pairs:
         for side in (left, right):
-            assert normalize_stm(side) == side
+            assert normalize_stm(side) == side, render_inline(side)
+
+
+def test_harvested_merge_is_the_normalising_merge(branch_pairs):
+    failures = 0
+    for left, right in branch_pairs:
+        try:
+            merged = merge_stm(left, right)
+        except MergeError:
+            with pytest.raises(MergeError):
+                big_merge([left, right])
+            failures += 1
+            continue
+        assert big_merge([left, right]) == merged, render_inline(left)
+    assert failures >= 1
 
 
 # ----------------------------------------------------------- generated side

@@ -293,6 +293,65 @@ def test_branches_differing_in_an_expression_are_a_merge_failure(then, orelse, p
     assert units.unit("NoChoice_B") is None and units.unit("NoChoice_A") is not None
 
 
+def test_failures_at_several_roles_are_reported_by_declaration_then_role():
+    # Each conditional leaves a different role uninformed. A role's first
+    # failure, in its own statement order, stops its unit, and only its
+    # unit: the third conditional fails at B and C again, and is not
+    # reported. The reports follow the declarations, then the roles.
+    checked = compile_ok("""class Three@(A, B, C) {
+    void m(Integer@A x) {
+        if (x > 0@A) {
+            if (x > 5@A) { System@C.out.println("c"@C); }
+        }
+        if (x > 1@A) { System@B.out.println("b"@B); }
+        if (x > 2@A) { System@B.out.println("b2"@B); } else { System@C.out.println("c2"@C); }
+    }
+}
+class Two@(A, B) {
+    void n(Integer@B y) {
+        if (y > 0@B) { System@A.out.println("a"@A); }
+    }
+}
+class Fine@(A, B) {
+    void k(Integer@A z) { System@B.out.println("k"@B); }
+}""")
+    units, reporter = project_program(checked, Reporter())
+
+    def failure(line, col, role, printed):
+        return (Code.MergeFailure, line, col,
+                f"cannot merge the branches of this conditional for role '{role}': "
+                f"'System.out.println(\"{printed}\");' against '<blank>'. The roles taking "
+                f"the decision must inform '{role}' via a selection.")
+
+    assert [(d.code, *d.span.source.line_col(d.span.start), d.message)
+            for d in reporter.items] == [
+        failure(6, 9, "B", "b"), failure(4, 13, "C", "c"), failure(12, 9, "A", "a")]
+    assert [u.generated_name for u in units.units] == ["Three_A", "Two_B", "Fine_A", "Fine_B"]
+
+
+def test_a_switch_is_projected_default_first_at_its_guard_role():
+    # At A, which takes the switch's decision, the conditional in the case
+    # and the one in the default both fail to merge; A projects the default
+    # before the cases, so the default's is reported. At C, which projects
+    # the cases first, the two bodies do not merge.
+    checked = compile_ok("""enum Cmd@R { PING, QUIT }
+class D@(A, C) { void m(Cmd@A c, Integer@C y) {
+    switch (c) {
+        case PING -> { if (y > 1@C) { System@A.out.println("x"@A); } }
+        default -> { if (y > 2@C) { System@A.out.println("y"@A); } }
+    }
+} }""")
+    units, reporter = project_program(checked, Reporter())
+    assert [(d.code, *d.span.source.line_col(d.span.start), d.message)
+            for d in reporter.items] == [
+        (Code.MergeFailure, 5, 22, "cannot merge the branches of this conditional for role 'A': "
+         "'System.out.println(\"y\");' against '<blank>'. The roles taking the decision must "
+         "inform 'A' via a selection."),
+        (Code.MergeFailure, 3, 5, "cannot merge the branches of this conditional for role 'C': "
+         "'1' against '2'. The roles taking the decision must inform 'C' via a selection.")]
+    assert [u.generated_name for u in units.units] == ["Cmd"]
+
+
 def test_dist_auth_client_merged_switch_shape(corpus_compiled):
     _, checked, units = corpus_compiled["DistAuth"]
     client = units.unit("DistAuth_Client").decl
@@ -556,11 +615,12 @@ def test_projected_bodies_are_unit_normal(corpus_compiled):
     assert count > 1000
 
 
-# The SHA-256 of the rendered units of DistAuth40 and DistAuth80, which no
-# change to how fast the projector works may alter.
+# The SHA-256 of the rendered units of DistAuth40, DistAuth80 and
+# DistAuth160, which no change to how fast the projector works may alter.
 RENDERED = {
     40: "f4f01953a6227e0ea9f8d35cef1a5f0958693361d54b0bdd7b16ec9d7c6742a9",
     80: "68b112c364f423b868975ed021d76763a5a86d08f6c61391d79d7113d7adafd8",
+    160: "3c95a30d080bfd973fe7de472d0a6999e0b311a60e4799de0cb54284410386e9",
 }
 
 
@@ -570,6 +630,13 @@ def test_many_role_units_render_as_recorded(n):
     assert len(units.units) == n + 3
     text = "".join(render_unit(unit) for unit in units.units)
     assert hashlib.sha256(text.encode()).hexdigest() == RENDERED[n]
+
+
+def test_a_program_finds_each_unit_by_name_in_one_table():
+    units = project_ok_checked(distauth(20))
+    assert all(units.unit(u.generated_name) is u for u in units.units)
+    assert units.unit("DistAuth20_Nobody") is None
+    assert list(units.by_name.values()) == units.units
 
 
 @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])

@@ -81,7 +81,7 @@ RECORDS = {
     "local.LInterface": ("annotations modifiers name ftps extends methods", "eq"),
     "local.LClass": ("annotations modifiers name ftps extends implements fields constructors methods table=None", "eq"),
     "local.LocalUnit": ("generated_name source_name role decl", "eq"),
-    "local.LocalProgram": ("units facts=None", "eq"),
+    "local.LocalProgram": ("units facts=None by_name=None", "eq"),
     "metrics.MetricsRow": ("program choral_loc roles conditionals local_loc expansion_pct typecheck_ms projection_ms", "eq"),
     "projector.Projector": ("checked reporter annotate=False", "eq"),
     "runtime.EnumV": ("type_name case", "frozen"),
@@ -187,8 +187,9 @@ def test_local_nodes_compare_by_fields_and_are_unhashable():
     assert L.LUnit() == L.LUnit() and L.LNil() != L.LUnit()
     with pytest.raises(TypeError):
         hash(L.LName("x"))
-    # ``facts`` is left out of comparison and repr.
+    # ``facts`` and ``by_name`` are left out of comparison and repr.
     assert L.LocalProgram([], facts=1) == L.LocalProgram([], facts=2)
+    assert L.LocalProgram([], by_name={}) == L.LocalProgram([])
 
 
 def test_statement_chains_compare_in_a_loop(recursion_limit_1000):

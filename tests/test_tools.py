@@ -30,7 +30,8 @@ def test_ab_compares_this_checkout_with_itself_for_one_round(tmp_path):
         capture_output=True, text=True, timeout=300, check=True).stdout
     *lines, count = out.splitlines()
     assert [line.split()[:2] for line in lines] == [
-        ["compile", "compile"], ["compile", "check"], ["compile", "oracle"], ["compile", "run"]]
+        ["compile", "compile"], ["compile", "check"], ["compile", "project"],
+        ["compile", "oracle"], ["compile", "run"]]
     src = sum(len(f.read_text().splitlines()) for f in (ROOT / "src" / "choreo").glob("*.py"))
     assert count == f"lines of src/choreo/*.py: parent {src}, change {src}"
     for line in lines:
@@ -95,7 +96,9 @@ def test_ab_builds_the_inputs_of_every_workload():
     gen = ab.load_gen()
     names = {w: [item.name for item in ab.workload_inputs(w, gen, 1)] for w in ab.WORKLOADS}
     assert len(names["stream"]) == 20 and len(names["sort"]) == 15
-    assert names["roles"] == ["DistAuth20", "DistAuth40", "DistAuth80", "DistAuth160"]
+    assert names["roles"] == [f"DistAuth{n}/{i}" for n in (20, 40, 80, 160) for i in range(4)]
+    assert [item.args["Client"][1] == gen.VALID_PASSWORD
+            for item in ab.workload_inputs("roles", gen, 1)[:4]] == [True, False, True, False]
     assert names["sort"][:2] == ["Mergesort/9", "Quicksort/11"]
     assert "MergeSort/0" in names["compile"] and "DistAuth20" in names["compile"]
     negative = [name for name in names["compile"] if name.startswith("negative/")]
@@ -110,6 +113,19 @@ def test_ab_compares_the_roles_workload_of_this_checkout_with_itself():
     assert [line.split()[:2] for line in lines] == [["roles", stage] for stage in ab.STAGES]
     for line in lines:
         assert line.endswith("  2 inputs x 1 rounds"), line
+
+
+def test_ab_prints_the_projection_growth_from_80_to_160_roles():
+    # The change projects in 2 ms at both role counts; the parent in 1 ms at
+    # 80 roles and in 4 ms at 160.
+    ab = load_ab()
+    times = {f"DistAuth{n}/{i}": {"project": {"parent": [ms / 1e3], "change": [2e-3]}}
+             for n, ms in ((80, 1), (160, 4)) for i in range(2)}
+    assert ab.growth_lines(times) == [
+        "roles    project  80 roles: parent    1.000 ms  change    2.000 ms",
+        "roles    project 160 roles: parent    4.000 ms  change    2.000 ms",
+        "roles    project growth from 80 to 160 roles: parent 4.00x  change 1.00x"]
+    assert ab.growth_lines({name: t for name, t in times.items() if "160" not in name}) == []
 
 
 def change_side(**modules):
@@ -170,11 +186,15 @@ def test_ab_stops_when_the_two_sides_project_differently():
 
 def test_ab_times_only_the_compile_of_a_negative_program_and_compares_its_diagnostics():
     ab = load_ab()
-    [item] = [item for item in ab.workload_inputs("compile", ab.load_gen(), 1)
-              if item.name == "negative/type_mismatch"]
-    times = ab.measure({"parent": choreo, "change": choreo}, [item], 2)
+    # A program that fails to check is not projected; one that fails to
+    # project, as wrong_consume does, has its projection timed.
+    item, projected = [item for item in ab.workload_inputs("compile", ab.load_gen(), 1)
+                       if item.name in ("negative/type_mismatch", "negative/wrong_consume")]
+    times = ab.measure({"parent": choreo, "change": choreo}, [item, projected], 2)
     assert {stage: len(times[item.name][stage]["change"]) for stage in ab.STAGES} == {
-        "compile": 2, "check": 2, "oracle": 0, "run": 0}
+        "compile": 2, "check": 2, "project": 0, "oracle": 0, "run": 0}
+    assert {stage: len(times[projected.name][stage]["change"]) for stage in ab.STAGES} == {
+        "compile": 2, "check": 2, "project": 2, "oracle": 0, "run": 0}
 
     def compile_twice_reported(sources):
         checked, reporter = choreo.pipeline.compile_sources(sources)

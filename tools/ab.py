@@ -15,17 +15,19 @@ checkout's ``perfbench/gen.py`` from its ``corpus/``, which are only read:
 - ``stream``: ConsumeItems over 20 stream lengths, log-stratified over
   20..1500 items;
 - ``sort``: MergeSort and QuickSort, in turn, over 15 sizes from 8 to 150;
-- ``roles``: one valid DistAuthN login for each N in 20, 40, 80 and 160.
+- ``roles``: four DistAuthN logins, valid and invalid in turn, for each N
+  in 20, 40, 80 and 160.
 
 Every round takes each input in turn. For each side, in an order that
-alternates from input to input and from round to round, four stages are
+alternates from input to input and from round to round, five stages are
 timed with ``time.process_time``: the compile (``compile_sources``, then
 ``project_program`` and ``render_unit`` of every projected unit), the check
 (``compile_sources`` alone: the front end and the checker, the part of the
-compile a checker change moves), the oracle (``eval_global``) and the
-distributed run (``eval_distributed``); a negative program has only its
-compile and check timed, and its compile stops at the first phase that
-reports an error. Before the first round, both sides' front ends
+compile a checker change moves), the projection (``project_program`` alone),
+the oracle (``eval_global``) and the distributed run (``eval_distributed``);
+a negative program has only its compile, its check and, if it checks, its
+projection timed, and its compile stops at the first phase that reports an
+error. Before the first round, both sides' front ends
 (``pipeline.front_end``) must give each input the same tree: the same
 ``render_program`` text, and the same class name, line and column of every
 node that ``surface.walk`` yields; and both sides' ``testkit.run_tests``
@@ -44,8 +46,10 @@ gain on the largest inputs shows that the median over all of them hides.
 As ``by round``, it prints the quartiles over rounds of each round's median
 over inputs of the change/parent ratio: how far one round's reading strays
 from the next, which the quartiles over inputs do not show when there are
-few inputs. Its last line gives each side's line count of
-``src/choreo/*.py``, as ``wc -l`` counts it.
+few inputs. For ``roles``, it then prints each side's median projection
+time at each role count, and how much it grows from 80 to 160 roles. Its
+last line gives each side's line count of ``src/choreo/*.py``, as ``wc -l``
+counts it.
 
 With ``--startup``, each round instead starts one fresh process per side,
 in an order that alternates from round to round, which imports the copied
@@ -75,10 +79,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-STAGES = ("compile", "check", "oracle", "run")
+STAGES = ("compile", "check", "project", "oracle", "run")
 WORKLOADS = ("compile", "stream", "sort", "roles")
 STARTUP_STAGES = ("import", "prelude")
 SORT_CHANNELS = {"ch_AB": "ab", "ch_BC": "bc", "ch_CA": "ca"}
+ROLE_COUNTS = (20, 40, 80, 160)
+LOGINS = 4  # per role count in ``roles``, valid and invalid in turn
 
 
 def load_gen():
@@ -123,9 +129,9 @@ def corpus_text(name):
     return (ROOT / "corpus" / "positive" / f"{name}.chor").read_text()
 
 
-def distauth_input(gen, n, valid):
+def distauth_input(gen, n, valid, name=None):
     run = gen.distauth_run(n, valid)
-    return Input(f"DistAuth{n}", [(f"DistAuth{n}", gen.distauth_source(n))],
+    return Input(name or f"DistAuth{n}", [(f"DistAuth{n}", gen.distauth_source(n))],
                  run["entry_class"], run["entry_method"], run["args"], run["channels"])
 
 
@@ -145,7 +151,8 @@ def workload_inputs(workload, gen, seed):
         inputs += [distauth_input(gen, n, rng.random() < 0.5) for n in range(2, 21)]
         return inputs
     if workload == "roles":
-        return [distauth_input(gen, n, True) for n in (20, 40, 80, 160)]
+        return [distauth_input(gen, n, i % 2 == 0, f"DistAuth{n}/{i}")
+                for n in ROLE_COUNTS for i in range(LOGINS)]
     if workload == "stream":
         sources = [("ConsumeItems", corpus_text("ConsumeItems"))]
         return [Input(f"ConsumeItems/{n}", sources, "ConsumeItems", "run",
@@ -168,15 +175,17 @@ def run_side(choreo, item):
     checked, reporter = choreo.pipeline.compile_sources(item.sources)
     checked_at = time.process_time()
     found = list(reporter.items)
+    took = {"check": checked_at - t0}
     if not reporter.has_errors():
+        projecting = time.process_time()
         units, reporter = choreo.projector.project_program(checked, choreo.diagnostics.Reporter())
+        took["project"] = time.process_time() - projecting
         found += reporter.items
     if reporter.has_errors():
-        t1 = time.process_time()
+        took["compile"] = time.process_time() - t0
         if item.entry_class is not None:
             sys.exit(f"ab: {item.name} does not compile")
-        return ({"compile": t1 - t0, "check": checked_at - t0}, diagnostic_keys(found),
-                None, None, None)
+        return took, diagnostic_keys(found), None, None, None
     if item.entry_class is None:
         sys.exit(f"ab: {item.name} compiles, but is a negative program")
     texts = [choreo.printer.render_unit(unit) for unit in units.units]
@@ -189,7 +198,7 @@ def run_side(choreo, item):
                                               item.args, item.channels, item.deadline)
     t3 = time.process_time()
     reports = [(r.status, r.error, r.returns, r.transcripts) for r in (oracle, run)]
-    took = {"compile": t1 - t0, "check": checked_at - t0, "oracle": t2 - t1, "run": t3 - t2}
+    took.update(compile=t1 - t0, oracle=t2 - t1, run=t3 - t2)
     return took, diagnostic_keys(found), texts, repr(units.units), reports
 
 
@@ -287,6 +296,25 @@ def report(workload, times, rounds):
     return lines
 
 
+def growth_lines(times):
+    """For ``roles``: each side's median projection time at each role
+    count, then its growth from 80 to 160 roles; none when ``times`` lacks
+    either count."""
+    ms = {}
+    for n in ROLE_COUNTS:
+        timed = [t["project"] for name, t in times.items() if name.startswith(f"DistAuth{n}/")]
+        if timed:
+            ms[n] = {side: 1e3 * statistics.median(v for t in timed for v in t[side])
+                     for side in SIDES}
+    if 80 not in ms or 160 not in ms:
+        return []
+    lines = [f"roles    project {n:3} roles: parent {m['parent']:8.3f} ms  change "
+             f"{m['change']:8.3f} ms" for n, m in ms.items()]
+    lines.append("roles    project growth from 80 to 160 roles: " + "  ".join(
+        f"{side} {ms[160][side] / ms[80][side]:.2f}x" for side in SIDES))
+    return lines
+
+
 # Run as ``python -c STARTUP PACKAGE`` in the directory that holds PACKAGE.
 STARTUP = """\
 import importlib, sys, time
@@ -354,7 +382,7 @@ def main(argv=None):
                         for side in SIDES}
             for workload in args.workload or WORKLOADS:
                 times = measure(packages, workload_inputs(workload, gen, args.seed), args.rounds)
-                for line in report(workload, times, args.rounds):
+                for line in report(workload, times, args.rounds) + growth_lines(times):
                     print(line, flush=True)
         finally:
             sys.path.remove(into)
