@@ -311,11 +311,3 @@ class Builtins:
 
     def __init__(self, console):
         self.console = console
-
-    def try_call_method(self, receiver, name, args):
-        """The class's ``METHODS`` entry for ``name`` on the type of
-        ``receiver``; returns (True, value) on a hit."""
-        fn = self.METHODS.get(name, NO_METHODS).get(type(receiver))
-        if fn is not None:
-            return True, fn(self, receiver, args)
-        return False, None

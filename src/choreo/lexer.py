@@ -1,8 +1,15 @@
-"""Hand-rolled lexer for choreography sources.
+"""Lexer for choreography sources: one regular expression of named token
+classes, walked with ``finditer`` and dispatched on the group that matched.
 
-Produces a token stream that reproduces the input exactly when concatenated
-with the skipped trivia. ``>>`` is lexed greedily; the parser splits it back
-into two ``>`` tokens inside type-argument lists.
+The classes, tried in this order at each offset: trivia (whitespace, ``//``
+and closed ``/* */`` comments), word, float, int, well-formed string,
+operator (longest first), and a catch-all for one character. Tokens follow
+Java's (JLS SE 17, chapter 3): a word starts with a letter (``str.isalpha``)
+or ``_`` and goes on with ``\\w``, and a number has ASCII digits only. An
+unclosed comment or string and any character that starts no token reach the
+catch-all, whose one slow path reports the error. The tokens, with the
+skipped trivia between them, reproduce the input. ``>>`` is lexed greedily;
+the parser splits it back into two ``>`` tokens inside type-argument lists.
 """
 
 from __future__ import annotations
@@ -26,12 +33,21 @@ OPERATORS = [
     "(", ")", "{", "}", "[", "]", ",", ";", ".", "@", ":",
 ]
 
-# One alternation, longest operators first, so that a match is greedy.
-_OPERATOR = re.compile("|".join(
-    re.escape(op) for op in sorted(OPERATORS, key=len, reverse=True)))
-_SPACE = re.compile(r"[ \t\r\n]+")
-# The rest of an identifier: \w is str.isalnum() or "_".
-_WORD_REST = re.compile(r"\w*")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+# A string up to its closing quote; what stops it short is the error.
+_OPEN_STRING = re.compile(r'"(?:[^"\\\n]|\\[nt"\\])*')
+
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in [
+    ("trivia", r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/"),
+    ("word", r"[^\W\d]\w*"),  # lex rejects a numeral such as '²', which is \w
+    ("float", r"[0-9]+\.[0-9]+"),
+    ("int", r"[0-9]+"),
+    ("string", _OPEN_STRING.pattern + '"'),
+    ("op", r"(?!/\*)(?:" + "|".join(  # leaves an unclosed '/*' to the catch-all
+        re.escape(op) for op in sorted(OPERATORS, key=len, reverse=True)) + ")"),
+    ("error", "."),
+]), re.S)
+_ESCAPE = re.compile(r"\\(.)")
 
 
 class Token:
@@ -58,78 +74,38 @@ class Token:
 
 
 def lex(source: SourceFile):
-    text = source.text
-    n = len(text)
-    i = 0
     tokens = []
-
-    def err(start, msg):
-        raise DiagnosticError(
-            Diagnostic(Code.SyntaxError, Span(source, start, start + 1), msg, Severity.ERROR)
-        )
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i = _SPACE.match(text, i).end()
+    for m in _TOKEN.finditer(source.text):
+        kind = m.lastgroup
+        if kind == "trivia":
             continue
-        if ch == "/" and text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if ch == "/" and text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                err(i, "unterminated block comment")
-            i = j + 2
-            continue
-        start = i
-        if ch.isalpha() or ch == "_":
-            i = _WORD_REST.match(text, i + 1).end()
-            word = text[start:i]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start, i, source))
-            continue
-        if ch.isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-            kind = "int"
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
-                kind = "float"
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            tokens.append(Token(kind, text[start:i], start, i, source))
-            continue
-        if ch == '"':
-            i += 1
-            buf = []
-            while True:
-                if i >= n:
-                    err(start, "unterminated string literal")
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        err(start, "unterminated string escape")
-                    esc = text[i + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc))
-                    if buf[-1] is None:
-                        err(i, f"unknown escape '\\{esc}'")
-                    i += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    break
-                if c == "\n":
-                    err(start, "unterminated string literal")
-                buf.append(c)
-                i += 1
-            tokens.append(Token("string", "".join(buf), start, i, source))
-            continue
-        m = _OPERATOR.match(text, i)
-        if m is None:
-            err(i, f"unexpected character {ch!r}")
-        i = m.end()
-        tokens.append(Token("op", m.group(), start, i, source))
-    tokens.append(Token("eof", "", n, n, source))
+        lexeme = m.group()
+        if kind == "word":
+            if lexeme[0] > "z" and not lexeme[0].isalpha():  # not ASCII, not a letter
+                _fail(source, m.start())
+            kind = "keyword" if lexeme in KEYWORDS else "ident"
+        elif kind == "string":
+            lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], lexeme[1:-1])
+        elif kind == "error":
+            _fail(source, m.start())
+        tokens.append(Token(kind, lexeme, m.start(), m.end(), source))
+    tokens.append(Token("eof", "", len(source.text), len(source.text), source))
     return tokens
+
+
+def _fail(source, i):
+    """Report the lexical error at offset ``i``, where no token matched."""
+    text = source.text
+    at, msg = i, f"unexpected character {text[i]!r}"
+    if text.startswith("/*", i):
+        msg = "unterminated block comment"
+    elif text[i] == '"':
+        j = _OPEN_STRING.match(text, i).end()
+        if text[j:j + 1] != "\\":  # the end of the line or of the text
+            msg = "unterminated string literal"
+        elif j + 1 == len(text):
+            msg = "unterminated string escape"
+        else:
+            at, msg = j, f"unknown escape '\\{text[j + 1]}'"
+    raise DiagnosticError(
+        Diagnostic(Code.SyntaxError, Span(source, at, at + 1), msg, Severity.ERROR))

@@ -42,14 +42,18 @@ BIN_TIERS = [
 PREC = {op: tier for tier, ops in enumerate(BIN_TIERS) for op in ops}
 
 
-class _Stream:
-    """The token list, ending in the one ``eof`` token, which ``next`` never
-    moves past; ``peek(1)`` is only asked for after a token that is not
-    ``eof``."""
-
-    def __init__(self, tokens):
-        self.tokens = list(tokens)
+class Parser:
+    def __init__(self, source: SourceFile, reporter: Reporter, local_mode=False):
+        self.src = source
+        # The tokens end in the one ``eof`` token, which ``next`` never moves
+        # past; ``peek(1)`` is only asked for after a token that is not ``eof``.
+        self.tokens = lex(source)
         self.pos = 0
+        self.reporter = reporter
+        self.local_mode = local_mode
+        self.role_lists = {}  # literal parsed from lit@[R1,..,Rn] -> [R1,..,Rn]
+
+    # ------------------------------------------------------------ helpers
 
     def peek(self, ahead=0):
         return self.tokens[self.pos + ahead]
@@ -69,12 +73,6 @@ class _Stream:
     def at_kind(self, kind):
         return self.tokens[self.pos].kind == kind
 
-    def mark(self):
-        return self.pos
-
-    def reset(self, mark):
-        self.pos = mark
-
     def split_shr(self):
         """Split a ``>>`` token into two ``>`` tokens (nested generics)."""
         tok = self.tokens[self.pos]
@@ -84,42 +82,31 @@ class _Stream:
                 Token("op", ">", tok.start + 1, tok.end, tok.source),
             ]
 
-
-class Parser:
-    def __init__(self, source: SourceFile, reporter: Reporter, local_mode=False):
-        self.src = source
-        self.ts = _Stream(lex(source))
-        self.reporter = reporter
-        self.local_mode = local_mode
-        self.role_lists = {}  # literal parsed from lit@[R1,..,Rn] -> [R1,..,Rn]
-
-    # ------------------------------------------------------------ helpers
-
     def err(self, span, msg):
         return DiagnosticError(Diagnostic(Code.SyntaxError, span, msg, Severity.ERROR))
 
     def expect(self, lexeme, what=None):
-        tok = self.ts.peek()
+        tok = self.peek()
         if tok.lexeme != lexeme or tok.kind not in ("op", "keyword"):
             raise self.err(tok.span, f"expected '{lexeme}'" + (f" {what}" if what else "") +
                            f", found '{tok.lexeme or tok.kind}'")
-        return self.ts.next()
+        return self.next()
 
     def expect_ident(self, what="identifier"):
-        tok = self.ts.peek()
+        tok = self.peek()
         if tok.kind != "ident":
             raise self.err(tok.span, f"expected {what}, found '{tok.lexeme or tok.kind}'")
-        return self.ts.next()
+        return self.next()
 
     def span_from(self, start_tok):
-        prev = self.ts.tokens[max(self.ts.pos - 1, 0)]
+        prev = self.tokens[max(self.pos - 1, 0)]
         return Span(self.src, start_tok.start, prev.end)
 
     def separated(self, item, sep=","):
         """One or more ``item``s, each after the first preceded by ``sep``."""
         out = [item()]
-        while self.ts.at(sep, "op"):
-            self.ts.next()
+        while self.at(sep, "op"):
+            self.next()
             out.append(item())
         return out
 
@@ -127,10 +114,10 @@ class Parser:
         """``item``s up to ``close``, each optionally followed by a comma,
         then ``close``."""
         out = []
-        while not self.ts.at(close, "op"):
+        while not self.at(close, "op"):
             out.append(item())
-            if self.ts.at(",", "op"):
-                self.ts.next()
+            if self.at(",", "op"):
+                self.next()
         self.expect(close)
         return out
 
@@ -139,8 +126,8 @@ class Parser:
 
     def role_names(self):
         """``(A, B, ...)`` or ``A``."""
-        if self.ts.at("(", "op"):
-            self.ts.next()
+        if self.at("(", "op"):
+            self.next()
             roles = self.separated(self.role_name)
             self.expect(")")
             return roles
@@ -153,7 +140,7 @@ class Parser:
 
     def name_roles(self):
         """The roles after a name in a type or an expression, if any."""
-        if self.ts.at("@", "op") and not self.local_mode:
+        if self.at("@", "op") and not self.local_mode:
             return self.parse_role_params()
         return []
 
@@ -161,7 +148,7 @@ class Parser:
         """``<TE, ...>``, whose ``>`` may be the first half of a ``>>``."""
         self.expect("<")
         args = self.separated(self.parse_te)
-        self.ts.split_shr()
+        self.split_shr()
         self.expect(">", what)
         return args
 
@@ -169,24 +156,24 @@ class Parser:
 
     def parse_program(self):
         decls = []
-        while not self.ts.at_kind("eof"):
-            start = self.ts.mark()
+        while not self.at_kind("eof"):
+            start = self.pos
             try:
                 decls.append(self.parse_decl())
             except DiagnosticError as e:
                 self.reporter.add(e.diagnostic)
                 self.recover_to_decl()
             except RecursionError:  # the parser recurses per nesting level
-                self.ts.reset(start)
-                self.reporter.error(Code.InternalError, self.ts.peek().span,
+                self.pos = start
+                self.reporter.error(Code.InternalError, self.peek().span,
                                     "declaration is nested too deeply to parse.")
                 self.recover_to_decl()
         return decls
 
     def recover_to_decl(self):
         depth = 0
-        while not self.ts.at_kind("eof"):
-            tok = self.ts.next()
+        while not self.at_kind("eof"):
+            tok = self.next()
             if tok.lexeme == "{":
                 depth += 1
             elif tok.lexeme == "}":
@@ -198,12 +185,12 @@ class Parser:
 
     def parse_annotations(self):
         out = []
-        while self.ts.at("@", "op") and self.ts.peek(1).kind == "ident":
-            at = self.ts.next()
+        while self.at("@", "op") and self.peek(1).kind == "ident":
+            at = self.next()
             name = self.expect_ident("annotation name").lexeme
             args = []
-            if self.ts.at("(", "op"):
-                self.ts.next()
+            if self.at("(", "op"):
+                self.next()
                 args = self.listed(")", self.parse_annotation_arg)
             out.append(S.Annotation(self.span_from(at), name, args))
         return out
@@ -211,22 +198,22 @@ class Parser:
     def parse_annotation_arg(self):
         key = self.expect_ident("annotation key").lexeme
         self.expect("=")
-        tok = self.ts.peek()
+        tok = self.peek()
         if tok.kind in ("string", "int", "float") or tok.lexeme in ("true", "false"):
             return key, self.parse_bare_literal()
         raise self.err(tok.span, "expected literal annotation value")
 
     def parse_modifiers(self):
         mods = []
-        while self.ts.peek().kind == "keyword" and self.ts.peek().lexeme in MODIFIERS:
-            mods.append(self.ts.next().lexeme)
+        while self.peek().kind == "keyword" and self.peek().lexeme in MODIFIERS:
+            mods.append(self.next().lexeme)
         return mods
 
     def parse_decl(self):
-        start = self.ts.peek()
+        start = self.peek()
         annotations = self.parse_annotations()
         modifiers = self.parse_modifiers()
-        tok = self.ts.peek()
+        tok = self.peek()
         if tok.lexeme == "enum":
             return self.parse_enum(start, annotations, modifiers)
         if tok.lexeme == "interface":
@@ -249,21 +236,21 @@ class Parser:
         return S.EnumDecl(self.span_from(start), annotations, modifiers, name, roles, cases)
 
     def parse_ftps(self):
-        if not self.ts.at("<", "op"):
+        if not self.at("<", "op"):
             return []
-        self.ts.next()
+        self.next()
         ftps = self.separated(self.parse_ftp)
-        self.ts.split_shr()
+        self.split_shr()
         self.expect(">", "to close type parameters")
         return ftps
 
     def parse_ftp(self):
-        tok = self.ts.peek()
+        tok = self.peek()
         name = self.expect_ident("type parameter").lexeme
         roles = self.decl_roles()
         bounds = []
-        if self.ts.at("extends", "keyword"):
-            self.ts.next()
+        if self.at("extends", "keyword"):
+            self.next()
             bounds = self.separated(self.parse_te, "&")
         return S.FTP(self.span_from(tok), name, roles, bounds)
 
@@ -273,17 +260,21 @@ class Parser:
         roles = self.decl_roles()
         ftps = self.parse_ftps()
         extends = []
-        if self.ts.at("extends", "keyword"):
-            self.ts.next()
+        if self.at("extends", "keyword"):
+            self.next()
             extends = self.separated(self.parse_te)
         self.expect("{")
         methods = []
-        while not self.ts.at("}", "op"):
-            methods.append(self.parse_member(class_name=None))
+        while not self.at("}", "op"):
+            member = self.parse_member(class_name=None)
+            if isinstance(member, S.FieldDecl):
+                self.reporter.error(Code.SyntaxError, member.span,
+                                    "interfaces cannot declare fields")
+            else:
+                methods.append(member)
         self.expect("}")
-        return S.InterfaceDecl(
-            self.span_from(start), annotations, modifiers, name, roles, ftps, extends, methods
-        )
+        return S.InterfaceDecl(self.span_from(start), annotations, modifiers, name, roles, ftps,
+                               extends, methods)
 
     def parse_class(self, start, annotations, modifiers):
         self.expect("class")
@@ -292,18 +283,18 @@ class Parser:
         ftps = self.parse_ftps()
         extends = None
         implements = []
-        if self.ts.at("extends", "keyword"):
-            self.ts.next()
+        if self.at("extends", "keyword"):
+            self.next()
             extends = self.parse_te()
-        if self.ts.at("implements", "keyword"):
-            self.ts.next()
+        if self.at("implements", "keyword"):
+            self.next()
             implements = self.separated(self.parse_te)
         self.expect("{")
         decl = S.ClassDecl(
             self.span_from(start), annotations, modifiers, name, roles, ftps,
             extends, implements, [], [], [],
         )
-        while not self.ts.at("}", "op"):
+        while not self.at("}", "op"):
             member = self.parse_member(class_name=name)
             if isinstance(member, S.FieldDecl):
                 decl.fields.append(member)
@@ -316,32 +307,32 @@ class Parser:
         return decl
 
     def parse_member(self, class_name):
-        start = self.ts.peek()
+        start = self.peek()
         annotations = self.parse_annotations()
         modifiers = self.parse_modifiers()
         ftps = self.parse_ftps()
         # Constructor: the class name followed directly by '('.
         if (
             class_name is not None
-            and self.ts.peek().kind == "ident"
-            and self.ts.peek().lexeme == class_name
-            and self.ts.peek(1).lexeme == "("
+            and self.peek().kind == "ident"
+            and self.peek().lexeme == class_name
+            and self.peek(1).lexeme == "("
         ):
-            te, name = None, self.ts.next().lexeme
+            te, name = None, self.next().lexeme
         else:
             te = self.parse_te()
             name = self.expect_ident("member name").lexeme
-        if te is None or self.ts.at("(", "op"):
+        if te is None or self.at("(", "op"):
             params = self.parse_params()
             body = None
-            if self.ts.at(";", "op"):
-                self.ts.next()
+            if self.at(";", "op"):
+                self.next()
             else:
                 body = self.parse_block_stm()
             return S.Method(self.span_from(start), annotations, modifiers, ftps, te, name,
                             params, body, is_constructor=te is None)
         if ftps:
-            raise self.err(self.ts.peek().span, "fields cannot declare type parameters")
+            raise self.err(self.peek().span, "fields cannot declare type parameters")
         self.expect(";", "after field declaration")
         return S.FieldDecl(self.span_from(start), annotations, modifiers, te, name)
 
@@ -350,7 +341,7 @@ class Parser:
         return self.listed(")", self.parse_param)
 
     def parse_param(self):
-        tok = self.ts.peek()
+        tok = self.peek()
         te = self.parse_te()
         name = self.expect_ident("parameter name").lexeme
         return S.Param(self.span_from(tok), te, name)
@@ -358,13 +349,13 @@ class Parser:
     # ------------------------------------------------------------- types
 
     def parse_te(self):
-        tok = self.ts.peek()
+        tok = self.peek()
         if tok.lexeme == "void":
-            self.ts.next()
+            self.next()
             return S.TE(tok.span, "void", [], [], is_void=True)
         name = self.expect_ident("type name").lexeme
         roles = self.name_roles()
-        args = self.type_args("to close type arguments") if self.ts.at("<", "op") else []
+        args = self.type_args("to close type arguments") if self.at("<", "op") else []
         return S.TE(self.span_from(tok), name, roles, args)
 
     # --------------------------------------------------------- statements
@@ -375,7 +366,7 @@ class Parser:
         stms = []
         # At the end of the file the loop stops and expect("}") reports it;
         # recover_to_stm cannot move past the end.
-        while not self.ts.at("}", "op") and not self.ts.at_kind("eof"):
+        while not self.at("}", "op") and not self.at_kind("eof"):
             try:
                 stms.append(self.parse_stm())
             except DiagnosticError as e:
@@ -386,13 +377,13 @@ class Parser:
 
     def recover_to_stm(self):
         depth = 0
-        while not self.ts.at_kind("eof"):
-            tok = self.ts.peek()
+        while not self.at_kind("eof"):
+            tok = self.peek()
             if depth == 0 and tok.lexeme in (";", "}"):
                 if tok.lexeme == ";":
-                    self.ts.next()
+                    self.next()
                 return
-            self.ts.next()
+            self.next()
             if tok.lexeme == "{":
                 depth += 1
             elif tok.lexeme == "}":
@@ -411,33 +402,33 @@ class Parser:
         return chain
 
     def parse_stm(self):
-        tok = self.ts.peek()
+        tok = self.peek()
         if tok.lexeme == "return":
-            self.ts.next()
+            self.next()
             value = None
-            if not self.ts.at(";", "op"):
+            if not self.at(";", "op"):
                 value = self.parse_exp()
             self.expect(";")
             return S.Return(self.span_from(tok), value)
         if tok.lexeme == "if":
-            self.ts.next()
+            self.next()
             self.expect("(")
             guard = self.parse_exp()
             self.expect(")")
             then = self.parse_block_stm()
             orelse = S.Nil(self.span_from(tok))
-            if self.ts.at("else", "keyword"):
-                self.ts.next()
+            if self.at("else", "keyword"):
+                self.next()
                 orelse = self.parse_block_stm()
             return S.If(self.span_from(tok), guard, then, orelse, None)
         if tok.lexeme == "switch":
             return self.parse_switch()
         if tok.lexeme == "try":
-            self.ts.next()
+            self.next()
             body = self.parse_block_stm()
             handlers = []
-            while self.ts.at("catch", "keyword"):
-                ctok = self.ts.next()
+            while self.at("catch", "keyword"):
+                ctok = self.next()
                 self.expect("(")
                 te = self.parse_te()
                 name = self.expect_ident("exception name").lexeme
@@ -451,37 +442,37 @@ class Parser:
         if tok.lexeme == "throw":
             if not self.local_mode:
                 raise self.err(tok.span, "'throw' is only part of the generated local language")
-            self.ts.next()
+            self.next()
             self.expect("new")
             self.expect_ident("exception class")
             self.expect("(")
             msg = ""
-            if self.ts.at_kind("string"):
-                msg = self.ts.next().lexeme
+            if self.at_kind("string"):
+                msg = self.next().lexeme
             self.expect(")")
             self.expect(";")
             return S.Throw(self.span_from(tok), msg)
         # VarDecl: a TE followed by an identifier, then '=' or ';'.
         # Only that prefix backtracks: an initializer's own error is reported.
-        mark = self.ts.mark()
+        mark = self.pos
         try:
             te = self.parse_te()
-            is_decl = self.ts.at_kind("ident") and self.ts.peek(1).lexeme in ("=", ";")
+            is_decl = self.at_kind("ident") and self.peek(1).lexeme in ("=", ";")
         except DiagnosticError:
             is_decl = False
         if is_decl:
             name = self.expect_ident().lexeme
             init = None
-            if self.ts.at("=", "op"):
-                self.ts.next()
+            if self.at("=", "op"):
+                self.next()
                 init = self.parse_exp()
             self.expect(";")
             return S.VarDecl(self.span_from(tok), te, name, init, None)
-        self.ts.reset(mark)
+        self.pos = mark
         exp = self.parse_exp()
-        nxt = self.ts.peek()
+        nxt = self.peek()
         if nxt.kind == "op" and nxt.lexeme in ASG_OPS:
-            op = self.ts.next().lexeme
+            op = self.next().lexeme
             value = self.parse_exp()
             self.expect(";")
             return S.Assign(self.span_from(tok), exp, op, value, None)
@@ -496,10 +487,10 @@ class Parser:
         self.expect("{")
         cases = []
         default = None
-        while not self.ts.at("}", "op"):
-            ctok = self.ts.peek()
-            if self.ts.at("default", "keyword"):
-                self.ts.next()
+        while not self.at("}", "op"):
+            ctok = self.peek()
+            if self.at("default", "keyword"):
+                self.next()
                 self.expect("->")
                 body = self.parse_block_stm()
                 if default is not None:
@@ -507,9 +498,9 @@ class Parser:
                 default = body
                 continue
             self.expect("case")
-            label_tok = self.ts.peek()
+            label_tok = self.peek()
             if label_tok.kind == "ident":
-                label = self.ts.next().lexeme
+                label = self.next().lexeme
             elif label_tok.kind in ("int", "float", "string") or label_tok.lexeme in ("true", "false"):
                 label = S.Literal(label_tok.span, self.parse_bare_literal(), [])
             else:
@@ -521,7 +512,7 @@ class Parser:
         return S.Switch(self.span_from(tok), guard, cases, default, None)
 
     def parse_bare_literal(self):
-        tok = self.ts.next()
+        tok = self.next()
         if tok.kind == "int":
             return int(tok.lexeme)
         if tok.kind == "float":
@@ -540,8 +531,8 @@ class Parser:
         """A binary expression, then each ``>>`` link as a call of the link
         on what is left of it."""
         exp = self.parse_binary(0)
-        while self.ts.at(">>", "op"):
-            self.ts.next()
+        while self.at(">>", "op"):
+            self.next()
             exp = self.parse_chain_link(exp)
         return exp
 
@@ -549,33 +540,33 @@ class Parser:
         """``target::<TAs>method`` or ``id@(..)<TAs>::new`` after a ``>>``:
         the call or ``new`` of it on the one argument ``operand``, spanning
         the link."""
-        tok = self.ts.peek()
+        tok = self.peek()
         target = None
         if tok.lexeme == "this":
-            self.ts.next()
+            self.next()
             target = S.Name(tok.span, "this")
         else:
             name_tok = self.expect_ident("chain target")
-            if self.ts.at("@", "op"):
+            if self.at("@", "op"):
                 roles = self.parse_role_params()
                 target = S.StaticRef(self.span_from(name_tok), name_tok.lexeme, roles)
                 # Constructor reference: id@(..)[<TEs>]::new
-                type_args = self.type_args() if self.ts.at("<", "op") else []
-                if self.ts.at("::", "op") and self.ts.peek(1).lexeme == "new":
-                    self.ts.next()
-                    self.ts.next()
+                type_args = self.type_args() if self.at("<", "op") else []
+                if self.at("::", "op") and self.peek(1).lexeme == "new":
+                    self.next()
+                    self.next()
                     return S.New(self.span_from(tok), name_tok.lexeme, roles, type_args,
                                  self.arguments(operand))
                 if type_args:
-                    raise self.err(self.ts.peek().span, "expected '::new' after constructor reference")
+                    raise self.err(self.peek().span, "expected '::new' after constructor reference")
             else:
                 target = S.Name(name_tok.span, name_tok.lexeme)
-        while self.ts.at(".", "op"):
-            self.ts.next()
+        while self.at(".", "op"):
+            self.next()
             fname = self.expect_ident("member name")
             target = S.FieldAcc(self.span_from(tok), target, fname.lexeme)
         self.expect("::", "in chain target")
-        type_args = self.type_args() if self.ts.at("<", "op") else []
+        type_args = self.type_args() if self.at("<", "op") else []
         method = self.expect_ident("method name").lexeme
         return S.Call(self.span_from(tok), target, type_args, method, self.arguments(operand))
 
@@ -585,27 +576,27 @@ class Parser:
         right operand holds only operators of higher tiers."""
         left = self.parse_postfix()
         while True:
-            tok = self.ts.peek()
+            tok = self.peek()
             op_tier = PREC.get(tok.lexeme, -1) if tok.kind == "op" else -1
             if op_tier < tier:
                 return left
-            self.ts.next()
+            self.next()
             right = self.parse_binary(op_tier + 1)
             span = Span(self.src, left.span.start, right.span.end)
             left = S.Binary(span, left, tok.lexeme, right)
 
     def parse_postfix(self):
         exp = self.parse_atom()
-        while self.ts.at(".", "op"):
-            self.ts.next()
-            if self.ts.at("<", "op"):
+        while self.at(".", "op"):
+            self.next()
+            if self.at("<", "op"):
                 type_args = self.type_args()
                 name = self.expect_ident("method name").lexeme
                 args = self.parse_args()
                 exp = S.Call(self.span_from_exp(exp), exp, type_args, name, args)
                 continue
             name = self.expect_ident("member name").lexeme
-            if self.ts.at("(", "op"):
+            if self.at("(", "op"):
                 args = self.parse_args()
                 exp = S.Call(self.span_from_exp(exp), exp, [], name, args)
             else:
@@ -613,7 +604,7 @@ class Parser:
         return exp
 
     def span_from_exp(self, exp):
-        prev = self.ts.tokens[max(self.ts.pos - 1, 0)]
+        prev = self.tokens[max(self.pos - 1, 0)]
         return Span(self.src, exp.span.start, prev.end)
 
     def parse_args(self):
@@ -629,27 +620,27 @@ class Parser:
         return [S.Literal(exp.span, exp.value, [role]) for role in roles]
 
     def parse_atom(self):
-        tok = self.ts.peek()
+        tok = self.peek()
         if tok.kind in ("int", "float", "string") or tok.lexeme in ("true", "false", "null"):
             return self.parse_literal()
         if tok.lexeme == "this":
-            self.ts.next()
+            self.next()
             return S.Name(tok.span, "this")
         if tok.lexeme == "super":
-            self.ts.next()
+            self.next()
             args = self.parse_args()
             return S.Call(self.span_from(tok), None, [], "super", args)
         if tok.lexeme == "(":
-            self.ts.next()
+            self.next()
             exp = self.parse_exp()
             self.expect(")")
             return exp
         if tok.lexeme == "new":
-            self.ts.next()
-            ctor_type_args = self.type_args() if self.ts.at("<", "op") else []
+            self.next()
+            ctor_type_args = self.type_args() if self.at("<", "op") else []
             name = self.expect_ident("class name").lexeme
             roles = self.name_roles()
-            type_args = self.type_args() if self.ts.at("<", "op") else []
+            type_args = self.type_args() if self.at("<", "op") else []
             args = self.parse_args()
             return S.New(self.span_from(tok), name, roles, ctor_type_args + type_args, args)
         if tok.lexeme == "<":
@@ -659,26 +650,26 @@ class Parser:
             args = self.parse_args()
             return S.Call(self.span_from(tok), None, type_args, name, args)
         if tok.kind == "ident":
-            self.ts.next()
+            self.next()
             roles = self.name_roles()
             if roles:
                 return S.StaticRef(self.span_from(tok), tok.lexeme, roles)
-            if self.ts.at("(", "op"):
+            if self.at("(", "op"):
                 args = self.parse_args()
                 return S.Call(self.span_from(tok), None, [], tok.lexeme, args)
             return S.Name(tok.span, tok.lexeme)
         raise self.err(tok.span, f"expected expression, found '{tok.lexeme or tok.kind}'")
 
     def parse_literal(self):
-        tok = self.ts.peek()
+        tok = self.peek()
         value = self.parse_bare_literal()
         if self.local_mode:
             return S.Literal(tok.span, value, [])
-        if not self.ts.at("@", "op"):
+        if not self.at("@", "op"):
             raise self.err(tok.span, "literal must carry a role annotation, e.g. 1@A")
-        self.ts.next()
-        if self.ts.at("[", "op"):
-            self.ts.next()
+        self.next()
+        if self.at("[", "op"):
+            self.next()
             roles = self.separated(self.role_name)
             self.expect("]")
             literal = S.Literal(self.span_from(tok), value, roles[:1])

@@ -7,6 +7,12 @@ from choreo.builtins import (
 from choreo.runtime import UNIT, ChoreoRuntimeError, EnumV, ListV, OptionalV, is_unit
 
 
+def call(b, receiver, name, args):
+    """Run the ``METHODS`` entry of ``b``'s class for ``name`` on ``receiver``'s
+    type; a missing entry is a ``KeyError``."""
+    return b.METHODS[name][type(receiver)](b, receiver, args)
+
+
 def test_java_division_truncates_toward_zero():
     assert java_div(3, 2) == 1
     assert java_div(-3, 2) == -1
@@ -51,10 +57,10 @@ def test_an_exception_made_without_a_message_has_a_null_message():
     b = Builtins(console)
     bare = CONSTRUCTORS["Exception"](b, None, [])
     empty = CONSTRUCTORS["RuntimeException"](b, None, [""])
-    hit, message = b.try_call_method(bare, "getMessage", [])
-    assert hit and message is None
+    message = call(b, bare, "getMessage", [])
+    assert message is None
     for value in (message, bare, empty):
-        b.try_call_method(PrintStreamV(console, "A"), "println", [value])
+        call(b, PrintStreamV(console, "A"), "println", [value])
     # As Java's Throwable prints them.
     assert console.transcripts() == {"A": [
         "null", "java.lang.Exception", "java.lang.RuntimeException: "]}
@@ -62,14 +68,10 @@ def test_an_exception_made_without_a_message_has_a_null_message():
 
 def test_string_methods():
     b = Builtins(Console())
-    hit, value = b.try_call_method("hello", "reverse", [])
-    assert hit and value == "olleh"
-    hit, value = b.try_call_method("hello", "substring", [1, 3])
-    assert hit and value == "el"
-    hit, value = b.try_call_method("in:guide", "startsWith", ["in:"])
-    assert hit and value is True
-    hit, value = b.try_call_method("abc", "length", [])
-    assert hit and value == 3
+    assert call(b, "hello", "reverse", []) == "olleh"
+    assert call(b, "hello", "substring", [1, 3]) == "el"
+    assert call(b, "in:guide", "startsWith", ["in:"]) is True
+    assert call(b, "abc", "length", []) == 3
 
 
 def test_optional_if_present_invokes_consumer():
@@ -80,21 +82,20 @@ def test_optional_if_present_invokes_consumer():
             seen.append((recv, m, args))
 
     b = Invoking(Console())
-    b.try_call_method(OptionalV(True, 9), "ifPresent", ["consumer"])
+    call(b, OptionalV(True, 9), "ifPresent", ["consumer"])
     assert seen == [("consumer", "accept", [9])]
-    b.try_call_method(OptionalV(False), "ifPresent", ["consumer"])
+    call(b, OptionalV(False), "ifPresent", ["consumer"])
     assert len(seen) == 1
 
 
 def test_iterator_protocol():
     b = Builtins(Console())
     lst = ListV([10, 20])
-    hit, it = b.try_call_method(lst, "iterator", [])
-    assert hit
-    assert b.try_call_method(it, "hasNext", [])[1] is True
-    assert b.try_call_method(it, "next", [])[1] == 10
-    assert b.try_call_method(it, "next", [])[1] == 20
-    assert b.try_call_method(it, "hasNext", [])[1] is False
+    it = call(b, lst, "iterator", [])
+    assert call(b, it, "hasNext", []) is True
+    assert call(b, it, "next", []) == 10
+    assert call(b, it, "next", []) == 20
+    assert call(b, it, "hasNext", []) is False
 
 
 def test_math_statics():

@@ -1,17 +1,22 @@
 """Edge coverage: try/catch projection, multi-file programs, kind errors,
-randomised expression round-trips."""
+randomised expression round-trips, and mutated corpus texts, which the
+compiler must report on without raising."""
 
 import random
+import string
 
 from conftest import compile_ok, compile_text
+from hypothesis import example, given, settings, strategies as st
 
 from choreo import surface as S
+from choreo.corpus import corpus_root
 from choreo.diagnostics import Code, Reporter
+from choreo.lexer import KEYWORDS
 from choreo.local import LTryCatch
 from choreo.parser import parse_program
 from choreo.pipeline import compile_sources
 from choreo.projector import project_program
-from choreo.printer import render_exp
+from choreo.printer import render_exp, render_unit
 from choreo.surface import structurally_equal
 
 
@@ -182,3 +187,34 @@ def test_random_expressions_round_trip_through_renderer():
         assert not reporter.has_errors(), text
         reparsed = program.decls[0].methods[0].body.exp
         assert structurally_equal(exp, reparsed), text
+
+
+# ------------------------------------------------- mutated corpus texts
+
+MUTATION_PIECES = [*string.punctuation, *sorted(KEYWORDS), "@[A,B]", "²", "٣"]
+
+
+def mutate(text, edits):
+    """``text`` after each ``(op, at, piece)`` edit in turn: insert ``piece``
+    before offset ``at`` (taken modulo the length), delete the character
+    there, or replace it with ``piece``."""
+    for op, at, piece in edits:
+        at %= len(text) + 1
+        tail = text[at:] if op == "insert" else text[at + 1:]
+        text = text[:at] + ("" if op == "delete" else piece) + tail
+    return text
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.sampled_from([p.read_text() for p in sorted(corpus_root().rglob("*.chor"))]),
+       st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                          st.integers(0, 1 << 16), st.sampled_from(MUTATION_PIECES)),
+                min_size=1, max_size=3))
+@example("interface I@A { String@A f; }", [])
+@example("class C@A { Integer@A m() { return ²@A; } }", [])
+def test_a_mutated_corpus_text_is_reported_on_never_raised_on(text, edits):
+    checked, reporter = compile_sources([("mutant.chor", mutate(text, edits))])
+    if not reporter.has_errors():
+        units, _ = project_program(checked, Reporter())
+        for unit in units.units:
+            render_unit(unit)

@@ -375,7 +375,7 @@ def test_split_shr_gives_two_adjacent_closing_tokens():
     parser = Parser(SourceFile("t.chor", text), Reporter())
     [decl] = parser.parse_program()
     at = text.index(">>")
-    closers = [(t.kind, t.lexeme, t.start, t.end) for t in parser.ts.tokens
+    closers = [(t.kind, t.lexeme, t.start, t.end) for t in parser.tokens
                if t.lexeme.startswith(">")]
     assert closers == [("op", ">", at, at + 1), ("op", ">", at + 1, at + 2)]
     te = decl.methods[0].params[0].te
@@ -397,6 +397,11 @@ def test_split_shr_gives_two_adjacent_closing_tokens():
     ("class C@A { void m() { if (true@A) { } else ; } }", (1, 45, "expected '{', found ';'")),
     ("class C@A { void m() { Integer@A x = 1; } }",
      (1, 38, "literal must carry a role annotation, e.g. 1@A")),
+    ("interface I@A { String@A f; }", (1, 17, "interfaces cannot declare fields")),
+    # A number has ASCII digits only, and a numeral is no letter.
+    ("class C@A { Integer@A m() { return ²@A; } }", (1, 36, "unexpected character '²'")),
+    ("class C@A { Integer@A m() { return 1²@A; } }", (1, 37, "unexpected character '²'")),
+    ("class C@A { Integer@A m() { return ٣@A; } }", (1, 36, "unexpected character '٣'")),
 ])
 def test_syntax_error_line_and_column(text, where):
     _, reporter = parse_program([("t.chor", text)])

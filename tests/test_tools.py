@@ -46,7 +46,7 @@ def test_ab_compares_this_checkout_with_itself_for_one_round(tmp_path):
     parser = tmp_path / "src" / "choreo" / "parser.py"
     void = 'return S.TE(tok.span, "void", [], [], is_void=True)'
     assert void in parser.read_text()
-    parser.write_text(parser.read_text().replace(void, void.replace("tok.span", "self.ts.peek().span")))
+    parser.write_text(parser.read_text().replace(void, void.replace("tok.span", "self.peek().span")))
     moved = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(tmp_path), "--rounds", "1",
          "--workload", "compile"],

@@ -27,16 +27,18 @@ compile a checker change moves), the projection (``project_program`` alone),
 the oracle (``eval_global``) and the distributed run (``eval_distributed``);
 a negative program has only its compile, its check and, if it checks, its
 projection timed, and its compile stops at the first phase that reports an
-error. Before the first round, both sides' front ends
-(``pipeline.front_end``) must give each input the same tree: the same
-``render_program`` text, and the same class name, line and column of every
-node that ``surface.walk`` yields; and both sides' ``testkit.run_tests``
-must give each positive program's ``@Test`` cases the same name, verdict
-and failures. Both sides must give the same diagnostics (code, severity,
-line, column and message), render the same units, project to the same
-units (their ``repr``, taken after the timed stages: a chain that ends in
-None renders as one that ends in ``LNil()`` does, but merges differently)
-and give the same reports.
+error. Before each stage starts, ``gc.collect(1)`` empties the collector's
+young generations, outside every stage's time, so that no stage pays for
+collecting the garbage of the one before. Before the first round, both
+sides' front ends (``pipeline.front_end``) must give each input the same
+tree: the same ``render_program`` text, and the same class name, line and
+column of every node that ``surface.walk`` yields; and both sides'
+``testkit.run_tests`` must give each positive program's ``@Test`` cases the
+same name, verdict and failures. Both sides must give the same diagnostics
+(code, severity, line, column and message), render the same units, project
+to the same units (their ``repr``, taken after the timed stages: a chain
+that ends in None renders as one that ends in ``LNil()`` does, but merges
+differently) and give the same reports.
 The script prints, per workload and stage, each side's median time and the
 median over inputs of each input's median change/parent ratio, with that
 ratio's quartiles over inputs. As ``p90+ ratio``, it also prints the median
@@ -64,6 +66,7 @@ rounds' pairs, with its quartiles.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import json
@@ -171,12 +174,14 @@ def run_side(choreo, item):
     rendered units, the ``repr`` of the projected units and what the
     evaluators reported. A negative program stops after the phase that
     reports an error."""
+    collect_young()
     t0 = time.process_time()
     checked, reporter = choreo.pipeline.compile_sources(item.sources)
     checked_at = time.process_time()
     found = list(reporter.items)
     took = {"check": checked_at - t0}
     if not reporter.has_errors():
+        t0 += collect_young()  # not part of the compile's time either
         projecting = time.process_time()
         units, reporter = choreo.projector.project_program(checked, choreo.diagnostics.Reporter())
         took["project"] = time.process_time() - projecting
@@ -189,17 +194,29 @@ def run_side(choreo, item):
     if item.entry_class is None:
         sys.exit(f"ab: {item.name} compiles, but is a negative program")
     texts = [choreo.printer.render_unit(unit) for unit in units.units]
-    t1 = time.process_time()
+    took["compile"] = time.process_time() - t0
     roles = checked.decl_info(item.entry_class).role_names
+    collect_young()
+    t1 = time.process_time()
     oracle = choreo.interpreter.eval_global(checked, item.entry_class, item.entry_method,
                                             item.args, item.channels)
+    took["oracle"] = time.process_time() - t1
+    collect_young()
     t2 = time.process_time()
     run = choreo.distributed.eval_distributed(units, item.entry_class, roles, item.entry_method,
                                               item.args, item.channels, item.deadline)
-    t3 = time.process_time()
+    took["run"] = time.process_time() - t2
     reports = [(r.status, r.error, r.returns, r.transcripts) for r in (oracle, run)]
-    took.update(compile=t1 - t0, oracle=t2 - t1, run=t3 - t2)
     return took, diagnostic_keys(found), texts, repr(units.units), reports
+
+
+def collect_young():
+    """Empty the cyclic collector's generations 0 and 1, so that the next
+    stage starts with none of the last one's garbage; returns the process
+    time it took."""
+    start = time.process_time()
+    gc.collect(1)
+    return time.process_time() - start
 
 
 def front_end_keys(choreo, item):
